@@ -376,12 +376,9 @@ class ChaosInjector:
 
     def _recovered(self, index: int, spec: FaultSpec) -> bool:
         kind = spec.kind
-        relayer = self.deployment.relayer
         if kind in ("host_blackout", "host_tx_drop", "host_fee_spike",
                     "host_slot_stall", "relayer_crash"):
-            return (not relayer.paused
-                    and relayer.breaker.state == "closed"
-                    and not relayer._bundle_queue)
+            return self.deployment.relayer.settled()
         if kind in _GOSSIP_WINDOW_KINDS:
             return True  # transport-level; nothing persists past the window
         if kind in ("validator_crash", "validator_bad_signature"):

@@ -103,7 +103,7 @@ class CounterpartyChain:
         self.sent_packets: list[tuple[Any, int]] = []
 
         self.bank = Bank()
-        self.ibc = IbcHost(self.config.chain_id, store=ProvableStore(), seal_receipts=False)
+        self.ibc = IbcHost(self.config.chain_id, store=ProvableStore())
         self.transfer_port = PortId("transfer")
         self.transfer = TransferApp(self.bank, self.transfer_port)
         self.ibc.bind_port(self.transfer_port, self.transfer)

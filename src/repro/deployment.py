@@ -26,10 +26,11 @@ from repro.guest.config import GuestConfig
 from repro.guest.contract import GuestContract
 from repro.host.accounts import Address
 from repro.host.chain import HostChain, HostConfig
-from repro.ibc.identifiers import ChannelId, ClientId, PortId
+from repro.ibc.identifiers import ChannelId, PortId
 from repro.lightclient.guest_client import GuestLightClient
 from repro.observability import TraceReport, Tracer
 from repro.relayer.cranker import Cranker
+from repro.relayer.endpoint import CounterpartyEnd, GuestEnd
 from repro.relayer.relayer import Relayer, RelayerConfig
 from repro.sim.gossip import GossipNetwork
 from repro.sim.kernel import Simulation
@@ -146,38 +147,64 @@ def provision_guest(sim: Simulation, host: HostChain, scheme: SignatureScheme,
     )
 
 
+def wire_link(sim: Simulation, host: HostChain, scheme: SignatureScheme,
+              contract: GuestContract, counterparty: CounterpartyChain,
+              payer_label: str,
+              config: Optional[RelayerConfig] = None) -> Relayer:
+    """Wire one guest↔counterparty link: the guest's light client on
+    the counterparty, a funded fee payer on the host, and the relayer
+    over the two ends.  Shared by the single-guest deployment and the
+    fabric topology builder."""
+    assert contract.current_epoch is not None
+    guest_client = GuestLightClient(scheme, contract.current_epoch,
+                                    chain_id=contract.chain_id)
+    guest_client_id_on_cp = counterparty.ibc.create_client(guest_client)
+    payer = Address.derive(payer_label)
+    host.airdrop(payer, sol_to_lamports(10_000.0))
+    return Relayer(
+        sim, host,
+        GuestEnd(contract, GuestApi(host, contract, payer),
+                 contract.counterparty_client_id),
+        CounterpartyEnd(counterparty, guest_client_id_on_cp),
+        config,
+    )
+
+
 def open_transfer_link(sim: Simulation, relayer: Relayer,
-                       guest_client_id: ClientId,
-                       *, guest_port: str = "transfer",
-                       cp_port: Optional[str] = None,
+                       port: str = "transfer",
                        max_seconds: float = 3_600.0) -> tuple[ChannelId, ChannelId]:
     """Drive one relayer's ICS-03 + ICS-04 handshakes to completion.
 
-    The per-link half of the old ``establish_link``: opens a connection,
-    then a channel over it, stepping the simulation until both four-step
-    handshakes finish (or ``max_seconds`` of simulated time pass).
-    Returns the (guest channel, counterparty channel) pair.  Shared by
-    the legacy single-link path and the fabric topology builder, which
-    calls it once per guest↔counterparty link.
+    Opens a connection, then a channel over it (``port`` on both ends),
+    stepping the simulation until both four-step handshakes finish (or
+    ``max_seconds`` of simulated time pass).  Returns the channel ids on
+    the relayer's ``a`` and ``b`` ends.  The one establish loop for
+    every link kind: the single-link path and the fabric topology
+    builder both call it, once per link.
     """
-    cp_port = cp_port if cp_port is not None else guest_port
-    outcome: dict[str, ChannelId] = {}
+    outcome: list[ChannelId] = []
 
-    def channel_open(guest_chan: ChannelId, cp_chan: ChannelId) -> None:
-        outcome["guest"] = guest_chan
-        outcome["cp"] = cp_chan
+    def connection_open(a_conn, b_conn) -> None:
+        relayer.open_channel(PortId(port), PortId(port),
+                             lambda a_chan, b_chan: outcome.extend((a_chan, b_chan)))
 
-    def connection_open(guest_conn, cp_conn) -> None:
-        relayer.open_channel(PortId(guest_port), PortId(cp_port), channel_open)
-
-    relayer.open_connection(guest_client_id, connection_open)
+    relayer.open_connection(connection_open)
     deadline = sim.now + max_seconds
-    while "cp" not in outcome:
+    while not outcome:
         if sim.now >= deadline or not sim.step():
             raise SimulationError(
-                f"link establishment incomplete after {sim.now:.0f} s"
+                f"link {relayer.a.chain_id}-{relayer.b.chain_id} establishment "
+                f"incomplete after {sim.now:.0f} s"
             )
-    return outcome["guest"], outcome["cp"]
+    return outcome[0], outcome[1]
+
+
+def validator_keypair(validators: list[ValidatorNode], index: int) -> Keypair:
+    """The signing key of the cohort member with profile ``index``."""
+    for node in validators:
+        if node.profile.index == index:
+            return node.keypair
+    raise KeyError(f"no validator with index {index}")
 
 
 class Deployment:
@@ -205,19 +232,15 @@ class Deployment:
         self.cranker = provisioned.cranker
         self.cranker_payer = provisioned.cranker_payer
 
-        # Light client of the guest, hosted on the counterparty.
-        assert self.contract.current_epoch is not None
-        self.guest_client = GuestLightClient(self.scheme, self.contract.current_epoch)
-        self.guest_client_id_on_cp: ClientId = self.counterparty.ibc.create_client(self.guest_client)
-
-        self.relayer_payer = Address.derive("relayer-payer")
-        self.host.airdrop(self.relayer_payer, sol_to_lamports(10_000.0))
-        self.relayer_api = GuestApi(self.host, self.contract, self.relayer_payer)
-        self.relayer = Relayer(
-            self.sim, self.host, self.counterparty, self.contract,
-            self.relayer_api, self.guest_client, self.guest_client_id_on_cp,
-            config.relayer,
+        self.relayer = wire_link(
+            self.sim, self.host, self.scheme, self.contract,
+            self.counterparty, "relayer-payer", config.relayer,
         )
+        self.relayer_api = self.relayer.a.api
+        self.relayer_payer = self.relayer_api.payer
+        # Light client of the guest, hosted on the counterparty.
+        self.guest_client_id_on_cp = self.relayer.b.client_id
+        self.guest_client = self.relayer.b.client
 
         self.gossip = GossipNetwork(self.sim)
         self.fisherman: Optional[Fisherman] = None
@@ -246,10 +269,8 @@ class Deployment:
         Runs the simulation until both four-step handshakes complete;
         raises if they do not finish within ``max_seconds``.
         """
-        return open_transfer_link(
-            self.sim, self.relayer, self.contract.counterparty_client_id,
-            guest_port=port, cp_port=port, max_seconds=max_seconds,
-        )
+        return open_transfer_link(self.sim, self.relayer, port,
+                                  max_seconds=max_seconds)
 
     # ------------------------------------------------------------------
     # Convenience
@@ -264,10 +285,7 @@ class Deployment:
         return self.sim.trace.report()
 
     def validator_keypair(self, index: int) -> Keypair:
-        for node in self.validators:
-            if node.profile.index == index:
-                return node.keypair
-        raise KeyError(f"no validator with index {index}")
+        return validator_keypair(self.validators, index)
 
 
 def build(config: Optional[DeploymentConfig] = None) -> Deployment:

@@ -20,13 +20,17 @@ cannot answer:
 
 ``python -m repro.experiments topology-sweep`` writes
 ``BENCH_topology.json``; ``topology-smoke`` is the scaled-down
-asserting variant CI runs (guests {1, 2} plus the 2-hop route).
-Schema notes live in docs/FABRIC.md.
+asserting variant CI runs (guests {1, 2} plus the 2-hop route).  The
+smoke also builds that route with its links listed in route order and
+with the guest↔guest link last (the ``fabric-order`` case): g1 hosts
+two links, and each relayer must pick out the handshake steps of its
+own datagrams whichever link opens first.  Schema notes live in
+docs/FABRIC.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.fabric import TopologyConfig, build_fabric
 from repro.ibc.identifiers import ChannelId, PortId
@@ -249,6 +253,31 @@ def run_multihop(config: TopologySweepConfig) -> dict:
     }
 
 
+def run_link_orders(config: TopologySweepConfig) -> list[dict]:
+    """The ``fabric-order`` case: the 2-hop route at ``TopologyConfig``'s
+    default seed, once per link order, one routed transfer each."""
+    base = TopologyConfig.chain_of(("cp-a", "g0", "g1", "cp-b"))
+    first, sibling, last = base.links
+    cases = []
+    for order, links in (("route-order", (first, sibling, last)),
+                         ("sibling-last", (first, last, sibling))):
+        dep = build_fabric(replace(base, links=links))
+        dep.counterparties["cp-a"].bank.mint(
+            "alice", "uatom", config.transfer_amount)
+        dep.send_along("path", "alice", "bob", "uatom", config.transfer_amount)
+        dep.run_for(config.multihop_settle_seconds)
+        cases.append({
+            "order": order,
+            "links": [[link.a, link.b] for link in links],
+            "establish_seconds": dep.sim.now - config.multihop_settle_seconds,
+            "received_amount": sum(
+                amount for (address, _), amount
+                in dep.counterparties["cp-b"].bank.balances().items()
+                if address == "bob"),
+        })
+    return cases
+
+
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
@@ -268,11 +297,15 @@ def run_topology_sweep(config: TopologySweepConfig | None = None) -> dict:
 
 
 def run_topology_smoke(seed: int = 2024) -> dict:
-    """The CI-scale sweep: guests {1, 2} and the 2-hop route."""
-    return run_topology_sweep(TopologySweepConfig(
+    """The CI-scale sweep: guests {1, 2}, the 2-hop route, and that
+    route built in either link order."""
+    config = TopologySweepConfig(
         seed=seed, guest_counts=(1, 2), transfers_per_guest=4,
         settle_seconds=1_200.0, multihop_transfers=2,
-    ))
+    )
+    record = run_topology_sweep(config)
+    record["link_orders"] = run_link_orders(config)
+    return record
 
 
 def check_topology(record: dict) -> list[str]:
@@ -323,6 +356,11 @@ def check_topology(record: dict) -> list[str]:
             failures.append(
                 f"multihop: conservation violated: "
                 f"{multihop['conservation_failures'][:3]}")
+    for case in record.get("link_orders", ()):
+        if case["received_amount"] <= 0:
+            failures.append(
+                f"fabric-order: links in {case['order']} carried no "
+                "routed transfer")
     return failures
 
 
@@ -351,4 +389,8 @@ def render_topology(record: dict) -> str:
                              f"{transfer['total_seconds']:.1f}s ({hops})")
             else:
                 lines.append(f"  transfer {transfer['index']}: NOT DELIVERED")
+    for case in record.get("link_orders", ()):
+        lines.append(f"fabric-order {case['order']}: established in "
+                     f"{case['establish_seconds']:.0f} s, "
+                     f"{case['received_amount']} uatom landed")
     return "\n".join(lines)

@@ -32,13 +32,7 @@ from repro.fabric.topology import (
     RouteSpec,
     TopologyConfig,
 )
-from repro.relayer.routing import (
-    Hop,
-    LinkEnd,
-    RouteTable,
-    SiblingRelayer,
-    SiblingRelayerConfig,
-)
+from repro.relayer.routing import Hop, RouteTable
 
 __all__ = [
     "ConservationChecker",
@@ -62,8 +56,5 @@ __all__ = [
     "RouteSpec",
     "TopologyConfig",
     "Hop",
-    "LinkEnd",
     "RouteTable",
-    "SiblingRelayer",
-    "SiblingRelayerConfig",
 ]

@@ -2,10 +2,10 @@
 
 One host chain, N guest contracts (per-guest accounts, validator
 cohorts, crankers — fee and compute isolation comes free from distinct
-namespaces), M counterparty chains, a relayer per link (the classic
-:class:`~repro.relayer.relayer.Relayer` for guest↔counterparty links, a
-:class:`~repro.relayer.routing.SiblingRelayer` for guest↔guest links)
-and a :class:`~repro.relayer.routing.RouteTable` resolving the named
+namespaces), M counterparty chains, one
+:class:`~repro.relayer.relayer.Relayer` per link (over a guest and a
+counterparty end, or over two guest ends) and a
+:class:`~repro.relayer.routing.RouteTable` resolving the named
 multi-hop routes.  ``establish_all`` runs every handshake sequentially;
 ``send_along`` then originates a transfer down any named route.
 
@@ -19,22 +19,24 @@ drives fabric experiments unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
 
 from repro.counterparty.chain import CounterpartyChain, CounterpartyConfig
 from repro.crypto.keys import Keypair, SignatureScheme
-from repro.deployment import ProvisionedGuest, open_transfer_link, provision_guest
+from repro.deployment import (
+    ProvisionedGuest, open_transfer_link, provision_guest, validator_keypair,
+    wire_link,
+)
 from repro.errors import SimulationError
 from repro.fabric.conservation import ConservationChecker
 from repro.fabric.topology import LinkSpec, TopologyConfig
 from repro.guest.api import GuestApi
 from repro.host.accounts import Address
 from repro.host.chain import HostChain
-from repro.ibc.identifiers import ChannelId, ClientId, PortId
-from repro.lightclient.guest_client import GuestLightClient
+from repro.ibc.identifiers import ChannelId, PortId
 from repro.observability import Tracer
+from repro.relayer.endpoint import GuestEnd
 from repro.relayer.relayer import Relayer
-from repro.relayer.routing import Hop, LinkEnd, RouteTable, SiblingRelayer
+from repro.relayer.routing import Hop, RouteTable
 from repro.sim.gossip import GossipNetwork
 from repro.sim.kernel import Simulation
 from repro.units import sol_to_lamports
@@ -46,17 +48,12 @@ class FabricLink:
     """One established link and the relayer serving it."""
 
     spec: LinkSpec
-    kind: str  # "guest-cp" | "guest-guest"
-    relayer: Union[Relayer, SiblingRelayer]
+    relayer: Relayer
     #: Payer addresses this link's relayer burns fees from, for the
     #: per-guest fee-partition accounting of the topology sweep.
     payers: tuple[Address, ...] = ()
     #: chain name -> that chain's channel end (set by establish_all).
     channels: dict = field(default_factory=dict)
-
-    @property
-    def port(self) -> str:
-        return self.spec.port
 
 
 class FabricDeployment:
@@ -110,123 +107,73 @@ class FabricDeployment:
             self.user_api[spec.name] = GuestApi(
                 self.host, provisioned.contract, user)
 
-        self.links: list[FabricLink] = []
-        for link in config.links:
-            self.links.append(self._wire_link(link))
+        self.links: list[FabricLink] = [
+            self._wire_link(link) for link in config.links]
+        #: Where the chaos injector's relayer faults land: the first
+        #: guest↔counterparty link unless a test points it elsewhere.
+        self.relayer = next(
+            (fl.relayer for fl in self.links
+             if not fl.spec.ends <= set(self.guests)),
+            self.links[0].relayer if self.links else None)
 
         self.routes = RouteTable()
-        self._established = False
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
 
     def _wire_link(self, link: LinkSpec) -> FabricLink:
-        guests = self.config.guest_names()
-        if link.a in guests and link.b in guests:
+        if link.a in self.guests and link.b in self.guests:
             return self._wire_sibling_link(link)
-        guest_name = link.a if link.a in guests else link.b
-        cp_name = link.b if link.a in guests else link.a
-        contract = self.guests[guest_name].contract
-        counterparty = self.counterparties[cp_name]
-
-        assert contract.current_epoch is not None
-        guest_client = GuestLightClient(self.scheme, contract.current_epoch,
-                                        chain_id=contract.chain_id)
-        guest_client_id_on_cp: ClientId = counterparty.ibc.create_client(
-            guest_client)
-        payer = Address.derive(f"{guest_name}-{cp_name}-relayer-payer")
-        self.host.airdrop(payer, sol_to_lamports(10_000.0))
-        relayer = Relayer(
-            self.sim, self.host, counterparty, contract,
-            GuestApi(self.host, contract, payer),
-            guest_client, guest_client_id_on_cp,
-            self.config.relayer,
+        guest_name, cp_name = ((link.a, link.b) if link.a in self.guests
+                               else (link.b, link.a))
+        relayer = wire_link(
+            self.sim, self.host, self.scheme,
+            self.guests[guest_name].contract, self.counterparties[cp_name],
+            f"{guest_name}-{cp_name}-relayer-payer", self.config.relayer,
         )
-        return FabricLink(spec=link, kind="guest-cp", relayer=relayer,
-                          payers=(payer,))
+        return FabricLink(spec=link, relayer=relayer,
+                          payers=(relayer.a.api.payer,))
 
     def _wire_sibling_link(self, link: LinkSpec) -> FabricLink:
-        contract_a = self.guests[link.a].contract
-        contract_b = self.guests[link.b].contract
-        client_of_b_on_a = contract_a.register_sibling(contract_b)
-        client_of_a_on_b = contract_b.register_sibling(contract_a)
+        """Two guests on this host: each registers a host-verified
+        client of the other, and each end gets its own fee payer."""
         ends = []
-        payers = []
-        for name, contract, client in (
-                (link.a, contract_a, client_of_b_on_a),
-                (link.b, contract_b, client_of_a_on_b)):
+        for name, peer in ((link.a, link.b), (link.b, link.a)):
+            contract = self.guests[name].contract
+            client = contract.register_sibling(self.guests[peer].contract)
             payer = Address.derive(f"{link.a}-{link.b}-sibling-payer-{name}")
             self.host.airdrop(payer, sol_to_lamports(10_000.0))
-            payers.append(payer)
-            ends.append(LinkEnd(
-                contract=contract,
-                api=GuestApi(self.host, contract, payer),
-                client_of_peer=client,
-                port=PortId(link.port),
-            ))
-        relayer = SiblingRelayer(self.sim, self.host, ends[0], ends[1],
-                                 self.config.sibling)
-        return FabricLink(spec=link, kind="guest-guest", relayer=relayer,
-                          payers=tuple(payers))
+            ends.append(GuestEnd(
+                contract, GuestApi(self.host, contract, payer), client))
+        relayer = Relayer(self.sim, self.host, ends[0], ends[1],
+                          self.config.relayer,
+                          retry_label=f"sibling-relayer:{link.a}:{link.b}")
+        return FabricLink(spec=link, relayer=relayer,
+                          payers=tuple(end.api.payer for end in ends))
 
     # ------------------------------------------------------------------
     # Handshakes and routes
     # ------------------------------------------------------------------
 
     def establish_all(self, max_seconds_per_link: float = 3_600.0) -> None:
-        """Open every link (sequentially — the per-guest HandshakeStep
-        waiters are one-shot, so concurrent handshakes on one guest
-        would race), then resolve the route table."""
+        """Open every link, one after the other and in any order (each
+        relayer consumes only the handshake steps of its own datagrams,
+        so links sharing a guest do not interfere; the loop is serial
+        only because nothing drives them concurrently yet), then
+        resolve the route table."""
         for fabric_link in self.links:
-            if fabric_link.kind == "guest-cp":
-                self._establish_cp_link(fabric_link, max_seconds_per_link)
-            else:
-                self._establish_sibling_link(fabric_link, max_seconds_per_link)
+            relayer = fabric_link.relayer
+            channels = open_transfer_link(
+                self.sim, relayer, fabric_link.spec.port,
+                max_seconds=max_seconds_per_link)
+            fabric_link.channels.update(
+                zip((relayer.a.chain_id, relayer.b.chain_id), channels))
         for route in self.config.routes:
             self.routes.add(route.name, [
                 self._egress_hop(chain, nxt)
                 for chain, nxt in zip(route.hops, route.hops[1:])
             ])
-        self._established = True
-
-    def _establish_cp_link(self, fabric_link: FabricLink,
-                           max_seconds: float) -> None:
-        link = fabric_link.spec
-        guests = self.config.guest_names()
-        guest_name = link.a if link.a in guests else link.b
-        cp_name = link.b if link.a in guests else link.a
-        contract = self.guests[guest_name].contract
-        relayer = fabric_link.relayer
-        assert isinstance(relayer, Relayer)
-        guest_chan, cp_chan = open_transfer_link(
-            self.sim, relayer, contract.counterparty_client_id,
-            guest_port=link.port, cp_port=link.port,
-            max_seconds=max_seconds,
-        )
-        fabric_link.channels[guest_name] = guest_chan
-        fabric_link.channels[cp_name] = cp_chan
-
-    def _establish_sibling_link(self, fabric_link: FabricLink,
-                                max_seconds: float) -> None:
-        link = fabric_link.spec
-        relayer = fabric_link.relayer
-        assert isinstance(relayer, SiblingRelayer)
-        outcome: dict[str, ChannelId] = {}
-
-        def on_open(chan_a: ChannelId, chan_b: ChannelId) -> None:
-            outcome[link.a] = chan_a
-            outcome[link.b] = chan_b
-
-        relayer.open_link(on_open)
-        deadline = self.sim.now + max_seconds
-        while link.b not in outcome:
-            if self.sim.now >= deadline or not self.sim.step():
-                raise SimulationError(
-                    f"sibling link {link.a}-{link.b} incomplete "
-                    f"after {self.sim.now:.0f} s"
-                )
-        fabric_link.channels.update(outcome)
 
     def link_between(self, a: str, b: str) -> FabricLink:
         wanted = frozenset((a, b))
@@ -243,7 +190,7 @@ class FabricDeployment:
                 f"link {chain}-{next_chain} has no channel yet "
                 "(establish_all not run?)"
             )
-        return Hop(chain=chain, port=fabric_link.port, channel=str(channel))
+        return Hop(chain=chain, port=fabric_link.spec.port, channel=str(channel))
 
     # ------------------------------------------------------------------
     # Routed sends (the origination half of the routing relayer)
@@ -323,27 +270,8 @@ class FabricDeployment:
     def validators(self):
         return [node for g in self.guests.values() for node in g.validators]
 
-    @property
-    def relayer(self):
-        if getattr(self, "_relayer_override", None) is not None:
-            return self._relayer_override
-        for fabric_link in self.links:
-            if fabric_link.kind == "guest-cp":
-                return fabric_link.relayer
-        if self.links:
-            return self.links[0].relayer
-        raise SimulationError("fabric has no links, hence no relayer")
-
-    @relayer.setter
-    def relayer(self, value) -> None:
-        #: Point the chaos injector's relayer faults at a specific link.
-        self._relayer_override = value
-
     def validator_keypair(self, index: int) -> Keypair:
-        for node in self.first_guest.validators:
-            if node.profile.index == index:
-                return node.keypair
-        raise KeyError(f"no validator with index {index}")
+        return validator_keypair(self.first_guest.validators, index)
 
 
 def build_fabric(config: TopologyConfig,

@@ -19,7 +19,6 @@ from repro.errors import SimulationError
 from repro.guest.config import GuestConfig
 from repro.host.chain import HostConfig
 from repro.relayer.relayer import RelayerConfig
-from repro.relayer.routing import SiblingRelayerConfig
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,6 @@ class TopologyConfig:
     run_duration: float = 3600.0
     host: HostConfig = field(default_factory=HostConfig)
     relayer: RelayerConfig = field(default_factory=RelayerConfig)
-    sibling: SiblingRelayerConfig = field(default_factory=SiblingRelayerConfig)
     #: Per-hop timeout the forwarding middleware stamps on onward sends.
     hop_timeout_seconds: float = 600.0
     scheme_factory: type = SimSigScheme

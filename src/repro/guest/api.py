@@ -398,6 +398,23 @@ class GuestApi:
     # Bundled packet operations (§V-A's 4–5 transactions, one block)
     # ------------------------------------------------------------------
 
+    def _prelude_transactions(self, prelude: tuple[bytes, ...]) -> list[Transaction]:
+        """Bundle members execute in creation order, so prelude
+        instructions (e.g. an idempotent SIBLING_UPDATE) run strictly
+        before the exec — atomic update-then-prove in one host block."""
+        return [
+            Transaction(
+                payer=self.payer,
+                instructions=(Instruction(
+                    self.contract.program_id,
+                    (self.contract.state_account, self.contract.treasury),
+                    data,
+                ),),
+                fee_strategy=BaseFee(),
+            )
+            for data in prelude
+        ]
+
     def _buffered_exec(self, msg_bytes: bytes,
                        exec_ins_for: Callable[[int], bytes],
                        tip_lamports: int,
@@ -411,21 +428,7 @@ class GuestApi:
             msg_bytes[offset : offset + chunk_size]
             for offset in range(0, len(msg_bytes), chunk_size)
         ] or [b""]
-        # Bundle members execute in creation order, so prelude
-        # instructions (e.g. an idempotent SIBLING_UPDATE) run strictly
-        # before the exec — atomic update-then-prove in one host block.
-        transactions = [
-            Transaction(
-                payer=self.payer,
-                instructions=(Instruction(
-                    self.contract.program_id,
-                    (self.contract.state_account, self.contract.treasury),
-                    data,
-                ),),
-                fee_strategy=BaseFee(),
-            )
-            for data in prelude
-        ]
+        transactions = self._prelude_transactions(prelude)
         transactions += [
             Transaction(
                 payer=self.payer,
@@ -513,7 +516,8 @@ class GuestApi:
 
 
     def deliver_batch(self, ops: list[BatchOp], tip_lamports: int = 10_000,
-                      on_done: Optional[Callable[[DeliveryResult], None]] = None) -> None:
+                      on_done: Optional[Callable[[DeliveryResult], None]] = None,
+                      prelude: tuple[bytes, ...] = ()) -> None:
         """Coalesce several packet operations into one atomic bundle.
 
         Small messages ride inline in the single BATCH_EXEC transaction;
@@ -537,7 +541,7 @@ class GuestApi:
         min_piece = 128
 
         entries: list[ins.BatchEntry] = []
-        transactions: list[Transaction] = []
+        transactions = self._prelude_transactions(prelude)
         current: list[Instruction] = []
         used = base
 

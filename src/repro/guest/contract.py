@@ -69,6 +69,7 @@ from repro.lightclient.tendermint import (
     TendermintLightClient,
     ValidatorSet,
 )
+from repro.state.scheduler import EagerScheduler
 from repro.trie.proof import MembershipProof, NonMembershipProof
 from repro.trie.store import ProvableStore
 
@@ -120,8 +121,10 @@ class GuestContract(Program):
         self.store = ProvableStore()
         # Sealing policy is per-operator economics (root-neutral); the
         # default eager policy matches the paper's "seal immediately".
-        self.ibc = IbcHost(namespace, store=self.store, seal_receipts=True,
-                           seal_scheduler=seal_scheduler)
+        self.ibc = IbcHost(
+            namespace, store=self.store,
+            seal_scheduler=(EagerScheduler() if seal_scheduler is None
+                            else seal_scheduler))
         self.bank = Bank()
         self.transfer_port = PortId("transfer")
         self.transfer = TransferApp(self.bank, self.transfer_port)
@@ -787,7 +790,9 @@ class GuestContract(Program):
         msg = decode_handshake(msg_bytes)
         ctx.meter.charge_hash(len(msg_bytes))
         created = apply_handshake(self.ibc, msg)
-        ctx.emit("HandshakeStep", guest=self.chain_id,
+        # The payer lets each relayer pick out the steps of its own
+        # datagrams when several shake hands on this guest.
+        ctx.emit("HandshakeStep", guest=self.chain_id, payer=ctx.payer,
                  kind=type(msg).__name__, created=created)
 
     # ------------------------------------------------------------------

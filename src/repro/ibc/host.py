@@ -11,7 +11,7 @@ Storage discipline (the paper's bounded-state story, §III-A):
 
 * packet commitments are **deleted** on acknowledgement or timeout;
 * packet receipts are **sealed** once the lagged-sealing rule allows
-  (when ``seal_receipts`` is on, as in the Guest Contract) — the sealed
+  (when a ``seal_scheduler`` is set, as in the Guest Contract) — the sealed
   stub is what rejects double delivery;
 * acknowledgements are **sealed** once the sender has confirmed them
   (``confirm_ack``) and the same rule allows.
@@ -43,7 +43,7 @@ from repro.ibc.client import LightClient
 from repro.ibc.connection import ConnectionEnd, ConnectionState
 from repro.ibc.identifiers import ChannelId, ClientId, ConnectionId, PortId
 from repro.ibc.packet import RECEIPT_VALUE, Acknowledgement, Packet
-from repro.state.scheduler import EagerScheduler, SealScheduler
+from repro.state.scheduler import SealScheduler
 from repro.trie.proof import MembershipProof, NonMembershipProof
 from repro.trie.store import ProvableStore, path_key, seq_key
 
@@ -122,17 +122,14 @@ class IbcHost:
     """The per-chain IBC module."""
 
     def __init__(self, chain_id: str, store: Optional[ProvableStore] = None,
-                 seal_receipts: bool = False,
                  seal_scheduler: Optional["SealScheduler"] = None) -> None:
         self.chain_id = chain_id
         self.store = store if store is not None else ProvableStore()
-        if seal_scheduler is None and seal_receipts:
-            seal_scheduler = EagerScheduler()
         #: Policy deciding *when* safe entries actually get sealed; the
         #: lagged-sealing rule below decides *which* are safe.  Sealing
         #: is root-neutral, so the policy never affects consensus.
+        #: ``None``: this chain never seals (an IBC-native counterparty).
         self.seal_scheduler = seal_scheduler
-        self.seal_receipts = seal_scheduler is not None
         self.counters = IbcCounters()
         self.clients: dict[ClientId, LightClient] = {}
         self.connections: dict[ConnectionId, ConnectionEnd] = {}
@@ -552,7 +549,7 @@ class IbcHost:
 
         self.store.set_seq(receipt_prefix, packet.sequence, RECEIPT_VALUE)
         destination = (packet.destination_port, packet.destination_channel)
-        if self.seal_receipts:
+        if self.seal_scheduler is not None:
             tracker = self._receipt_tracker.setdefault(destination, _SequenceTracker())
             for sealable in tracker.record(packet.sequence):
                 self.seal_scheduler.offer(receipt_prefix, sealable)
@@ -565,7 +562,7 @@ class IbcHost:
             packet.sequence,
             ack.commitment(),
         )
-        if self.seal_receipts:
+        if self.seal_scheduler is not None:
             tracker = self._ack_tracker.setdefault(destination, _SequenceTracker())
             tracker.record(packet.sequence, consume=False)
             self._seal_confirmed_acks(destination)

@@ -1,0 +1,292 @@
+"""Chain endpoints: what the relayer needs from each side of a link.
+
+The relayer is a chain-agnostic courier (Alg. 2, §III-C): from either
+chain it needs only to *see what was committed*, *get a proof at a
+height* and *submit a datagram*.  The two endpoint kinds hide how their
+chain does each of those:
+
+* :class:`GuestEnd` — a Guest Contract.  Observed through host events
+  tagged with the guest's chain id, proven against the frozen state view
+  of a *finalised* guest block, written to through ``GuestApi`` bundles.
+* :class:`CounterpartyEnd` — an IBC-native chain.  Observed by polling
+  its send queue, proven at any committed height, written to by queueing
+  a call for its next block.
+
+A guest↔counterparty link is ``(GuestEnd, CounterpartyEnd)``; a
+guest↔guest link is ``(GuestEnd, GuestEnd)``.  Each end also carries the
+link's handshake results on its chain (client, connection, channels).
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Optional
+
+from repro.counterparty.chain import CounterpartyChain
+from repro.errors import ReproError, SealedNodeError
+from repro.guest.api import GuestApi
+from repro.guest.contract import GuestContract
+from repro.host.events import HostEvent
+from repro.ibc import commitment as paths
+from repro.ibc.identifiers import ChannelId, ClientId, ConnectionId, PortId
+from repro.ibc.messages import apply_handshake
+from repro.ibc.packet import Acknowledgement, Packet
+from repro.trie.store import ProvableStore
+
+
+def packet_key(channel: ChannelId, sequence: int) -> tuple[str, int]:
+    """How the relayer keys an in-flight packet on one of its ends."""
+    return (str(channel), sequence)
+
+
+def probe(store: ProvableStore, prefix: str, sequence: int, sealed: bool) -> bool:
+    """Is ``prefix/sequence`` in ``store``?  A sealed entry was processed
+    and pruned (§III-A), so the caller says what that implies: a sealed
+    receipt exists (``sealed=True``), a sealed commitment is gone."""
+    try:
+        return store.contains_seq(prefix, sequence)
+    except SealedNodeError:
+        return sealed
+
+
+class _End:
+    """What both endpoint kinds share: the handshake results on this
+    chain, the channel filters, and the idempotency probes."""
+
+    def __init__(self, client_id: ClientId) -> None:
+        #: This chain's light client *of the peer chain*.
+        self.client_id = client_id
+        self.connection_id: Optional[ConnectionId] = None
+        #: Every channel end this link opened on this chain.  One link
+        #: can multiplex several channels (§III-A); the filters test
+        #: membership here, never just the latest channel.
+        self.channels: set[tuple[PortId, ChannelId]] = set()
+        #: How this chain's client of the peer is advanced; set by the
+        #: relayer (:func:`repro.relayer.updates.updates_for`).
+        self.updates: Any = None
+
+    @property
+    def client(self):
+        return self.ibc.client(self.client_id)
+
+    def client_claim(self) -> bytes:
+        """What this chain's client claims about the peer — the peer
+        validates it on-chain (ICS-03 ``validate_self_client``).  A
+        client that trusts no validator set yet (the guest's chunked
+        Tendermint client before its first update) has no claim."""
+        summary = self.client.state_summary()
+        return summary.to_bytes() if summary.trusted_set_hash else b""
+
+    def sends(self, packet: Packet) -> bool:
+        """Is this outbound packet on one of the link's channels?
+        Before any channel opens every packet is carried, preserving the
+        single-link behaviour."""
+        return not self.channels or (
+            packet.source_port, packet.source_channel) in self.channels
+
+    def receives(self, packet: Packet) -> bool:
+        return not self.channels or (
+            packet.destination_port, packet.destination_channel) in self.channels
+
+    def has_commitment(self, packet: Packet) -> bool:
+        """Is the packet this chain sent still awaiting its ack or
+        timeout?  The commitment is cleared when either is accepted."""
+        return probe(
+            self.ibc.store,
+            paths.commitment_prefix(packet.source_port, packet.source_channel),
+            packet.sequence, sealed=False)
+
+    def has_receipt(self, packet: Packet) -> bool:
+        """Did this chain already receive the packet?"""
+        return probe(
+            self.ibc.store,
+            paths.receipt_prefix(packet.destination_port,
+                                 packet.destination_channel),
+            packet.sequence, sealed=True)
+
+
+class GuestEnd(_End):
+    """A guest contract on the host chain."""
+
+    #: Trace span covering "finalised here -> received by the peer".
+    hop_span = "fabric.hop"
+
+    def __init__(self, contract: GuestContract, api: GuestApi,
+                 client_id: ClientId) -> None:
+        super().__init__(client_id)
+        self.contract = contract
+        self.api = api
+        self.batch_flush_handle = self.confirm_flush_handle = None
+        self.reset()
+
+    def reset(self) -> None:
+        """Drop everything a relayer crash loses."""
+        #: [(min host slot, action(height))]: continuations waiting for
+        #: a finalised block that covers a guest-side mutation.
+        self.waiters: list[tuple[int, Callable[[int], None]]] = []
+        #: Acks this guest wrote, by (channel, sequence); returned once
+        #: a finalised block covers them.
+        self.staged_acks: dict[tuple[str, int], tuple[Packet, Acknowledgement]] = {}
+        #: Finalised sends awaiting their ack or timeout.
+        self.outstanding: dict[tuple[str, int], Packet] = {}
+        #: (datagram kind, continuation) of the handshake step in flight.
+        self.handshake_waiter: Optional[tuple[str, Callable]] = None
+        #: Pending (op, span) pairs awaiting a batched flush, and ack
+        #: confirmations awaiting a coalesced CONFIRM_ACK flush.
+        self.pending_batch: list = []
+        self.pending_confirms: list[tuple[str, str, int]] = []
+        for handle in (self.batch_flush_handle, self.confirm_flush_handle):
+            if handle is not None:
+                handle.cancel()
+        self.batch_flush_handle = self.confirm_flush_handle = None
+
+    @property
+    def chain_id(self) -> str:
+        return self.contract.chain_id
+
+    @property
+    def ibc(self):
+        return self.contract.ibc
+
+    def observes(self, event: HostEvent) -> bool:
+        """Host events carry a ``guest`` chain-id tag so N guests can
+        share one host without their relayers cross-firing."""
+        return event.payload.get("guest", self.chain_id) == self.chain_id
+
+    def view(self, height: int) -> ProvableStore:
+        """Frozen store of a finalised height (what proofs are made
+        against)."""
+        return self.contract.state_view(height)
+
+    def provable_height(self, slot: int) -> Optional[int]:
+        """Lowest finalised height whose block covers every mutation up
+        to host slot ``slot``; None if no such block is finalised yet."""
+        return next((block.height for block in self.contract.blocks
+                     if block.finalised and block.header.host_slot >= slot), None)
+
+    def latest_final(self) -> int:
+        """Highest finalised height (genesis is finalised, so one
+        exists once the contract is initialized)."""
+        return next((block.height for block in reversed(self.contract.blocks)
+                     if block.finalised), 0)
+
+    def expired_height(self, deadline: float) -> Optional[int]:
+        """Lowest finalised height whose clock is past ``deadline`` —
+        where a receipt's absence proves a timeout."""
+        return next((block.height for block in self.contract.blocks
+                     if block.finalised and block.header.timestamp > deadline), None)
+
+    def take_waiters(self, slot: int) -> list[tuple[int, Callable[[int], None]]]:
+        ready = [w for w in self.waiters if w[0] <= slot]
+        self.waiters = [w for w in self.waiters if w[0] > slot]
+        return ready
+
+    def delivered(self, packet: Packet) -> None:
+        """A packet this guest sent is applied on the peer; nothing to
+        record (the finalised-block events are not re-read)."""
+
+    def submit_handshake(self, msg, then: Callable[[Optional[str], int], None],
+                         failed: Callable[[object], None]) -> None:
+        """Ship a handshake datagram; ``then(created, host slot)`` fires
+        on its ``HandshakeStep`` event (see the relayer), ``failed`` on
+        a failed receipt — a step that fails emits no event.  Raises
+        :class:`~repro.errors.HostUnavailableError` during a blackout."""
+        waiter = (type(msg).__name__, then)
+        self.handshake_waiter = waiter
+
+        def on_done(result) -> None:
+            if not result.success and self.handshake_waiter is waiter:
+                self.handshake_waiter = None
+                failed(result.error)
+
+        self.api.submit_handshake(msg, on_done=on_done)
+
+
+class CounterpartyEnd(_End):
+    """An IBC-native chain, observed by polling its send queue."""
+
+    hop_span = "packet.deliver_to_guest"
+
+    def __init__(self, chain: CounterpartyChain, client_id: ClientId) -> None:
+        super().__init__(client_id)
+        self.chain = chain
+        self._seen = 0
+        #: Completion frontier over the send queue: the poll cursor can
+        #: always rewind to ``_frontier`` (the oldest send not yet
+        #: confirmed applied on the peer) after a crash without losing
+        #: or double-counting packets.
+        self._frontier = 0
+        self._done: set[int] = set()
+        self._index_by_key: dict[tuple[str, int], int] = {}
+
+    def reset(self) -> None:
+        """A crash rewinds the poll cursor to the completion frontier so
+        every send whose delivery was uncommitted is re-fetched."""
+        self._index_by_key.clear()
+        self._seen = self._frontier
+
+    @property
+    def chain_id(self) -> str:
+        return self.chain.config.chain_id
+
+    @property
+    def ibc(self):
+        return self.chain.ibc
+
+    def view(self, height: int) -> ProvableStore:
+        return self.chain.store_at(height)
+
+    @property
+    def height(self) -> int:
+        return self.chain.height
+
+    def provable_height(self, height: int) -> int:
+        """A call that executed at ``height`` is provable from there on."""
+        return height
+
+    def submit_handshake(self, msg, then: Callable[[Optional[str], int], None],
+                         failed: Callable[[object], None]) -> None:
+        """Queue a handshake datagram for the next block; ``then(created,
+        height)`` once it executed, ``failed(error)`` if it was rejected."""
+        def on_result(result, height: int) -> None:
+            if isinstance(result, ReproError):
+                failed(result)
+            else:
+                then(result, height)
+
+        self.chain.submit(lambda: apply_handshake(self.ibc, msg),
+                          on_result=on_result)
+
+    def fresh_sends(self) -> list[tuple[Packet, int]]:
+        """Advance the poll cursor; returns the link's new sends with
+        the height each was committed at."""
+        fresh = self.chain.sent_packets_since(self._seen)
+        base = self._seen
+        self._seen += len(fresh)
+        ours = []
+        for index, (packet, committed_height) in enumerate(fresh, start=base):
+            if index in self._done:
+                continue  # applied before a crash rewound the cursor
+            if not self.sends(packet):
+                # Another link's packet (multi-guest fabric): not ours to
+                # deliver, but the completion frontier must pass it or a
+                # crash-rewind would stall on a foreign index forever.
+                self._mark_done(index)
+                continue
+            self._index_by_key[
+                packet_key(packet.source_channel, packet.sequence)] = index
+            ours.append((packet, committed_height))
+        return ours
+
+    def delivered(self, packet: Packet) -> None:
+        """Record that a send is applied on the peer and advance the
+        completion frontier past every contiguous done index."""
+        index = self._index_by_key.pop(
+            packet_key(packet.source_channel, packet.sequence), None)
+        if index is not None:
+            self._mark_done(index)
+
+    def _mark_done(self, index: int) -> None:
+        self._done.add(index)
+        while self._frontier in self._done:
+            self._done.discard(self._frontier)
+            self._frontier += 1

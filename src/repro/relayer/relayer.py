@@ -1,24 +1,27 @@
-"""The IBC relayer (Alg. 2, lower half) plus handshake coordination.
+"""The IBC relayer (Alg. 2, lower half): one algorithm over two ends.
 
 The relayer is permissionless and untrusted: everything it submits is
 proof-checked on-chain, so a faulty relayer can only *delay* packets,
-never forge them (§III-C).  It moves four flows:
+never forge them (§III-C).  It is written once over a pair of
+:mod:`~repro.relayer.endpoint` ends — a guest and a counterparty, or
+two guests on one host — and moves, in each direction:
 
-* **guest → counterparty packets**: on every ``FinalisedBlock`` with
-  packets, push the guest header + signatures to the counterparty's
-  guest light client, then submit each packet with a membership proof
-  against the finalised state root (Alg. 2 lines 4–10);
-* **counterparty → guest packets**: poll the counterparty's sends, run a
-  *chunked* light-client update on the guest (the Fig. 4/5 flow), then
-  deliver each packet as an atomic 4–5-transaction bundle (§V-A);
-* **acknowledgements**, both directions, with the same proof machinery;
-  confirmed acks are sealed on the guest (§III-A);
-* **handshakes**: :meth:`open_connection` / :meth:`open_channel` drive
-  the four-step ICS-03/04 handshakes end to end.
+* **packets**: a commit observed on the source (a ``FinalisedBlock``
+  carrying packets, Alg. 2 lines 4–10, or a polled counterparty send) is
+  proven at a height the destination's client covers and delivered;
+* **acknowledgements**: the ack the destination wrote is proven back to
+  the source, after which the destination guest seals it (§III-A);
+* **timeouts**, where the destination is a guest: an expired send is
+  cancelled with a proof that the receipt is absent at a finalised
+  height past the deadline;
+* **handshakes**: :meth:`open_connection` / :meth:`open_channel` run the
+  ICS-03/04 dances of :mod:`~repro.relayer.handshake`.
 
-All guest-side light-client work funnels through one at-a-time chunked
-updates; queued work items declare the minimum counterparty height they
-need and run as soon as an update covers it.
+How each client is brought to a proof height is the business of the
+end's :mod:`~repro.relayer.updates` strategy.  Every guest-side
+submission goes through one pipeline — batch, bundle queue, circuit
+breaker, bounded idempotent retry (docs/CHAOS.md) — so every flow is
+blackout-safe and crash-safe the same way.
 """
 
 from __future__ import annotations
@@ -27,41 +30,45 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.errors import (
-    HostUnavailableError, KeyNotFoundError, ReproError, SealedNodeError,
-)
-from repro.guest.api import BatchOp, DeliveryResult, GuestApi, LcUpdateResult
-from repro.guest.contract import GuestContract
+from repro.errors import HostUnavailableError, KeyNotFoundError, ReproError
+from repro.guest.api import BatchOp, DeliveryResult, LcUpdateResult
 from repro.host.chain import HostChain
 from repro.host.events import HostEvent
-from repro.host.fees import AdaptiveFee, BaseFee, FeeStrategy
-from repro.ibc import messages as msgs
 from repro.ibc import commitment as paths
 from repro.ibc.channel import ChannelOrder
-from repro.ibc.identifiers import ChannelId, ClientId, ConnectionId, PortId
+from repro.ibc.identifiers import ChannelId, ConnectionId, PortId
 from repro.ibc.packet import Acknowledgement, Packet
-from repro.lightclient.guest_client import GuestClientUpdate, GuestLightClient
+from repro.lightclient.chunked import usable_chunk_bytes
+from repro.relayer.endpoint import GuestEnd, packet_key
+from repro.relayer.handshake import CHANNEL, CONNECTION, Handshake, Side
 from repro.relayer.resilience import CircuitBreaker, RetryPolicy
 from repro.relayer.strategy import SpendLedger
+from repro.relayer.updates import updates_for
 from repro.sim.kernel import Simulation
 from repro.sim.rng import Rng
-from repro.counterparty.chain import CounterpartyChain
+
+#: Tip paid per delivery bundle.  The deployment's relayer used "the
+#: default Solana fee model" (§V-B) — its ReceivePacket transactions
+#: landed together without paying a tip — so it is zero.
+BUNDLE_TIP_LAMPORTS = 0
+#: Counterparty send-queue polling period, seconds.
+POLL_SECONDS = 3.0
+#: Cap on the transactions one coalesced bundle may need.  Bundles
+#: schedule atomically, so a bundle larger than the host's block
+#: transaction limit could never land; a flush whose staged bytes would
+#: exceed this splits into several bundles.
+BATCH_MAX_BUNDLE_TXS = 8
+#: Watchdog period, seconds: re-kicks LC updates and bundle pumps that
+#: an error path or crash left wedged.
+WATCHDOG_SECONDS = 45.0
+#: Period of the expired-send scan on links that relay timeouts.
+TIMEOUT_SCAN_SECONDS = 5.0
 
 
 @dataclass
 class RelayerConfig:
-    """Relayer tunables."""
+    """Relayer tunables (docs/WORKLOAD.md)."""
 
-    #: Transactions kept in flight during a chunked LC update; real
-    #: relayers rate-limit for ordering and fee predictability.  This
-    #: window is the main knob behind the Fig. 4 latency distribution.
-    lc_update_window: int = 3
-    #: Tip paid per delivery bundle.  The deployment's relayer used "the
-    #: default Solana fee model" (§V-B) — its ReceivePacket transactions
-    #: landed together without paying a tip — so the default is zero.
-    bundle_tip_lamports: int = 0
-    #: Counterparty send-queue polling period, seconds.
-    poll_seconds: float = 3.0
     #: Maximum packet operations coalesced into one delivery bundle.
     #: 1 (the default) keeps the classic one-bundle-per-packet flow of
     #: §V-A; higher values enable BATCH_EXEC coalescing — pending
@@ -69,44 +76,12 @@ class RelayerConfig:
     batch_max_packets: int = 1
     #: How long a partially filled batch may wait before it is flushed.
     batch_flush_seconds: float = 1.0
-    #: Cap on the transactions one coalesced bundle may need.  Bundles
-    #: schedule atomically, so a bundle larger than the host's block
-    #: transaction limit could never land; a flush whose staged bytes
-    #: would exceed this splits into several bundles.
-    batch_max_bundle_txs: int = 8
-    #: Optional backpressure: delivery bundles the relayer keeps in the
-    #: host mempool at once (``None`` = unbounded, the classic flow).
-    #: Excess bundles wait in the relayer's own queue instead of
-    #: deepening the mempool backlog.
-    max_inflight_bundles: Optional[int] = None
-    #: Price LC-update transactions with the §VI-B congestion-probing
-    #: :class:`~repro.host.fees.AdaptiveFee` instead of the flat base
-    #: fee.  Height updates gate every queued delivery, so letting them
-    #: crawl through a congestion spike at base-fee priority stalls the
-    #: whole pipeline for tens of seconds.
-    adaptive_lc_fees: bool = False
     #: Minimum seconds between LC updates.  One update costs the same
     #: dozens of transactions whether it advances the client by one
     #: counterparty height or a hundred, so under sustained load a
     #: hold-down makes each update cover more packets and shrinks the
     #: per-packet share of the §V-A update tax.
     lc_update_min_seconds: float = 0.0
-    #: Bounded retry for failed packet operations (docs/CHAOS.md): a
-    #: failed delivery/ack resubmits with exponential backoff and
-    #: deterministic jitter, after an idempotency check against the
-    #: guest's on-chain record (no double delivery, ever).
-    retry_max_attempts: int = 8
-    retry_base_seconds: float = 2.0
-    retry_cap_seconds: float = 30.0
-    #: Circuit breaker over the host RPC edge: after this many
-    #: consecutive blackout refusals the relayer stops hammering the
-    #: endpoint and probes on a doubling interval instead.
-    breaker_failure_threshold: int = 3
-    breaker_reset_seconds: float = 5.0
-    breaker_reset_cap_seconds: float = 60.0
-    #: Watchdog period (seconds, 0 disables): re-kicks LC updates and
-    #: bundle pumps that an error path or crash left wedged.
-    watchdog_seconds: float = 45.0
 
 
 @dataclass
@@ -118,6 +93,7 @@ class RelayerMetrics:
     acks_returned: list[DeliveryResult] = field(default_factory=list)
     packets_relayed_to_counterparty: int = 0
     packets_relayed_to_guest: int = 0
+    timeouts_cancelled: int = 0
     #: Recovery accounting (docs/CHAOS.md / BENCH_chaos.json).
     retries: int = 0
     redeliveries: int = 0
@@ -125,480 +101,286 @@ class RelayerMetrics:
 
 
 class Relayer:
-    """One relayer bridging the guest and the counterparty."""
+    """One relayer bridging the two ends of a link.
 
-    def __init__(self, sim: Simulation, host: HostChain,
-                 counterparty: CounterpartyChain, contract: GuestContract,
-                 api: GuestApi, guest_client: GuestLightClient,
-                 guest_client_id_on_cp: ClientId,
-                 config: Optional[RelayerConfig] = None) -> None:
+    ``a`` and ``b`` are the link's ends; a guest↔counterparty link is
+    wired ``(GuestEnd, CounterpartyEnd)``.
+    """
+
+    def __init__(self, sim: Simulation, host: HostChain, a, b,
+                 config: Optional[RelayerConfig] = None,
+                 retry_label: str = "relayer-retry") -> None:
         self.sim = sim
         self.host = host
-        self.counterparty = counterparty
-        self.contract = contract
-        self.api = api
-        self.guest_client = guest_client
-        self.guest_client_id_on_cp = guest_client_id_on_cp
+        self.a = a
+        self.b = b
         self.config = config or RelayerConfig()
         self.metrics = RelayerMetrics()
         #: §V-B bookkeeping: every lamport this relayer burns, by flow.
         self.ledger = SpendLedger()
-
-        # Filled in by the handshakes (or wired directly by tests).
-        self.guest_connection_id: Optional[ConnectionId] = None
-        self.cp_connection_id: Optional[ConnectionId] = None
-        #: Every channel this relayer opened, both ends.  One link can
-        #: multiplex several channels (§III-A); the fabric filters (a
-        #: foreign guest's packets on a shared host) test membership
-        #: here, never just the latest channel.
-        self.guest_channels: set[tuple[PortId, ChannelId]] = set()
-        self.cp_channels: set[tuple[PortId, ChannelId]] = set()
-        self.guest_channel: Optional[tuple[PortId, ChannelId]] = None
-        self.cp_channel: Optional[tuple[PortId, ChannelId]] = None
+        #: Ends observed through host events (the others are polled).
+        self._guests = tuple(end for end in (a, b) if isinstance(end, GuestEnd))
+        for end in (a, b):
+            end.updates = updates_for(self, end, self._peer(end))
 
         #: Failure-injection switch: a paused relayer observes nothing
         #: and submits nothing; packets queue up and flow on resume.
         self.paused = False
-        self._lc_busy = False
-        self._lc_queue: list[tuple[int, Callable[[int], None]]] = []
-        self._lc_last_finish = float("-inf")
-        self._lc_holddown_handle = None
-        self._cp_sends_seen = 0
-        self._finalised_waiters: list[tuple[int, Callable[[int], None]]] = []
-        self._last_relayed_guest_height = 0
-        #: (dst_channel, sequence) -> staged guest->cp ack return info.
-        self._pending_guest_acks: dict[tuple[str, int], tuple[Packet, Acknowledgement]] = {}
-        self._handshake_waiter: Optional[Callable[[Optional[str], int], None]] = None
         self._missed_finalised: list[HostEvent] = []
-        #: Pending (op, span) pairs awaiting a batched flush.
-        self._pending_batch: list = []
-        self._batch_flush_handle = None
-        #: Delivery bundles not yet handed to the host (backpressure).
+        #: Delivery bundles not yet handed to the host.
         self._bundle_queue: deque[Callable[[], None]] = deque()
-        self._bundles_in_flight = 0
-        #: Ack confirmations awaiting a coalesced CONFIRM_ACK flush.
-        self._pending_confirms: list[tuple[str, str, int]] = []
-        self._confirm_flush_handle = None
+        self._pump_retry_handle = None
 
         # -- recovery machinery (docs/CHAOS.md) ------------------------
-        self.retry_policy = RetryPolicy(
-            max_attempts=self.config.retry_max_attempts,
-            base_seconds=self.config.retry_base_seconds,
-            cap_seconds=self.config.retry_cap_seconds,
-        )
-        self.breaker = CircuitBreaker(
-            sim, name="relay.breaker",
-            failure_threshold=self.config.breaker_failure_threshold,
-            reset_seconds=self.config.breaker_reset_seconds,
-            reset_cap_seconds=self.config.breaker_reset_cap_seconds,
-        )
+        #: A failed delivery/ack resubmits with exponential backoff and
+        #: deterministic jitter, after an idempotency check against the
+        #: destination's on-chain record (no double delivery, ever).
+        self.retry_policy = RetryPolicy()
+        #: Over the host RPC edge: after consecutive blackout refusals
+        #: the relayer stops hammering the endpoint and probes on a
+        #: doubling interval instead.
+        self.breaker = CircuitBreaker(sim, name="relay.breaker")
         #: Jitter stream minted via ``derived_seed`` so retries never
         #: perturb the draws the rest of the simulation would make.
-        self._retry_rng = Rng(sim.rng.derived_seed("relayer-retry"))
+        self._retry_rng = Rng(sim.rng.derived_seed(retry_label))
         #: Bumped by :meth:`crash`; callbacks capture the value at
         #: submission and drop themselves if it moved (a dead process's
         #: callbacks never run).
         self._incarnation = 0
-        self._pump_retry_handle = None
-        #: Completion frontier over the counterparty's send queue: the
-        #: poll cursor can always rewind to ``_cp_frontier`` (the oldest
-        #: send not yet confirmed applied on the guest) after a crash
-        #: without losing or double-counting packets.
-        self._cp_frontier = 0
-        self._cp_done: set[int] = set()
-        self._cp_index_by_key: dict[tuple[str, int], int] = {}
-        if self.config.watchdog_seconds > 0:
-            sim.schedule(self.config.watchdog_seconds, self._watchdog)
+        sim.schedule(WATCHDOG_SECONDS, self._watchdog)
 
+        # One observe-delay draw per subscriber per host event: three
+        # subscriptions per relayer are part of every world's rng stream.
         host.subscribe("FinalisedBlock", self._on_finalised_block)
-        host.subscribe("PacketReceived", self._on_guest_packet_received)
-        host.subscribe("HandshakeStep", self._on_guest_handshake_step)
-        sim.schedule(self.config.poll_seconds, self._poll_counterparty)
+        host.subscribe("PacketReceived", self._on_packet_received)
+        host.subscribe("HandshakeStep", self._on_handshake_step)
+        polled = [end for end in (a, b) if end not in self._guests]
+        for end in polled:
+            sim.schedule(POLL_SECONDS, self._poll, end)
+        if not polled:
+            # Timeouts are relayed where the destination can prove a
+            # receipt absent at a finalised height: between guests.
+            sim.schedule(TIMEOUT_SCAN_SECONDS, self._scan_timeouts)
+
+    def _peer(self, end):
+        return self.b if end is self.a else self.a
+
+    def _guest_for(self, event: HostEvent) -> Optional[GuestEnd]:
+        """The end an event belongs to; None for another guest on the
+        same host (multi-guest fabric)."""
+        return next((end for end in self._guests if end.observes(event)), None)
 
     # ==================================================================
-    # Guest -> counterparty direction (Alg. 2)
+    # Intake: what each end committed
     # ==================================================================
 
     def _on_finalised_block(self, event: HostEvent) -> None:
-        if not self._is_our_guest_event(event):
-            return  # another guest on the same host (multi-guest fabric)
+        src = self._guest_for(event)
+        if src is None:
+            return
         if self.paused:
-            # Missed while down; the catch-up sweep below re-relays.
+            # Missed while down; :meth:`resume` replays it.
             self._missed_finalised.append(event)
             return
-        height = event.payload["height"]
-        header = event.payload["header"]
-        packets = tuple(
-            p for p in event.payload["packets"] if self._on_our_guest_channel(p)
-        )
-        signatures = event.payload["signatures"]
-        new_epoch = event.payload.get("new_epoch")
+        payload = event.payload
+        height = payload["height"]
+        header = payload["header"]
+        packets = tuple(p for p in payload["packets"] if src.sends(p))
+        waiters = src.take_waiters(header.host_slot)
+        dst = self._peer(src)
+        for packet in packets:
+            src.outstanding[packet_key(packet.source_channel, packet.sequence)] = packet
 
-        slot = header.host_slot
-        waiters = [w for w in self._finalised_waiters if w[0] <= slot]
-        self._finalised_waiters = [w for w in self._finalised_waiters if w[0] > slot]
-        has_ack_work = bool(self._pending_guest_acks)
-
-        if not packets and not header.last_in_epoch and not waiters and not has_ack_work:
-            return  # Alg. 2 line 5: nothing to relay
-
-        del new_epoch  # the event's next-epoch hint; we ship the header's own set
-        update = GuestClientUpdate(
-            header=header, signatures=signatures,
-            # Always carry the header's own epoch: the counterparty's
-            # client may have skipped epochs (it validates by hash and
-            # the 1/3-overlap rule, so this is never trusted blindly).
-            new_epoch=self.contract.epochs.get(header.epoch_id),
-        )
-
-        def after_update(result, cp_height: int) -> None:
-            if isinstance(result, ReproError):
-                # Stale/duplicate/old-epoch update: keep the waiters so a
-                # later finalised block can satisfy them (liveness).
-                self._finalised_waiters.extend(waiters)
-                return
-            self._last_relayed_guest_height = height
+        def relay(covered_height: int) -> None:
             for packet in packets:
-                self._deliver_to_counterparty(packet, height)
-            self._return_guest_acks(height)
-            for min_slot, action in waiters:
-                self._run_waiter(min_slot, action, height)
+                self._deliver(src, dst, packet, covered_height)
+            self._return_acks(src, dst, covered_height)
 
-        self.counterparty.submit(
-            lambda: self.guest_client.update(update), on_result=after_update,
-        )
+        # Alg. 2 line 5: a block with no packets, acks or epoch change
+        # stays local.
+        if packets or src.staged_acks or header.last_in_epoch:
+            dst.updates.cover_for_bundle(height, relay)
+        for marker, action in waiters:
+            self._cover_commit(src, marker, action, height)
 
-    def _deliver_to_counterparty(self, packet: Packet, proof_height: int) -> None:
+    def _poll(self, src) -> None:
+        if not self.paused:
+            dst = self._peer(src)
+            for packet, committed_height in src.fresh_sends():
+                dst.updates.cover_for_bundle(
+                    committed_height,
+                    lambda h, p=packet: self._deliver(src, dst, p, h))
+        self.sim.schedule(POLL_SECONDS, self._poll, src)
+
+    def _on_packet_received(self, event: HostEvent) -> None:
+        """A guest wrote an ack; it returns once a finalised block of
+        that guest covers it (inside :meth:`_on_finalised_block`)."""
+        receiver = self._guest_for(event)
+        packet = event.payload.get("packet")
+        ack_bytes = event.payload.get("ack_bytes")
+        if receiver is None or packet is None or ack_bytes is None:
+            return
+        if receiver.receives(packet):  # else another link's relayer acks it
+            self._ack_written(receiver, packet,
+                              Acknowledgement.from_bytes(ack_bytes))
+
+    # ==================================================================
+    # Packets and acknowledgements, either direction
+    # ==================================================================
+
+    def _deliver(self, src, dst, packet: Packet, height: int) -> None:
         """Alg. 2 lines 7–10: prove the commitment, deliver the packet."""
-        view = self.contract.state_view(proof_height)
-        proof = view.prove_seq(
-            paths.commitment_prefix(packet.source_port, packet.source_channel),
-            packet.sequence,
-        )
-        # Finalised on the guest -> committed on the counterparty (the
-        # tail of the packet's trace tree).
-        self.sim.trace.begin("packet.relay", key=packet.sequence, actor="relayer")
+        try:
+            proof = src.view(height).prove_seq(
+                paths.commitment_prefix(packet.source_port, packet.source_channel),
+                packet.sequence)
+        except ReproError:
+            return  # view pruned or commitment gone (settled meanwhile)
+        self._send(dst, BatchOp(kind="recv", packet=packet, proof=proof,
+                                proof_height=height))
 
-        def after_recv(result, cp_height: int) -> None:
-            if isinstance(result, ReproError):
-                self.sim.trace.count("relay.duplicate_deliveries")
-                return  # e.g. double delivery by a competing relayer
-            self.sim.trace.finish("packet.relay", key=packet.sequence,
-                                  cp_height=cp_height)
-            self.sim.trace.count("relay.packets.to_counterparty")
-            self.metrics.packets_relayed_to_counterparty += 1
-            # The counterparty wrote its ack at cp_height; bring it home.
-            self._queue_guest_work(
-                cp_height,
-                lambda h, p=packet, a=result: self._ack_on_guest(p, a, h),
-            )
+    def _ack_written(self, receiver, packet: Packet, ack: Acknowledgement) -> None:
+        """``receiver`` holds ``ack`` for ``packet``: haul it home."""
+        if receiver in self._guests:
+            # Provable only from the next finalised block on.
+            receiver.staged_acks[
+                packet_key(packet.destination_channel, packet.sequence)] = (packet, ack)
+            return
+        # A counterparty's write is provable at its current height.
+        origin = self._peer(receiver)
+        origin.updates.cover_for_bundle(
+            receiver.height,
+            lambda h: self._send(origin, self._ack_op(receiver, packet, ack, h)))
 
-        self.counterparty.submit(
-            lambda: self.counterparty.ibc.recv_packet(
-                packet, proof, proof_height, local_time=self.sim.now,
-            ),
-            on_result=after_recv,
-        )
-
-    def _ack_on_guest(self, packet: Packet, ack: Acknowledgement, lc_height: int) -> None:
-        """Prove the counterparty's ack to the guest (4–5 tx bundle)."""
-        store = self.counterparty.store_at(lc_height)
-        proof = store.prove_seq(
-            paths.ack_prefix(packet.destination_port, packet.destination_channel),
-            packet.sequence,
-        )
-        self._dispatch_guest_op(
-            BatchOp(kind="ack", packet=packet, proof=proof,
-                    proof_height=lc_height, ack=ack),
-            span=None,
-        )
-
-    # ==================================================================
-    # Counterparty -> guest direction
-    # ==================================================================
-
-    def resume(self) -> None:
-        """Come back from a failure-injected outage: replay the
-        finalised-block events missed while down, then re-kick the LC
-        pipeline in case queued work was waiting on us.  Safe to call
-        while a hold-down retry timer is pending — the kick is guarded,
-        so no duplicate timer is armed and no queued packet is lost."""
-        self.paused = False
-        missed, self._missed_finalised = self._missed_finalised, []
-        for event in missed:
-            self._on_finalised_block(event)
-        self._kick_lc_update()
-
-    def crash(self) -> None:
-        """Chaos fault: kill the relayer process, losing volatile state.
-
-        Everything not yet handed to a chain is gone: staged batches,
-        queued bundles, queued LC work, staged ack returns, pending
-        timers.  Requests already accepted by an RPC may still land, but
-        their callbacks belong to the dead incarnation and are dropped.
-        The poll cursor rewinds to the completion frontier so every
-        counterparty packet whose delivery was uncommitted is re-fetched
-        after :meth:`restart`; the idempotency check in the retry path
-        keeps delivery exactly-once despite the replay.
-        """
-        self.paused = True
-        self._incarnation += 1
-        self.metrics.crashes += 1
-        self.sim.trace.count("relay.crashes")
-        self._pending_batch = []
-        if self._batch_flush_handle is not None:
-            self._batch_flush_handle.cancel()
-            self._batch_flush_handle = None
-        self._bundle_queue.clear()
-        self._bundles_in_flight = 0
-        if self._pump_retry_handle is not None:
-            self._pump_retry_handle.cancel()
-            self._pump_retry_handle = None
-        self._pending_confirms = []
-        if self._confirm_flush_handle is not None:
-            self._confirm_flush_handle.cancel()
-            self._confirm_flush_handle = None
-        self._lc_queue = []
-        self._lc_busy = False
-        if self._lc_holddown_handle is not None:
-            self._lc_holddown_handle.cancel()
-            self._lc_holddown_handle = None
-        self._pending_guest_acks.clear()
-        self._cp_index_by_key.clear()
-        self._cp_sends_seen = self._cp_frontier
-
-    def restart(self) -> None:
-        """Recover from a :meth:`crash`: rebuild the staged ack-return
-        set from retained host history, resume event handling (replaying
-        finalised blocks missed while down) and let the rewound poll
-        cursor re-fetch every in-doubt counterparty packet."""
-        self.sim.trace.count("relay.restarts")
-        self._recover_pending_acks()
-        self._recover_outstanding_acks()
-        self.resume()
-
-    def _recover_pending_acks(self) -> None:
-        """Rescan retained host blocks for ``PacketReceived`` events
-        whose ack return was lost with the crash.  Acks that were in
-        fact already returned are rejected by the counterparty when
-        resubmitted (and the rejection ignored), so over-recovery is
-        harmless — only the omission would be a liveness bug."""
-        recovered = 0
-        for block in self.host.blocks:
-            for event in block.events:
-                if event.name != "PacketReceived":
-                    continue
-                if not self._is_our_guest_event(event):
-                    continue
-                packet = event.payload.get("packet")
-                ack_bytes = event.payload.get("ack_bytes")
-                if packet is None or ack_bytes is None:
-                    continue
-                if self.guest_channels and (
-                        packet.destination_port, packet.destination_channel
-                ) not in self.guest_channels:
-                    continue
-                key = (event.payload["channel"], event.payload["sequence"])
-                if key in self._pending_guest_acks:
-                    continue
-                self._pending_guest_acks[key] = (
-                    packet, Acknowledgement.from_bytes(ack_bytes))
-                recovered += 1
-        if recovered:
-            self.sim.trace.count("relay.acks.recovered", recovered)
-
-    def _recover_outstanding_acks(self) -> None:
-        """Rescan the counterparty's written-ack log for guest->cp
-        packets the crash orphaned mid-ack-return: the counterparty
-        received the packet and wrote its ack, but the op hauling that
-        ack home lived only in the volatile LC/batch queues.  Any packet
-        whose commitment is still outstanding on the guest gets its ack
-        re-queued; for acks that did land, the commitment is gone and
-        the scan skips them, so over-recovery costs nothing."""
-        recovered = 0
-        for packet, ack in self.counterparty.ibc.written_acks.values():
-            if not self._on_our_guest_channel(packet):
-                continue
+    def _return_acks(self, receiver: GuestEnd, origin, height: int) -> None:
+        for key, (packet, ack) in list(receiver.staged_acks.items()):
             try:
-                outstanding = self.contract.ibc.store.contains_seq(
-                    paths.commitment_prefix(packet.source_port,
-                                            packet.source_channel),
-                    packet.sequence,
-                )
-            except SealedNodeError:
-                outstanding = False
-            if not outstanding:
-                continue
-            self._queue_guest_work(
-                self.counterparty.height,
-                lambda h, p=packet, a=ack: self._ack_on_guest(p, a, h),
-            )
-            recovered += 1
-        if recovered:
-            self.sim.trace.count("relay.acks.recovered_cp", recovered)
+                op = self._ack_op(receiver, packet, ack, height)
+            except ReproError:
+                continue  # ack not yet inside this block's state root
+            del receiver.staged_acks[key]
+            self._send(origin, op)
 
-    def _poll_counterparty(self) -> None:
-        if self.paused:
-            self.sim.schedule(self.config.poll_seconds, self._poll_counterparty)
+    @staticmethod
+    def _ack_op(receiver, packet: Packet, ack: Acknowledgement,
+                height: int) -> BatchOp:
+        """Prove the ack ``receiver`` wrote, as a datagram for the sender."""
+        proof = receiver.view(height).prove_seq(
+            paths.ack_prefix(packet.destination_port, packet.destination_channel),
+            packet.sequence)
+        return BatchOp(kind="ack", packet=packet, proof=proof,
+                       proof_height=height, ack=ack)
+
+    def _send(self, dst, op: BatchOp) -> None:
+        """Hand one packet datagram to ``dst``: a guest takes it through
+        the bundle pipeline, a counterparty in its next block."""
+        if dst in self._guests:
+            span = None
+            if op.kind == "recv":
+                span = self.sim.trace.span(
+                    self._peer(dst).hop_span, key=op.packet.sequence,
+                    actor="relayer")
+            self._dispatch_guest_op(dst, op, span)
+        else:
+            self._submit_to_counterparty(dst, op)
+
+    def _submit_to_counterparty(self, dst, op: BatchOp) -> None:
+        packet = op.packet
+        if op.kind == "recv":
+            # Finalised on the guest -> committed on the counterparty
+            # (the tail of the packet's trace tree).
+            self.sim.trace.begin("packet.relay", key=packet.sequence, actor="relayer")
+
+            def after_recv(result, cp_height: int) -> None:
+                if isinstance(result, ReproError):
+                    self.sim.trace.count("relay.duplicate_deliveries")
+                    return  # e.g. double delivery by a competing relayer
+                self.sim.trace.finish("packet.relay", key=packet.sequence,
+                                      cp_height=cp_height)
+                self.sim.trace.count("relay.packets.to_counterparty")
+                self.metrics.packets_relayed_to_counterparty += 1
+                # The counterparty wrote its ack in this block; bring it home.
+                self._ack_written(dst, packet, result)
+
+            dst.chain.submit(
+                lambda: dst.ibc.recv_packet(packet, op.proof, op.proof_height,
+                                            local_time=self.sim.now),
+                on_result=after_recv)
             return
-        fresh = self.counterparty.sent_packets_since(self._cp_sends_seen)
-        base = self._cp_sends_seen
-        self._cp_sends_seen += len(fresh)
-        for offset, (packet, committed_height) in enumerate(fresh):
-            index = base + offset
-            if index in self._cp_done:
-                continue  # applied before a crash rewound the cursor
-            if self.cp_channels and (
-                    packet.source_port, packet.source_channel
-            ) not in self.cp_channels:
-                # Another link's packet (multi-guest fabric): not ours to
-                # deliver, but the completion frontier must pass it or a
-                # crash-rewind would stall on a foreign index forever.
-                self._cp_done.add(index)
-                self._advance_cp_frontier()
-                continue
-            key = (str(packet.source_channel), packet.sequence)
-            self._cp_index_by_key[key] = index
-            self._queue_guest_work(
-                committed_height,
-                lambda h, p=packet: self._deliver_to_guest(p, h),
-            )
-        self.sim.schedule(self.config.poll_seconds, self._poll_counterparty)
 
-    def _mark_cp_done(self, op: BatchOp) -> None:
-        """Record that a counterparty->guest packet is applied on-chain
-        and advance the completion frontier past every contiguous done
-        index (the crash-rewind point for the poll cursor)."""
-        if op.kind != "recv":
-            return
-        key = (str(op.packet.source_channel), op.packet.sequence)
-        index = self._cp_index_by_key.pop(key, None)
-        if index is None:
-            return
-        self._cp_done.add(index)
-        self._advance_cp_frontier()
+        def after_ack(result, cp_height: int,
+                      incarnation=self._incarnation) -> None:
+            if incarnation != self._incarnation:
+                return  # submitted by a crashed incarnation; drop
+            if not isinstance(result, ReproError):
+                self._op_applied(dst, op)
 
-    def _advance_cp_frontier(self) -> None:
-        while self._cp_frontier in self._cp_done:
-            self._cp_done.discard(self._cp_frontier)
-            self._cp_frontier += 1
+        dst.chain.submit(
+            lambda: dst.ibc.acknowledge_packet(
+                packet, op.ack, op.proof, op.proof_height),
+            on_result=after_ack)
 
-    @property
-    def guest_channel(self) -> Optional[tuple[PortId, ChannelId]]:
-        """The most recently opened guest channel end (legacy surface);
-        reads and direct test wiring both keep ``guest_channels`` in
-        sync so the fabric filters see every channel."""
-        return self._guest_channel
-
-    @guest_channel.setter
-    def guest_channel(self, value: Optional[tuple[PortId, ChannelId]]) -> None:
-        self._guest_channel = value
-        if value is not None:
-            self.guest_channels.add(value)
-
-    @property
-    def cp_channel(self) -> Optional[tuple[PortId, ChannelId]]:
-        return self._cp_channel
-
-    @cp_channel.setter
-    def cp_channel(self, value: Optional[tuple[PortId, ChannelId]]) -> None:
-        self._cp_channel = value
-        if value is not None:
-            self.cp_channels.add(value)
-
-    def _is_our_guest_event(self, event: HostEvent) -> bool:
-        """Host events carry a ``guest`` chain-id tag so N guests can
-        share one host without their relayers cross-firing."""
-        return event.payload.get("guest", self.contract.chain_id) \
-            == self.contract.chain_id
-
-    def _on_our_guest_channel(self, packet) -> bool:
-        """Is this guest-outbound packet on one of this relayer's
-        channels?  Before any channel opens (handshake phase) every
-        packet is carried, preserving the single-link behaviour."""
-        if not self.guest_channels:
-            return True
-        return (packet.source_port, packet.source_channel) \
-            in self.guest_channels
-
-    def _op_already_applied(self, op: BatchOp) -> bool:
+    def _op_already_applied(self, dst: GuestEnd, op: BatchOp) -> bool:
         """Idempotency check before a resubmission: did an earlier
         attempt — ours pre-crash, or a rival relayer's — already land
-        this operation on the guest?  Receipts may be sealed (§III-A);
-        a sealed receipt means processed-and-pruned, i.e. applied."""
-        store = self.contract.ibc.store
-        packet = op.packet
-        try:
-            if op.kind == "recv":
-                return store.contains_seq(
-                    paths.receipt_prefix(packet.destination_port,
-                                         packet.destination_channel),
-                    packet.sequence,
-                )
-            if op.kind == "ack":
-                # The guest clears the packet commitment when it accepts
-                # the ack; a missing commitment means the ack landed.
-                return not store.contains_seq(
-                    paths.commitment_prefix(packet.source_port,
-                                            packet.source_channel),
-                    packet.sequence,
-                )
-        except SealedNodeError:
-            return True
-        return False
+        this operation on ``dst``?"""
+        if op.kind == "recv":
+            return dst.has_receipt(op.packet)
+        # The sender clears the packet commitment when it accepts the
+        # ack or the timeout; a missing commitment means one landed.
+        return not dst.has_commitment(op.packet)
 
-    def _deliver_to_guest(self, packet: Packet, lc_height: int) -> None:
-        store = self.counterparty.store_at(lc_height)
-        proof = store.prove_seq(
-            paths.commitment_prefix(packet.source_port, packet.source_channel),
-            packet.sequence,
-        )
-        delivery_span = self.sim.trace.span(
-            "packet.deliver_to_guest", key=packet.sequence, actor="relayer",
-        )
-        self._dispatch_guest_op(
-            BatchOp(kind="recv", packet=packet, proof=proof, proof_height=lc_height),
-            span=delivery_span,
-        )
+    def _op_applied(self, dst, op: BatchOp) -> None:
+        """``op`` is on ``dst``'s chain, by this attempt or an earlier
+        one: settle what the relayer tracks about the packet."""
+        peer = self._peer(dst)
+        if op.kind == "recv":
+            peer.delivered(op.packet)
+            return
+        if dst in self._guests:
+            dst.outstanding.pop(
+                packet_key(op.packet.source_channel, op.packet.sequence), None)
+        if op.kind == "ack" and peer in self._guests:
+            # The sender processed the ack; seal it on the receiving
+            # guest (bounded storage, §III-A).
+            self._confirm_seal(peer, (
+                op.packet.destination_port, op.packet.destination_channel,
+                op.packet.sequence))
 
-    # -- batched guest-side submission ---------------------------------
+    # ==================================================================
+    # The guest-side submission pipeline
+    # ==================================================================
 
-    def _dispatch_guest_op(self, op: BatchOp, span) -> None:
+    def _dispatch_guest_op(self, dst: GuestEnd, op: BatchOp, span) -> None:
         """Route one guest-side packet operation: straight to its own
         bundle in the classic flow, or into the pending batch."""
         if self.config.batch_max_packets <= 1:
-            self._submit_single(op, span)
+            self._submit_single(dst, op, span)
             return
-        self._pending_batch.append((op, span))
-        if len(self._pending_batch) >= self.config.batch_max_packets:
-            self._flush_batch()
-        elif self._batch_flush_handle is None:
-            self._batch_flush_handle = self.sim.schedule(
-                self.config.batch_flush_seconds, self._flush_batch,
-            )
+        dst.pending_batch.append((op, span))
+        if len(dst.pending_batch) >= self.config.batch_max_packets:
+            self._flush_batch(dst)
+        elif dst.batch_flush_handle is None:
+            dst.batch_flush_handle = self.sim.schedule(
+                self.config.batch_flush_seconds, self._flush_batch, dst)
 
     def _enqueue_bundle(self, launch: Callable[[], None]) -> None:
-        """Hold submissions so at most ``max_inflight_bundles`` delivery
-        bundles sit in the host mempool; see :class:`RelayerConfig`."""
         self._bundle_queue.append(launch)
         self._pump_bundles()
 
     def _pump_bundles(self) -> None:
-        cap = self.config.max_inflight_bundles
-        while self._bundle_queue and (cap is None or self._bundles_in_flight < cap):
+        while self._bundle_queue:
             if not self.breaker.allow():
                 # RPC edge is tripped: hold the queue until the probe
                 # window opens instead of hammering a dead endpoint.
                 self._schedule_pump_retry()
                 return
             launch = self._bundle_queue.popleft()
-            self._bundles_in_flight += 1
             try:
                 launch()
             except HostUnavailableError:
                 # Blackout refusal: nothing was broadcast.  Requeue at
                 # the front, feed the breaker, and probe again later.
-                self._bundles_in_flight -= 1
                 self._bundle_queue.appendleft(launch)
                 self.breaker.record_failure()
                 self.sim.trace.count("relay.bundles.blackout_deferred")
@@ -617,40 +399,36 @@ class Relayer:
         self._pump_retry_handle = None
         self._pump_bundles()
 
-    def _bundle_done(self) -> None:
-        self._bundles_in_flight -= 1
-        self._pump_bundles()
-
-    def _submit_single(self, op: BatchOp, span, attempt: int = 1) -> None:
+    def _submit_single(self, dst: GuestEnd, op: BatchOp, span,
+                       attempt: int = 1) -> None:
         incarnation = self._incarnation
 
         def done(result: DeliveryResult) -> None:
             if incarnation != self._incarnation:
                 return  # submitted by a crashed incarnation; drop
-            self._bundle_done()
+            self._pump_bundles()
             self._record_op_result(op, result)
             if result.success:
                 if span is not None:
                     span.end(transactions=result.transaction_count)
-                self._mark_cp_done(op)
+                self._op_applied(dst, op)
                 return
-            self._retry_op(op, span, attempt)
+            self._retry_op(dst, op, span, attempt)
 
         def launch() -> None:
-            tip = self.config.bundle_tip_lamports
-            if op.kind == "recv":
-                self.api.deliver_packet(op.packet, op.proof, op.proof_height,
-                                        tip_lamports=tip, on_done=done)
-            else:
-                self.api.acknowledge_packet(op.packet, op.ack, op.proof,
-                                            op.proof_height, tip_lamports=tip,
-                                            on_done=done)
+            submit = {"recv": dst.api.deliver_packet,
+                      "ack": dst.api.acknowledge_packet,
+                      "timeout": dst.api.timeout_packet}[op.kind]
+            args = (op.packet, op.ack) if op.kind == "ack" else (op.packet,)
+            submit(*args, op.proof, op.proof_height,
+                   tip_lamports=BUNDLE_TIP_LAMPORTS, on_done=done,
+                   prelude=dst.updates.prelude((op.proof_height,)))
 
         self._enqueue_bundle(launch)
 
-    def _retry_op(self, op: BatchOp, span, attempt: int) -> None:
+    def _retry_op(self, dst: GuestEnd, op: BatchOp, span, attempt: int) -> None:
         """Bounded, idempotent retry of one failed packet operation."""
-        if self._op_already_applied(op):
+        if self._op_already_applied(dst, op):
             # A previous attempt (or a rival relayer) landed it: do not
             # resubmit.  Exactly-once delivery held on-chain; we only
             # record the redundancy.
@@ -658,7 +436,7 @@ class Relayer:
             self.metrics.redeliveries += 1
             if span is not None:
                 span.end(outcome="already-applied")
-            self._mark_cp_done(op)
+            self._op_applied(dst, op)
             return
         if not self.retry_policy.allows(attempt):
             self.sim.trace.count("relay.retries.exhausted")
@@ -668,13 +446,14 @@ class Relayer:
         delay = self.retry_policy.delay(attempt, self._retry_rng)
         self.sim.trace.count("relay.retries")
         self.metrics.retries += 1
-        self.sim.schedule(delay, self._retry_fire, op, span, attempt + 1,
+        self.sim.schedule(delay, self._retry_fire, dst, op, span, attempt + 1,
                           self._incarnation)
 
-    def _retry_fire(self, op: BatchOp, span, attempt: int, incarnation: int) -> None:
+    def _retry_fire(self, dst: GuestEnd, op: BatchOp, span, attempt: int,
+                    incarnation: int) -> None:
         if incarnation != self._incarnation or self.paused:
             return  # crashed or paused meanwhile; replay handles it
-        self._submit_single(op, span, attempt)
+        self._submit_single(dst, op, span, attempt)
 
     def _record_op_result(self, op: BatchOp, result: DeliveryResult) -> None:
         if op.kind == "recv":
@@ -685,19 +464,24 @@ class Relayer:
             if result.success:
                 self.sim.trace.count("relay.packets.to_guest")
                 self.metrics.packets_relayed_to_guest += 1
-        else:
+        elif op.kind == "ack":
             self.metrics.acks_returned.append(result)
             self.ledger.record("ack-return", result.total_fee, result.transaction_count)
+        else:
+            self.ledger.record("timeout", result.total_fee, result.transaction_count)
+            if result.success:
+                self.sim.trace.count("relay.timeouts.cancelled")
+                self.metrics.timeouts_cancelled += 1
 
-    def _flush_batch(self) -> None:
-        if self._batch_flush_handle is not None:
-            self._batch_flush_handle.cancel()
-            self._batch_flush_handle = None
-        if not self._pending_batch:
+    def _flush_batch(self, dst: GuestEnd) -> None:
+        if dst.batch_flush_handle is not None:
+            dst.batch_flush_handle.cancel()
+            dst.batch_flush_handle = None
+        if not dst.pending_batch:
             return
-        items, self._pending_batch = self._pending_batch, []
+        items, dst.pending_batch = dst.pending_batch, []
         for group in self._bundle_sized_groups(items):
-            self._submit_batch(group)
+            self._submit_batch(dst, group)
 
     def _bundle_sized_groups(self, items: list) -> list[list]:
         """Split a flush so each bundle stays schedulable.
@@ -707,10 +491,9 @@ class Relayer:
         Group by projected chunk bytes, leaving the last slot for the
         BATCH_EXEC transaction itself.
         """
-        from repro.lightclient.chunked import usable_chunk_bytes
         chunk_size = usable_chunk_bytes(self.host.config.max_transaction_bytes)
         # Conservative per-entry overhead on top of the raw message.
-        budget = max(1, self.config.batch_max_bundle_txs - 1) * (chunk_size - 64)
+        budget = max(1, BATCH_MAX_BUNDLE_TXS - 1) * (chunk_size - 64)
         groups: list[list] = []
         current: list = []
         used = 0
@@ -725,14 +508,14 @@ class Relayer:
             groups.append(current)
         return groups
 
-    def _submit_batch(self, items: list) -> None:
+    def _submit_batch(self, dst: GuestEnd, items: list) -> None:
         ops = [op for op, _ in items]
         incarnation = self._incarnation
 
         def done(result: DeliveryResult) -> None:
             if incarnation != self._incarnation:
                 return  # submitted by a crashed incarnation; drop
-            self._bundle_done()
+            self._pump_bundles()
             if not result.success:
                 # The whole bundle failed (rejected as oversized, starved
                 # of block space, or dropped in transit): requeue each op
@@ -744,14 +527,13 @@ class Relayer:
                                    result.transaction_count)
                 for op, span in items:
                     self.sim.trace.count("relay.batch.requeued")
-                    self._retry_op(op, span, attempt=1)
+                    self._retry_op(dst, op, span, attempt=1)
                 return
             recv_count = sum(1 for op in ops if op.kind == "recv")
-            ack_count = len(ops) - recv_count
             for op, span in items:
                 if span is not None:
                     span.end(transactions=result.transaction_count)
-                self._mark_cp_done(op)
+                self._op_applied(dst, op)
             # Attribute the bundle's fee pro rata across the two flows
             # (the §V-B ledger stays meaningful under batching).
             fee_share = result.total_fee // len(ops)
@@ -763,484 +545,260 @@ class Relayer:
                 self.sim.trace.observe("relay.delivery.txs", result.transaction_count)
                 self.sim.trace.count("relay.packets.to_guest", recv_count)
                 self.metrics.packets_relayed_to_guest += recv_count
-            if ack_count:
+            if len(ops) > recv_count:
                 self.metrics.acks_returned.append(result)
                 self.ledger.record(
                     "ack-return", result.total_fee - fee_share * recv_count, 0,
                 )
+            self.metrics.timeouts_cancelled += sum(
+                1 for op in ops if op.kind == "timeout")
 
         def launch() -> None:
             self.sim.trace.count("relay.batches")
             self.sim.trace.observe("relay.batch.packets", len(ops))
-            self.api.deliver_batch(
-                ops, tip_lamports=self.config.bundle_tip_lamports, on_done=done,
-            )
+            dst.api.deliver_batch(
+                ops, tip_lamports=BUNDLE_TIP_LAMPORTS, on_done=done,
+                prelude=dst.updates.prelude(op.proof_height for op in ops))
 
         self._enqueue_bundle(launch)
 
-    def _on_guest_packet_received(self, event: HostEvent) -> None:
-        """The guest wrote an ack; return it once a finalised guest block
-        covers it (flushed inside :meth:`_on_finalised_block`)."""
-        if not self._is_our_guest_event(event):
-            return
-        key = (event.payload["channel"], event.payload["sequence"])
-        packet = event.payload.get("packet")
-        ack_bytes = event.payload.get("ack_bytes")
-        if packet is None or ack_bytes is None:
-            return
-        if self.guest_channels and (
-                packet.destination_port, packet.destination_channel
-        ) not in self.guest_channels:
-            return  # another link's inbound packet; its relayer acks it
-        self._pending_guest_acks[key] = (packet, Acknowledgement.from_bytes(ack_bytes))
-
-    def _return_guest_acks(self, finalised_height: int) -> None:
-        view = self.contract.state_view(finalised_height)
-        for key, (packet, ack) in list(self._pending_guest_acks.items()):
-            try:
-                proof = view.prove_seq(
-                    paths.ack_prefix(packet.destination_port, packet.destination_channel),
-                    packet.sequence,
-                )
-            except ReproError:
-                continue  # ack not yet inside this block's state root
-
-            def after_ack(result, cp_height: int, packet=packet,
-                          incarnation=self._incarnation) -> None:
-                if incarnation != self._incarnation:
-                    return  # submitted by a crashed incarnation; drop
-                if isinstance(result, ReproError):
-                    return
-                # The sender processed the ack; seal it on the guest
-                # (bounded storage, §III-A).
-                confirm = (
-                    str(packet.destination_port),
-                    str(packet.destination_channel),
-                    packet.sequence,
-                )
-                self._confirm_seal(confirm)
-
-            self.counterparty.submit(
-                lambda packet=packet, ack=ack, proof=proof,
-                       h=finalised_height: self.counterparty.ibc.acknowledge_packet(
-                    packet, ack, proof, h,
-                ),
-                on_result=after_ack,
-            )
-            del self._pending_guest_acks[key]
-
-    def _confirm_seal(self, confirm: tuple[str, str, int]) -> None:
+    def _confirm_seal(self, receiver: GuestEnd, confirm: tuple[str, str, int]) -> None:
         if self.config.batch_max_packets > 1:
             # Coalesced flow: seal many acks per transaction instead of
             # paying a host transaction per packet.
-            self._pending_confirms.append(confirm)
-            if self._confirm_flush_handle is None:
-                self._confirm_flush_handle = self.sim.schedule(
+            receiver.pending_confirms.append(confirm)
+            if receiver.confirm_flush_handle is None:
+                receiver.confirm_flush_handle = self.sim.schedule(
                     self.config.batch_flush_seconds,
-                    self._flush_confirms,
-                )
+                    self._flush_confirms, receiver)
             return
-        try:
-            self.api.confirm_ack(*confirm)
-        except HostUnavailableError:
-            self.sim.trace.count("relay.confirms.deferred")
-            self.sim.schedule(
-                self.retry_policy.delay(1, self._retry_rng),
-                self._confirm_retry, confirm, self._incarnation,
-            )
+        self._enqueue_bundle(lambda: receiver.api.confirm_ack(*confirm))
 
-    def _confirm_retry(self, confirm: tuple[str, str, int],
-                       incarnation: int) -> None:
-        if incarnation != self._incarnation:
-            return
-        self._confirm_seal(confirm)
-
-    def _flush_confirms(self) -> None:
-        self._confirm_flush_handle = None
-        confirms, self._pending_confirms = self._pending_confirms, []
+    def _flush_confirms(self, receiver: GuestEnd) -> None:
+        receiver.confirm_flush_handle = None
+        confirms, receiver.pending_confirms = receiver.pending_confirms, []
         self.sim.trace.observe("relay.confirm_batch.acks", len(confirms))
-        self.api.confirm_acks(confirms)
+        receiver.api.confirm_acks(confirms)
 
     # ==================================================================
-    # Chunked guest-side light-client updates (the Fig. 4/5 flow)
+    # Timeout cancellation (guest destinations)
     # ==================================================================
 
-    def _queue_guest_work(self, min_cp_height: int, action: Callable[[int], None]) -> None:
-        known = self.contract.counterparty_client.latest_height()
-        if known >= min_cp_height:
-            action(known)
+    def _scan_timeouts(self) -> None:
+        self.sim.schedule(TIMEOUT_SCAN_SECONDS, self._scan_timeouts)
+        if self.paused:
             return
-        self._lc_queue.append((min_cp_height, action))
-        self._kick_lc_update()
+        for origin in self._guests:
+            dst = self._peer(origin)
+            for key, packet in list(origin.outstanding.items()):
+                if packet.timeout_timestamp and self._try_timeout(origin, dst, packet):
+                    del origin.outstanding[key]
 
-    def _kick_lc_update(self) -> None:
-        if self._lc_busy or not self._lc_queue:
-            return
-        wait = (self._lc_last_finish
-                + self.config.lc_update_min_seconds) - self.sim.now
-        if wait > 0:
-            # Hold-down: let more work accumulate so the next update
-            # amortises over it.  One retry timer is enough — every
-            # queued waiter is flushed by the same update.
-            if self._lc_holddown_handle is None:
-                def retry() -> None:
-                    self._lc_holddown_handle = None
-                    self._kick_lc_update()
-                self._lc_holddown_handle = self.sim.schedule(wait, retry)
-            return
-        target = self.counterparty.height
-        needed = max(height for height, _ in self._lc_queue)
-        if target < needed:
-            # The needed block is not produced yet; retry shortly.
-            self.sim.schedule(self.counterparty.config.block_seconds, self._kick_lc_update)
-            return
-        self._lc_busy = True
-        update = self.counterparty.light_client_update(target)
-        self.sim.trace.begin("relay.lc_update", key=target, actor="relayer")
-        fee: Optional[FeeStrategy] = None
-        if self.config.adaptive_lc_fees:
-            fee = AdaptiveFee(lambda: self.host.congestion_at(self.sim.now))
-        self.api.submit_lc_update(
-            update,
-            window=self.config.lc_update_window,
-            fee=fee,
-            on_done=lambda result, gen=self._incarnation: self._lc_done(result, gen),
-        )
+    def _try_timeout(self, origin: GuestEnd, dst: GuestEnd, packet: Packet) -> bool:
+        """Cancel one expired send; True removes it from the outstanding
+        set (cancelled, or already settled by the other path)."""
+        if dst.has_receipt(packet):
+            return False  # the ack path settles it
+        if not origin.has_commitment(packet):
+            return True  # already acked or timed out on-chain
+        height = dst.expired_height(packet.timeout_timestamp)
+        if height is None:
+            return False  # destination clock not past the deadline yet
+        try:
+            proof = dst.view(height).prove_seq_absence(
+                paths.receipt_prefix(packet.destination_port,
+                                     packet.destination_channel),
+                packet.sequence)
+        except ReproError:
+            return False  # view unavailable; retry next scan
+        self._send(origin, BatchOp(kind="timeout", packet=packet, proof=proof,
+                                   proof_height=height))
+        return True
 
-    def _lc_done(self, result: LcUpdateResult,
-                 generation: Optional[int] = None) -> None:
-        if generation is not None and generation != self._incarnation:
-            # An update stream started before a crash finished after the
-            # restart: its accounting belongs to the dead incarnation and
-            # must not corrupt the new one's LC state machine.
-            self.sim.trace.count("relay.lc_updates.stale_dropped")
-            return
-        self._lc_busy = False
-        self._lc_last_finish = self.sim.now
-        trace = self.sim.trace
-        trace.finish("relay.lc_update", key=result.height,
-                     transactions=result.transaction_count,
-                     success=result.success)
-        trace.count("relay.lc_updates")
-        trace.observe("relay.lc_update.txs", result.transaction_count)
-        trace.observe("relay.lc_update.fee", result.total_fee)
-        self.metrics.lc_updates.append(result)
-        self.ledger.record("lc-update", result.total_fee, result.transaction_count)
-        if result.success:
-            ready = [w for w in self._lc_queue if w[0] <= result.height]
-            self._lc_queue = [w for w in self._lc_queue if w[0] > result.height]
-            for _, action in ready:
-                action(result.height)
-        if self._lc_queue:
-            self._kick_lc_update()
+    # ==================================================================
+    # Pause, crash and restart (docs/CHAOS.md)
+    # ==================================================================
+
+    def settled(self) -> bool:
+        """Up, the host RPC edge healthy and nothing held back from it —
+        what a chaos fault's recovery watcher waits for."""
+        return (not self.paused and self.breaker.state == "closed"
+                and not self._bundle_queue)
+
+    def resume(self) -> None:
+        """Come back from a failure-injected outage: replay the
+        finalised-block events missed while down, then re-kick the LC
+        pipeline in case queued work was waiting on us.  Safe to call
+        while a hold-down retry timer is pending — the kick is guarded,
+        so no duplicate timer is armed and no queued packet is lost."""
+        self.paused = False
+        missed, self._missed_finalised = self._missed_finalised, []
+        for event in missed:
+            self._on_finalised_block(event)
+        for end in (self.a, self.b):
+            end.updates.kick()
+
+    def crash(self) -> None:
+        """Chaos fault: kill the relayer process, losing volatile state.
+
+        Everything not yet handed to a chain is gone: staged batches,
+        queued bundles, queued LC work, staged ack returns, pending
+        timers.  Requests already accepted by an RPC may still land, but
+        their callbacks belong to the dead incarnation and are dropped.
+        A polled end's cursor rewinds to its completion frontier so
+        every send whose delivery was uncommitted is re-fetched after
+        :meth:`restart`; the idempotency check in the retry path keeps
+        delivery exactly-once despite the replay.
+        """
+        self.paused = True
+        self._incarnation += 1
+        self.metrics.crashes += 1
+        self.sim.trace.count("relay.crashes")
+        self._bundle_queue.clear()
+        if self._pump_retry_handle is not None:
+            self._pump_retry_handle.cancel()
+            self._pump_retry_handle = None
+        for end in (self.a, self.b):
+            end.reset()
+            end.updates.reset()
+
+    def restart(self) -> None:
+        """Recover from a :meth:`crash` by re-reading both chains, then
+        resume (replaying finalised blocks missed while down).
+
+        Every ack an end wrote whose packet is still outstanding on the
+        sender lost its way home with the crash: haul it again.  Every
+        finalised guest send that is still outstanding and unreceived is
+        delivered again (a polled end's rewound cursor re-fetches its
+        own).  Over-recovery is idempotency-checked on both paths, so
+        replaying history is safe — only an omission would be a
+        liveness bug."""
+        self.sim.trace.count("relay.restarts")
+        recovered = 0
+        for receiver in (self.a, self.b):
+            origin = self._peer(receiver)
+            for packet, ack in receiver.ibc.written_acks.values():
+                if receiver.receives(packet) and origin.has_commitment(packet):
+                    self._ack_written(receiver, packet, ack)
+                    recovered += 1
+        for src in self._guests:
+            dst = self._peer(src)
+            for block in src.contract.blocks:
+                if not (block.finalised and src.channels):
+                    continue
+                for packet in src.contract.packets_in_block(block.height):
+                    if not (src.sends(packet) and src.has_commitment(packet)):
+                        continue
+                    src.outstanding[
+                        packet_key(packet.source_channel, packet.sequence)] = packet
+                    if not dst.has_receipt(packet):
+                        dst.updates.cover_for_bundle(
+                            block.height,
+                            lambda h, s=src, d=dst, p=packet: self._deliver(s, d, p, h))
+                        recovered += 1
+        if recovered:
+            self.sim.trace.count("relay.recovered", recovered)
+        self.resume()
 
     def _watchdog(self) -> None:
         """Liveness backstop: re-kick work an error path or crash left
         wedged — queued LC waiters with no update running and no retry
         timer armed, or bundles sitting in the queue with no pump
         scheduled (e.g. after a breaker probe window elapsed)."""
-        self.sim.schedule(self.config.watchdog_seconds, self._watchdog)
+        self.sim.schedule(WATCHDOG_SECONDS, self._watchdog)
         if self.paused:
             return
-        if self._lc_queue and not self._lc_busy and self._lc_holddown_handle is None:
-            self.sim.trace.count("relay.watchdog.lc_kicks")
-            self._kick_lc_update()
+        for end in (self.a, self.b):
+            end.updates.kick()
         if self._bundle_queue and self._pump_retry_handle is None:
             self.sim.trace.count("relay.watchdog.pump_kicks")
             self._pump_bundles()
 
     # ==================================================================
-    # Handshake coordination (ICS-03 + ICS-04, both four-step dances)
+    # Handshakes (ICS-03 + ICS-04; repro.relayer.handshake)
     # ==================================================================
 
-    def _on_guest_handshake_step(self, event: HostEvent) -> None:
-        if not self._is_our_guest_event(event):
+    def _on_handshake_step(self, event: HostEvent) -> None:
+        end = self._guest_for(event)
+        if end is None or end.handshake_waiter is None:
             return
-        waiter, self._handshake_waiter = self._handshake_waiter, None
-        if waiter is not None:
-            waiter(event.payload.get("created"), event.slot)
+        kind, then = end.handshake_waiter
+        payload = event.payload
+        # Several relayers may be shaking hands on one guest: a step is
+        # consumed only by the relayer whose own datagram produced it.
+        if payload.get("kind") != kind or payload.get("payer") != end.api.payer:
+            return
+        end.handshake_waiter = None
+        then(payload.get("created"), event.slot)
 
-    def _guest_handshake(self, msg, then: Callable[[Optional[str], int], None]) -> None:
-        """Submit a handshake datagram to the guest and await its event
-        (which carries the host slot the mutation executed at)."""
-        self._handshake_waiter = then
-        self._submit_handshake_retrying(msg)
-
-    def _submit_handshake_retrying(self, msg) -> None:
+    def _submit_handshake(self, end, msg, then: Callable[[Optional[str], int], None],
+                          failed: Callable[[object], None]) -> None:
+        """Submit a handshake datagram on ``end``; ``then(created,
+        marker)`` once it executed (``marker`` = where: the host slot or
+        the counterparty height), ``failed(cause)`` if it was rejected."""
         try:
-            self.api.submit_handshake(msg)
+            end.submit_handshake(msg, then, failed)
         except HostUnavailableError:
             self.sim.trace.count("relay.handshakes.deferred")
             self.sim.schedule(
                 self.retry_policy.delay(1, self._retry_rng),
-                self._submit_handshake_retrying, msg,
-            )
+                self._submit_handshake, end, msg, then, failed)
 
-    def _ensure_cp_view(self, min_slot: int, then: Callable[[int], None]) -> None:
-        """Run ``then(height)`` once the counterparty's guest client has
-        verified a finalised guest block whose state includes every
-        mutation up to host slot ``min_slot``.
+    def _await_commit(self, src, marker: int, action: Callable[[int], None]) -> None:
+        """Run ``action(height)`` once what ``src`` committed at
+        ``marker`` is inside a block its peer's client covers.
 
-        If such a block is already finalised, push its header to the
-        counterparty right away (it may never have been relayed — empty
-        blocks are skipped by Alg. 2); otherwise queue a waiter flushed
-        by :meth:`_on_finalised_block`.
+        For a guest that is a finalised block with ``host_slot >=
+        marker``: if one exists its header is pushed right away (it may
+        never have been relayed — empty blocks are skipped by Alg. 2);
+        otherwise a waiter is flushed by :meth:`_on_finalised_block`.
         """
-        candidates = [
-            block for block in self.contract.blocks
-            if block.finalised and block.header.host_slot >= min_slot
-        ]
-        if not candidates:
-            self._finalised_waiters.append((min_slot, then))
-            return
-        block = min(candidates, key=lambda b: b.height)
-        header = block.header
-        update = GuestClientUpdate(
-            header=header,
-            signatures=dict(block.signers),
-            new_epoch=self.contract.epochs.get(header.epoch_id),
-        )
+        height = src.provable_height(marker)
+        if height is None:
+            src.waiters.append((marker, action))
+        else:
+            self._cover_commit(src, marker, action, height)
 
-        def after_update(result, cp_height: int) -> None:
-            if isinstance(result, ReproError):
-                # Could not push this header (e.g. an older epoch than the
-                # client now tracks): wait for the next finalised block.
-                self._finalised_waiters.append((min_slot, then))
-                return
-            self._run_waiter(min_slot, then, header.height)
+    def _cover_commit(self, src, marker: int, action: Callable[[int], None],
+                      height: int) -> None:
+        def covered(covered_height: int) -> None:
+            # The same-slot race: a guest block generated in the *same*
+            # host slot as the mutation the action needs — but earlier
+            # within that slot's block — carries ``host_slot == marker``
+            # while its state view predates the write, so proving the
+            # path raises.  Requeue for a strictly later block (the Δ
+            # rule guarantees one comes).
+            try:
+                action(covered_height)
+            except KeyNotFoundError:
+                src.waiters.append((marker + 1, action))
 
-        self.counterparty.submit(
-            lambda: self.guest_client.update(update), on_result=after_update,
-        )
+        self._peer(src).updates.cover(
+            height, covered,
+            # Could not cover this block (e.g. an older epoch than the
+            # client now tracks): wait for the next finalised one.
+            failed=lambda: src.waiters.append((marker, action)))
 
-    def _run_waiter(self, min_slot: int, action: Callable[[int], None],
-                    height: int) -> None:
-        """Fire a finalised-block waiter, tolerating the same-slot race.
+    def open_connection(self, on_open: Callable[[ConnectionId, ConnectionId], None],
+                        initiator=None) -> None:
+        """Run the full ICS-03 handshake, initiated by ``initiator``
+        (default: end ``a``).  ``on_open`` receives the connection ids
+        on ``a`` and on ``b``."""
+        first = initiator or self.a
+        second = self._peer(first)
+        dance = Handshake(
+            self, CONNECTION, Side(first), Side(second),
+            lambda: on_open(self.a.connection_id, self.b.connection_id))
+        first.updates.prime(lambda: second.updates.prime(dance.start))
 
-        A guest block generated in the *same* host slot as the mutation
-        the waiter needs — but earlier within that slot's block — carries
-        ``host_slot == min_slot`` while its state view predates the
-        write, so proving the path raises.  Requeue the waiter for a
-        strictly later block (the Δ rule guarantees one comes).
-        """
-        try:
-            action(height)
-        except KeyNotFoundError:
-            self._finalised_waiters.append((min_slot + 1, action))
-
-    def open_connection(self, cp_client_id_on_guest: ClientId,
-                        on_open: Callable[[ConnectionId, ConnectionId], None]) -> None:
-        """Run the full ICS-03 handshake, guest-initiated."""
-
-        def step1_init() -> None:
-            self._guest_handshake(
-                msgs.MsgConnOpenInit(
-                    client_id=cp_client_id_on_guest,
-                    counterparty_client_id=self.guest_client_id_on_cp,
-                ),
-                lambda created, slot: step2_try(ConnectionId(created), slot),
-            )
-
-        def step2_try(guest_conn: ConnectionId, slot: int) -> None:
-            self.guest_connection_id = guest_conn
-
-            def after_final(height: int) -> None:
-                proof = self.contract.state_view(height).prove(
-                    paths.connection_path(guest_conn),
-                )
-                # validate_self_client material: what the guest's client
-                # currently claims about the counterparty (absent until
-                # the first chunked update has run).
-                claim = None
-                if self.contract.counterparty_client.latest_height() > 0:
-                    claim = self.contract.counterparty_client.state_summary().to_bytes()
-                self.counterparty.submit(
-                    lambda: self.counterparty.ibc.conn_open_try(
-                        self.guest_client_id_on_cp, cp_client_id_on_guest,
-                        guest_conn, proof, height,
-                        counterparty_client_state=claim,
-                    ),
-                    on_result=lambda result, h: step3_ack(guest_conn, ConnectionId(result), h),
-                )
-
-            self._ensure_cp_view(slot, after_final)
-
-        def step3_ack(guest_conn: ConnectionId, cp_conn: ConnectionId, cp_height: int) -> None:
-            self.cp_connection_id = cp_conn
-
-            def with_lc(height: int) -> None:
-                proof = self.counterparty.store_at(height).prove(
-                    paths.connection_path(cp_conn),
-                )
-                self._guest_handshake(
-                    msgs.MsgConnOpenAck(
-                        connection_id=guest_conn,
-                        counterparty_connection_id=cp_conn,
-                        proof=proof, proof_height=height,
-                        # What the counterparty's client claims about the
-                        # guest — the guest validates this on-chain.
-                        client_state=self.guest_client.state_summary().to_bytes(),
-                    ),
-                    lambda _, slot: step4_confirm(guest_conn, cp_conn, slot),
-                )
-
-            self._queue_guest_work(cp_height, with_lc)
-
-        def step4_confirm(guest_conn: ConnectionId, cp_conn: ConnectionId, slot: int) -> None:
-            def after_final(height: int) -> None:
-                proof = self.contract.state_view(height).prove(
-                    paths.connection_path(guest_conn),
-                )
-                self.counterparty.submit(
-                    lambda: self.counterparty.ibc.conn_open_confirm(cp_conn, proof, height),
-                    on_result=lambda result, h: on_open(guest_conn, cp_conn),
-                )
-
-            self._ensure_cp_view(slot, after_final)
-
-        step1_init()
-
-    def open_connection_from_counterparty(
-        self, cp_client_id_on_guest: ClientId,
-        on_open: Callable[[ConnectionId, ConnectionId], None],
-    ) -> None:
-        """Run the ICS-03 handshake with the *counterparty* as initiator.
-
-        Mirrors :meth:`open_connection` with the roles swapped; it
-        exercises the guest-side TRY and the counterparty-side CONFIRM
-        paths (a connection can be opened from either end — the relayer
-        merely carries datagrams).
-        """
-
-        def step1_init() -> None:
-            self.counterparty.submit(
-                lambda: self.counterparty.ibc.conn_open_init(
-                    self.guest_client_id_on_cp, cp_client_id_on_guest,
-                ),
-                on_result=lambda result, h: step2_try(ConnectionId(result), h),
-            )
-
-        def step2_try(cp_conn: ConnectionId, cp_height: int) -> None:
-            self.cp_connection_id = cp_conn
-
-            def with_lc(height: int) -> None:
-                proof = self.counterparty.store_at(height).prove(
-                    paths.connection_path(cp_conn),
-                )
-                self._guest_handshake(
-                    msgs.MsgConnOpenTry(
-                        client_id=cp_client_id_on_guest,
-                        counterparty_client_id=self.guest_client_id_on_cp,
-                        counterparty_connection_id=cp_conn,
-                        proof=proof, proof_height=height,
-                        client_state=self.guest_client.state_summary().to_bytes(),
-                    ),
-                    lambda created, slot: step3_ack(ConnectionId(created), cp_conn, slot),
-                )
-
-            self._queue_guest_work(cp_height, with_lc)
-
-        def step3_ack(guest_conn: ConnectionId, cp_conn: ConnectionId, slot: int) -> None:
-            self.guest_connection_id = guest_conn
-
-            def after_final(height: int) -> None:
-                proof = self.contract.state_view(height).prove(
-                    paths.connection_path(guest_conn),
-                )
-                claim = None
-                if self.contract.counterparty_client.latest_height() > 0:
-                    claim = self.contract.counterparty_client.state_summary().to_bytes()
-                self.counterparty.submit(
-                    lambda: self.counterparty.ibc.conn_open_ack(
-                        cp_conn, guest_conn, proof, height,
-                        counterparty_client_state=claim,
-                    ),
-                    on_result=lambda result, h: step4_confirm(guest_conn, cp_conn, h),
-                )
-
-            self._ensure_cp_view(slot, after_final)
-
-        def step4_confirm(guest_conn: ConnectionId, cp_conn: ConnectionId,
-                          cp_height: int) -> None:
-            def with_lc(height: int) -> None:
-                proof = self.counterparty.store_at(height).prove(
-                    paths.connection_path(cp_conn),
-                )
-                self._guest_handshake(
-                    msgs.MsgConnOpenConfirm(
-                        connection_id=guest_conn, proof=proof, proof_height=height,
-                    ),
-                    lambda _, slot: on_open(guest_conn, cp_conn),
-                )
-
-            self._queue_guest_work(cp_height, with_lc)
-
-        step1_init()
-
-    def open_channel(self, guest_port: PortId, cp_port: PortId,
+    def open_channel(self, a_port: PortId, b_port: PortId,
                      on_open: Callable[[ChannelId, ChannelId], None],
                      order: ChannelOrder = ChannelOrder.UNORDERED) -> None:
-        """Run the full ICS-04 channel handshake over the open connection."""
-        guest_conn = self.guest_connection_id
-        cp_conn = self.cp_connection_id
-        if guest_conn is None or cp_conn is None:
+        """Run the full ICS-04 channel handshake over the open
+        connection, initiated by end ``a``.  ``on_open`` receives the
+        channel ids on ``a`` and on ``b``."""
+        if self.a.connection_id is None or self.b.connection_id is None:
             raise ReproError("open_connection must complete before open_channel")
-
-        def step1_init() -> None:
-            self._guest_handshake(
-                msgs.MsgChanOpenInit(
-                    port_id=guest_port, connection_id=guest_conn,
-                    counterparty_port_id=cp_port, order=order,
-                ),
-                lambda created, slot: step2_try(ChannelId(created), slot),
-            )
-
-        def step2_try(guest_chan: ChannelId, slot: int) -> None:
-            def after_final(height: int) -> None:
-                proof = self.contract.state_view(height).prove(
-                    paths.channel_path(guest_port, guest_chan),
-                )
-                self.counterparty.submit(
-                    lambda: self.counterparty.ibc.chan_open_try(
-                        cp_port, cp_conn, guest_port, guest_chan, order, proof, height,
-                    ),
-                    on_result=lambda result, h: step3_ack(guest_chan, ChannelId(result), h),
-                )
-
-            self._ensure_cp_view(slot, after_final)
-
-        def step3_ack(guest_chan: ChannelId, cp_chan: ChannelId, cp_height: int) -> None:
-            def with_lc(height: int) -> None:
-                proof = self.counterparty.store_at(height).prove(
-                    paths.channel_path(cp_port, cp_chan),
-                )
-                self._guest_handshake(
-                    msgs.MsgChanOpenAck(
-                        port_id=guest_port, channel_id=guest_chan,
-                        counterparty_channel_id=cp_chan,
-                        proof=proof, proof_height=height,
-                    ),
-                    lambda _, slot: step4_confirm(guest_chan, cp_chan, slot),
-                )
-
-            self._queue_guest_work(cp_height, with_lc)
-
-        def step4_confirm(guest_chan: ChannelId, cp_chan: ChannelId, slot: int) -> None:
-            def after_final(height: int) -> None:
-                proof = self.contract.state_view(height).prove(
-                    paths.channel_path(guest_port, guest_chan),
-                )
-
-                def finish(result, h: int) -> None:
-                    self.guest_channel = (guest_port, guest_chan)
-                    self.cp_channel = (cp_port, cp_chan)
-                    on_open(guest_chan, cp_chan)
-
-                self.counterparty.submit(
-                    lambda: self.counterparty.ibc.chan_open_confirm(cp_port, cp_chan, proof, height),
-                    on_result=finish,
-                )
-
-            self._ensure_cp_view(slot, after_final)
-
-        step1_init()
+        on_a, on_b = Side(self.a, a_port), Side(self.b, b_port)
+        Handshake(self, CHANNEL, on_a, on_b,
+                  lambda: on_open(on_a.ident, on_b.ident), order).start()

@@ -1,776 +1,16 @@
-"""Cross-guest relaying: two guest contracts, one host (docs/FABRIC.md).
+"""Named multi-hop routes over the fabric (docs/FABRIC.md).
 
-A :class:`SiblingRelayer` bridges two guest contracts deployed on the
-*same* host chain.  Structurally it is the symmetric cousin of
-:class:`repro.relayer.relayer.Relayer`: both ends are guest programs, so
-there is no chunked Tendermint update — each end tracks the other with a
-:class:`~repro.fabric.sibling.SiblingGuestClient`, advanced by one
-idempotent SIBLING_UPDATE instruction.  Packet deliveries prepend that
-instruction to the §V-A bundle (atomic update-then-prove: the client
-adopts the proof height in the same host block the proof is checked).
-
-Flows, per direction (X = origin guest, Y = destination guest):
-
-* **packets**: a finalised X block carrying link packets → deliver each
-  to Y with a membership proof against X's finalised state root;
-* **acks**: Y's ``PacketReceived`` stages the ack; the next finalised Y
-  block that covers it proves the ack back to X, then seals it on Y
-  (``CONFIRM_ACK``, the §III-A bounded-storage discipline);
-* **timeouts**: a periodic scan finds expired outstanding sends and
-  cancels them with a non-membership proof of Y's receipt at a
-  finalised Y height past the deadline;
-* **handshakes**: :meth:`open_link` drives the ICS-03 + ICS-04 dances
-  with both ends on the guest side (INIT/ACK on A, TRY/CONFIRM on B),
-  awaiting an explicit sibling update before every proof-carrying step.
-
-The relayer is chaos-compatible (docs/CHAOS.md): :meth:`crash` drops all
-volatile state and :meth:`restart` rebuilds it from on-chain history —
-outstanding commitments without receipts are redelivered, written acks
-with outstanding commitments are re-proven — with the usual incarnation
-guard so a dead process's callbacks never corrupt the survivor.
-
-The module also houses the :class:`RouteTable`: named multi-hop routes
-over the fabric, resolved into a first-hop channel plus a
-``fwd:``-encoded receiver for :class:`repro.fabric.forward`.
+The :class:`RouteTable` resolves a route into a first-hop channel plus a
+``fwd:``-encoded receiver for :class:`repro.fabric.forward`; each hop is
+relayed by an ordinary :class:`~repro.relayer.relayer.Relayer`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
-from repro.errors import HostUnavailableError, KeyNotFoundError, ReproError, SealedNodeError
 from repro.fabric.forward import forward_receiver
-from repro.guest import instructions as ins
-from repro.guest.api import DeliveryResult, GuestApi
-from repro.guest.contract import GuestContract
-from repro.host.chain import HostChain
-from repro.host.events import HostEvent
-from repro.ibc import commitment as paths
-from repro.ibc import messages as msgs
-from repro.ibc.channel import ChannelOrder
-from repro.ibc.identifiers import ChannelId, ClientId, ConnectionId, PortId
-from repro.ibc.packet import Acknowledgement, Packet
-from repro.relayer.resilience import CircuitBreaker, RetryPolicy
-from repro.sim.kernel import Simulation
-from repro.sim.rng import Rng
 
-
-@dataclass
-class SiblingRelayerConfig:
-    """Tunables for one cross-guest link."""
-
-    #: Timeout-scan period, seconds.
-    poll_seconds: float = 5.0
-    #: Tip per delivery bundle (same default as the cp-link relayer).
-    bundle_tip_lamports: int = 0
-    #: Bounded retry for failed deliveries (docs/CHAOS.md).
-    retry_max_attempts: int = 8
-    retry_base_seconds: float = 2.0
-    retry_cap_seconds: float = 30.0
-    breaker_failure_threshold: int = 3
-    breaker_reset_seconds: float = 5.0
-    breaker_reset_cap_seconds: float = 60.0
-
-
-@dataclass
-class LinkEnd:
-    """One guest-side end of a cross-guest link."""
-
-    contract: GuestContract
-    api: GuestApi
-    #: This end's client *of the peer* (a SiblingGuestClient id).
-    client_of_peer: ClientId
-    port: PortId = PortId("transfer")
-    connection: Optional[ConnectionId] = None
-    channel: Optional[ChannelId] = None
-
-    @property
-    def chain_id(self) -> str:
-        return self.contract.chain_id
-
-    def client(self):
-        return self.contract.sibling_clients[str(self.client_of_peer)]
-
-
-@dataclass
-class SiblingMetrics:
-    packets_delivered: int = 0
-    acks_returned: int = 0
-    timeouts_cancelled: int = 0
-    retries: int = 0
-    redeliveries: int = 0
-    crashes: int = 0
-
-
-class SiblingRelayer:
-    """One relayer instance serving both directions of a guest↔guest link."""
-
-    def __init__(self, sim: Simulation, host: HostChain,
-                 a: LinkEnd, b: LinkEnd,
-                 config: Optional[SiblingRelayerConfig] = None) -> None:
-        self.sim = sim
-        self.host = host
-        self.a = a
-        self.b = b
-        self.config = config or SiblingRelayerConfig()
-        self.metrics = SiblingMetrics()
-        self._ends = {a.chain_id: a, b.chain_id: b}
-        self._peers = {a.chain_id: b, b.chain_id: a}
-
-        self.paused = False
-        self._incarnation = 0
-        #: ChaosInjector duck compatibility (it inspects these).
-        self._bundle_queue: deque = deque()
-        self.breaker = CircuitBreaker(
-            sim, name="sibling.breaker",
-            failure_threshold=self.config.breaker_failure_threshold,
-            reset_seconds=self.config.breaker_reset_seconds,
-            reset_cap_seconds=self.config.breaker_reset_cap_seconds,
-        )
-        self.retry_policy = RetryPolicy(
-            max_attempts=self.config.retry_max_attempts,
-            base_seconds=self.config.retry_base_seconds,
-            cap_seconds=self.config.retry_cap_seconds,
-        )
-        self._retry_rng = Rng(sim.rng.derived_seed(
-            f"sibling-relayer:{a.chain_id}:{b.chain_id}"))
-
-        #: chain_id -> {(src channel str, seq): (packet, commit height)} —
-        #: sends awaiting an ack or a timeout, per origin end.
-        self._outstanding: dict[str, dict[tuple[str, int], tuple[Packet, int]]] = {
-            a.chain_id: {}, b.chain_id: {},
-        }
-        #: chain_id (receiver) -> {(dst channel str, seq): (packet, ack)}.
-        self._pending_acks: dict[str, dict[tuple[str, int], tuple[Packet, Acknowledgement]]] = {
-            a.chain_id: {}, b.chain_id: {},
-        }
-        #: chain_id -> one-shot HandshakeStep waiter.
-        self._handshake_waiters: dict[str, Callable[[Optional[str], int], None]] = {}
-        #: chain_id -> [(min host slot, action(height))].
-        self._finalised_waiters: dict[str, list[tuple[int, Callable[[int], None]]]] = {
-            a.chain_id: [], b.chain_id: [],
-        }
-        self._missed_finalised: list[HostEvent] = []
-
-        host.subscribe("FinalisedBlock", self._on_finalised_block)
-        host.subscribe("PacketReceived", self._on_packet_received)
-        host.subscribe("HandshakeStep", self._on_handshake_step)
-        sim.schedule(self.config.poll_seconds, self._scan_timeouts)
-
-    # ==================================================================
-    # Event dispatch
-    # ==================================================================
-
-    def _end_for(self, event: HostEvent) -> Optional[LinkEnd]:
-        return self._ends.get(event.payload.get("guest", ""))
-
-    def _on_finalised_block(self, event: HostEvent) -> None:
-        end = self._end_for(event)
-        if end is None:
-            return
-        if self.paused:
-            self._missed_finalised.append(event)
-            return
-        height = event.payload["height"]
-        header = event.payload["header"]
-        slot = header.host_slot
-
-        waiters = [w for w in self._finalised_waiters[end.chain_id] if w[0] <= slot]
-        self._finalised_waiters[end.chain_id] = [
-            w for w in self._finalised_waiters[end.chain_id] if w[0] > slot
-        ]
-        for min_slot, action in waiters:
-            self._run_waiter(end, min_slot, action, height)
-
-        if end.channel is not None:
-            ours = [
-                p for p in event.payload["packets"]
-                if (p.source_port, p.source_channel) == (end.port, end.channel)
-            ]
-            for packet in ours:
-                key = (str(packet.source_channel), packet.sequence)
-                self._outstanding[end.chain_id][key] = (packet, height)
-                self._deliver(end, packet, height)
-        self._flush_acks(end, height)
-
-    def _on_packet_received(self, event: HostEvent) -> None:
-        end = self._end_for(event)
-        if end is None or self.paused:
-            return
-        packet = event.payload.get("packet")
-        ack_bytes = event.payload.get("ack_bytes")
-        if packet is None or ack_bytes is None or end.channel is None:
-            return
-        if (packet.destination_port, packet.destination_channel) != (end.port, end.channel):
-            return
-        key = (str(packet.destination_channel), packet.sequence)
-        self._pending_acks[end.chain_id][key] = (
-            packet, Acknowledgement.from_bytes(ack_bytes))
-
-    def _on_handshake_step(self, event: HostEvent) -> None:
-        chain_id = event.payload.get("guest", "")
-        if chain_id not in self._ends:
-            return
-        waiter = self._handshake_waiters.pop(chain_id, None)
-        if waiter is not None:
-            waiter(event.payload.get("created"), event.slot)
-
-    # ==================================================================
-    # Packet delivery (X finalised -> prove to Y)
-    # ==================================================================
-
-    def _adopt_prelude(self, dst: LinkEnd, height: int) -> tuple[bytes, ...]:
-        """SIBLING_UPDATE instruction(s) the delivery bundle needs so the
-        destination's client covers ``height`` — empty if it already
-        does (the instruction is idempotent either way)."""
-        if dst.client().consensus_root(height) is not None:
-            return ()
-        return (ins.sibling_update(str(dst.client_of_peer), height),)
-
-    def _deliver(self, src: LinkEnd, packet: Packet, height: int,
-                 attempt: int = 1) -> None:
-        dst = self._peers[src.chain_id]
-        try:
-            proof = src.contract.state_view(height).prove_seq(
-                paths.commitment_prefix(packet.source_port, packet.source_channel),
-                packet.sequence,
-            )
-        except ReproError:
-            return  # view pruned or commitment gone (settled meanwhile)
-        incarnation = self._incarnation
-        self.sim.trace.begin("fabric.hop", key=(src.chain_id, packet.sequence),
-                             actor="sibling-relayer")
-
-        def done(result: DeliveryResult) -> None:
-            if incarnation != self._incarnation:
-                return  # a crashed incarnation's bundle; drop
-            if result.success:
-                self.sim.trace.finish(
-                    "fabric.hop", key=(src.chain_id, packet.sequence))
-                self.sim.trace.count("fabric.packets.delivered")
-                self.metrics.packets_delivered += 1
-                return
-            self._retry_deliver(src, packet, height, attempt)
-
-        dst.api.deliver_packet(
-            packet, proof, height,
-            tip_lamports=self.config.bundle_tip_lamports,
-            on_done=done, prelude=self._adopt_prelude(dst, height),
-        )
-
-    def _retry_deliver(self, src: LinkEnd, packet: Packet, height: int,
-                       attempt: int) -> None:
-        dst = self._peers[src.chain_id]
-        try:
-            delivered = dst.contract.ibc.store.contains_seq(
-                paths.receipt_prefix(packet.destination_port,
-                                     packet.destination_channel),
-                packet.sequence,
-            )
-        except SealedNodeError:
-            delivered = True
-        if delivered:
-            # A rival (or a pre-crash self) landed it: exactly-once held.
-            self.sim.trace.count("fabric.redeliveries")
-            self.metrics.redeliveries += 1
-            return
-        if not self.retry_policy.allows(attempt):
-            self.sim.trace.count("fabric.retries.exhausted")
-            return
-        self.metrics.retries += 1
-        self.sim.trace.count("fabric.retries")
-        delay = self.retry_policy.delay(attempt, self._retry_rng)
-        incarnation = self._incarnation
-
-        def fire() -> None:
-            if incarnation != self._incarnation or self.paused:
-                return
-            self._deliver(src, packet, height, attempt + 1)
-
-        self.sim.schedule(delay, fire)
-
-    # ==================================================================
-    # Ack return (Y finalised -> prove ack to X, seal on Y)
-    # ==================================================================
-
-    def _flush_acks(self, receiver: LinkEnd, height: int) -> None:
-        origin = self._peers[receiver.chain_id]
-        staged = self._pending_acks[receiver.chain_id]
-        for key, (packet, ack) in list(staged.items()):
-            try:
-                proof = receiver.contract.state_view(height).prove_seq(
-                    paths.ack_prefix(packet.destination_port,
-                                     packet.destination_channel),
-                    packet.sequence,
-                )
-            except ReproError:
-                continue  # ack not inside this block's state root yet
-            del staged[key]
-            self._return_ack(origin, receiver, packet, ack, proof, height)
-
-    def _return_ack(self, origin: LinkEnd, receiver: LinkEnd, packet: Packet,
-                    ack: Acknowledgement, proof, height: int,
-                    attempt: int = 1) -> None:
-        incarnation = self._incarnation
-        out_key = (str(packet.source_channel), packet.sequence)
-
-        def done(result: DeliveryResult) -> None:
-            if incarnation != self._incarnation:
-                return
-            applied = result.success
-            if not applied:
-                # Idempotency: the origin clears its commitment when it
-                # accepts the ack; a missing commitment means it landed.
-                try:
-                    applied = not origin.contract.ibc.store.contains_seq(
-                        paths.commitment_prefix(packet.source_port,
-                                                packet.source_channel),
-                        packet.sequence,
-                    )
-                except SealedNodeError:
-                    applied = True
-            if applied:
-                self._outstanding[origin.chain_id].pop(out_key, None)
-                self.sim.trace.count("fabric.acks.returned")
-                self.metrics.acks_returned += 1
-                # The origin processed the ack: seal it on the receiver
-                # (bounded storage, §III-A).
-                self._confirm_seal(receiver, packet)
-                return
-            if not self.retry_policy.allows(attempt):
-                self.sim.trace.count("fabric.retries.exhausted")
-                return
-            self.metrics.retries += 1
-            delay = self.retry_policy.delay(attempt, self._retry_rng)
-
-            def fire() -> None:
-                if incarnation != self._incarnation or self.paused:
-                    return
-                self._return_ack(origin, receiver, packet, ack, proof,
-                                 height, attempt + 1)
-
-            self.sim.schedule(delay, fire)
-
-        origin.api.acknowledge_packet(
-            packet, ack, proof, height,
-            tip_lamports=self.config.bundle_tip_lamports,
-            on_done=done, prelude=self._adopt_prelude(origin, height),
-        )
-
-    def _confirm_seal(self, receiver: LinkEnd, packet: Packet) -> None:
-        try:
-            receiver.api.confirm_ack(
-                str(packet.destination_port),
-                str(packet.destination_channel),
-                packet.sequence,
-            )
-        except HostUnavailableError:
-            self.sim.trace.count("fabric.confirms.deferred")
-
-    # ==================================================================
-    # Timeout cancellation
-    # ==================================================================
-
-    def _scan_timeouts(self) -> None:
-        self.sim.schedule(self.config.poll_seconds, self._scan_timeouts)
-        if self.paused:
-            return
-        for chain_id, outstanding in self._outstanding.items():
-            origin = self._ends[chain_id]
-            dst = self._peers[chain_id]
-            for key, (packet, _height) in list(outstanding.items()):
-                if not packet.timeout_timestamp:
-                    continue
-                if self._try_timeout(origin, dst, packet):
-                    del outstanding[key]
-
-    def _expired_height(self, dst: LinkEnd, deadline: float) -> Optional[int]:
-        """Lowest finalised destination height past ``deadline``."""
-        for block in dst.contract.blocks:
-            if block.finalised and block.header.timestamp > deadline:
-                return block.height
-        return None
-
-    def _try_timeout(self, origin: LinkEnd, dst: LinkEnd, packet: Packet) -> bool:
-        """Cancel one expired send; True removes it from the outstanding
-        set (cancelled, or already settled by the other path)."""
-        try:
-            received = dst.contract.ibc.store.contains_seq(
-                paths.receipt_prefix(packet.destination_port,
-                                     packet.destination_channel),
-                packet.sequence,
-            )
-        except SealedNodeError:
-            received = True
-        if received:
-            return False  # the ack path settles it
-        try:
-            outstanding = origin.contract.ibc.store.contains_seq(
-                paths.commitment_prefix(packet.source_port,
-                                        packet.source_channel),
-                packet.sequence,
-            )
-        except SealedNodeError:
-            outstanding = False
-        if not outstanding:
-            return True  # already acked or timed out on-chain
-        height = self._expired_height(dst, packet.timeout_timestamp)
-        if height is None:
-            return False  # destination clock not past the deadline yet
-        try:
-            proof = dst.contract.state_view(height).prove_seq_absence(
-                paths.receipt_prefix(packet.destination_port,
-                                     packet.destination_channel),
-                packet.sequence,
-            )
-        except ReproError:
-            return False  # view unavailable; retry next scan
-        incarnation = self._incarnation
-
-        def done(result: DeliveryResult) -> None:
-            if incarnation != self._incarnation:
-                return
-            if result.success:
-                self.sim.trace.count("fabric.timeouts.cancelled")
-                self.metrics.timeouts_cancelled += 1
-            # Failure: the next scan re-evaluates from on-chain state.
-
-        origin.api.timeout_packet(
-            packet, proof, height,
-            tip_lamports=self.config.bundle_tip_lamports,
-            on_done=done, prelude=self._adopt_prelude(origin, height),
-        )
-        return True
-
-    # ==================================================================
-    # Chaos compatibility (docs/CHAOS.md)
-    # ==================================================================
-
-    def crash(self) -> None:
-        """Kill the relayer process: all volatile state is lost."""
-        self.paused = True
-        self._incarnation += 1
-        self.metrics.crashes += 1
-        self.sim.trace.count("fabric.relayer.crashes")
-        for staged in self._pending_acks.values():
-            staged.clear()
-        for outstanding in self._outstanding.values():
-            outstanding.clear()
-        self._handshake_waiters.clear()
-        for waiters in self._finalised_waiters.values():
-            waiters.clear()
-        self._bundle_queue.clear()
-
-    def restart(self) -> None:
-        """Rebuild from on-chain history, then resume.
-
-        For each direction: every finalised link packet whose commitment
-        is still outstanding on the origin either never reached the
-        destination (redeliver it) or reached it but lost its ack return
-        with the crash (re-stage the written ack).  Over-recovery is
-        idempotency-checked on both paths, so replaying history is safe.
-        """
-        self.sim.trace.count("fabric.relayer.restarts")
-        for src_id, src in self._ends.items():
-            if src.channel is None:
-                continue
-            dst = self._peers[src_id]
-            recovered = 0
-            for block in src.contract.blocks:
-                if not block.finalised:
-                    continue
-                for packet in src.contract.packets_in_block(block.height):
-                    if (packet.source_port, packet.source_channel) != (
-                            src.port, src.channel):
-                        continue
-                    try:
-                        outstanding = src.contract.ibc.store.contains_seq(
-                            paths.commitment_prefix(packet.source_port,
-                                                    packet.source_channel),
-                            packet.sequence,
-                        )
-                    except SealedNodeError:
-                        outstanding = False
-                    if not outstanding:
-                        continue
-                    key = (str(packet.source_channel), packet.sequence)
-                    self._outstanding[src_id][key] = (packet, block.height)
-                    try:
-                        received = dst.contract.ibc.store.contains_seq(
-                            paths.receipt_prefix(packet.destination_port,
-                                                 packet.destination_channel),
-                            packet.sequence,
-                        )
-                    except SealedNodeError:
-                        received = True
-                    if received:
-                        entry = dst.contract.ibc.written_acks.get(
-                            (str(packet.destination_channel), packet.sequence))
-                        if entry is not None:
-                            ack_key = (str(packet.destination_channel),
-                                       packet.sequence)
-                            self._pending_acks[dst.chain_id][ack_key] = entry
-                    else:
-                        self._deliver(src, packet, block.height)
-                    recovered += 1
-            if recovered:
-                self.sim.trace.count("fabric.recovered", recovered)
-        self.resume()
-
-    def resume(self) -> None:
-        self.paused = False
-        missed, self._missed_finalised = self._missed_finalised, []
-        for event in missed:
-            self._on_finalised_block(event)
-
-    # ==================================================================
-    # Handshakes (ICS-03 + ICS-04, both ends guest-side)
-    # ==================================================================
-
-    def _guest_handshake(self, end: LinkEnd, msg,
-                         then: Callable[[Optional[str], int], None]) -> None:
-        self._handshake_waiters[end.chain_id] = then
-        try:
-            end.api.submit_handshake(msg)
-        except HostUnavailableError:
-            self.sim.trace.count("fabric.handshakes.deferred")
-            self.sim.schedule(
-                self.retry_policy.delay(1, self._retry_rng),
-                end.api.submit_handshake, msg,
-            )
-
-    def _await_final(self, end: LinkEnd, min_slot: int,
-                     then: Callable[[int], None]) -> None:
-        """Run ``then(height)`` once a finalised block of ``end`` covers
-        every mutation up to host slot ``min_slot``."""
-        candidates = [
-            block for block in end.contract.blocks
-            if block.finalised and block.header.host_slot >= min_slot
-        ]
-        if candidates:
-            block = min(candidates, key=lambda b: b.height)
-            self._run_waiter(end, min_slot, then, block.height)
-            return
-        self._finalised_waiters[end.chain_id].append((min_slot, then))
-
-    def _run_waiter(self, end: LinkEnd, min_slot: int,
-                    action: Callable[[int], None], height: int) -> None:
-        # Same-slot race (see Relayer._run_waiter): the block may predate
-        # the mutation within its slot; requeue for a strictly later one.
-        try:
-            action(height)
-        except KeyNotFoundError:
-            self._finalised_waiters[end.chain_id].append((min_slot + 1, action))
-
-    def _adopt_then(self, end: LinkEnd, height: int,
-                    then: Callable[[], None]) -> None:
-        """Make ``end``'s sibling client cover ``height``, then continue.
-        Handshake datagrams carry no prelude (unlike packet bundles), so
-        the adoption rides as its own awaited transaction."""
-        if end.client().consensus_root(height) is not None:
-            then()
-            return
-
-        def on_result(receipt) -> None:
-            if receipt.success:
-                then()
-            else:  # transient (e.g. peer block not finalised yet): retry
-                self.sim.schedule(
-                    self.retry_policy.base_seconds,
-                    self._adopt_then, end, height, then,
-                )
-
-        end.api.sibling_update(str(end.client_of_peer), height, on_result=on_result)
-
-    def open_link(self, on_open: Callable[[ChannelId, ChannelId], None],
-                  order: ChannelOrder = ChannelOrder.UNORDERED) -> None:
-        """Drive the full connection + channel handshake, A-initiated.
-        ``on_open`` receives (A channel, B channel)."""
-        a, b = self.a, self.b
-
-        def prime() -> None:
-            # Both clients must track at least one finalised peer height
-            # before the handshake: proofs verify against adopted roots
-            # and validate_self_client reads each client's state summary.
-            ha = a.contract.head.height if a.contract.blocks else 0
-            hb = b.contract.head.height if b.contract.blocks else 0
-            self._adopt_then(
-                a, self._latest_final(b, hb),
-                lambda: self._adopt_then(
-                    b, self._latest_final(a, ha), conn_step1),
-            )
-
-        def conn_step1() -> None:
-            self._guest_handshake(
-                a,
-                msgs.MsgConnOpenInit(
-                    client_id=a.client_of_peer,
-                    counterparty_client_id=b.client_of_peer,
-                ),
-                lambda created, slot: conn_step2(ConnectionId(created), slot),
-            )
-
-        def conn_step2(conn_a: ConnectionId, slot: int) -> None:
-            a.connection = conn_a
-
-            def after_final(height: int) -> None:
-                proof = a.contract.state_view(height).prove(
-                    paths.connection_path(conn_a))
-
-                def submit() -> None:
-                    self._guest_handshake(
-                        b,
-                        msgs.MsgConnOpenTry(
-                            client_id=b.client_of_peer,
-                            counterparty_client_id=a.client_of_peer,
-                            counterparty_connection_id=conn_a,
-                            proof=proof, proof_height=height,
-                            # What A's client of B claims about B — B
-                            # validates this on-chain (ICS-03
-                            # validate_self_client).
-                            client_state=a.client().state_summary().to_bytes(),
-                        ),
-                        lambda created, s: conn_step3(ConnectionId(created), s),
-                    )
-
-                self._adopt_then(b, height, submit)
-
-            self._await_final(a, slot, after_final)
-
-        def conn_step3(conn_b: ConnectionId, slot: int) -> None:
-            b.connection = conn_b
-
-            def after_final(height: int) -> None:
-                proof = b.contract.state_view(height).prove(
-                    paths.connection_path(conn_b))
-
-                def submit() -> None:
-                    self._guest_handshake(
-                        a,
-                        msgs.MsgConnOpenAck(
-                            connection_id=a.connection,
-                            counterparty_connection_id=conn_b,
-                            proof=proof, proof_height=height,
-                            client_state=b.client().state_summary().to_bytes(),
-                        ),
-                        lambda _created, s: conn_step4(s),
-                    )
-
-                self._adopt_then(a, height, submit)
-
-            self._await_final(b, slot, after_final)
-
-        def conn_step4(slot: int) -> None:
-            def after_final(height: int) -> None:
-                proof = a.contract.state_view(height).prove(
-                    paths.connection_path(a.connection))
-
-                def submit() -> None:
-                    self._guest_handshake(
-                        b,
-                        msgs.MsgConnOpenConfirm(
-                            connection_id=b.connection,
-                            proof=proof, proof_height=height,
-                        ),
-                        lambda _created, s: chan_step1(),
-                    )
-
-                self._adopt_then(b, height, submit)
-
-            self._await_final(a, slot, after_final)
-
-        def chan_step1() -> None:
-            self._guest_handshake(
-                a,
-                msgs.MsgChanOpenInit(
-                    port_id=a.port, connection_id=a.connection,
-                    counterparty_port_id=b.port, order=order,
-                ),
-                lambda created, slot: chan_step2(ChannelId(created), slot),
-            )
-
-        def chan_step2(chan_a: ChannelId, slot: int) -> None:
-            def after_final(height: int) -> None:
-                proof = a.contract.state_view(height).prove(
-                    paths.channel_path(a.port, chan_a))
-
-                def submit() -> None:
-                    self._guest_handshake(
-                        b,
-                        msgs.MsgChanOpenTry(
-                            port_id=b.port, connection_id=b.connection,
-                            counterparty_port_id=a.port,
-                            counterparty_channel_id=chan_a, order=order,
-                            proof=proof, proof_height=height,
-                        ),
-                        lambda created, s: chan_step3(chan_a, ChannelId(created), s),
-                    )
-
-                self._adopt_then(b, height, submit)
-
-            self._await_final(a, slot, after_final)
-
-        def chan_step3(chan_a: ChannelId, chan_b: ChannelId, slot: int) -> None:
-            def after_final(height: int) -> None:
-                proof = b.contract.state_view(height).prove(
-                    paths.channel_path(b.port, chan_b))
-
-                def submit() -> None:
-                    self._guest_handshake(
-                        a,
-                        msgs.MsgChanOpenAck(
-                            port_id=a.port, channel_id=chan_a,
-                            counterparty_channel_id=chan_b,
-                            proof=proof, proof_height=height,
-                        ),
-                        lambda _created, s: chan_step4(chan_a, chan_b, s),
-                    )
-
-                self._adopt_then(a, height, submit)
-
-            self._await_final(b, slot, after_final)
-
-        def chan_step4(chan_a: ChannelId, chan_b: ChannelId, slot: int) -> None:
-            def after_final(height: int) -> None:
-                proof = a.contract.state_view(height).prove(
-                    paths.channel_path(a.port, chan_a))
-
-                def submit() -> None:
-                    def finish(_created, _slot) -> None:
-                        a.channel = chan_a
-                        b.channel = chan_b
-                        on_open(chan_a, chan_b)
-
-                    self._guest_handshake(
-                        b,
-                        msgs.MsgChanOpenConfirm(
-                            port_id=b.port, channel_id=chan_b,
-                            proof=proof, proof_height=height,
-                        ),
-                        finish,
-                    )
-
-                self._adopt_then(b, height, submit)
-
-            self._await_final(a, slot, after_final)
-
-        prime()
-
-    @staticmethod
-    def _latest_final(end: LinkEnd, upto: int) -> int:
-        """Highest finalised height of ``end`` (genesis is finalised, so
-        one always exists once the contract is initialized)."""
-        for block in reversed(end.contract.blocks):
-            if block.finalised and block.height <= upto:
-                return block.height
-        return 0
-
-
-# ======================================================================
-# Route table: named multi-hop paths over the fabric
-# ======================================================================
 
 @dataclass(frozen=True)
 class Hop:

@@ -1,0 +1,254 @@
+"""Client-update strategies: how one end's light client is advanced.
+
+Every proof the relayer submits to a chain is checked against a
+consensus state that chain's client *of the peer* already holds, so
+before proving at a height the relayer must bring that client there.
+This module is the only place the three mechanisms are named:
+
+* :class:`ChunkedTendermint` — the guest's client of an IBC-native
+  counterparty: dozens of host transactions per update (Fig. 4/5), one
+  update at a time, optionally held down so one update serves more work;
+* :class:`HeaderPush` — the counterparty's client of a guest: the
+  finalised header and its signatures in one call (Alg. 2 l.6);
+* :class:`SiblingAdopt` — a guest's client of another guest on the same
+  host: one idempotent SIBLING_UPDATE instruction, riding as a prelude
+  of the packet bundle that needs it (docs/FABRIC.md).
+
+The interface is :meth:`ClientUpdates.cover`: run ``then(height)`` once
+the client covers ``height`` (``height`` may come back higher than
+asked: a chunked update always targets the counterparty's tip).
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Optional
+
+from repro.errors import ReproError
+from repro.guest import instructions as ins
+from repro.guest.api import LcUpdateResult
+from repro.lightclient.guest_client import GuestClientUpdate
+from repro.relayer.endpoint import CounterpartyEnd, GuestEnd
+
+#: Transactions kept in flight during a chunked LC update; real relayers
+#: rate-limit for ordering and fee predictability.  This window is the
+#: main knob behind the Fig. 4 latency distribution.
+LC_UPDATE_WINDOW = 3
+
+Then = Callable[[int], None]
+
+
+def _ignore() -> None:
+    """Default ``failed`` continuation: the work is dropped."""
+
+
+class ClientUpdates:
+    """Keeps ``holder``'s client of ``source`` fresh for one relayer."""
+
+    def __init__(self, relayer, holder, source) -> None:
+        self.relayer = relayer
+        self.sim = relayer.sim
+        self.holder = holder
+        self.source = source
+
+    def cover(self, height: int, then: Then,
+              failed: Callable[[], None] = _ignore) -> None:
+        """Run ``then(h)``, ``h >= height``, once the client covers
+        ``h``; ``failed()`` if this height can never be covered and the
+        caller should wait for a later one."""
+        raise NotImplementedError
+
+    def cover_for_bundle(self, height: int, then: Then) -> None:
+        """Like :meth:`cover`, for work that reaches the holder as a
+        bundle and may carry :meth:`prelude` instead of waiting."""
+        self.cover(height, then)
+
+    def prelude(self, heights) -> tuple[bytes, ...]:
+        """Instructions a bundle proving at ``heights`` must run first."""
+        return ()
+
+    def prime(self, then: Callable[[], None]) -> None:
+        """Before a handshake: make the client track *some* height of
+        the source, if it needs one to talk."""
+        then()
+
+    def reset(self) -> None:
+        """A relayer crash: drop queued work and timers."""
+
+    def kick(self) -> None:
+        """The relayer resumed, or its watchdog ticked: restart work
+        that was waiting on it or that an error path left stranded."""
+
+
+class ChunkedTendermint(ClientUpdates):
+    """Chunked Tendermint updates on a guest (the Fig. 4/5 flow).
+
+    All light-client work funnels through one at-a-time chunked update;
+    queued items declare the minimum counterparty height they need and
+    run as soon as an update covers it.
+    """
+
+    def __init__(self, relayer, holder: GuestEnd, source: CounterpartyEnd) -> None:
+        super().__init__(relayer, holder, source)
+        self._lc_last_finish = float("-inf")
+        self._lc_holddown_handle = None
+        self.reset()
+
+    def cover(self, height: int, then: Then,
+              failed: Callable[[], None] = _ignore) -> None:
+        known = self.holder.client.latest_height()
+        if known >= height:
+            then(known)
+            return
+        self._lc_queue.append((height, then))
+        self.kick()
+
+    def reset(self) -> None:
+        #: [(min counterparty height, action(height))] awaiting an update.
+        self._lc_queue: list[tuple[int, Then]] = []
+        self._lc_busy = False
+        if self._lc_holddown_handle is not None:
+            self._lc_holddown_handle.cancel()
+            self._lc_holddown_handle = None
+
+    def kick(self) -> None:
+        if self._lc_busy or not self._lc_queue:
+            return
+        wait = (self._lc_last_finish
+                + self.relayer.config.lc_update_min_seconds) - self.sim.now
+        if wait > 0:
+            # Hold-down: let more work accumulate so the next update
+            # amortises over it.  One retry timer is enough — every
+            # queued waiter is flushed by the same update.
+            if self._lc_holddown_handle is None:
+                self._lc_holddown_handle = self.sim.schedule(
+                    wait, self._holddown_over)
+            return
+        chain = self.source.chain
+        target = chain.height
+        needed = max(height for height, _ in self._lc_queue)
+        if target < needed:
+            # The needed block is not produced yet; retry shortly.
+            self.sim.schedule(chain.config.block_seconds, self.kick)
+            return
+        self._lc_busy = True
+        update = chain.light_client_update(target)
+        self.sim.trace.begin("relay.lc_update", key=target, actor="relayer")
+        self.holder.api.submit_lc_update(
+            update, window=LC_UPDATE_WINDOW,
+            on_done=lambda result, gen=self.relayer._incarnation:
+                self._lc_done(result, gen),
+        )
+
+    def _holddown_over(self) -> None:
+        self._lc_holddown_handle = None
+        self.kick()
+
+    def _lc_done(self, result: LcUpdateResult,
+                 generation: Optional[int] = None) -> None:
+        if generation is not None and generation != self.relayer._incarnation:
+            # An update stream started before a crash finished after the
+            # restart: its accounting belongs to the dead incarnation and
+            # must not corrupt the new one's LC state machine.
+            self.sim.trace.count("relay.lc_updates.stale_dropped")
+            return
+        self._lc_busy = False
+        self._lc_last_finish = self.sim.now
+        trace = self.sim.trace
+        trace.finish("relay.lc_update", key=result.height,
+                     transactions=result.transaction_count,
+                     success=result.success)
+        trace.count("relay.lc_updates")
+        trace.observe("relay.lc_update.txs", result.transaction_count)
+        trace.observe("relay.lc_update.fee", result.total_fee)
+        self.relayer.metrics.lc_updates.append(result)
+        self.relayer.ledger.record("lc-update", result.total_fee,
+                                   result.transaction_count)
+        if result.success:
+            ready = [w for w in self._lc_queue if w[0] <= result.height]
+            self._lc_queue = [w for w in self._lc_queue if w[0] > result.height]
+            for _, action in ready:
+                action(result.height)
+        if self._lc_queue:
+            self.kick()
+
+
+class HeaderPush(ClientUpdates):
+    """Guest headers pushed to the counterparty's guest client."""
+
+    def cover(self, height: int, then: Then,
+              failed: Callable[[], None] = _ignore) -> None:
+        # Always pushed, even if the client may hold the height already
+        # (empty blocks are skipped by Alg. 2, so usually it does not);
+        # a repeated header is verified again and changes nothing.
+        contract = self.source.contract
+        block = contract.block_at(height)
+        header = block.header
+        update = GuestClientUpdate(
+            header=header, signatures=dict(block.signers),
+            # Always carry the header's own epoch: the counterparty's
+            # client may have skipped epochs (it validates by hash and
+            # the 1/3-overlap rule, so this is never trusted blindly).
+            new_epoch=contract.epochs.get(header.epoch_id),
+        )
+
+        def after_update(result, cp_height: int) -> None:
+            if isinstance(result, ReproError):
+                # Stale or old-epoch header: a later finalised block
+                # can still satisfy whoever waited (liveness).
+                failed()
+            else:
+                then(height)
+
+        self.holder.chain.submit(lambda: self.holder.client.update(update),
+                                 on_result=after_update)
+
+
+class SiblingAdopt(ClientUpdates):
+    """Host-verified adoption of a sibling guest's finalised heights."""
+
+    def _covers(self, height: int) -> bool:
+        return self.holder.client.consensus_root(height) is not None
+
+    def cover(self, height: int, then: Then,
+              failed: Callable[[], None] = _ignore) -> None:
+        # Handshake datagrams carry no prelude (unlike packet bundles),
+        # so the adoption rides as its own awaited transaction.
+        if self._covers(height):
+            then(height)
+            return
+
+        def on_result(receipt) -> None:
+            if receipt.success:
+                then(height)
+            else:  # transient (e.g. dropped in transit): retry
+                self.sim.schedule(self.relayer.retry_policy.base_seconds,
+                                  self.cover, height, then)
+
+        # Through the relayer's queue, like every guest-side submission:
+        # a blackout refusal defers the adoption instead of raising.
+        self.relayer._enqueue_bundle(lambda: self.holder.api.sibling_update(
+            str(self.holder.client_id), height, on_result=on_result))
+
+    def cover_for_bundle(self, height: int, then: Then) -> None:
+        then(height)  # the bundle's prelude adopts the height atomically
+
+    def prelude(self, heights) -> tuple[bytes, ...]:
+        # Empty once the client covers a height (the instruction is
+        # idempotent either way).
+        return tuple(
+            ins.sibling_update(str(self.holder.client_id), height)
+            for height in sorted(set(heights)) if not self._covers(height))
+
+    def prime(self, then: Callable[[], None]) -> None:
+        # Proofs verify against adopted roots, and validate_self_client
+        # reads the client's state summary: it needs a first height.
+        self.cover(self.source.latest_final(), lambda _height: then())
+
+
+def updates_for(relayer, holder, source) -> ClientUpdates:
+    """The strategy advancing ``holder``'s client of ``source``."""
+    if isinstance(holder, CounterpartyEnd):
+        return HeaderPush(relayer, holder, source)
+    if isinstance(source, CounterpartyEnd):
+        return ChunkedTendermint(relayer, holder, source)
+    return SiblingAdopt(relayer, holder, source)

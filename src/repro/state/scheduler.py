@@ -11,8 +11,7 @@ not a protocol parameter.
 Three policies:
 
 * :class:`EagerScheduler` — seal the moment an entry is safe.  Minimal
-  live bytes, one seal write per entry (the pre-existing behaviour of
-  ``seal_receipts=True``).
+  live bytes, one seal write per entry (the Guest Contract's default).
 * :class:`LazyScheduler` — batch seals and apply them ``batch`` at a
   time, amortizing the trie-path rewrites; live bytes overshoot by at
   most one batch of entries.

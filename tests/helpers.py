@@ -44,6 +44,7 @@ from repro.ibc.apps.transfer import Bank, TransferApp  # noqa: E402
 from repro.ibc.channel import ChannelOrder  # noqa: E402
 from repro.ibc.host import IbcHost  # noqa: E402
 from repro.ibc.identifiers import ChannelId, PortId  # noqa: E402
+from repro.state.scheduler import EagerScheduler  # noqa: E402
 
 
 class ProtoChain:
@@ -56,7 +57,7 @@ class ProtoChain:
                  hop_timeout_seconds: float = 600.0) -> None:
         self.fabric = fabric
         self.name = name
-        self.host = IbcHost(name, seal_receipts=True)
+        self.host = IbcHost(name, seal_scheduler=EagerScheduler())
         self.bank = Bank()
         self.port = PortId("transfer")
         self.app = TransferApp(self.bank, self.port)

@@ -312,7 +312,7 @@ class TestActorFaults:
                      target=str(index))
         ChaosInjector(dep, plan).arm()
         dep.contract.bank.mint("alice", "GUEST", 100)
-        guest_chan = dep.relayer.guest_channel[1]
+        (_, guest_chan), = dep.relayer.a.channels
         payload = dep.contract.transfer.make_payload(
             guest_chan, "GUEST", 10, "alice", "bob")
         dep.user_api.send_packet("transfer", str(guest_chan), payload)

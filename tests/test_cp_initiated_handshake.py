@@ -23,9 +23,9 @@ def cp_initiated():
         profiles=simple_profiles(4),
     ))
     outcome = {}
-    dep.relayer.open_connection_from_counterparty(
-        dep.contract.counterparty_client_id,
+    dep.relayer.open_connection(
         lambda g, c: outcome.update(guest=g, cp=c),
+        initiator=dep.relayer.b,
     )
     deadline = dep.sim.now + 3_600.0
     while "cp" not in outcome and dep.sim.now < deadline:

@@ -150,7 +150,7 @@ class TestCrashRestartRefund:
         dep, checker, sibling = wreck
         assert sibling.metrics.crashes == 2
         assert sibling.metrics.timeouts_cancelled == 1
-        assert sum(len(o) for o in sibling._outstanding.values()) == 0
+        assert not sibling.a.outstanding and not sibling.b.outstanding
 
     def test_nothing_reached_the_far_side(self, wreck):
         dep, checker, sibling = wreck

@@ -91,7 +91,7 @@ class TestCrankerOutage:
         assert dep.cranker.paused
         height_at_pause = dep.contract.head.height
         dep.contract.bank.mint("alice", "GUEST", 100)
-        guest_chan = dep.relayer.guest_channel[1]
+        (_, guest_chan), = dep.relayer.a.channels
         payload = dep.contract.transfer.make_payload(guest_chan, "GUEST", 10, "alice", "bob")
         dep.user_api.send_packet("transfer", str(guest_chan), payload)
         dep.run_for(199.0)
@@ -112,7 +112,7 @@ class TestCrankerOutage:
         dep.establish_link()
         arm(dep, "cranker_crash", duration=600.0)   # down for the whole test
         dep.contract.bank.mint("alice", "GUEST", 100)
-        guest_chan = dep.relayer.guest_channel[1]
+        (_, guest_chan), = dep.relayer.a.channels
         payload = dep.contract.transfer.make_payload(guest_chan, "GUEST", 10, "alice", "bob")
         dep.user_api.send_packet("transfer", str(guest_chan), payload)
         dep.run_for(60.0)
@@ -139,7 +139,7 @@ class TestValidatorMassOutage:
         ChaosInjector(dep, plan).arm()
 
         dep.contract.bank.mint("alice", "GUEST", 100)
-        guest_chan = dep.relayer.guest_channel[1]
+        (_, guest_chan), = dep.relayer.a.channels
         payload = dep.contract.transfer.make_payload(guest_chan, "GUEST", 10, "alice", "bob")
         dep.user_api.send_packet("transfer", str(guest_chan), payload)
         dep.run_for(300.0)

@@ -1,0 +1,259 @@
+"""The one handshake driver (repro.relayer.handshake).
+
+Three things are pinned here:
+
+* the driver's loop, against the protocol-level harness of
+  ``tests/helpers.py`` (no kernel): for every argument order the
+  datagrams go out ``Init, Try, Ack, Confirm`` twice, alternate between
+  the two ends, and each proof height is covered by the receiving
+  chain's client before the datagram is submitted;
+* a failed step is *checked*: a transient failure is retried from
+  "bring the client to the height" and the handshake completes; a
+  permanent one raises ``HandshakeError`` naming the step, instead of
+  a ``TypeError`` or an hour-long hang;
+* on a guest shared by several links, each relayer consumes only the
+  ``HandshakeStep`` events of its own datagrams, so the fabric builds
+  whatever order its links are listed in.
+"""
+
+import pytest
+
+from repro import Deployment, DeploymentConfig
+from repro.errors import HandshakeError, HostUnavailableError
+from repro.fabric import (
+    CounterpartySpec, GuestSpec, LinkSpec, RouteSpec, TopologyConfig,
+    build_fabric,
+)
+from repro.guest.config import GuestConfig
+from repro.ibc.channel import ChannelState
+from repro.ibc.connection import ConnectionState
+from repro.ibc.identifiers import PortId
+from repro.ibc.messages import apply_handshake
+from repro.relayer.handshake import CHANNEL, CONNECTION, Handshake, Side
+from repro.validators.profiles import simple_profiles
+
+from tests.helpers import ProtoFabric, StaticRootClient
+
+
+# ----------------------------------------------------------------------
+# The loop, over the protocol harness
+# ----------------------------------------------------------------------
+
+class ProtoEnd:
+    """The slice of an endpoint the driver uses, over a ``ProtoChain``."""
+
+    def __init__(self, fabric: ProtoFabric, name: str, peer: str) -> None:
+        self.chain = fabric.chains[name]
+        self.chain_id = name
+        client = StaticRootClient()
+        fabric.clients[(name, peer)] = client
+        self.client_id = self.chain.host.create_client(client)
+        self.client = client
+        self.connection_id = None
+        self.channels = set()
+
+    def client_claim(self) -> bytes:
+        return b""
+
+    def view(self, height: int):
+        return self.chain.host.store
+
+
+class ProtoRelayer:
+    """Instant stand-in for the relayer's two handshake primitives."""
+
+    def __init__(self, fabric: ProtoFabric, a: ProtoEnd, b: ProtoEnd) -> None:
+        self.fabric, self.a, self.b = fabric, a, b
+        self.sent: list[tuple[str, str]] = []
+
+    def _await_commit(self, src, marker, action) -> None:
+        action(self.fabric.sync())
+
+    def _submit_handshake(self, end, msg, then, failed) -> None:
+        proof_height = getattr(msg, "proof_height", None)
+        if proof_height is not None:
+            # The receiving chain's client must already cover the height.
+            assert end.client.consensus_root(proof_height) is not None
+        self.sent.append((end.chain_id, type(msg).__name__))
+        then(apply_handshake(end.chain.host, msg), 0)
+
+
+@pytest.mark.parametrize("order", ["a-initiates", "b-initiates", "ends-swapped"])
+def test_driver_sends_init_try_ack_confirm_twice(order):
+    fabric = ProtoFabric()
+    fabric.add_chain("x")
+    fabric.add_chain("y")
+    x, y = ProtoEnd(fabric, "x", "y"), ProtoEnd(fabric, "y", "x")
+    a, b = (y, x) if order == "ends-swapped" else (x, y)
+    first, second = (b, a) if order == "b-initiates" else (a, b)
+    relayer = ProtoRelayer(fabric, a, b)
+    port = PortId("transfer")
+    done = []
+
+    conn = (Side(first), Side(second))
+    Handshake(relayer, CONNECTION, *conn, lambda: done.append("conn")).start()
+    chan = (Side(first, port), Side(second, port))
+    Handshake(relayer, CHANNEL, *chan, lambda: done.append("chan")).start()
+
+    assert done == ["conn", "chan"]
+    i, r = first.chain_id, second.chain_id
+    assert relayer.sent == [
+        (i, "MsgConnOpenInit"), (r, "MsgConnOpenTry"),
+        (i, "MsgConnOpenAck"), (r, "MsgConnOpenConfirm"),
+        (i, "MsgChanOpenInit"), (r, "MsgChanOpenTry"),
+        (i, "MsgChanOpenAck"), (r, "MsgChanOpenConfirm"),
+    ]
+    for side in conn:
+        host = side.end.chain.host
+        assert host.connection(side.ident).state == ConnectionState.OPEN
+    for side in chan:
+        host = side.end.chain.host
+        assert host.channel(port, side.ident).state == ChannelState.OPEN
+    # Each end references the other's identifiers, not its own.
+    ends = [side.end.chain.host.connection(side.ident) for side in conn]
+    assert ends[0].counterparty_connection_id == conn[1].ident
+    assert ends[1].counterparty_connection_id == conn[0].ident
+
+
+# ----------------------------------------------------------------------
+# Failed steps are checked (full stack)
+# ----------------------------------------------------------------------
+
+def small_deployment(seed: int) -> Deployment:
+    return Deployment(DeploymentConfig(
+        seed=seed,
+        guest=GuestConfig(delta_seconds=120.0, min_stake_lamports=1),
+        profiles=simple_profiles(4),
+        tracing=True,
+    ))
+
+
+def failing(original, failures: int, calls: list):
+    def conn_open_ack(*args, **kwargs):
+        calls.append(None)
+        if len(calls) <= failures:
+            raise HandshakeError("no consensus state at the proof height")
+        return original(*args, **kwargs)
+    return conn_open_ack
+
+
+class TestFailedSteps:
+    def test_transient_failure_is_retried(self):
+        dep = small_deployment(131)
+        calls: list = []
+        dep.contract.ibc.conn_open_ack = failing(
+            dep.contract.ibc.conn_open_ack, 1, calls)
+        guest_chan, cp_chan = dep.establish_link()
+        assert len(calls) == 2
+        assert dep.trace_report().counters.get("relay.handshakes.retried") == 1
+        assert dep.contract.ibc.channel(
+            PortId("transfer"), guest_chan).state == ChannelState.OPEN
+
+    def test_permanent_failure_names_the_step(self):
+        dep = small_deployment(132)
+        calls: list = []
+        dep.contract.ibc.conn_open_ack = failing(
+            dep.contract.ibc.conn_open_ack, 10**9, calls)
+        with pytest.raises(HandshakeError, match="ConnOpenAck") as raised:
+            dep.establish_link()
+        assert "guest<->" in str(raised.value)
+        assert "no consensus state" in str(raised.value)
+        assert len(calls) == dep.relayer.retry_policy.max_attempts
+
+    def test_failure_on_the_counterparty_side_is_checked_too(self):
+        dep = small_deployment(133)
+        calls: list = []
+        dep.counterparty.ibc.conn_open_try = failing(
+            dep.counterparty.ibc.conn_open_try, 1, calls)
+        dep.establish_link()
+        assert len(calls) == 2
+
+
+# ----------------------------------------------------------------------
+# Link order on a shared guest
+# ----------------------------------------------------------------------
+
+def route_order_topology(seed: int) -> TopologyConfig:
+    """The 3-hop path with its links listed in route order: the sibling
+    handshake on g1 is immediately followed by a classic one on g1."""
+    return TopologyConfig(
+        guests=(GuestSpec("g0"), GuestSpec("g1")),
+        counterparties=(CounterpartySpec("cp-a"), CounterpartySpec("cp-b")),
+        links=(LinkSpec("cp-a", "g0"), LinkSpec("g0", "g1"),
+               LinkSpec("g1", "cp-b")),
+        routes=(RouteSpec("path", ("cp-a", "g0", "g1", "cp-b")),),
+        seed=seed,
+    )
+
+
+class TestLinkOrder:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fabric_builds_with_links_in_route_order(self, seed):
+        dep = build_fabric(route_order_topology(seed))
+        for link in dep.links:
+            assert set(link.channels) == link.spec.ends
+        assert dep.routes.hop_count("path") == 3
+
+    def test_chain_of_emits_route_order_and_builds(self):
+        config = TopologyConfig.chain_of(("cp-a", "g0", "g1", "cp-b"))
+        assert [(l.a, l.b) for l in config.links] == [
+            ("cp-a", "g0"), ("g0", "g1"), ("g1", "cp-b")]
+        assert config.seed == 7  # the default seed used to crash
+        dep = build_fabric(config)
+        assert len(dep.routes.route("path")) == 3
+
+    def test_step_of_another_relayer_is_not_consumed(self):
+        """Two relayers on one guest: a step event carrying the other's
+        payer (or another datagram kind) leaves the waiter in place."""
+        dep = build_fabric(route_order_topology(3), establish=False)
+        sibling = dep.link_between("g0", "g1").relayer
+        classic = dep.link_between("g1", "cp-b").relayer
+        g1_of_sibling, g1_of_classic = sibling.b, classic.a
+        seen = []
+        g1_of_classic.handshake_waiter = (
+            "MsgConnOpenInit", lambda created, slot: seen.append(created))
+
+        class Event:
+            slot = 5
+
+            def __init__(self, kind, payer):
+                self.payload = {"guest": "g1", "kind": kind, "payer": payer,
+                                "created": "connection-9"}
+
+        classic._on_handshake_step(
+            Event("MsgChanOpenConfirm", g1_of_sibling.api.payer))
+        classic._on_handshake_step(
+            Event("MsgConnOpenInit", g1_of_sibling.api.payer))
+        assert seen == [] and g1_of_classic.handshake_waiter is not None
+        classic._on_handshake_step(
+            Event("MsgConnOpenInit", g1_of_classic.api.payer))
+        assert seen == ["connection-9"]
+        assert g1_of_classic.handshake_waiter is None
+
+
+# ----------------------------------------------------------------------
+# Blackout refusals during a guest↔guest handshake
+# ----------------------------------------------------------------------
+
+def refusing(original, refusals: int, calls: list):
+    def submit(*args, **kwargs):
+        calls.append(None)
+        if len(calls) <= refusals:
+            raise HostUnavailableError("host RPC blackout (test)")
+        return original(*args, **kwargs)
+    return submit
+
+
+def test_back_to_back_refusals_during_sibling_handshake_do_not_raise():
+    dep = build_fabric(TopologyConfig(
+        guests=(GuestSpec("g0"), GuestSpec("g1")),
+        links=(LinkSpec("g0", "g1"),), seed=11), establish=False)
+    relayer = dep.links[0].relayer
+    handshakes: list = []
+    adoptions: list = []
+    api = relayer.b.api
+    api.submit_handshake = refusing(api.submit_handshake, 2, handshakes)
+    api.sibling_update = refusing(api.sibling_update, 2, adoptions)
+    dep.establish_all()
+    assert len(handshakes) > 2 and len(adoptions) > 2
+    assert set(dep.links[0].channels) == {"g0", "g1"}

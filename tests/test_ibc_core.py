@@ -22,6 +22,7 @@ from repro.ibc.connection import ConnectionEnd, ConnectionState
 from repro.ibc.host import IbcHost
 from repro.ibc.identifiers import ChannelId, ClientId, ConnectionId, PortId
 from repro.ibc.packet import Acknowledgement, Packet
+from repro.state.scheduler import EagerScheduler
 
 from tests.helpers import StaticRootClient
 
@@ -30,8 +31,8 @@ class Link:
     """Two chains (A = guest-like with sealing, B = plain) linked for
     tests; `sync()` refreshes each side's view of the other's root."""
 
-    def __init__(self, seal_receipts_a=True):
-        self.a = IbcHost("chain-a", seal_receipts=seal_receipts_a)
+    def __init__(self):
+        self.a = IbcHost("chain-a", seal_scheduler=EagerScheduler())
         self.b = IbcHost("chain-b")
         self.client_ab = StaticRootClient()  # hosted on A, tracks B
         self.client_ba = StaticRootClient()  # hosted on B, tracks A

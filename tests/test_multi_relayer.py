@@ -13,7 +13,7 @@ from repro import Deployment, DeploymentConfig
 from repro.guest.api import GuestApi
 from repro.guest.config import GuestConfig
 from repro.host.accounts import Address
-from repro.relayer.relayer import Relayer, RelayerConfig
+from repro.relayer import CounterpartyEnd, GuestEnd, Relayer, RelayerConfig
 from repro.units import sol_to_lamports
 from repro.validators.profiles import simple_profiles
 
@@ -30,16 +30,16 @@ def racing():
     dep.host.airdrop(rival_payer, sol_to_lamports(10_000.0))
     rival_api = GuestApi(dep.host, dep.contract, rival_payer)
     rival = Relayer(
-        dep.sim, dep.host, dep.counterparty, dep.contract,
-        rival_api, dep.guest_client, dep.guest_client_id_on_cp,
+        dep.sim, dep.host,
+        GuestEnd(dep.contract, rival_api, dep.contract.counterparty_client_id),
+        CounterpartyEnd(dep.counterparty, dep.guest_client_id_on_cp),
         RelayerConfig(),
     )
     channels = dep.establish_link()
     # The rival joins after the handshake; wire its channel knowledge.
-    rival.guest_connection_id = dep.relayer.guest_connection_id
-    rival.cp_connection_id = dep.relayer.cp_connection_id
-    rival.guest_channel = dep.relayer.guest_channel
-    rival.cp_channel = dep.relayer.cp_channel
+    for end, known in ((rival.a, dep.relayer.a), (rival.b, dep.relayer.b)):
+        end.connection_id = known.connection_id
+        end.channels |= known.channels
     return dep, rival, channels
 
 

@@ -46,8 +46,8 @@ class TestRealEd25519EndToEnd:
 
     def test_transfer_round_trip(self, real_deployment):
         dep = real_deployment
-        guest_chan = dep.relayer.guest_channel[1]
-        cp_chan = dep.relayer.cp_channel[1]
+        (_, guest_chan), = dep.relayer.a.channels
+        (_, cp_chan), = dep.relayer.b.channels
         dep.contract.bank.mint("alice", "GUEST", 100)
         payload = dep.contract.transfer.make_payload(guest_chan, "GUEST", 40, "alice", "bob")
         dep.user_api.send_packet("transfer", str(guest_chan), payload)

@@ -34,7 +34,7 @@ class TestLcWorkQueue:
         known = dep.contract.counterparty_client.latest_height()
 
         fired = []
-        dep.relayer._queue_guest_work(known, fired.append)
+        dep.relayer.a.updates.cover(known, fired.append)
         # Already covered: the action runs synchronously, no new update.
         assert fired == [known]
 
@@ -42,7 +42,7 @@ class TestLcWorkQueue:
         dep.run_for(30.0)
         target = dep.counterparty.height + 1
         fired = []
-        dep.relayer._queue_guest_work(target, fired.append)
+        dep.relayer.a.updates.cover(target, fired.append)
         assert fired == []          # queued, not yet satisfiable
         dep.run_for(240.0)          # block produced + chunked update runs
         assert fired and fired[0] >= target
@@ -53,7 +53,7 @@ class TestLcWorkQueue:
         target = dep.counterparty.height + 1
         fired = []
         for _ in range(5):
-            dep.relayer._queue_guest_work(target, fired.append)
+            dep.relayer.a.updates.cover(target, fired.append)
         dep.run_for(240.0)
         assert len(fired) == 5
         # All five were satisfied by a small number of chunked updates
@@ -62,10 +62,10 @@ class TestLcWorkQueue:
 
     def test_updates_never_run_concurrently(self, dep):
         dep.run_for(30.0)
+        strategy = dep.relayer.a.updates
         for offset in range(3):
-            dep.relayer._queue_guest_work(dep.counterparty.height + offset,
-                                          lambda h: None)
-        assert dep.relayer._lc_busy or not dep.relayer._lc_queue
+            strategy.cover(dep.counterparty.height + offset, lambda h: None)
+        assert strategy._lc_busy or not strategy._lc_queue
         dep.run_for(300.0)
         updates = dep.relayer.metrics.lc_updates
         # Sequential: each update's first tx comes after the previous
@@ -77,7 +77,7 @@ class TestLcWorkQueue:
         dep.run_for(30.0)
         far_future = dep.counterparty.height + 20  # ~2 minutes away
         fired = []
-        dep.relayer._queue_guest_work(far_future, fired.append)
+        dep.relayer.a.updates.cover(far_future, fired.append)
         dep.run_for(60.0)
         assert fired == []  # the block does not exist yet
         dep.run_for(240.0)

@@ -49,22 +49,22 @@ class TestResume:
         dep.run_for(30.0)                 # the send commits; relayer down
         # Make "too soon since the last LC update" unambiguous so the
         # kick below must take the hold-down branch.
-        dep.relayer._lc_last_finish = dep.sim.now
-        assert dep.relayer._lc_holddown_handle is None
+        dep.relayer.a.updates._lc_last_finish = dep.sim.now
+        assert dep.relayer.a.updates._lc_holddown_handle is None
 
         dep.relayer.resume()
         dep.run_for(10.0)                 # poll finds the packet, kicks LC
-        handle = dep.relayer._lc_holddown_handle
+        handle = dep.relayer.a.updates._lc_holddown_handle
         assert handle is not None         # hold-down timer pending
 
         dep.relayer.resume()              # resume *again*, timer pending
-        assert dep.relayer._lc_holddown_handle is handle  # not replaced
+        assert dep.relayer.a.updates._lc_holddown_handle is handle  # not replaced
 
         dep.run_for(400.0)                # hold-down elapses, update runs
         voucher = dep.contract.transfer.voucher_denom(guest_chan, "PICA")
         assert dep.contract.bank.balance("dave", voucher) == 50  # not lost
         assert dep.relayer.metrics.packets_relayed_to_guest == 1  # exactly once
-        assert dep.relayer._lc_holddown_handle is None
+        assert dep.relayer.a.updates._lc_holddown_handle is None
 
     def test_resume_is_idempotent_when_idle(self):
         dep = make_dep(272)
@@ -104,7 +104,6 @@ class TestCrashRestart:
 
         dep.relayer.crash()
         assert dep.relayer._bundle_queue == [] or not dep.relayer._bundle_queue
-        assert dep.relayer._bundles_in_flight == 0
         dep.run_for(30.0)                 # dead: nothing moves
 
         dep.relayer.restart()
@@ -159,7 +158,7 @@ class TestCrashRestart:
         assert dep.counterparty.bank.balance("bob", voucher) == 100
         assert dep.contract.ibc.counters.packets_acknowledged == 1
         counters = dep.trace_report().counters
-        assert counters.get("relay.acks.recovered_cp", 0) >= 1
+        assert counters.get("relay.recovered", 0) >= 1
 
     def test_dead_incarnation_callbacks_are_dropped(self):
         dep = make_dep(276)
@@ -169,14 +168,14 @@ class TestCrashRestart:
         assert dep.relayer._incarnation == incarnation + 1
         # A stale LC completion from before the crash must not corrupt
         # the new incarnation's state machine.
-        dep.relayer._lc_busy = True
+        dep.relayer.a.updates._lc_busy = True
         from repro.guest.api import LcUpdateResult
-        dep.relayer._lc_done(
+        dep.relayer.a.updates._lc_done(
             LcUpdateResult(height=1, transaction_count=0, signature_count=0,
                            total_fee=0, first_tx_time=0.0, last_tx_time=0.0,
                            success=False),
             generation=incarnation)
-        assert dep.relayer._lc_busy      # stale result ignored
+        assert dep.relayer.a.updates._lc_busy      # stale result ignored
         counters = dep.trace_report().counters
         assert counters.get("relay.lc_updates.stale_dropped") == 1
 
@@ -195,9 +194,9 @@ class TestBatchRequeue:
         # window: the coalesced BATCH_EXEC bundle is dropped in transit
         # and must fall back to the per-packet bounded retry path.
         deadline = dep.sim.now + 600.0
-        while not dep.relayer._pending_batch and dep.sim.now < deadline:
+        while not dep.relayer.a.pending_batch and dep.sim.now < deadline:
             dep.sim.step()
-        assert len(dep.relayer._pending_batch) == 8
+        assert len(dep.relayer.a.pending_batch) == 8
         plan = FaultPlan().add("host_tx_drop", at=0.0, duration=15.0,
                                probability=1.0)
         ChaosInjector(dep, plan).arm()

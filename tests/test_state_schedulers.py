@@ -10,13 +10,11 @@ roots, differing only in how many entries are still live.  Covered:
 * ``scheduler_from_name`` construction and rejection;
 * host-level root-neutrality across policies over real relayed
   traffic (ProtoFabric), including the offered == sealed + pending
-  conservation law;
-* backwards compatibility of the ``seal_receipts`` flag.
+  conservation law.
 """
 
 import pytest
 
-from repro.ibc.host import IbcHost
 from repro.state import (
     EagerScheduler,
     LazyScheduler,
@@ -218,26 +216,3 @@ class TestHostRootNeutrality:
                 == bytes(eager.host.store.root_hash))
         assert (hoarder.host.store.trie.sealed_count()
                 == eager.host.store.trie.sealed_count())
-
-
-# ----------------------------------------------------------------------
-# seal_receipts backwards compatibility
-# ----------------------------------------------------------------------
-
-
-class TestBackCompat:
-    def test_seal_receipts_true_defaults_to_eager(self):
-        host = IbcHost("guest", seal_receipts=True)
-        assert isinstance(host.seal_scheduler, EagerScheduler)
-        assert host.seal_receipts
-
-    def test_seal_receipts_false_means_no_scheduler(self):
-        host = IbcHost("guest", seal_receipts=False)
-        assert host.seal_scheduler is None
-        assert not host.seal_receipts
-
-    def test_explicit_scheduler_implies_sealing(self):
-        scheduler = LazyScheduler(batch=4)
-        host = IbcHost("guest", seal_scheduler=scheduler)
-        assert host.seal_scheduler is scheduler
-        assert host.seal_receipts
