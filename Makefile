@@ -55,10 +55,11 @@ wallclock-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments wallclock-smoke
 
 # Scaled multi-guest fabric sweep: 1/2-guest star partitioning plus the
-# 2-hop routed transfer, with schema and conservation checks, and the
-# fabric-order case (the route's links opened in route order and with
-# the guest-guest link last).  docs/FABRIC.md; writes
-# BENCH_topology_smoke.json.
+# 2-hop routed transfer, with schema and conservation checks, the gate
+# on establishment time not growing with the guest count (links open
+# concurrently), and the fabric-order case (the route's links listed in
+# route order and with the guest-guest link last).  docs/FABRIC.md;
+# writes BENCH_topology_smoke.json.
 fabric-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments topology-smoke
 

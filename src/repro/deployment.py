@@ -14,7 +14,7 @@ Tests, examples and every experiment build on this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from repro.counterparty.chain import CounterpartyChain, CounterpartyConfig
 from repro.crypto.keys import Keypair, SignatureScheme
@@ -26,6 +26,8 @@ from repro.guest.config import GuestConfig
 from repro.guest.contract import GuestContract
 from repro.host.accounts import Address
 from repro.host.chain import HostChain, HostConfig
+from repro.ibc.channel import ChannelState
+from repro.ibc.connection import ConnectionState
 from repro.ibc.identifiers import ChannelId, PortId
 from repro.lightclient.guest_client import GuestLightClient
 from repro.observability import TraceReport, Tracer
@@ -170,33 +172,86 @@ def wire_link(sim: Simulation, host: HostChain, scheme: SignatureScheme,
     )
 
 
-def open_transfer_link(sim: Simulation, relayer: Relayer,
-                       port: str = "transfer",
-                       max_seconds: float = 3_600.0) -> tuple[ChannelId, ChannelId]:
-    """Drive one relayer's ICS-03 + ICS-04 handshakes to completion.
+class OpenedLink(NamedTuple):
+    """One link's outcome of :func:`open_transfer_links`."""
 
-    Opens a connection, then a channel over it (``port`` on both ends),
-    stepping the simulation until both four-step handshakes finish (or
-    ``max_seconds`` of simulated time pass).  Returns the channel ids on
-    the relayer's ``a`` and ``b`` ends.  The one establish loop for
-    every link kind: the single-link path and the fabric topology
-    builder both call it, once per link.
+    a_channel: ChannelId
+    b_channel: ChannelId
+    #: Simulated time the channel handshake's last step landed.
+    opened_at: float
+
+
+def handshake_step(relayer: Relayer, port: str) -> str:
+    """The datagram an unfinished link handshake is waiting on
+    (``ConnOpenTry``, ``ChanOpenAck``, ...), read off the two chains:
+    each of the four steps either creates one end or opens one."""
+    a, b = relayer.a, relayer.b
+    if a.connection_id is None:
+        dance, is_open = "Conn", ConnectionState.OPEN
+        ends = [conn for end in (a, b) for conn in end.ibc.connections.values()
+                if conn.client_id == end.client_id]
+    else:
+        dance, is_open = "Chan", ChannelState.OPEN
+        ends = [chan for end in (a, b) for key, chan in end.ibc.channels.items()
+                if chan.connection_id == end.connection_id
+                and key[0] == port and key not in end.channels]
+    # Four once the Confirm has executed but the relayer has yet to
+    # observe it: still waiting on the Confirm.
+    step = min(3, len(ends) + sum(end.state == is_open for end in ends))
+    return f"{dance}Open{('Init', 'Try', 'Ack', 'Confirm')[step]}"
+
+
+def open_transfer_links(sim: Simulation, links: Sequence[tuple[Relayer, str]],
+                        max_seconds: float = 3_600.0) -> list[OpenedLink]:
+    """Drive the ICS-03 + ICS-04 handshakes of every ``(relayer, port)``
+    in ``links`` to completion, all at once.
+
+    Each relayer opens a connection and then a channel over it
+    (``port`` on both ends); a relayer whose connection is already open
+    gets one more channel over it (§III-A multiplexing).  Every chain
+    starts at the same simulated instant, in ``links`` order, and the
+    kernel is stepped until none is pending, so N links take as long as
+    the slowest one.  ``max_seconds`` is each link's budget, counted
+    from that common start; when it runs out the error names every link
+    still pending and the step it is waiting on.  A link whose retries
+    run out raises its own :class:`~repro.errors.HandshakeError` out of
+    the loop.  The one establish loop for every link kind and count:
+    ``Deployment.establish_link`` is its one-element call, the fabric's
+    ``establish_all`` its N-element call.
     """
-    outcome: list[ChannelId] = []
+    opened: dict[int, OpenedLink] = {}
 
-    def connection_open(a_conn, b_conn) -> None:
-        relayer.open_channel(PortId(port), PortId(port),
-                             lambda a_chan, b_chan: outcome.extend((a_chan, b_chan)))
+    def name(relayer: Relayer) -> str:
+        return f"{relayer.a.chain_id}-{relayer.b.chain_id}"
 
-    relayer.open_connection(connection_open)
+    def start(index: int, relayer: Relayer, port: str) -> None:
+        sim.trace.begin("fabric.establish", key=name(relayer))
+
+        def channel_open(a_chan: ChannelId, b_chan: ChannelId) -> None:
+            sim.trace.finish("fabric.establish", key=name(relayer))
+            opened[index] = OpenedLink(a_chan, b_chan, sim.now)
+
+        def open_channel() -> None:
+            relayer.open_channel(PortId(port), PortId(port), channel_open)
+
+        if relayer.a.connection_id is None:
+            relayer.open_connection(lambda a_conn, b_conn: open_channel())
+        else:
+            open_channel()
+
+    for index, (relayer, port) in enumerate(links):
+        start(index, relayer, port)
     deadline = sim.now + max_seconds
-    while not outcome:
+    while len(opened) < len(links):
         if sim.now >= deadline or not sim.step():
+            pending = ", ".join(
+                f"{name(relayer)} (waiting on {handshake_step(relayer, port)})"
+                for index, (relayer, port) in enumerate(links)
+                if index not in opened)
             raise SimulationError(
-                f"link {relayer.a.chain_id}-{relayer.b.chain_id} establishment "
-                f"incomplete after {sim.now:.0f} s"
-            )
-    return outcome[0], outcome[1]
+                f"link establishment incomplete after {sim.now:.0f} s: "
+                f"{pending}")
+    return [opened[index] for index in range(len(links))]
 
 
 def validator_keypair(validators: list[ValidatorNode], index: int) -> Keypair:
@@ -267,10 +322,12 @@ class Deployment:
         """Open a connection and a transfer channel end to end.
 
         Runs the simulation until both four-step handshakes complete;
-        raises if they do not finish within ``max_seconds``.
+        raises if they do not finish within ``max_seconds``.  Called
+        again, it opens one more channel over the same connection.
         """
-        return open_transfer_link(self.sim, self.relayer, port,
-                                  max_seconds=max_seconds)
+        (link,) = open_transfer_links(self.sim, [(self.relayer, port)],
+                                      max_seconds)
+        return link.a_channel, link.b_channel
 
     # ------------------------------------------------------------------
     # Convenience

@@ -40,7 +40,6 @@ from repro.chaos import ChaosInjector, FaultPlan
 from repro.deployment import Deployment, DeploymentConfig
 from repro.guest.config import GuestConfig
 from repro.host.chain import HostConfig
-from repro.ibc.identifiers import PortId
 from repro.relayer.relayer import RelayerConfig
 from repro.validators.profiles import simple_profiles
 from repro.workload import WorkloadEngine, WorkloadSpec
@@ -129,19 +128,9 @@ def build_chaos_deployment(config: ChaosSoakConfig):
         with_fisherman=True,
         tracing=True,
     ))
-    channels = [dep.establish_link()]
-    for _ in range(config.channels - 1):
-        opened: dict = {}
-        dep.relayer.open_channel(
-            PortId("transfer"), PortId("transfer"),
-            lambda g, c: opened.update(guest=g, cp=c),
-        )
-        deadline = dep.sim.now + 3_600.0
-        while "cp" not in opened and dep.sim.now < deadline:
-            dep.sim.step()
-        if "cp" not in opened:
-            raise RuntimeError("extra channel failed to open")
-        channels.append((opened["guest"], opened["cp"]))
+    # The first call opens the connection too; each further one adds a
+    # channel over it.
+    channels = [dep.establish_link() for _ in range(config.channels)]
     return dep, channels
 
 

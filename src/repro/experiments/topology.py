@@ -20,12 +20,14 @@ cannot answer:
 
 ``python -m repro.experiments topology-sweep`` writes
 ``BENCH_topology.json``; ``topology-smoke`` is the scaled-down
-asserting variant CI runs (guests {1, 2} plus the 2-hop route).  The
-smoke also builds that route with its links listed in route order and
-with the guest↔guest link last (the ``fabric-order`` case): g1 hosts
-two links, and each relayer must pick out the handshake steps of its
-own datagrams whichever link opens first.  Schema notes live in
-docs/FABRIC.md.
+asserting variant CI runs (guests {1, 2} plus the 2-hop route).  Every
+point records ``establish_seconds``; all links open concurrently, so
+both variants gate the largest star's on staying within
+``ESTABLISH_GROWTH_CEILING`` of the smallest's.  The smoke also builds
+the route with its links listed in route order and with the
+guest↔guest link last (the ``fabric-order`` case): g1 hosts two links
+shaking hands at once, and each relayer must pick out the handshake
+steps of its own datagrams.  Schema notes live in docs/FABRIC.md.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from repro.fabric import TopologyConfig, build_fabric
 from repro.ibc.identifiers import ChannelId, PortId
 
 SCHEMA = "topology-sweep/v1"
+#: The largest star may take this many times the smallest star's
+#: ``establish_seconds`` (serial establishment made it 7.7 x at 8 guests).
+ESTABLISH_GROWTH_CEILING = 1.5
 
 
 @dataclass
@@ -269,7 +274,8 @@ def run_link_orders(config: TopologySweepConfig) -> list[dict]:
         cases.append({
             "order": order,
             "links": [[link.a, link.b] for link in links],
-            "establish_seconds": dep.sim.now - config.multihop_settle_seconds,
+            "establish_seconds": max(
+                link.established_at for link in dep.links),
             "received_amount": sum(
                 amount for (address, _), amount
                 in dep.counterparties["cp-b"].bank.balances().items()
@@ -338,6 +344,20 @@ def check_topology(record: dict) -> list[str]:
         for name, units in point["compute_units"].items():
             if units <= 0:
                 failures.append(f"N={n}: {name} consumed no compute")
+    points = record.get("points") or ()
+    if points:
+        # Links open concurrently: a star is linked up when its slowest
+        # link is, however many guests it has.
+        smallest = min(points, key=lambda point: point["guests"])
+        largest = max(points, key=lambda point: point["guests"])
+        if (largest["establish_seconds"]
+                > ESTABLISH_GROWTH_CEILING * smallest["establish_seconds"]):
+            failures.append(
+                f"N={largest['guests']}: established in "
+                f"{largest['establish_seconds']:.0f} s, over "
+                f"{ESTABLISH_GROWTH_CEILING} x the "
+                f"{smallest['establish_seconds']:.0f} s of "
+                f"N={smallest['guests']}")
     multihop = record.get("multihop")
     if multihop is not None:
         if multihop["delivered"] < multihop["expected"]:
@@ -376,6 +396,9 @@ def render_topology(record: dict) -> str:
                 f"{point['fee_share'][name]:>10.3f} "
                 f"{point['compute_share'][name]:>14.3f} "
                 f"{point['delivered'][name]:>10}")
+    lines.append("  all links open after " + ", ".join(
+        f"{point['establish_seconds']:.0f} s (N={point['guests']})"
+        for point in record["points"]))
     multihop = record.get("multihop")
     if multihop is not None:
         lines.append("")

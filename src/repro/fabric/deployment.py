@@ -6,7 +6,8 @@ namespaces), M counterparty chains, one
 :class:`~repro.relayer.relayer.Relayer` per link (over a guest and a
 counterparty end, or over two guest ends) and a
 :class:`~repro.relayer.routing.RouteTable` resolving the named
-multi-hop routes.  ``establish_all`` runs every handshake sequentially;
+multi-hop routes.  ``establish_all`` runs every link's handshakes
+concurrently (the fabric is linked up once its slowest link is);
 ``send_along`` then originates a transfer down any named route.
 
 The deployment is duck-compatible with the single-guest
@@ -19,11 +20,12 @@ drives fabric experiments unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Optional
 
 from repro.counterparty.chain import CounterpartyChain, CounterpartyConfig
 from repro.crypto.keys import Keypair, SignatureScheme
 from repro.deployment import (
-    ProvisionedGuest, open_transfer_link, provision_guest, validator_keypair,
+    ProvisionedGuest, open_transfer_links, provision_guest, validator_keypair,
     wire_link,
 )
 from repro.errors import SimulationError
@@ -53,7 +55,11 @@ class FabricLink:
     #: per-guest fee-partition accounting of the topology sweep.
     payers: tuple[Address, ...] = ()
     #: chain name -> that chain's channel end (set by establish_all).
+    #: The only way to a link's channel ids: links open concurrently,
+    #: so ids on a shared chain are not in link order.
     channels: dict = field(default_factory=dict)
+    #: Simulated time the link's channel opened (set by establish_all).
+    established_at: Optional[float] = None
 
 
 class FabricDeployment:
@@ -157,18 +163,20 @@ class FabricDeployment:
     # ------------------------------------------------------------------
 
     def establish_all(self, max_seconds_per_link: float = 3_600.0) -> None:
-        """Open every link, one after the other and in any order (each
-        relayer consumes only the handshake steps of its own datagrams,
-        so links sharing a guest do not interfere; the loop is serial
-        only because nothing drives them concurrently yet), then
-        resolve the route table."""
-        for fabric_link in self.links:
-            relayer = fabric_link.relayer
-            channels = open_transfer_link(
-                self.sim, relayer, fabric_link.spec.port,
-                max_seconds=max_seconds_per_link)
-            fabric_link.channels.update(
-                zip((relayer.a.chain_id, relayer.b.chain_id), channels))
+        """Open every link at once (each relayer has its own payer and
+        clients and consumes only the handshake steps of its own
+        datagrams, so links sharing a chain do not interfere), then
+        resolve the route table.  Handshakes start in ``config.links``
+        order at one simulated instant; ``max_seconds_per_link`` is each
+        link's budget from that instant."""
+        opened = open_transfer_links(
+            self.sim,
+            [(link.relayer, link.spec.port) for link in self.links],
+            max_seconds_per_link)
+        for link, (a_channel, b_channel, opened_at) in zip(self.links, opened):
+            link.channels.update({link.relayer.a.chain_id: a_channel,
+                                  link.relayer.b.chain_id: b_channel})
+            link.established_at = opened_at
         for route in self.config.routes:
             self.routes.add(route.name, [
                 self._egress_hop(chain, nxt)

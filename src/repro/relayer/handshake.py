@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.errors import HandshakeError
+from repro.errors import HandshakeError, KeyNotFoundError
 from repro.ibc import commitment as paths
 from repro.ibc import messages as msgs
 from repro.ibc.channel import ChannelOrder
@@ -148,14 +148,20 @@ class Handshake:
                     index, marker, attempt, type(msg).__name__, cause),
             )
 
+        def prove(height: int) -> None:
+            path = self.path_of(peer)
+            proof = peer.end.view(height).prove(path)
+            if proof.value != peer.end.ibc.store.get(path):
+                # The block was cut earlier in the very slot the peer's
+                # step landed in: it proves the end as it was before.
+                raise KeyNotFoundError(
+                    f"height {height} predates the write to {path}")
+            submit(proof, height)
+
         if index == 0:
             submit(None, 0)
             return
-        self.relayer._await_commit(
-            peer.end, marker,
-            lambda height: submit(
-                peer.end.view(height).prove(self.path_of(peer)), height),
-        )
+        self.relayer._await_commit(peer.end, marker, prove)
 
     def _advance(self, index: int, created: Optional[str], committed: int) -> None:
         if created is not None:

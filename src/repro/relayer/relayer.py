@@ -766,12 +766,17 @@ class Relayer:
             # host slot as the mutation the action needs — but earlier
             # within that slot's block — carries ``host_slot == marker``
             # while its state view predates the write, so proving the
-            # path raises.  Requeue for a strictly later block (the Δ
-            # rule guarantees one comes).
+            # path raises (the write created it) or shows the old value
+            # (the write updated it; the handshake raises that too).
+            # Links sharing a guest make this common: a neighbour's
+            # datagram is what cuts the early block.  Go on from a
+            # strictly later block: one already finalised, or the next
+            # (the write changed the root, so one comes).
             try:
                 action(covered_height)
             except KeyNotFoundError:
-                src.waiters.append((marker + 1, action))
+                self.sim.trace.count("relay.handshakes.stale_views")
+                self._await_commit(src, marker + 1, action)
 
         self._peer(src).updates.cover(
             height, covered,

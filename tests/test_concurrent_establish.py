@@ -1,0 +1,327 @@
+"""Concurrent link establishment (repro.deployment.open_transfer_links).
+
+One loop opens any number of links at once.  Pinned here:
+
+* N = 1 is the old serial path, bit for bit (values taken at the parent
+  commit, where the loop drove one relayer);
+* on the ``fabric_mesh`` topology neither the order the links are
+  listed in nor their running concurrently is visible to correctness:
+  every link opens, its two channel ends name each other, routes
+  resolve, transfers land exactly once, and the run is a function of
+  (seed, link order);
+* the deadline names every link still pending with the step it is
+  waiting on, and one link's exhausted retries still raise a
+  ``HandshakeError`` naming that link.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro import Deployment, DeploymentConfig
+from repro.deployment import handshake_step, open_transfer_links
+from repro.errors import ChannelError, HandshakeError, SimulationError
+from repro.experiments.topology import (
+    TopologySweepConfig, check_topology, run_star_point,
+)
+from repro.fabric import (
+    CounterpartySpec, GuestSpec, LinkSpec, RouteSpec, TopologyConfig,
+    build_fabric,
+)
+from repro.host.chain import HostConfig
+from repro.ibc.channel import ChannelState
+from repro.ibc.identifiers import ChannelId, PortId
+
+
+# ----------------------------------------------------------------------
+# N = 1: the single-link world did not move
+# ----------------------------------------------------------------------
+
+#: seed -> (sim.now, dispatched events) after ``establish_link()`` at the
+#: parent commit (48e5e6f, one relayer driven per loop).
+PARENT_SINGLE_LINK = {
+    0: (120.0, 667), 1: (114.0, 642), 2: (120.0, 660),
+    3: (120.0, 657), 4: (120.0, 659),
+}
+PARENT_STORE_ROOT = (
+    "45242cbb13d0568bdbc4bcb7cf4cb6dc5556d749b0dc4381cb125bae1818e51c")
+
+
+@pytest.mark.parametrize("seed", sorted(PARENT_SINGLE_LINK))
+def test_single_link_is_bit_identical_to_the_serial_loop(seed):
+    dep = Deployment(DeploymentConfig(seed=seed))
+    channels = dep.establish_link()
+    assert channels == (ChannelId("channel-0"), ChannelId("channel-0"))
+    assert (dep.sim.now, dep.sim.dispatched_events()) == PARENT_SINGLE_LINK[seed]
+    assert bytes(dep.contract.store.root_hash).hex() == PARENT_STORE_ROOT
+
+
+def test_second_call_adds_a_channel_over_the_open_connection():
+    dep = Deployment(DeploymentConfig(seed=3))
+    first = dep.establish_link()
+    connections = dict(dep.contract.ibc.connections)
+    second = dep.establish_link()
+    assert dep.contract.ibc.connections == connections
+    assert second == (ChannelId("channel-1"), ChannelId("channel-1"))
+    assert first != second
+
+
+# ----------------------------------------------------------------------
+# Link order and concurrency are invisible to correctness
+# ----------------------------------------------------------------------
+
+ROUTE = ("cp-a", "g0", "g1", "cp-b")
+SPOKES = tuple(LinkSpec(name, "cp-a") for name in ("g2", "g3", "g4", "g5"))
+FIRST, SIBLING, LAST = (
+    LinkSpec("cp-a", "g0"), LinkSpec("g0", "g1"), LinkSpec("g1", "cp-b"))
+LINK_ORDERS = {
+    "route-order": SPOKES + (FIRST, SIBLING, LAST),
+    "sibling-first": (SIBLING,) + SPOKES + (FIRST, LAST),
+    "sibling-last": SPOKES + (FIRST, LAST, SIBLING),   # bench/'s order
+    "reversed": (LAST, SIBLING, FIRST) + SPOKES[::-1],
+    "interleaved": (SPOKES[0], LAST, SPOKES[1], SIBLING, SPOKES[2], FIRST,
+                    SPOKES[3]),
+}
+AMOUNT = 777
+
+
+def mesh(seed: int, order: str) -> TopologyConfig:
+    """bench/'s ``fabric_mesh`` topology (plus the route back)."""
+    return TopologyConfig(
+        guests=tuple(GuestSpec(f"g{i}") for i in range(6)),
+        counterparties=(CounterpartySpec("cp-a"), CounterpartySpec("cp-b")),
+        links=LINK_ORDERS[order],
+        routes=(RouteSpec("path", ROUTE), RouteSpec("back", ROUTE[::-1])),
+        host=HostConfig(spike_probability=0.0), seed=seed,
+    )
+
+
+def establishment(dep) -> tuple:
+    return (dep.sim.now, dep.sim.dispatched_events(),
+            [(link.established_at, sorted(link.channels.items()))
+             for link in dep.links])
+
+
+def held(bank, address: str) -> int:
+    return sum(amount for (holder, _), amount in bank.balances().items()
+               if holder == address)
+
+
+@pytest.mark.parametrize("order", sorted(LINK_ORDERS))
+@pytest.mark.parametrize("seed", range(12))
+def test_link_order_and_concurrency_are_invisible(seed, order):
+    dep = build_fabric(mesh(seed, order))
+
+    # Every link opened, and no later than the fabric did.
+    assert max(link.established_at for link in dep.links) == dep.sim.now
+    for link in dep.links:
+        assert set(link.channels) == link.spec.ends
+        # Each end's channel names the other end's as its counterparty.
+        (a, a_chan), (b, b_chan) = link.channels.items()
+        port = PortId(link.spec.port)
+        for chain, mine, theirs in ((a, a_chan, b_chan), (b, b_chan, a_chan)):
+            ibc = (dep.guests[chain].contract.ibc if chain in dep.guests
+                   else dep.counterparties[chain].ibc)
+            end = ibc.channel(port, mine)
+            assert end.state == ChannelState.OPEN
+            assert end.counterparty_channel_id == theirs
+
+    # Routes resolve through FabricLink.channels, the only lookup.
+    for name, hops in (("path", ROUTE), ("back", ROUTE[::-1])):
+        assert [(hop.chain, hop.channel) for hop in dep.routes.route(name)] == [
+            (chain, str(dep.link_between(chain, nxt).channels[chain]))
+            for chain, nxt in zip(hops, hops[1:])]
+    # cp-a hands its five channel ids out in the order the ChanOpenTrys
+    # land, which is not the order the links are listed in: everything
+    # below works in a world where reading an id by position would not.
+    on_cp_a = [int(link.channels["cp-a"].rsplit("-", 1)[1])
+               for link in dep.links if "cp-a" in link.spec.ends]
+    assert sorted(on_cp_a) == [0, 1, 2, 3, 4] and on_cp_a != sorted(on_cp_a)
+
+    # Same seed, same order: the same establishment, event for event.
+    assert establishment(build_fabric(mesh(seed, order))) == establishment(dep)
+
+    # One routed and one spoke transfer each way, exactly once.
+    cp_a, cp_b = dep.counterparties["cp-a"], dep.counterparties["cp-b"]
+    g2 = dep.guests["g2"].contract
+    g2_user = str(dep.user["g2"])
+    cp_a.bank.mint("alice", "uatom", 2 * AMOUNT)
+    cp_b.bank.mint("carol", "uosmo", AMOUNT)
+    g2.bank.mint(g2_user, "stone", AMOUNT)
+    checker = dep.conservation_checker()
+
+    dep.send_along("path", "alice", "bob", "uatom", AMOUNT)
+    dep.send_along("back", "carol", "dave", "uosmo", AMOUNT)
+    spoke = dep.link_between("g2", "cp-a")
+
+    def spoke_in():
+        payload = cp_a.transfer.make_payload(
+            spoke.channels["cp-a"], "uatom", AMOUNT,
+            sender="alice", receiver=g2_user)
+        return cp_a.ibc.send_packet(
+            PortId("transfer"), spoke.channels["cp-a"], payload, 0.0)
+
+    cp_a.submit(spoke_in)
+    payload = g2.transfer.make_payload(
+        spoke.channels["g2"], "stone", AMOUNT, sender=g2_user, receiver="erin")
+    dep.user_api["g2"].send_packet(
+        "transfer", str(spoke.channels["g2"]), payload, 0.0)
+
+    def landed() -> list[int]:
+        return [held(cp_b.bank, "bob"), held(cp_a.bank, "dave"),
+                g2.bank.balance(g2_user, f"transfer/{spoke.channels['g2']}/uatom"),
+                held(cp_a.bank, "erin")]
+
+    deadline = dep.sim.now + 1_800.0
+    while landed() != [AMOUNT] * 4 and dep.sim.now < deadline:
+        dep.run_for(30.0)
+    dep.run_for(300.0)   # acks unwind; a duplicate would credit twice
+    assert landed() == [AMOUNT] * 4
+    report = checker.check()
+    assert report.ok, report.failures[:3]
+    for name in ("g0", "g1"):
+        forward = dep.guests[name].contract.forward
+        assert forward.unwinds == 0
+        assert forward.forwards_settled == forward.forwards_started == 2
+
+
+def test_block_cut_earlier_in_the_slot_of_a_step_is_not_proven_against():
+    """Seed 2, route order: g0-g1's datagram cuts g1's block 3 in the
+    very host slot g1-cp-b's ConnOpenAck lands in, earlier in that slot.
+    The block proves the connection end still INIT; cp-b used to reject
+    the ConnOpenConfirm built on it eight times over."""
+    config = mesh(2, "route-order")
+    config.tracing = True
+    dep = build_fabric(config)
+    assert dep.sim.trace.report().counters["relay.handshakes.stale_views"] >= 1
+    assert "relay.handshakes.retried" not in dep.sim.trace.report().counters
+
+
+# ----------------------------------------------------------------------
+# Deadline and failure attribution
+# ----------------------------------------------------------------------
+
+def path_fabric(seed: int):
+    """cp-a — g0 — g1 — cp-b, wired but not established, with g1
+    refusing the guest↔guest link's ``ChanOpenTry``."""
+    dep = build_fabric(TopologyConfig.chain_of(ROUTE, seed=seed),
+                       establish=False)
+
+    def refuse(*args, **kwargs):
+        raise ChannelError("port closed for maintenance")
+
+    # g1 is the responder on g0-g1 only; on g1-cp-b it initiates.
+    dep.guests["g1"].contract.ibc.chan_open_try = refuse
+    return dep
+
+
+def opened_channels(link) -> int:
+    return len(link.relayer.a.channels)
+
+
+class TestAttribution:
+    def test_deadline_names_every_pending_link_and_its_step(self):
+        dep = path_fabric(5)
+        with pytest.raises(SimulationError) as raised:
+            dep.establish_all(max_seconds_per_link=60.0)
+        message = str(raised.value)
+        assert "incomplete after 60 s" in message
+        for link in dep.links:
+            relayer = link.relayer
+            step = handshake_step(relayer, link.spec.port)
+            assert (f"{relayer.a.chain_id}-{relayer.b.chain_id} "
+                    f"(waiting on {step})") in message
+        assert "g0-g1 (waiting on ChanOpenTry)" in message
+
+    def test_budget_counts_from_the_common_start(self):
+        """200 s is enough for the neighbours (each ~120 s) only because
+        they ran at once; the refused link is the one left pending."""
+        dep = path_fabric(5)
+        with pytest.raises(SimulationError) as raised:
+            dep.establish_all(max_seconds_per_link=200.0)
+        assert dep.sim.now == 200.0
+        assert str(raised.value).endswith(
+            "200 s: g0-g1 (waiting on ChanOpenTry)")
+        assert [opened_channels(link) for link in dep.links] == [1, 0, 1]
+
+    def test_exhausted_retries_raise_naming_the_link(self):
+        dep = path_fabric(5)
+        with pytest.raises(HandshakeError, match="MsgChanOpenTry") as raised:
+            dep.establish_all()
+        assert "link g0<->g1" in str(raised.value)
+        assert "port closed for maintenance" in str(raised.value)
+        assert [opened_channels(link) for link in dep.links] == [1, 0, 1]
+
+    def test_every_step_is_named_as_the_handshake_advances(self):
+        """``handshake_step`` reads the two chains: stepping one link
+        through both dances names all eight datagrams in order."""
+        dep = Deployment(DeploymentConfig(seed=9))
+        seen: list[str] = []
+        done: list = []
+        dep.relayer.open_connection(
+            lambda a, b: dep.relayer.open_channel(
+                PortId("transfer"), PortId("transfer"),
+                lambda a_chan, b_chan: done.append((a_chan, b_chan))))
+        while not done:
+            step = handshake_step(dep.relayer, "transfer")
+            if not seen or seen[-1] != step:
+                seen.append(step)
+            assert dep.sim.step()
+        assert seen == [f"{dance}Open{step}" for dance in ("Conn", "Chan")
+                        for step in ("Init", "Try", "Ack", "Confirm")]
+
+
+# ----------------------------------------------------------------------
+# When each link opened
+# ----------------------------------------------------------------------
+
+def test_establish_spans_reconcile_to_the_total_as_max():
+    config = mesh(2024, "sibling-last")
+    config.tracing = True
+    dep = build_fabric(config)
+    spans = dep.sim.trace.report().spans_named("fabric.establish")
+    assert len(spans) == len(dep.links)
+    assert {span.key for span in spans} == {
+        f"{link.relayer.a.chain_id}-{link.relayer.b.chain_id}"
+        for link in dep.links}
+    assert all(span.start == 0.0 for span in spans)
+    assert sorted(span.end for span in spans) == sorted(
+        link.established_at for link in dep.links)
+    assert max(span.duration for span in spans) == dep.sim.now
+    assert sum(span.duration for span in spans) > 3 * dep.sim.now
+
+
+def test_open_transfer_links_returns_links_in_the_order_given():
+    dep = build_fabric(mesh(1, "reversed"), establish=False)
+    links = [(link.relayer, link.spec.port) for link in dep.links]
+    opened = open_transfer_links(dep.sim, links)
+    for (relayer, port), link in zip(links, opened):
+        assert (PortId(port), link.a_channel) in relayer.a.channels
+        assert (PortId(port), link.b_channel) in relayer.b.channels
+        assert link.opened_at <= dep.sim.now
+
+
+# ----------------------------------------------------------------------
+# The regression gate on the shape
+# ----------------------------------------------------------------------
+
+class TestEstablishGate:
+    def test_gate_fails_serial_growth_and_passes_flat(self):
+        config = TopologySweepConfig(transfers_per_guest=1,
+                                     settle_seconds=600.0)
+        points = [run_star_point(n, config) for n in (1, 4)]
+        record = {"schema": "topology-sweep/v1", "points": points}
+        assert check_topology(record) == []
+        assert points[1]["establish_seconds"] <= 1.5 * points[0]["establish_seconds"]
+        # What opening the four links one after the other recorded.
+        points[1]["establish_seconds"] = 498.0
+        assert check_topology(record) == [
+            "N=4: established in 498 s, over 1.5 x the 120 s of N=1"]
+
+    def test_committed_record_passes_the_gate(self):
+        record = json.loads(
+            (Path(__file__).parent.parent / "BENCH_topology.json").read_text())
+        assert check_topology(record) == []
+        seconds = {p["guests"]: p["establish_seconds"] for p in record["points"]}
+        assert seconds[8] <= 1.5 * seconds[1]

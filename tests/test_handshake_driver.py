@@ -44,6 +44,7 @@ class ProtoEnd:
 
     def __init__(self, fabric: ProtoFabric, name: str, peer: str) -> None:
         self.chain = fabric.chains[name]
+        self.ibc = self.chain.host
         self.chain_id = name
         client = StaticRootClient()
         fabric.clients[(name, peer)] = client
