@@ -25,14 +25,17 @@ bench:
 bench-smoke:
 	$(PYTHON) -m pytest bench -q && python3 bench/run.py --smoke
 
-# Print every reproduced table/figure to the terminal (~2 min).
+# Print every reproduced table/figure to the terminal (~2 min): the
+# rows `python -m repro.experiments --help` marks as part of `all`.
 figures:
 	$(PYTHON) -m repro.experiments
 
 examples:
 	for script in examples/*.py; do $(PYTHON) $$script; done
 
-# 2-worker sharded smoke sweep + one replay-divergence audit (~2 min).
+# The throughput smoke sweep sharded over 2 workers (throughput* and
+# state-* take --cluster-workers) + one replay-divergence audit.  Writes
+# BENCH_throughput_smoke.json and BENCH_replay_audit.json.
 cluster-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments throughput-smoke \
 		--cluster-workers 2 --run-dir results/cluster-smoke

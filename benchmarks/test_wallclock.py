@@ -52,7 +52,7 @@ _MIN_SPEEDUP = 3.0
 def test_wallclock_soak_speedup():
     config = SoakConfig()  # the full 10k-packet soak, untraced overhead aside
     result = run_soak(config)
-    emit(render_soak_result(result, title="wallclock-10k"))
+    emit(render_soak_result(result.to_json(), title="wallclock-10k"))
 
     payload = {
         "config": {

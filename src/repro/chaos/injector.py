@@ -410,5 +410,8 @@ class ChaosInjector:
     # ------------------------------------------------------------------
 
     def summary(self) -> dict:
-        """Plan + per-fault outcomes, for ``BENCH_chaos.json``."""
-        return {"plan": self.plan.to_dict(), "faults": list(self.log)}
+        """Plan + per-fault outcomes, for ``BENCH_chaos.json``, and how
+        many quorum equivocations actually fired (one needs a finalised
+        block and a controllable quorum)."""
+        return {"plan": self.plan.to_dict(), "faults": list(self.log),
+                "quorum_equivocations_seeded": len(self._quorum_offenders)}

@@ -15,13 +15,13 @@ the cluster smoke job runs one audit on every push.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 from repro.checkpoint.codec import CheckpointError
 from repro.checkpoint.snapshot import Checkpoint, restore_world, snapshot_world, world_roots
-from repro.experiments.throughput import ThroughputPointConfig, build_linked_deployment
-from repro.workload import WorkloadEngine, WorkloadSpec
+from repro.experiments.throughput import ThroughputPointConfig, start_point
+from repro.workload import WorkloadEngine
 
 
 @dataclass(frozen=True)
@@ -98,25 +98,13 @@ def run_replay_audit(config: ReplayAuditConfig = ReplayAuditConfig()) -> dict[st
     Returns a JSON-ready record; ``record["match"]`` is the verdict and
     ``record["divergences"]`` names every field that differed.
     """
-    point = ThroughputPointConfig(
-        seed=config.seed,
-        offered_pps=config.offered_pps,
-        duration=config.duration,
-        drain_seconds=config.drain_seconds,
-        channels=config.channels,
-        batch_max_packets=config.batch_max_packets,
-        block_tx_limit=config.block_tx_limit,
-    )
-    deployment, channels = build_linked_deployment(point)
-    engine = WorkloadEngine(deployment, channels, WorkloadSpec(
-        mode=point.mode,
-        offered_pps=point.offered_pps,
-        duration=point.duration,
-        drain_seconds=point.drain_seconds,
-    ))
-    engine.start()
+    # The workload is a throughput point: every audit field but the
+    # snapshot position is one of its fields, by name.
+    point = asdict(config)
+    del point["snapshot_after_events"]
+    deployment, engine = start_point(ThroughputPointConfig(**point))
     sim = deployment.sim
-    end_time = engine._started_at + point.duration + point.drain_seconds
+    end_time = engine.end_time
 
     while sim.dispatched_events() < config.snapshot_after_events:
         # Housekeeping (block production, cranker ticks) self-reschedules
@@ -167,7 +155,6 @@ def run_replay_audit(config: ReplayAuditConfig = ReplayAuditConfig()) -> dict[st
 def run_replay_audits(seeds: tuple[int, ...] = (401, 402, 403),
                       base: ReplayAuditConfig = ReplayAuditConfig()) -> dict[str, Any]:
     """The acceptance-shaped audit: several seeds, one verdict."""
-    from dataclasses import replace
     audits = [run_replay_audit(replace(base, seed=seed)) for seed in seeds]
     return {
         "experiment": "replay_audit",
@@ -175,3 +162,20 @@ def run_replay_audits(seeds: tuple[int, ...] = (401, 402, 403),
         "match": all(audit["match"] for audit in audits),
         "audits": audits,
     }
+
+
+def check_replay_audits(audit: dict[str, Any]) -> list[str]:
+    """Every field that differed between straight-through and replay."""
+    return [f"seed {record['config']['seed']}: {divergence}"
+            for record in audit["audits"]
+            for divergence in record["divergences"]]
+
+
+def render_replay_audits(audit: dict[str, Any]) -> str:
+    """One verdict line per seed."""
+    return "\n".join(
+        f"replay-audit seed {record['config']['seed']}: "
+        f"{'ok' if record['match'] else 'DIVERGED'} "
+        f"({record['events_replayed']} events replayed, "
+        f"checkpoint {record['checkpoint_bytes'] / 1e6:.1f} MB)"
+        for record in audit["audits"])

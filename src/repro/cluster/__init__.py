@@ -1,9 +1,11 @@
-"""Sharded multi-process experiment runner (``docs/CHECKPOINT.md``).
+"""Sharded multi-process task runner (``docs/CHECKPOINT.md``).
 
-Shards a sweep's points across worker processes, streams progress over
-a results queue, checkpoints in-flight worlds between slices with
-:mod:`repro.checkpoint`, and resumes killed workers with byte-identical
-merged results.
+Shards a task list (a sweep's points) across worker processes, streams
+progress over a results queue, checkpoints in-flight worlds between
+slices with :mod:`repro.checkpoint`, and resumes killed workers with
+byte-identical merged results.  The sweeps that use it live with their
+experiments: ``run_throughput_sweep(cluster=...)`` and
+``run_state_sweep(cluster=...)``.
 """
 
 from repro.cluster.runner import (
@@ -11,9 +13,6 @@ from repro.cluster.runner import (
     ClusterError,
     ClusterRunner,
     WorkerFault,
-    run_cluster_smoke,
-    run_cluster_sweep,
-    throughput_tasks,
 )
 from repro.cluster.worker import TASK_KINDS, worker_main
 
@@ -23,8 +22,5 @@ __all__ = [
     "ClusterRunner",
     "TASK_KINDS",
     "WorkerFault",
-    "run_cluster_smoke",
-    "run_cluster_sweep",
-    "throughput_tasks",
     "worker_main",
 ]

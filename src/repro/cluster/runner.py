@@ -1,4 +1,9 @@
-"""The cluster runner: shard a sweep across worker processes.
+"""The cluster runner: shard a task list across worker processes.
+
+A generic runner: it knows task dicts and worker processes, nothing of
+any experiment (the sweeps that shard — ``run_throughput_sweep`` and
+``run_state_sweep`` with ``cluster=`` — import it, never the reverse;
+task kinds are resolved in :mod:`repro.cluster.worker`).
 
 ``ClusterRunner`` takes a task list (one entry per experiment point),
 writes it to the run directory, and spawns ``workers`` processes that
@@ -28,21 +33,11 @@ import dataclasses
 import json
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.errors import ReproError
-from repro.experiments.throughput import (
-    SMOKE_BATCH_SIZES,
-    SMOKE_DURATION,
-    SMOKE_OFFERED_LOADS,
-    ThroughputPointConfig,
-    smoke_base_config,
-    sweep_point_configs,
-)
-from repro.observability.report import TraceReport
 from repro.cluster.worker import result_path, worker_main
+from repro.errors import ReproError
 
 
 class ClusterError(ReproError):
@@ -123,6 +118,15 @@ class ClusterRunner:
         os.replace(tmp, tasks_path)
 
     # -- supervision -----------------------------------------------------
+
+    def run_points(self, kind: str, configs: list) -> list[dict]:
+        """One ``kind`` task per config dataclass (a sweep's points, in
+        order); returns their records in the same order."""
+        return self.run_tasks([
+            {"index": index, "kind": kind,
+             "config": dataclasses.asdict(config)}
+            for index, config in enumerate(configs)
+        ])
 
     def run_tasks(self, tasks: list[dict]) -> list[dict]:
         """Execute ``tasks``; return their records in task-index order."""
@@ -208,74 +212,3 @@ class ClusterRunner:
             with open(path, encoding="utf-8") as handle:
                 records.append(json.load(handle))
         return records
-
-
-# ----------------------------------------------------------------------
-# Sweep fronts
-# ----------------------------------------------------------------------
-
-
-def throughput_tasks(configs: list[ThroughputPointConfig]) -> list[dict]:
-    return [
-        {"index": index, "kind": "throughput-point",
-         "config": dataclasses.asdict(config)}
-        for index, config in enumerate(configs)
-    ]
-
-
-def run_cluster_sweep(
-    seed: int = 101,
-    offered_loads: tuple[float, ...] = (2.0, 8.0, 16.0),
-    batch_sizes: tuple[int, ...] = (1, 32),
-    duration: float = 300.0,
-    base: ThroughputPointConfig = ThroughputPointConfig(),
-    cluster: Optional[ClusterConfig] = None,
-) -> dict:
-    """The sharded twin of ``run_throughput_sweep``.
-
-    Same point configs (via ``sweep_point_configs``), same record
-    builder in the workers, merge ordered by task index — the returned
-    dict is numerically identical to the serial sweep's, whatever the
-    worker count.  With ``collect_traces`` the merged
-    :class:`TraceReport` rides along under ``"merged_trace"`` (the
-    per-point rows stay identical: trace payloads are stripped first).
-    """
-    runner = ClusterRunner(cluster)
-    started = time.monotonic()
-    configs = sweep_point_configs(seed, offered_loads, batch_sizes,
-                                  duration, base)
-    records = runner.run_tasks(throughput_tasks(configs))
-    merged_trace = None
-    if runner.config.collect_traces:
-        merged_trace = TraceReport.merge(
-            TraceReport.from_json(record.pop("trace"))
-            for record in records if "trace" in record
-        )
-    result = {
-        "experiment": "throughput_sweep",
-        "seed": seed,
-        "offered_loads": list(offered_loads),
-        "batch_sizes": list(batch_sizes),
-        "duration_s": duration,
-        "points": records,
-    }
-    if merged_trace is not None:
-        result["merged_trace"] = merged_trace.to_json()
-    result["cluster"] = {
-        "workers": runner.workers,
-        "wall_seconds": round(time.monotonic() - started, 3),
-    }
-    return result
-
-
-def run_cluster_smoke(seed: int = 101,
-                      cluster: Optional[ClusterConfig] = None) -> dict:
-    """The CI smoke sweep, sharded — same points as the serial smoke."""
-    return run_cluster_sweep(
-        seed=seed,
-        offered_loads=SMOKE_OFFERED_LOADS,
-        batch_sizes=SMOKE_BATCH_SIZES,
-        duration=SMOKE_DURATION,
-        base=smoke_base_config(),
-        cluster=cluster,
-    )

@@ -31,10 +31,9 @@ from typing import Any, Callable, Optional
 from repro.checkpoint import Checkpoint, restore_world, snapshot_world
 from repro.experiments.throughput import (
     ThroughputPointConfig,
-    build_linked_deployment,
     point_record,
+    start_point,
 )
-from repro.workload import WorkloadEngine, WorkloadSpec
 
 Notify = Callable[[tuple], None]
 
@@ -79,17 +78,10 @@ def run_throughput_point_task(task: dict, run_dir: str,
         engine = extras["engine"]
         notify(("resumed", index, deployment.sim.now))
     else:
-        deployment, channels = build_linked_deployment(config)
-        engine = WorkloadEngine(deployment, channels, WorkloadSpec(
-            mode=config.mode,
-            offered_pps=config.offered_pps,
-            duration=config.duration,
-            drain_seconds=config.drain_seconds,
-        ))
-        engine.start()
+        deployment, engine = start_point(config)
 
     sim = deployment.sim
-    end_time = engine._started_at + config.duration + config.drain_seconds
+    end_time = engine.end_time
     slices = 0
     while sim.now < end_time:
         if checkpoint_every_seconds > 0:
@@ -107,13 +99,8 @@ def run_throughput_point_task(task: dict, run_dir: str,
         if die_after_slices is not None and slices >= die_after_slices:
             _die_now()
 
-    record = point_record(config, deployment, engine,
-                          collect_trace=collect_trace)
-    _atomic_write_text(result_path(run_dir, index),
-                       json.dumps(record, sort_keys=True))
-    if os.path.exists(ckpt_path):
-        os.remove(ckpt_path)
-    return record
+    return point_record(config, deployment, engine,
+                        collect_trace=collect_trace)
 
 
 def run_state_point_task(task: dict, run_dir: str,
@@ -129,16 +116,13 @@ def run_state_point_task(task: dict, run_dir: str,
     """
     from repro.experiments.state import StatePointConfig, run_state_point
 
-    index = task["index"]
-    record = run_state_point(StatePointConfig(**task["config"]))
-    _atomic_write_text(result_path(run_dir, index),
-                       json.dumps(record, sort_keys=True))
-    return record
+    return run_state_point(StatePointConfig(**task["config"]))
 
 
 #: Task kinds a worker can execute.  Every runner takes
 #: ``(task, run_dir, checkpoint_every_seconds, collect_trace, notify,
-#: die_after_slices)`` and leaves ``task-<index>.json`` behind.
+#: die_after_slices)`` and returns the task's JSON-ready record, which
+#: ``worker_main`` leaves behind as ``task-<index>.json``.
 TASK_KINDS: dict[str, Callable[..., dict]] = {
     "throughput-point": run_throughput_point_task,
     "state-point": run_state_point_task,
@@ -181,9 +165,15 @@ def worker_main(worker_index: int, workers: int, run_dir: str,
                 _die_now()
 
         notify(("start", index))
-        runner = TASK_KINDS[task["kind"]]
-        runner(task, run_dir, checkpoint_every_seconds, collect_trace,
-               notify, die_after_slices)
+        record = TASK_KINDS[task["kind"]](
+            task, run_dir, checkpoint_every_seconds, collect_trace,
+            notify, die_after_slices)
+        # Result first, then drop the task's mid-flight checkpoint: dying
+        # between the two only leaves a stale file behind.
+        _atomic_write_text(result_path(run_dir, index),
+                           json.dumps(record, sort_keys=True))
+        if os.path.exists(checkpoint_path(run_dir, index)):
+            os.remove(checkpoint_path(run_dir, index))
         notify(("done", index))
         completed += 1
 

@@ -1,17 +1,31 @@
-"""Experiment runners: one per table/figure of the paper's §V.
+"""Experiment runners: the paper's §V figures, the sweeps and the CI gates.
 
-* :mod:`repro.experiments.evaluation` — the main simulated deployment;
-  produces the data behind Fig. 2 (send latency), Fig. 3 (send cost),
-  Fig. 4 (LC update latency), Fig. 5 (LC update cost), Table I
-  (validator statistics) and the ReceivePacket numbers of §V-A.
-* :mod:`repro.experiments.blocks` — the long-horizon run behind Fig. 6
-  (guest inter-block intervals against the Δ cut-off).
-* :mod:`repro.experiments.storage` — §V-D storage sizing, the rent
-  deposit, and the seal-vs-no-seal occupancy comparison.
-* :mod:`repro.experiments.ablations` — Δ sweep, fee-strategy trade-off
-  and quorum-size sweep (design choices the paper discusses in §VI).
-* :mod:`repro.experiments.report` — text rendering of every result in
-  the paper's format.
+``python -m repro.experiments --help`` lists everything that can be run;
+the list is the ``TARGETS`` table in :mod:`repro.experiments.__main__`,
+one row per target (run, render, ``BENCH_<record>.json``, check).  The
+modules behind the rows:
+
+* :mod:`~repro.experiments.evaluation` — the main simulated deployment
+  behind Fig. 2–5, Table I and the ReceivePacket numbers of §V-A;
+  :mod:`~repro.experiments.blocks` — the long-horizon run behind Fig. 6;
+  :mod:`~repro.experiments.storage` — §V-D storage sizing and the
+  seal-vs-no-seal ablation; :mod:`~repro.experiments.report` — text
+  rendering of all of these in the paper's format.
+* :mod:`~repro.experiments.throughput` — offered load vs. sustained
+  throughput across relayer batching configs, serial or sharded; also
+  home of the one link-under-load builder (``build_linked_deployment``)
+  the next three share.
+* :mod:`~repro.experiments.profiling` — the soak workload under a timer
+  or cProfile (``profile-soak``, ``wallclock-smoke``).
+* :mod:`~repro.experiments.chaos` and
+  :mod:`~repro.experiments.accountability` — the fault storm against
+  its fault-free twin, and the equivocation storm.
+* :mod:`~repro.experiments.topology` — multi-guest fabric sweep;
+  :mod:`~repro.experiments.state` — sealing-scheduler sweep, serial or
+  sharded.
+* :mod:`~repro.experiments.ablations` and
+  :mod:`~repro.experiments.lightclient_cost` — design-choice sweeps
+  (§VI) driven from ``benchmarks/``, not from the CLI.
 """
 
 from repro.experiments.evaluation import EvaluationConfig, EvaluationRun

@@ -1,63 +1,221 @@
-"""Command-line harness: regenerate any paper figure from a terminal.
+"""Command-line harness: every figure, sweep and CI gate from a terminal.
 
 Usage::
 
-    python -m repro.experiments               # everything (≈1-2 min)
-    python -m repro.experiments fig2 fig4     # just those figures
+    python -m repro.experiments               # every paper figure (≈1-2 min)
+    python -m repro.experiments fig2 fig4     # just those
     python -m repro.experiments --duration-hours 48 table1
+    python -m repro.experiments throughput --cluster-workers 4
+    python -m repro.experiments --help        # every target, one line each
 
-Valid targets: fig2 fig3 fig4 fig5 fig6 table1 recv storage all —
-plus the operational targets ``throughput-smoke`` (CI assertions),
-``cluster`` (sharded multi-process sweep), ``replay-audit``
-(checkpoint/restore/replay divergence check), ``chaos-soak`` (the
-docs/CHAOS.md fault storm with its fault-free twin), ``chaos-smoke``
-(the scaled-down asserting variant CI runs), ``accountability-smoke``
-(the docs/ACCOUNTABILITY.md equivocation storm: three seeds, run twice
-each, asserting attributable slashing and bit-reproducibility),
-``state-sweep`` (the multi-million-packet sealing-scheduler comparison
-of docs/STATE.md) and ``state-smoke`` (its CI-scale asserting variant).
+What can be run is the ``TARGETS`` table below — one row per target:
+what to run, how to print it, which ``BENCH_<record>.json`` it writes
+and which check gates it.  ``main`` is one loop over the selected rows
+(in table order); nothing else in this file knows a target by name.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
+import json
+import os
 import sys
 import time
-
-from repro.experiments import report
-from repro.experiments.blocks import BlockIntervalConfig, BlockIntervalRun
-from repro.experiments.evaluation import EvaluationConfig, EvaluationRun
-from repro.experiments.storage import measure_capacity, sealing_ablation
-
-_EVALUATION_TARGETS = {"fig2", "fig3", "fig4", "fig5", "table1", "recv"}
-#: ``throughput-smoke`` is CI-only (scaled-down, asserting) and not part
-#: of ``all``.
-_ALL_TARGETS = sorted(_EVALUATION_TARGETS | {"fig6", "storage", "throughput"})
-_EXTRA_TARGETS = {"throughput-smoke", "cluster", "replay-audit",
-                  "chaos-soak", "chaos-smoke", "accountability-smoke",
-                  "profile-soak", "wallclock-smoke",
-                  "topology-sweep", "topology-smoke",
-                  "state-sweep", "state-smoke"}
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 
-def main(argv: list[str] | None = None) -> int:
+@dataclass(frozen=True)
+class Target:
+    """One row of the CLI."""
+
+    about: str
+    #: ``run(opts) -> result``; ``opts`` is the parsed command line with
+    #: ``seed`` resolved for this row, ``cluster`` its ``ClusterConfig``
+    #: (or None: run serially) and ``evaluation`` the memoised
+    #: evaluation run.
+    run: Callable[[argparse.Namespace], Any]
+    render: Callable[[Any], str]
+    #: Write the (JSON-ready) result to ``BENCH_<record>.json``.
+    record: Optional[str] = None
+    #: ``check(result) -> failure messages``; any failure fails the run.
+    check: Optional[Callable[[Any], list[str]]] = None
+    #: A paper figure: part of ``all``.
+    figure: bool = False
+    #: The seed the row runs at unless ``--seed`` says otherwise; None
+    #: for rows without one.
+    seed: Optional[int] = None
+    #: Can shard its points across ``--cluster-workers`` processes.
+    shards: bool = False
+
+
+class _Lazy:
+    """A module under ``repro`` whose attributes are call-throughs that
+    import it on first *call*: a row costs its imports (the fabric, the
+    injector, multiprocessing) only when it is selected."""
+
+    def __init__(self, module: str) -> None:
+        self._module = f"repro.{module}"
+
+    def __getattr__(self, name: str) -> Callable:
+        def call(*args, **kwargs):
+            module = importlib.import_module(self._module)
+            return getattr(module, name)(*args, **kwargs)
+        return call
+
+
+report = _Lazy("experiments.report")
+storage = _Lazy("experiments.storage")
+throughput = _Lazy("experiments.throughput")
+chaos = _Lazy("experiments.chaos")
+accountability = _Lazy("experiments.accountability")
+topology = _Lazy("experiments.topology")
+state = _Lazy("experiments.state")
+profiling = _Lazy("experiments.profiling")
+audit = _Lazy("checkpoint.audit")
+
+
+def _evaluation(seed: int, hours: float):
+    """The evaluation deployment behind six of the figures (``main``
+    memoises it per invocation, so it runs once however many of them
+    are selected)."""
+    from repro.experiments.evaluation import EvaluationConfig, EvaluationRun
+
+    return EvaluationRun(EvaluationConfig(
+        seed=seed, duration=hours * 3600.0)).execute()
+
+
+def _figure(about: str, render: Callable) -> Target:
+    return Target(about, run=lambda o: o.evaluation(o.seed, o.duration_hours),
+                  render=render, figure=True, seed=2024)
+
+
+def _fig6(opts):
+    from repro.experiments.blocks import (
+        CLI_DURATION, BlockIntervalConfig, BlockIntervalRun,
+    )
+    return BlockIntervalRun(BlockIntervalConfig(
+        seed=opts.seed, duration=CLI_DURATION)).execute()
+
+
+TARGETS: dict[str, Target] = {
+    "fig2": _figure("Fig. 2, send latency and its decomposition",
+                    report.render_fig2),
+    "fig3": _figure("Fig. 3, send cost by fee strategy", report.render_fig3),
+    "fig4": _figure("Fig. 4, light-client update latency", report.render_fig4),
+    "fig5": _figure("Fig. 5, light-client update cost", report.render_fig5),
+    "recv": _figure("§V-A ReceivePacket cost", report.render_receive_packet),
+    "table1": _figure("Table I, validator statistics", report.render_table1),
+    "fig6": Target(
+        "Fig. 6, guest inter-block intervals over three simulated days",
+        run=_fig6, render=report.render_fig6, figure=True, seed=2024),
+    "storage": Target(
+        "§V-D storage sizing, rent deposit and the sealing ablation",
+        run=lambda o: (storage.measure_capacity(), storage.sealing_ablation()),
+        render=lambda r: report.render_storage(*r), figure=True),
+    "throughput": Target(
+        "offered load vs sustained throughput across batching configs",
+        run=lambda o: throughput.run_throughput_sweep(
+            seed=o.seed, cluster=o.cluster),
+        render=throughput.render_sweep, record="throughput",
+        figure=True, seed=101, shards=True),
+    "throughput-smoke": Target(
+        "the throughput sweep at CI scale, asserting the batching win",
+        run=lambda o: throughput.run_throughput_smoke(
+            seed=o.seed, cluster=o.cluster),
+        render=throughput.render_sweep, record="throughput_smoke",
+        check=throughput.check_smoke, seed=101, shards=True),
+    "chaos-soak": Target(
+        "the docs/CHAOS.md fault storm against its fault-free twin",
+        run=lambda o: chaos.run_chaos_soak(chaos.ChaosSoakConfig(seed=o.seed)),
+        render=chaos.render_chaos, record="chaos",
+        check=chaos.check_chaos_smoke, seed=2024),
+    "chaos-smoke": Target(
+        "the fault storm at CI scale",
+        run=lambda o: chaos.run_chaos_smoke(seed=o.seed),
+        render=chaos.render_chaos, record="chaos_smoke",
+        check=chaos.check_chaos_smoke, seed=2024),
+    "accountability-smoke": Target(
+        "docs/ACCOUNTABILITY.md equivocation storm, three seeds run twice",
+        run=lambda o: accountability.run_accountability_smoke(
+            seeds=tuple(range(o.seed, o.seed + 3))),
+        render=accountability.render_accountability,
+        record="accountability_smoke",
+        check=accountability.check_accountability_smoke, seed=505),
+    "topology-sweep": Target(
+        "docs/FABRIC.md: 1-8 guests on one host, plus the routed transfer",
+        run=lambda o: topology.run_topology_sweep(
+            topology.TopologySweepConfig(seed=o.seed)),
+        render=topology.render_topology, record="topology",
+        check=topology.check_topology, seed=2024),
+    "topology-smoke": Target(
+        "the fabric sweep at CI scale, plus the link-order case",
+        run=lambda o: topology.run_topology_smoke(seed=o.seed),
+        render=topology.render_topology, record="topology_smoke",
+        check=topology.check_topology, seed=2024),
+    "state-sweep": Target(
+        "docs/STATE.md: sealing schedulers over a million packets each",
+        run=lambda o: state.run_state_sweep(
+            state.StateSweepConfig(point=state.StatePointConfig(seed=o.seed)),
+            cluster=o.cluster),
+        render=state.render_state, record="state",
+        check=state.check_state, seed=2024, shards=True),
+    "state-smoke": Target(
+        "the sealing-scheduler comparison at CI scale",
+        run=lambda o: state.run_state_smoke(seed=o.seed, cluster=o.cluster),
+        render=state.render_state, record="state_smoke",
+        check=state.check_state, seed=2024, shards=True),
+    "profile-soak": Target(
+        "cProfile the soak workload (--profile-packets, --profile-sort)",
+        run=lambda o: profiling.profile_soak(
+            profiling.SoakConfig(seed=o.seed, packets=o.profile_packets),
+            sort=o.profile_sort),
+        render=lambda r: "\n\n".join((
+            profiling.render_soak_result(r[0], title="profile-soak"),
+            r[1].rstrip())),
+        seed=29),
+    "wallclock-smoke": Target(
+        "docs/PERFORMANCE.md: a scaled soak must clear the events/s floor",
+        run=lambda o: profiling.run_wallclock_smoke(seed=o.seed),
+        render=lambda r: profiling.render_soak_result(
+            r, title="wallclock-smoke"),
+        record="wallclock_smoke", check=profiling.check_wallclock, seed=29),
+    "replay-audit": Target(
+        "docs/CHECKPOINT.md: snapshot, restore and replay per --audit-seeds",
+        run=lambda o: audit.run_replay_audits(seeds=tuple(o.audit_seeds)),
+        render=audit.render_replay_audits, record="replay_audit",
+        check=audit.check_replay_audits),
+}
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
-        description="Regenerate the paper's tables and figures.",
+        description="Regenerate the paper's tables and figures, run the "
+                    "sweeps and the CI gates.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="targets (* = part of 'all'; fig2-table1 share one "
+               "--duration-hours evaluation deployment):\n" + "\n".join(
+            f"  {'*' if row.figure else ' '} {name:<21}{row.about}"
+            for name, row in TARGETS.items()),
     )
     parser.add_argument("targets", nargs="*", default=["all"],
-                        help=f"any of: {' '.join(_ALL_TARGETS)} all")
-    parser.add_argument("--seed", type=int, default=2024)
+                        help=f"any of: {' '.join(TARGETS)} all")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="run every selected target that has a seed at "
+                             "this one (default: each target's own)")
     parser.add_argument("--duration-hours", type=float, default=24.0,
                         help="length of the simulated evaluation deployment")
-    parser.add_argument("--fig6-days", type=float, default=3.0,
-                        help="length of the Fig. 6 run")
     parser.add_argument("--cluster-workers", type=int, default=None,
-                        help="worker processes for the cluster/smoke "
-                             "targets (default: one per CPU)")
+                        help="shard the selected sweeps' points across this "
+                             "many worker processes (0: one per CPU; "
+                             "default: run serially)")
     parser.add_argument("--run-dir", default="results/cluster-run",
-                        help="cluster run directory (task files, "
-                             "checkpoints, results)")
+                        help="where sharded sweeps keep task files, "
+                             "checkpoints and results, one subdirectory "
+                             "per target")
     parser.add_argument("--checkpoint-every", type=float, default=300.0,
                         help="simulated seconds between mid-task world "
                              "checkpoints in cluster workers (0 = off)")
@@ -69,291 +227,61 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--profile-sort", default="cumulative",
                         choices=["cumulative", "tottime", "ncalls"],
                         help="profile-soak stats sort key")
-    parser.add_argument("--profile-lines", type=int, default=30,
-                        help="profile-soak stats rows to print")
-    parser.add_argument("--wallclock-packets", type=int, default=1_500,
-                        help="soak scale for the wallclock-smoke target")
-    parser.add_argument("--wallclock-floor", type=float, default=500.0,
-                        help="events/sec of wall time the wallclock-smoke "
-                             "target asserts (generous: CI machines vary)")
-    args = parser.parse_args(argv)
+    return parser
 
-    targets = set(args.targets) or {"all"}
-    if "all" in targets:
-        targets = set(_ALL_TARGETS)
-    unknown = targets - set(_ALL_TARGETS) - _EXTRA_TARGETS
-    if unknown:
-        parser.error(f"unknown targets: {', '.join(sorted(unknown))}")
 
-    blocks: list[str] = []
+def _options(args: argparse.Namespace, name: str, row: Target):
+    """``args`` as one row sees it: its seed and its cluster resolved."""
+    cluster = None
+    if row.shards and args.cluster_workers is not None:
+        from repro.cluster import ClusterConfig
 
-    if targets & _EVALUATION_TARGETS:
-        started = time.time()
-        print(f"Running the evaluation deployment "
-              f"({args.duration_hours:.0f} simulated hours)...", file=sys.stderr)
-        results = EvaluationRun(EvaluationConfig(
-            seed=args.seed, duration=args.duration_hours * 3600.0,
-        )).execute()
-        print(f"  done in {time.time() - started:.1f} s", file=sys.stderr)
-        renderers = {
-            "fig2": lambda: report.render_fig2(results),
-            "fig3": lambda: report.render_fig3(results),
-            "fig4": lambda: report.render_fig4(results),
-            "fig5": lambda: report.render_fig5(results),
-            "table1": lambda: report.render_table1(results),
-            "recv": lambda: report.render_receive_packet(results),
-        }
-        for name in ("fig2", "fig3", "fig4", "fig5", "recv", "table1"):
-            if name in targets:
-                blocks.append(renderers[name]())
-
-    if "fig6" in targets:
-        started = time.time()
-        print(f"Running the Fig. 6 deployment "
-              f"({args.fig6_days:.0f} simulated days)...", file=sys.stderr)
-        fig6 = BlockIntervalRun(BlockIntervalConfig(
-            seed=args.seed, duration=args.fig6_days * 24 * 3600.0,
-        )).execute()
-        print(f"  done in {time.time() - started:.1f} s", file=sys.stderr)
-        blocks.append(report.render_fig6(fig6))
-
-    if "storage" in targets:
-        blocks.append(report.render_storage(measure_capacity(), sealing_ablation()))
-
-    if targets & {"throughput", "throughput-smoke"}:
-        import json
-
-        from repro.experiments.throughput import (
-            check_smoke, render_sweep, run_throughput_smoke,
-            run_throughput_sweep,
-        )
-        smoke = "throughput-smoke" in targets
-        started = time.time()
-        print("Running the throughput sweep"
-              + (" (smoke scale)" if smoke else "") + "...", file=sys.stderr)
-        if smoke and args.cluster_workers is not None:
-            from repro.cluster import ClusterConfig, run_cluster_smoke
-
-            results = run_cluster_smoke(cluster=ClusterConfig(
-                workers=args.cluster_workers,
-                run_dir=args.run_dir,
-                checkpoint_every_seconds=args.checkpoint_every,
-            ))
-        else:
-            results = run_throughput_smoke() if smoke else run_throughput_sweep()
-        print(f"  done in {time.time() - started:.1f} s", file=sys.stderr)
-        blocks.append(render_sweep(results))
-        suffix = "_smoke" if smoke else ""
-        with open(f"BENCH_throughput{suffix}.json", "w") as handle:
-            json.dump(results, handle, indent=2)
-        if smoke:
-            failures = check_smoke(results)
-            if failures:
-                print("\n\n".join(blocks))
-                for failure in failures:
-                    print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
-                return 1
-
-    if "cluster" in targets:
-        import json
-
-        from repro.cluster import ClusterConfig, run_cluster_sweep
-        from repro.experiments.throughput import render_sweep
-
-        started = time.time()
-        print("Running the sharded throughput sweep...", file=sys.stderr)
-        results = run_cluster_sweep(cluster=ClusterConfig(
+        cluster = ClusterConfig(
             workers=args.cluster_workers,
-            run_dir=args.run_dir,
+            # One directory per row: a run dir refuses a second task list.
+            run_dir=os.path.join(args.run_dir, name),
             checkpoint_every_seconds=args.checkpoint_every,
-        ))
-        info = results["cluster"]
-        print(f"  done in {time.time() - started:.1f} s "
-              f"({info['workers']} workers)", file=sys.stderr)
-        blocks.append(render_sweep(results))
-        with open("BENCH_throughput.json", "w") as handle:
-            json.dump(results, handle, indent=2)
-
-    if targets & {"chaos-soak", "chaos-smoke"}:
-        import json
-
-        from repro.experiments.chaos import (
-            ChaosSoakConfig, check_chaos_smoke, render_chaos,
-            run_chaos_smoke, run_chaos_soak,
         )
-        smoke = "chaos-smoke" in targets
+    seed = args.seed if None not in (args.seed, row.seed) else row.seed
+    return argparse.Namespace(**{**vars(args), "seed": seed, "cluster": cluster})
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
+    args = parser.parse_args(argv)
+    unknown = set(args.targets) - set(TARGETS) - {"all"}
+    if unknown:
+        parser.error(f"unknown targets: {', '.join(sorted(unknown))} "
+                     f"(known: {' '.join(TARGETS)} all)")
+    selected = {name: row for name, row in TARGETS.items()
+                if name in args.targets
+                or (row.figure and "all" in args.targets)}
+    # An option no selected row can honour is an error, not a no-op.
+    if args.seed is not None and all(
+            row.seed is None for row in selected.values()):
+        parser.error(f"--seed: none of {' '.join(selected)} takes a seed")
+    if args.cluster_workers is not None and not any(
+            row.shards for row in selected.values()):
+        parser.error(f"--cluster-workers: none of {' '.join(selected)} "
+                     f"can shard")
+
+    args.evaluation = functools.cache(_evaluation)
+    blocks: list[str] = []
+    status = 0
+    for name, row in selected.items():
+        print(f"Running {name}: {row.about}...", file=sys.stderr)
         started = time.time()
-        print("Running the chaos soak"
-              + (" (smoke scale)" if smoke else "") + "...", file=sys.stderr)
-        record = (run_chaos_smoke(seed=args.seed) if smoke
-                  else run_chaos_soak(ChaosSoakConfig(seed=args.seed)))
+        result = row.run(_options(args, name, row))
         print(f"  done in {time.time() - started:.1f} s", file=sys.stderr)
-        blocks.append(render_chaos(record))
-        suffix = "_smoke" if smoke else ""
-        with open(f"BENCH_chaos{suffix}.json", "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-        failures = check_chaos_smoke(record)
-        if failures:
-            print("\n\n".join(blocks))
-            for failure in failures:
-                print(f"CHAOS FAILURE: {failure}", file=sys.stderr)
-            return 1
-
-    if "accountability-smoke" in targets:
-        import json
-
-        from repro.experiments.accountability import (
-            check_accountability_smoke, render_accountability,
-            run_accountability_smoke,
-        )
-        started = time.time()
-        print("Running the accountability smoke (equivocation storm, "
-              "3 seeds x 2 runs)...", file=sys.stderr)
-        record = run_accountability_smoke()
-        print(f"  done in {time.time() - started:.1f} s", file=sys.stderr)
-        blocks.append(render_accountability(record))
-        with open("BENCH_accountability_smoke.json", "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-        failures = check_accountability_smoke(record)
-        if failures:
-            print("\n\n".join(blocks))
-            for failure in failures:
-                print(f"ACCOUNTABILITY FAILURE: {failure}", file=sys.stderr)
-            return 1
-
-    if targets & {"topology-sweep", "topology-smoke"}:
-        import json
-
-        from repro.experiments.topology import (
-            check_topology, render_topology, run_topology_smoke,
-            run_topology_sweep,
-        )
-        smoke = "topology-smoke" in targets
-        started = time.time()
-        print("Running the topology sweep"
-              + (" (smoke scale)" if smoke else "") + "...", file=sys.stderr)
-        record = (run_topology_smoke(seed=args.seed) if smoke
-                  else run_topology_sweep())
-        print(f"  done in {time.time() - started:.1f} s", file=sys.stderr)
-        blocks.append(render_topology(record))
-        suffix = "_smoke" if smoke else ""
-        with open(f"BENCH_topology{suffix}.json", "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-        failures = check_topology(record)
-        if failures:
-            print("\n\n".join(blocks))
-            for failure in failures:
-                print(f"TOPOLOGY FAILURE: {failure}", file=sys.stderr)
-            return 1
-
-    if targets & {"state-sweep", "state-smoke"}:
-        import json
-
-        from repro.experiments.state import (
-            check_state, render_state, run_state_smoke, run_state_sweep,
-        )
-        smoke = "state-smoke" in targets
-        started = time.time()
-        print("Running the state sweep"
-              + (" (smoke scale)" if smoke else "") + "...", file=sys.stderr)
-        if smoke:
-            record = run_state_smoke(seed=args.seed)
-        else:
-            cluster = None
-            if args.cluster_workers is not None:
-                from repro.cluster import ClusterConfig
-
-                cluster = ClusterConfig(
-                    workers=args.cluster_workers,
-                    run_dir=args.run_dir,
-                    checkpoint_every_seconds=args.checkpoint_every,
-                )
-            record = run_state_sweep(cluster=cluster)
-        print(f"  done in {time.time() - started:.1f} s", file=sys.stderr)
-        blocks.append(render_state(record))
-        suffix = "_smoke" if smoke else ""
-        with open(f"BENCH_state{suffix}.json", "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-        failures = check_state(record)
-        if failures:
-            print("\n\n".join(blocks))
-            for failure in failures:
-                print(f"STATE FAILURE: {failure}", file=sys.stderr)
-            return 1
-
-    if "profile-soak" in targets:
-        from repro.experiments.profiling import (
-            SoakConfig, profile_soak, render_soak_result,
-        )
-
-        config = SoakConfig(packets=args.profile_packets)
-        print(f"Profiling the soak workload ({config.packets} packets)...",
-              file=sys.stderr)
-        result, table = profile_soak(
-            config, sort=args.profile_sort, lines=args.profile_lines)
-        blocks.append(render_soak_result(result, title="profile-soak"))
-        blocks.append(table.rstrip())
-
-    if "wallclock-smoke" in targets:
-        import json
-
-        from repro.experiments.profiling import (
-            SoakConfig, render_soak_result, run_soak,
-        )
-
-        config = SoakConfig(packets=args.wallclock_packets)
-        started = time.time()
-        print(f"Running the wall-clock smoke soak "
-              f"({config.packets} packets)...", file=sys.stderr)
-        result = run_soak(config)
-        print(f"  done in {time.time() - started:.1f} s", file=sys.stderr)
-        blocks.append(render_soak_result(result, title="wallclock-smoke"))
-        payload = {
-            "packets": config.packets,
-            "floor_events_per_sec": args.wallclock_floor,
-            **result.to_json(),
-        }
-        with open("BENCH_wallclock_smoke.json", "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        if result.outstanding:
-            print("\n\n".join(blocks))
-            print(f"WALLCLOCK FAILURE: {result.outstanding} packets "
-                  f"never delivered", file=sys.stderr)
-            return 1
-        if result.events_per_sec < args.wallclock_floor:
-            print("\n\n".join(blocks))
-            print(f"WALLCLOCK FAILURE: {result.events_per_sec:.0f} events/s "
-                  f"wall is below the {args.wallclock_floor:.0f} floor",
-                  file=sys.stderr)
-            return 1
-
-    if "replay-audit" in targets:
-        import json
-
-        from repro.checkpoint.audit import run_replay_audits
-
-        started = time.time()
-        print(f"Running the replay-divergence audit "
-              f"(seeds {args.audit_seeds})...", file=sys.stderr)
-        audit = run_replay_audits(seeds=tuple(args.audit_seeds))
-        print(f"  done in {time.time() - started:.1f} s", file=sys.stderr)
-        with open("BENCH_replay_audit.json", "w") as handle:
-            json.dump(audit, handle, indent=2)
-        for record in audit["audits"]:
-            verdict = "ok" if record["match"] else "DIVERGED"
-            blocks.append(
-                f"replay-audit seed {record['config']['seed']}: {verdict} "
-                f"({record['events_replayed']} events replayed, "
-                f"checkpoint {record['checkpoint_bytes'] / 1e6:.1f} MB)")
-        if not audit["match"]:
-            print("\n\n".join(blocks))
-            for record in audit["audits"]:
-                for divergence in record["divergences"]:
-                    print(f"AUDIT DIVERGENCE: {divergence}", file=sys.stderr)
-            return 1
-
+        blocks.append(row.render(result))
+        if row.record is not None:
+            with open(f"BENCH_{row.record}.json", "w") as handle:
+                json.dump(result, handle, indent=2, sort_keys=True)
+        for failure in (row.check(result) if row.check else ()):
+            print(f"{name} FAILURE: {failure}", file=sys.stderr)
+            status = 1
     print("\n\n".join(blocks))
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -44,6 +44,12 @@ class BlockIntervalConfig:
     epoch_length_slots: int = 20_000
 
 
+#: What ``python -m repro.experiments fig6`` runs: three days (at the
+#: CLI's seed) show the cut-off share and the outage straggler in a
+#: third less wall time than the benchmark's four.
+CLI_DURATION = 3 * 24 * 3600.0
+
+
 @dataclass
 class BlockIntervalResults:
     intervals: list[float] = field(default_factory=list)

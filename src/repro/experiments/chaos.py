@@ -34,14 +34,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from repro.chaos import ChaosInjector, FaultPlan
-from repro.deployment import Deployment, DeploymentConfig
+from repro.experiments.throughput import build_linked_deployment
 from repro.guest.config import GuestConfig
-from repro.host.chain import HostConfig
-from repro.relayer.relayer import RelayerConfig
-from repro.validators.profiles import simple_profiles
 from repro.workload import WorkloadEngine, WorkloadSpec
 
 
@@ -110,28 +107,33 @@ def storm_plan(config: ChaosSoakConfig) -> FaultPlan:
     return plan.validate()
 
 
-def build_chaos_deployment(config: ChaosSoakConfig):
-    """A linked deployment (fisherman on, tracing on) plus its channels."""
-    dep = Deployment(DeploymentConfig(
-        seed=config.seed,
-        guest=GuestConfig(
+def _run(config: ChaosSoakConfig, plan: FaultPlan | None = None):
+    """One linked deployment (fisherman on, tracing on) under the
+    workload, with ``plan`` armed — or, without one, the fault-free
+    twin.  Returns ``(dep, channels, engine, injector)``."""
+    dep, channels = build_linked_deployment(
+        config.seed,
+        GuestConfig(
             delta_seconds=config.delta_seconds,
             epoch_length_host_blocks=config.epoch_length_host_blocks,
             min_stake_lamports=1,
         ),
-        host=HostConfig(),
-        relayer=RelayerConfig(
-            batch_max_packets=config.batch_max_packets,
-            batch_flush_seconds=config.batch_flush_seconds,
-        ),
-        profiles=simple_profiles(config.validators),
+        (config.batch_max_packets, config.batch_flush_seconds),
+        config.channels,
+        validators=config.validators,
         with_fisherman=True,
-        tracing=True,
+    )
+    injector = ChaosInjector(dep, plan).arm() if plan is not None else None
+    engine = WorkloadEngine(dep, channels, WorkloadSpec(
+        # Constant arrivals: the send schedule is congestion-independent,
+        # so a chaos fee spike cannot perturb the twin comparison.
+        mode="open-constant",
+        offered_pps=config.offered_pps,
+        duration=config.duration,
+        drain_seconds=config.drain_seconds,
     ))
-    # The first call opens the connection too; each further one adds a
-    # channel over it.
-    channels = [dep.establish_link() for _ in range(config.channels)]
-    return dep, channels
+    engine.run()
+    return dep, channels, engine, injector
 
 
 def ledger_fingerprint(dep) -> str:
@@ -144,7 +146,7 @@ def ledger_fingerprint(dep) -> str:
     entries = []
     for side, bank in (("cp", dep.counterparty.bank),
                        ("guest", dep.contract.bank)):
-        for (owner, denom), amount in bank._balances.items():
+        for (owner, denom), amount in bank.balances().items():
             if amount:
                 entries.append([side, owner, denom, amount])
     entries.sort()
@@ -167,96 +169,66 @@ def _conservation(dep, channels, denom: str) -> list[str]:
     return failures
 
 
-def _run_workload(dep, channels, config: ChaosSoakConfig) -> WorkloadEngine:
-    engine = WorkloadEngine(dep, channels, WorkloadSpec(
-        # Constant arrivals: the send schedule is congestion-independent,
-        # so a chaos fee spike cannot perturb the twin comparison.
-        mode="open-constant",
-        offered_pps=config.offered_pps,
-        duration=config.duration,
-        drain_seconds=config.drain_seconds,
-    ))
-    engine.run()
-    return engine
-
-
 def run_chaos_soak(config: ChaosSoakConfig = ChaosSoakConfig(),
                    plan: FaultPlan | None = None) -> dict:
     """The full experiment: storm run, twin run, verdicts, JSON record."""
     plan = plan if plan is not None else storm_plan(config)
 
-    # -- chaos run ------------------------------------------------------
-    dep, channels = build_chaos_deployment(config)
-    injector = ChaosInjector(dep, plan).arm()
-    engine = _run_workload(dep, channels, config)
+    dep, channels, engine, injector = _run(config, plan)
     trace = dep.trace_report()
-
-    # -- fault-free twin: same seed, same workload, no injector ---------
-    twin, twin_channels = build_chaos_deployment(config)
-    twin_engine = _run_workload(twin, twin_channels, config)
+    # Fault-free twin: same seed, same workload, no injector.
+    twin, _, twin_engine, _ = _run(config)
 
     offender = dep.validator_keypair(config.byzantine_validator).public_key
-    invariants: dict[str, bool | str] = {}
+    invariants: dict[str, bool] = {}
     failures: list[str] = []
+
+    def verdict(name: str, holds: bool, failure: str) -> None:
+        invariants[name] = holds
+        if not holds:
+            failures.append(failure)
 
     failures += _conservation(dep, channels, "PICA")
     invariants["conservation"] = not failures
 
-    exactly_once = (
-        engine.delivered == engine.committed
-        and engine.outstanding() == 0
-        and engine.send_failures == 0
-        and dep.counterparty.ibc.counters.packets_acknowledged
-        == dep.contract.ibc.counters.packets_received
-        == engine.committed
-    )
-    invariants["exactly_once"] = exactly_once
-    if not exactly_once:
-        failures.append(
+    received = dep.contract.ibc.counters.packets_received
+    acked = dep.counterparty.ibc.counters.packets_acknowledged
+    verdict("exactly_once",
+            engine.delivered == engine.committed
+            and engine.outstanding() == 0
+            and engine.send_failures == 0
+            and acked == received == engine.committed,
             f"exactly-once broken: committed {engine.committed}, "
             f"delivered {engine.delivered}, "
             f"outstanding {engine.outstanding()}, "
-            f"received {dep.contract.ibc.counters.packets_received}, "
-            f"acked {dep.counterparty.ibc.counters.packets_acknowledged}")
+            f"received {received}, acked {acked}")
 
-    slashed = dep.contract.staking.stake_of(offender) == 0
-    invariants["offender_slashed"] = slashed
-    if not slashed:
-        failures.append("equivocating validator kept its stake")
+    verdict("offender_slashed", dep.contract.staking.stake_of(offender) == 0,
+            "equivocating validator kept its stake")
     epoch = dep.contract.current_epoch
-    excluded = epoch is not None and not epoch.is_validator(offender)
-    invariants["offender_out_of_quorum"] = excluded
-    if not excluded:
-        failures.append("equivocating validator still in the current epoch")
+    verdict("offender_out_of_quorum",
+            epoch is not None and not epoch.is_validator(offender),
+            "equivocating validator still in the current epoch")
 
     # Accountable safety: every seeded quorum equivocation must end in
     # an on-chain AccountabilityProof whose offender set carries >= 1/3
     # of the epoch's voting power; the fault-free twin must never slash.
     slashes = list(dep.contract.accountability_slashes)
-    seeded_equivocations = len(injector._quorum_offenders)
-    attributed = (
-        len(slashes) >= seeded_equivocations
-        and all(rec["offender_stake"] * 3 >= rec["total_stake"]
-                for rec in slashes)
-    )
-    invariants["safety_violation_attributed"] = attributed
-    if not attributed:
-        failures.append(
+    seeded_equivocations = injector.summary()["quorum_equivocations_seeded"]
+    verdict("safety_violation_attributed",
+            len(slashes) >= seeded_equivocations
+            and all(rec["offender_stake"] * 3 >= rec["total_stake"]
+                    for rec in slashes),
             f"safety violations not attributed: {seeded_equivocations} "
             f"seeded, {len(slashes)} slashed on chain")
-    twin_untouched = (
-        not twin.contract.accountability_slashes
-        and not (twin.fisherman and twin.fisherman.accountability_reports)
-    )
-    invariants["twin_accountability_untouched"] = twin_untouched
-    if not twin_untouched:
-        failures.append("fault-free twin recorded accountability slashes")
+    verdict("twin_accountability_untouched",
+            not twin.contract.accountability_slashes
+            and not (twin.fisherman and twin.fisherman.accountability_reports),
+            "fault-free twin recorded accountability slashes")
 
     fingerprint = ledger_fingerprint(dep)
     twin_fingerprint = ledger_fingerprint(twin)
-    invariants["differential_match"] = fingerprint == twin_fingerprint
-    if fingerprint != twin_fingerprint:
-        failures.append(
+    verdict("differential_match", fingerprint == twin_fingerprint,
             f"ledger diverged from the fault-free twin: "
             f"{fingerprint[:16]} != {twin_fingerprint[:16]}")
     if twin_engine.delivered != engine.delivered:

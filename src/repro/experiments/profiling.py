@@ -9,7 +9,7 @@ hunches::
 
     PYTHONPATH=src python -m repro.experiments profile-soak
     PYTHONPATH=src python -m repro.experiments profile-soak \
-        --profile-packets 2000 --profile-sort tottime --profile-lines 40
+        --profile-packets 2000 --profile-sort tottime
 
 The harness reports both the profile table (top functions by the chosen
 sort key) and the wall-clock summary the benchmark gate tracks
@@ -19,16 +19,16 @@ sort key) and the wall-clock summary the benchmark gate tracks
 
 from __future__ import annotations
 
+import contextlib
 import cProfile
 import io
 import pstats
 import time
 from dataclasses import dataclass
+from typing import Optional
 
-from repro.deployment import Deployment, DeploymentConfig
+from repro.experiments.throughput import build_linked_deployment
 from repro.guest.config import GuestConfig
-from repro.relayer.relayer import RelayerConfig
-from repro.validators.profiles import simple_profiles
 from repro.workload import WorkloadEngine, WorkloadSpec
 
 
@@ -89,22 +89,30 @@ class SoakResult:
         }
 
 
-def build_soak(config: SoakConfig):
-    """A linked multi-channel deployment plus its workload engine."""
-    dep = Deployment(DeploymentConfig(
-        seed=config.seed,
-        guest=GuestConfig(delta_seconds=config.delta_seconds,
-                          min_stake_lamports=1),
-        relayer=RelayerConfig(
-            batch_max_packets=config.batch_max_packets,
-            batch_flush_seconds=config.batch_flush_seconds,
-        ),
-        profiles=simple_profiles(4),
-        tracing=config.tracing,
-    ))
-    # The first call opens the connection too; each further one adds a
-    # channel over it.
-    channels = [dep.establish_link() for _ in range(config.channels)]
+#: ``wallclock-smoke`` scale, and the events/sec of wall time it must
+#: clear (generous: CI machines vary).  Constants, not options: a gate
+#: whose threshold is a flag is a gate anyone can lower.
+WALLCLOCK_SMOKE_PACKETS = 1_500
+WALLCLOCK_FLOOR_EVENTS_PER_SEC = 500.0
+#: Rows of the profile table ``profile-soak`` prints.
+PROFILE_LINES = 30
+
+
+def run_soak(config: SoakConfig,
+             profiler: Optional[cProfile.Profile] = None) -> SoakResult:
+    """Run the soak workload once and time it.
+
+    A ``profiler`` is attached only around the workload run itself —
+    deployment construction and channel handshakes are excluded, so its
+    table reflects the steady-state packet pipeline the optimisation
+    work targets.
+    """
+    dep, channels = build_linked_deployment(
+        config.seed,
+        GuestConfig(delta_seconds=config.delta_seconds, min_stake_lamports=1),
+        (config.batch_max_packets, config.batch_flush_seconds),
+        config.channels, tracing=config.tracing,
+    )
     engine = WorkloadEngine(dep, channels, WorkloadSpec(
         mode="open-constant",
         offered_pps=config.offered_pps,
@@ -112,16 +120,11 @@ def build_soak(config: SoakConfig):
         amount=config.amount,
         drain_seconds=config.drain_seconds,
     ))
-    return dep, engine
-
-
-def run_soak(config: SoakConfig) -> SoakResult:
-    """Run the soak workload once and time it (no profiler overhead)."""
-    dep, engine = build_soak(config)
     events_before = dep.sim.dispatched_events()
     sim_before = dep.sim.now
     started = time.perf_counter()
-    engine.run()
+    with profiler if profiler is not None else contextlib.nullcontext():
+        engine.run()
     wall = time.perf_counter() - started
     return SoakResult(
         sent=engine.sent,
@@ -133,43 +136,46 @@ def run_soak(config: SoakConfig) -> SoakResult:
     )
 
 
-def profile_soak(config: SoakConfig, sort: str = "cumulative",
-                 lines: int = 30) -> tuple[SoakResult, str]:
-    """Run the soak under :mod:`cProfile`; return (result, profile table).
-
-    The profiler is attached only around the workload run itself —
-    deployment construction and channel handshakes are excluded, so the
-    table reflects the steady-state packet pipeline the optimisation
-    work targets.
-    """
-    dep, engine = build_soak(config)
-    events_before = dep.sim.dispatched_events()
-    sim_before = dep.sim.now
+def profile_soak(config: SoakConfig,
+                 sort: str = "cumulative") -> tuple[dict, str]:
+    """Run the soak under :mod:`cProfile`; return (record, profile table)."""
     profiler = cProfile.Profile()
-    started = time.perf_counter()
-    profiler.enable()
-    engine.run()
-    profiler.disable()
-    wall = time.perf_counter() - started
-    result = SoakResult(
-        sent=engine.sent,
-        delivered=engine.delivered,
-        outstanding=engine.outstanding(),
-        events_dispatched=dep.sim.dispatched_events() - events_before,
-        wall_seconds=wall,
-        simulated_seconds=dep.sim.now - sim_before,
-    )
+    result = run_soak(config, profiler)
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
-    stats.strip_dirs().sort_stats(sort).print_stats(lines)
-    return result, buffer.getvalue()
+    stats.strip_dirs().sort_stats(sort).print_stats(PROFILE_LINES)
+    return result.to_json(), buffer.getvalue()
 
 
-def render_soak_result(result: SoakResult, title: str = "soak") -> str:
+def run_wallclock_smoke(seed: int = SoakConfig.seed) -> dict:
+    """The scaled soak behind the CI wall-clock gate, as its record."""
+    config = SoakConfig(seed=seed, packets=WALLCLOCK_SMOKE_PACKETS)
+    return {
+        "packets": config.packets,
+        "floor_events_per_sec": WALLCLOCK_FLOOR_EVENTS_PER_SEC,
+        **run_soak(config).to_json(),
+    }
+
+
+def check_wallclock(record: dict) -> list[str]:
+    """The gate: everything delivered, and fast enough."""
+    failures = []
+    if record["outstanding"]:
+        failures.append(f"{record['outstanding']} packets never delivered")
+    if record["events_per_sec"] < record["floor_events_per_sec"]:
+        failures.append(
+            f"{record['events_per_sec']:.0f} events/s wall is below the "
+            f"{record['floor_events_per_sec']:.0f} floor")
+    return failures
+
+
+def render_soak_result(record: dict, title: str = "soak") -> str:
+    """One line from a :meth:`SoakResult.to_json` record."""
     return (
-        f"{title}: {result.delivered}/{result.sent} packets delivered, "
-        f"{result.events_dispatched} events in {result.wall_seconds:.2f} s wall "
-        f"({result.events_per_sec:,.0f} events/s, "
-        f"{result.packets_per_sec:,.1f} packets/s wall; "
-        f"{result.simulated_seconds:,.0f} simulated s)"
+        f"{title}: {record['delivered']}/{record['sent']} packets delivered, "
+        f"{record['events_dispatched']} events in "
+        f"{record['wall_seconds']:.2f} s wall "
+        f"({record['events_per_sec']:,.0f} events/s, "
+        f"{record['packets_per_sec']:,.1f} packets/s wall; "
+        f"{record['simulated_seconds']:,.0f} simulated s)"
     )

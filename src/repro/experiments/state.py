@@ -27,7 +27,7 @@ notes live in docs/STATE.md.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from repro.state.scheduler import SealScheduler, scheduler_from_name
@@ -178,34 +178,18 @@ def run_state_point(config: StatePointConfig) -> dict:
 # ----------------------------------------------------------------------
 
 
-def point_configs(config: StateSweepConfig) -> list[StatePointConfig]:
-    points = []
-    for name in config.schedulers:
-        point = StatePointConfig(**{**asdict(config.point),
-                                    "scheduler": name})
-        points.append(point)
-    return points
-
-
-def state_tasks(configs: list[StatePointConfig]) -> list[dict]:
-    return [
-        {"index": index, "kind": "state-point", "config": asdict(point)}
-        for index, point in enumerate(configs)
-    ]
-
-
 def run_state_sweep(config: StateSweepConfig | None = None,
                     cluster=None) -> dict:
     """Run every scheduler's point; pass ``cluster`` (a
     :class:`repro.cluster.ClusterConfig`) to shard points across worker
     processes instead of running them serially."""
     config = config or StateSweepConfig()
-    configs = point_configs(config)
+    configs = [replace(config.point, scheduler=name)
+               for name in config.schedulers]
     if cluster is not None:
         from repro.cluster import ClusterRunner
 
-        runner = ClusterRunner(cluster)
-        records = runner.run_tasks(state_tasks(configs))
+        records = ClusterRunner(cluster).run_points("state-point", configs)
     else:
         records = [run_state_point(point) for point in configs]
     return {
@@ -217,14 +201,14 @@ def run_state_sweep(config: StateSweepConfig | None = None,
     }
 
 
-def run_state_smoke(seed: int = 2024) -> dict:
+def run_state_smoke(seed: int = 2024, cluster=None) -> dict:
     """CI scale: 4k packets, every scheduler, tight sampling."""
     return run_state_sweep(StateSweepConfig(
         point=StatePointConfig(
             packets=4_000, sample_every=500, ack_lag=16,
             lazy_batch=64, rent_budget_bytes=98_304, seed=seed,
         ),
-    ))
+    ), cluster=cluster)
 
 
 # ----------------------------------------------------------------------

@@ -18,11 +18,14 @@ module produces is deterministic across hosts and runs.
 
 from __future__ import annotations
 
+import time
 from dataclasses import asdict, dataclass, replace
+from typing import Optional
 
 from repro.deployment import Deployment, DeploymentConfig
 from repro.guest.config import GuestConfig
 from repro.host.chain import HostConfig
+from repro.observability.report import TraceReport
 from repro.relayer.relayer import RelayerConfig
 from repro.validators.profiles import simple_profiles
 from repro.workload import WorkloadEngine, WorkloadSpec
@@ -46,43 +49,64 @@ class ThroughputPointConfig:
     delta_seconds: float = 120.0
 
 
-def build_linked_deployment(config: ThroughputPointConfig):
-    """A linked deployment plus its open channel list."""
+def build_linked_deployment(seed: int, guest: GuestConfig,
+                            batching: tuple[int, float], channels: int, *,
+                            host: Optional[HostConfig] = None,
+                            validators: int = 4,
+                            with_fisherman: bool = False,
+                            tracing: bool = True):
+    """The one link-under-load world: a deployment whose relayer batches
+    ``batching = (max packets, flush seconds)``, plus ``channels`` open
+    channels.  Every experiment that offers a workload to a link
+    (throughput points, the soak, the chaos storm, the replay audit)
+    builds here, so equal arguments mean a bit-identical world."""
+    batch_max_packets, batch_flush_seconds = batching
     dep = Deployment(DeploymentConfig(
-        seed=config.seed,
-        guest=GuestConfig(delta_seconds=config.delta_seconds, min_stake_lamports=1),
-        host=HostConfig(block_tx_limit=config.block_tx_limit),
+        seed=seed,
+        guest=guest,
+        host=host if host is not None else HostConfig(),
         relayer=RelayerConfig(
-            batch_max_packets=config.batch_max_packets,
-            batch_flush_seconds=config.batch_flush_seconds,
+            batch_max_packets=batch_max_packets,
+            batch_flush_seconds=batch_flush_seconds,
         ),
-        profiles=simple_profiles(4),
-        tracing=True,
+        profiles=simple_profiles(validators),
+        with_fisherman=with_fisherman,
+        tracing=tracing,
     ))
     # The first call opens the connection too; each further one adds a
     # channel over it.
-    channels = [dep.establish_link() for _ in range(config.channels)]
-    return dep, channels
+    return dep, [dep.establish_link() for _ in range(channels)]
 
 
-def run_throughput_point(config: ThroughputPointConfig, *,
-                         collect_trace: bool = False) -> dict:
-    """Measure one sweep point; returns a JSON-ready record.
+def start_point(config: ThroughputPointConfig):
+    """A point's world with its workload engine started: ``(dep, engine)``.
 
-    With ``collect_trace`` the record additionally carries the full
-    ``TraceReport`` JSON under ``"trace"`` (the cluster runner uses this
-    to merge per-shard traces); the default record is unchanged either
-    way, so benchmark outputs stay byte-identical.
+    Run it to ``engine.end_time`` — in one go, or in slices with
+    snapshots in between (cluster workers, the replay audit): slicing a
+    ``run_until`` does not change which events run.
     """
-    dep, channels = build_linked_deployment(config)
+    dep, channels = build_linked_deployment(
+        config.seed,
+        GuestConfig(delta_seconds=config.delta_seconds, min_stake_lamports=1),
+        (config.batch_max_packets, config.batch_flush_seconds),
+        config.channels,
+        host=HostConfig(block_tx_limit=config.block_tx_limit),
+    )
     engine = WorkloadEngine(dep, channels, WorkloadSpec(
         mode=config.mode,
         offered_pps=config.offered_pps,
         duration=config.duration,
         drain_seconds=config.drain_seconds,
     ))
-    engine.run()
-    return point_record(config, dep, engine, collect_trace=collect_trace)
+    engine.start()
+    return dep, engine
+
+
+def run_throughput_point(config: ThroughputPointConfig) -> dict:
+    """Measure one sweep point; returns a JSON-ready record."""
+    dep, engine = start_point(config)
+    dep.sim.run_until(engine.end_time)
+    return point_record(config, dep, engine)
 
 
 def point_record(config: ThroughputPointConfig, dep, engine, *,
@@ -91,7 +115,9 @@ def point_record(config: ThroughputPointConfig, dep, engine, *,
 
     Shared by the serial path above and the cluster workers' resumable
     path (:mod:`repro.cluster.worker`), so a point measured either way
-    produces byte-identical rows.
+    produces byte-identical rows.  With ``collect_trace`` the record
+    additionally carries the full ``TraceReport`` JSON under ``"trace"``
+    (a sharded sweep merges the per-shard traces and strips them again).
     """
     report = engine.report()
     trace = dep.trace_report()
@@ -123,68 +149,63 @@ def point_record(config: ThroughputPointConfig, dep, engine, *,
     return record
 
 
-def sweep_point_configs(
-    seed: int = 101,
-    offered_loads: tuple[float, ...] = (2.0, 8.0, 16.0),
-    batch_sizes: tuple[int, ...] = (1, 32),
-    duration: float = 300.0,
-    base: ThroughputPointConfig = ThroughputPointConfig(),
-) -> list[ThroughputPointConfig]:
-    """The sweep's point configs, in canonical (load-major) order.
-
-    The serial sweep and the cluster runner both build their work list
-    here, so a sharded sweep measures exactly the points a serial one
-    would — in the same output order.
-    """
-    configs = []
-    for offered in offered_loads:
-        for batch in batch_sizes:
-            configs.append(replace(
-                base, seed=seed, offered_pps=offered,
-                batch_max_packets=batch, duration=duration,
-            ))
-    return configs
-
-
 def run_throughput_sweep(
     seed: int = 101,
     offered_loads: tuple[float, ...] = (2.0, 8.0, 16.0),
     batch_sizes: tuple[int, ...] = (1, 32),
     duration: float = 300.0,
     base: ThroughputPointConfig = ThroughputPointConfig(),
+    cluster=None,
 ) -> dict:
     """The full sweep: every offered load under every batching config.
 
     Same seed per column, so a batched and an unbatched point at the
     same load see identical traffic, congestion and validator draws.
+
+    Points run serially, or — given ``cluster`` (a
+    :class:`repro.cluster.ClusterConfig`) — sharded across worker
+    processes as ``throughput-point`` tasks.  Same configs, same record
+    builder in the workers, merge ordered by task index: the rows are
+    identical whatever the worker count.  A sharded result also carries
+    ``"cluster": {workers, wall_seconds}`` and, with ``collect_traces``,
+    the merged :class:`TraceReport` under ``"merged_trace"``.
     """
-    points = [
-        run_throughput_point(config)
-        for config in sweep_point_configs(
-            seed, offered_loads, batch_sizes, duration, base)
+    configs = [
+        replace(base, seed=seed, offered_pps=offered,
+                batch_max_packets=batch, duration=duration)
+        for offered in offered_loads for batch in batch_sizes
     ]
-    return {
+    result = {
         "experiment": "throughput_sweep",
         "seed": seed,
         "offered_loads": list(offered_loads),
         "batch_sizes": list(batch_sizes),
         "duration_s": duration,
-        "points": points,
     }
+    if cluster is None:
+        result["points"] = [run_throughput_point(config) for config in configs]
+        return result
+
+    from repro.cluster import ClusterRunner
+
+    runner = ClusterRunner(cluster)
+    started = time.monotonic()
+    result["points"] = runner.run_points("throughput-point", configs)
+    if cluster.collect_traces:
+        # Strip the trace payloads first: the rows stay identical.  (A
+        # row resumed from an untraced run's result file carries none.)
+        result["merged_trace"] = TraceReport.merge(
+            TraceReport.from_json(point.pop("trace"))
+            for point in result["points"] if "trace" in point
+        ).to_json()
+    result["cluster"] = {
+        "workers": runner.workers,
+        "wall_seconds": round(time.monotonic() - started, 3),
+    }
+    return result
 
 
-#: The CI smoke sweep's shape — shared with the cluster smoke path so
-#: both measure the same points.
-SMOKE_OFFERED_LOADS: tuple[float, ...] = (4.0, 12.0)
-SMOKE_BATCH_SIZES: tuple[int, ...] = (1, 16)
-SMOKE_DURATION = 60.0
-
-
-def smoke_base_config() -> ThroughputPointConfig:
-    return ThroughputPointConfig(duration=SMOKE_DURATION, drain_seconds=1_200.0)
-
-
-def run_throughput_smoke(seed: int = 101) -> dict:
+def run_throughput_smoke(seed: int = 101, cluster=None) -> dict:
     """A scaled-down sweep for CI: two loads, one minute of sending.
 
     Small enough to run on every push, large enough that the batching
@@ -192,10 +213,11 @@ def run_throughput_smoke(seed: int = 101) -> dict:
     """
     return run_throughput_sweep(
         seed=seed,
-        offered_loads=SMOKE_OFFERED_LOADS,
-        batch_sizes=SMOKE_BATCH_SIZES,
-        duration=SMOKE_DURATION,
-        base=smoke_base_config(),
+        offered_loads=(4.0, 12.0),
+        batch_sizes=(1, 16),
+        duration=60.0,
+        base=ThroughputPointConfig(duration=60.0, drain_seconds=1_200.0),
+        cluster=cluster,
     )
 
 

@@ -3,7 +3,9 @@
 Quantiles use the same convention as the paper's table (linear
 interpolation between order statistics); ``Summary`` carries min / Q1 /
 median / Q3 / max / mean / standard deviation so experiment output can
-be compared to the published rows column by column.
+be compared to the published rows column by column, plus the p95 / p99
+tail the observability layer and the ``BENCH_*`` records report — the
+one digest of a series in the library.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ class Summary:
     maximum: float
     mean: float
     std: float
+    p95: float
+    p99: float
 
     def row(self, digits: int = 1) -> list[str]:
         """Formatted [min, Q1, med, Q3, max, mean, std] cells."""
@@ -48,6 +52,11 @@ class Summary:
             for value in (self.minimum, self.q1, self.median,
                           self.q3, self.maximum, self.mean, self.std)
         ]
+
+    def to_json(self) -> dict[str, float]:
+        """The six-key tail digest ``BENCH_*`` records embed."""
+        return {"count": self.count, "p50": self.median, "p95": self.p95,
+                "p99": self.p99, "mean": self.mean, "max": self.maximum}
 
 
 def summarize(values: Iterable[float]) -> Summary:
@@ -68,6 +77,8 @@ def summarize(values: Iterable[float]) -> Summary:
         maximum=data[-1],
         mean=mean,
         std=math.sqrt(variance),
+        p95=percentile(data, 0.95),
+        p99=percentile(data, 0.99),
     )
 
 

@@ -15,39 +15,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Optional
 
-from repro.metrics.stats import Summary, percentile, summarize
+from repro.metrics.stats import Summary, summarize
 from repro.metrics.table import format_table
 from repro.observability.trace import SpanRecord
-
-
-@dataclass(frozen=True)
-class HistogramSummary:
-    """Quantile digest of one histogram (or of one span's durations)."""
-
-    count: int
-    p50: float
-    p95: float
-    p99: float
-    mean: float
-    maximum: float
-
-    def to_json(self) -> dict[str, float]:
-        return {"count": self.count, "p50": self.p50, "p95": self.p95,
-                "p99": self.p99, "mean": self.mean, "max": self.maximum}
-
-
-def _digest(values: Iterable[float]) -> HistogramSummary:
-    data = sorted(values)
-    if not data:
-        raise ValueError("cannot digest an empty series")
-    return HistogramSummary(
-        count=len(data),
-        p50=percentile(data, 0.50),
-        p95=percentile(data, 0.95),
-        p99=percentile(data, 0.99),
-        mean=sum(data) / len(data),
-        maximum=data[-1],
-    )
 
 
 @dataclass(frozen=True)
@@ -72,8 +42,8 @@ class TraceReport:
         return [record.duration for record in self.spans
                 if record.name == name and record.end is not None]
 
-    def span_summary(self, name: str) -> HistogramSummary:
-        return _digest(self.durations(name))
+    def span_summary(self, name: str) -> Summary:
+        return summarize(self.durations(name))
 
     def trace(self, key: Hashable) -> list[SpanRecord]:
         """All spans correlated under one key, in start order — the
@@ -99,18 +69,14 @@ class TraceReport:
     def histogram(self, name: str) -> list[float]:
         return list(self.histograms.get(name, ()))
 
-    def histogram_summary(self, name: str) -> HistogramSummary:
-        return _digest(self.histograms[name])
-
-    def histogram_stats(self, name: str) -> Summary:
-        """The full Table-I-shape summary of one histogram."""
+    def histogram_summary(self, name: str) -> Summary:
         return summarize(self.histograms[name])
 
     def gauge_series(self, name: str) -> list[tuple[float, float]]:
         return list(self.gauges.get(name, ()))
 
-    def gauge_summary(self, name: str) -> HistogramSummary:
-        return _digest(value for _, value in self.gauges[name])
+    def gauge_summary(self, name: str) -> Summary:
+        return summarize(value for _, value in self.gauges[name])
 
     # -- export ----------------------------------------------------------
 
@@ -178,9 +144,9 @@ class TraceReport:
                 open_count = sum(1 for r in self.spans
                                  if r.name == name and r.end is None)
                 if done:
-                    digest = _digest(done)
+                    digest = summarize(done)
                     rows.append([name, str(digest.count), str(open_count),
-                                 f"{digest.mean:.2f}", f"{digest.p50:.2f}",
+                                 f"{digest.mean:.2f}", f"{digest.median:.2f}",
                                  f"{digest.p95:.2f}", f"{digest.p99:.2f}",
                                  f"{digest.maximum:.2f}"])
                 else:
@@ -200,9 +166,9 @@ class TraceReport:
         if self.histograms:
             rows = []
             for name in sorted(self.histograms):
-                digest = _digest(self.histograms[name])
+                digest = self.histogram_summary(name)
                 rows.append([name, str(digest.count), f"{digest.mean:.2f}",
-                             f"{digest.p50:.2f}", f"{digest.p95:.2f}",
+                             f"{digest.median:.2f}", f"{digest.p95:.2f}",
                              f"{digest.p99:.2f}", f"{digest.maximum:.2f}"])
             blocks.append(format_table(
                 ["histogram", "n", "mean", "p50", "p95", "p99", "max"],
@@ -213,7 +179,7 @@ class TraceReport:
             for name in sorted(self.gauges):
                 digest = self.gauge_summary(name)
                 rows.append([name, str(digest.count), f"{digest.mean:.2f}",
-                             f"{digest.p50:.2f}", f"{digest.p95:.2f}",
+                             f"{digest.median:.2f}", f"{digest.p95:.2f}",
                              f"{digest.maximum:.2f}"])
             blocks.append(format_table(
                 ["gauge", "samples", "mean", "p50", "p95", "max"],

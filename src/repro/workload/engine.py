@@ -125,6 +125,14 @@ class WorkloadEngine:
         else:
             self._send_one(reschedule=True)
 
+    @property
+    def end_time(self) -> float:
+        """The finish line of a started run: sending window plus drain.
+        Callers that slice or snapshot between ``run_until`` calls run to
+        here instead of calling :meth:`run`."""
+        assert self._started_at is not None, "start() the engine first"
+        return self._started_at + self.spec.duration + self.spec.drain_seconds
+
     def run(self) -> WorkloadReport:
         """Convenience: start, run the sending window plus the drain,
         and return the report."""

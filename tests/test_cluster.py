@@ -6,6 +6,10 @@ records are byte-identical to a serial single-process run.  The
 mid-task resume path goes through a full :mod:`repro.checkpoint` world
 restore, so these are also end-to-end tests of checkpointing under a
 process boundary.
+
+Every case goes through the one sweep function:
+``run_throughput_sweep(cluster=None)`` is the serial reference,
+``run_throughput_sweep(cluster=ClusterConfig(...))`` the sharded run.
 """
 
 import json
@@ -18,13 +22,10 @@ from repro.cluster import (
     ClusterError,
     ClusterRunner,
     WorkerFault,
-    run_cluster_sweep,
-    throughput_tasks,
 )
 from repro.experiments.throughput import (
     ThroughputPointConfig,
     run_throughput_sweep,
-    sweep_point_configs,
 )
 
 #: One small two-point sweep shared by the identity/crash tests — large
@@ -42,41 +43,48 @@ def canonical(points):
     return json.dumps(points, sort_keys=True)
 
 
+def sharded(events=None, **cluster):
+    """The SWEEP, sharded; progress event kinds land in ``events``."""
+    if events is not None:
+        cluster["on_progress"] = lambda worker, kind, *rest: events.add(kind)
+    return run_throughput_sweep(**SWEEP, cluster=ClusterConfig(**cluster))
+
+
 @pytest.fixture(scope="module")
-def serial_points():
-    return run_throughput_sweep(**SWEEP)["points"]
+def serial():
+    return run_throughput_sweep(**SWEEP)
+
+
+@pytest.fixture(scope="module")
+def serial_points(serial):
+    return serial["points"]
 
 
 class TestClusterIdentity:
-    def test_sharded_sweep_matches_serial(self, serial_points, tmp_path):
-        results = run_cluster_sweep(**SWEEP, cluster=ClusterConfig(
-            workers=2, run_dir=str(tmp_path / "run"),
-            checkpoint_every_seconds=200.0,
-        ))
-        assert canonical(results["points"]) == canonical(serial_points)
-        assert results["cluster"]["workers"] == 2
+    def test_sharded_sweep_matches_serial(self, serial, tmp_path):
+        results = sharded(workers=2, run_dir=str(tmp_path / "run"),
+                          checkpoint_every_seconds=200.0)
+        assert results.pop("cluster")["workers"] == 2
+        # Apart from that decoration it *is* the serial result.
+        assert canonical(results) == canonical(serial)
 
     def test_resume_skips_finished_tasks(self, serial_points, tmp_path):
-        run_dir = str(tmp_path / "run")
-        cluster = ClusterConfig(workers=2, run_dir=run_dir,
-                                checkpoint_every_seconds=0.0)
-        first = run_cluster_sweep(**SWEEP, cluster=cluster)
-        runner = ClusterRunner(ClusterConfig(
-            workers=2, run_dir=run_dir, checkpoint_every_seconds=0.0))
-        records = runner.run_tasks(throughput_tasks(sweep_point_configs(**SWEEP)))
-        assert canonical(records) == canonical(first["points"])
+        cluster = dict(workers=2, run_dir=str(tmp_path / "run"),
+                       checkpoint_every_seconds=0.0)
+        first = sharded(**cluster)
+        kinds: set = set()
+        again = sharded(kinds, **cluster)
+        assert canonical(again["points"]) == canonical(first["points"])
         # Nothing re-ran: every task was served from its result file.
-        kinds = {event[1] for event in runner.events}
         assert "cached" in kinds
         assert "start" not in kinds
 
     def test_run_dir_refuses_a_different_sweep(self, tmp_path):
-        run_dir = str(tmp_path / "run")
-        tasks = throughput_tasks(sweep_point_configs(**SWEEP))
-        ClusterRunner(ClusterConfig(workers=2, run_dir=run_dir))._prepare_run_dir(tasks)
-        other = throughput_tasks(sweep_point_configs(**{**SWEEP, "seed": 99}))
+        cluster = ClusterConfig(workers=2, run_dir=str(tmp_path / "run"),
+                                checkpoint_every_seconds=0.0)
+        run_throughput_sweep(**SWEEP, cluster=cluster)
         with pytest.raises(ClusterError, match="different"):
-            ClusterRunner(ClusterConfig(workers=2, run_dir=run_dir))._prepare_run_dir(other)
+            run_throughput_sweep(**{**SWEEP, "seed": 99}, cluster=cluster)
 
     def test_task_indices_must_be_canonical(self, tmp_path):
         runner = ClusterRunner(ClusterConfig(workers=1,
@@ -91,49 +99,44 @@ class TestCrashRecovery:
         """Kill one of four workers two slices into its first task —
         right after a checkpoint, the worst moment — and require the
         merged results to be byte-identical to the serial run."""
-        runner = ClusterRunner(ClusterConfig(
-            workers=4, run_dir=str(tmp_path / "run"),
+        kinds: set = set()
+        results = sharded(
+            kinds, workers=4, run_dir=str(tmp_path / "run"),
             checkpoint_every_seconds=100.0,
             faults=(WorkerFault(worker_index=0, after_points=0,
                                 mid_task_slices=2),),
-        ))
-        records = runner.run_tasks(throughput_tasks(sweep_point_configs(**SWEEP)))
-        assert canonical(records) == canonical(serial_points)
-        kinds = {event[1] for event in runner.events}
+        )
+        assert canonical(results["points"]) == canonical(serial_points)
         assert "respawn" in kinds  # the worker really died...
         assert "resumed" in kinds  # ...and really restored a checkpoint
 
     def test_killed_between_tasks_recovers_too(self, serial_points, tmp_path):
-        runner = ClusterRunner(ClusterConfig(
-            workers=2, run_dir=str(tmp_path / "run"),
+        kinds: set = set()
+        results = sharded(
+            kinds, workers=2, run_dir=str(tmp_path / "run"),
             checkpoint_every_seconds=0.0,
             faults=(WorkerFault(worker_index=1, after_points=0),),
-        ))
-        records = runner.run_tasks(throughput_tasks(sweep_point_configs(**SWEEP)))
-        assert canonical(records) == canonical(serial_points)
-        kinds = {event[1] for event in runner.events}
+        )
+        assert canonical(results["points"]) == canonical(serial_points)
         assert "respawn" in kinds
 
     def test_unrecoverable_worker_aborts_the_run(self, tmp_path):
         # max_restarts=0: the first death is final.  The fault stays
         # armed only for the first incarnation, but with no respawn
         # budget the runner must give up rather than spin.
-        runner = ClusterRunner(ClusterConfig(
-            workers=2, run_dir=str(tmp_path / "run"),
-            checkpoint_every_seconds=0.0, max_restarts=0,
-            faults=(WorkerFault(worker_index=0, after_points=0),),
-        ))
         with pytest.raises(ClusterError, match="died"):
-            runner.run_tasks(throughput_tasks(sweep_point_configs(**SWEEP)))
+            sharded(
+                workers=2, run_dir=str(tmp_path / "run"),
+                checkpoint_every_seconds=0.0, max_restarts=0,
+                faults=(WorkerFault(worker_index=0, after_points=0),),
+            )
 
 
 class TestMergedTraces:
     def test_collect_traces_merges_without_touching_rows(self, serial_points,
                                                          tmp_path):
-        results = run_cluster_sweep(**SWEEP, cluster=ClusterConfig(
-            workers=2, run_dir=str(tmp_path / "run"),
-            checkpoint_every_seconds=0.0, collect_traces=True,
-        ))
+        results = sharded(workers=2, run_dir=str(tmp_path / "run"),
+                          checkpoint_every_seconds=0.0, collect_traces=True)
         assert canonical(results["points"]) == canonical(serial_points)
         merged = results["merged_trace"]
         sent = merged["counters"]["workload.packets.sent"]
@@ -157,7 +160,7 @@ class TestSpeedup:
         serial = run_throughput_sweep(**kw)
         serial_s = time.monotonic() - t0
         t1 = time.monotonic()
-        clustered = run_cluster_sweep(**kw, cluster=ClusterConfig(
+        clustered = run_throughput_sweep(**kw, cluster=ClusterConfig(
             workers=4, run_dir=str(tmp_path / "run"),
             checkpoint_every_seconds=0.0,
         ))

@@ -11,7 +11,6 @@ import pytest
 from repro import Deployment, DeploymentConfig
 from repro.guest.config import GuestConfig
 from repro.ibc.connection import ConnectionState
-from repro.ibc.identifiers import PortId
 from repro.validators.profiles import simple_profiles
 
 
@@ -49,21 +48,14 @@ class TestCounterpartyInitiatedConnection:
 
     def test_channel_and_transfer_work_over_it(self, cp_initiated):
         dep, guest_conn, cp_conn = cp_initiated
-        opened = {}
-        dep.relayer.open_channel(
-            PortId("transfer"), PortId("transfer"),
-            lambda g, c: opened.update(guest=g, cp=c),
-        )
-        deadline = dep.sim.now + 3_600.0
-        while "cp" not in opened and dep.sim.now < deadline:
-            dep.sim.step()
-        assert "cp" in opened
+        # The connection is open, so this adds a channel over it.
+        guest_chan, cp_chan = dep.establish_link()
 
         dep.contract.bank.mint("alice", "GUEST", 50)
         payload = dep.contract.transfer.make_payload(
-            opened["guest"], "GUEST", 30, "alice", "bob",
+            guest_chan, "GUEST", 30, "alice", "bob",
         )
-        dep.user_api.send_packet("transfer", str(opened["guest"]), payload)
+        dep.user_api.send_packet("transfer", str(guest_chan), payload)
         dep.run_for(240.0)
-        voucher = dep.counterparty.transfer.voucher_denom(opened["cp"], "GUEST")
+        voucher = dep.counterparty.transfer.voucher_denom(cp_chan, "GUEST")
         assert dep.counterparty.bank.balance("bob", voucher) == 30

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from repro.metrics.stats import Summary, summarize
 from repro.observability import NULL_TRACER, NullTracer, TraceReport, Tracer
 from repro.sim.kernel import Simulation
 
@@ -180,8 +181,11 @@ class TestTraceReport:
         report = self._report()
         digest = report.span_summary("packet.quorum_wait")
         assert digest.count == 3
-        assert digest.p50 == 2.0
+        assert digest.median == 2.0
         assert digest.maximum == 4.0
+        # One digest type library-wide: the Table I block plus the tail.
+        assert isinstance(digest, Summary)
+        assert digest == summarize([2.0, 4.0, 1.5])
 
     def test_trace_groups_by_key_in_start_order(self):
         report = self._report()
@@ -197,8 +201,14 @@ class TestTraceReport:
         assert report.counter("missing") == 0
         assert report.counter("missing", default=-1) == -1
         assert report.histogram_summary("send.fee.bundle").mean == 25.0
-        assert report.histogram_stats("send.fee.bundle").mean == 25.0
         assert report.histogram("missing") == []
+
+    def test_summary_json_is_the_six_key_record_shape(self):
+        """What ``BENCH_throughput`` / ``BENCH_chaos`` embed, key for key."""
+        digest = self._report().histogram_summary("send.fee.bundle").to_json()
+        assert list(digest) == ["count", "p50", "p95", "p99", "mean", "max"]
+        assert digest == pytest.approx({"count": 4, "p50": 25.0, "p95": 38.5,
+                                        "p99": 39.7, "mean": 25.0, "max": 40.0})
 
     def test_gauge_queries(self):
         report = self._report()
@@ -226,7 +236,7 @@ class TestTraceReport:
 
     def test_empty_digest_raises(self):
         report = TraceReport(spans=[], counters={}, histograms={}, gauges={})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one value"):
             report.span_summary("anything")
 
 

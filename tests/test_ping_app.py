@@ -77,14 +77,9 @@ class TestPingEndToEnd:
         dep.counterparty.ibc.bind_port(port, cp_ping)
 
         dep.establish_link()  # transfer channel + the connection
-        opened = {}
-        dep.relayer.open_channel(port, port, lambda g, c: opened.update(g=g, c=c))
-        deadline = dep.sim.now + 3_600.0
-        while "c" not in opened and dep.sim.now < deadline:
-            dep.sim.step()
-        assert "c" in opened
+        guest_chan, _ = dep.establish_link(port=str(port))
 
-        dep.user_api.send_packet(str(port), str(opened["g"]),
+        dep.user_api.send_packet(str(port), str(guest_chan),
                                  guest_ping.make_payload(nonce=1))
         dep.run_for(300.0)
 

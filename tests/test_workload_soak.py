@@ -12,7 +12,6 @@ import pytest
 
 from repro import Deployment, DeploymentConfig
 from repro.guest.config import GuestConfig
-from repro.ibc.identifiers import PortId
 from repro.relayer.relayer import RelayerConfig
 from repro.validators.profiles import simple_profiles
 from repro.workload import WorkloadEngine, WorkloadSpec
@@ -32,18 +31,9 @@ def soak():
         profiles=simple_profiles(4),
         tracing=True,
     ))
-    channels = [dep.establish_link()]
-    for _ in range(CHANNELS - 1):
-        opened: dict = {}
-        dep.relayer.open_channel(
-            PortId("transfer"), PortId("transfer"),
-            lambda g, c: opened.update(guest=g, cp=c),
-        )
-        deadline = dep.sim.now + 3_600.0
-        while "cp" not in opened and dep.sim.now < deadline:
-            dep.sim.step()
-        assert "cp" in opened, "extra channel failed to open"
-        channels.append((opened["guest"], opened["cp"]))
+    # The first call opens the connection too; each further one adds a
+    # channel over it.
+    channels = [dep.establish_link() for _ in range(CHANNELS)]
 
     engine = WorkloadEngine(dep, channels, WorkloadSpec(
         mode="open-constant",
