@@ -63,6 +63,7 @@ _ZERO_HASH = Hash(bytes(DIGEST_SIZE))
 #: small values) so :func:`hash_concat` avoids an ``int.to_bytes`` per
 #: part on the trie/commitment hot path.
 _LEN_PREFIXES = tuple(n.to_bytes(4, "big") for n in range(256))
+_DIGEST_LEN_PREFIX = _LEN_PREFIXES[DIGEST_SIZE]
 
 
 def hash_bytes(data: bytes) -> Hash:
@@ -84,10 +85,14 @@ def hash_concat(*parts: bytes | Hash) -> Hash:
     pieces: list[bytes] = []
     append = pieces.append
     for part in parts:
-        raw = part.value if type(part) is Hash else bytes(part)
-        size = len(raw)
-        append(_LEN_PREFIXES[size] if size < 256 else size.to_bytes(4, "big"))
-        append(raw)
+        if type(part) is Hash:  # most parts of a trie-node preimage
+            append(_DIGEST_LEN_PREFIX)
+            append(part.value)
+        else:
+            raw = bytes(part)
+            size = len(raw)
+            append(_LEN_PREFIXES[size] if size < 256 else size.to_bytes(4, "big"))
+            append(raw)
     return Hash(hashlib.sha256(b"".join(pieces)).digest())
 
 

@@ -8,26 +8,24 @@ slice.
 
 from __future__ import annotations
 
+from binascii import hexlify
 from functools import lru_cache
 
 Nibbles = tuple[int, ...]
 
-#: Per-byte nibble pairs, so key expansion is one table lookup per byte
-#: instead of two shifts/masks (keys are hashed to 32 bytes, and every
-#: trie read, write, seal and proof expands one).
-_BYTE_NIBBLES = tuple((b >> 4, b & 0x0F) for b in range(256))
+#: Maps each ASCII hex digit to its value, so key expansion is one
+#: C-level pass: hexlify, translate, ``tuple`` (keys are hashed to 32
+#: bytes, and every trie read, write, seal and proof expands one).
+_HEX_DIGIT_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
-@lru_cache(maxsize=65_536)
 def key_to_nibbles(key: bytes) -> Nibbles:
     """Expand a byte string into its nibble path (high nibble first).
 
-    Interned: provable stores hash every key to a fixed 32 bytes and the
-    relayer touches the same commitment keys many times per packet
-    (write, prove, ack, seal), so the expansion is memoized.
+    Not memoized: sequenced keys are touched a handful of times each, so
+    a cache large enough to hit pins every key ever written.
     """
-    pairs = _BYTE_NIBBLES
-    return tuple(nibble for byte in key for nibble in pairs[byte])
+    return tuple(hexlify(key).translate(_HEX_DIGIT_VALUES))
 
 
 def nibbles_to_key(path: Nibbles) -> bytes:

@@ -16,10 +16,13 @@ sealing extension:
 Hashes are computed lazily and cached; mutation happens by rebuilding the
 nodes along the touched path (the trie object owns that logic), so a cache
 never goes stale.  The same dirty-path discipline carries the *aggregate*
-caches: every node memoizes its subtree's ``(storage bytes, live nodes,
-sealed stubs)`` totals, so the per-execution state-budget check reads one
-cached tuple at the root instead of walking the whole trie — the walk
-that used to dominate the soak profile (docs/PERFORMANCE.md).
+caches: branches and extensions memoize their subtree's ``(storage
+bytes, live nodes, sealed stubs)`` totals, and a rebuilt branch takes
+its total from the node it replaces — *old − old child + new child* —
+so once the root has been asked, every mutation keeps it current in
+O(depth) and the per-execution state-budget check reads one tuple
+(docs/PERFORMANCE.md).  A node that was never asked stays unsummed and
+its rebuilds carry nothing; the first query sums it lazily.
 
 Leaf hashes commit to the *hash* of the value (:func:`value_commitment`)
 rather than the raw bytes.  That keeps sealed stubs *re-pathable*: a stub
@@ -54,6 +57,14 @@ Node = Union["LeafNode", "ExtensionNode", "BranchNode", "SealedNode"]
 
 _ZERO = Hash.zero()
 
+#: What an empty branch slot contributes to its branch's aggregate,
+#: relative to an occupied one: no subtree, and no child hash stored.
+_EMPTY_SLOT_AGG = (-HASH_BYTES, 0, 0)
+
+
+def _value_bytes(value: Optional[bytes]) -> int:
+    return len(value) if value is not None else 0
+
 
 # ---------------------------------------------------------------------------
 # Canonical node hashing
@@ -82,10 +93,8 @@ def extension_hash(path: Nibbles, child: Hash) -> Hash:
 
 
 def branch_hash(children: Sequence[Hash], value: Optional[bytes]) -> Hash:
-    parts: list[bytes | Hash] = [_TAG_BRANCH]
-    parts.extend(children)
-    parts.append(value if value is not None else _NO_VALUE)
-    return hash_concat(*parts)
+    return hash_concat(_TAG_BRANCH, *children,
+                       value if value is not None else _NO_VALUE)
 
 
 class LeafNode:
@@ -170,6 +179,7 @@ class BranchNode:
         of writes to one subtree does not rehash intermediate states.
         """
         children = list(self.children)
+        old = children[index]
         children[index] = child
         node = BranchNode(children, self.value)
         cached = self._child_hashes
@@ -177,6 +187,16 @@ class BranchNode:
             patched: list[Optional[Hash]] = list(cached)
             patched[index] = None
             node._child_hashes = patched
+        agg = self._agg
+        if agg is not None:
+            # A warm aggregate means every descendant's is warm too (it
+            # was summed from them), so both reads below are O(1).
+            storage, live, sealed = agg
+            was = old.aggregates() if old is not None else _EMPTY_SLOT_AGG
+            now = child.aggregates() if child is not None else _EMPTY_SLOT_AGG
+            node._agg = (storage - was[0] + now[0],
+                         live - was[1] + now[1],
+                         sealed - was[2] + now[2])
         return node
 
     def replacing_value(self, value: Optional[bytes]) -> "BranchNode":
@@ -188,6 +208,10 @@ class BranchNode:
         """
         node = BranchNode(list(self.children), value)
         node._child_hashes = self._child_hashes
+        agg = self._agg
+        if agg is not None:
+            node._agg = (agg[0] - _value_bytes(self.value) + _value_bytes(value),
+                         agg[1], agg[2])
         return node
 
     def child_hashes(self) -> tuple[Hash, ...]:
@@ -222,24 +246,16 @@ class BranchNode:
         return self._hash
 
     def child_count(self) -> int:
-        return sum(1 for child in self.children if child is not None)
-
-    def live_child_count(self) -> int:
-        """Children that are present and not sealed."""
-        return sum(
-            1 for child in self.children
-            if child is not None and not isinstance(child, SealedNode)
-        )
+        return 16 - self.children.count(None)
 
     def storage_bytes(self) -> int:
         """Sparse on-chain layout: a 2-byte occupancy bitmap plus one
         hash per *present* child (matching the compact node encoding the
         deployment uses inside its 10 MiB account — empty slots cost
         nothing)."""
-        value_bytes = len(self.value) if self.value is not None else 0
         bitmap_bytes = 2
         return (NODE_OVERHEAD_BYTES + bitmap_bytes
-                + self.child_count() * HASH_BYTES + value_bytes)
+                + self.child_count() * HASH_BYTES + _value_bytes(self.value))
 
     def aggregates(self) -> tuple[int, int, int]:
         if self._agg is None:
@@ -254,6 +270,11 @@ class BranchNode:
                     sealed += c_sealed
             self._agg = (storage, live, sealed)
         return self._agg
+
+    def has_live_child(self) -> bool:
+        """Whether any occupant is not a sealed stub, read off the
+        aggregate: the branch itself is the first live node it counts."""
+        return self.aggregates()[1] > 1
 
     def __repr__(self) -> str:
         slots = "".join("x" if c is not None else "." for c in self.children)

@@ -35,11 +35,15 @@ from repro.trie.nibbles import (
     key_to_nibbles,
 )
 from repro.trie.nodes import (
+    HASH_BYTES,
     branch_hash as _branch_hash,
     extension_hash as _extension_hash,
     leaf_hash,
     value_commitment,
 )
+
+
+_ZERO_DIGEST = Hash.zero().value
 
 
 def _leaf_hash(path: Nibbles, value: bytes) -> Hash:
@@ -77,8 +81,9 @@ class BranchStep:
             raise ProofError("branch step must carry exactly 15 sibling hashes")
 
     def parent_hash(self, child: Hash) -> Hash:
-        children = list(self.siblings[: self.index]) + [child] + list(self.siblings[self.index:])
-        return _branch_hash(children, self.value)
+        siblings = self.siblings
+        return _branch_hash(
+            (*siblings[: self.index], child, *siblings[self.index:]), self.value)
 
 
 Step = Union[ExtensionStep, BranchStep]
@@ -106,7 +111,7 @@ class EmptySlotEvidence:
     value: Optional[bytes]
 
     def node_hash(self) -> Hash:
-        return _branch_hash(list(self.children), self.value)
+        return _branch_hash(self.children, self.value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +121,7 @@ class NoBranchValueEvidence:
     children: tuple[Hash, ...]
 
     def node_hash(self) -> Hash:
-        return _branch_hash(list(self.children), None)
+        return _branch_hash(self.children, None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,26 +267,28 @@ def _write_hash_set(out: bytearray, hashes: tuple[Hash, ...]) -> None:
     transactions a delivery needs, so this is a direct fee/throughput
     win (§V-A).
     """
-    zero = Hash.zero()
     bitmap = 0
-    for i, value in enumerate(hashes):
-        if value != zero:
+    present = []
+    for i, digest in enumerate(hashes):
+        if digest.value != _ZERO_DIGEST:
             bitmap |= 1 << i
+            present.append(digest.value)
     out += bitmap.to_bytes(2, "big")
-    for i, value in enumerate(hashes):
-        if bitmap >> i & 1:
-            out += value.value
+    out += b"".join(present)
 
 
 def _decode_hash_set(reader: Reader, count: int) -> tuple[Hash, ...]:
     bitmap = int.from_bytes(reader.read(2), "big")
     if bitmap >> count:
         raise ProofError(f"hash-set bitmap names slots beyond {count}")
-    zero = Hash.zero()
-    return tuple(
-        Hash(reader.read(32)) if bitmap >> i & 1 else zero
-        for i in range(count)
-    )
+    blob = reader.read(HASH_BYTES * bitmap.bit_count())
+    hashes = [Hash.zero()] * count
+    offset = 0
+    for i in range(count):
+        if bitmap >> i & 1:
+            hashes[i] = Hash(blob[offset:offset + HASH_BYTES])
+            offset += HASH_BYTES
+    return tuple(hashes)
 
 
 def _write_step(out: bytearray, step: Step) -> None:

@@ -193,11 +193,12 @@ class SealableTrie:
             return self._split_leaf(node, path, value)
 
         if isinstance(node, ExtensionNode):
-            prefix = common_prefix_len(node.path, path)
-            if prefix == len(node.path):
-                child = self._set(node.child, path[prefix:], value)
-                return ExtensionNode(node.path, child)
-            return self._split_extension(node, prefix, path, value)
+            own = node.path
+            if path[: len(own)] == own:
+                child = self._set(node.child, path[len(own):], value)
+                return ExtensionNode(own, child)
+            return self._split_extension(
+                node, common_prefix_len(own, path), path, value)
 
         # BranchNode — rebuild via replacing_child/replacing_value so the
         # untouched sibling hashes carry over (incremental rehash).
@@ -343,7 +344,10 @@ class SealableTrie:
                 raise KeyNotFoundError(f"key {key.hex()} not in trie")
             return self._collapse_branch(node.replacing_value(None))
         new_child = self._delete(node.children[path[0]], path[1:], key)
-        return self._collapse_branch(node.replacing_child(path[0], new_child))
+        branch = node.replacing_child(path[0], new_child)
+        if new_child is None or isinstance(new_child, SealedNode):
+            return self._collapse_branch(branch)
+        return branch  # a live child keeps its slot: nothing to collapse
 
     def _merge_extension(self, path: Nibbles, child: Node) -> Node:
         """Normalize an extension so no extension points at a leaf,
@@ -363,20 +367,18 @@ class SealableTrie:
         Takes (and may return) the already-rebuilt branch so its carried
         child-hash cache survives when no collapse applies.
         """
-        children = branch.children
-        occupied = [i for i, child in enumerate(children) if child is not None]
+        occupied = branch.child_count()
         if branch.value is not None:
             if not occupied:
                 return LeafNode((), branch.value)
             return branch
         if not occupied:
             return None
-        if len(occupied) == 1:
-            index = occupied[0]
-            only = children[index]
-            assert only is not None
-            return self._merge_extension((index,), only)
-        if branch.live_child_count() == 0:
+        if occupied == 1:
+            for index, only in enumerate(branch.children):
+                if only is not None:
+                    return self._merge_extension((index,), only)
+        if not branch.has_live_child():
             # Every remaining occupant is sealed (e.g. the one live leaf
             # of a re-materialized sealed branch was deleted): collapse
             # back into a branch stub.  Hash-neutral, but the branch node
@@ -434,7 +436,8 @@ class SealableTrie:
             )
         sealed_child = self._seal(node.children[path[0]], path[1:], key)
         branch = node.replacing_child(path[0], sealed_child)
-        if branch.value is None and branch.live_child_count() == 0:
+        if (isinstance(sealed_child, SealedNode) and branch.value is None
+                and not branch.has_live_child()):
             return SealedNode.of_branch(branch)
         return branch
 
@@ -535,7 +538,7 @@ class SealableTrie:
                     )
                 # BRANCH kind (an OPAQUE stub covers every path).
                 own = node.path
-                if common_prefix_len(own, path) < len(own):
+                if path[: len(own)] != own:
                     return NonMembershipProof(
                         key=key, steps=tuple(steps),
                         evidence=DivergentExtensionEvidence(
@@ -563,8 +566,7 @@ class SealableTrie:
                         path=node.path, commitment=value_commitment(node.value)),
                 )
             if isinstance(node, ExtensionNode):
-                prefix = common_prefix_len(node.path, path)
-                if prefix < len(node.path):
+                if path[: len(node.path)] != node.path:
                     return NonMembershipProof(
                         key=key, steps=tuple(steps),
                         evidence=DivergentExtensionEvidence(
@@ -615,10 +617,11 @@ class SealableTrie:
     def node_count(self) -> int:
         """Number of live (unsealed) nodes in storage.
 
-        O(1) for a clean trie: reads the root's cached subtree aggregate
-        (O(dirty path) right after a mutation).  The state-budget check
-        runs this on every contract execution, so the full-trie walk it
-        replaced dominated the soak wall-clock profile.
+        Reads the root's subtree aggregate, which every mutation carries
+        onto the rebuilt path once it has been summed (the first query
+        sums the trie, later ones read one tuple).  The state-budget
+        check runs this on every contract execution, so the full-trie
+        walk it replaced dominated the soak wall-clock profile.
         """
         if self._root is None:
             return 0

@@ -53,6 +53,26 @@ class TestHashConcat:
     def test_order_matters(self):
         assert hash_concat(b"a", b"b") != hash_concat(b"b", b"a")
 
+    @pytest.mark.parametrize("parts", [
+        (),
+        (b"",),
+        (hash_bytes(b"only"),),
+        (b"\x02", *[hash_bytes(bytes([i])) for i in range(16)], b"\xff"),
+        (b"\x00", b"\x01\x23", hash_bytes(b"commitment")),
+        (hash_bytes(b"a"), b"x" * 255, hash_bytes(b"b"), b"y" * 256, b"z" * 70_000),
+        (bytearray(b"mutable"), Hash.zero(), memoryview(b"view")),
+        (bytes(32), Hash.zero()),
+    ])
+    def test_matches_the_literal_framing(self, parts):
+        """``len(part)`` as 4 big-endian bytes, then the part, for every
+        part in order — whatever mix of digests, short and long byte
+        strings the call carries."""
+        preimage = b""
+        for part in parts:
+            raw = bytes(part)
+            preimage += len(raw).to_bytes(4, "big") + raw
+        assert hash_concat(*parts) == Hash(hashlib.sha256(preimage).digest())
+
 
 class TestMerkleRoot:
     def test_empty_is_zero(self):

@@ -16,7 +16,14 @@ from repro.guest.block import GuestBlockHeader, sign_message
 from repro.guest.epoch import Epoch
 from repro.ibc.identifiers import ChannelId, PortId
 from repro.ibc.packet import Acknowledgement, Packet
-from repro.trie import SealableTrie
+from repro.trie import (
+    MembershipProof,
+    NonMembershipProof,
+    SealableTrie,
+    verify_membership,
+    verify_non_membership,
+)
+from repro.trie.proof import BranchStep, EmptySlotEvidence, ExtensionStep
 from repro.trie.store import ProvableStore, path_key, seq_key
 
 
@@ -87,6 +94,92 @@ class TestStoreVectors:
         )
         # 24-byte hashed prefix, 8-byte big-endian sequence.
         assert key[24:] == (7).to_bytes(8, "big")
+
+
+class TestProofWireVectors:
+    """Proof bytes, pinned: a counterparty parses exactly these.  Taken
+    before the hash-set codec and the node-hash framing were reworked
+    (docs/PERFORMANCE.md, "Trie, second pass"), so they hold the wire
+    format, not one implementation of it."""
+
+    PREFIX = "receipts/ports/transfer/channels/channel-0"
+
+    def build(self):
+        """One hashed path beside 40 sequenced receipts (a root branch,
+        then the extension over the shared key prefix, then branches on
+        the sequence nibbles), with sequences 0x10-0x1e sealed: their
+        branch is a stub whose slot 0xf was never written."""
+        store = ProvableStore()
+        store.set("connections/connection-0", b"conn")
+        for sequence in range(0x29):
+            if sequence != 0x1F:
+                store.set_seq(self.PREFIX, sequence, b"receipt-%d" % sequence)
+        for sequence in range(0x10, 0x1F):
+            store.seal_seq(self.PREFIX, sequence)
+        return store
+
+    def test_store_root(self):
+        assert self.build().root_hash.hex() == (
+            "062cca5974c193c280e0af85ee8ab4aef492d4ca479fd5a5e1cf95df96231c17"
+        )
+
+    def test_membership_proof_bytes(self):
+        store = self.build()
+        proof = store.prove_seq(self.PREFIX, 0x23)
+        assert [type(step) for step in proof.steps] == [
+            BranchStep, ExtensionStep, BranchStep, BranchStep]
+        wire = proof.to_bytes()
+        assert wire.hex() == (
+            "2035d25534a57ebcbcc0194357d27243443f69f3d0a7f3c88000000000000000"
+            "230a726563656970742d3335010004010300043a6eedaa0e6bf0a053cb64b9ad"
+            "3e551676d6386668012344f550e239b1ece18e000020015d25534a57ebcbcc01"
+            "94357d27243443f69f3d0a7f3c880000000000000000010200030d0d7eca2495"
+            "d67fb51fd0f2b01d8f91b7e75e4c4d5adad3c291e566055df490357bf7497847"
+            "b301b7ed09dbcfe7c8fbb69a11f31c0818d5a64f6841d54362b200010300ffc5"
+            "727633129a32fd9c2e46c30d0c9fe1d11634e302c0264b26e9ee91ba3a48fd4d"
+            "999a71d28b6d89cefb1c63cb031de0e62b4e7bcae3e283d15463b7771d0e17ed"
+            "2cf52d0b9107275eb2f46742ffb6bb492b65955c5973b68fdb9821fccd25ff8b"
+            "1b2999d35c6c16c1c1018b87f7c6a3af5c8debee81c62856159365fa888cf298"
+            "f98a6133222c92daab950a3ec0107e1f2980b51965794311580784d2044e1442"
+            "97616688910a4896461b23f173c41774d19ef706e1e2a2f4423bb977dfa02268"
+            "f9be933d1f25e3d72683716a474e65be4f9795b553969b7294ffc59e0ffb600d"
+            "d261828f4d311c26ddbe30fd2dba30ed41a11d3e43753f9e4388938427433800"
+        )
+        assert MembershipProof.from_bytes(wire) == proof
+        assert verify_membership(store.root_hash, proof)
+
+    def test_absence_proof_through_a_sealed_branch_bytes(self):
+        store = self.build()
+        proof = store.prove_seq_absence(self.PREFIX, 0x1F)
+        assert [type(step) for step in proof.steps] == [
+            BranchStep, ExtensionStep, BranchStep]
+        assert isinstance(proof.evidence, EmptySlotEvidence)
+        wire = proof.to_bytes()
+        assert wire.hex() == (
+            "2035d25534a57ebcbcc0194357d27243443f69f3d0a7f3c88000000000000000"
+            "1f03010300043a6eedaa0e6bf0a053cb64b9ad3e551676d6386668012344f550"
+            "e239b1ece18e000020015d25534a57ebcbcc0194357d27243443f69f3d0a7f3c"
+            "880000000000000000010100030d0d7eca2495d67fb51fd0f2b01d8f91b7e75e"
+            "4c4d5adad3c291e566055df49058843c5bc08f4b3dc01a7e185b7cb90879c74f"
+            "a6623fd6793f910c43a1816c2e00017fff704aa9a6ff186a608108a96fac4c77"
+            "5aa6825a995355b94ce736a150f8989803c5d8e927d827660e0899a087408fec"
+            "4492cdb2394cbb27d01ea411e8a411e377a1d9d300d806d6d66fe0c1fd402e7a"
+            "e1db9faad71ba8b5cd47295070fb7b8bb5df13b3f76b8e87c51cc77531de3bb8"
+            "d9e3a39608ba7f2771d8ff195b85b55b5e7f742760faffa9f1e5d0630c1dda44"
+            "3b3f0c192b8eb2468fd67fc96462ffeb79cc0a1bc6059b72f3c14ded7287628a"
+            "c80e554d7a7e4c8ce1951508732919ac95c5df08675028a9e61d7d98d1e73c2b"
+            "432532f765c9c95b0d39fd23af298c8581e8244cf5db41e2ad20fb523eada0ff"
+            "cdc7a65542a6eb922b3bdef5ddce61e74ae83c594249c1f5c274ce21c07301c0"
+            "750ee1d68c032970206db9fe07e548d1f897a926c84ee975eaa2dccd5257f334"
+            "60652af22620e67b88dbd4772b03f7bc2bc1fb4632d2b5c12ae5ebd894ff2cde"
+            "6a31275ab0c050e821a0f40a4c31d3fa62a84e00c478d2a45faa85e81d42030e"
+            "104a0ccaf14f240e5250ccfc4259b5334cc48a5a8cd4e983639dcf7c711a5e91"
+            "ab4674f46e8bc3eaff8fdb3cfce113928928fdb422087c0f46085b5cf8813718"
+            "24f2f38a73d17a0228219ffff261abf983907c4d958d567aad243761d9d98b8f"
+            "e0123fa0363f866aff4b81ad73f480ffde00"
+        )
+        assert NonMembershipProof.from_bytes(wire) == proof
+        assert verify_non_membership(store.root_hash, proof)
 
 
 class TestIbcVectors:

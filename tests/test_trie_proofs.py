@@ -5,7 +5,8 @@ import hashlib
 import pytest
 
 from repro.crypto.hashing import Hash
-from repro.errors import SealedNodeError, TrieError
+from repro.encoding import Reader
+from repro.errors import ProofError, SealedNodeError, TrieError
 from repro.trie import (
     MembershipProof,
     NonMembershipProof,
@@ -13,6 +14,7 @@ from repro.trie import (
     verify_membership,
     verify_non_membership,
 )
+from repro.trie.proof import _decode_hash_set, _write_hash_set
 
 
 def key(i: int) -> bytes:
@@ -96,6 +98,52 @@ class TestMembershipProofs:
         except ValueError:
             return  # malformed wire data is an acceptable failure
         assert not verify_membership(populated.root_hash, restored)
+
+
+class TestHashSetCodec:
+    """The occupancy-bitmap encoding of a branch's hashes keeps its
+    refusals: it never reads past the buffer and never accepts a bitmap
+    wider than the set."""
+
+    def test_round_trip_keeps_slots(self):
+        hashes = tuple(Hash.of(bytes([i])) if i % 3 else Hash.zero()
+                       for i in range(16))
+        for count in (15, 16):
+            out = bytearray()
+            _write_hash_set(out, hashes[:count])
+            present = sum(1 for h in hashes[:count] if h != Hash.zero())
+            assert len(out) == 2 + 32 * present
+            reader = Reader(bytes(out))
+            assert _decode_hash_set(reader, count) == hashes[:count]
+            reader.expect_end()
+
+    def test_a_zero_digest_is_an_empty_slot_whoever_built_it(self):
+        out = bytearray()
+        _write_hash_set(out, (Hash(bytes(32)),) * 16)
+        assert bytes(out) == b"\x00\x00"
+
+    @pytest.mark.parametrize("missing", [1, 31, 32, 33, 64])
+    def test_truncated_blob_is_refused(self, missing):
+        out = bytearray()
+        _write_hash_set(out, tuple(Hash.of(bytes([i])) for i in range(15)))
+        with pytest.raises(ValueError, match="truncated buffer"):
+            _decode_hash_set(Reader(bytes(out[:-missing])), 15)
+
+    def test_truncated_bitmap_is_refused(self):
+        with pytest.raises(ValueError, match="truncated buffer"):
+            _decode_hash_set(Reader(b"\x7f"), 15)
+
+    def test_bitmap_beyond_the_set_is_refused(self):
+        wire = (1 << 15).to_bytes(2, "big") + bytes(32)
+        with pytest.raises(ProofError, match="beyond 15"):
+            _decode_hash_set(Reader(wire), 15)
+        assert len(_decode_hash_set(Reader(wire), 16)) == 16
+
+    def test_truncated_proof_is_refused_whole(self, populated):
+        wire = populated.prove(key(5)).to_bytes()
+        for cut in range(1, 40):
+            with pytest.raises(ValueError):
+                MembershipProof.from_bytes(wire[:-cut])
 
 
 class TestNonMembershipProofs:

@@ -6,18 +6,21 @@ never changes the root; proofs cannot be transplanted or tampered with.
 """
 
 import hashlib
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.hashing import Hash
-from repro.errors import KeyNotFoundError, SealedNodeError
+from repro.errors import KeyNotFoundError, SealedNodeError, TrieError
 from repro.trie import (
     MembershipProof,
     SealableTrie,
     verify_membership,
     verify_non_membership,
 )
+from repro.trie.nodes import BranchNode, ExtensionNode, SealedNode
 
 # Hashed 32-byte keys, like the provable stores use.
 keys = st.binary(min_size=1, max_size=8).map(lambda b: hashlib.sha256(b).digest())
@@ -332,6 +335,157 @@ def test_cached_aggregates_survive_sequenced_churn(window, total):
                 trie.seal(seq_key(j))
         assert (trie.storage_bytes(), trie.node_count(),
                 trie.sealed_count()) == trie.recount_aggregates()
+
+
+# ----------------------------------------------------------------------
+# Aggregate differential at every node
+# ----------------------------------------------------------------------
+#
+# A rebuilt branch takes its aggregate from the node it replaces (old -
+# old child + new child) when that one had been summed, and stays
+# unsummed otherwise.  Which of the two a mutation meets depends on when
+# the totals were last asked for, so the same interleavings run under
+# three query cadences, and after every op each aggregate a node holds
+# must equal a recount of that node's own subtree.
+
+def _subtree_recount(node) -> tuple:
+    view = SealableTrie()
+    view._root = node
+    return view.recount_aggregates()
+
+
+def _inner_nodes(trie: SealableTrie):
+    return [node for node in trie._iter_live_nodes()
+            if isinstance(node, (BranchNode, ExtensionNode))]
+
+
+def _check_held_aggregates(trie: SealableTrie) -> None:
+    """Reads ``_agg`` rather than ``aggregates()``: looking must not sum
+    a node the cadence has left unsummed."""
+    for node in _inner_nodes(trie):
+        if node._agg is not None:
+            assert node._agg == _subtree_recount(node), node
+
+
+def _query_and_check_every_node(trie: SealableTrie) -> None:
+    assert (trie.storage_bytes(), trie.node_count(),
+            trie.sealed_count()) == trie.recount_aggregates()
+    for node in _inner_nodes(trie):
+        assert node.aggregates() == _subtree_recount(node), node
+
+
+def _run_under_cadence(ops, cadence: str, rng: random.Random) -> SealableTrie:
+    trie = SealableTrie()
+    for kind, key, *value in ops:
+        try:
+            getattr(trie, kind)(key, *value)
+        except TrieError:
+            pass  # a refused op must leave every held aggregate valid too
+        if cadence == "every" or (cadence == "random" and rng.random() < 0.3):
+            _query_and_check_every_node(trie)
+        _check_held_aggregates(trie)
+    _query_and_check_every_node(trie)
+    return trie
+
+
+_CADENCES = ("every", "never", "random")
+
+# Short raw keys beside the hashed pool: a key that is a prefix of
+# another puts a value on a branch, shared prefixes make extensions.
+_SHAPE_POOL = _POOL[:6] + [
+    b"\x12", b"\x12\x34", b"\x12\x35", b"\x12\x34\x56",
+    b"\xab\xcd\x01", b"\xab\xcd\x02", b"\xab\xce\x01",
+    b"\x50", b"\x51", b"\x52",
+]
+
+_shape_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(_SHAPE_POOL),
+                  st.binary(min_size=0, max_size=32)),
+        st.tuples(st.just("delete"), st.sampled_from(_SHAPE_POOL)),
+        st.tuples(st.just("seal"), st.sampled_from(_SHAPE_POOL)),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shape_ops, st.sampled_from(_CADENCES), st.randoms(use_true_random=False))
+def test_every_node_aggregate_matches_its_subtree(ops, cadence, rng):
+    _run_under_cadence(ops, cadence, rng)
+
+
+def _branch_value_script():
+    """``replacing_value``: a value lands on, changes at and leaves a
+    branch that keeps its children."""
+    return [("set", b"\x12\x34", b"a"), ("set", b"\x12\x35", b"b"),
+            ("set", b"\x12", b"on-branch"), ("set", b"\x12", b"longer value"),
+            ("delete", b"\x12"), ("set", b"\x12", b"back"),
+            ("delete", b"\x12\x34"), ("delete", b"\x12\x35")]
+
+
+def _extension_script():
+    """Extension split at the head, in the middle and at the tail, then
+    the merges back as the diverging keys go."""
+    return [("set", b"\xab\xcd\x01", b"a"), ("set", b"\xab\xcd\x02", b"b"),
+            ("set", b"\xab\xce\x01", b"mid"), ("set", b"\x1b\xcd\x01", b"head"),
+            ("set", b"\xab\xcd\x11", b"tail"),
+            ("delete", b"\x1b\xcd\x01"), ("delete", b"\xab\xce\x01"),
+            ("delete", b"\xab\xcd\x11"), ("delete", b"\xab\xcd\x02")]
+
+
+def _sealed_branch_script():
+    """A branch sealed whole (collapse to a stub on seal), a key set
+    into its empty slot (``_expand_sealed_branch``), deleted again
+    (collapse to a stub on delete), beside a live sibling subtree."""
+    return [("set", b"\x50", b"a"), ("set", b"\x51", b"b"), ("set", b"\x60", b"c"),
+            ("seal", b"\x50"), ("seal", b"\x51"),
+            ("set", b"\x52", b"beside"), ("set", b"\x52", b"rewritten"),
+            ("delete", b"\x52"),
+            ("set", b"\x53", b"again"), ("seal", b"\x53"),
+            ("delete", b"\x60")]
+
+
+@pytest.mark.parametrize("cadence", _CADENCES)
+@pytest.mark.parametrize("script", [
+    _branch_value_script, _extension_script, _sealed_branch_script])
+def test_named_shapes_keep_every_node_aggregate(script, cadence):
+    ops = script()
+    for seed in range(5):
+        trie = _run_under_cadence(ops, cadence, random.Random(seed))
+    if script is _branch_value_script:
+        assert dict(trie.items()) == {b"\x12": b"back"}
+    elif script is _extension_script:
+        assert dict(trie.items()) == {b"\xab\xcd\x01": b"a"}
+    else:
+        # Everything left is sealed: one branch stub behind its prefix.
+        root = trie._root
+        assert isinstance(root, SealedNode) and root.kind == SealedNode.BRANCH
+        assert trie.recount_aggregates() == (0, 0, 1)
+
+
+def test_named_shapes_reach_the_paths_they_name(monkeypatch):
+    """The scripts above are only worth their names if they run the
+    code they name."""
+    reached = set()
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            reached.add(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(BranchNode, "replacing_value")
+    spy(SealableTrie, "_split_extension")
+    spy(SealableTrie, "_merge_extension")
+    spy(SealableTrie, "_expand_sealed_branch")
+    spy(SealedNode, "of_branch")
+    for script in (_branch_value_script, _extension_script, _sealed_branch_script):
+        _run_under_cadence(script(), "never", random.Random(0))
+    assert reached == {"replacing_value", "_split_extension", "_merge_extension",
+                       "_expand_sealed_branch", "of_branch"}
 
 
 def _expect(error, thunk):

@@ -1,6 +1,8 @@
 """Structural tests for the trie's internals: nibbles, node shapes and
 the edge cases of splitting/merging paths."""
 
+import random
+
 import pytest
 
 from repro.crypto.hashing import Hash
@@ -23,6 +25,26 @@ class TestNibbles:
     def test_high_nibble_first(self):
         assert key_to_nibbles(b"\xab") == (0xA, 0xB)
 
+    def test_expansion_matches_shift_and_mask(self):
+        """The one-pass expansion against the definition, nibble by
+        nibble, over the edge keys and a seeded random sample."""
+        def reference(key: bytes) -> tuple:
+            out = []
+            for byte in key:
+                out.append(byte >> 4)
+                out.append(byte & 0x0F)
+            return tuple(out)
+
+        rng = random.Random(15)
+        keys = [b"", b"\x00", b"\x0f", b"\xf0", b"\xff", bytes(32), b"\xff" * 32,
+                bytes(range(256))]
+        keys += [rng.randbytes(rng.randrange(1, 65)) for _ in range(500)]
+        for key in keys:
+            path = key_to_nibbles(key)
+            assert path == reference(key)
+            assert all(type(nibble) is int for nibble in path)
+            assert nibbles_to_key(path) == key
+
     def test_odd_pack_rejected(self):
         with pytest.raises(ValueError):
             nibbles_to_key((1, 2, 3))
@@ -32,7 +54,9 @@ class TestNibbles:
         assert common_prefix_len((), (1,)) == 0
         assert common_prefix_len((5,), (5,)) == 1
 
-    @pytest.mark.parametrize("path", [(), (1,), (1, 2), (0xF,) * 7, (0, 0, 0)])
+    @pytest.mark.parametrize("path", [
+        (), (1,), (1, 2), (0xF,) * 7, (0, 0, 0),
+        (0xF,), (0,), (0xA, 0, 0xF), (0xF,) * 63, (0,) * 63, tuple(range(16)) + (7,)])
     def test_encoding_roundtrip(self, path):
         assert decode_nibbles(encode_nibbles(path)) == path
 
