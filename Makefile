@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test lint bench bench-smoke figures examples cluster-smoke \
 	chaos-smoke accountability-smoke wallclock-smoke profile-soak \
-	fabric-smoke state-smoke all
+	fabric-smoke state-smoke lc-update-smoke all
 
 install:
 	pip install -e . && pip install pytest pytest-benchmark hypothesis
@@ -71,6 +71,14 @@ fabric-smoke:
 # (docs/STATE.md).  Writes BENCH_state_smoke.json.
 state-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments state-smoke
+
+# Fig. 4/5 over six simulated hours, both update plans: the paper's
+# must stay at 30-43 transactions per update, the relayer's default at
+# 17 or fewer, and each must cost 0.1 c x (transactions + signatures)
+# (EXPERIMENTS.md).  Writes BENCH_fig4.json and BENCH_fig5.json.
+lc-update-smoke:
+	PYTHONPATH=src $(PYTHON) -m repro.experiments fig4 fig5 \
+		--duration-hours 6
 
 # cProfile the soak workload and print the top of the profile.
 profile-soak:

@@ -17,8 +17,9 @@ from repro.experiments.evaluation import EvaluationConfig, EvaluationRun
 
 @pytest.fixture(scope="session")
 def evaluation():
-    """The main §V deployment (Figs. 2-5, Table I, ReceivePacket)."""
-    run = EvaluationRun(EvaluationConfig())
+    """The main §V deployment (Figs. 2-5, Table I, ReceivePacket), its
+    relayer shipping light-client updates whole, as the paper's did."""
+    run = EvaluationRun(EvaluationConfig(lc_update_plan="paper"))
     return run.execute()
 
 

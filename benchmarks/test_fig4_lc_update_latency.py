@@ -7,7 +7,7 @@ under 25 s and 96 % under one minute (§V-A).
 import statistics
 
 from conftest import emit
-from repro.experiments.report import render_fig4
+from repro.experiments.report import lc_update_series, render_fig4
 from repro.metrics.stats import fraction_below
 
 
@@ -18,7 +18,7 @@ def extract(evaluation):
 
 def test_fig4_lc_update_latency(evaluation, benchmark):
     tx_counts, latencies = benchmark(extract, evaluation)
-    emit(render_fig4(evaluation))
+    emit(render_fig4({"paper": lc_update_series(evaluation)}))
 
     assert len(latencies) > 30
     # Transaction counts emerge from byte arithmetic near the paper's 36.5.

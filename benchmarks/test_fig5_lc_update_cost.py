@@ -6,7 +6,7 @@ size and signature count (§V-B).
 """
 
 from conftest import emit
-from repro.experiments.report import render_fig5
+from repro.experiments.report import lc_update_series, render_fig5
 from repro.units import lamports_to_cents
 
 
@@ -18,7 +18,7 @@ def extract(evaluation):
 
 def test_fig5_lc_update_cost(evaluation, benchmark):
     pairs = benchmark(extract, evaluation)
-    emit(render_fig5(evaluation))
+    emit(render_fig5({"paper": lc_update_series(evaluation)}))
 
     assert len(pairs) > 30
     # Exact fee decomposition: cost == 0.1c x (txs + signatures).

@@ -44,6 +44,13 @@ _BASELINE = {
     "packets_per_sec": 62.17,
 }
 
+#: Events the soak dispatches today.  The simulation was bit-identical
+#: to the baseline run (72 745) until the chunked light-client update
+#: shrank to the quorum prefix and a validator-set delta: the same
+#: packets, ~21 fewer host transactions per update.  Re-pin only with a
+#: change that means to move simulated behaviour.
+_EVENTS_DISPATCHED = 70_977
+
 #: The overhaul's target: at least this multiple of the baseline
 #: events/sec.  Measured speedup was ~14x; 3x absorbs machine variance.
 _MIN_SPEEDUP = 3.0
@@ -74,12 +81,9 @@ def test_wallclock_soak_speedup():
     # every packet offered is delivered, none left in flight.
     assert result.sent == result.delivered
     assert result.outstanding == 0
-    # The simulation is bit-identical to the pre-overhaul run as long as
-    # the soak shape is unchanged; a drift here means a *semantic*
-    # change snuck in with a perf patch (re-measure the baseline if the
-    # workload shape was changed deliberately).
-    assert result.events_dispatched == _BASELINE["events_dispatched"], (
-        result.events_dispatched, _BASELINE["events_dispatched"])
+    # A drift here means a *semantic* change snuck in with a perf patch.
+    assert result.events_dispatched == _EVENTS_DISPATCHED, (
+        result.events_dispatched, _EVENTS_DISPATCHED)
 
     speedup = result.events_per_sec / _BASELINE["events_per_sec"]
     assert speedup >= _MIN_SPEEDUP, (

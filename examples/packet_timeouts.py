@@ -13,6 +13,7 @@ Run:  python examples/packet_timeouts.py
 from repro import Deployment, DeploymentConfig
 from repro.guest.config import GuestConfig
 from repro.ibc import commitment as paths
+from repro.relayer.updates import LC_UPDATE_WINDOW
 from repro.validators.profiles import simple_profiles
 
 
@@ -63,7 +64,8 @@ def main() -> None:
           f"(deadline {deadline:.0f} s) — relaying a fresh header...")
     done = []
     deployment.relayer_api.submit_lc_update(
-        counterparty.light_client_update(), on_done=done.append,
+        counterparty.light_client_update(), window=LC_UPDATE_WINDOW,
+        on_done=done.append,
     )
     deployment.run_for(120.0)
     assert done and done[-1].success

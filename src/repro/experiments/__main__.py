@@ -77,19 +77,35 @@ profiling = _Lazy("experiments.profiling")
 audit = _Lazy("checkpoint.audit")
 
 
-def _evaluation(seed: int, hours: float):
+def _evaluation(seed: int, hours: float, plan: str):
     """The evaluation deployment behind six of the figures (``main``
     memoises it per invocation, so it runs once however many of them
-    are selected)."""
+    are selected), its relayer shipping light-client updates by
+    ``plan``: ``"paper"``, the way the deployment did, for every
+    figure."""
     from repro.experiments.evaluation import EvaluationConfig, EvaluationRun
 
     return EvaluationRun(EvaluationConfig(
-        seed=seed, duration=hours * 3600.0)).execute()
+        seed=seed, duration=hours * 3600.0, lc_update_plan=plan)).execute()
 
 
 def _figure(about: str, render: Callable) -> Target:
-    return Target(about, run=lambda o: o.evaluation(o.seed, o.duration_hours),
-                  render=render, figure=True, seed=2024)
+    return Target(
+        about, run=lambda o: o.evaluation(o.seed, o.duration_hours, "paper"),
+        render=render, figure=True, seed=2024)
+
+
+def _lc_figure(about: str, render: Callable, record: str) -> Target:
+    """Fig. 4/5: the paper's update plan is the figure; the relayer's
+    default plan runs beside it, and both are gated."""
+    return Target(
+        about,
+        run=lambda o: {
+            plan: report.lc_update_series(
+                o.evaluation(o.seed, o.duration_hours, plan))
+            for plan in ("paper", "quorum")},
+        render=render, record=record, check=report.check_lc_update_plans,
+        figure=True, seed=2024)
 
 
 def _fig6(opts):
@@ -104,8 +120,10 @@ TARGETS: dict[str, Target] = {
     "fig2": _figure("Fig. 2, send latency and its decomposition",
                     report.render_fig2),
     "fig3": _figure("Fig. 3, send cost by fee strategy", report.render_fig3),
-    "fig4": _figure("Fig. 4, light-client update latency", report.render_fig4),
-    "fig5": _figure("Fig. 5, light-client update cost", report.render_fig5),
+    "fig4": _lc_figure("Fig. 4, light-client update latency",
+                       report.render_fig4, "fig4"),
+    "fig5": _lc_figure("Fig. 5, light-client update cost",
+                       report.render_fig5, "fig5"),
     "recv": _figure("§V-A ReceivePacket cost", report.render_receive_packet),
     "table1": _figure("Table I, validator statistics", report.render_table1),
     "fig6": Target(

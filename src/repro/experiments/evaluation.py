@@ -29,6 +29,7 @@ from repro.host.fees import PriorityFee
 from repro.host.transaction import TxReceipt
 from repro.metrics.stats import Summary, correlation, summarize
 from repro.observability import TraceReport
+from repro.relayer.relayer import RelayerConfig
 from repro.units import MAX_COMPUTE_UNITS, lamports_to_cents, lamports_to_usd
 from repro.validators.profiles import deployment_profiles
 
@@ -64,6 +65,10 @@ class EvaluationConfig:
     #: On by default: the latency-decomposition and send-cost benches
     #: read their phase breakdowns straight from the trace report.
     tracing: bool = True
+    #: What the relayer's chunked updates carry
+    #: (:data:`repro.relayer.updates.LC_UPDATE_PLANS`).  The Fig. 4/5
+    #: reproduction sets ``"paper"``: the deployment's ~36 transactions.
+    lc_update_plan: str = "quorum"
 
 
 @dataclass
@@ -149,6 +154,7 @@ class EvaluationRun:
                 store_preload_entries=cfg.counterparty_preload,
                 retain_blocks=2_000,
             ),
+            relayer=RelayerConfig(lc_update_plan=cfg.lc_update_plan),
             profiles=profiles,
             tracing=cfg.tracing,
         ))

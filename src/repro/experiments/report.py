@@ -60,35 +60,95 @@ def render_fig3(results: EvaluationResults) -> str:
     return "\n".join(lines)
 
 
-def render_fig4(results: EvaluationResults) -> str:
-    """Fig. 4: light-client update latency + transaction counts."""
+def lc_update_series(results: EvaluationResults) -> dict[str, list]:
+    """Fig. 4/5's raw series, JSON-ready: one entry per adopted update."""
     updates = [u for u in results.lc_updates if u.success]
-    tx_counts = [u.transaction_count for u in updates]
-    latencies = [u.latency for u in updates]
+    return {
+        "transactions": [u.transaction_count for u in updates],
+        "signatures": [u.signature_count for u in updates],
+        "latency_s": [u.latency for u in updates],
+        "cents": [lamports_to_cents(u.total_fee) for u in updates],
+    }
+
+
+def _default_plan_line(plans: dict[str, dict], series: str, label: str,
+                       unit: str) -> list[str]:
+    """The relayer's default plan beside the paper's, when it was run."""
+    if "quorum" not in plans:
+        return []
+    default = plans["quorum"]
+    return [
+        f"  default plan (quorum prefix + validator-set delta): "
+        f"{statistics.mean(default['transactions']):.1f} txs, "
+        f"{statistics.mean(default['signatures']):.0f} signatures, "
+        f"{label} p50 {statistics.median(default[series]):.1f} {unit} "
+        f"over {len(default[series])} updates"
+    ]
+
+
+def render_fig4(plans: dict[str, dict]) -> str:
+    """Fig. 4: light-client update latency + transaction counts.
+
+    ``plans`` maps an update plan (``repro.relayer.updates.
+    LC_UPDATE_PLANS``) to its :func:`lc_update_series`; the figure is
+    the ``"paper"`` plan's.
+    """
+    tx_counts = plans["paper"]["transactions"]
+    latencies = plans["paper"]["latency_s"]
     lines = [
         "Fig. 4 — latency of counterparty light-client updates on the guest",
         f"  transactions per update: mean {statistics.mean(tx_counts):.1f}, "
         f"std {statistics.pstdev(tx_counts):.1f}   [paper: 36.5 ± 5.8]",
         "  " + format_distribution(latencies, "s", thresholds=[25.0, 60.0]),
         "  [paper: 50 % < 25 s, 96 % < 60 s]",
+        *_default_plan_line(plans, "latency_s", "latency", "s"),
         cdf(latencies, unit="s", markers=[25.0, 60.0], title="  CDF:"),
     ]
     return "\n".join(lines)
 
 
-def render_fig5(results: EvaluationResults) -> str:
+def _fee_model_deviation(series: dict) -> float:
+    """Largest distance of an update's cost from §V-B's
+    0.1 ¢ × (transactions + signatures)."""
+    return max(
+        abs(cents - 0.1 * (txs + signatures))
+        for cents, txs, signatures in zip(
+            series["cents"], series["transactions"], series["signatures"]))
+
+
+def render_fig5(plans: dict[str, dict]) -> str:
     """Fig. 5: light-client update cost (0.1 ¢/tx + 0.1 ¢/signature)."""
-    updates = [u for u in results.lc_updates if u.success]
-    costs = [lamports_to_cents(u.total_fee) for u in updates]
-    expected = [0.1 * (u.transaction_count + u.signature_count) for u in updates]
+    costs = plans["paper"]["cents"]
     lines = [
         "Fig. 5 — cost of light-client updates (cents)",
         "  " + format_distribution(costs, "c"),
         f"  matches 0.1c/tx + 0.1c/signature model: "
-        f"max deviation {max(abs(c - e) for c, e in zip(costs, expected)):.2f}c",
+        f"max deviation {_fee_model_deviation(plans['paper']):.2f}c",
+        *_default_plan_line(plans, "cents", "cost", "c"),
         histogram(costs, bins=8, unit="c", title="  distribution:"),
     ]
     return "\n".join(lines)
+
+
+def check_lc_update_plans(plans: dict[str, dict]) -> list[str]:
+    """Gate on Fig. 4/5: the paper plan still reproduces the paper and
+    the default plan still saves what it claims."""
+    failures = []
+    paper = statistics.mean(plans["paper"]["transactions"])
+    if not 30 <= paper <= 43:
+        failures.append(
+            f"paper plan: {paper:.1f} txs per update, outside Fig. 4's 30-43")
+    default = statistics.mean(plans["quorum"]["transactions"])
+    if default > 17:
+        failures.append(
+            f"default plan: {default:.1f} txs per update, over the 17 budget")
+    for plan, series in plans.items():
+        deviation = _fee_model_deviation(series)
+        if deviation >= 0.01:
+            failures.append(
+                f"{plan} plan: cost is not 0.1c x (txs + signatures) "
+                f"(off by {deviation:.2f}c)")
+    return failures
 
 
 def render_receive_packet(results: EvaluationResults) -> str:

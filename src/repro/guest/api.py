@@ -4,7 +4,8 @@ Wraps every contract operation into properly sized host transactions:
 single-transaction calls (send, generate, sign, stake), atomic bundles
 for packet delivery (the 4–5 transactions of §V-A that land in one host
 block), and the windowed multi-transaction flow for chunked light-client
-updates (the 36.5-transaction updates of Fig. 4).
+updates (Fig. 4: 36.5 transactions as the paper shipped them, ~15 as
+the default plan does).
 
 Validators, relayers, fishermen and the examples all drive the guest
 through this API.
@@ -292,19 +293,23 @@ class GuestApi:
     # ------------------------------------------------------------------
 
     def submit_lc_update(self, update: LightClientUpdate,
-                         window: int = 4,
+                         window: int,
                          fee: Optional[FeeStrategy] = None,
-                         on_done: Optional[Callable[[LcUpdateResult], None]] = None) -> None:
+                         on_done: Optional[Callable[[LcUpdateResult], None]] = None,
+                         planner=plan_update_chunks) -> None:
         """Ship one counterparty header to the guest's light client.
 
         Transactions are submitted ``window`` at a time (real relayers
-        rate-limit to keep their fee bills predictable and their
-        transactions ordered), with the finalize transaction strictly
-        last.  The result records the §V-A latency: time between the
-        first and last executed host transaction.
+        rate-limit to keep their fee bills predictable), with the
+        finalize transaction strictly last; within a window the host
+        decides the order.  ``planner`` says what the transactions
+        carry (:mod:`repro.lightclient.chunked`: the quorum prefix and a
+        validator-set delta by default).  The result records the §V-A
+        latency: time between the first and last executed host
+        transaction.
         """
-        plan = plan_update_chunks(
-            update, self.contract.known_valset_hashes(),
+        plan = planner(
+            update, self.contract.counterparty_client.trusted_validator_set(),
             tx_size_limit=self.chain.config.max_transaction_bytes,
             tracer=self.chain.sim.trace if self.chain.sim.trace.enabled else None,
         )

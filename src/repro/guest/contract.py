@@ -64,11 +64,8 @@ from repro.ibc.apps.transfer import Bank, TransferApp
 from repro.ibc.host import IbcHost
 from repro.ibc.identifiers import ChannelId, PortId
 from repro.ibc.packet import Acknowledgement, Packet
-from repro.lightclient.tendermint import (
-    CometHeader,
-    TendermintLightClient,
-    ValidatorSet,
-)
+from repro.lightclient.chunked import read_staged_update
+from repro.lightclient.tendermint import TendermintLightClient, ValidatorSet
 from repro.state.scheduler import EagerScheduler
 from repro.trie.proof import MembershipProof, NonMembershipProof
 from repro.trie.store import ProvableStore
@@ -79,7 +76,9 @@ class _Buffer:
     """A staging buffer for one oversized message."""
 
     owner: Address
-    total_chunks: int
+    #: Fixed by the first CHUNK; 0 while only signature batches have
+    #: arrived (the host orders one window's transactions as it likes).
+    total_chunks: int = 0
     chunks: dict[int, bytes] = field(default_factory=dict)
     #: Runtime-verified (public key, message) pairs credited so far.
     verified_signers: list[tuple[PublicKey, bytes]] = field(default_factory=list)
@@ -89,7 +88,7 @@ class _Buffer:
         default_factory=list)
 
     def is_complete(self) -> bool:
-        return len(self.chunks) == self.total_chunks
+        return 0 < self.total_chunks == len(self.chunks)
 
     def assembled(self) -> bytes:
         if not self.is_complete():
@@ -530,12 +529,10 @@ class GuestContract(Program):
         reader.expect_end()
         if total == 0 or index >= total:
             raise ProgramError(f"bad chunk index {index}/{total}")
-        key = (ctx.payer, buffer_id)
-        buffer = self._buffers.get(key)
-        if buffer is None:
-            buffer = _Buffer(owner=ctx.payer, total_chunks=total)
-            self._buffers[key] = buffer
-        if buffer.total_chunks != total:
+        buffer = self._open_buffer(ctx.payer, buffer_id)
+        if buffer.total_chunks == 0:
+            buffer.total_chunks = total
+        elif buffer.total_chunks != total:
             raise ProgramError("chunk total mismatch across transactions")
         buffer.chunks[index] = data
         ctx.meter.charge_write(len(data))
@@ -543,11 +540,21 @@ class GuestContract(Program):
     def _op_lc_sig_batch(self, ctx: InvokeContext, reader: Reader) -> None:
         buffer_id = reader.read_varint()
         reader.expect_end()
-        buffer = self._buffer(ctx.payer, buffer_id)
         if not ctx.verified_signatures:
             raise ProgramError("no runtime-verified signatures on this transaction")
+        # May land before the buffer's first CHUNK: a short update puts
+        # both in one submission window, and the host does not promise
+        # their order.  Opening the buffer here costs nothing a CHUNK
+        # would not; LC_FINALIZE still needs every chunk.
+        buffer = self._open_buffer(ctx.payer, buffer_id)
         buffer.verified_signers.extend(ctx.verified_signatures)
         buffer.verified_entries.extend(ctx.verified_signature_entries)
+
+    def _open_buffer(self, owner: Address, buffer_id: int) -> _Buffer:
+        buffer = self._buffers.get((owner, buffer_id))
+        if buffer is None:
+            buffer = self._buffers[(owner, buffer_id)] = _Buffer(owner=owner)
+        return buffer
 
     def _buffer(self, owner: Address, buffer_id: int) -> _Buffer:
         buffer = self._buffers.get((owner, buffer_id))
@@ -577,23 +584,12 @@ class GuestContract(Program):
                     "damage-limitation measure)"
                 )
         buffer = self._consume_buffer(ctx.payer, buffer_id)
-        staged = buffer.assembled()
-        ctx.meter.charge_hash(len(staged))
-
-        cursor = Reader(staged)
-        header_len = int.from_bytes(cursor.read(4), "big")
-        header = CometHeader.read_from(Reader(cursor.read(header_len)))
-        valset_len = int.from_bytes(cursor.read(4), "big")
-        valset: Optional[ValidatorSet] = None
-        if valset_len:
-            valset = ValidatorSet.read_from(Reader(cursor.read(valset_len)))
-        cursor.expect_end()
-
         client = self.counterparty_client
-        if valset is None:
-            valset = client._known_valsets.get(header.validators_hash)
-            if valset is None:
-                raise ProgramError("validator set neither staged nor known")
+        # Whole set or delta against a set the client knows: the staged
+        # bytes say which (repro.lightclient.chunked owns the format).
+        header, valset, hashed_bytes = read_staged_update(
+            buffer.assembled(), client.known_validator_set)
+        ctx.meter.charge_hash(hashed_bytes)
 
         message = header.sign_bytes()
         signers = {
@@ -626,11 +622,6 @@ class GuestContract(Program):
         trace.observe("guest.lc.verified_signers", len(signers))
         ctx.emit("CounterpartyClientUpdated", guest=self.chain_id,
                  height=header.height)
-
-    def known_valset_hashes(self) -> frozenset[bytes]:
-        """Hashes of the validator sets the light client already stores
-        (the relayer queries this to skip redundant uploads)."""
-        return frozenset(bytes(h) for h in self.counterparty_client._known_valsets)
 
     # ------------------------------------------------------------------
     # Alg. 1: ReceivePacket (+ ack/timeout processing)

@@ -250,6 +250,17 @@ class TendermintLightClient(LightClient):
             ),
         )
 
+    def trusted_validator_set(self) -> Optional[ValidatorSet]:
+        """The set committed to by the newest adopted header (None
+        before the first update of a trust-on-first-use client): what
+        the 1/3-overlap rule measures the next update against, and so
+        what a relayer sizes that update by."""
+        return self._trusted
+
+    def known_validator_set(self, valset_hash: Hash) -> Optional[ValidatorSet]:
+        """A set this client has adopted a header under, by its hash."""
+        return self._known_valsets.get(valset_hash)
+
     # ------------------------------------------------------------------
     # Update — two layers
     # ------------------------------------------------------------------

@@ -82,6 +82,9 @@ class RelayerConfig:
     #: hold-down makes each update cover more packets and shrinks the
     #: per-packet share of the §V-A update tax.
     lc_update_min_seconds: float = 0.0
+    #: What a chunked LC update carries: a key of
+    #: :data:`repro.relayer.updates.LC_UPDATE_PLANS`.
+    lc_update_plan: str = "quorum"
 
 
 @dataclass

@@ -49,7 +49,7 @@ class TestChunkedLcUpdateGuards:
         from repro.lightclient.chunked import plan_update_chunks
         dep.run_for(30.0)  # let the counterparty produce blocks
         update = dep.counterparty.light_client_update()
-        plan = plan_update_chunks(update, frozenset())
+        plan = plan_update_chunks(update)
 
         buffer_id = 9_001
         for index, chunk_bytes in enumerate(plan.data_chunks):
@@ -81,6 +81,74 @@ class TestChunkedLcUpdateGuards:
         receipt = run_tx(dep, ins.lc_finalize(buffer_id))
         assert not receipt.success  # ...but the power check fails
         assert "signed power" in receipt.error
+
+    @staticmethod
+    def ship(dep, plan, buffer_id, order):
+        """Land ``plan``'s transactions one by one: ``order`` names the
+        kinds (``"chunks"``, ``"batches"``) in the order they go; returns
+        the finalize receipt."""
+        total = len(plan.data_chunks)
+        kinds = {
+            "chunks": [(ins.chunk(buffer_id, index, total, data), ())
+                       for index, data in enumerate(plan.data_chunks)],
+            "batches": [(ins.lc_sig_batch(buffer_id),
+                         [SigVerify(public_key, plan.sign_message, signature)
+                          for public_key, signature in batch])
+                        for batch in plan.signature_batches],
+        }
+        for kind in order:
+            for data, entries in kinds[kind]:
+                assert run_tx(dep, data, sig_verifies=entries, wait=10.0).success
+        return run_tx(dep, ins.lc_finalize(buffer_id))
+
+    def test_sig_batch_before_any_chunk_still_finalizes(self, dep):
+        """A short update's CHUNK 0 shares its submission window with the
+        first signature batches and the host may order them first: the
+        batch opens the buffer, the chunk then fixes its size."""
+        from repro.lightclient.chunked import plan_update_chunks
+        dep.run_for(30.0)
+        update = dep.counterparty.light_client_update()
+        plan = plan_update_chunks(update)
+        assert not dep.contract._buffers
+        receipt = self.ship(dep, plan, 9_100, ("batches", "chunks"))
+        assert receipt.success, receipt.error
+        client = dep.contract.counterparty_client
+        assert client.latest_height() == update.header.height
+        assert not dep.contract._buffers
+        # Opened by a batch, a buffer is still nothing until chunked.
+        batch = plan.signature_batches[0]
+        entries = [SigVerify(public_key, plan.sign_message, signature)
+                   for public_key, signature in batch]
+        assert run_tx(dep, ins.lc_sig_batch(9_101), sig_verifies=entries).success
+        receipt = run_tx(dep, ins.lc_finalize(9_101))
+        assert not receipt.success and "0 of 0 chunks" in receipt.error
+
+    def test_delta_finalize_pays_for_hashing_the_rebuilt_set(self, dep):
+        from repro.host.compute import SHA256_UNITS_PER_BLOCK
+        from repro.lightclient.chunked import plan_update_chunks
+        client = dep.contract.counterparty_client
+        dep.run_for(30.0)
+        first = dep.counterparty.light_client_update()
+        whole = self.ship(dep, plan_update_chunks(first), 9_200,
+                          ("chunks", "batches"))
+        assert whole.success, whole.error
+        trusted = client.trusted_validator_set()
+        assert trusted == first.validator_set
+
+        while dep.counterparty.validator_set() == trusted:
+            dep.run_for(6.0)   # until stake churn rotates the set
+        dep.run_for(6.0)
+        update = dep.counterparty.light_client_update()
+        assert update.validator_set != trusted
+        plan = plan_update_chunks(update, trusted)
+        assert len(plan.data_chunks) == 1 < len(plan_update_chunks(first).data_chunks)
+        delta = self.ship(dep, plan, 9_201, ("chunks", "batches"))
+        assert delta.success, delta.error
+        assert client.trusted_validator_set() == update.validator_set
+        # A ~200-byte upload, charged as the ~7.6 kB the hash check reads.
+        rebuilt_blocks = 40 * len(update.validator_set) // 32
+        assert delta.compute_consumed >= SHA256_UNITS_PER_BLOCK * rebuilt_blocks
+        assert delta.compute_consumed >= whole.compute_consumed
 
     def test_buffers_isolated_per_payer(self, dep):
         from repro.host.accounts import Address

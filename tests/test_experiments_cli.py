@@ -70,24 +70,54 @@ class TestTable:
         assert main(["all"]) == 0
         assert ran == [name for name, row in TARGETS.items() if row.figure]
 
-    def test_figures_share_one_evaluation_run(self, monkeypatch, capsys):
+    def test_figures_share_one_evaluation_run(self, cwd, monkeypatch, capsys):
         runs = []
         monkeypatch.setattr(
             "repro.experiments.__main__._evaluation",
-            lambda seed, hours: runs.append((seed, hours)) or "results")
-        for render in ("render_fig2", "render_fig4", "render_table1"):
+            lambda seed, hours, plan:
+                runs.append((seed, hours, plan)) or f"results[{plan}]")
+        for render in ("render_fig2", "render_fig4", "render_fig5",
+                       "render_table1"):
             monkeypatch.setattr(f"repro.experiments.report.{render}",
                                 lambda results, render=render:
                                 f"{render}({results})")
-        assert main(["table1", "fig2", "fig4", "--duration-hours", "2"]) == 0
-        assert runs == [(2024, 2.0)]
-        assert capsys.readouterr().out == (
-            "render_fig2(results)\n\nrender_fig4(results)\n\n"
-            "render_table1(results)\n")
+        monkeypatch.setattr("repro.experiments.report.lc_update_series", str)
+        monkeypatch.setattr(
+            "repro.experiments.report.check_lc_update_plans", lambda plans: [])
+        assert main(["table1", "fig2", "fig4", "fig5",
+                     "--duration-hours", "2"]) == 0
+        # One run of the paper's deployment for every figure, plus one
+        # under the relayer's default update plan for Fig. 4/5 to show
+        # beside it.
+        assert runs == [(2024, 2.0, "paper"), (2024, 2.0, "quorum")]
+        plans = "{'paper': 'results[paper]', 'quorum': 'results[quorum]'}"
+        assert capsys.readouterr().out.startswith(
+            f"render_fig2(results[paper])\n\nrender_fig4({plans})\n\n")
+        assert json.loads((cwd / "BENCH_fig4.json").read_text()) == {
+            "paper": "results[paper]", "quorum": "results[quorum]"}
         # Memoised per invocation, not per process.
         assert main(["fig2", "--duration-hours", "2", "--seed", "5"]) == 0
         assert main(["fig2", "--duration-hours", "2", "--seed", "5"]) == 0
-        assert runs[1:] == [(5, 2.0), (5, 2.0)]
+        assert runs[2:] == [(5, 2.0, "paper"), (5, 2.0, "paper")]
+
+    def test_lc_update_plans_are_gated(self):
+        from repro.experiments.report import check_lc_update_plans
+
+        def series(txs, signatures):
+            return {"transactions": [txs], "signatures": [signatures],
+                    "cents": [0.1 * (txs + signatures)], "latency_s": [1.0]}
+
+        good = {"paper": series(36, 161), "quorum": series(15, 76)}
+        assert check_lc_update_plans(good) == []
+        assert check_lc_update_plans(
+            {**good, "paper": series(29, 161)})[0].startswith(
+                "paper plan: 29.0 txs per update, outside")
+        assert check_lc_update_plans(
+            {**good, "quorum": series(18, 76)})[0].startswith(
+                "default plan: 18.0 txs per update, over the 17")
+        overcharged = dict(series(15, 76), cents=[9.2])
+        assert "not 0.1c x (txs + signatures)" in check_lc_update_plans(
+            {**good, "quorum": overcharged})[0]
 
     def test_rows_run_in_table_order(self, cwd, monkeypatch, capsys):
         first, _ = stub("first")
@@ -273,9 +303,12 @@ class TestCheapRowsEndToEnd:
         record = json.loads((cwd / "BENCH_wallclock_smoke.json").read_text())
         assert record["packets"] == profiling.WALLCLOCK_SMOKE_PACKETS == 1_500
         assert record["floor_events_per_sec"] == 500.0
-        assert record["delivered"] == record["sent"] == 1_501
-        assert record["events_dispatched"] == 16_614
-        assert "wallclock-smoke: 1501/1501 packets" in capsys.readouterr().out
+        # 1 501 packets / 16 614 events while establishment took 252 s;
+        # the ~15-transaction LC update opens the link at 216 s, and the
+        # constant-rate window that starts there fits 1 500 sends.
+        assert record["delivered"] == record["sent"] == 1_500
+        assert record["events_dispatched"] == 16_174
+        assert "wallclock-smoke: 1500/1500 packets" in capsys.readouterr().out
 
     def test_the_wallclock_gate_is_not_a_flag(self):
         from repro.experiments.profiling import check_wallclock
@@ -292,7 +325,10 @@ class TestCheapRowsEndToEnd:
 
 class TestLinkedBuilder:
     """``build_linked_deployment`` builds, call for call, the worlds of
-    the three builders it replaced — pinned from the commit before."""
+    the three builders it replaced — pinned from the commit before
+    (252.0 s / 1424 events, 198.0 / 1109, 186.0 / 1047), times and event
+    counts re-taken when the handshakes' chunked LC updates shrank to
+    the quorum prefix; channels and store roots did not move."""
 
     @staticmethod
     def pin(dep, channels):
@@ -313,7 +349,7 @@ class TestLinkedBuilder:
             (config.batch_max_packets, config.batch_flush_seconds),
             config.channels, tracing=config.tracing)
         assert self.pin(dep, channels) == (
-            252.0, 1424,
+            216.0, 1127,
             [("channel-0", "channel-0"), ("channel-1", "channel-1"),
              ("channel-2", "channel-2")],
             "08eaf3013d5dde33")
@@ -324,10 +360,10 @@ class TestLinkedBuilder:
         )
         dep, engine = start_point(ThroughputPointConfig())
         assert self.pin(dep, engine.channels) == (
-            198.0, 1109,
+            144.0, 744,
             [("channel-0", "channel-0"), ("channel-1", "channel-1")],
             "88805ed722a88a5a")
-        assert engine.end_time == 198.0 + 300.0 + 2400.0
+        assert engine.end_time == 144.0 + 300.0 + 2400.0
 
     def test_chaos_shape_and_explicit_default_host(self):
         from repro.experiments.chaos import ChaosSoakConfig
@@ -348,7 +384,7 @@ class TestLinkedBuilder:
                 config.channels, validators=config.validators,
                 with_fisherman=True, **host)
 
-        expected = (186.0, 1047,
+        expected = (156.0, 832,
                     [("channel-0", "channel-0"), ("channel-1", "channel-1")],
                     "88805ed722a88a5a")
         dep, channels = build()

@@ -58,10 +58,16 @@ class TestEvaluationHarness:
 
     def test_renderers_produce_text(self, small_evaluation):
         for renderer in (report.render_fig2, report.render_fig3,
-                         report.render_fig4, report.render_fig5,
                          report.render_receive_packet, report.render_table1):
             text = renderer(small_evaluation)
             assert isinstance(text, str) and len(text) > 40
+        series = report.lc_update_series(small_evaluation)
+        for renderer in (report.render_fig4, report.render_fig5):
+            text = renderer({"paper": series})
+            assert isinstance(text, str) and len(text) > 40
+            assert "default plan" not in text
+            assert "default plan" in renderer({"paper": series,
+                                               "quorum": series})
 
     def test_deterministic_under_seed(self):
         def run():

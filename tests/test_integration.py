@@ -46,7 +46,9 @@ class TestLinkEstablishment:
         for result in dep.relayer.metrics.lc_updates:
             assert result.success
             assert result.transaction_count > 10  # genuinely chunked
-            assert result.signature_count > 100   # Picasso-scale commits
+            # Picasso-scale commits (~161 signatures), of which only the
+            # power-ranked prefix crossing the client's thresholds rides.
+            assert 60 < result.signature_count < 100
 
     def test_guest_blocks_finalised_by_quorum(self, linked):
         dep, _ = linked

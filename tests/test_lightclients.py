@@ -1,14 +1,20 @@
 """Unit tests for both light clients and the chunked-update planner."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.hashing import Hash
 from repro.crypto.simsig import SimSigScheme
-from repro.errors import ClientError, EvidenceError
+from repro.encoding import encode_varint
+from repro.errors import ClientError, EquivocationError, EvidenceError
 from repro.guest.block import GuestBlockHeader
 from repro.guest.epoch import Epoch
 from repro.lightclient.chunked import (
+    plan_paper_update,
     plan_update_chunks,
+    quorum_prefix,
+    read_staged_update,
     signatures_per_transaction,
     usable_chunk_bytes,
 )
@@ -324,60 +330,368 @@ class TestTendermintLightClient:
 # Chunk planning (Fig. 4's transaction counts)
 # ---------------------------------------------------------------------------
 
+PLANNERS = (plan_update_chunks, plan_paper_update)
+
+
+def comet_update(keys, valset, signers=None, height=10, root=b"app"):
+    """An update for ``valset`` signed by ``signers`` (default: all)."""
+    header = CometHeader(
+        chain_id="picasso-1", height=height, time=60.0,
+        app_hash=Hash.of(root),
+        validators_hash=valset.canonical_hash(),
+        next_validators_hash=valset.canonical_hash(),
+    )
+    message = header.sign_bytes()
+    commit = Commit(signatures=tuple(
+        (kp.public_key, kp.sign(message))
+        for kp in (keys if signers is None else signers)
+    ))
+    return LightClientUpdate(header=header, commit=commit, validator_set=valset)
+
+
+def staged_bytes(plan) -> bytes:
+    return b"".join(plan.data_chunks)
+
+
+def staged_kind(plan) -> int:
+    """0: the whole set was staged; 1: a delta."""
+    staged = staged_bytes(plan)
+    return staged[4 + int.from_bytes(staged[:4], "big") + 4]
+
+
 class TestChunkPlanning:
-    def plan_for(self, scheme, validators, participation=1.0, known=frozenset()):
+    def plan_for(self, scheme, validators, participation=1.0, trusted=None,
+                 planner=plan_paper_update):
         keys = make_keys(scheme, validators)
         valset = ValidatorSet(members=tuple((kp.public_key, 100) for kp in keys))
-        signer_count = round(validators * participation)
-        header = CometHeader(
-            chain_id="picasso-1", height=10, time=60.0,
-            app_hash=Hash.of(b"app"),
-            validators_hash=valset.canonical_hash(),
-            next_validators_hash=valset.canonical_hash(),
-        )
-        message = header.sign_bytes()
-        commit = Commit(signatures=tuple(
-            (kp.public_key, kp.sign(message)) for kp in keys[:signer_count]
-        ))
-        update = LightClientUpdate(header=header, commit=commit, validator_set=valset)
-        return plan_update_chunks(update, known)
+        update = comet_update(
+            keys, valset, signers=keys[:round(validators * participation)])
+        return planner(update, trusted)
 
     def test_every_chunk_fits_a_transaction(self, scheme):
-        plan = self.plan_for(scheme, validators=190)
-        for chunk in plan.data_chunks:
-            assert len(chunk) <= usable_chunk_bytes() < MAX_TRANSACTION_BYTES
+        for planner in PLANNERS:
+            plan = self.plan_for(scheme, validators=190, planner=planner)
+            for chunk in plan.data_chunks:
+                assert len(chunk) <= usable_chunk_bytes() < MAX_TRANSACTION_BYTES
 
     def test_signature_batches_fit(self, scheme):
-        plan = self.plan_for(scheme, validators=190)
-        per_tx = signatures_per_transaction(len(plan.sign_message))
-        assert all(len(batch) <= per_tx for batch in plan.signature_batches)
+        for planner in PLANNERS:
+            plan = self.plan_for(scheme, validators=190, planner=planner)
+            per_tx = signatures_per_transaction(len(plan.sign_message))
+            assert all(len(batch) <= per_tx for batch in plan.signature_batches)
 
     def test_transaction_count_in_paper_range(self, scheme):
         """Fig. 4: ~36.5 transactions per update for a Picasso-sized
-        validator set.  The count must emerge from byte arithmetic."""
+        validator set, shipped whole as the deployment did.  The count
+        must emerge from byte arithmetic."""
         plan = self.plan_for(scheme, validators=190, participation=0.85)
         assert 28 <= plan.transaction_count <= 45
 
     def test_known_valset_shrinks_update(self, scheme):
+        """A set the client already trusts is named, not re-uploaded:
+        the zero-change delta, under either plan."""
         keys = make_keys(scheme, 190)
         valset = ValidatorSet(members=tuple((kp.public_key, 100) for kp in keys))
-        full = self.plan_for(scheme, validators=190)
-        slim = self.plan_for(scheme, validators=190,
-                             known=frozenset({bytes(valset.canonical_hash())}))
-        assert slim.transaction_count < full.transaction_count
+        for planner in PLANNERS:
+            full = self.plan_for(scheme, validators=190, planner=planner)
+            slim = self.plan_for(scheme, validators=190, trusted=valset,
+                                 planner=planner)
+            assert (staged_kind(full), staged_kind(slim)) == (0, 1)
+            assert len(slim.data_chunks) == 1 < len(full.data_chunks)
 
     def test_signature_count_preserved(self, scheme):
+        """The paper plan ships the commit as it is."""
         plan = self.plan_for(scheme, validators=100, participation=0.9)
         assert plan.signature_count == 90
 
+    def test_default_plan_ships_only_the_quorum(self, scheme):
+        """Equal powers: 67 of 100 is the first count above 2/3."""
+        plan = self.plan_for(scheme, validators=100, participation=0.9,
+                             planner=plan_update_chunks)
+        assert plan.signature_count == 67
+
     def test_more_validators_more_transactions(self, scheme):
-        small = self.plan_for(scheme, validators=50)
-        large = self.plan_for(scheme, validators=200)
-        assert large.transaction_count > small.transaction_count
+        for planner in PLANNERS:
+            small = self.plan_for(scheme, validators=50, planner=planner)
+            large = self.plan_for(scheme, validators=200, planner=planner)
+            assert large.transaction_count > small.transaction_count
 
     def test_chunks_reassemble(self, scheme):
-        plan = self.plan_for(scheme, validators=50)
-        staged = b"".join(plan.data_chunks)
-        header_len = int.from_bytes(staged[:4], "big")
-        assert header_len > 0
-        assert len(staged) > header_len + 8
+        keys = make_keys(scheme, 50)
+        valset = ValidatorSet(members=tuple((kp.public_key, 100) for kp in keys))
+        update = comet_update(keys, valset)
+        for planner in PLANNERS:
+            header, staged_set, hashed = read_staged_update(
+                staged_bytes(planner(update)), lambda valset_hash: None)
+            assert (header, staged_set) == (update.header, valset)
+            assert hashed == len(staged_bytes(planner(update)))
+
+    def test_update_without_its_set_needs_it_trusted(self, scheme):
+        keys = make_keys(scheme, 8)
+        valset = ValidatorSet(members=tuple((kp.public_key, 100) for kp in keys))
+        full = comet_update(keys, valset)
+        bare = LightClientUpdate(header=full.header, commit=full.commit)
+        other = ValidatorSet(members=valset.members[:-1])
+        for planner in PLANNERS:
+            assert planner(bare, valset) == planner(full, valset)
+            for unknown in (None, other):
+                with pytest.raises(ClientError, match="none supplied"):
+                    planner(bare, unknown)
+
+
+# ---------------------------------------------------------------------------
+# The default plan: power-ranked quorum prefix + validator-set delta
+# ---------------------------------------------------------------------------
+
+SCHEME = SimSigScheme()   # SimSig verifies against the keys it minted
+POOL = make_keys(SCHEME, 24, salt=9)
+STRANGERS = make_keys(SCHEME, 3, salt=10)
+
+
+@st.composite
+def churned_chains(draw):
+    """(keys, valset, trusted, signers): a header's validator set with a
+    random power skew (some members at zero power), the set the client
+    trusts — the same keys with some powers churned, or with members
+    joined/left — and a commit by members holding more than 2/3 of the
+    header's power plus zero-power members and strangers."""
+    count = draw(st.integers(4, len(POOL)))
+    keys = POOL[:count]
+    powers = draw(st.lists(
+        st.one_of(st.integers(1, 50), st.integers(1, 10 ** 6), st.just(0)),
+        min_size=count, max_size=count))
+    assume(sum(powers) > 0)
+    valset = ValidatorSet(members=tuple(
+        (kp.public_key, power) for kp, power in zip(keys, powers)))
+
+    trusted_members = [
+        (public_key, draw(st.one_of(st.just(power), st.integers(0, 10 ** 6))))
+        for public_key, power in valset.members]
+    left = draw(st.integers(0, count // 3))
+    joined = draw(st.integers(0, 2))
+    trusted_members = trusted_members[left:] + [
+        (kp.public_key, draw(st.integers(1, 10 ** 6)))
+        for kp in POOL[count:count + joined]]
+    trusted = draw(st.one_of(
+        st.none(), st.just(ValidatorSet(members=tuple(trusted_members)))))
+
+    order = draw(st.permutations(range(count)))
+    signers, signed = [], 0
+    for index in order:
+        signers.append(keys[index])
+        signed += powers[index]
+        if signed * 3 > sum(powers) * 2 and draw(st.booleans()):
+            break
+    assume(signed * 3 > sum(powers) * 2)
+    signers += draw(st.lists(st.sampled_from(STRANGERS), max_size=2, unique=True))
+    signers = draw(st.permutations(signers))
+    return keys, valset, trusted, signers
+
+
+def client_trusting(trusted):
+    return TendermintLightClient(
+        "picasso-1", trusted if trusted is not None else ValidatorSet(members=()))
+
+
+def adopt(client, update, entries):
+    signatures = dict(entries)
+    client.apply_verified(update.header, set(signatures), update.validator_set,
+                          signatures=signatures)
+
+
+class TestQuorumPrefix:
+    @settings(max_examples=150, deadline=None)
+    @given(churned_chains())
+    def test_prefix_is_accepted_minimal_and_counts_members_only(self, chain):
+        keys, valset, trusted, signers = chain
+        update = comet_update(keys, valset, signers=signers)
+        prefix = quorum_prefix(update.commit.signatures, valset, trusted)
+        try:
+            # The reference: every signature checked, members only.
+            client_trusting(trusted).update(update, SCHEME)
+        except ClientError:
+            # Too little of the trusted set signed: nothing shorter can
+            # pass either, so the commit goes out whole.
+            assert prefix == update.commit.signatures
+            return
+        adopt(client_trusting(trusted), update, prefix)
+        with pytest.raises(ClientError):
+            adopt(client_trusting(trusted), update, prefix[:-1])
+        shipped = [public_key for public_key, _ in prefix]
+        assert len(set(shipped)) == len(shipped)
+        assert all(valset.power_of(public_key) > 0 for public_key in shipped)
+        assert set(prefix) <= set(update.commit.signatures)
+        # Ranked: nobody left out outweighs somebody shipped.
+        left_out = [valset.power_of(public_key)
+                    for public_key, _ in update.commit.signatures
+                    if public_key not in shipped]
+        assert max(left_out, default=0) <= min(map(valset.power_of, shipped))
+
+    def test_repeated_and_powerless_signers_never_count(self, scheme):
+        keys = make_keys(scheme, 6)
+        valset = ValidatorSet(members=tuple(
+            (kp.public_key, power)
+            for kp, power in zip(keys, (0, 40, 30, 20, 10, 0))))
+        update = comet_update(
+            keys, valset,
+            signers=[keys[0], keys[1], keys[1], STRANGERS[0], keys[3], keys[2]])
+        prefix = quorum_prefix(update.commit.signatures, valset, None)
+        assert [public_key for public_key, _ in prefix] == [
+            keys[1].public_key, keys[2].public_key]   # 70 of 100
+        # Without keys[2] no quorum exists: the commit goes out whole.
+        short = comet_update(keys, valset,
+                             signers=[keys[0], keys[1], keys[1], keys[3]])
+        assert quorum_prefix(short.commit.signatures, valset, None) \
+            == short.commit.signatures
+
+    @settings(max_examples=60, deadline=None)
+    @given(churned_chains(), churned_chains())
+    def test_conflicting_prefixes_still_name_a_third(self, first, second):
+        """Two quorums of one set intersect in more than 1/3 of it however
+        each was trimmed: the signatures retained per signer are enough
+        for an accountability proof."""
+        keys, valset, _, signers = first
+        other_keys, other_set, _, other_signers = second
+        assume(len(other_keys) >= len(keys))
+        # The second draw only lends a participation pattern over the
+        # first draw's set.
+        members = {kp.public_key for kp in keys}
+        signed = [kp for kp in other_signers if kp.public_key in members]
+        assume(sum(valset.power_of(kp.public_key) for kp in set(signed)) * 3
+               > valset.total_power * 2)
+        client = client_trusting(valset)
+        one = comet_update(keys, valset, signers=signers, root=b"one")
+        two = comet_update(keys, valset, signers=signed, root=b"two")
+        adopt(client, one, quorum_prefix(one.commit.signatures, valset, valset))
+        with pytest.raises(EquivocationError) as raised:
+            adopt(client, two,
+                  quorum_prefix(two.commit.signatures, valset, valset))
+        assert client.frozen
+        offenders = client.verify_accountability(raised.value.proof, SCHEME)
+        assert sum(map(valset.power_of, offenders)) * 3 > valset.total_power
+
+
+class TestValidatorSetDelta:
+    @settings(max_examples=150, deadline=None)
+    @given(churned_chains())
+    def test_staged_set_round_trips_to_the_exact_hash(self, chain):
+        keys, valset, trusted, signers = chain
+        update = comet_update(keys, valset, signers=signers)
+        plan = plan_update_chunks(update, trusted)
+        known = {} if trusted is None else {trusted.canonical_hash(): trusted}
+        header, rebuilt, hashed = read_staged_update(
+            staged_bytes(plan), known.get)
+        assert header == update.header
+        assert rebuilt == valset
+        assert rebuilt.canonical_hash() == header.validators_hash
+        whole = staged_bytes(plan_update_chunks(update, None))
+        if staged_kind(plan):
+            assert len(staged_bytes(plan)) < len(whole)
+            assert hashed == len(staged_bytes(plan)) + 40 * len(valset)
+        else:
+            assert staged_bytes(plan) == whole and hashed == len(whole)
+
+    def chain(self, scheme, count=5):
+        keys = make_keys(scheme, count)
+        base = ValidatorSet(members=tuple(
+            (kp.public_key, 1_000 * (index + 1))
+            for index, kp in enumerate(keys)))
+        return keys, base
+
+    def churn(self, base, changes):
+        members = list(base.members)
+        for index, power in changes.items():
+            members[index] = (members[index][0], power)
+        return ValidatorSet(members=tuple(members))
+
+    def staged(self, header, base_hash, pairs, trailing=b""):
+        """A hand-built delta buffer: the wire format, written out."""
+        section = b"\x01" + bytes(base_hash) + encode_varint(len(pairs))
+        for index, power in pairs:
+            section += encode_varint(index) + encode_varint(power)
+        section += trailing
+        header_bytes = header.to_bytes()
+        return (len(header_bytes).to_bytes(4, "big") + header_bytes
+                + len(section).to_bytes(4, "big") + section)
+
+    def test_delta_is_what_the_planner_stages(self, scheme):
+        keys, base = self.chain(scheme)
+        valset = self.churn(base, {1: 2_500, 4: 7})
+        update = comet_update(keys, valset)
+        plan = plan_update_chunks(update, base)
+        assert staged_bytes(plan) == self.staged(
+            update.header, base.canonical_hash(), [(1, 2_500), (4, 7)])
+        assert read_staged_update(
+            staged_bytes(plan), {base.canonical_hash(): base}.get,
+        )[1] == valset
+
+    def test_unknown_base_hash_refused(self, scheme):
+        keys, base = self.chain(scheme)
+        update = comet_update(keys, self.churn(base, {0: 5}))
+        staged = self.staged(update.header, base.canonical_hash(), [(0, 5)])
+        with pytest.raises(ClientError, match="unknown base"):
+            read_staged_update(staged, lambda valset_hash: None)
+
+    def test_index_out_of_range_refused(self, scheme):
+        keys, base = self.chain(scheme)
+        update = comet_update(keys, base)
+        staged = self.staged(update.header, base.canonical_hash(), [(5, 1)])
+        with pytest.raises(ClientError, match="outside a set of 5"):
+            read_staged_update(staged, {base.canonical_hash(): base}.get)
+
+    def test_duplicate_index_refused(self, scheme):
+        keys, base = self.chain(scheme)
+        update = comet_update(keys, base)
+        for pairs in ([(2, 1), (2, 9)], [(3, 1), (2, 9)]):
+            staged = self.staged(update.header, base.canonical_hash(), pairs)
+            with pytest.raises(ClientError, match="strictly increase"):
+                read_staged_update(staged, {base.canonical_hash(): base}.get)
+
+    def test_rebuilt_set_must_hash_to_the_header(self, scheme):
+        """The delta is a compression of the upload, never an authority:
+        a wrong one rebuilds a set ``apply_verified`` refuses."""
+        keys, base = self.chain(scheme)
+        update = comet_update(keys, self.churn(base, {0: 5}))
+        staged = self.staged(update.header, base.canonical_hash(), [(0, 6)])
+        header, rebuilt, _ = read_staged_update(
+            staged, {base.canonical_hash(): base}.get)
+        client = client_trusting(base)
+        with pytest.raises(ClientError, match="does not match the header"):
+            client.apply_verified(
+                header, {kp.public_key for kp in keys}, rebuilt)
+        assert client.latest_height() == 0
+
+    def test_trailing_bytes_refused(self, scheme):
+        keys, base = self.chain(scheme)
+        update = comet_update(keys, self.churn(base, {0: 5}))
+        known = {base.canonical_hash(): base}.get
+        inside = self.staged(update.header, base.canonical_hash(), [(0, 5)],
+                             trailing=b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
+            read_staged_update(inside, known)
+        after = self.staged(update.header, base.canonical_hash(), [(0, 5)])
+        with pytest.raises(ValueError, match="trailing"):
+            read_staged_update(after + b"\x00", known)
+        with pytest.raises(ClientError, match="kind 7"):
+            read_staged_update(
+                after[:4 + int.from_bytes(after[:4], "big") + 4] + b"\x07"
+                + after[4 + int.from_bytes(after[:4], "big") + 5:], known)
+
+    def test_first_use_falls_back_to_the_whole_set(self, scheme):
+        keys, base = self.chain(scheme)
+        assert staged_kind(plan_update_chunks(comet_update(keys, base))) == 0
+
+    def test_membership_change_falls_back_to_the_whole_set(self, scheme):
+        keys, base = self.chain(scheme)
+        update = comet_update(keys, base)
+        left = ValidatorSet(members=base.members[1:])
+        swapped = ValidatorSet(members=base.members[1:] + base.members[:1])
+        for trusted in (left, swapped):
+            assert staged_kind(plan_update_chunks(update, trusted)) == 0
+
+    def test_delta_no_smaller_falls_back_to_the_whole_set(self, scheme):
+        """One member, power changed: naming the base costs its 32-byte
+        hash, as much as the one key the whole set carries."""
+        keys, base = self.chain(scheme, count=1)
+        update = comet_update(keys, self.churn(base, {0: 5}))
+        assert staged_kind(plan_update_chunks(update, base)) == 0
