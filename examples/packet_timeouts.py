@@ -13,7 +13,7 @@ Run:  python examples/packet_timeouts.py
 from repro import Deployment, DeploymentConfig
 from repro.guest.config import GuestConfig
 from repro.ibc import commitment as paths
-from repro.relayer.updates import LC_UPDATE_WINDOW
+from repro.relayer.updates import LC_UPDATE_PLANS
 from repro.validators.profiles import simple_profiles
 
 
@@ -63,12 +63,18 @@ def main() -> None:
     print(f"\nGuest's verified counterparty time is stale: {stale_time:.0f} s "
           f"(deadline {deadline:.0f} s) — relaying a fresh header...")
     done = []
-    deployment.relayer_api.submit_lc_update(
-        counterparty.light_client_update(), window=LC_UPDATE_WINDOW,
-        on_done=done.append,
-    )
-    deployment.run_for(120.0)
-    assert done and done[-1].success
+    for _attempt in range(3):
+        # About one commit in a hundred carries under 2/3 of the voting
+        # power: the client refuses it and a relayer ships a later one.
+        deployment.relayer_api.submit_lc_update(
+            counterparty.light_client_update(),
+            window=LC_UPDATE_PLANS["quorum"].window,
+            on_done=done.append,
+        )
+        deployment.run_for(120.0)
+        if done[-1].success:
+            break
+    assert done[-1].success
 
     lc_height = contract.counterparty_client.latest_height()
     lc_time = contract.counterparty_client.consensus_timestamp(lc_height)

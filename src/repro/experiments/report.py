@@ -68,6 +68,7 @@ def lc_update_series(results: EvaluationResults) -> dict[str, list]:
         "signatures": [u.signature_count for u in updates],
         "latency_s": [u.latency for u in updates],
         "cents": [lamports_to_cents(u.total_fee) for u in updates],
+        "peak_in_flight": [u.peak_in_flight for u in updates],
     }
 
 
@@ -131,8 +132,10 @@ def render_fig5(plans: dict[str, dict]) -> str:
 
 
 def check_lc_update_plans(plans: dict[str, dict]) -> list[str]:
-    """Gate on Fig. 4/5: the paper plan still reproduces the paper and
-    the default plan still saves what it claims."""
+    """Gate on Fig. 4/5: the paper plan still reproduces the paper —
+    its transaction count, and the tens-of-seconds latency its three
+    transactions in flight produce — and the default plan still saves
+    what it claims on both."""
     failures = []
     paper = statistics.mean(plans["paper"]["transactions"])
     if not 30 <= paper <= 43:
@@ -142,6 +145,21 @@ def check_lc_update_plans(plans: dict[str, dict]) -> list[str]:
     if default > 17:
         failures.append(
             f"default plan: {default:.1f} txs per update, over the 17 budget")
+    paper_p50 = statistics.median(plans["paper"]["latency_s"])
+    if not 15.0 <= paper_p50 <= 35.0:
+        failures.append(
+            f"paper plan: update latency p50 {paper_p50:.1f} s, outside "
+            "Fig. 4's 15-35 s")
+    default_p50 = statistics.median(plans["quorum"]["latency_s"])
+    if default_p50 > paper_p50 / 2:
+        failures.append(
+            f"default plan: update latency p50 {default_p50:.1f} s, over "
+            f"half the paper plan's {paper_p50:.1f} s")
+    widest = max(plans["paper"]["peak_in_flight"])
+    if widest > 3:
+        failures.append(
+            f"paper plan: {widest} transactions in flight at once, over "
+            "the 3 that calibrate Fig. 4")
     for plan, series in plans.items():
         deviation = _fee_model_deviation(series)
         if deviation >= 0.01:

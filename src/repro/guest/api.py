@@ -3,9 +3,9 @@
 Wraps every contract operation into properly sized host transactions:
 single-transaction calls (send, generate, sign, stake), atomic bundles
 for packet delivery (the 4–5 transactions of §V-A that land in one host
-block), and the windowed multi-transaction flow for chunked light-client
-updates (Fig. 4: 36.5 transactions as the paper shipped them, ~15 as
-the default plan does).
+block), and the multi-transaction flow for chunked light-client updates
+(Fig. 4: 36.5 transactions three at a time as the paper shipped them;
+~15, staged in one wave, as the default plan does).
 
 Validators, relayers, fishermen and the examples all drive the guest
 through this API.
@@ -43,6 +43,8 @@ class LcUpdateResult:
     first_tx_time: float
     last_tx_time: float
     success: bool
+    #: Most transactions awaiting their receipt at one instant.
+    peak_in_flight: int = 0
 
     @property
     def latency(self) -> float:
@@ -293,20 +295,23 @@ class GuestApi:
     # ------------------------------------------------------------------
 
     def submit_lc_update(self, update: LightClientUpdate,
-                         window: int,
+                         window: Optional[int],
                          fee: Optional[FeeStrategy] = None,
                          on_done: Optional[Callable[[LcUpdateResult], None]] = None,
                          planner=plan_update_chunks) -> None:
         """Ship one counterparty header to the guest's light client.
 
-        Transactions are submitted ``window`` at a time (real relayers
-        rate-limit to keep their fee bills predictable), with the
-        finalize transaction strictly last; within a window the host
-        decides the order.  ``planner`` says what the transactions
-        carry (:mod:`repro.lightclient.chunked`: the quorum prefix and a
-        validator-set delta by default).  The result records the §V-A
-        latency: time between the first and last executed host
-        transaction.
+        The staging transactions (data chunks and signature batches) are
+        mutually independent: at most ``window`` of them await their
+        receipt at once, all of them when ``window`` is ``None``, and
+        the host decides the order among those in flight.  The finalize
+        transaction is submitted when the last staging receipt is back.
+        ``planner`` says what the transactions carry
+        (:mod:`repro.lightclient.chunked`: the quorum prefix and a
+        validator-set delta by default);
+        :data:`repro.relayer.updates.LC_UPDATE_PLANS` pairs each planner
+        with its window.  The result records the §V-A latency: time
+        between the first and last executed host transaction.
         """
         plan = planner(
             update, self.contract.counterparty_client.trusted_validator_set(),
@@ -353,9 +358,12 @@ class GuestApi:
             fee_strategy=fee,
         )
 
+        if window is None:
+            window = len(transactions)
         state = {
             "first": None, "last": 0.0, "fees": 0, "ok": True,
-            "queue": list(transactions), "in_flight": 0, "finalized": False,
+            "queue": list(transactions), "in_flight": 0, "peak": 0,
+            "finalized": False, "stalled": False,
         }
 
         def finish(receipt: TxReceipt) -> None:
@@ -369,33 +377,35 @@ class GuestApi:
                     first_tx_time=state["first"] if state["first"] is not None else receipt.time,
                     last_tx_time=state["last"],
                     success=state["ok"] and receipt.success,
+                    peak_in_flight=state["peak"],
                 ))
 
         def pump(receipt: Optional[TxReceipt] = None) -> None:
-            if receipt is not None:
+            if receipt is None:
+                state["stalled"] = False  # first call, or the retry timer
+            else:
                 _track(state, receipt)
                 state["in_flight"] -= 1
-            while state["queue"] and state["in_flight"] < window:
-                tx = state["queue"][0]
-                try:
-                    self.chain.submit(tx, on_result=pump)
-                except HostUnavailableError:
-                    # Blackout mid-stream: keep the cursor where it is
-                    # and resume the chunk sequence once the RPC answers
-                    # (the staged buffer on-chain is unaffected).
-                    self.chain.sim.trace.count("chaos.lc_update.stalled")
-                    self.chain.sim.schedule(self.blackout_retry_seconds, pump)
-                    return
-                state["queue"].pop(0)
-                state["in_flight"] += 1
-            if not state["queue"] and state["in_flight"] == 0 and not state["finalized"]:
-                try:
+            try:
+                while state["queue"] and state["in_flight"] < window:
+                    self.chain.submit(state["queue"][0], on_result=pump)
+                    state["queue"].pop(0)
+                    state["in_flight"] += 1
+                    state["peak"] = max(state["peak"], state["in_flight"])
+                if not (state["queue"] or state["in_flight"]
+                        or state["finalized"]):
                     self.chain.submit(finalize, on_result=finish)
-                except HostUnavailableError:
-                    self.chain.sim.trace.count("chaos.lc_update.stalled")
+                    state["finalized"] = True
+            except HostUnavailableError:
+                # Blackout mid-stream: keep the cursor where it is and
+                # resume the sequence once the RPC answers (the staged
+                # buffer on-chain is unaffected).  One retry timer per
+                # update: receipts of the transactions still in flight
+                # keep arriving and find the RPC down too.
+                self.chain.sim.trace.count("chaos.lc_update.stalled")
+                if not state["stalled"]:
+                    state["stalled"] = True
                     self.chain.sim.schedule(self.blackout_retry_seconds, pump)
-                    return
-                state["finalized"] = True
 
         pump()
 

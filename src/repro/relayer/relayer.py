@@ -76,12 +76,6 @@ class RelayerConfig:
     batch_max_packets: int = 1
     #: How long a partially filled batch may wait before it is flushed.
     batch_flush_seconds: float = 1.0
-    #: Minimum seconds between LC updates.  One update costs the same
-    #: dozens of transactions whether it advances the client by one
-    #: counterparty height or a hundred, so under sustained load a
-    #: hold-down makes each update cover more packets and shrinks the
-    #: per-packet share of the §V-A update tax.
-    lc_update_min_seconds: float = 0.0
     #: What a chunked LC update carries: a key of
     #: :data:`repro.relayer.updates.LC_UPDATE_PLANS`.
     lc_update_plan: str = "quorum"

@@ -8,7 +8,8 @@ This module is the only place the three mechanisms are named:
 * :class:`ChunkedTendermint` — the guest's client of an IBC-native
   counterparty: ~15 host transactions per update (the paper's ~36 under
   the ``"paper"`` plan of :data:`LC_UPDATE_PLANS`, Fig. 4/5), one update
-  at a time, optionally held down so one update serves more work;
+  at a time, its staging transactions handed to the host in one wave and
+  the updates paced by :data:`LC_UPDATE_TXS_PER_SECOND`;
 * :class:`HeaderPush` — the counterparty's client of a guest: the
   finalised header and its signatures in one call (Alg. 2 l.6);
 * :class:`SiblingAdopt` — a guest's client of another guest on the same
@@ -22,7 +23,7 @@ asked: a chunked update always targets the counterparty's tip).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.errors import ReproError
 from repro.guest import instructions as ins
@@ -31,20 +32,37 @@ from repro.lightclient.chunked import plan_paper_update, plan_update_chunks
 from repro.lightclient.guest_client import GuestClientUpdate
 from repro.relayer.endpoint import CounterpartyEnd, GuestEnd
 
-#: Transactions kept in flight during a chunked LC update; real relayers
-#: rate-limit for fee predictability.  With the transaction count, this
-#: window sets the Fig. 4 latency distribution.
-LC_UPDATE_WINDOW = 3
+#: Host transactions per second a relayer spends on chunked updates in
+#: the long run: an update may start no earlier than the previous one's
+#: start plus its transaction count over this rate.  1.5 is what three
+#: transactions in flight sustained on a calm host (15.5 txs / 9.9 s,
+#: 36.3 / 22.4 s), so fee per packet stays where that window left it;
+#: without a budget the burst below updates once per counterparty block
+#: and fee per packet rises 10-40 % (docs/PERFORMANCE.md).
+LC_UPDATE_TXS_PER_SECOND = 1.5
 
-#: What one chunked update carries, by ``RelayerConfig.lc_update_plan``
-#: — the one place a plan is chosen.  ``"quorum"``: the signatures the
-#: client's thresholds need and a validator-set delta.  ``"paper"``: the
-#: deployment's whole commit and whole set; only the Fig. 4/5
+
+class UpdatePlan(NamedTuple):
+    """What one chunked update carries and how it is handed to the host."""
+
+    #: :mod:`repro.lightclient.chunked` planner: update -> transactions.
+    planner: Callable
+    #: Staging transactions kept in flight; ``None`` is all of them.
+    window: Optional[int]
+
+
+#: The chunked update by ``RelayerConfig.lc_update_plan`` — the one
+#: place a plan is chosen.  ``"quorum"``: the signatures the client's
+#: thresholds need and a validator-set delta, every staging transaction
+#: in flight at once (they are mutually independent; only LC_FINALIZE
+#: must come last).  ``"paper"``: the deployment's whole commit and
+#: whole set, three transactions at a time — that window is what
+#: calibrates Fig. 4's tens-of-seconds latency; only the Fig. 4/5
 #: reproduction asks for it.  The Guest Contract accepts either and is
 #: not told which.
 LC_UPDATE_PLANS = {
-    "quorum": plan_update_chunks,
-    "paper": plan_paper_update,
+    "quorum": UpdatePlan(plan_update_chunks, window=None),
+    "paper": UpdatePlan(plan_paper_update, window=3),
 }
 
 Then = Callable[[int], None]
@@ -98,12 +116,22 @@ class ChunkedTendermint(ClientUpdates):
     All light-client work funnels through one at-a-time chunked update;
     queued items declare the minimum counterparty height they need and
     run as soon as an update covers it.
+
+    Save up, then spend at once: an update's host transactions are a
+    budget of :data:`LC_UPDATE_TXS_PER_SECOND`, charged from the moment
+    the update starts whether or not it succeeds.  The next update waits
+    until the last one is paid for (one hold-down timer; everything
+    queued meanwhile rides it); no credit builds up while the link is
+    idle, so the first update after a pause starts at once and the one
+    after it is spaced like any other.
     """
 
     def __init__(self, relayer, holder: GuestEnd, source: CounterpartyEnd) -> None:
         super().__init__(relayer, holder, source)
-        self._planner = LC_UPDATE_PLANS[relayer.config.lc_update_plan]
-        self._lc_last_finish = float("-inf")
+        self._plan = LC_UPDATE_PLANS[relayer.config.lc_update_plan]
+        #: When the running update started, and the earliest simulated
+        #: time the budget allows the next one to.
+        self._lc_started = self._lc_next_start = float("-inf")
         self._lc_holddown_handle = None
         self.reset()
 
@@ -113,12 +141,13 @@ class ChunkedTendermint(ClientUpdates):
         if known >= height:
             then(known)
             return
-        self._lc_queue.append((height, then))
+        self._lc_queue.append((height, then, self.sim.now))
         self.kick()
 
     def reset(self) -> None:
-        #: [(min counterparty height, action(height))] awaiting an update.
-        self._lc_queue: list[tuple[int, Then]] = []
+        #: [(min counterparty height, action(height), queued at)]
+        #: awaiting an update.
+        self._lc_queue: list[tuple[int, Then, float]] = []
         self._lc_busy = False
         if self._lc_holddown_handle is not None:
             self._lc_holddown_handle.cancel()
@@ -127,28 +156,26 @@ class ChunkedTendermint(ClientUpdates):
     def kick(self) -> None:
         if self._lc_busy or not self._lc_queue:
             return
-        wait = (self._lc_last_finish
-                + self.relayer.config.lc_update_min_seconds) - self.sim.now
-        if wait > 0:
-            # Hold-down: let more work accumulate so the next update
-            # amortises over it.  One retry timer is enough — every
-            # queued waiter is flushed by the same update.
+        if self._lc_next_start > self.sim.now:
+            # The last update is not paid for yet.  One timer is enough
+            # — every queued waiter is flushed by the same update.
             if self._lc_holddown_handle is None:
-                self._lc_holddown_handle = self.sim.schedule(
-                    wait, self._holddown_over)
+                self._lc_holddown_handle = self.sim.schedule_at(
+                    self._lc_next_start, self._holddown_over)
             return
         chain = self.source.chain
         target = chain.height
-        needed = max(height for height, _ in self._lc_queue)
+        needed = max(height for height, _, _ in self._lc_queue)
         if target < needed:
             # The needed block is not produced yet; retry shortly.
             self.sim.schedule(chain.config.block_seconds, self.kick)
             return
         self._lc_busy = True
+        self._lc_started = self.sim.now
         update = chain.light_client_update(target)
         self.sim.trace.begin("relay.lc_update", key=target, actor="relayer")
         self.holder.api.submit_lc_update(
-            update, window=LC_UPDATE_WINDOW, planner=self._planner,
+            update, window=self._plan.window, planner=self._plan.planner,
             on_done=lambda result, gen=self.relayer._incarnation:
                 self._lc_done(result, gen),
         )
@@ -166,7 +193,9 @@ class ChunkedTendermint(ClientUpdates):
             self.sim.trace.count("relay.lc_updates.stale_dropped")
             return
         self._lc_busy = False
-        self._lc_last_finish = self.sim.now
+        self._lc_next_start = (
+            self._lc_started
+            + result.transaction_count / LC_UPDATE_TXS_PER_SECOND)
         trace = self.sim.trace
         trace.finish("relay.lc_update", key=result.height,
                      transactions=result.transaction_count,
@@ -174,13 +203,15 @@ class ChunkedTendermint(ClientUpdates):
         trace.count("relay.lc_updates")
         trace.observe("relay.lc_update.txs", result.transaction_count)
         trace.observe("relay.lc_update.fee", result.total_fee)
+        trace.observe("relay.lc_update.peak_in_flight", result.peak_in_flight)
         self.relayer.metrics.lc_updates.append(result)
         self.relayer.ledger.record("lc-update", result.total_fee,
                                    result.transaction_count)
         if result.success:
             ready = [w for w in self._lc_queue if w[0] <= result.height]
             self._lc_queue = [w for w in self._lc_queue if w[0] > result.height]
-            for _, action in ready:
+            for _, action, since in ready:
+                trace.observe("relay.lc_update.wait", self.sim.now - since)
                 action(result.height)
         if self._lc_queue:
             self.kick()

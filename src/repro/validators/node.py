@@ -54,6 +54,11 @@ class ValidatorNode:
 
     def __post_init__(self) -> None:
         self._rng = self.sim.rng.fork(f"validator-{self.profile.index}")
+        #: Heights whose SIGN_BLOCK is submitted and has no receipt yet.
+        #: ``block.signers`` only shows a signature once it executed, so
+        #: without this the sweep and the NewBlock path would each pay
+        #: for one and the second would fail ``already signed``.
+        self._signing: set[int] = set()
         self.join_time = self.profile.join_fraction * self.run_duration
         self._outages = [
             (start_frac * self.run_duration,
@@ -121,6 +126,8 @@ class ValidatorNode:
         self._sign(head.height)
 
     def _sign(self, height: int) -> None:
+        if height in self._signing:
+            return
         try:
             block = self.contract.block_at(height)
         except Exception:
@@ -136,6 +143,7 @@ class ValidatorNode:
         message = block.header.sign_message()
 
         def record(receipt: TxReceipt) -> None:
+            self._signing.discard(height)
             self.records.append(SignRecord(
                 height=height,
                 latency=receipt.time - generated_at,
@@ -143,6 +151,7 @@ class ValidatorNode:
                 success=receipt.success,
             ))
 
+        self._signing.add(height)
         try:
             self.api.sign_block(
                 height, self.keypair, message,
@@ -150,6 +159,7 @@ class ValidatorNode:
                 on_result=record,
             )
         except HostUnavailableError:
+            self._signing.discard(height)
             # RPC blackout (chaos): retry after a beat.  If the block
             # finalises meanwhile the retry returns early above, and the
             # periodic sweep backstops any missed height regardless.

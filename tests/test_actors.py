@@ -226,3 +226,43 @@ class TestCrankerAndSweep:
         dep.run_for(300.0)
         finalised = [b for b in dep.contract.blocks[1:] if b.finalised]
         assert finalised, "sweep should have finalised the Δ blocks"
+
+    @pytest.mark.parametrize("order", ["new-block-then-sweep",
+                                       "sweep-then-new-block"])
+    def test_one_signature_per_block_whichever_path_fires_first(self, order):
+        """Regression: the sweep and the NewBlock path each looked only
+        at ``head.signers`` on chain, so whichever fired while the
+        other's SIGN_BLOCK was still in the mempool paid for a second
+        one that failed ``already signed``."""
+        dep = Deployment(DeploymentConfig(
+            seed=53,
+            guest=GuestConfig(delta_seconds=10.0, min_stake_lamports=1),
+            # Nobody reacts to NewBlock on their own and the first sweep
+            # is 22 s away: both paths are driven by hand below.
+            profiles=[
+                p.__class__(**{**p.__dict__, "online_probability": 0.0})
+                for p in simple_profiles(4)
+            ],
+        ))
+        while dep.contract.head.height < 1:
+            dep.sim.step()
+        head = dep.contract.head
+        assert dep.sim.now < 20.0 and not head.finalised and not head.signers
+        node = dep.validators[0]
+
+        def new_block():
+            node._sign(head.height)
+
+        first, second = ((new_block, node._sweep)
+                         if order == "new-block-then-sweep"
+                         else (node._sweep, new_block))
+        first()
+        dep.run_for(0.1)              # submitted, not yet executed
+        assert not head.signers and node._signing == {head.height}
+        second()
+        dep.run_for(5.0)
+        assert node.keypair.public_key in head.signers
+        assert [(r.height, r.success) for r in node.records] == [(head.height, True)]
+        # The receipt cleared the in-flight mark: a rolled-back or
+        # failed signature can be paid for again.
+        assert node._signing == set()

@@ -103,21 +103,37 @@ class TestTable:
     def test_lc_update_plans_are_gated(self):
         from repro.experiments.report import check_lc_update_plans
 
-        def series(txs, signatures):
+        def series(txs, signatures, latency, peak):
             return {"transactions": [txs], "signatures": [signatures],
-                    "cents": [0.1 * (txs + signatures)], "latency_s": [1.0]}
+                    "cents": [0.1 * (txs + signatures)],
+                    "latency_s": [latency], "peak_in_flight": [peak]}
 
-        good = {"paper": series(36, 161), "quorum": series(15, 76)}
+        good = {"paper": series(36, 161, 22.4, 3),
+                "quorum": series(15, 76, 5.0, 14)}
         assert check_lc_update_plans(good) == []
         assert check_lc_update_plans(
-            {**good, "paper": series(29, 161)})[0].startswith(
+            {**good, "paper": series(29, 161, 22.4, 3)})[0].startswith(
                 "paper plan: 29.0 txs per update, outside")
         assert check_lc_update_plans(
-            {**good, "quorum": series(18, 76)})[0].startswith(
+            {**good, "quorum": series(18, 76, 5.0, 17)})[0].startswith(
                 "default plan: 18.0 txs per update, over the 17")
-        overcharged = dict(series(15, 76), cents=[9.2])
+        overcharged = dict(series(15, 76, 5.0, 14), cents=[9.2])
         assert "not 0.1c x (txs + signatures)" in check_lc_update_plans(
             {**good, "quorum": overcharged})[0]
+        # Latency is gated as well as size: the paper plan must stay in
+        # Fig. 4's regime, the burst at under half of it, and the paper
+        # plan may never have more than its three in flight.
+        assert check_lc_update_plans(
+            {**good, "paper": series(36, 161, 9.0, 3)})[0].startswith(
+                "paper plan: update latency p50 9.0 s, outside")
+        assert check_lc_update_plans(
+            {**good, "quorum": series(15, 76, 11.3, 3)}) == [
+                "default plan: update latency p50 11.3 s, over half the "
+                "paper plan's 22.4 s"]
+        assert check_lc_update_plans(
+            {**good, "paper": series(36, 161, 22.4, 35)}) == [
+                "paper plan: 35 transactions in flight at once, over the "
+                "3 that calibrate Fig. 4"]
 
     def test_rows_run_in_table_order(self, cwd, monkeypatch, capsys):
         first, _ = stub("first")
@@ -304,10 +320,12 @@ class TestCheapRowsEndToEnd:
         assert record["packets"] == profiling.WALLCLOCK_SMOKE_PACKETS == 1_500
         assert record["floor_events_per_sec"] == 500.0
         # 1 501 packets / 16 614 events while establishment took 252 s;
-        # the ~15-transaction LC update opens the link at 216 s, and the
-        # constant-rate window that starts there fits 1 500 sends.
+        # the ~15-transaction LC update opened the link at 216 s, and the
+        # constant-rate window that starts there fits 1 500 sends
+        # (16 174 events).  With the update's staging wave in flight at
+        # once the link opens at 168 s: 16 174 -> 16 037.
         assert record["delivered"] == record["sent"] == 1_500
-        assert record["events_dispatched"] == 16_174
+        assert record["events_dispatched"] == 16_037
         assert "wallclock-smoke: 1500/1500 packets" in capsys.readouterr().out
 
     def test_the_wallclock_gate_is_not_a_flag(self):
@@ -328,7 +346,9 @@ class TestLinkedBuilder:
     the three builders it replaced — pinned from the commit before
     (252.0 s / 1424 events, 198.0 / 1109, 186.0 / 1047), times and event
     counts re-taken when the handshakes' chunked LC updates shrank to
-    the quorum prefix; channels and store roots did not move."""
+    the quorum prefix (216.0 / 1127, 144.0 / 744, 156.0 / 832) and again
+    when their staging transactions went out in one wave; channels and
+    store roots did not move."""
 
     @staticmethod
     def pin(dep, channels):
@@ -349,7 +369,7 @@ class TestLinkedBuilder:
             (config.batch_max_packets, config.batch_flush_seconds),
             config.channels, tracing=config.tracing)
         assert self.pin(dep, channels) == (
-            216.0, 1127,
+            168.0, 920,
             [("channel-0", "channel-0"), ("channel-1", "channel-1"),
              ("channel-2", "channel-2")],
             "08eaf3013d5dde33")
@@ -360,10 +380,10 @@ class TestLinkedBuilder:
         )
         dep, engine = start_point(ThroughputPointConfig())
         assert self.pin(dep, engine.channels) == (
-            144.0, 744,
+            120.0, 658,
             [("channel-0", "channel-0"), ("channel-1", "channel-1")],
             "88805ed722a88a5a")
-        assert engine.end_time == 144.0 + 300.0 + 2400.0
+        assert engine.end_time == 120.0 + 300.0 + 2400.0
 
     def test_chaos_shape_and_explicit_default_host(self):
         from repro.experiments.chaos import ChaosSoakConfig
@@ -384,7 +404,7 @@ class TestLinkedBuilder:
                 config.channels, validators=config.validators,
                 with_fisherman=True, **host)
 
-        expected = (156.0, 832,
+        expected = (144.0, 778,
                     [("channel-0", "channel-0"), ("channel-1", "channel-1")],
                     "88805ed722a88a5a")
         dep, channels = build()

@@ -17,7 +17,7 @@ from repro.host.transaction import Instruction, Transaction
 from repro.crypto.simsig import SimSigScheme
 from repro.ibc.apps.transfer import Bank, RateLimiter, TransferApp
 from repro.ibc.identifiers import PortId
-from repro.relayer.updates import LC_UPDATE_WINDOW
+from repro.relayer.updates import LC_UPDATE_PLANS
 from repro.sim import Simulation
 from repro.units import sol_to_lamports
 from repro.validators.profiles import simple_profiles
@@ -99,7 +99,8 @@ class TestLcRateLimit:
 
         outcomes = []
         dep.relayer_api.submit_lc_update(
-            dep.counterparty.light_client_update(), window=LC_UPDATE_WINDOW,
+            dep.counterparty.light_client_update(),
+            window=LC_UPDATE_PLANS["quorum"].window,
             on_done=outcomes.append,
         )
         dep.run_for(90.0)
@@ -107,7 +108,8 @@ class TestLcRateLimit:
 
         dep.run_for(60.0)  # well inside the 600 s window
         dep.relayer_api.submit_lc_update(
-            dep.counterparty.light_client_update(), window=LC_UPDATE_WINDOW,
+            dep.counterparty.light_client_update(),
+            window=LC_UPDATE_PLANS["quorum"].window,
             on_done=outcomes.append,
         )
         dep.run_for(90.0)
@@ -115,7 +117,8 @@ class TestLcRateLimit:
 
         dep.run_for(600.0)  # window passed
         dep.relayer_api.submit_lc_update(
-            dep.counterparty.light_client_update(), window=LC_UPDATE_WINDOW,
+            dep.counterparty.light_client_update(),
+            window=LC_UPDATE_PLANS["quorum"].window,
             on_done=outcomes.append,
         )
         dep.run_for(90.0)

@@ -5,7 +5,7 @@ import pytest
 from repro import Deployment, DeploymentConfig
 from repro.guest.api import DeliveryResult, LcUpdateResult
 from repro.guest.config import GuestConfig
-from repro.relayer.updates import LC_UPDATE_WINDOW
+from repro.relayer.updates import LC_UPDATE_PLANS
 from repro.validators.profiles import simple_profiles
 
 
@@ -99,7 +99,8 @@ class TestApiAccounting:
         burned_before = dep.host.total_fees_burned()
         results = []
         dep.relayer_api.submit_lc_update(
-            dep.counterparty.light_client_update(), window=LC_UPDATE_WINDOW,
+            dep.counterparty.light_client_update(),
+            window=LC_UPDATE_PLANS["quorum"].window,
             on_done=results.append,
         )
         dep.run_for(120.0)

@@ -48,7 +48,11 @@ class TestLinkEstablishment:
             assert result.transaction_count > 10  # genuinely chunked
             # Picasso-scale commits (~161 signatures), of which only the
             # power-ranked prefix crossing the client's thresholds rides.
-            assert 60 < result.signature_count < 100
+            # The band sat at 60-100 while the second update targeted
+            # height 12 (85 signatures); it now starts a block earlier
+            # and ships height 11, whose thinner commit needs 100.  Same
+            # width, moved, not widened.
+            assert 65 < result.signature_count < 105
 
     def test_guest_blocks_finalised_by_quorum(self, linked):
         dep, _ = linked

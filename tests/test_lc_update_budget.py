@@ -1,27 +1,47 @@
-"""A regression gate on the size of a chunked light-client update that
-needs no clock and no deployment.
+"""Regression gates on the chunked light-client update that read no
+wall clock: what one update carries, and how a relayer spends it.
 
-A default ``CounterpartyConfig`` chain (190 validators, ~85 % commit
-participation, power churn on a third of its blocks) is followed for 50
-updates by a ``TendermintLightClient`` that adopts exactly what each plan
-ships, as the Guest Contract would.  The transaction counts are byte
-arithmetic over a seeded chain, so the gate cannot flake; what it guards
-is docs/PERFORMANCE.md, "Ship only the quorum": the default plan stays
-near 15 host transactions and the paper plan stays Fig. 4's ~36.
+*Size.*  A default ``CounterpartyConfig`` chain (190 validators, ~85 %
+commit participation, power churn on a third of its blocks) is followed
+for 50 updates by a ``TendermintLightClient`` that adopts exactly what
+each plan ships, as the Guest Contract would.  The transaction counts
+are byte arithmetic over a seeded chain, so the gate cannot flake; what
+it guards is docs/PERFORMANCE.md, "Ship only the quorum": the default
+plan stays near 15 host transactions and the paper plan stays Fig. 4's
+~36.
+
+*Submission discipline.*  A link under 20 pps of counterparty sends is
+watched at the host's RPC edge for ~90 simulated seconds: the default
+plan puts an update's whole staging wave in flight at one instant and
+paces updates by ``LC_UPDATE_TXS_PER_SECOND``; the paper plan keeps its
+three in flight (docs/PERFORMANCE.md, "Spend the update in one burst").
+Blackouts, drops and crashes mid-wave are scripted at the same edge.
 """
 
+from collections import defaultdict
 from statistics import mean, median
 
+import pytest
+
+from repro import Deployment, DeploymentConfig
 from repro.counterparty.chain import CounterpartyChain, CounterpartyConfig
 from repro.crypto.simsig import SimSigScheme
-from repro.errors import ClientError
+from repro.encoding import Reader
+from repro.errors import ClientError, HostUnavailableError
+from repro.experiments.throughput import build_linked_deployment
+from repro.guest.config import GuestConfig
+from repro.guest.instructions import Op
 from repro.lightclient.chunked import (
     plan_paper_update,
     plan_update_chunks,
     usable_chunk_bytes,
 )
 from repro.lightclient.tendermint import TendermintLightClient, ValidatorSet
+from repro.relayer.relayer import RelayerConfig
+from repro.relayer.updates import LC_UPDATE_PLANS, LC_UPDATE_TXS_PER_SECOND
 from repro.sim import Simulation
+from repro.validators.profiles import simple_profiles
+from repro.workload import WorkloadEngine, WorkloadSpec
 
 UPDATES = 50
 #: Counterparty blocks between updates: ``paper_day``'s ~260 s mean gap
@@ -81,3 +101,345 @@ def test_paper_plan_stays_in_the_figure_4_range():
     # Reads 36.7.
     assert 30 <= mean(plan.transaction_count for plan, _ in plans) <= 43
     assert all(plan.signature_count == commit for plan, commit in plans)
+
+
+# ----------------------------------------------------------------------
+# Submission discipline on a loaded link
+# ----------------------------------------------------------------------
+
+LC_OPS = (Op.CHUNK, Op.LC_SIG_BATCH, Op.LC_FINALIZE)
+GUEST = GuestConfig(delta_seconds=120.0, min_stake_lamports=1)
+BATCHING = (32, 2.0)
+
+
+class RpcTap:
+    """The host's RPC edge as one relayer's light-client updates see it.
+
+    Every CHUNK / LC_SIG_BATCH / LC_FINALIZE handed to ``host.submit``
+    (packet and handshake chunks travel as bundles) is recorded per
+    staging buffer, i.e. per update, as ``[op, submitted at, receipt
+    seen at, transaction]``.  ``refuse`` and ``drop`` script the two
+    chaos edges for chosen transactions: a refusal raises before
+    anything is recorded, a drop reports the host's own in-transit
+    receipt and nothing reaches the mempool.
+    """
+
+    def __init__(self, dep):
+        self.sim = dep.sim
+        self.host = dep.host
+        self.updates = defaultdict(list)
+        self.in_flight = self.widest = 0
+        self.refuse = self.drop = lambda op, buffer_id: False
+        self.refused = 0
+        self._submit = dep.host.submit
+        dep.host.submit = self.submit
+
+    def submit(self, transaction, on_result=None):
+        data = transaction.instructions[0].data
+        if data[0] not in LC_OPS:
+            return self._submit(transaction, on_result=on_result)
+        op, buffer_id = Op(data[0]), Reader(data[1:]).read_varint()
+        if self.refuse(op, buffer_id):
+            self.refused += 1
+            raise HostUnavailableError("scripted blackout")
+        row = [op, self.sim.now, None, transaction]
+
+        def seen(receipt):
+            row[2] = self.sim.now
+            self.in_flight -= 1
+            on_result(receipt)
+
+        if self.drop(op, buffer_id):
+            self.sim.schedule(0.8, self.host._report_dropped, transaction, seen)
+        else:
+            self._submit(transaction, on_result=seen)
+        self.updates[buffer_id].append(row)
+        self.in_flight += 1
+        self.widest = max(self.widest, self.in_flight)
+
+    def staging(self, buffer_id):
+        return [row for row in self.updates[buffer_id]
+                if row[0] is not Op.LC_FINALIZE]
+
+    def finalizes(self, buffer_id):
+        return [row for row in self.updates[buffer_id]
+                if row[0] is Op.LC_FINALIZE]
+
+
+class LoadedLink:
+    """20 pps of counterparty sends over one link for ``seconds``, every
+    ``cover()`` of the guest's client and every poll result recorded."""
+
+    def __init__(self, dep, channels, seconds=90.0):
+        self.dep = dep
+        strategy = dep.relayer.a.updates
+        self.tap = RpcTap(dep)
+        self.updates_before = len(dep.relayer.metrics.lc_updates)
+        self.waits_before = len(
+            dep.trace_report().histogram("relay.lc_update.wait"))
+        #: One record per ``cover()`` call, in call order, and the
+        #: queued ones again in the order an update released them.
+        self.covers, self.released = [], []
+        #: (packet, height committed at, polled at), in poll order.
+        self.polled = []
+        cover, fresh_sends = strategy.cover, dep.relayer.b.fresh_sends
+
+        def recording_cover(height, then, *failed):
+            record = {"height": height, "at": dep.sim.now, "queued": False,
+                      "released_at": None}
+            self.covers.append(record)
+
+            def release(covered):
+                record["released_at"] = dep.sim.now
+                record["covered"] = covered
+                if record["queued"]:
+                    self.released.append(record)
+                then(covered)
+
+            cover(height, release, *failed)
+            record["queued"] = record["released_at"] is None
+
+        def recording_fresh_sends():
+            fresh = fresh_sends()
+            self.polled += [(packet, height, dep.sim.now)
+                            for packet, height in fresh]
+            return fresh
+
+        strategy.cover = recording_cover
+        dep.relayer.b.fresh_sends = recording_fresh_sends
+        self.engine = WorkloadEngine(dep, channels, WorkloadSpec(
+            offered_pps=20.0, duration=seconds, drain_seconds=60.0))
+        self.engine.start()
+        dep.sim.run_until(self.engine.end_time)
+
+    @property
+    def results(self):
+        """This run's updates, paired with their RPC-edge records (one
+        staging buffer per update, in submission order)."""
+        results = self.dep.relayer.metrics.lc_updates[self.updates_before:]
+        assert len(results) == len(self.tap.updates)
+        return list(zip(results, self.tap.updates))
+
+    def starts(self):
+        return [self.tap.updates[buffer_id][0][1] for _, buffer_id in self.results]
+
+
+@pytest.fixture(scope="module", params=[0, 1, 2])
+def loaded(request):
+    dep, channels = build_linked_deployment(request.param, GUEST, BATCHING, 1)
+    link = LoadedLink(dep, channels)
+    assert link.engine.delivered == link.engine.sent == 1_800
+    assert len(link.results) >= 8
+    return link
+
+
+def test_default_plan_puts_the_whole_staging_wave_in_flight(loaded):
+    for result, buffer_id in loaded.results:
+        staging = loaded.tap.staging(buffer_id)
+        assert len(staging) == result.transaction_count - 1
+        assert len({submitted for _, submitted, _, _ in staging}) == 1
+        assert result.peak_in_flight == result.transaction_count - 1
+        # LC_FINALIZE goes out when the last staging receipt is back —
+        # not before (it needs every batch credited), not later.
+        (finalize,) = loaded.tap.finalizes(buffer_id)
+        assert finalize[1] == max(seen for _, _, seen, _ in staging)
+    peaks = loaded.dep.trace_report().histogram("relay.lc_update.peak_in_flight")
+    assert peaks[loaded.updates_before:] == [
+        result.peak_in_flight for result, _ in loaded.results]
+
+
+def test_update_starts_are_spaced_by_the_transaction_budget(loaded):
+    results = [result for result, _ in loaded.results]
+    starts = loaded.starts()
+    for result, start, following in zip(results, starts, starts[1:]):
+        owed = result.transaction_count / LC_UPDATE_TXS_PER_SECOND
+        assert following - start >= owed - 1e-9
+    # At 20 pps a waiter is always queued, so the budget is what paces
+    # the link: spent in full, never exceeded.
+    spent = sum(result.transaction_count for result in results[:-1])
+    rate = spent / (starts[-1] - starts[0])
+    assert 0.9 * LC_UPDATE_TXS_PER_SECOND < rate <= LC_UPDATE_TXS_PER_SECOND + 1e-9
+    # One update at a time: the next starts after the last one ended.
+    ends = [loaded.tap.finalizes(buffer_id)[0][2] for _, buffer_id in loaded.results]
+    assert all(end <= start for end, start in zip(ends, starts[1:]))
+
+
+def test_a_packet_polled_during_the_hold_down_rides_the_next_update(loaded):
+    """Whatever is queued when an update starts is released by it: the
+    update targets the counterparty's tip, which every polled send is
+    at or below.  Nothing waits for the update after."""
+    starts = loaded.starts()
+    finishes = [loaded.tap.finalizes(buffer_id)[0][2]
+                for _, buffer_id in loaded.results]
+    assert all(result.success for result, _ in loaded.results)
+    held = 0
+    for record in loaded.covers:
+        assert record["queued"]
+        # The first update to start once the waiter is queued...
+        index = next(i for i, start in enumerate(starts) if start >= record["at"])
+        # ...is the one whose end released it.
+        assert record["released_at"] == finishes[index]
+        assert record["covered"] == loaded.results[index][0].height >= record["height"]
+        held += index > 0 and finishes[index - 1] < record["at"] < starts[index]
+    assert held > 100  # the hold-down case is the common one here
+
+
+def test_wait_stage_reconciles_poll_to_delivery(loaded):
+    """Per packet: poll delay + ``relay.lc_update.wait`` + delivery is
+    the relayer's commit -> receive time (docs/OBSERVABILITY.md)."""
+    dep = loaded.dep
+    report = dep.trace_report()
+    waits = report.histogram("relay.lc_update.wait")[loaded.waits_before:]
+    assert len(waits) == len(loaded.released)
+    for record, wait in zip(loaded.released, waits):
+        record["wait"] = wait
+        assert wait == record["released_at"] - record["at"]
+    deliveries = {span.key: span
+                  for span in report.spans_named("packet.deliver_to_guest")}
+    assert len(loaded.polled) == len(loaded.covers) == 1_800
+    for (packet, height, polled_at), record in zip(loaded.polled, loaded.covers):
+        committed_at = dep.counterparty.blocks[height].header.time
+        span = deliveries[packet.sequence]
+        assert record["at"] == polled_at and span.start == record["released_at"]
+        stages = (polled_at - committed_at) + record["wait"] + span.duration
+        assert abs(stages - (span.end - committed_at)) < 1e-9
+        assert polled_at - committed_at <= 3.0 + 1e-9   # the relayer's poll
+
+
+def test_paper_plan_keeps_three_in_flight():
+    dep = Deployment(DeploymentConfig(
+        seed=0, guest=GUEST, profiles=simple_profiles(4), tracing=True,
+        relayer=RelayerConfig(batch_max_packets=32, batch_flush_seconds=2.0,
+                              lc_update_plan="paper")))
+    link = LoadedLink(dep, [dep.establish_link()])
+    assert link.engine.delivered == link.engine.sent
+    assert link.tap.widest == LC_UPDATE_PLANS["paper"].window == 3
+    for result, buffer_id in link.results:
+        assert result.peak_in_flight == 3
+        assert len({row[1] for row in link.tap.staging(buffer_id)}) > 3
+    # ~36 transactions three at a time take longer than they cost, so
+    # the budget is idle: each update starts as the last one ends.
+    assert mean(result.transaction_count for result, _ in link.results) > 30
+
+
+# ----------------------------------------------------------------------
+# Faults in the middle of a wave
+# ----------------------------------------------------------------------
+
+def idle_link(seed):
+    """An established, idle link with its RPC edge tapped, and one
+    counterparty send whose update the tests below disturb."""
+    dep = Deployment(DeploymentConfig(
+        seed=seed, guest=GUEST, profiles=simple_profiles(4), tracing=True))
+    guest_channel, cp_channel = dep.establish_link()
+    dep.run_for(30.0)
+    dep.counterparty.bank.mint("carol", "PICA", 1_000)
+
+    def send():
+        data = dep.counterparty.transfer.make_payload(
+            cp_channel, "PICA", 50, "carol", "dave")
+        dep.counterparty.ibc.send_packet(
+            dep.counterparty.transfer_port, cp_channel, data, 0.0)
+
+    dep.counterparty.submit(send)
+    voucher = dep.contract.transfer.voucher_denom(guest_channel, "PICA")
+    return dep, RpcTap(dep), lambda: dep.contract.bank.balance("dave", voucher)
+
+
+@pytest.mark.parametrize("k", [0, 5, 9])
+def test_blackout_at_the_kth_submission_resumes_at_k(k):
+    dep, tap, delivered = idle_link(31)
+    blackout = {}
+
+    def refuse(op, buffer_id):
+        """Down from the k-th staging submission of the wave for 5 s:
+        long enough that receipts of the first k land meanwhile."""
+        if "until" not in blackout and len(tap.updates[buffer_id]) == k:
+            blackout["until"] = dep.sim.now + 5.0
+        return dep.sim.now < blackout.get("until", 0.0)
+
+    tap.refuse = refuse
+    retry_timers = []
+    schedule = dep.sim.schedule
+
+    def watching_schedule(delay, callback, *args):
+        if getattr(callback, "__name__", "") == "pump":
+            retry_timers.append(dep.sim.now)
+        return schedule(delay, callback, *args)
+
+    dep.sim.schedule = watching_schedule
+    dep.run_for(120.0)
+
+    (result,) = dep.relayer.metrics.lc_updates[-1:]
+    (buffer_id,) = tap.updates
+    rows = tap.updates[buffer_id]
+    assert result.success and delivered() == 50
+    # Nothing twice, nothing skipped, and the wave split exactly at k.
+    assert len({id(row[3]) for row in rows}) == len(rows) == result.transaction_count
+    wave = sorted({row[1] for row in tap.staging(buffer_id)})
+    assert [sum(row[1] == at for row in tap.staging(buffer_id)) for at in wave] \
+        == ([k, result.transaction_count - 1 - k] if k else [result.transaction_count - 1])
+    assert wave[-1] >= blackout["until"]
+    # Every refusal is counted; one retry timer at a time carries them
+    # (receipts landing in the blackout find the RPC down and arm none).
+    assert dep.trace_report().counter("chaos.lc_update.stalled") == tap.refused
+    down_at = blackout["until"] - 5.0
+    assert retry_timers == [down_at, down_at + 2.0, down_at + 4.0]
+    if k:
+        assert tap.refused > len(retry_timers)
+    else:                             # nothing in flight to land meanwhile
+        assert tap.refused == len(retry_timers)
+
+
+def test_dropped_staging_transaction_fails_the_update_and_is_charged():
+    dep, tap, delivered = idle_link(32)
+    dropped = []
+
+    def drop(op, buffer_id):
+        """The sixth staging transaction of the first update is lost in
+        transit."""
+        if not dropped and len(tap.updates[buffer_id]) == 5:
+            dropped.append(buffer_id)
+        return dropped == [buffer_id] and len(tap.updates[buffer_id]) == 5
+
+    tap.drop = drop
+    before = len(dep.relayer.metrics.lc_updates)
+    dep.run_for(180.0)
+
+    failed, retried = dep.relayer.metrics.lc_updates[before:]
+    first, second = tap.updates
+    assert not failed.success and retried.success
+    # The failed attempt staged everything else, finalized (refused:
+    # one batch short of the commit) and is on the books in full.
+    assert len(tap.updates[first]) == failed.transaction_count
+    assert dep.relayer.ledger.transactions["lc-update"] >= (
+        failed.transaction_count + retried.transaction_count)
+    # The retry is a new update, spaced like any other.
+    gap = tap.updates[second][0][1] - tap.updates[first][0][1]
+    assert gap >= failed.transaction_count / LC_UPDATE_TXS_PER_SECOND - 1e-9
+    assert gap < failed.transaction_count / LC_UPDATE_TXS_PER_SECOND + 6.0
+    assert delivered() == 50
+    assert dep.relayer.metrics.packets_relayed_to_guest == 1
+
+
+def test_crash_mid_wave_is_dropped_by_the_incarnation_guard():
+    dep, tap, delivered = idle_link(33)
+    strategy = dep.relayer.a.updates
+    before = len(dep.relayer.metrics.lc_updates)
+    while not tap.updates:
+        dep.sim.step()
+    (first,) = tap.updates            # the wave is out, no receipt yet
+    assert tap.in_flight == len(tap.updates[first]) and strategy._lc_busy
+    budget = strategy._lc_next_start
+
+    dep.relayer.crash()
+    dep.run_for(20.0)                 # the dead wave lands and finalizes
+    assert len(tap.finalizes(first)) == 1
+    assert len(dep.relayer.metrics.lc_updates) == before   # not accounted
+    assert dep.trace_report().counter("relay.lc_updates.stale_dropped") == 1
+    assert not strategy._lc_busy and strategy._lc_next_start == budget
+
+    dep.relayer.restart()
+    dep.run_for(180.0)
+    assert delivered() == 50
+    assert dep.relayer.metrics.packets_relayed_to_guest == 1

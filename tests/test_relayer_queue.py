@@ -9,7 +9,7 @@ import pytest
 
 from repro import Deployment, DeploymentConfig
 from repro.guest.config import GuestConfig
-from repro.relayer.updates import LC_UPDATE_WINDOW
+from repro.relayer.updates import LC_UPDATE_PLANS
 from repro.validators.profiles import simple_profiles
 
 
@@ -27,7 +27,8 @@ class TestLcWorkQueue:
         dep.run_for(30.0)
         outcomes = []
         dep.relayer_api.submit_lc_update(
-            dep.counterparty.light_client_update(), window=LC_UPDATE_WINDOW,
+            dep.counterparty.light_client_update(),
+            window=LC_UPDATE_PLANS["quorum"].window,
             on_done=outcomes.append,
         )
         dep.run_for(120.0)

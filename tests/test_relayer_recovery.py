@@ -38,33 +38,70 @@ def cp_send(dep, cp_chan, amount=50, sender="carol", receiver="dave"):
     dep.counterparty.submit(send)
 
 
+def held_down(dep, cp_chan):
+    """A committed counterparty send whose LC update the budget holds
+    back for two more minutes; returns the strategy with its one
+    hold-down timer armed."""
+    dep.relayer.paused = True
+    cp_send(dep, cp_chan)
+    dep.run_for(30.0)                 # the send commits; relayer down
+    updates = dep.relayer.a.updates
+    # Make "the last update is not paid for yet" unambiguous so the
+    # kick below must take the hold-down branch.
+    updates._lc_next_start = dep.sim.now + 120.0
+    assert updates._lc_holddown_handle is None
+
+    dep.relayer.resume()
+    dep.run_for(10.0)                 # poll finds the packet, kicks LC
+    assert updates._lc_holddown_handle is not None  # timer pending
+    return updates
+
+
 class TestResume:
     def test_resume_with_pending_holddown_arms_no_duplicate_timer(self):
-        dep = make_dep(271, RelayerConfig(lc_update_min_seconds=120.0))
+        dep = make_dep(271)
         guest_chan, cp_chan = dep.establish_link()
         dep.counterparty.bank.mint("carol", "PICA", 1_000)
-
-        dep.relayer.paused = True
-        cp_send(dep, cp_chan)
-        dep.run_for(30.0)                 # the send commits; relayer down
-        # Make "too soon since the last LC update" unambiguous so the
-        # kick below must take the hold-down branch.
-        dep.relayer.a.updates._lc_last_finish = dep.sim.now
-        assert dep.relayer.a.updates._lc_holddown_handle is None
-
-        dep.relayer.resume()
-        dep.run_for(10.0)                 # poll finds the packet, kicks LC
-        handle = dep.relayer.a.updates._lc_holddown_handle
-        assert handle is not None         # hold-down timer pending
+        updates = held_down(dep, cp_chan)
+        handle = updates._lc_holddown_handle
 
         dep.relayer.resume()              # resume *again*, timer pending
-        assert dep.relayer.a.updates._lc_holddown_handle is handle  # not replaced
+        scheduled = dep.trace_report().counter("sim.events.scheduled")
+        updates.kick()
+        updates.kick()
+        assert updates._lc_holddown_handle is handle  # not replaced
+        assert not handle.cancelled
+        assert (dep.trace_report().counter("sim.events.scheduled")
+                == scheduled)             # and nothing armed beside it
+        assert not updates._lc_busy       # held, not started
 
         dep.run_for(400.0)                # hold-down elapses, update runs
         voucher = dep.contract.transfer.voucher_denom(guest_chan, "PICA")
         assert dep.contract.bank.balance("dave", voucher) == 50  # not lost
         assert dep.relayer.metrics.packets_relayed_to_guest == 1  # exactly once
-        assert dep.relayer.a.updates._lc_holddown_handle is None
+        assert updates._lc_holddown_handle is None
+
+    def test_crash_cancels_the_holddown_timer(self):
+        dep = make_dep(279)
+        guest_chan, cp_chan = dep.establish_link()
+        dep.counterparty.bank.mint("carol", "PICA", 1_000)
+        updates = held_down(dep, cp_chan)
+        handle = updates._lc_holddown_handle
+        held_until = updates._lc_next_start
+
+        dep.relayer.crash()               # reset(): queue and timer gone
+        assert handle.cancelled
+        assert updates._lc_holddown_handle is None
+        assert updates._lc_queue == []
+
+        # The restarted relayer re-fetches the send and still owes the
+        # budget: its update starts when the hold-down ends, not before.
+        dep.relayer.restart()
+        dep.run_for(400.0)
+        assert dep.relayer.a.updates._lc_started >= held_until
+        voucher = dep.contract.transfer.voucher_denom(guest_chan, "PICA")
+        assert dep.contract.bank.balance("dave", voucher) == 50
+        assert dep.relayer.metrics.packets_relayed_to_guest == 1
 
     def test_resume_is_idempotent_when_idle(self):
         dep = make_dep(272)
