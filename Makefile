@@ -2,9 +2,9 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench bench-smoke figures examples cluster-smoke \
-	chaos-smoke accountability-smoke wallclock-smoke profile-soak \
-	fabric-smoke state-smoke lc-update-smoke all
+.PHONY: install test lint bench bench-smoke perf-gates figures examples \
+	cluster-smoke chaos-smoke accountability-smoke wallclock-smoke \
+	profile-soak fabric-smoke state-smoke lc-update-smoke all
 
 install:
 	pip install -e . && pip install pytest pytest-benchmark hypothesis
@@ -25,7 +25,16 @@ bench:
 bench-smoke:
 	$(PYTHON) -m pytest bench -q && python3 bench/run.py --smoke
 
-# Print every reproduced table/figure to the terminal (~2 min): the
+# The perf regression gates that read no clock (docs/PERFORMANCE.md):
+# calls per trie lifecycle, transactions per light-client update and how
+# they are submitted, derivations per immutable instance.  Counts are a
+# function of the code alone, so a failure here names the layer that
+# grew.  All three also run in tier-1.
+perf-gates:
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_trie_call_budget.py \
+		tests/test_lc_update_budget.py tests/test_derive_once_budget.py
+
+# Print every reproduced table/figure to the terminal (~1 min): the
 # rows `python -m repro.experiments --help` marks as part of `all`.
 figures:
 	$(PYTHON) -m repro.experiments

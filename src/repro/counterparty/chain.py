@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.crypto.keys import Keypair, SignatureScheme
+from repro.crypto.keys import Keypair, PublicKey, SignatureScheme
 from repro.errors import ReproError
 from repro.ibc.apps.transfer import Bank, TransferApp
 from repro.ibc.host import IbcHost
@@ -85,16 +85,21 @@ class CounterpartyChain:
         self._rng = sim.rng.fork("counterparty")
         self._participant_seed = self._rng.randint(0, (1 << 60) - 1)
 
-        self._validators: list[tuple[Keypair, int]] = []
-        for index in range(self.config.validator_count):
-            seed = bytes([2]) + index.to_bytes(4, "big") + bytes(27)
-            keypair = scheme.keypair_from_seed(seed)
-            # Power follows a mild skew: a few heavyweights, a long tail.
-            power = 1_000_000 // (1 + index // 10)
-            self._validators.append((keypair, power))
+        keypairs = [
+            scheme.keypair_from_seed(
+                bytes([2]) + index.to_bytes(4, "big") + bytes(27))
+            for index in range(self.config.validator_count)
+        ]
+        #: Who signs never changes; only voting power does (churn).
+        self._keypairs: dict[PublicKey, Keypair] = {
+            keypair.public_key: keypair for keypair in keypairs}
+        # Power follows a mild skew: a few heavyweights, a long tail.
+        self._valset = ValidatorSet(members=tuple(
+            (keypair.public_key, 1_000_000 // (1 + index // 10))
+            for index, keypair in enumerate(keypairs)
+        ))
 
         self.height = 0
-        self._valset_cache: Optional[ValidatorSet] = None
         self.blocks: dict[int, _BlockRecord] = {}
         self._pending_calls: list[tuple[Callable[[], Any], Optional[Callable[[Any, int], None]]]] = []
         self._block_listeners: list[Callable[[int], None]] = []
@@ -136,23 +141,19 @@ class CounterpartyChain:
     # ------------------------------------------------------------------
 
     def validator_set(self) -> ValidatorSet:
-        if self._valset_cache is None:
-            self._valset_cache = ValidatorSet(members=tuple(
-                (keypair.public_key, power) for keypair, power in self._validators
-            ))
-        return self._valset_cache
+        return self._valset
 
     def _maybe_churn(self) -> None:
         if self._rng.bernoulli(self.config.valset_churn_probability):
-            index = self._rng.randint(0, len(self._validators) - 1)
-            keypair, power = self._validators[index]
+            members = self._valset.members
+            index = self._rng.randint(0, len(members) - 1)
+            public_key, power = members[index]
             delta = max(1, power // 100)
             power = power + delta if self._rng.bernoulli(0.5) else max(1, power - delta)
-            self._validators[index] = (keypair, power)
-            self._valset_cache = None
-            self._valset_hash_history.add(
-                bytes(self.validator_set().canonical_hash())
-            )
+            self._valset = ValidatorSet(members=(
+                members[:index] + ((public_key, power),) + members[index + 1:]
+            ))
+            self._valset_hash_history.add(bytes(self._valset.canonical_hash()))
 
     def _participants(self, height: int, valset: ValidatorSet) -> list[int]:
         """Deterministic per-height participant indices (lazy commits)."""
@@ -166,14 +167,11 @@ class CounterpartyChain:
 
     def _build_commit(self, record: "_BlockRecord", height: int) -> Commit:
         sign_bytes = record.header.sign_bytes()
-        keypairs = {bytes(kp.public_key): kp for kp, _ in self._validators}
         signatures = []
         for index in self._participants(height, record.validator_set):
             public_key, _ = record.validator_set.members[index]
-            keypair = keypairs.get(bytes(public_key))
-            if keypair is None:
-                continue  # validator rotated out since; skip
-            signatures.append((public_key, keypair.sign(sign_bytes)))
+            signatures.append(
+                (public_key, self._keypairs[public_key].sign(sign_bytes)))
         return Commit(signatures=tuple(signatures))
 
     def _produce_block(self) -> None:

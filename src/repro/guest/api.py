@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.crypto.keys import Keypair, PublicKey, Signature
+from repro.derive import derive_once
 from repro.errors import HostUnavailableError
 from repro.guest import instructions as ins
 from repro.guest.contract import GuestContract
@@ -64,9 +65,16 @@ class DeliveryResult:
     packet_count: int = 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BatchOp:
-    """One packet operation queued for a batched delivery bundle."""
+    """One packet operation queued for a batched delivery bundle.
+
+    Frozen over a packet, proof and ack that are themselves frozen, so
+    :meth:`msg_bytes` is serialised once: the relayer sizes its bundles
+    by the length and :meth:`GuestApi.deliver_batch` ships the same
+    bytes.  No ``__slots__``: the instance ``__dict__`` is where
+    :func:`repro.derive.derive_once` keeps them.
+    """
 
     kind: str  # "recv" | "ack" | "timeout"
     packet: object
@@ -74,6 +82,7 @@ class BatchOp:
     proof_height: int
     ack: object = None
 
+    @derive_once
     def msg_bytes(self) -> bytes:
         msg = ins.BufferedPacketMsg(
             packet_bytes=self.packet.to_bytes(),

@@ -14,12 +14,19 @@ from typing import Optional
 
 from repro.crypto.hashing import Hash, hash_concat, merkle_root
 from repro.crypto.keys import PublicKey, Signature
+from repro.derive import derive_once
 from repro.errors import GuestError
 
 
 @dataclass(frozen=True)
 class GuestBlockHeader:
-    """The signed portion of a guest block."""
+    """The signed portion of a guest block.
+
+    Frozen, and every field is an immutable value (ints, a float,
+    :class:`Hash`, a tuple of :class:`Hash`), so :meth:`fingerprint` is
+    derived once per header however many validators, light clients and
+    fishermen ask for it (:func:`repro.derive.derive_once`).
+    """
 
     height: int
     prev_hash: Hash
@@ -39,6 +46,7 @@ class GuestBlockHeader:
     #: Present when this block activates a new epoch: its canonical hash.
     next_epoch_hash: Optional[Hash] = None
 
+    @derive_once
     def fingerprint(self) -> bytes:
         """Canonical bytes validators sign and light clients verify."""
         parts: list[bytes | Hash] = [

@@ -421,9 +421,9 @@ class HostChain:
     def _execute_bundle(self, members: list[_PendingTx], block: HostBlock) -> None:
         """Run a bundle atomically: snapshot across all members, roll the
         whole group back if any member fails."""
-        snapshots = self._snapshot(
-            {addr for m in members for addr in m.transaction.unique_accounts()}
-        )
+        snapshots = self._snapshot(frozenset().union(
+            *(m.transaction.unique_accounts() for m in members)
+        ))
         burned_checkpoint = self.accounts.burned_fees
         events_checkpoint = len(block.events)
         receipts: list[TxReceipt] = []
@@ -568,7 +568,7 @@ class HostChain:
             trace.observe("host.observe_delay", delay)
             self.sim.schedule(delay, pending.on_result, receipt)
 
-    def _snapshot(self, addresses: set[Address]) -> dict[Address, Optional[tuple]]:
+    def _snapshot(self, addresses: frozenset[Address]) -> dict[Address, Optional[tuple]]:
         snaps: dict[Address, Optional[tuple]] = {}
         for address in addresses:
             account = self.accounts.get(address)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from repro.crypto.keys import PublicKey, Signature
+from repro.derive import derive_once
 from repro.errors import TransactionTooLargeError
 from repro.host.accounts import Address
 from repro.units import MAX_TRANSACTION_BYTES
@@ -72,7 +73,12 @@ class SigVerify:
 
 @dataclass
 class Transaction:
-    """A host transaction."""
+    """A host transaction.
+
+    Built whole and never assigned to afterwards: the size check at
+    submission, a bundle's lock set and the rollback snapshot all read
+    the one :meth:`unique_accounts` derived on first use.
+    """
 
     payer: Address
     instructions: tuple[Instruction, ...]
@@ -93,13 +99,14 @@ class Transaction:
         """Precompile signature verifications carried by the transaction."""
         return len(self.sig_verifies)
 
-    def unique_accounts(self) -> set[Address]:
+    @derive_once
+    def unique_accounts(self) -> frozenset[Address]:
         accounts: set[Address] = {self.payer}
         accounts.update(self.extra_signers)
         for instruction in self.instructions:
             accounts.add(instruction.program_id)
             accounts.update(instruction.accounts)
-        return accounts
+        return frozenset(accounts)
 
     def serialized_size(self) -> int:
         """Wire size following Solana's transaction layout."""

@@ -25,6 +25,7 @@ from repro.accountability import (
 )
 from repro.crypto.hashing import Hash, hash_concat
 from repro.crypto.keys import PublicKey, Signature, SignatureScheme
+from repro.derive import derive_once
 from repro.encoding import Reader, encode_bytes, encode_str, encode_varint
 from repro.errors import AccountabilityError, ClientError, EquivocationError
 from repro.ibc.client import LightClient
@@ -32,32 +33,46 @@ from repro.ibc.client import LightClient
 
 @dataclass(frozen=True)
 class ValidatorSet:
-    """An ordered list of (public key, voting power) pairs."""
+    """An ordered list of (public key, voting power) pairs.
+
+    Immutable all the way down — a frozen dataclass over a tuple of
+    ``(PublicKey, int)`` tuples — which is what lets :meth:`power_map`
+    and :meth:`canonical_hash` be derived once per instance
+    (:func:`repro.derive.derive_once`): a header commits to this digest
+    at every height, but the set behind it only changes when stake
+    moves.  Equality and serialisation use ``members`` alone, and every
+    way of making a different set (the constructor, ``read_from``,
+    ``dataclasses.replace``, the on-chain rebuild from a staged delta)
+    makes a new instance that hashes from its own members.
+    """
 
     members: tuple[tuple[PublicKey, int], ...]
+
+    def __post_init__(self) -> None:
+        # A list here could be edited behind the cached digest.
+        if not isinstance(self.members, tuple):
+            raise TypeError(
+                f"ValidatorSet.members must be a tuple, "
+                f"not {type(self.members).__name__}")
 
     @property
     def total_power(self) -> int:
         return sum(power for _, power in self.members)
 
+    @derive_once
     def power_map(self) -> dict[PublicKey, int]:
-        """``public key -> voting power``, built once per set.
+        """``public key -> voting power``.
 
         Quorum checks look up every signer's power on every update;
         the linear ``power_of`` scan made each update O(signers x
-        members).  Cached on the instance (the set is frozen, so the
-        map can never go stale); equality and serialisation still use
-        only ``members``.
+        members).  Callers only read it.
         """
-        cached = self.__dict__.get("_power_map")
-        if cached is None:
-            cached = dict(self.members)
-            object.__setattr__(self, "_power_map", cached)
-        return cached
+        return dict(self.members)
 
     def power_of(self, public_key: PublicKey) -> int:
         return self.power_map().get(public_key, 0)
 
+    @derive_once
     def canonical_hash(self) -> Hash:
         parts: list[bytes] = [b"valset"]
         for public_key, power in self.members:

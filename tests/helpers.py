@@ -222,3 +222,107 @@ class ProtoFabric:
                 self.deliver(src, packet)
                 delivered += 1
         raise AssertionError(f"fabric still busy after {max_rounds} rounds")
+
+
+# ======================================================================
+# Derive-once audit: calls, distinct receivers, derivations
+# ======================================================================
+
+import time  # noqa: E402
+from dataclasses import dataclass, field  # noqa: E402
+from functools import wraps  # noqa: E402
+
+
+def audited_methods() -> tuple[tuple[type, str], ...]:
+    """The zero-argument methods of immutable value types whose calls
+    outnumbered their receivers at least two to one on some ledger
+    workload (docs/PERFORMANCE.md, "Derive once")."""
+    from repro.guest.api import BatchOp
+    from repro.guest.block import GuestBlockHeader
+    from repro.host.transaction import Transaction
+    from repro.lightclient.tendermint import ValidatorSet
+    return ((ValidatorSet, "canonical_hash"), (GuestBlockHeader, "fingerprint"),
+            (BatchOp, "msg_bytes"), (Transaction, "unique_accounts"))
+
+
+@dataclass
+class DerivationCount:
+    """What one audited method did while a :class:`DerivationAudit` ran."""
+
+    #: Times the public method was called.
+    calls: int = 0
+    #: Times its body ran (equal to ``calls`` for an uncached method).
+    derivations: int = 0
+    #: Wall-clock seconds inside the public method, callees included.
+    seconds: float = 0.0
+    #: ``id -> receiver``, held so that no id is reused within the audit.
+    receivers: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def distinct(self) -> int:
+        return len(self.receivers)
+
+
+class DerivationAudit:
+    """Count calls, distinct receivers and derivations of the given
+    ``(class, method name)`` pairs for the duration of a ``with`` block.
+
+    The body of a method cached with :func:`repro.derive.derive_once` is
+    reached through ``__wrapped__`` and counted apart from the calls, so
+    "derived once" reads ``derivations == distinct``; on a method with no
+    cache the two counts are the same number and ``calls >= 2 x distinct``
+    is the case for adding one.  ``counts`` is keyed ``"Class.method"``.
+    """
+
+    def __init__(self, methods=None) -> None:
+        self.methods = tuple(methods or audited_methods())
+        self.counts = {f"{owner.__name__}.{name}": DerivationCount()
+                       for owner, name in self.methods}
+        self._originals: list = []
+
+    def __enter__(self) -> "DerivationAudit":
+        for owner, name in self.methods:
+            public = owner.__dict__[name]
+            self._originals.append((owner, name, public))
+            setattr(owner, name, self._counted(
+                public, self.counts[f"{owner.__name__}.{name}"]))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for owner, name, public in self._originals:
+            setattr(owner, name, public)
+        self._originals.clear()
+
+    @staticmethod
+    def _counted(public, count: DerivationCount):
+        body = getattr(public, "__wrapped__", public)
+
+        @wraps(body)
+        def derive(self):
+            count.derivations += 1
+            return body(self)
+
+        if body is not public:
+            # Cached: the same cache, around the counted body.
+            from repro.derive import derive_once
+            derive = derive_once(derive)
+
+        @wraps(public)
+        def called(self):
+            count.calls += 1
+            count.receivers[id(self)] = self
+            started = time.perf_counter()
+            try:
+                return derive(self)
+            finally:
+                count.seconds += time.perf_counter() - started
+
+        return called
+
+    def table(self) -> str:
+        lines = [f"{'method':34s} {'calls':>8s} {'distinct':>8s} "
+                 f"{'derived':>8s} {'seconds':>8s}"]
+        for name, count in self.counts.items():
+            lines.append(f"{name:34s} {count.calls:8d} {count.distinct:8d} "
+                         f"{count.derivations:8d} {count.seconds:8.3f}")
+        return "\n".join(lines)

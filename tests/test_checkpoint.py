@@ -212,6 +212,30 @@ class TestSnapshotRestore:
         assert restored.sim.now == deployment.sim.now
         assert restored.sim.pending_events() == deployment.sim.pending_events()
 
+    def test_derived_values_ride_the_checkpoint_and_stay_true(self, live_world):
+        """Digests kept on their immutable owners (``repro.derive``) are
+        pickled with them: a restored world starts warm, and what it
+        carries is what a cold copy of the same fields derives."""
+        import dataclasses
+
+        deployment, _ = live_world
+        restored, _ = restore_world(snapshot_world(deployment))
+        records = list(restored.counterparty.blocks.values())
+        assert len(records) > 5
+        for record in records:
+            valset = record.validator_set
+            assert "_canonical_hash" in vars(valset)
+            assert (valset.canonical_hash()
+                    == dataclasses.replace(valset).canonical_hash()
+                    == record.header.validators_hash)
+        blocks = restored.contract.blocks
+        assert any("_fingerprint" in vars(block.header) for block in blocks)
+        for block in blocks:
+            assert (block.header.fingerprint()
+                    == dataclasses.replace(block.header).fingerprint())
+        assert [block.header.fingerprint() for block in blocks] == [
+            block.header.fingerprint() for block in deployment.contract.blocks]
+
     def test_tampered_manifest_fails_audit(self, live_world):
         deployment, _ = live_world
         checkpoint = snapshot_world(deployment)

@@ -1,0 +1,82 @@
+"""A regression gate on re-derived values that needs no clock.
+
+The digest of a validator set, the fingerprint of a guest block header,
+the serialised bytes of a batched packet operation and the account set
+of a host transaction are each a function of an object nothing assigns
+to after construction, and each is asked for by several layers.  They
+are derived once per instance (:func:`repro.derive.derive_once`;
+docs/PERFORMANCE.md, "Derive once"); before, a counterparty re-hashed
+its ~190-member set twice per block whether or not stake had moved,
+which alone was 40 % of the ``paper_day`` ledger workload.  The counts
+below are a function of the code and a seed, so the gate cannot flake
+the way a timing would.  ``tests/helpers.py::DerivationAudit`` is the
+audit itself, reusable over any run.
+"""
+
+import repro.lightclient.tendermint as tendermint
+from repro.counterparty.chain import CounterpartyChain, CounterpartyConfig
+from repro.crypto.simsig import SimSigScheme
+from repro.experiments.throughput import build_linked_deployment
+from repro.sim import Simulation
+from repro.workload import WorkloadEngine, WorkloadSpec
+
+from tests.helpers import DerivationAudit
+from tests.test_lc_update_budget import BATCHING, GUEST
+
+BLOCKS = 300
+
+
+def test_a_counterparty_hashes_a_validator_set_when_it_is_new(monkeypatch):
+    preimages = []
+    hash_concat = tendermint.hash_concat
+
+    def tapped(*parts):
+        if parts[0] == b"valset":
+            preimages.append(len(parts))
+        return hash_concat(*parts)
+
+    monkeypatch.setattr(tendermint, "hash_concat", tapped)
+    sim = Simulation(seed=2024)
+    chain = CounterpartyChain(sim, SimSigScheme(), CounterpartyConfig())
+    sim.run_until(BLOCKS * chain.config.block_seconds)
+    assert chain.height == BLOCKS
+
+    headers = [record.header for record in chain.blocks.values()]
+    created = ({header.validators_hash for header in headers}
+               | {header.next_validators_hash for header in headers})
+    # Power churn on about a third of the blocks: the run is not idle.
+    assert BLOCKS // 5 < len(created) < BLOCKS // 2
+    # Every member is in every preimage: nothing was hashed in part.
+    assert set(preimages) == {1 + 2 * chain.config.validator_count}
+    # Two per block (``validators_hash``, ``next_validators_hash``)
+    # before the digest was kept on the set.
+    assert len(preimages) <= len(created) + 1
+
+
+def test_a_loaded_link_derives_each_value_once_per_instance():
+    """The loaded link of ``tests/test_lc_update_budget.py``: 20 pps of
+    counterparty sends over one batching link for ~90 simulated s, here
+    with the build and the handshakes inside the audit so that every
+    instance starts cold."""
+    with DerivationAudit() as audit:
+        dep, channels = build_linked_deployment(0, GUEST, BATCHING, 1)
+        engine = WorkloadEngine(dep, channels, WorkloadSpec(
+            offered_pps=20.0, duration=90.0, drain_seconds=60.0))
+        engine.start()
+        dep.sim.run_until(engine.end_time)
+    assert engine.delivered == engine.sent == 1_800
+
+    for name in ("ValidatorSet.canonical_hash", "GuestBlockHeader.fingerprint",
+                 "Transaction.unique_accounts"):
+        count = audit.counts[name]
+        assert count.derivations == count.distinct, (name, count)
+        # Asked for often enough that deriving per call was the waste.
+        assert count.calls >= 2 * count.distinct > 0, (name, count)
+
+    # A batched operation is sized by the relayer and shipped by the
+    # guest API: two askers, one serialisation.
+    ops = audit.counts["BatchOp.msg_bytes"]
+    batched = sum(dep.trace_report().histogram("relay.batch.packets"))
+    assert batched >= engine.delivered
+    assert ops.distinct == batched, ops
+    assert ops.derivations == ops.distinct and ops.calls == 2 * ops.distinct, ops

@@ -2,8 +2,8 @@
 
 Every hash here anchors the wire/commitment format: light clients on
 *other* chains must recompute these exact values, so any change to the
-trie's node hashing, the packet commitment, the epoch hash or the block
-fingerprint is a consensus break.  If one of these tests fails, you have
+trie's node hashing, the packet commitment, the epoch hash, the block
+fingerprint or the counterparty's validator-set hash is a consensus break.  If one of these tests fails, you have
 changed the protocol — bump it consciously, never casually.
 """
 
@@ -16,6 +16,13 @@ from repro.guest.block import GuestBlockHeader, sign_message
 from repro.guest.epoch import Epoch
 from repro.ibc.identifiers import ChannelId, PortId
 from repro.ibc.packet import Acknowledgement, Packet
+from repro.lightclient.chunked import plan_update_chunks, validator_set_delta
+from repro.lightclient.tendermint import (
+    CometHeader,
+    Commit,
+    LightClientUpdate,
+    ValidatorSet,
+)
 from repro.trie import (
     MembershipProof,
     NonMembershipProof,
@@ -244,6 +251,73 @@ class TestGuestVectors:
         assert message[:10] == b"guest-sign"
         assert message[10:18] == (9).to_bytes(8, "big")
         assert message[18:] == fingerprint
+
+
+class TestTendermintVectors:
+    """The counterparty side: what a Tendermint header commits to and
+    what the guest's on-chain client recomputes from staged bytes.  A
+    faster preimage or a cached digest must land on these values."""
+
+    def valset(self, third_power=250_000):
+        scheme = SimSigScheme()
+        self.keypairs = [
+            scheme.keypair_from_seed(bytes([7]) + i.to_bytes(4, "big") + bytes(27))
+            for i in range(4)
+        ]
+        # A repeated power, and one that needs all eight bytes.
+        powers = (1_000_000, 250_000, third_power, (1 << 63) + 5)
+        return ValidatorSet(members=tuple(
+            (kp.public_key, power) for kp, power in zip(self.keypairs, powers)))
+
+    def header(self):
+        return CometHeader(
+            chain_id="picasso-1", height=4242, time=25452.125,
+            app_hash=Hash.of(b"app"),
+            validators_hash=self.valset(262_144).canonical_hash(),
+            next_validators_hash=self.valset().canonical_hash(),
+        )
+
+    def test_validator_set_hash(self):
+        assert self.valset().canonical_hash().hex() == (
+            "d196917aecc3532cbd501b258a5d5f171280a7790f3b6469cc442f0bc9421c40"
+        )
+        assert self.valset(262_144).canonical_hash().hex() == (
+            "a100d51ab4fc28b650f60b0be11c7e3ad30aa9641134127ab57b7c01c3287a5c"
+        )
+
+    def test_header_sign_bytes(self):
+        assert self.header().sign_bytes().hex() == (
+            "1a71bd7d09ab2b01e89dab403763c36b6bcf94722c10b419040ee2f96c01f1a5"
+        )
+
+    def test_header_wire_bytes(self):
+        assert self.header().to_bytes().hex() == (
+            "097069636173736f2d319221ddbc910ca172cedcae47474b615c54d510a5d84a"
+            "8dea3032e958587430b413538be3f333"
+            "a100d51ab4fc28b650f60b0be11c7e3ad30aa9641134127ab57b7c01c3287a5c"
+            "d196917aecc3532cbd501b258a5d5f171280a7790f3b6469cc442f0bc9421c40"
+        )
+
+    def test_validator_set_delta_wire_bytes(self):
+        """One changed power, staged against the trusted set: kind 1,
+        the base set's hash, one (index, power) pair."""
+        trusted, changed, header = self.valset(), self.valset(262_144), self.header()
+        assert validator_set_delta(changed, trusted) == [(2, 262_144)]
+        message = header.sign_bytes()
+        update = LightClientUpdate(
+            header=header, validator_set=changed,
+            commit=Commit(signatures=tuple(
+                (kp.public_key, kp.sign(message)) for kp in self.keypairs)))
+        staged = b"".join(plan_update_chunks(update, trusted).data_chunks)
+        header_bytes = header.to_bytes()
+        assert staged[:4 + len(header_bytes)] == (
+            len(header_bytes).to_bytes(4, "big") + header_bytes)
+        assert staged[4 + len(header_bytes):].hex() == (
+            "00000026"
+            "01"
+            "d196917aecc3532cbd501b258a5d5f171280a7790f3b6469cc442f0bc9421c40"
+            "01" "02" "808010"
+        )
 
 
 class TestAccountabilityVectors:

@@ -1,10 +1,11 @@
 """Unit tests for guest blocks, epochs and the staking pool."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from repro.crypto.hashing import Hash
+from repro.crypto.hashing import Hash, hash_concat, merkle_root
 from repro.crypto.simsig import SimSigScheme
 from repro.errors import GuestError, StakeError
 from repro.guest.block import GuestBlock, GuestBlockHeader, sign_message
@@ -43,19 +44,44 @@ class TestHeaders:
 
     def test_fingerprint_binds_every_field(self):
         base = make_header()
-        variants = [
-            make_header(height=2),
-            make_header(state_root=Hash.of(b"other")),
-            make_header(timestamp=101.0),
-            make_header(host_slot=251),
-            make_header(prev_hash=Hash.of(b"parent")),
-            make_header(packet_hashes=(Hash.of(b"p"),)),
-            make_header(last_in_epoch=True),
-            make_header(next_epoch_hash=Hash.of(b"next")),
+        changes = [
+            dict(height=2),
+            dict(state_root=Hash.of(b"other")),
+            dict(timestamp=101.0),
+            dict(host_slot=251),
+            dict(prev_hash=Hash.of(b"parent")),
+            dict(packet_hashes=(Hash.of(b"p"),)),
+            dict(last_in_epoch=True),
+            dict(next_epoch_hash=Hash.of(b"next")),
         ]
+        variants = [make_header(**change) for change in changes]
         fingerprints = {v.fingerprint() for v in variants}
         assert base.fingerprint() not in fingerprints
         assert len(fingerprints) == len(variants)
+        # The fingerprint is kept on the header once derived: a copy
+        # with one field changed must start over from its own fields.
+        assert "_fingerprint" in vars(base)
+        for change, variant in zip(changes, variants):
+            copy = dataclasses.replace(base, **change)
+            assert "_fingerprint" not in vars(copy)
+            assert copy.fingerprint() == variant.fingerprint()
+
+    def test_a_warm_header_is_the_cold_header(self):
+        warm = make_header(height=3, packet_hashes=(Hash.of(b"p"), Hash.of(b"q")),
+                           last_in_epoch=True)
+        cold = dataclasses.replace(warm)
+        reference = bytes(hash_concat(
+            b"guest-block", (3).to_bytes(8, "big"), warm.prev_hash,
+            (100_000).to_bytes(8, "big"), (250).to_bytes(8, "big"),
+            warm.state_root, (0).to_bytes(8, "big"), warm.epoch_hash,
+            merkle_root(warm.packet_hashes), b"\x01", Hash.zero()))
+        assert warm.fingerprint() == reference
+        assert warm.fingerprint() is warm.fingerprint()
+        assert warm.sign_message() == sign_message(3, reference)
+        assert bytes(warm.block_hash()) == reference
+        assert vars(cold).keys() < vars(warm).keys()
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        assert cold.fingerprint() == reference
 
     def test_sign_message_embeds_height(self):
         header = make_header(height=7)

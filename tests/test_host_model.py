@@ -194,6 +194,21 @@ class TestTransactionLayout:
         # The second occurrence costs only its 1-byte account index.
         assert tx.serialized_size() == reference.serialized_size() + 1
 
+    def test_unique_accounts_is_one_frozen_set(self):
+        """Derived on first use and shared by the size check, a bundle's
+        lock set and the rollback snapshot: nobody can edit it, and a
+        copy with other signers derives its own."""
+        import dataclasses
+        tx = self.make_tx(extra_signers=2)
+        accounts = tx.unique_accounts()
+        assert isinstance(accounts, frozenset)
+        assert len(accounts) == 1 + 2 + 1 + 1  # payer, extras, program, account
+        tx.check_size()
+        assert tx.unique_accounts() is accounts
+        alone = dataclasses.replace(tx, extra_signers=())
+        assert alone.unique_accounts() == accounts - set(tx.extra_signers)
+        assert alone.serialized_size() == tx.serialized_size() - 2 * 96
+
     def test_max_chunk_bytes_consistent_with_cap(self):
         from repro.host.transaction import max_chunk_bytes
         from repro.units import MAX_TRANSACTION_BYTES

@@ -1,12 +1,14 @@
 """Unit tests for both light clients and the chunked-update planner."""
 
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.hashing import Hash
+from repro.crypto.hashing import Hash, hash_concat
 from repro.crypto.simsig import SimSigScheme
-from repro.encoding import encode_varint
+from repro.encoding import Reader, encode_varint
 from repro.errors import ClientError, EquivocationError, EvidenceError
 from repro.guest.block import GuestBlockHeader
 from repro.guest.epoch import Epoch
@@ -39,6 +41,31 @@ def make_keys(scheme, count, salt=0):
         scheme.keypair_from_seed(bytes([salt]) + i.to_bytes(4, "big") + bytes(27))
         for i in range(count)
     ]
+
+
+#: A validator set keeps its digest and power map once derived
+#: (``repro.derive``).  The refusals below run both ways: no verdict may
+#: depend on whether a set had been asked for them before.
+COLD_AND_WARM = (False, True)
+
+
+def as_built(valset, warm):
+    """``valset`` as a fresh instance with nothing derived yet, or
+    (``warm``) with its digest and power map already cached."""
+    fresh = ValidatorSet(members=valset.members)
+    if warm:
+        fresh.canonical_hash()
+        fresh.power_map()
+    return fresh
+
+
+def reference_hash(valset):
+    """The validator-set digest written out, as a light client on
+    another chain computes it."""
+    parts = [b"valset"]
+    for public_key, power in valset.members:
+        parts += [bytes(public_key), power.to_bytes(8, "big")]
+    return hash_concat(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -282,34 +309,41 @@ class TestTendermintLightClient:
         overlap condition."""
         keys, valset = self.setup_chain(scheme)
         imposter_keys = make_keys(scheme, 10, salt=4)
-        imposter = ValidatorSet(members=tuple((kp.public_key, 100) for kp in imposter_keys))
-        client = TendermintLightClient("picasso-1", valset)
-        forged = self.make_update(imposter_keys, imposter)
-        with pytest.raises(ClientError):
-            client.update(forged, scheme)
+        for warm in COLD_AND_WARM:
+            imposter = as_built(ValidatorSet(members=tuple(
+                (kp.public_key, 100) for kp in imposter_keys)), warm)
+            client = TendermintLightClient("picasso-1", as_built(valset, warm))
+            forged = self.make_update(imposter_keys, imposter)
+            with pytest.raises(ClientError):
+                client.update(forged, scheme)
 
     def test_supplied_set_must_match_header_hash(self, scheme):
         keys, valset = self.setup_chain(scheme)
         other_keys = make_keys(scheme, 10, salt=4)
         other = ValidatorSet(members=tuple((kp.public_key, 100) for kp in other_keys))
-        client = TendermintLightClient("picasso-1", valset)
         update = self.make_update(other_keys, other)
-        # Header commits to `other`; supplying `valset` must be refused.
-        mismatched = LightClientUpdate(header=update.header, commit=update.commit,
-                                       validator_set=valset)
-        with pytest.raises(ClientError):
-            client.update(mismatched, scheme)
+        for warm in COLD_AND_WARM:
+            client = TendermintLightClient("picasso-1", as_built(valset, warm))
+            # Header commits to `other`; supplying `valset` must be refused.
+            mismatched = LightClientUpdate(
+                header=update.header, commit=update.commit,
+                validator_set=as_built(valset, warm))
+            with pytest.raises(ClientError):
+                client.update(mismatched, scheme)
 
     def test_trust_on_first_use_with_empty_genesis(self, scheme):
         keys, valset = self.setup_chain(scheme)
-        client = TendermintLightClient("picasso-1", ValidatorSet(members=()))
-        client.update(self.make_update(keys, valset), scheme)
-        assert client.latest_height() == 1
-        # After TOFU the trust rule is armed: an unrelated set now fails.
         imposter_keys = make_keys(scheme, 10, salt=4)
-        imposter = ValidatorSet(members=tuple((kp.public_key, 100) for kp in imposter_keys))
-        with pytest.raises(ClientError):
-            client.update(self.make_update(imposter_keys, imposter, height=2), scheme)
+        for warm in COLD_AND_WARM:
+            client = TendermintLightClient("picasso-1", ValidatorSet(members=()))
+            client.update(self.make_update(keys, as_built(valset, warm)), scheme)
+            assert client.latest_height() == 1
+            # After TOFU the trust rule is armed: an unrelated set now fails.
+            imposter = as_built(ValidatorSet(members=tuple(
+                (kp.public_key, 100) for kp in imposter_keys)), warm)
+            with pytest.raises(ClientError):
+                client.update(
+                    self.make_update(imposter_keys, imposter, height=2), scheme)
 
     def test_conflicting_app_hash_freezes(self, scheme):
         keys, valset = self.setup_chain(scheme)
@@ -355,7 +389,10 @@ def staged_bytes(plan) -> bytes:
 
 def staged_kind(plan) -> int:
     """0: the whole set was staged; 1: a delta."""
-    staged = staged_bytes(plan)
+    return staged_kind_of(staged_bytes(plan))
+
+
+def staged_kind_of(staged: bytes) -> int:
     return staged[4 + int.from_bytes(staged[:4], "big") + 4]
 
 
@@ -571,11 +608,60 @@ class TestQuorumPrefix:
         assert sum(map(valset.power_of, offenders)) * 3 > valset.total_power
 
 
+class TestDerivedOnce:
+    """``ValidatorSet.canonical_hash`` / ``power_map`` are kept on the
+    frozen instance: the cache changes no value and never outlives the
+    members it was derived from."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(churned_chains())
+    def test_a_warm_set_is_the_cold_set(self, chain):
+        _, valset, _, _ = chain
+        warm, cold = as_built(valset, True), as_built(valset, False)
+        assert vars(cold).keys() == {"members"} < vars(warm).keys()
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold) and warm.to_bytes() == cold.to_bytes()
+        assert (warm.canonical_hash() == reference_hash(valset)
+                == cold.canonical_hash())
+        assert warm.canonical_hash() is warm.canonical_hash()
+        assert warm.power_map() == dict(valset.members) == cold.power_map()
+
+    @settings(max_examples=100, deadline=None)
+    @given(churned_chains(), st.data())
+    def test_a_changed_copy_starts_cold(self, chain, data):
+        """Same length, same keys, one power moved: the shape of every
+        churn, and the copy a stale or shape-keyed cache would get wrong."""
+        _, valset, _, _ = chain
+        warm = as_built(valset, True)
+        index = data.draw(st.integers(0, len(valset) - 1))
+        key, power = valset.members[index]
+        members = (valset.members[:index] + ((key, power + 1),)
+                   + valset.members[index + 1:])
+        for changed in (
+                dataclasses.replace(warm, members=members),
+                ValidatorSet.read_from(
+                    Reader(ValidatorSet(members=members).to_bytes()))):
+            assert vars(changed).keys() == {"members"}
+            assert (changed.canonical_hash() == reference_hash(changed)
+                    != warm.canonical_hash())
+            assert changed.power_of(key) == power + 1 == warm.power_of(key) + 1
+        assert warm.canonical_hash() == reference_hash(valset)
+
+    def test_members_must_be_a_tuple(self, scheme):
+        """A list could be edited behind the cached digest."""
+        members = [(kp.public_key, 1) for kp in make_keys(scheme, 2)]
+        with pytest.raises(TypeError, match="must be a tuple, not list"):
+            ValidatorSet(members=members)
+        assert len(ValidatorSet(members=tuple(members))) == 2
+
+
 class TestValidatorSetDelta:
     @settings(max_examples=150, deadline=None)
-    @given(churned_chains())
-    def test_staged_set_round_trips_to_the_exact_hash(self, chain):
+    @given(churned_chains(), st.booleans())
+    def test_staged_set_round_trips_to_the_exact_hash(self, chain, warm):
         keys, valset, trusted, signers = chain
+        if trusted is not None:
+            trusted = as_built(trusted, warm)
         update = comet_update(keys, valset, signers=signers)
         plan = plan_update_chunks(update, trusted)
         known = {} if trusted is None else {trusted.canonical_hash(): trusted}
@@ -583,7 +669,11 @@ class TestValidatorSetDelta:
             staged_bytes(plan), known.get)
         assert header == update.header
         assert rebuilt == valset
-        assert rebuilt.canonical_hash() == header.validators_hash
+        # Rebuilt on chain = a new set: nothing derived rides over from
+        # the base, and its digest comes from its own members.
+        assert vars(rebuilt).keys() == {"members"}
+        assert (rebuilt.canonical_hash() == reference_hash(rebuilt)
+                == header.validators_hash)
         whole = staged_bytes(plan_update_chunks(update, None))
         if staged_kind(plan):
             assert len(staged_bytes(plan)) < len(whole)
@@ -629,8 +719,11 @@ class TestValidatorSetDelta:
         keys, base = self.chain(scheme)
         update = comet_update(keys, self.churn(base, {0: 5}))
         staged = self.staged(update.header, base.canonical_hash(), [(0, 5)])
-        with pytest.raises(ClientError, match="unknown base"):
-            read_staged_update(staged, lambda valset_hash: None)
+        for warm in COLD_AND_WARM:
+            # The client knows a set of the same keys, not this base.
+            client = client_trusting(as_built(self.churn(base, {0: 6}), warm))
+            with pytest.raises(ClientError, match="unknown base"):
+                read_staged_update(staged, client.known_validator_set)
 
     def test_index_out_of_range_refused(self, scheme):
         keys, base = self.chain(scheme)
@@ -649,17 +742,29 @@ class TestValidatorSetDelta:
 
     def test_rebuilt_set_must_hash_to_the_header(self, scheme):
         """The delta is a compression of the upload, never an authority:
-        a wrong one rebuilds a set ``apply_verified`` refuses."""
+        a wrong one rebuilds a set ``apply_verified`` refuses — as it
+        refuses a wrong set uploaded whole."""
         keys, base = self.chain(scheme)
         update = comet_update(keys, self.churn(base, {0: 5}))
-        staged = self.staged(update.header, base.canonical_hash(), [(0, 6)])
-        header, rebuilt, _ = read_staged_update(
-            staged, {base.canonical_hash(): base}.get)
-        client = client_trusting(base)
-        with pytest.raises(ClientError, match="does not match the header"):
-            client.apply_verified(
-                header, {kp.public_key for kp in keys}, rebuilt)
-        assert client.latest_height() == 0
+        wrong = self.churn(base, {0: 6})
+        for warm in COLD_AND_WARM:
+            client = client_trusting(as_built(base, warm))
+            as_delta = self.staged(update.header, base.canonical_hash(), [(0, 6)])
+            whole = staged_bytes(plan_update_chunks(LightClientUpdate(
+                header=update.header, commit=update.commit,
+                validator_set=as_built(wrong, warm))))
+            assert (staged_kind_of(as_delta), staged_kind_of(whole)) == (1, 0)
+            for staged in (as_delta, whole):
+                header, staged_set, _ = read_staged_update(
+                    staged, client.known_validator_set)
+                assert staged_set == wrong
+                assert staged_set.canonical_hash() == reference_hash(wrong)
+                assert staged_set.canonical_hash() not in (
+                    base.canonical_hash(), header.validators_hash)
+                with pytest.raises(ClientError, match="does not match the header"):
+                    client.apply_verified(
+                        header, {kp.public_key for kp in keys}, staged_set)
+            assert client.latest_height() == 0
 
     def test_trailing_bytes_refused(self, scheme):
         keys, base = self.chain(scheme)

@@ -235,6 +235,26 @@ class TestDeliverBatchPacking:
         exec_tx.check_size(api.chain.config.max_transaction_bytes)
         assert exec_tx.instructions[0].data[0] == ins.Op.BATCH_EXEC
 
+    def test_an_op_is_frozen_and_serialised_once(self, packing_dep, monkeypatch):
+        """The relayer sizes a bundle by ``len(op.msg_bytes())`` and
+        ``deliver_batch`` ships the bytes: one serialisation serves both."""
+        import dataclasses
+        (op,) = _pending_ops(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.proof_height = 2
+        serialised = []
+        to_bytes = ins.BufferedPacketMsg.to_bytes
+        monkeypatch.setattr(
+            ins.BufferedPacketMsg, "to_bytes",
+            lambda msg: serialised.append(msg) or to_bytes(msg))
+        sized = op.msg_bytes()
+        _capture_bundle(monkeypatch, packing_dep.relayer_api)
+        packing_dep.relayer_api.deliver_batch([op])
+        assert op.msg_bytes() is sized and len(serialised) == 1
+        # A copy at another height is another message.
+        moved = dataclasses.replace(op, proof_height=2)
+        assert moved.msg_bytes() != sized and len(serialised) == 2
+
     def test_every_transaction_fits_the_host_cap(self, packing_dep, monkeypatch):
         api = packing_dep.relayer_api
         ops = _pending_ops(6)
