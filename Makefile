@@ -27,12 +27,14 @@ bench-smoke:
 
 # The perf regression gates that read no clock (docs/PERFORMANCE.md):
 # calls per trie lifecycle, transactions per light-client update and how
-# they are submitted, derivations per immutable instance.  Counts are a
-# function of the code alone, so a failure here names the layer that
-# grew.  All three also run in tier-1.
+# they are submitted, derivations per immutable instance, transactions
+# and payload bytes per batched delivery.  Counts are a function of the
+# code alone, so a failure here names the layer that grew.  All four
+# also run in tier-1.
 perf-gates:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_trie_call_budget.py \
-		tests/test_lc_update_budget.py tests/test_derive_once_budget.py
+		tests/test_lc_update_budget.py tests/test_derive_once_budget.py \
+		tests/test_delivery_budget.py
 
 # Print every reproduced table/figure to the terminal (~1 min): the
 # rows `python -m repro.experiments --help` marks as part of `all`.

@@ -2,9 +2,10 @@
 
 Sweeps offered packet load across relayer batching configurations on
 the same seed and asserts the headline: with scarce host block space,
-coalescing RecvPacket work into BATCH_EXEC bundles at least doubles the
-sustained packet rate at saturation while *lowering* the relayer's fee
-bill per packet.  The raw sweep is written to ``BENCH_throughput.json``
+coalescing RecvPacket work into BATCH_EXEC bundles — one membership
+witness per proof height, not one path per packet — takes the sustained
+packet rate at saturation to 2.9 x the classic flow's (2.1 x with
+per-packet proofs) for a quarter of the relayer's fee bill per packet.  The raw sweep is written to ``BENCH_throughput.json``
 at the repo root for the CI smoke job and for plotting.
 """
 
@@ -48,12 +49,15 @@ def test_throughput_sweep_batching_wins():
     top = max(loads)
     unbatched = by_key[(top, min(sizes))]
     batched = by_key[(top, max(sizes))]
-    # The headline: at saturation, batching at least doubles sustained
-    # throughput on identical traffic (same seed, same arrivals)...
-    assert batched["sustained_pps"] >= 2.0 * unbatched["sustained_pps"], (
+    # The headline: at saturation, batching multiplies sustained
+    # throughput on identical traffic (same seed, same arrivals): reads
+    # 2.90 x, the offered 16 pps no longer saturating the link...
+    assert batched["sustained_pps"] >= 2.5 * unbatched["sustained_pps"], (
         batched["sustained_pps"], unbatched["sustained_pps"])
-    # ...while costing the relayer *less* per packet, not more.
-    assert batched["fee_lamports_per_packet"] < unbatched["fee_lamports_per_packet"]
+    assert batched["sustained_pps"] >= 14.0 and batched["latency_p95_s"] <= 30.0
+    # ...for a fraction of the relayer's cost per packet (reads 0.24 x).
+    assert (batched["fee_lamports_per_packet"]
+            <= 0.35 * unbatched["fee_lamports_per_packet"])
     # Batching also shortens the queue: saturated tail latency drops.
     assert batched["latency_p95_s"] < unbatched["latency_p95_s"]
 

@@ -260,11 +260,16 @@ def check_smoke(results: dict) -> list[str]:
             f"batching speedup at offered={top} is {ratio:.2f}x (< 1.3x): "
             f"{batched['sustained_pps']:.3f} vs "
             f"{unbatched['sustained_pps']:.3f} pps")
-    if batched["fee_lamports_per_packet"] >= unbatched["fee_lamports_per_packet"]:
+    # One witness per proof height reads 0.31 x here (0.24 x at full
+    # scale); one path per packet read 0.60 x, which this must catch.
+    fee_ratio = (batched["fee_lamports_per_packet"]
+                 / unbatched["fee_lamports_per_packet"])
+    if fee_ratio > 0.5:
         failures.append(
-            f"batched fee/packet {batched['fee_lamports_per_packet']:.0f} "
-            f"not below unbatched "
-            f"{unbatched['fee_lamports_per_packet']:.0f}")
+            f"batched fee/packet {batched['fee_lamports_per_packet']:.0f} is "
+            f"{fee_ratio:.2f}x the unbatched "
+            f"{unbatched['fee_lamports_per_packet']:.0f} (> 0.5x): has "
+            f"batched delivery fallen back to per-packet proofs?")
     # Absolute floor with ample slack under the measured ~6.5 pps: the
     # sim is deterministic, so only an intentional behaviour change can
     # move this, and a halving should fail loudly.

@@ -3,9 +3,11 @@
 Wraps every contract operation into properly sized host transactions:
 single-transaction calls (send, generate, sign, stake), atomic bundles
 for packet delivery (the 4–5 transactions of §V-A that land in one host
-block), and the multi-transaction flow for chunked light-client updates
-(Fig. 4: 36.5 transactions three at a time as the paper shipped them;
-~15, staged in one wave, as the default plan does).
+block; a batched bundle stages one payload — a membership witness per
+proof height, then the entries — for all its packets), and the
+multi-transaction flow for chunked light-client updates (Fig. 4: 36.5
+transactions three at a time as the paper shipped them; ~15, staged in
+one wave, as the default plan does).
 
 Validators, relayers, fishermen and the examples all drive the guest
 through this API.
@@ -15,18 +17,18 @@ from __future__ import annotations
 
 from repro import ids
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.crypto.keys import Keypair, PublicKey, Signature
-from repro.derive import derive_once
 from repro.errors import HostUnavailableError
 from repro.guest import instructions as ins
 from repro.guest.contract import GuestContract
 from repro.host.chain import HostChain
 from repro.host.fees import BaseFee, FeeStrategy
 from repro.host.transaction import Instruction, SigVerify, Transaction, TxReceipt
-from repro.lightclient.chunked import plan_update_chunks
+from repro.lightclient.chunked import plan_update_chunks, usable_chunk_bytes
 from repro.lightclient.tendermint import LightClientUpdate
+from repro.trie.proof import MembershipWitness
 
 _buffer_ids = ids.mint("guest.buffer")
 
@@ -65,15 +67,13 @@ class DeliveryResult:
     packet_count: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchOp:
     """One packet operation queued for a batched delivery bundle.
 
-    Frozen over a packet, proof and ack that are themselves frozen, so
-    :meth:`msg_bytes` is serialised once: the relayer sizes its bundles
-    by the length and :meth:`GuestApi.deliver_batch` ships the same
-    bytes.  No ``__slots__``: the instance ``__dict__`` is where
-    :func:`repro.derive.derive_once` keeps them.
+    ``proof`` is the operation's own path: the per-packet retry path
+    ships it as it is, a :class:`Batch` merges it into its height's
+    witness.
     """
 
     kind: str  # "recv" | "ack" | "timeout"
@@ -82,19 +82,51 @@ class BatchOp:
     proof_height: int
     ack: object = None
 
-    @derive_once
-    def msg_bytes(self) -> bytes:
+    def entry_bytes(self) -> bytes:
+        """This operation as an entry of a batch payload."""
         msg = ins.BufferedPacketMsg(
             packet_bytes=self.packet.to_bytes(),
-            proof_bytes=self.proof.to_bytes(),
+            # A receipt's absence is not in the height's witness.
+            proof_bytes=self.proof.to_bytes() if self.kind == "timeout" else b"",
             proof_height=self.proof_height,
             ack_bytes=self.ack.to_bytes() if self.ack is not None else b"",
         )
-        return msg.to_bytes()
+        return bytes([self.exec_op()]) + msg.to_bytes()
 
     def exec_op(self) -> int:
         return {"recv": ins.Op.RECV_EXEC, "ack": ins.Op.ACK_EXEC,
                 "timeout": ins.Op.TIMEOUT_EXEC}[self.kind]
+
+
+@dataclass(frozen=True)
+class Batch:
+    """Packet operations and the one payload that carries them, built
+    once: the relayer cuts its flushes by the payload's size and
+    :meth:`GuestApi.deliver_batch` ships the same bytes."""
+
+    ops: tuple[BatchOp, ...]
+    #: Encoded size of each height's witness, in height order.
+    witness_sizes: tuple[int, ...]
+    payload: bytes
+
+    @classmethod
+    def of(cls, ops: Sequence[BatchOp]) -> "Batch":
+        """Merge the proofs of each height's recv/ack operations into
+        that height's witness and lay out the payload."""
+        if not ops:
+            raise ValueError("empty delivery batch")
+        proofs: dict[int, list] = {}
+        for op in ops:
+            if op.kind != "timeout":
+                proofs.setdefault(op.proof_height, []).append(op.proof)
+        witnesses = [(height, MembershipWitness.merge(proofs[height]).to_bytes())
+                     for height in sorted(proofs)]
+        return cls(
+            ops=tuple(ops),
+            witness_sizes=tuple(len(witness) for _, witness in witnesses),
+            payload=ins.batch_payload(
+                witnesses, [op.entry_bytes() for op in ops]),
+        )
 
 
 class GuestApi:
@@ -285,7 +317,6 @@ class GuestApi:
         """Ship one IBC handshake datagram to the guest — inline when it
         fits one transaction, staged through chunks otherwise."""
         from repro.ibc.messages import encode_handshake
-        from repro.lightclient.chunked import usable_chunk_bytes
         msg_bytes = encode_handshake(msg)
         if len(msg_bytes) + 16 <= usable_chunk_bytes(self.chain.config.max_transaction_bytes):
             def single_done(receipt: TxReceipt) -> None:
@@ -443,15 +474,18 @@ class GuestApi:
                        exec_ins_for: Callable[[int], bytes],
                        tip_lamports: int,
                        on_done: Optional[Callable[[DeliveryResult], None]],
-                       prelude: tuple[bytes, ...] = ()) -> None:
-        from repro.lightclient.chunked import usable_chunk_bytes
+                       prelude: tuple[bytes, ...] = (),
+                       packet_count: int = 1) -> None:
+        """Stage ``msg_bytes`` (never empty for a message that is
+        executed from its buffer) and run the exec instruction behind
+        it, all in one atomic bundle."""
         buffer_id = next(_buffer_ids)
         exec_ins = exec_ins_for(buffer_id)
         chunk_size = usable_chunk_bytes(self.chain.config.max_transaction_bytes)
         chunks = [
             msg_bytes[offset : offset + chunk_size]
             for offset in range(0, len(msg_bytes), chunk_size)
-        ] or [b""]
+        ]
         transactions = self._prelude_transactions(prelude)
         transactions += [
             Transaction(
@@ -484,6 +518,7 @@ class GuestApi:
                     slot=receipts[-1].slot,
                     success=not failures,
                     error=failures[0].error if failures else None,
+                    packet_count=packet_count,
                 ))
 
         self.chain.submit_bundle(transactions, tip_lamports=tip_lamports,
@@ -532,120 +567,40 @@ class GuestApi:
     # Batched packet operations (many packets, one bundle)
     # ------------------------------------------------------------------
 
-    def batch_inline_budget(self) -> int:
-        """Instruction-data bytes available for inline batch entries."""
-        from repro.lightclient.chunked import usable_chunk_bytes
-        # Leave headroom for the opcode byte and the entry-count varint.
-        return usable_chunk_bytes(self.chain.config.max_transaction_bytes) - 8
+    def batch_transactions(self, batch: Batch) -> int:
+        """Host transactions :meth:`deliver_batch` needs for ``batch``:
+        whole CHUNK pieces until the rest fits the BATCH_EXEC
+        transaction (whose opcode, buffer id and length prefix take 8
+        bytes of a piece)."""
+        chunk_size = usable_chunk_bytes(self.chain.config.max_transaction_bytes)
+        return -(-max(0, len(batch.payload) - (chunk_size - 8)) // chunk_size) + 1
 
-
-    def deliver_batch(self, ops: list[BatchOp], tip_lamports: int = 10_000,
+    def deliver_batch(self, batch: Batch | Sequence[BatchOp],
+                      tip_lamports: int = 10_000,
                       on_done: Optional[Callable[[DeliveryResult], None]] = None,
                       prelude: tuple[bytes, ...] = ()) -> None:
-        """Coalesce several packet operations into one atomic bundle.
+        """Ship several packet operations (a :class:`Batch`, or the
+        operations to build one from) as one atomic bundle.
 
-        Small messages ride inline in the single BATCH_EXEC transaction;
-        messages that would blow the 1232-byte cap are staged through
-        CHUNK instructions — packed densely, several buffers' chunks per
-        transaction — and referenced by buffer id.  Against per-packet
-        delivery this drops the host transaction count from
-        ``N * (chunks + 1)`` to roughly ``total_bytes / chunk_size + 1``
-        and the bundle count from N to 1: the §V-A per-packet cost
-        amortises across the batch.
+        One payload — a membership witness per proof height, then the
+        entries — cut contiguously: whole pieces are staged through
+        CHUNK transactions into one buffer and the tail rides in the
+        BATCH_EXEC transaction that runs it, so a payload that fits is
+        that one transaction.  Against per-packet delivery the bundles
+        drop from N to 1 and the proof bytes from N paths to the union
+        of their nodes: the §V-A per-packet cost amortises across the
+        batch.
         """
-        if not ops:
-            raise ValueError("empty delivery batch")
-        budget = self.batch_inline_budget()
-        limit = self.chain.config.max_transaction_bytes
-        # Envelope + payer signature + the {payer, program, state} keys.
-        base = 38 + 64 + 3 * 32
-        # Conservative bound per chunk instruction on top of its piece:
-        # instruction frame (5) plus the chunk header varints (<= 16).
-        ins_budget = 21
-        min_piece = 128
-
-        entries: list[ins.BatchEntry] = []
-        transactions = self._prelude_transactions(prelude)
-        current: list[Instruction] = []
-        used = base
-
-        def flush() -> None:
-            nonlocal current, used
-            if current:
-                transactions.append(Transaction(
-                    payer=self.payer, instructions=tuple(current),
-                    fee_strategy=BaseFee(),
-                ))
-                current = []
-            used = base
-
-        def stage(msg_bytes: bytes) -> int:
-            """Append CHUNK instructions for ``msg_bytes``, filling the
-            open transaction before starting new ones.  Both the sizing
-            pass and the emitting pass use the same conservative byte
-            accounting, so their transaction boundaries agree."""
-            nonlocal used
-            buffer_id = next(_buffer_ids)
-            takes: list[int] = []
-            simulated, offset = used, 0
-            while offset < len(msg_bytes) or not takes:
-                space = limit - simulated - ins_budget
-                if space < min_piece and simulated > base:
-                    simulated = base
-                    continue
-                take = min(space, len(msg_bytes) - offset)
-                takes.append(take)
-                offset += take
-                simulated += ins_budget + take
-            offset = 0
-            for index, take in enumerate(takes):
-                if used + ins_budget + take > limit:
-                    flush()
-                current.append(Instruction(
-                    self.contract.program_id,
-                    (self.contract.state_account,),
-                    ins.chunk(buffer_id, index, len(takes),
-                              msg_bytes[offset : offset + take]),
-                ))
-                used += ins_budget + take
-                offset += take
-            return buffer_id
-
-        inline_used = 0
-        for op in ops:
-            msg_bytes = op.msg_bytes()
-            entry = ins.BatchEntry(kind=int(op.exec_op()), inline=msg_bytes)
-            if inline_used + entry.encoded_bytes() > budget:
-                entry = ins.BatchEntry(
-                    kind=int(op.exec_op()), buffer_id=stage(msg_bytes),
-                )
-            entries.append(entry)
-            inline_used += entry.encoded_bytes()
-        flush()
-        transactions.append(Transaction(
-            payer=self.payer,
-            instructions=(Instruction(
-                self.contract.program_id,
-                (self.contract.state_account, self.contract.treasury),
-                ins.batch_exec(entries),
-            ),),
-            fee_strategy=BaseFee(),
-        ))
-
-        def collect(receipts: list[TxReceipt]) -> None:
-            if on_done is not None:
-                failures = [r for r in receipts if not r.success]
-                on_done(DeliveryResult(
-                    transaction_count=len(receipts),
-                    total_fee=sum(r.fee_paid for r in receipts),
-                    slot=receipts[-1].slot,
-                    success=not failures,
-                    error=failures[0].error if failures else None,
-                    packet_count=len(ops),
-                ))
-
-        self.chain.submit_bundle(transactions, tip_lamports=tip_lamports,
-                                 on_result=collect)
+        if not isinstance(batch, Batch):
+            batch = Batch.of(batch)
+        staged = (self.batch_transactions(batch) - 1) * usable_chunk_bytes(
+            self.chain.config.max_transaction_bytes)
+        tail = batch.payload[staged:]
+        self._buffered_exec(
+            batch.payload[:staged],
+            lambda buffer_id: ins.batch_exec(buffer_id if staged else None, tail),
+            tip_lamports, on_done, prelude=prelude,
+            packet_count=len(batch.ops))
 
 
 def _track(state: dict, receipt: TxReceipt) -> None:

@@ -22,6 +22,8 @@ Instruction map (see :mod:`repro.guest.instructions`):
 ``RECV_EXEC``      Alg. 1 ``ReceivePacket`` over a staged packet + proof
 ``ACK_EXEC``       process a counterparty acknowledgement (staged proof)
 ``TIMEOUT_EXEC``   cancel an expired packet (staged non-membership proof)
+``BATCH_EXEC``     many of the three above in one transaction, the recv
+                   and ack entries of a height proven by one witness
 ``CONFIRM_ACK``    seal a no-longer-needed ack entry (§III-A)
 ``STAKE`` etc.     §III-B Proof-of-Stake staking pool
 ``EVIDENCE``       §III-C Fisherman misbehaviour reports → slashing
@@ -50,13 +52,14 @@ from repro.errors import (
     GuestError,
     HeadNotFinalisedError,
     ProgramError,
+    ReproError,
     StaleBlockError,
     UnknownBlockError,
 )
 from repro.guest.block import GuestBlock, GuestBlockHeader, sign_message
 from repro.guest.config import GuestConfig
 from repro.guest.epoch import Epoch
-from repro.guest.instructions import BufferedPacketMsg, Op
+from repro.guest.instructions import BufferedPacketMsg, Op, read_batch_payload
 from repro.guest.staking import StakingPool
 from repro.host.accounts import Address
 from repro.host.programs import InvokeContext, Program
@@ -67,8 +70,20 @@ from repro.ibc.packet import Acknowledgement, Packet
 from repro.lightclient.chunked import read_staged_update
 from repro.lightclient.tendermint import TendermintLightClient, ValidatorSet
 from repro.state.scheduler import EagerScheduler
-from repro.trie.proof import MembershipProof, NonMembershipProof
+from repro.trie.proof import (
+    MembershipProof,
+    MembershipWitness,
+    NonMembershipProof,
+)
 from repro.trie.store import ProvableStore
+
+#: A staging buffer nothing executed this long after it was opened is an
+#: orphan (its relayer crashed mid-wave, or its bundle's exec was
+#: refused) and is dropped: well past any update or bundle in flight.
+STAGING_BUFFER_TTL_SECONDS = 600.0
+#: Trie nodes charged per batch entry for the store writes it makes (the
+#: ``+ 8`` of a single RECV_EXEC); its proof is charged with the witness.
+_BATCH_ENTRY_TRIE_NODES = 8
 
 
 @dataclass
@@ -76,6 +91,8 @@ class _Buffer:
     """A staging buffer for one oversized message."""
 
     owner: Address
+    #: Host time of the transaction that opened it.
+    opened_at: float
     #: Fixed by the first CHUNK; 0 while only signature batches have
     #: arrived (the host orders one window's transactions as it likes).
     total_chunks: int = 0
@@ -529,7 +546,7 @@ class GuestContract(Program):
         reader.expect_end()
         if total == 0 or index >= total:
             raise ProgramError(f"bad chunk index {index}/{total}")
-        buffer = self._open_buffer(ctx.payer, buffer_id)
+        buffer = self._open_buffer(ctx, buffer_id)
         if buffer.total_chunks == 0:
             buffer.total_chunks = total
         elif buffer.total_chunks != total:
@@ -546,14 +563,22 @@ class GuestContract(Program):
         # both in one submission window, and the host does not promise
         # their order.  Opening the buffer here costs nothing a CHUNK
         # would not; LC_FINALIZE still needs every chunk.
-        buffer = self._open_buffer(ctx.payer, buffer_id)
+        buffer = self._open_buffer(ctx, buffer_id)
         buffer.verified_signers.extend(ctx.verified_signatures)
         buffer.verified_entries.extend(ctx.verified_signature_entries)
 
-    def _open_buffer(self, owner: Address, buffer_id: int) -> _Buffer:
-        buffer = self._buffers.get((owner, buffer_id))
+    def _open_buffer(self, ctx: InvokeContext, buffer_id: int) -> _Buffer:
+        key = (ctx.payer, buffer_id)
+        buffer = self._buffers.get(key)
         if buffer is None:
-            buffer = self._buffers[(owner, buffer_id)] = _Buffer(owner=owner)
+            # Whoever opens a buffer sweeps the orphans out first, so
+            # they stop counting against the state account.
+            horizon = ctx.unix_time - STAGING_BUFFER_TTL_SECONDS
+            for stale in [k for k, b in self._buffers.items()
+                          if b.opened_at < horizon]:
+                del self._buffers[stale]
+            buffer = self._buffers[key] = _Buffer(
+                owner=ctx.payer, opened_at=ctx.unix_time)
         return buffer
 
     def _buffer(self, owner: Address, buffer_id: int) -> _Buffer:
@@ -627,33 +652,34 @@ class GuestContract(Program):
     # Alg. 1: ReceivePacket (+ ack/timeout processing)
     # ------------------------------------------------------------------
 
+    def _staged_packet_msg(self, ctx: InvokeContext, reader: Reader) -> BufferedPacketMsg:
+        self._require_initialized()
+        buffer_id = reader.read_varint()
+        reader.expect_end()
+        buffer = self._consume_buffer(ctx.payer, buffer_id)
+        return BufferedPacketMsg.from_bytes(buffer.assembled())
+
     def _op_recv_exec(self, ctx: InvokeContext, reader: Reader) -> None:
-        self._require_initialized()
-        buffer_id = reader.read_varint()
-        reader.expect_end()
-        buffer = self._consume_buffer(ctx.payer, buffer_id)
-        self._exec_recv_msg(ctx, BufferedPacketMsg.from_bytes(buffer.assembled()))
-
-    def _op_ack_exec(self, ctx: InvokeContext, reader: Reader) -> None:
-        self._require_initialized()
-        buffer_id = reader.read_varint()
-        reader.expect_end()
-        buffer = self._consume_buffer(ctx.payer, buffer_id)
-        self._exec_ack_msg(ctx, BufferedPacketMsg.from_bytes(buffer.assembled()))
-
-    def _op_timeout_exec(self, ctx: InvokeContext, reader: Reader) -> None:
-        self._require_initialized()
-        buffer_id = reader.read_varint()
-        reader.expect_end()
-        buffer = self._consume_buffer(ctx.payer, buffer_id)
-        self._exec_timeout_msg(ctx, BufferedPacketMsg.from_bytes(buffer.assembled()))
-
-    def _exec_recv_msg(self, ctx: InvokeContext, msg: BufferedPacketMsg) -> None:
-        """Alg. 1's ReceivePacket body over one decoded message."""
-        packet = Packet.from_bytes(msg.packet_bytes)
+        msg = self._staged_packet_msg(ctx, reader)
         proof = MembershipProof.from_bytes(msg.proof_bytes)
         ctx.meter.charge_hash(len(msg.proof_bytes))
         ctx.meter.charge_trie_nodes(2 * len(proof.steps) + 8)
+        self._exec_recv_msg(ctx, msg, proof)
+
+    def _op_ack_exec(self, ctx: InvokeContext, reader: Reader) -> None:
+        msg = self._staged_packet_msg(ctx, reader)
+        proof = MembershipProof.from_bytes(msg.proof_bytes)
+        ctx.meter.charge_hash(len(msg.proof_bytes))
+        self._exec_ack_msg(ctx, msg, proof)
+
+    def _op_timeout_exec(self, ctx: InvokeContext, reader: Reader) -> None:
+        self._exec_timeout_msg(ctx, self._staged_packet_msg(ctx, reader))
+
+    def _exec_recv_msg(self, ctx: InvokeContext, msg: BufferedPacketMsg,
+                       proof: MembershipProof | MembershipWitness) -> None:
+        """Alg. 1's ReceivePacket body over one decoded message, proven
+        by its own path or by its height's witness."""
+        packet = Packet.from_bytes(msg.packet_bytes)
         ack = self.ibc.recv_packet(packet, proof, msg.proof_height,
                                    local_time=ctx.unix_time)
         ctx.emit("PacketReceived", guest=self.chain_id,
@@ -662,11 +688,10 @@ class GuestContract(Program):
                  ack_success=ack.success, packet=packet,
                  ack_bytes=ack.to_bytes())
 
-    def _exec_ack_msg(self, ctx: InvokeContext, msg: BufferedPacketMsg) -> None:
+    def _exec_ack_msg(self, ctx: InvokeContext, msg: BufferedPacketMsg,
+                      proof: MembershipProof | MembershipWitness) -> None:
         packet = Packet.from_bytes(msg.packet_bytes)
         ack = Acknowledgement.from_bytes(msg.ack_bytes)
-        proof = MembershipProof.from_bytes(msg.proof_bytes)
-        ctx.meter.charge_hash(len(msg.proof_bytes))
         self.ibc.acknowledge_packet(packet, ack, proof, msg.proof_height)
         ctx.emit("PacketAcknowledged", guest=self.chain_id,
                  sequence=packet.sequence,
@@ -684,52 +709,64 @@ class GuestContract(Program):
     def _op_batch_exec(self, ctx: InvokeContext, reader: Reader) -> None:
         """Process a relayer-coalesced batch of packet operations.
 
-        The whole payload is decoded (and every referenced staging buffer
-        consumed) *before* any entry executes, so a malformed batch can
-        never abort halfway through.  Entries then run in order with
-        per-entry error isolation: every IBC handler raises before it
-        mutates the store, so a failed entry (bad proof, duplicate
-        delivery, expired packet) leaves the state untouched and its
+        Every refusal comes before the first mutation: the host rolls a
+        failed transaction's *accounts* back, not this program's Python
+        state.  So the staging buffer is read without being consumed,
+        the whole payload is decoded and every witness folded and
+        charged — per byte hashed and per distinct node — and only then
+        is the buffer deleted and the entries run.  They run in order
+        with per-entry error isolation: every IBC handler raises before
+        it mutates the store, so a failed entry (a witness that does not
+        fold to the client's root or does not hold the key, a duplicate
+        delivery, an expired packet) leaves the state untouched and its
         neighbours unaffected.  One bad packet must not hold N-1 good
         ones hostage — and a duplicate re-queued by a competing relayer
         must not poison the batch.
         """
-        from repro.errors import ReproError
-        from repro.guest.instructions import BATCH_MODE_BUFFERED, BATCH_MODE_INLINE
         self._require_initialized()
-        count = reader.read_varint()
-        if count == 0:
-            raise ProgramError("empty batch")
-        staged: list[tuple[int, BufferedPacketMsg]] = []
-        for _ in range(count):
-            kind = reader.read(1)[0]
-            mode = reader.read(1)[0]
-            if mode == BATCH_MODE_INLINE:
-                raw = reader.read_bytes()
-            elif mode == BATCH_MODE_BUFFERED:
-                buffer = self._consume_buffer(ctx.payer, reader.read_varint())
-                raw = buffer.assembled()
-            else:
-                raise ProgramError(f"unknown batch entry mode {mode}")
-            staged.append((kind, BufferedPacketMsg.from_bytes(raw)))
+        staged = reader.read_varint()
+        if staged > 1:
+            raise ProgramError(f"unknown batch staging flag {staged}")
+        buffer_id = reader.read_varint() if staged else None
+        payload = (self._buffer(ctx.payer, buffer_id).assembled()
+                   if staged else b"") + reader.read_bytes()
         reader.expect_end()
-
-        handlers = {
-            int(Op.RECV_EXEC): self._exec_recv_msg,
-            int(Op.ACK_EXEC): self._exec_ack_msg,
-            int(Op.TIMEOUT_EXEC): self._exec_timeout_msg,
-        }
+        witness_bytes, entries = read_batch_payload(payload)
+        if not entries:
+            raise ProgramError("empty batch")
         trace = ctx.chain.sim.trace
+        witnesses: dict[int, MembershipWitness] = {}
+        try:
+            for height, raw in witness_bytes.items():
+                ctx.meter.charge_hash(len(raw))
+                witness = witnesses[height] = MembershipWitness.from_bytes(raw)
+                ctx.meter.charge_trie_nodes(witness.node_count)
+                trace.observe("guest.batch.witness_nodes", witness.node_count)
+        except (ReproError, ValueError):
+            trace.count("guest.batch.witnesses_refused")
+            raise
+        proven = {Op.RECV_EXEC: self._exec_recv_msg,
+                  Op.ACK_EXEC: self._exec_ack_msg}
+        for kind, msg in entries:
+            if kind in proven and msg.proof_height not in witnesses:
+                raise ProgramError(
+                    f"batch entry at height {msg.proof_height} has no witness")
+        ctx.meter.charge_trie_nodes(_BATCH_ENTRY_TRIE_NODES * len(entries))
+        if staged:
+            del self._buffers[(ctx.payer, buffer_id)]
+
         failures: list[tuple[int, int, str]] = []
-        for index, (kind, msg) in enumerate(staged):
-            handler = handlers.get(kind)
-            if handler is None:
-                failures.append((index, kind, f"opcode {kind} not batchable"))
-                continue
+        for index, (kind, msg) in enumerate(entries):
             try:
-                handler(ctx, msg)
+                if kind in proven:
+                    proven[kind](ctx, msg, witnesses[msg.proof_height])
+                elif kind == Op.TIMEOUT_EXEC:
+                    self._exec_timeout_msg(ctx, msg)
+                else:
+                    failures.append((index, kind, f"opcode {kind} not batchable"))
             except (ReproError, ValueError) as exc:
                 failures.append((index, kind, str(exc)))
+        count = len(entries)
         trace.count("guest.batch.instructions")
         trace.count("guest.batch.entries", count)
         trace.count("guest.batch.entries_failed", len(failures))

@@ -174,60 +174,59 @@ def claim_message(public_key: PublicKey, payer_address: bytes) -> bytes:
 # Batched packet execution (relayer-side coalescing)
 # ---------------------------------------------------------------------------
 
-#: Entry modes inside a BATCH_EXEC payload.
-BATCH_MODE_INLINE = 0
-BATCH_MODE_BUFFERED = 1
+def batch_exec(buffer_id: Optional[int], tail: bytes) -> bytes:
+    """Run one batch payload: what CHUNK transactions staged into
+    ``buffer_id`` (``None`` when the payload fits this transaction)
+    followed by ``tail``.
 
-#: The exec opcodes a batch entry may carry.
-BATCHABLE_KINDS = (Op.RECV_EXEC, Op.ACK_EXEC, Op.TIMEOUT_EXEC)
-
-
-@dataclass(frozen=True)
-class BatchEntry:
-    """One packet operation inside a BATCH_EXEC instruction.
-
-    Small messages ride *inline* (the encoded :class:`BufferedPacketMsg`
-    is embedded in the batch instruction itself); oversized ones are
-    staged through CHUNK transactions first and referenced by buffer id.
-    """
-
-    kind: int  # Op.RECV_EXEC / Op.ACK_EXEC / Op.TIMEOUT_EXEC
-    inline: Optional[bytes] = None
-    buffer_id: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in BATCHABLE_KINDS:
-            raise ValueError(f"opcode {self.kind} cannot ride in a batch")
-        if (self.inline is None) == (self.buffer_id is None):
-            raise ValueError("a batch entry is either inline or buffered")
-
-    def encoded_bytes(self) -> int:
-        """Wire size of this entry inside the batch instruction."""
-        if self.inline is not None:
-            return 2 + len(encode_bytes(self.inline))
-        return 2 + len(encode_varint(self.buffer_id))
+    The Guest Contract refuses a malformed payload whole, before it
+    touches anything; the entries of a sound one then run in order
+    within this host transaction, each succeeding or failing on its own
+    (the proof checks run *before* any store mutation, so one bad entry
+    never poisons its neighbours)."""
+    out = bytearray([Op.BATCH_EXEC])
+    if buffer_id is None:
+        out += encode_varint(0)
+    else:
+        out += encode_varint(1)
+        out += encode_varint(buffer_id)
+    out += encode_bytes(tail)
+    return bytes(out)
 
 
-def batch_exec(entries: Sequence[BatchEntry]) -> bytes:
-    """Coalesce several packet operations into one instruction.
-
-    The Guest Contract processes the entries in order within a single
-    host transaction; each entry succeeds or fails individually (the
-    proof checks run *before* any store mutation, so one bad entry never
-    poisons its neighbours)."""
+def batch_payload(witnesses: Sequence[tuple[int, bytes]],
+                  entries: Sequence[bytes]) -> bytes:
+    """The bytes a BATCH_EXEC runs: one membership witness per proof
+    height (``(height, witness bytes)``), then the entries — each an
+    exec opcode byte and a :class:`BufferedPacketMsg` whose proof is
+    empty where the height's witness proves it (recv, ack) and its own
+    absence proof otherwise (timeout)."""
     if not entries:
         raise ValueError("empty batch")
-    out = bytearray([Op.BATCH_EXEC])
+    out = bytearray(encode_varint(len(witnesses)))
+    for height, witness in witnesses:
+        out += encode_varint(height)
+        out += encode_bytes(witness)
     out += encode_varint(len(entries))
-    for entry in entries:
-        out.append(entry.kind)
-        if entry.inline is not None:
-            out.append(BATCH_MODE_INLINE)
-            out += encode_bytes(entry.inline)
-        else:
-            out.append(BATCH_MODE_BUFFERED)
-            out += encode_varint(entry.buffer_id)
+    out += b"".join(entries)
     return bytes(out)
+
+
+def read_batch_payload(data: bytes) -> tuple[
+        dict[int, bytes], list[tuple[int, "BufferedPacketMsg"]]]:
+    """Inverse of :func:`batch_payload`: ``{height: witness bytes}`` and
+    ``[(opcode, message)]``."""
+    reader = Reader(data)
+    witnesses: dict[int, bytes] = {}
+    for _ in range(reader.read_varint()):
+        height = reader.read_varint()
+        if height in witnesses:
+            raise ValueError(f"two witnesses for height {height}")
+        witnesses[height] = reader.read_bytes()
+    entries = [(reader.read(1)[0], BufferedPacketMsg.read(reader))
+               for _ in range(reader.read_varint())]
+    reader.expect_end()
+    return witnesses, entries
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +236,8 @@ def batch_exec(entries: Sequence[BatchEntry]) -> bytes:
 @dataclass(frozen=True)
 class BufferedPacketMsg:
     """The staged bytes a RECV/ACK/TIMEOUT exec instruction consumes:
-    packet + proof + proof height (+ ack bytes for ACK_EXEC)."""
+    packet + proof + proof height (+ ack bytes for ACK_EXEC).  As a
+    batch entry, a recv or ack carries no proof of its own."""
 
     packet_bytes: bytes
     proof_bytes: bytes
@@ -253,13 +253,17 @@ class BufferedPacketMsg:
         return bytes(out)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "BufferedPacketMsg":
-        reader = Reader(data)
-        msg = cls(
+    def read(cls, reader: Reader) -> "BufferedPacketMsg":
+        return cls(
             packet_bytes=reader.read_bytes(),
             proof_bytes=reader.read_bytes(),
             proof_height=reader.read_varint(),
             ack_bytes=reader.read_bytes(),
         )
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "BufferedPacketMsg":
+        reader = Reader(data)
+        msg = cls.read(reader)
         reader.expect_end()
         return msg

@@ -21,6 +21,7 @@ from repro.crypto.hashing import Hash
 from repro.errors import ClientError
 from repro.trie.proof import (
     MembershipProof,
+    MembershipWitness,
     NonMembershipProof,
     verify_membership,
     verify_non_membership,
@@ -60,12 +61,21 @@ class LightClient(abc.ABC):
 
     # -- proof verification ----------------------------------------------
 
-    def verify_key_membership(self, height: int, key: bytes, value: bytes, proof: MembershipProof) -> bool:
-        """Check that ``key -> value`` under the root verified at ``height``."""
+    def verify_key_membership(self, height: int, key: bytes, value: bytes,
+                              proof: MembershipProof | MembershipWitness) -> bool:
+        """Check that ``key -> value`` under the root verified at ``height``.
+
+        ``proof`` is the key's own path or, in a batched delivery, the
+        witness its whole height shares: accepted on the same terms —
+        it folds to the root stored for ``height`` and the key it
+        derives from the path walked maps to ``value``.
+        """
         self.ensure_active()
         root = self.consensus_root(height)
         if root is None:
             return False
+        if isinstance(proof, MembershipWitness):
+            return proof.proves(root, key, value)
         if proof.key != key or proof.value != value:
             return False
         return verify_membership(root, proof)

@@ -31,14 +31,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.errors import HostUnavailableError, KeyNotFoundError, ReproError
-from repro.guest.api import BatchOp, DeliveryResult, LcUpdateResult
+from repro.guest.api import Batch, BatchOp, DeliveryResult, LcUpdateResult
 from repro.host.chain import HostChain
 from repro.host.events import HostEvent
 from repro.ibc import commitment as paths
 from repro.ibc.channel import ChannelOrder
 from repro.ibc.identifiers import ChannelId, ConnectionId, PortId
 from repro.ibc.packet import Acknowledgement, Packet
-from repro.lightclient.chunked import usable_chunk_bytes
 from repro.relayer.endpoint import GuestEnd, packet_key
 from repro.relayer.handshake import CHANNEL, CONNECTION, Handshake, Side
 from repro.relayer.resilience import CircuitBreaker, RetryPolicy
@@ -53,10 +52,10 @@ from repro.sim.rng import Rng
 BUNDLE_TIP_LAMPORTS = 0
 #: Counterparty send-queue polling period, seconds.
 POLL_SECONDS = 3.0
-#: Cap on the transactions one coalesced bundle may need.  Bundles
-#: schedule atomically, so a bundle larger than the host's block
-#: transaction limit could never land; a flush whose staged bytes would
-#: exceed this splits into several bundles.
+#: Cap on the transactions of one coalesced bundle, its BATCH_EXEC
+#: included.  A bundle lands whole, in what is left of one host block
+#: when it comes up: the more transactions it has, the longer a busy
+#: host defers it.  A flush whose payload needs more is halved.
 BATCH_MAX_BUNDLE_TXS = 8
 #: Watchdog period, seconds: re-kicks LC updates and bundle pumps that
 #: an error path or crash left wedged.
@@ -477,36 +476,24 @@ class Relayer:
         if not dst.pending_batch:
             return
         items, dst.pending_batch = dst.pending_batch, []
-        for group in self._bundle_sized_groups(items):
-            self._submit_batch(dst, group)
+        for group, batch in self._bundle_sized_groups(dst, items):
+            self._submit_batch(dst, group, batch)
 
-    def _bundle_sized_groups(self, items: list) -> list[list]:
-        """Split a flush so each bundle stays schedulable.
+    def _bundle_sized_groups(self, dst: GuestEnd,
+                             items: list) -> list[tuple[list, Batch]]:
+        """Split a flush so each bundle stays schedulable: halve it
+        until the payload, as built, fits ``BATCH_MAX_BUNDLE_TXS``
+        transactions (one operation goes out whatever it takes)."""
+        batch = Batch.of([op for op, _ in items])
+        if (len(items) == 1
+                or dst.api.batch_transactions(batch) <= BATCH_MAX_BUNDLE_TXS):
+            return [(items, batch)]
+        half = len(items) // 2
+        return (self._bundle_sized_groups(dst, items[:half])
+                + self._bundle_sized_groups(dst, items[half:]))
 
-        Bundles land atomically, so one whose transaction count exceeds
-        the host's per-block limit would sit in the mempool forever.
-        Group by projected chunk bytes, leaving the last slot for the
-        BATCH_EXEC transaction itself.
-        """
-        chunk_size = usable_chunk_bytes(self.host.config.max_transaction_bytes)
-        # Conservative per-entry overhead on top of the raw message.
-        budget = max(1, BATCH_MAX_BUNDLE_TXS - 1) * (chunk_size - 64)
-        groups: list[list] = []
-        current: list = []
-        used = 0
-        for op, span in items:
-            size = len(op.msg_bytes()) + 32
-            if current and used + size > budget:
-                groups.append(current)
-                current, used = [], 0
-            current.append((op, span))
-            used += size
-        if current:
-            groups.append(current)
-        return groups
-
-    def _submit_batch(self, dst: GuestEnd, items: list) -> None:
-        ops = [op for op, _ in items]
+    def _submit_batch(self, dst: GuestEnd, items: list, batch: Batch) -> None:
+        ops = batch.ops
         incarnation = self._incarnation
 
         def done(result: DeliveryResult) -> None:
@@ -551,10 +538,14 @@ class Relayer:
                 1 for op in ops if op.kind == "timeout")
 
         def launch() -> None:
-            self.sim.trace.count("relay.batches")
-            self.sim.trace.observe("relay.batch.packets", len(ops))
+            trace = self.sim.trace
+            trace.count("relay.batches")
+            trace.observe("relay.batch.packets", len(ops))
+            trace.observe("relay.batch.payload_bytes", len(batch.payload))
+            for size in batch.witness_sizes:
+                trace.observe("relay.batch.witness_bytes", size)
             dst.api.deliver_batch(
-                ops, tip_lamports=BUNDLE_TIP_LAMPORTS, on_done=done,
+                batch, tip_lamports=BUNDLE_TIP_LAMPORTS, on_done=done,
                 prelude=dst.updates.prelude(op.proof_height for op in ops))
 
         self._enqueue_bundle(launch)

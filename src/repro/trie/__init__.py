@@ -13,15 +13,24 @@ Public surface:
 * :class:`~repro.trie.proof.MembershipProof` /
   :class:`~repro.trie.proof.NonMembershipProof` — self-contained proofs
   verifiable against a bare root hash.
+* :class:`~repro.trie.proof.MembershipWitness` — many memberships under
+  one root, each shared node once (what a batched delivery carries).
 """
 
 from repro.trie.trie import SealableTrie
-from repro.trie.proof import MembershipProof, NonMembershipProof, verify_membership, verify_non_membership
+from repro.trie.proof import (
+    MembershipProof,
+    MembershipWitness,
+    NonMembershipProof,
+    verify_membership,
+    verify_non_membership,
+)
 from repro.trie.serialize import dump_store, dump_trie, load_store, load_trie
 
 __all__ = [
     "SealableTrie",
     "MembershipProof",
+    "MembershipWitness",
     "NonMembershipProof",
     "dump_store",
     "dump_trie",

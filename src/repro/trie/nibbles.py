@@ -8,7 +8,7 @@ slice.
 
 from __future__ import annotations
 
-from binascii import hexlify
+from binascii import hexlify, unhexlify
 from functools import lru_cache
 
 Nibbles = tuple[int, ...]
@@ -17,6 +17,7 @@ Nibbles = tuple[int, ...]
 #: C-level pass: hexlify, translate, ``tuple`` (keys are hashed to 32
 #: bytes, and every trie read, write, seal and proof expands one).
 _HEX_DIGIT_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+_HEX_DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
 
 
 def key_to_nibbles(key: bytes) -> Nibbles:
@@ -32,10 +33,8 @@ def nibbles_to_key(path: Nibbles) -> bytes:
     """Pack an even-length nibble path back into bytes."""
     if len(path) % 2:
         raise ValueError("cannot pack an odd number of nibbles into bytes")
-    out = bytearray()
-    for i in range(0, len(path), 2):
-        out.append((path[i] << 4) | path[i + 1])
-    return bytes(out)
+    # The inverse C-level pass; anything past 15 is no hex digit.
+    return unhexlify(bytes(path).translate(_HEX_DIGITS))
 
 
 def common_prefix_len(a: Nibbles, b: Nibbles) -> int:

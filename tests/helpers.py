@@ -237,12 +237,11 @@ def audited_methods() -> tuple[tuple[type, str], ...]:
     """The zero-argument methods of immutable value types whose calls
     outnumbered their receivers at least two to one on some ledger
     workload (docs/PERFORMANCE.md, "Derive once")."""
-    from repro.guest.api import BatchOp
     from repro.guest.block import GuestBlockHeader
     from repro.host.transaction import Transaction
     from repro.lightclient.tendermint import ValidatorSet
     return ((ValidatorSet, "canonical_hash"), (GuestBlockHeader, "fingerprint"),
-            (BatchOp, "msg_bytes"), (Transaction, "unique_accounts"))
+            (Transaction, "unique_accounts"))
 
 
 @dataclass
@@ -326,3 +325,34 @@ class DerivationAudit:
             lines.append(f"{name:34s} {count.calls:8d} {count.distinct:8d} "
                          f"{count.derivations:8d} {count.seconds:8.3f}")
         return "\n".join(lines)
+
+
+# ======================================================================
+# Batched delivery bundles
+# ======================================================================
+
+def batch_bundle_payload(transactions) -> bytes:
+    """Reassemble what a batched delivery bundle stages and runs: the
+    CHUNK pieces of its one buffer, in index order, then the tail inside
+    the BATCH_EXEC that ends it.  Asserts the bundle is nothing else."""
+    from repro.encoding import Reader
+    from repro.guest.instructions import Op
+    *chunk_txs, exec_tx = transactions
+    (exec_ins,) = exec_tx.instructions
+    assert exec_ins.data[0] == Op.BATCH_EXEC
+    reader = Reader(exec_ins.data[1:])
+    staged = reader.read_varint()
+    assert staged == bool(chunk_txs)
+    buffer_id = reader.read_varint() if staged else None
+    tail = reader.read_bytes()
+    reader.expect_end()
+    pieces = []
+    for index, transaction in enumerate(chunk_txs):
+        (chunk_ins,) = transaction.instructions
+        assert chunk_ins.data[0] == Op.CHUNK
+        chunk = Reader(chunk_ins.data[1:])
+        assert (chunk.read_varint(), chunk.read_varint(), chunk.read_varint()) == (
+            buffer_id, index, len(chunk_txs))
+        pieces.append(chunk.read_bytes())
+        chunk.expect_end()
+    return b"".join(pieces) + tail

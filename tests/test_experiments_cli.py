@@ -323,9 +323,12 @@ class TestCheapRowsEndToEnd:
         # the ~15-transaction LC update opened the link at 216 s, and the
         # constant-rate window that starts there fits 1 500 sends
         # (16 174 events).  With the update's staging wave in flight at
-        # once the link opens at 168 s: 16 174 -> 16 037.
+        # once the link opens at 168 s: 16 174 -> 16 037.  One witness
+        # per proof height instead of one path per packet takes the
+        # delivery bundles to a fifth of their transactions, each an
+        # arrival, an execution and a receipt fewer: 16 037 -> 12 366.
         assert record["delivered"] == record["sent"] == 1_500
-        assert record["events_dispatched"] == 16_037
+        assert record["events_dispatched"] == 12_366
         assert "wallclock-smoke: 1500/1500 packets" in capsys.readouterr().out
 
     def test_the_wallclock_gate_is_not_a_flag(self):

@@ -135,6 +135,28 @@ class TestThroughputHarness:
         assert check_smoke({**results,
                             "points": [point, {"offered_pps": 8.0}]})
 
+    def test_check_smoke_flags_per_packet_proofs(self):
+        """The smoke sweep's own two records: batched fee per packet is
+        0.31 x the unbatched with one witness per proof height, and
+        was 0.60 x with one path per packet."""
+        from repro.experiments.throughput import check_smoke
+        point = {
+            "offered_pps": 12.0, "batch_max_packets": 1, "sent": 720,
+            "committed": 720, "delivered": 720, "send_failures": 0,
+            "sustained_pps": 5.0, "latency_p50_s": 40.0,
+            "latency_p95_s": 84.0, "latency_p99_s": 90.0,
+            "relayer_fee_lamports": 12_739_680,
+            "fee_lamports_per_packet": 17_694.0,
+        }
+        results = {"offered_loads": [12.0], "batch_sizes": [1, 16]}
+        witness = dict(point, batch_max_packets=16, sustained_pps=9.326,
+                       fee_lamports_per_packet=5_548.0)
+        per_packet = dict(witness, sustained_pps=8.780,
+                          fee_lamports_per_packet=10_660.0)
+        assert check_smoke({**results, "points": [point, witness]}) == []
+        (failure,) = check_smoke({**results, "points": [point, per_packet]})
+        assert "0.60x the unbatched" in failure
+
 
 class TestStorageHarness:
     def test_capacity_fields(self):

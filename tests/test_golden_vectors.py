@@ -25,12 +25,20 @@ from repro.lightclient.tendermint import (
 )
 from repro.trie import (
     MembershipProof,
+    MembershipWitness,
     NonMembershipProof,
     SealableTrie,
     verify_membership,
     verify_non_membership,
 )
-from repro.trie.proof import BranchStep, EmptySlotEvidence, ExtensionStep
+from repro.trie.proof import (
+    BranchStep,
+    EmptySlotEvidence,
+    ExtensionStep,
+    WitnessBranch,
+    WitnessExtension,
+    WitnessLeaf,
+)
 from repro.trie.store import ProvableStore, path_key, seq_key
 
 
@@ -187,6 +195,77 @@ class TestProofWireVectors:
         )
         assert NonMembershipProof.from_bytes(wire) == proof
         assert verify_non_membership(store.root_hash, proof)
+
+    def test_three_key_witness_bytes(self):
+        """Receipts 0x05, 0x20 and 0x23: the root branch and the
+        extension once, the branch on the high sequence nibble with two
+        expanded slots (their hashes not shipped), under slot 2 the
+        branch holding both 0x20 and 0x23."""
+        store = self.build()
+        singles = [store.prove_seq(self.PREFIX, sequence)
+                   for sequence in (0x05, 0x20, 0x23)]
+        witness = MembershipWitness.merge(singles)
+        top = witness.node
+        assert isinstance(top, WitnessBranch)
+        (extension,) = [slot for slot in top.slots
+                        if isinstance(slot, WitnessExtension)]
+        fork = extension.child
+        assert [type(slot) for slot in fork.slots if slot is not None] == [
+            WitnessBranch, Hash, WitnessBranch]
+        assert [type(slot) for slot in fork.slots[2].slots].count(WitnessLeaf) == 2
+        assert witness.node_count == 8
+        wire = witness.to_bytes()
+        assert wire.hex() == (
+            "02000c0008003a6eedaa0e6bf0a053cb64b9ad3e551676d6386668012344f550"
+            "e239b1ece18e0120015d25534a57ebcbcc0194357d27243443f69f3d0a7f3c88"
+            "000000000000000002000700050002ffff0020004398df241de091cdda94d522"
+            "3c7499f9d91a49a77bfe0fcbdb4258718e0ba960ef1016a7f436eb2512b4fee0"
+            "733ac1b3f7f26ba6628e635527fb90a155e64eceda9803746b89c921812c84f7"
+            "c2d658bf2e9392d705fa3d7f1ddbd87e951e3ce2ee107664dcfb2a80b536d616"
+            "5de216d955ab50cc999e3d58e7e9534398cee55bf8cb372eaf22d88b7fae96ab"
+            "d1d855739fc3fb9d6beb203aabccf6d7a6f3efed00010009726563656970742d"
+            "3503994de001f8b2319a8d2cb1a62949480db5622e54b5d39735bd52efcdd504"
+            "c116df2acd92aae39697b12f9fbc5f80f95518bbfaea945722cfe0b990d139c0"
+            "626767cd6540e299a05aef803bb3b14f19cfa67a0a9aeffb7a5f164aa7848000"
+            "ca024e60e67b178e2db3a5765d8ebf9556b2b019af6f299421e50ce0f7621ab5"
+            "05ec0adae3119cd874d02ebab1f128f896503593a78217369e98ef3efc98558b"
+            "318756fc72218e990569a779ae9e7e505bcccbb44038a58b8d01bece8c912351"
+            "06a437b736998a90381663a5f86c5dfa282ab839b14092e6f2c3b9fbe64cf5f5"
+            "60097700bcbcd4caf29aa2296a01323c4968cd1d5c94f9209ff7ada4954811c8"
+            "4135fb07be8e6c06e8f44e13b3aa5457fa5b4661586730009c2bee62d44ed2a1"
+            "49f32fdb019b5e9cced12fadc37a51523bddde2557aa9907358b16af6321727b"
+            "15357bf7497847b301b7ed09dbcfe7c8fbb69a11f31c0818d5a64f6841d54362"
+            "b20201ff0009000001000a726563656970742d33324d999a71d28b6d89cefb1c"
+            "63cb031de0e62b4e7bcae3e283d15463b7771d0e17ed2cf52d0b9107275eb2f4"
+            "6742ffb6bb492b65955c5973b68fdb9821fccd25ff0001000a72656365697074"
+            "2d33358b1b2999d35c6c16c1c1018b87f7c6a3af5c8debee81c62856159365fa"
+            "888cf298f98a6133222c92daab950a3ec0107e1f2980b51965794311580784d2"
+            "044e144297616688910a4896461b23f173c41774d19ef706e1e2a2f4423bb977"
+            "dfa02268f9be933d1f25e3d72683716a474e65be4f9795b553969b7294ffc59e"
+            "0ffb600dd261828f4d311c26ddbe30fd2dba30ed41a11d3e43753f9e43889384"
+            "274338"
+        )
+        assert len(wire) == 867 < sum(len(p.to_bytes()) for p in singles) == 1567
+        decoded = MembershipWitness.from_bytes(wire)
+        assert decoded.node == witness.node and decoded.root == store.root_hash
+        for single in singles:
+            assert decoded.proves(store.root_hash, single.key, single.value)
+
+    def test_one_key_witness_bytes(self):
+        """The hashed path beside the receipts: the root branch with one
+        expanded slot, and the leaf."""
+        store = self.build()
+        witness = MembershipWitness.merge(
+            [store.prove("connections/connection-0")])
+        assert witness.node_count == 2
+        wire = witness.to_bytes()
+        assert wire.hex() == (
+            "02000c0004000021017fcae615d5b65ce6cc391a075c5502af40015fd444dc72"
+            "43feec75713a50982004636f6e6e23e0aab485ca1c1d14154fb555a6c063bc75"
+            "cf898123a25a5186c10a977a67d3"
+        )
+        assert MembershipWitness.from_bytes(wire).proves(
+            store.root_hash, path_key("connections/connection-0"), b"conn")
 
 
 class TestIbcVectors:

@@ -443,3 +443,79 @@ def test_crash_mid_wave_is_dropped_by_the_incarnation_guard():
     dep.run_for(180.0)
     assert delivered() == 50
     assert dep.relayer.metrics.packets_relayed_to_guest == 1
+
+
+# ----------------------------------------------------------------------
+# Orphaned staging buffers
+# ----------------------------------------------------------------------
+
+def test_a_wave_that_never_finalizes_is_swept_past_the_horizon():
+    """A staged update whose LC_FINALIZE never lands (lost in transit
+    here; a relayer dying mid-wave, or a bundle whose exec was refused,
+    leave the same thing behind) stays in the contract's buffers and
+    counts against the 10 MiB account — until the first buffer opened
+    more than ``STAGING_BUFFER_TTL_SECONDS`` after it sweeps it out.
+    The crash test above leaves nothing: the wave of a crashed relayer
+    still finalizes, its callbacks alone are dropped."""
+    from repro.guest.contract import STAGING_BUFFER_TTL_SECONDS
+    dep, tap, delivered = idle_link(34)
+    buffers = dep.contract._buffers
+    payer = dep.relayer.a.api.payer
+    tap.drop = lambda op, buffer_id: (
+        op is Op.LC_FINALIZE and list(tap.updates) == [buffer_id])
+    before = len(dep.relayer.metrics.lc_updates)
+    dep.run_for(180.0)
+
+    failed, retried = dep.relayer.metrics.lc_updates[before:]
+    orphan, second = tap.updates
+    assert not failed.success and retried.success and delivered() == 50
+    assert list(buffers) == [(payer, orphan)]
+    orphaned_at = buffers[(payer, orphan)].opened_at
+    staged = buffers[(payer, orphan)].byte_size()
+    assert staged > 0 and buffers[(payer, orphan)].is_complete()
+    # What ``_check_state_budget`` adds to the store's bytes.
+    counted = lambda: sum(buffer.byte_size() for buffer in buffers.values())
+    assert counted() == staged
+
+    def another_update():
+        known = dep.contract.counterparty_client.latest_height()
+        covered = []
+        dep.relayer.a.updates.cover(known + 1, covered.append)
+        dep.run_for(120.0)
+        assert covered and covered[0] > known
+        return list(tap.updates)[-1]
+
+    # A buffer opened inside the horizon sweeps nothing.
+    third = another_update()
+    assert dep.sim.now - orphaned_at < STAGING_BUFFER_TTL_SECONDS
+    assert third not in (orphan, second)
+    assert list(buffers) == [(payer, orphan)] and counted() == staged
+
+    # The next one past it does, and is itself consumed as usual.
+    dep.run_for(STAGING_BUFFER_TTL_SECONDS)
+    another_update()
+    assert not buffers and counted() == 0
+
+
+def test_a_young_buffer_survives_the_sweep_and_an_old_one_does_not():
+    """The sweep at the contract's edge: opened by a CHUNK of another
+    payer, it drops exactly the buffers older than the horizon — and a
+    buffer that is then executed is not there to be swept twice."""
+    from repro.guest import instructions as ins
+    from repro.guest.contract import STAGING_BUFFER_TTL_SECONDS
+    from tests.test_guest_contract import run_tx
+    dep = Deployment(DeploymentConfig(
+        seed=35, guest=GUEST, profiles=simple_profiles(4)))
+    buffers = dep.contract._buffers
+
+    assert run_tx(dep, ins.chunk(1, 0, 2, b"old"), wait=5.0).success
+    dep.run_for(STAGING_BUFFER_TTL_SECONDS - 60.0)
+    assert run_tx(dep, ins.chunk(2, 0, 2, b"young"), wait=5.0).success
+    assert sorted(key[1] for key in buffers) == [1, 2]
+    # A second CHUNK into an open buffer opens nothing, sweeps nothing.
+    dep.run_for(120.0)
+    assert run_tx(dep, ins.chunk(2, 1, 2, b"er"), wait=5.0).success
+    assert sorted(key[1] for key in buffers) == [1, 2]
+    assert run_tx(dep, ins.chunk(3, 0, 1, b"new"), wait=5.0).success
+    assert sorted(key[1] for key in buffers) == [2, 3]
+    assert buffers[(dep.user, 2)].assembled() == b"younger"

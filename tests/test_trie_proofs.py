@@ -9,12 +9,19 @@ from repro.encoding import Reader
 from repro.errors import ProofError, SealedNodeError, TrieError
 from repro.trie import (
     MembershipProof,
+    MembershipWitness,
     NonMembershipProof,
     SealableTrie,
     verify_membership,
     verify_non_membership,
 )
-from repro.trie.proof import _decode_hash_set, _write_hash_set
+from repro.trie.proof import (
+    WitnessBranch,
+    WitnessExtension,
+    WitnessLeaf,
+    _decode_hash_set,
+    _write_hash_set,
+)
 
 
 def key(i: int) -> bytes:
@@ -144,6 +151,139 @@ class TestHashSetCodec:
         for cut in range(1, 40):
             with pytest.raises(ValueError):
                 MembershipProof.from_bytes(wire[:-cut])
+
+
+class TestMembershipWitness:
+    """One witness for many keys under one root: the unit-level cases;
+    the equivalence with single proofs is a property in
+    ``tests/test_trie_properties.py``."""
+
+    KEYS = (0, 7, 33, 63)
+
+    @pytest.fixture
+    def witness(self, populated):
+        return MembershipWitness.merge(populated.prove(key(i)) for i in self.KEYS)
+
+    def test_folds_to_the_root_and_proves_each_key(self, populated, witness):
+        assert witness.root == populated.root_hash
+        assert witness.entries == {
+            key(i): f"value-{i}".encode() for i in self.KEYS}
+        for i in self.KEYS:
+            assert witness.proves(populated.root_hash, key(i), f"value-{i}".encode())
+
+    def test_binds_root_key_and_value(self, populated, witness):
+        root = populated.root_hash
+        assert not witness.proves(Hash.of(b"random"), key(7), b"value-7")
+        assert not witness.proves(root, key(7), b"forged")
+        # Present in the trie, absent from the witness.
+        assert not witness.proves(root, key(8), b"value-8")
+        # A proven value under a key its leaf does not sit at.
+        assert not witness.proves(root, key(33), b"value-7")
+        assert not witness.proves(root, key(1000), b"value-7")
+
+    def test_each_shared_node_is_carried_once(self, populated, witness):
+        singles = [populated.prove(key(i)) for i in self.KEYS]
+        assert isinstance(witness.node, WitnessBranch)
+        # The root branch once, one expanded slot per distinct first
+        # nibble: those children's hashes are recomputed, not shipped.
+        expanded = [slot for slot in witness.node.slots
+                    if slot is not None and not isinstance(slot, Hash)]
+        assert len(expanded) == len({key(i)[0] >> 4 for i in self.KEYS})
+        assert witness.node_count < sum(len(p.steps) + 1 for p in singles)
+        assert len(witness.to_bytes()) < 0.5 * sum(len(p.to_bytes()) for p in singles)
+
+    def test_bytes_are_a_function_of_the_root_and_the_key_set(self, populated, witness):
+        wire = witness.to_bytes()
+        again = MembershipWitness.merge(
+            populated.prove(key(i)) for i in reversed(self.KEYS + self.KEYS))
+        assert again.to_bytes() == wire
+        decoded = MembershipWitness.from_bytes(wire)
+        assert decoded.node == witness.node and decoded.to_bytes() == wire
+        assert (decoded.root, decoded.entries, decoded.node_count) == (
+            witness.root, witness.entries, witness.node_count)
+
+    def test_single_entry_trie_is_a_single_leaf(self):
+        trie = SealableTrie()
+        trie.set(key(1), b"only")
+        witness = MembershipWitness.merge([trie.prove(key(1))])
+        assert isinstance(witness.node, WitnessLeaf) and witness.node_count == 1
+        assert witness.proves(trie.root_hash, key(1), b"only")
+        assert MembershipWitness.from_bytes(witness.to_bytes()).node == witness.node
+
+    def test_nothing_to_prove_is_refused(self):
+        with pytest.raises(ProofError):
+            MembershipWitness.merge([])
+
+    def test_proofs_under_two_roots_do_not_merge(self, populated):
+        before = populated.prove(key(5))
+        populated.set(key(6), b"rewritten")
+        with pytest.raises(ProofError, match="not taken under one root"):
+            MembershipWitness.merge([before, populated.prove(key(7))])
+        # Even when the two proofs only differ below the shared branch:
+        # the hash one names for the other's subtree is checked.
+        with pytest.raises(ProofError, match="not taken under one root"):
+            MembershipWitness.merge([before, populated.prove(key(6))])
+
+    def test_every_bit_flip_is_refused_or_changes_the_root(self, populated, witness):
+        wire = witness.to_bytes()
+        for bit in range(0, len(wire) * 8, 7):
+            flipped = bytearray(wire)
+            flipped[bit // 8] ^= 1 << bit % 8
+            try:
+                forged = MembershipWitness.from_bytes(bytes(flipped))
+            except (ProofError, ValueError):
+                continue
+            # A flip in a leaf's path or value may still decode; it
+            # cannot keep the root.
+            assert forged.root != populated.root_hash
+
+    @pytest.mark.parametrize("wire, error", [
+        pytest.param(b"\x07", "unknown witness node tag", id="tag"),
+        # Branch: occupied 0x0001, expanded 0x0003.
+        pytest.param(b"\x02\x00\x01\x00\x03\x00",
+                     "expands an empty branch slot", id="empty-slot"),
+        # Extension whose path encodes no nibble, over a leaf.
+        pytest.param(b"\x01\x01\x00" + b"\x00\x01\x00\x00",
+                     "extension with an empty path", id="ext-path"),
+        # A leaf one nibble down: half a byte of key.
+        pytest.param(b"\x00\x02\x01\x10\x00", "ends on a half byte",
+                     id="half-byte"),
+        # A whole-key leaf, then one byte more.
+        pytest.param(b"\x00\x02\x00\xab\x00" + b"\x00", "trailing bytes",
+                     id="trailing"),
+        pytest.param(b"\x00\x02\x00", "truncated", id="truncated"),
+    ])
+    def test_malformed_bytes_are_refused(self, wire, error):
+        with pytest.raises((ProofError, ValueError), match=error):
+            MembershipWitness.from_bytes(wire)
+
+    def test_nesting_deeper_than_a_key_is_refused(self):
+        """Each nested node walks at least one nibble, so bounding the
+        walk at a 32-byte key bounds the decoder's recursion."""
+        extension = b"\x01\x02\x01\x10"   # one nibble
+        leaf = b"\x00\x01\x00\x00"
+        MembershipWitness.from_bytes(extension * 64 + leaf)
+        with pytest.raises(ProofError, match="deeper than a key is long"):
+            MembershipWitness.from_bytes(extension * 65 + leaf)
+        with pytest.raises(ProofError, match="deeper than a key is long"):
+            MembershipWitness.from_bytes(extension * 100_000)
+
+    def test_a_key_cannot_be_named_twice(self, witness):
+        """Slots are named by bitmap position, not by a listed index,
+        so no byte string decodes to two leaves at one key: whatever
+        decodes re-encodes to itself, one entry per leaf."""
+        def leaves(node):
+            if isinstance(node, WitnessLeaf):
+                return 1
+            if isinstance(node, WitnessExtension):
+                return leaves(node.child)
+            return sum(leaves(slot) for slot in node.slots
+                       if slot is not None and not isinstance(slot, Hash))
+
+        wire = witness.to_bytes()
+        decoded = MembershipWitness.from_bytes(wire)
+        assert decoded.to_bytes() == wire
+        assert leaves(decoded.node) == len(decoded.entries) == len(self.KEYS)
 
 
 class TestNonMembershipProofs:

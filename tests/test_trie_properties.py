@@ -13,14 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.hashing import Hash
-from repro.errors import KeyNotFoundError, SealedNodeError, TrieError
+from repro.errors import KeyNotFoundError, ProofError, SealedNodeError, TrieError
 from repro.trie import (
     MembershipProof,
+    MembershipWitness,
     SealableTrie,
     verify_membership,
     verify_non_membership,
 )
 from repro.trie.nodes import BranchNode, ExtensionNode, SealedNode
+from repro.trie.proof import WitnessBranch, WitnessExtension, WitnessLeaf
+from repro.trie.store import ProvableStore, seq_key
 
 # Hashed 32-byte keys, like the provable stores use.
 keys = st.binary(min_size=1, max_size=8).map(lambda b: hashlib.sha256(b).digest())
@@ -486,6 +489,166 @@ def test_named_shapes_reach_the_paths_they_name(monkeypatch):
         _run_under_cadence(script(), "never", random.Random(0))
     assert reached == {"replacing_value", "_split_extension", "_merge_extension",
                        "_expand_sealed_branch", "of_branch"}
+
+
+# ----------------------------------------------------------------------
+# A batch witness is its single proofs, merged
+# ----------------------------------------------------------------------
+#
+# ``MembershipWitness.merge`` carries each node of the union of paths
+# once and drops the hash of every child it expands.  Whatever it
+# proves, and only that, the single proofs it was merged from prove:
+# over the same shape pool (branch values, extensions, sealed stubs
+# beside live keys) and over sequenced stores with several channels.
+
+def _provable(trie: SealableTrie, keys) -> dict:
+    proofs = {}
+    for key in keys:
+        try:
+            proofs[key] = trie.prove(key)
+        except TrieError:
+            pass  # absent, sealed away, or a value held on a branch
+    return proofs
+
+
+def _check_witness_against_single_proofs(trie, proofs, subset, probes):
+    root = trie.root_hash
+    witness = MembershipWitness.merge(proofs[key] for key in subset)
+    wire = witness.to_bytes()
+    decoded = MembershipWitness.from_bytes(wire)
+    assert decoded.node == witness.node and decoded.to_bytes() == wire
+    assert witness.root == decoded.root == root
+    assert decoded.entries == {key: proofs[key].value for key in subset}
+    elsewhere = Hash.of(b"another root")
+    for key in probes:
+        single = proofs.get(key)
+        for value in (single.value if single else b"", b"tampered\x00"):
+            # What the key's own path proves, for the keys merged in.
+            holds = key in subset and verify_membership(root, MembershipProof(
+                key=key, value=value, steps=single.steps,
+                leaf_path=single.leaf_path))
+            assert decoded.proves(root, key, value) == holds
+            assert holds == (key in subset and value == single.value)
+            assert not decoded.proves(elsewhere, key, value)
+    return witness
+
+
+@settings(max_examples=250, deadline=None)
+@given(_shape_ops, st.data())
+def test_witness_proves_exactly_what_its_single_proofs_prove(ops, data):
+    trie = SealableTrie()
+    for kind, key, *value in ops:
+        try:
+            getattr(trie, kind)(key, *value)
+        except TrieError:
+            pass
+    proofs = _provable(trie, _SHAPE_POOL)
+    if not proofs:
+        return
+    subset = data.draw(st.sets(st.sampled_from(sorted(proofs)), min_size=1),
+                       label="proven keys")
+    _check_witness_against_single_proofs(trie, proofs, subset, _SHAPE_POOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=2, max_value=40),
+       st.data())
+def test_witness_over_sequenced_channels_and_sealed_siblings(window, total, data):
+    """The guest's real shape: two channels' sequenced entries (two
+    ``seq_key`` subtrees under different hashed prefixes) beside a
+    hashed path, a trailing window live and everything older sealed
+    (lagging by one at least, as ``IbcHost`` seals) — so the proven
+    paths' siblings are ``SealedNode`` stubs."""
+    store = ProvableStore()
+    store.set("connections/connection-0", b"conn")
+    prefixes = ("commitments/ports/transfer/channels/channel-0",
+                "acks/ports/transfer/channels/channel-7")
+    for sequence in range(total):
+        for prefix in prefixes:
+            store.set_seq(prefix, sequence, b"c-%d" % sequence)
+            if sequence >= window:
+                store.seal_seq(prefix, sequence - window)
+    keys = [seq_key(prefix, sequence)
+            for prefix in prefixes for sequence in range(total + 1)]
+    proofs = _provable(store.trie, keys)
+    assert len(proofs) == 2 * min(window, total)
+    if not proofs:
+        return
+    subset = data.draw(st.sets(st.sampled_from(sorted(proofs)), min_size=1),
+                       label="proven keys")
+    witness = _check_witness_against_single_proofs(
+        store.trie, proofs, subset, keys)
+    if len(subset) > 1:
+        assert len(witness.to_bytes()) < sum(
+            len(proofs[key].to_bytes()) for key in subset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shape_ops, _shape_ops, st.data())
+def test_proofs_under_two_roots_never_merge(before, after, data):
+    trie = SealableTrie()
+    for kind, key, *value in before:
+        try:
+            getattr(trie, kind)(key, *value)
+        except TrieError:
+            pass
+    old_root, old = trie.root_hash, _provable(trie, _SHAPE_POOL)
+    for kind, key, *value in after:
+        try:
+            getattr(trie, kind)(key, *value)
+        except TrieError:
+            pass
+    new = _provable(trie, _SHAPE_POOL)
+    if trie.root_hash == old_root or not old or not new:
+        return
+    mixed = [old[data.draw(st.sampled_from(sorted(old)), label="old key")],
+             new[data.draw(st.sampled_from(sorted(new)), label="new key")]]
+    for proofs in (mixed, mixed[::-1]):
+        with pytest.raises(ProofError):
+            MembershipWitness.merge(proofs)
+
+
+def _witness_shapes(node, shapes=None, top=True) -> set:
+    shapes = set() if shapes is None else shapes
+    if isinstance(node, WitnessLeaf):
+        shapes.add("single leaf" if top else "leaf")
+    elif isinstance(node, WitnessExtension):
+        shapes.add("extension")
+        _witness_shapes(node.child, shapes, False)
+    else:
+        assert isinstance(node, WitnessBranch)
+        expanded = [slot for slot in node.slots
+                    if slot is not None and not isinstance(slot, Hash)]
+        shapes.add("branch, several expanded" if len(expanded) > 1
+                   else "branch, one expanded")
+        if node.value is not None:
+            shapes.add("branch holding a value")
+        if len(expanded) < sum(slot is not None for slot in node.slots):
+            shapes.add("branch with a hashed sibling")
+        for slot in expanded:
+            _witness_shapes(slot, shapes, False)
+    return shapes
+
+
+def test_named_shapes_reach_the_witness_shapes_they_should():
+    """The witness properties above are only worth their pools if the
+    pools build the witnesses that matter; the named scripts do, one
+    witness over every provable key after every step."""
+    reached = set()
+    for script in (_branch_value_script, _extension_script, _sealed_branch_script):
+        trie = SealableTrie()
+        keys = sorted({key for _, key, *_ in script()})
+        for kind, key, *value in script():
+            getattr(trie, kind)(key, *value)
+            proofs = _provable(trie, keys)
+            if proofs:
+                witness = _check_witness_against_single_proofs(
+                    trie, proofs, set(proofs), keys)
+                reached |= _witness_shapes(witness.node)
+    assert reached == {
+        "single leaf", "leaf", "extension", "branch, one expanded",
+        "branch, several expanded", "branch holding a value",
+        "branch with a hashed sibling"}
 
 
 def _expect(error, thunk):
