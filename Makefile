@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test lint bench bench-smoke perf-gates figures examples \
 	cluster-smoke chaos-smoke accountability-smoke wallclock-smoke \
-	profile-soak fabric-smoke state-smoke lc-update-smoke all
+	fabric-smoke state-smoke lc-update-smoke all
 
 install:
 	pip install -e . && pip install pytest pytest-benchmark hypothesis
@@ -28,13 +28,14 @@ bench-smoke:
 # The perf regression gates that read no clock (docs/PERFORMANCE.md):
 # calls per trie lifecycle, transactions per light-client update and how
 # they are submitted, derivations per immutable instance, transactions
-# and payload bytes per batched delivery.  Counts are a function of the
-# code alone, so a failure here names the layer that grew.  All four
-# also run in tier-1.
+# and payload bytes per batched delivery, and the traffic the kept
+# caches and the event heap are sized for (cache hits, cancellations,
+# repeated proofs).  Counts are a function of the code alone, so a
+# failure here names the layer that grew.  All five also run in tier-1.
 perf-gates:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_trie_call_budget.py \
 		tests/test_lc_update_budget.py tests/test_derive_once_budget.py \
-		tests/test_delivery_budget.py
+		tests/test_delivery_budget.py tests/test_traffic_audit.py
 
 # Print every reproduced table/figure to the terminal (~1 min): the
 # rows `python -m repro.experiments --help` marks as part of `all`.
@@ -90,9 +91,5 @@ state-smoke:
 lc-update-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments fig4 fig5 \
 		--duration-hours 6
-
-# cProfile the soak workload and print the top of the profile.
-profile-soak:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments profile-soak
 
 all: lint test bench figures

@@ -106,9 +106,5 @@ class Keypair:
     def sign(self, message: bytes) -> Signature:
         return self.scheme.sign(self.secret, message)
 
-    def verify_own(self, message: bytes, signature: Signature) -> bool:
-        """Verify a signature against this keypair's public key."""
-        return self.scheme.verify(self.public_key, message, signature)
-
     def __repr__(self) -> str:
         return f"Keypair({self.public_key.short()}…)"

@@ -21,10 +21,6 @@ class CryptoError(ReproError):
     """Base class for cryptographic failures."""
 
 
-class InvalidSignatureError(CryptoError):
-    """A signature failed verification."""
-
-
 class InvalidKeyError(CryptoError):
     """A key was malformed (wrong length, not on the curve, ...)."""
 
@@ -110,10 +106,6 @@ class HeadNotFinalisedError(GuestError):
 class StaleBlockError(GuestError):
     """``generate_block`` found nothing to commit: the state root is
     unchanged and the head is younger than the Δ block-age parameter."""
-
-
-class NotAValidatorError(GuestError):
-    """A ``sign`` call came from a key outside the block's epoch set."""
 
 
 class AlreadySignedError(GuestError):

@@ -16,7 +16,7 @@ modules behind the rows:
   home of the one link-under-load builder (``build_linked_deployment``)
   the next three share.
 * :mod:`~repro.experiments.profiling` — the soak workload under a timer
-  or cProfile (``profile-soak``, ``wallclock-smoke``).
+  (``wallclock-smoke``).
 * :mod:`~repro.experiments.chaos` and
   :mod:`~repro.experiments.accountability` — the fault storm against
   its fault-free twin, and the equivocation storm.

@@ -185,15 +185,6 @@ TARGETS: dict[str, Target] = {
         run=lambda o: state.run_state_smoke(seed=o.seed, cluster=o.cluster),
         render=state.render_state, record="state_smoke",
         check=state.check_state, seed=2024, shards=True),
-    "profile-soak": Target(
-        "cProfile the soak workload (--profile-packets, --profile-sort)",
-        run=lambda o: profiling.profile_soak(
-            profiling.SoakConfig(seed=o.seed, packets=o.profile_packets),
-            sort=o.profile_sort),
-        render=lambda r: "\n\n".join((
-            profiling.render_soak_result(r[0], title="profile-soak"),
-            r[1].rstrip())),
-        seed=29),
     "wallclock-smoke": Target(
         "docs/PERFORMANCE.md: a scaled soak must clear the events/s floor",
         run=lambda o: profiling.run_wallclock_smoke(seed=o.seed),
@@ -240,11 +231,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--audit-seeds", type=int, nargs="+",
                         default=[401, 402, 403],
                         help="seeds for the replay-audit target")
-    parser.add_argument("--profile-packets", type=int, default=2_000,
-                        help="soak scale for the profile-soak target")
-    parser.add_argument("--profile-sort", default="cumulative",
-                        choices=["cumulative", "tottime", "ncalls"],
-                        help="profile-soak stats sort key")
     return parser
 
 

@@ -19,12 +19,18 @@ from repro.deployment import Deployment, DeploymentConfig
 from repro.guest.config import GuestConfig
 from repro.host.accounts import Address
 from repro.host.chain import HostChain, HostConfig
-from repro.host.fees import BaseFee, BundleFee, PriorityFee
+from repro.host.fees import (
+    SEND_BUNDLE_TIP_LAMPORTS,
+    SEND_PRIORITY_CU_PRICE,
+    BaseFee,
+    BundleFee,
+    PriorityFee,
+)
 from repro.host.transaction import Instruction, Transaction
 from repro.crypto.simsig import SimSigScheme
 from repro.metrics.stats import Summary, summarize
 from repro.sim.kernel import Simulation
-from repro.units import lamports_to_usd, sol_to_lamports
+from repro.units import MAX_COMPUTE_UNITS, lamports_to_usd, sol_to_lamports
 from repro.validators.profiles import simple_profiles
 
 
@@ -120,8 +126,8 @@ def fee_strategy_tradeoff(congestion: float = 0.7, samples: int = 150,
 
     strategies = [
         ("base", BaseFee()),
-        ("priority", PriorityFee(compute_unit_price=5_000_000)),
-        ("bundle", BundleFee(tip_lamports=15_090_000)),
+        ("priority", PriorityFee(compute_unit_price=SEND_PRIORITY_CU_PRICE)),
+        ("bundle", BundleFee(tip_lamports=SEND_BUNDLE_TIP_LAMPORTS)),
     ]
     observations: dict[str, list[tuple[float, int]]] = {name: [] for name, _ in strategies}
 
@@ -133,7 +139,7 @@ def fee_strategy_tradeoff(congestion: float = 0.7, samples: int = 150,
                     payer=payer,
                     instructions=(Instruction(sink, (), b"x"),),
                     fee_strategy=strategy,
-                    compute_budget=1_400_000,
+                    compute_budget=MAX_COMPUTE_UNITS,
                 )
                 chain.submit(tx, on_result=lambda r, t0=t0, name=name:
                              observations[name].append((r.time - t0, r.fee_paid)))
@@ -194,7 +200,7 @@ def adaptive_fee_comparison(congestion_levels: tuple[float, ...] = (0.1, 0.4, 0.
                 ctx.meter.charge(5_000)
 
         chain.deploy(Sink())
-        fixed = PriorityFee(compute_unit_price=5_000_000)
+        fixed = PriorityFee(compute_unit_price=SEND_PRIORITY_CU_PRICE)
         adaptive = AdaptiveFee(lambda: chain.congestion_at(sim.now))
         observations: dict[str, list[tuple[float, int]]] = {"fixed": [], "adaptive": []}
 
@@ -206,7 +212,7 @@ def adaptive_fee_comparison(congestion_levels: tuple[float, ...] = (0.1, 0.4, 0.
                         payer=payer,
                         instructions=(Instruction(sink, (), b"x"),),
                         fee_strategy=strategy,
-                        compute_budget=1_400_000,
+                        compute_budget=MAX_COMPUTE_UNITS,
                     )
                     chain.submit(tx, on_result=lambda r, t0=t0, name=name:
                                  observations[name].append((r.time - t0, r.fee_paid)))

@@ -35,14 +35,16 @@ class BlockIntervalConfig:
     #: Base mean gap between packets; calibrated so ~a quarter of gaps
     #: exceed Δ (P(gap > Δ) = exp(-Δ/gap) ≈ 0.25 → gap ≈ Δ/1.386).
     send_mean_gap: float = 2_600.0
-    #: Diurnal modulation amplitude of the arrival rate.
-    diurnal_amplitude: float = 0.6
     #: Validator #1's outage — the cause of the >Δ stragglers.
     outage_seconds: float = 36_000.0
-    host_slot_seconds: float = 2.0
     #: Epoch length in slots (kept at the paper's ≈11 h wall time).
     epoch_length_slots: int = 20_000
 
+
+#: Diurnal modulation amplitude of the arrival rate.
+DIURNAL_AMPLITUDE = 0.6
+#: The coarser host slots this run uses (module docstring).
+HOST_SLOT_SECONDS = 2.0
 
 #: What ``python -m repro.experiments fig6`` runs: three days (at the
 #: CLI's seed) show the cut-off share and the outage straggler in a
@@ -74,7 +76,7 @@ class BlockIntervalRun:
                 delta_seconds=cfg.delta_seconds,
                 epoch_length_host_blocks=cfg.epoch_length_slots,
             ),
-            host=HostConfig(slot_seconds=cfg.host_slot_seconds, retain_blocks=2_000),
+            host=HostConfig(slot_seconds=HOST_SLOT_SECONDS, retain_blocks=2_000),
             counterparty=CounterpartyConfig(retain_blocks=1_000),
             profiles=deployment_profiles(outage_seconds=cfg.outage_seconds),
             cranker_poll_seconds=5.0,
@@ -87,7 +89,7 @@ class BlockIntervalRun:
         the mean with the time-of-day factor)."""
         cfg = self.config
         phase = 2.0 * math.pi * (self.deployment.sim.now % 86_400.0) / 86_400.0
-        factor = 1.0 + cfg.diurnal_amplitude * math.sin(phase)
+        factor = 1.0 + DIURNAL_AMPLITUDE * math.sin(phase)
         mean = cfg.send_mean_gap / max(0.2, factor)
         return self._rng.expovariate(1.0 / mean)
 

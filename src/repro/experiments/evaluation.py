@@ -25,13 +25,24 @@ from repro.guest.api import DeliveryResult, LcUpdateResult
 from repro.guest.config import GuestConfig
 from repro.host.chain import HostConfig
 from repro.host.events import HostEvent
-from repro.host.fees import PriorityFee
+from repro.host.fees import (
+    SEND_BUNDLE_TIP_LAMPORTS,
+    SEND_PRIORITY_CU_PRICE,
+    PriorityFee,
+)
 from repro.host.transaction import TxReceipt
 from repro.metrics.stats import Summary, correlation, summarize
 from repro.observability import TraceReport
 from repro.relayer.relayer import RelayerConfig
 from repro.units import MAX_COMPUTE_UNITS, lamports_to_cents, lamports_to_usd
 from repro.validators.profiles import deployment_profiles
+
+#: Share of senders using priority fees; the rest use bundles (§V-A
+#: reports 17 % / 83 %).  What each pays is Fig. 3's two price points,
+#: ``repro.host.fees.SEND_PRIORITY_CU_PRICE`` / ``SEND_BUNDLE_TIP_LAMPORTS``.
+PRIORITY_SHARE = 0.17
+#: Synthetic entries pre-loading the counterparty store (proof depth).
+COUNTERPARTY_PRELOAD = 3_000
 
 
 @dataclass
@@ -46,18 +57,8 @@ class EvaluationConfig:
     #: Mean gap between counterparty-side sends (each one drives a
     #: chunked light-client update on the guest).
     cp_send_mean_gap: float = 780.0
-    #: Share of senders using priority fees; the rest use bundles (§V-A
-    #: reports 17 % / 83 %).
-    priority_share: float = 0.17
     #: Validator #1's outage, scaled from the mainnet ~10 h (§V-C).
     outage_seconds: float = 2_400.0
-    #: ICS-20 payload size in bytes.
-    payload_bytes: int = 150
-    #: Synthetic entries pre-loading the counterparty store (proof depth).
-    counterparty_preload: int = 3_000
-    #: The fixed fee parameters §V-A reports.
-    priority_cu_price: int = 5_000_000       # → ≈ 1.40 USD per send
-    bundle_tip_lamports: int = 15_090_000    # → ≈ 3.02 USD per send
     #: Epoch length in host slots, scaled from the mainnet 100 000 slots
     #: (≈ 11 h of a month) to the same share of the simulated duration.
     epoch_length_slots: int = 4_500
@@ -151,7 +152,7 @@ class EvaluationRun:
             guest=GuestConfig(epoch_length_host_blocks=cfg.epoch_length_slots),
             host=HostConfig(retain_blocks=4_000),
             counterparty=CounterpartyConfig(
-                store_preload_entries=cfg.counterparty_preload,
+                store_preload_entries=COUNTERPARTY_PRELOAD,
                 retain_blocks=2_000,
             ),
             relayer=RelayerConfig(lc_update_plan=cfg.lc_update_plan),
@@ -178,7 +179,7 @@ class EvaluationRun:
         payload = dep.contract.transfer.make_payload(
             self._guest_channel, "GUEST", 10, "alice", "bob",
         )
-        strategy = "priority" if self._rng.bernoulli(cfg.priority_share) else "bundle"
+        strategy = "priority" if self._rng.bernoulli(PRIORITY_SHARE) else "bundle"
         record = SendRecord(sequence=-1, strategy=strategy)
         self._send_queue.append(record)
 
@@ -191,14 +192,14 @@ class EvaluationRun:
         if strategy == "priority":
             dep.user_api.send_packet(
                 "transfer", str(self._guest_channel), payload,
-                fee=PriorityFee(compute_unit_price=cfg.priority_cu_price),
+                fee=PriorityFee(compute_unit_price=SEND_PRIORITY_CU_PRICE),
                 compute_budget=MAX_COMPUTE_UNITS,
                 on_result=on_receipt,
             )
         else:
             dep.user_api.send_packet_via_bundle(
                 "transfer", str(self._guest_channel), payload,
-                tip_lamports=cfg.bundle_tip_lamports,
+                tip_lamports=SEND_BUNDLE_TIP_LAMPORTS,
                 on_result=on_receipt,
             )
         if dep.sim.now + 1 < cfg.duration:

@@ -1,31 +1,20 @@
-"""Profile the hot paths of a soak-scale workload run.
+"""The soak-scale workload run, timed on the wall clock.
 
 Wall-clock cost is the binding constraint on every large experiment
 (docs/PERFORMANCE.md): the 10k-packet soak dominates CI time and caps
-how far the topology/population sweeps can scale.  This module wraps
-the exact soak workload shape from ``tests/test_workload_soak.py`` in a
-:mod:`cProfile` harness so that optimisation work starts from data, not
-hunches::
-
-    PYTHONPATH=src python -m repro.experiments profile-soak
-    PYTHONPATH=src python -m repro.experiments profile-soak \
-        --profile-packets 2000 --profile-sort tottime
-
-The harness reports both the profile table (top functions by the chosen
-sort key) and the wall-clock summary the benchmark gate tracks
-(events/sec and packets/sec of *wall* time, see
-``benchmarks/test_wallclock.py``).
+how far the topology/population sweeps can scale.  This module runs the
+exact soak workload shape of ``tests/test_workload_soak.py`` and reports
+the wall-clock summary the benchmark gate tracks (events/sec and
+packets/sec of *wall* time, see ``benchmarks/test_wallclock.py`` and the
+``wallclock-smoke`` target).  Where the time goes, layer by layer, is the
+perf ledger's question: ``python3 bench/run.py --workload link_soak
+--trace 1`` runs the same shape under ``bench/layers.py``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import cProfile
-import io
-import pstats
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.experiments.throughput import build_linked_deployment
 from repro.guest.config import GuestConfig
@@ -38,7 +27,7 @@ class SoakConfig:
 
     ``packets`` scales the run: the offered rate stays fixed at the
     soak's 40 pps and the sending window stretches to fit, so a scaled
-    profile exercises the same steady-state hot paths as the full run.
+    run exercises the same steady-state hot paths as the full one.
     """
 
     seed: int = 29
@@ -94,18 +83,14 @@ class SoakResult:
 #: whose threshold is a flag is a gate anyone can lower.
 WALLCLOCK_SMOKE_PACKETS = 1_500
 WALLCLOCK_FLOOR_EVENTS_PER_SEC = 500.0
-#: Rows of the profile table ``profile-soak`` prints.
-PROFILE_LINES = 30
 
 
-def run_soak(config: SoakConfig,
-             profiler: Optional[cProfile.Profile] = None) -> SoakResult:
+def run_soak(config: SoakConfig) -> SoakResult:
     """Run the soak workload once and time it.
 
-    A ``profiler`` is attached only around the workload run itself —
-    deployment construction and channel handshakes are excluded, so its
-    table reflects the steady-state packet pipeline the optimisation
-    work targets.
+    Only the workload run itself is timed — deployment construction and
+    channel handshakes are excluded — so the rate reflects the
+    steady-state packet pipeline.
     """
     dep, channels = build_linked_deployment(
         config.seed,
@@ -123,8 +108,7 @@ def run_soak(config: SoakConfig,
     events_before = dep.sim.dispatched_events()
     sim_before = dep.sim.now
     started = time.perf_counter()
-    with profiler if profiler is not None else contextlib.nullcontext():
-        engine.run()
+    engine.run()
     wall = time.perf_counter() - started
     return SoakResult(
         sent=engine.sent,
@@ -134,17 +118,6 @@ def run_soak(config: SoakConfig,
         wall_seconds=wall,
         simulated_seconds=dep.sim.now - sim_before,
     )
-
-
-def profile_soak(config: SoakConfig,
-                 sort: str = "cumulative") -> tuple[dict, str]:
-    """Run the soak under :mod:`cProfile`; return (record, profile table)."""
-    profiler = cProfile.Profile()
-    result = run_soak(config, profiler)
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.strip_dirs().sort_stats(sort).print_stats(PROFILE_LINES)
-    return result.to_json(), buffer.getvalue()
 
 
 def run_wallclock_smoke(seed: int = SoakConfig.seed) -> dict:

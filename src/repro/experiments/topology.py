@@ -41,6 +41,10 @@ SCHEMA = "topology-sweep/v1"
 #: The largest star may take this many times the smallest star's
 #: ``establish_seconds`` (serial establishment made it 7.7 x at 8 guests).
 ESTABLISH_GROWTH_CEILING = 1.5
+#: Tokens moved by each transfer of the sweep.
+TRANSFER_AMOUNT = 1_000
+#: Simulated budget for one routed transfer to land end to end.
+MULTIHOP_SETTLE_SECONDS = 1_200.0
 
 
 @dataclass
@@ -52,13 +56,10 @@ class TopologySweepConfig:
     #: Counterparty → guest transfers per guest, plus one return
     #: transfer per guest (exercising both fee paths).
     transfers_per_guest: int = 8
-    transfer_amount: int = 1_000
     #: Simulated drain budget per sweep point after the last send.
     settle_seconds: float = 2_400.0
     multihop: bool = True
     multihop_transfers: int = 4
-    #: Simulated budget for one routed transfer to land end to end.
-    multihop_settle_seconds: float = 1_200.0
 
 
 # ----------------------------------------------------------------------
@@ -77,7 +78,7 @@ def run_star_point(num_guests: int, config: TopologySweepConfig) -> dict:
     cp = dep.counterparties["picasso-1"]
     cp.bank.mint("sweep-sender", "uatom",
                  10 * num_guests * config.transfers_per_guest
-                 * config.transfer_amount)
+                 * TRANSFER_AMOUNT)
     checker = dep.conservation_checker()
     established_at = dep.sim.now
 
@@ -93,7 +94,7 @@ def run_star_point(num_guests: int, config: TopologySweepConfig) -> dict:
         for _ in range(config.transfers_per_guest):
             def send(cp_channel=cp_channel, user=str(dep.user[name])):
                 payload = cp.transfer.make_payload(
-                    cp_channel, "uatom", config.transfer_amount,
+                    cp_channel, "uatom", TRANSFER_AMOUNT,
                     sender="sweep-sender", receiver=user,
                 )
                 return cp.ibc.send_packet(
@@ -103,7 +104,7 @@ def run_star_point(num_guests: int, config: TopologySweepConfig) -> dict:
     def all_arrived() -> bool:
         return all(
             g.contract.bank.balance(str(dep.user[name]), voucher[name])
-            >= config.transfers_per_guest * config.transfer_amount
+            >= config.transfers_per_guest * TRANSFER_AMOUNT
             for name, g in dep.guests.items()
         )
 
@@ -112,13 +113,13 @@ def run_star_point(num_guests: int, config: TopologySweepConfig) -> dict:
         dep.run_for(30.0)
     delivered = {
         name: g.contract.bank.balance(str(dep.user[name]), voucher[name])
-        // config.transfer_amount
+        // TRANSFER_AMOUNT
         for name, g in dep.guests.items()
     }
 
     # One return transfer per guest: user sends half a transfer's worth
     # of voucher back, exercising the guest-side SEND_PACKET fee path.
-    returned = config.transfer_amount // 2
+    returned = TRANSFER_AMOUNT // 2
     for name, g in dep.guests.items():
         link = dep.link_between(name, "picasso-1")
         channel = ChannelId(link.channels[name])
@@ -178,7 +179,7 @@ def run_multihop(config: TopologySweepConfig) -> dict:
     cp_a = dep.counterparties["cp-a"]
     cp_b = dep.counterparties["cp-b"]
     cp_a.bank.mint("alice", "uatom",
-                   10 * config.multihop_transfers * config.transfer_amount)
+                   10 * config.multihop_transfers * TRANSFER_AMOUNT)
     checker = dep.conservation_checker()
 
     # Hop receive times.  Guests announce deliveries as PacketReceived
@@ -207,8 +208,8 @@ def run_multihop(config: TopologySweepConfig) -> dict:
         sent_at = dep.sim.now
         marks = {name: len(times) for name, times in recv_times.items()}
         dep.send_along("path", "alice", "bob", "uatom",
-                       config.transfer_amount)
-        deadline = dep.sim.now + config.multihop_settle_seconds
+                       TRANSFER_AMOUNT)
+        deadline = dep.sim.now + MULTIHOP_SETTLE_SECONDS
         while (len(recv_times["cp-b"]) == marks["cp-b"]
                and dep.sim.now < deadline):
             dep.run_for(10.0)
@@ -268,9 +269,9 @@ def run_link_orders(config: TopologySweepConfig) -> list[dict]:
                          ("sibling-last", (first, last, sibling))):
         dep = build_fabric(replace(base, links=links))
         dep.counterparties["cp-a"].bank.mint(
-            "alice", "uatom", config.transfer_amount)
-        dep.send_along("path", "alice", "bob", "uatom", config.transfer_amount)
-        dep.run_for(config.multihop_settle_seconds)
+            "alice", "uatom", TRANSFER_AMOUNT)
+        dep.send_along("path", "alice", "bob", "uatom", TRANSFER_AMOUNT)
+        dep.run_for(MULTIHOP_SETTLE_SECONDS)
         cases.append({
             "order": order,
             "links": [[link.a, link.b] for link in links],

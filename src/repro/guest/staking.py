@@ -159,9 +159,6 @@ class StakingPool:
             bond.unbonding = matured
         return released
 
-    def candidate_count(self) -> int:
-        return len(self._bonds)
-
     def eligible_count(self) -> int:
         """Candidates that would survive :meth:`select_epoch` selection."""
         return sum(

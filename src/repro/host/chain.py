@@ -608,8 +608,5 @@ class HostChain:
     # Introspection used by tests and experiments
     # ------------------------------------------------------------------
 
-    def mempool_size(self) -> int:
-        return len(self._mempool)
-
     def total_fees_burned(self) -> int:
         return self.accounts.burned_fees

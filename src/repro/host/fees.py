@@ -28,11 +28,16 @@ import abc
 from dataclasses import dataclass
 
 from repro.sim.rng import Rng
-from repro.units import (
-    BASE_FEE_LAMPORTS_PER_SIGNATURE,
-    MAX_COMPUTE_UNITS,
-    MICROLAMPORTS_PER_LAMPORT,
-)
+from repro.units import BASE_FEE_LAMPORTS_PER_SIGNATURE, MICROLAMPORTS_PER_LAMPORT
+
+#: The two fixed price points of Fig. 3: what the deployment's senders
+#: paid for a SendPacket (§V-A), at 200 USD/SOL.  Priority: 5 000 000
+#: µlamports/CU over the ``MAX_COMPUTE_UNITS`` (1.4 M CU) budget they
+#: request is, in the µlamport integer math, exactly 7 000 000 lamports
+#: = 1.40 USD.  Bundle: 3.02 USD less the base fee is a Jito tip of
+#: ≈ 15.1 M lamports.
+SEND_PRIORITY_CU_PRICE: int = 5_000_000
+SEND_BUNDLE_TIP_LAMPORTS: int = 15_090_000
 
 
 class FeeStrategy(abc.ABC):
@@ -139,27 +144,3 @@ class AdaptiveFee(FeeStrategy):
         # near the queue front, like a well-chosen priority fee.
         mean_wait = 0.2 + 0.9 * congestion
         return rng.expovariate(1.0 / mean_wait)
-
-
-def default_priority_fee_for_send() -> PriorityFee:
-    """The fixed priority fee the deployment's senders used (§V-A).
-
-    Calibrated so a full-budget SendPacket costs ≈ 1.40 USD at
-    200 USD/SOL: 1.40 USD = 7 000 000 lamports ≈ 5 µlamports/CU × 1.4 M CU
-    ... with the µlamport integer math, 5_000_000 µlamports/CU over the
-    1.4 M CU budget gives exactly 7 000 000 lamports.
-    """
-    return PriorityFee(compute_unit_price=5_000_000)
-
-
-def default_bundle_fee_for_send() -> BundleFee:
-    """The fixed Jito tip the deployment's senders used (§V-A).
-
-    3.02 USD − base fee ≈ 15.1 M lamports.
-    """
-    return BundleFee(tip_lamports=15_090_000)
-
-
-def send_budget_compute_units() -> int:
-    """Compute budget senders request for SendPacket transactions."""
-    return MAX_COMPUTE_UNITS

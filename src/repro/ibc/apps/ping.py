@@ -90,6 +90,3 @@ class PingApp(IbcApp):
     def on_timeout(self, packet: Packet) -> None:
         payload = PingPayload.from_bytes(packet.payload)
         self.timeouts.append(payload.nonce)
-
-    def round_trip_times(self) -> list[float]:
-        return [record.round_trip for record in self.completed]

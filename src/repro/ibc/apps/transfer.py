@@ -119,10 +119,6 @@ class RateLimiter:
         horizon = now - self.window_seconds
         self._entries = [(t, a) for t, a in self._entries if t > horizon]
 
-    def window_usage(self) -> int:
-        self._prune(self._clock())
-        return sum(amount for _, amount in self._entries)
-
     def allow(self, amount: int) -> bool:
         """Consume budget for ``amount`` if available."""
         now = self._clock()

@@ -36,10 +36,6 @@ def channel_path(port_id: PortId, channel_id: ChannelId) -> str:
     return f"channelEnds/ports/{port_id}/channels/{channel_id}"
 
 
-def next_sequence_send_path(port_id: PortId, channel_id: ChannelId) -> str:
-    return f"nextSequenceSend/ports/{port_id}/channels/{channel_id}"
-
-
 # --- sequenced entries (sealable) --------------------------------------------
 
 def commitment_prefix(port_id: PortId, channel_id: ChannelId) -> str:

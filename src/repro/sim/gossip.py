@@ -74,17 +74,6 @@ class GossipNetwork:
         entries = self._subscribers.get(topic)
         if not entries:
             return
-        if self.chaos is None:
-            # Fast path: no fault policy to consult per delivery.  The
-            # delay draws are made in the same subscriber order as the
-            # chaos path below, so enabling chaos never perturbs the
-            # delivery times of unaffected deliveries.
-            rate = 1.0 / self.mean_delay
-            expovariate = self._rng.expovariate
-            schedule = self.sim.schedule
-            for subscription in entries:
-                schedule(expovariate(rate), self._deliver, subscription, message)
-            return
         for subscription in list(entries):
             # Draw the nominal delay unconditionally so a chaos policy
             # never perturbs the delivery times of unaffected runs.

@@ -3,22 +3,15 @@
 Design notes:
 
 * Time is a float of seconds since simulation start.
-* Events at equal times fire in scheduling order (a monotonically
-  increasing tie-breaker), so runs are deterministic.
-* Events are *coalesced by timestamp*: the heap holds one bucket per
-  distinct time carrying every callback scheduled for it, so a slot
-  boundary where a whole block's worth of transactions fires costs one
-  heap operation instead of one per actor.  Within a bucket, callbacks
-  run in append (= scheduling) order, and a second bucket for the same
-  time opened after the first started draining sorts after it by its
-  first sequence number — both exactly the order the per-event heap
-  produced, so dispatch order is bit-identical to the uncoalesced
-  kernel.
-* Cancellation is lazy: a cancelled handle stays in its bucket but is
-  skipped when reached.  The kernel counts resident tombstones and
-  compacts the queue once they outnumber the live entries, so
-  cancel-heavy workloads (relayer timeout churn) keep the queue — and
-  every subsequent push/pop — proportional to the *live* event count.
+* The queue is one ``heapq`` of ``(time, sequence, handle)``.  The
+  sequence number increases with every scheduled event, so events at
+  equal times fire in scheduling order, runs are deterministic and a
+  comparison never reaches the handle.
+* Cancellation is lazy: a cancelled handle stays in the heap and is
+  skipped when its time comes.  The kernel counts the cancelled handles
+  still queued, which keeps :meth:`Simulation.pending_events` exact.
+  Nothing removes them in bulk: the ledger's workloads cancel under 1 %
+  of what they schedule (``tests/test_traffic_audit.py`` gates it at 5 %).
 """
 
 from __future__ import annotations
@@ -30,33 +23,27 @@ from repro.errors import SimulationError
 from repro.observability.trace import NULL_TRACER
 from repro.sim.rng import Rng
 
-# Heap entries are mutable ``[time, first_sequence, handles]`` buckets.
-# ``first_sequence`` is the sequence number of the bucket's first event;
-# it is strictly increasing across buckets, so comparison never reaches
-# the handles list.  Appending to ``handles`` never reorders the heap
-# because the two sort keys are immutable once pushed.
-
 
 class EventHandle:
     """A scheduled callback; keep it to :meth:`cancel` the event."""
 
-    __slots__ = ("callback", "args", "cancelled", "in_queue", "_sim")
+    __slots__ = ("callback", "args", "cancelled", "_sim")
 
     def __init__(self, callback: Callable[..., None], args: tuple[Any, ...],
                  sim: "Simulation" = None) -> None:
         self.callback = callback
         self.args = args
         self.cancelled = False
-        #: True while the handle is still resident in some bucket.
-        self.in_queue = False
+        #: The simulation whose queue holds this handle; ``None`` once it
+        #: has been popped, so a late ``cancel`` is not counted.
         self._sim = sim
 
     def cancel(self) -> None:
         if self.cancelled:
             return
         self.cancelled = True
-        if self.in_queue and self._sim is not None:
-            self._sim._note_cancelled()
+        if self._sim is not None:
+            self._sim._cancelled += 1
 
 
 class Simulation:
@@ -69,27 +56,11 @@ class Simulation:
         #: default: the shared NullTracer makes every probe a no-op.
         self.trace = tracer if tracer is not None else NULL_TRACER
         self.trace.bind(lambda: self.now)
-        self._queue: list[list] = []
-        #: time -> its open (still-appendable) bucket in the heap.
-        self._open_buckets: dict[float, list] = {}
-        #: The bucket currently being drained, and the index of the next
-        #: handle to dispatch in it.  A bucket leaves ``_open_buckets``
-        #: the moment it starts draining, so callbacks that schedule more
-        #: work for the *same* time open a fresh bucket that fires after
-        #: the remainder of this one — preserving sequence order.
-        self._draining: list | None = None
-        self._drain_index = 0
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._sequence = 0
         self._dispatched = 0
-        #: Handles resident across all buckets (including tombstones).
-        self._resident = 0
-        #: Cancelled handles still resident (tombstones).
+        #: Cancelled handles still in the queue.
         self._cancelled = 0
-        self._running = False
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
@@ -102,118 +73,40 @@ class Simulation:
         if time < self.now:
             raise SimulationError(f"cannot schedule at {time} before now ({self.now})")
         handle = EventHandle(callback, args, self)
-        handle.in_queue = True
         self._sequence += 1
-        self._resident += 1
-        bucket = self._open_buckets.get(time)
-        if bucket is None:
-            bucket = [time, self._sequence, [handle]]
-            self._open_buckets[time] = bucket
-            heapq.heappush(self._queue, bucket)
-        else:
-            bucket[2].append(handle)
+        heapq.heappush(self._queue, (time, self._sequence, handle))
         self.trace.count("sim.events.scheduled")
         return handle
 
-    # ------------------------------------------------------------------
-    # Lazy-cancellation bookkeeping
-    # ------------------------------------------------------------------
-
-    #: Compaction is skipped below this many tombstones: rebuilding a
-    #: tiny queue costs more than it saves.
-    _COMPACT_MIN_TOMBSTONES = 64
-
-    def _note_cancelled(self) -> None:
-        """A resident handle was cancelled; compact if tombstones now
-        dominate the queue."""
-        self._cancelled += 1
-        if (self._cancelled >= self._COMPACT_MIN_TOMBSTONES
-                and self._cancelled * 2 > self._resident):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry and re-heapify the survivors.
-
-        The bucket being drained (if any) is left alone — its indices
-        are live — so its tombstones are skipped at dispatch instead;
-        there is at most one such bucket.
-        """
-        removed = 0
-        live: list[list] = []
-        for bucket in self._queue:
-            handles = bucket[2]
-            survivors = [h for h in handles if not h.cancelled]
-            if len(survivors) != len(handles):
-                for handle in handles:
-                    if handle.cancelled:
-                        handle.in_queue = False
-                removed += len(handles) - len(survivors)
-                bucket[2] = survivors
-            if survivors:
-                live.append(bucket)
-        heapq.heapify(live)
-        self._queue = live
-        self._open_buckets = {bucket[0]: bucket for bucket in live}
-        self._cancelled -= removed
-        self._resident -= removed
-        if removed:
-            self.trace.count("sim.events.cancelled", removed)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-
-    def _next_handle(self, until: float | None) -> EventHandle | None:
-        """Pop the next live handle at time ≤ ``until`` (sets ``now``)."""
-        while True:
-            bucket = self._draining
-            if bucket is not None:
-                handles = bucket[2]
-                index = self._drain_index
-                if index < len(handles):
-                    self._drain_index = index + 1
-                    handle = handles[index]
-                    handle.in_queue = False
-                    self._resident -= 1
-                    if handle.cancelled:
-                        self._cancelled -= 1
-                        self.trace.count("sim.events.cancelled")
-                        continue
-                    self.now = bucket[0]
-                    return handle
-                self._draining = None
-            if not self._queue:
-                return None
-            head = self._queue[0]
-            if until is not None and head[0] > until:
-                return None
-            heapq.heappop(self._queue)
-            del self._open_buckets[head[0]]
-            self._draining = head
-            self._drain_index = 0
+    def _dispatch_next(self, until: float | None) -> bool:
+        """Run the next live event at time ≤ ``until``; ``False`` if
+        there is none."""
+        queue = self._queue
+        while queue and (until is None or queue[0][0] <= until):
+            time, _, handle = heapq.heappop(queue)
+            handle._sim = None
+            if handle.cancelled:
+                self._cancelled -= 1
+                self.trace.count("sim.events.cancelled")
+                continue
+            self.now = time
+            self._dispatched += 1
+            self.trace.count("sim.events.dispatched")
+            handle.callback(*handle.args)
+            return True
+        return False
 
     def step(self) -> bool:
         """Run the next event.  Returns ``False`` when the queue is empty."""
-        handle = self._next_handle(None)
-        if handle is None:
-            return False
-        self._dispatched += 1
-        self.trace.count("sim.events.dispatched")
-        handle.callback(*handle.args)
-        return True
+        return self._dispatch_next(None)
 
     def run_until(self, time: float) -> None:
         """Run every event scheduled strictly before or at ``time``, then
         advance the clock to ``time``."""
         if time < self.now:
             raise SimulationError("run_until cannot move time backwards")
-        while True:
-            handle = self._next_handle(time)
-            if handle is None:
-                break
-            self._dispatched += 1
-            self.trace.count("sim.events.dispatched")
-            handle.callback(*handle.args)
+        while self._dispatch_next(time):
+            pass
         self.now = time
 
     def run(self, max_events: int = 10_000_000) -> None:
@@ -229,24 +122,17 @@ class Simulation:
 
     def pending_events(self) -> int:
         """Live (non-cancelled) events in the queue — O(1)."""
-        return self._resident - self._cancelled
+        return len(self._queue) - self._cancelled
 
     def iter_pending(self) -> Iterator[tuple[float, EventHandle]]:
-        """Yield ``(time, handle)`` for every resident live event.
+        """Yield ``(time, handle)`` for every queued live event.
 
-        Order is unspecified (heap order across buckets); checkpointing
-        uses this to validate queued continuations without reaching into
-        the bucket layout.
+        Order is unspecified (heap order); checkpointing uses this to
+        validate queued continuations without reaching into the queue.
         """
-        draining = self._draining
-        if draining is not None:
-            for handle in draining[2][self._drain_index:]:
-                if not handle.cancelled:
-                    yield draining[0], handle
-        for bucket in self._queue:
-            for handle in bucket[2]:
-                if not handle.cancelled:
-                    yield bucket[0], handle
+        for time, _, handle in self._queue:
+            if not handle.cancelled:
+                yield time, handle
 
     def dispatched_events(self) -> int:
         """Events executed so far (checkpoint/replay audits align on

@@ -48,22 +48,11 @@ from repro.trie.proof import (
 )
 
 
-#: Proof-memo entries kept per trie handle before the cache resets.  The
-#: memo only has to survive between mutations (every write clears it), so
-#: a modest bound keeps memory flat under adversarial key churn.
-_PROOF_MEMO_MAX = 4096
-
-
 class SealableTrie:
     """Merkle-Patricia trie with sealing, proofs and storage accounting."""
 
     def __init__(self) -> None:
         self._root: Optional[Node] = None
-        # Memoized proofs for the *current* root, keyed by (kind, key).
-        # Relayers repeatedly prove the same commitments against a frozen
-        # snapshot; recomputing the sibling-hash tuples dominates the
-        # hot path otherwise.  Cleared on every mutation.
-        self._proof_memo: dict[tuple[str, bytes], object] = {}
         # Mutation mirrors (state-sync journals / lockstep replicas).
         # Notified after each successful set/delete/seal; snapshots get
         # a fresh empty list, so historical views never re-notify.
@@ -176,7 +165,6 @@ class SealableTrie:
         if not isinstance(value, bytes):
             raise TrieError("trie values must be bytes")
         self._root = self._set(self._root, key_to_nibbles(key), value)
-        self._proof_memo.clear()
         if self._mirrors:
             self._notify("set", key, value)
 
@@ -315,7 +303,6 @@ class SealableTrie:
         acknowledgement.
         """
         self._root = self._delete(self._root, key_to_nibbles(key), key)
-        self._proof_memo.clear()
         if self._mirrors:
             self._notify("delete", key)
 
@@ -398,7 +385,6 @@ class SealableTrie:
         sealing, the entry can never be read, re-written or proven again.
         """
         self._root = self._seal(self._root, key_to_nibbles(key), key)
-        self._proof_memo.clear()
         if self._mirrors:
             self._notify("seal", key)
 
@@ -451,17 +437,6 @@ class SealableTrie:
         Raises if the key is absent or its path enters a sealed region
         (sealed data can no longer be proven — by design).
         """
-        memo_key = ("m", key)
-        cached = self._proof_memo.get(memo_key)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        proof = self._prove(key)
-        if len(self._proof_memo) >= _PROOF_MEMO_MAX:
-            self._proof_memo.clear()
-        self._proof_memo[memo_key] = proof
-        return proof
-
-    def _prove(self, key: bytes) -> MembershipProof:
         steps: list[Step] = []
         node = self._root
         path = key_to_nibbles(key)
@@ -504,17 +479,6 @@ class SealableTrie:
         :class:`SealedNodeError` if its path enters a sealed region
         (absence through sealed data cannot be shown).
         """
-        memo_key = ("a", key)
-        cached = self._proof_memo.get(memo_key)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        proof = self._prove_absence(key)
-        if len(self._proof_memo) >= _PROOF_MEMO_MAX:
-            self._proof_memo.clear()
-        self._proof_memo[memo_key] = proof
-        return proof
-
-    def _prove_absence(self, key: bytes) -> NonMembershipProof:
         steps: list[Step] = []
         node = self._root
         path = key_to_nibbles(key)

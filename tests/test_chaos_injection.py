@@ -209,6 +209,29 @@ class TestGossipFaults:
         self.sim.run_until(60.0)
         assert len(got) == 1 and got[0] >= 20.0
 
+    def test_an_idle_policy_moves_no_delivery(self):
+        """One nominal delay is drawn per subscriber, in subscriber
+        order, whether or not a policy is attached: a policy that never
+        drops, delays or duplicates leaves every delivery where the
+        policy-free network puts it."""
+        def deliveries(chaos):
+            sim = Simulation(seed=11)
+            net = GossipNetwork(sim, mean_delay=0.5)
+            net.chaos = chaos
+            got = []
+            for label in ("a", "b", "c"):
+                net.subscribe("topic", lambda message, label=label: got.append(
+                    (sim.now, label, message)), label=label)
+            net.publish("topic", "first")
+            sim.run_until(0.2)
+            net.publish("topic", "second")
+            sim.run()
+            assert len(got) == 6
+            return got, sim.dispatched_events()
+
+        idle = _Policy(lambda topic, label: GossipVerdict())
+        assert deliveries(idle) == deliveries(None)
+
 
 # ----------------------------------------------------------------------
 # Host fault edges (through a live deployment)

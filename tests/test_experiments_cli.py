@@ -266,7 +266,7 @@ class TestNothingSilentlyDropped:
             "accountability-smoke": 505,
             "topology-sweep": 2024, "topology-smoke": 2024,
             "state-sweep": 2024, "state-smoke": 2024,
-            "profile-soak": 29, "wallclock-smoke": 29, "replay-audit": None,
+            "wallclock-smoke": 29, "replay-audit": None,
         }
 
     def test_the_real_rows_pass_their_seed_on(self, cwd, monkeypatch):

@@ -1,8 +1,11 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.observability import Tracer
 from repro.sim import Simulation, lognormal_from_quantiles
 from repro.sim.rng import Rng
 
@@ -187,34 +190,27 @@ class TestCancellationEdgeCases:
 
 
 class TestCompaction:
-    def test_mass_cancellation_compacts_the_heap(self):
-        """Once tombstones outnumber live entries (and clear the floor)
-        the heap is rebuilt with only live events."""
-        sim = Simulation(seed=1)
-        keep = [sim.schedule(float(i + 1), lambda: None) for i in range(10)]
-        doomed = [sim.schedule(float(i + 100), lambda: None)
-                  for i in range(200)]
-        for handle in doomed:
-            handle.cancel()
-        assert sim.pending_events() == 10
-        # Rebuilds fired along the way: the resident heap holds the 10
-        # live events plus at most a sub-floor remainder of tombstones,
-        # never the 200 cancellations.
-        assert len(sim._queue) == 10 + sim._cancelled
-        assert sim._cancelled < sim._COMPACT_MIN_TOMBSTONES
-        del keep
+    """Lazy-cancellation accounting through the public counts: a
+    cancelled event stays queued until its time comes and is never
+    removed in bulk.  (The class is named after the heap rebuild these
+    scenarios were first written against; the name is kept so the test
+    ids stay stable.)"""
 
     def test_below_threshold_keeps_tombstones_resident(self):
         sim = Simulation(seed=1)
+        fired = []
         for i in range(200):
-            sim.schedule(float(i + 1), lambda: None)
-        doomed = [sim.schedule(float(i + 500), lambda: None)
+            sim.schedule(float(i + 1), fired.append, i)
+        doomed = [sim.schedule(float(i + 500), fired.append, "doomed")
                   for i in range(40)]
         for handle in doomed:
             handle.cancel()
-        # 40 tombstones: under the 64 floor, no rebuild yet.
+        # 40 cancelled events wait for their time; none of them counts.
         assert sim.pending_events() == 200
-        assert len(sim._queue) == 240
+        sim.run()
+        assert fired == list(range(200))
+        assert sim.dispatched_events() == 200
+        assert sim.pending_events() == 0
 
     def test_compacted_schedule_still_fires_in_order(self):
         sim = Simulation(seed=1)
@@ -252,16 +248,163 @@ class TestCompaction:
         assert sim.pending_events() == 0
 
     def test_dispatch_of_tombstone_repairs_the_count(self):
-        # A cancelled head entry popped during dispatch must decrement
-        # the tombstone count so pending_events stays exact.
+        # A cancelled head entry popped during dispatch must leave the
+        # tombstone count so pending_events stays exact.
         sim = Simulation(seed=1)
-        head = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
+        fired = []
+        head = sim.schedule(1.0, fired.append, "head")
+        tail = sim.schedule(2.0, fired.append, "tail")
         head.cancel()
-        assert sim._cancelled == 1
-        sim.step()
-        assert sim._cancelled == 0
+        assert sim.pending_events() == 1
+        assert sim.step() is True
+        assert fired == ["tail"]
         assert sim.pending_events() == 0
+        # Cancelling what already left the queue counts for nothing.
+        tail.cancel()
+        assert sim.pending_events() == 0
+        assert sim.dispatched_events() == 1
+
+
+# ----------------------------------------------------------------------
+# Differential: the kernel against a sorted list
+# ----------------------------------------------------------------------
+
+
+class ListSimulation:
+    """The reference model: the live events as a list sorted by
+    ``(time, sequence)``; a cancelled event leaves it on the spot."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.live = []
+        self.sequence = self.dispatched = self.cancelled = 0
+
+    def schedule(self, delay, callback, *args):
+        self.sequence += 1
+        entry = (self.now + delay, self.sequence, callback, args)
+        self.live.append(entry)
+        self.live.sort(key=lambda queued: queued[:2])
+        return _ListHandle(self, entry)
+
+    def _fire_next(self, until):
+        if not self.live or (until is not None and self.live[0][0] > until):
+            return False
+        self.now, _, callback, args = self.live.pop(0)
+        self.dispatched += 1
+        callback(*args)
+        return True
+
+    def step(self):
+        return self._fire_next(None)
+
+    def run_until(self, time):
+        while self._fire_next(time):
+            pass
+        self.now = time
+
+    def run(self):
+        while self.step():
+            pass
+
+    def pending_events(self):
+        return len(self.live)
+
+
+class _ListHandle:
+    def __init__(self, model, entry):
+        self.model, self.entry = model, entry
+
+    def cancel(self):
+        if self.entry in self.model.live:
+            self.model.live.remove(self.entry)
+            self.model.cancelled += 1
+
+
+#: Few, exactly representable delays: sums tie often and tie exactly.
+_DELAYS = (0.0, 0.5, 1.0, 2.0)
+_cancel = st.tuples(st.just("cancel"), st.integers(0, 40))
+#: What a callback does when it fires: cancel some handle ever made
+#: (queued, fired or already cancelled), schedule more work for this
+#: instant (delay 0) or later, whose callbacks do the same.
+_scripts = st.recursive(
+    st.lists(_cancel, max_size=2),
+    lambda children: st.lists(
+        st.one_of(_cancel, st.tuples(
+            st.just("spawn"), st.sampled_from(_DELAYS), children)),
+        max_size=3),
+    max_leaves=8)
+_programs = st.lists(
+    st.one_of(
+        st.tuples(st.just("spawn"), st.sampled_from(_DELAYS), _scripts),
+        _cancel,
+        st.tuples(st.just("run_until"), st.sampled_from(_DELAYS)),
+        st.tuples(st.just("step"))),
+    max_size=25)
+
+
+def play(sim, program):
+    """Run ``program`` against ``sim``, then drain it.  Returns what was
+    observable: each dispatch with its ``now``, and ``pending_events()``
+    after every command."""
+    handles, log = [], []
+
+    def perform(script):
+        for action in script:
+            if action[0] == "spawn":
+                _, delay, child_script = action
+                handles.append(
+                    sim.schedule(delay, fire, len(handles), child_script))
+            elif handles:
+                target = handles[action[1] % len(handles)]
+                target.cancel()
+                target.cancel()  # the second call counts for nothing
+
+    def fire(ident, script):
+        log.append(("fired", ident, sim.now))
+        perform(script)
+
+    for command in program + [("run",)]:
+        if command[0] == "run_until":
+            sim.run_until(sim.now + command[1])
+        elif command[0] == "step":
+            sim.step()
+        elif command[0] == "run":
+            sim.run()
+        else:
+            perform([command])
+        log.append(("pending", sim.pending_events(), sim.now))
+    return log
+
+
+class TestAgainstSortedList:
+    """Dispatch order is ``(time, sequence)``: ties fire in scheduling
+    order whoever scheduled them and whenever, a cancelled event never
+    fires, and the pending count is exact at every point."""
+
+    # Two events due together, the first cancels the second.
+    @example([("spawn", 1.0, [("cancel", 1)]), ("spawn", 1.0, []), ("step",)])
+    # A callback schedules for its own instant behind an older event due
+    # then (LIFO ties would fire 2 before 1), cancels its own same-instant
+    # child (3) and itself (0, already out of the queue).
+    @example([("spawn", 1.0, [("spawn", 0.0, []), ("spawn", 0.0, []),
+                              ("cancel", 3), ("cancel", 0)]),
+              ("spawn", 1.0, []), ("run_until", 1.0)])
+    # A slice that ends exactly on a tie, then a cancel between slices.
+    @example([("spawn", 0.5, []), ("spawn", 0.5, [("spawn", 0.5, [])]),
+              ("spawn", 1.0, []), ("run_until", 0.5), ("cancel", 2),
+              ("run_until", 0.5)])
+    @given(_programs)
+    @settings(max_examples=300, deadline=None)
+    def test_same_dispatches_same_clock_same_pending_count(self, program):
+        sim, model = Simulation(seed=0, tracer=Tracer()), ListSimulation()
+        assert play(sim, program) == play(model, program)
+        assert sim.pending_events() == 0
+        assert sim.dispatched_events() == model.dispatched
+        counter = sim.trace.report().counter
+        assert counter("sim.events.scheduled") == model.sequence
+        assert counter("sim.events.dispatched") == model.dispatched
+        assert counter("sim.events.cancelled") == model.cancelled
+        assert model.dispatched + model.cancelled == model.sequence
 
 
 class TestDeterminism:

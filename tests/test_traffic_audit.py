@@ -1,0 +1,97 @@
+"""A gate that reads no clock on the *traffic* the program's caches and
+its event queue were sized for (docs/PERFORMANCE.md, "Verify the
+traffic").
+
+A cache, a fast path or a compactor is an argument about what the
+workloads offer: keys that come back, events that get cancelled, proofs
+asked for twice.  The kernel's timestamp buckets, its tombstone
+compaction, the trie's proof memo and gossip's chaos-free fast path
+were each added from one profile and deleted once their hit counts over
+the ledger's five workloads were taken (4-15 %, never ran, 0 of 37 600
+proofs, 0 calls).  This gate keeps the counts those decisions rest on
+repeatable, over the loaded link of ``tests/test_delivery_budget.py``
+(20 pps of counterparty sends, batching 32 / 2 s, handshakes included):
+the two caches that stayed still hit, cancellations are still rare, and
+no proof is still ever walked twice.  Counts of a seeded run, so a
+failure is the code's or the traffic's, and its message says which
+mechanism to re-measure before anything is added or removed.
+"""
+
+import pytest
+
+from repro.experiments.throughput import build_linked_deployment
+from repro.trie.nibbles import encode_nibbles
+from repro.trie.store import _seq_key_head
+from repro.trie.trie import SealableTrie
+from repro.workload import WorkloadEngine, WorkloadSpec
+
+from tests.test_delivery_budget import PACKETS
+from tests.test_lc_update_budget import BATCHING, GUEST
+
+KEPT_CACHES = {"encode_nibbles": encode_nibbles,       # trie/nibbles.py
+               "_seq_key_head": _seq_key_head}         # trie/store.py
+
+
+@pytest.fixture(scope="module", params=[0, 1, 2])
+def traffic(request):
+    """The loaded link from an empty world to its last delivery: every
+    proof walked, as ``(trie handle, root, kind, key)``; what the kept
+    caches answered; the deployment."""
+    proofs = []
+    before = {name: cache.cache_info() for name, cache in KEPT_CACHES.items()}
+    with pytest.MonkeyPatch.context() as patch:
+        for kind in ("prove", "prove_absence"):
+            walk = getattr(SealableTrie, kind)
+            patch.setattr(SealableTrie, kind, lambda trie, key, kind=kind, walk=walk: (
+                proofs.append((trie, trie.root_hash, kind, key)) or walk(trie, key)))
+        dep, channels = build_linked_deployment(request.param, GUEST, BATCHING, 1)
+        engine = WorkloadEngine(dep, channels, WorkloadSpec(
+            offered_pps=20.0, duration=90.0, drain_seconds=60.0))
+        engine.start()
+        dep.sim.run_until(engine.end_time)
+    assert engine.delivered == engine.sent == PACKETS
+    after = {name: cache.cache_info() for name, cache in KEPT_CACHES.items()}
+    answered = {name: (after[name].hits - before[name].hits,
+                       after[name].misses - before[name].misses)
+                for name in KEPT_CACHES}
+    return proofs, answered, dep
+
+
+@pytest.mark.parametrize("name", KEPT_CACHES)
+def test_the_kept_caches_hit_ten_times_for_each_miss(traffic, name):
+    _, answered, _ = traffic
+    hits, misses = answered[name]
+    assert hits >= 10 * max(misses, 1), (
+        f"{name} answered {hits} of {hits + misses} calls from its LRU: it "
+        f"was kept because every ledger workload re-asks it (the hit table "
+        f"of docs/PERFORMANCE.md, 'Verify the traffic').  Re-take that table "
+        f"and delete the cache if the traffic no longer comes back")
+
+
+def test_cancellations_are_rare(traffic):
+    _, _, dep = traffic
+    report = dep.trace_report()
+    scheduled = report.counter("sim.events.scheduled")
+    # Every cancel of a queued event, its time come or not (the tracer
+    # counts one when it is popped).
+    cancelled = (scheduled - report.counter("sim.events.dispatched")
+                 - dep.sim.pending_events())
+    assert scheduled > 5_000
+    assert report.counter("sim.events.cancelled") <= cancelled <= 0.05 * scheduled, (
+        f"{cancelled} of {scheduled} scheduled events were cancelled.  The "
+        f"kernel (sim/kernel.py) leaves a cancelled event in its heap until "
+        f"its time comes, which is right while cancellations are under 1 % "
+        f"of the traffic; at this rate re-measure peak heap length and "
+        f"cancels per workload before arguing for bulk removal")
+
+
+def test_no_proof_is_walked_twice(traffic):
+    proofs, _, _ = traffic
+    assert len(proofs) > PACKETS
+    repeats = len(proofs) - len(set(proofs))
+    assert repeats == 0, (
+        f"{repeats} of {len(proofs)} proofs re-walked a key under a root and "
+        f"trie handle that had already proven it.  SealableTrie.prove / "
+        f"prove_absence keep nothing between calls because a relayer proved "
+        f"each key once and carried the proof through every retry; count the "
+        f"repeats per workload before arguing for a proof memo")

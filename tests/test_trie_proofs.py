@@ -371,56 +371,32 @@ class TestProofsAndSealing:
             assert verify_membership(trie.root_hash, proof)
 
 
-class TestProofMemoEviction:
-    """Boundary behaviour of the proof memo's wholesale eviction.
+class TestProofsFollowTheRoot:
+    """``prove`` / ``prove_absence`` are the walk itself — the trie keeps
+    no proof between calls — so a write can leave no stale proof behind:
+    each proof binds the root it was walked under."""
 
-    The memo clears itself when it reaches ``_PROOF_MEMO_MAX`` entries;
-    proofs issued immediately before, at, and after that boundary must
-    all stay correct, and the memo must also stay coherent across the
-    incremental-rehash mutation path (which invalidates it wholesale).
-    """
-
-    def test_proofs_stay_correct_across_the_eviction_clear(self, populated, monkeypatch):
-        import repro.trie.trie as trie_module
-
-        monkeypatch.setattr(trie_module, "_PROOF_MEMO_MAX", 8)
-        root = populated.root_hash
-        # 20 distinct proofs cross the clear-at-8 boundary twice.
-        proofs = [populated.prove(key(i)) for i in range(20)]
-        assert len(populated._proof_memo) <= 8
-        for i, proof in enumerate(proofs):
-            assert proof.value == f"value-{i}".encode()
-            assert verify_membership(root, proof)
-        # Re-proving an evicted key regenerates an identical proof.
-        assert populated.prove(key(0)).to_bytes() == proofs[0].to_bytes()
-
-    def test_eviction_interleaves_membership_and_absence(self, populated, monkeypatch):
-        import repro.trie.trie as trie_module
-
-        monkeypatch.setattr(trie_module, "_PROOF_MEMO_MAX", 4)
-        root = populated.root_hash
-        for i in range(12):
-            assert verify_membership(root, populated.prove(key(i)))
-            assert verify_non_membership(root, populated.prove_absence(key(1000 + i)))
-            assert len(populated._proof_memo) <= 4
-
-    def test_memo_cleared_by_incremental_rehash(self, populated, monkeypatch):
-        """A mutation rebuilds only the touched path (cached sibling
-        hashes carry over), but the memo must still drop wholesale:
-        every proof minted after the write has to bind the new root."""
-        import repro.trie.trie as trie_module
-
-        monkeypatch.setattr(trie_module, "_PROOF_MEMO_MAX", 4)
+    def test_a_write_retires_every_older_proof(self, populated):
         old_root = populated.root_hash
-        for i in range(6):  # warm (and overflow) the memo
-            populated.prove(key(i))
+        before = [populated.prove(key(i)) for i in range(6)]
+        absent_before = populated.prove_absence(key(1000))
+        # Re-proving with no write in between regenerates the same bytes.
+        assert populated.prove(key(0)).to_bytes() == before[0].to_bytes()
+        assert (populated.prove_absence(key(1000)).to_bytes()
+                == absent_before.to_bytes())
+        # A mutation rebuilds only the touched path (cached sibling
+        # hashes carry over); every proof walked after it still has to
+        # bind the new root, and none walked before it may.
         populated.set(key(1), b"updated")
-        assert populated._proof_memo == {}
         new_root = populated.root_hash
         assert new_root != old_root
-        for i in range(6):
-            proof = populated.prove(key(i))
+        for i, stale in enumerate(before):
+            assert verify_membership(old_root, stale)
+            assert not verify_membership(new_root, stale)
+            fresh = populated.prove(key(i))
             expected = b"updated" if i == 1 else f"value-{i}".encode()
-            assert proof.value == expected
-            assert verify_membership(new_root, proof)
-            assert not verify_membership(old_root, proof)
+            assert fresh.value == expected
+            assert verify_membership(new_root, fresh)
+            assert not verify_membership(old_root, fresh)
+        assert not verify_non_membership(new_root, absent_before)
+        assert verify_non_membership(new_root, populated.prove_absence(key(1000)))
