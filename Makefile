@@ -28,14 +28,17 @@ bench-smoke:
 # The perf regression gates that read no clock (docs/PERFORMANCE.md):
 # calls per trie lifecycle, transactions per light-client update and how
 # they are submitted, derivations per immutable instance, transactions
-# and payload bytes per batched delivery, and the traffic the kept
-# caches and the event heap are sized for (cache hits, cancellations,
-# repeated proofs).  Counts are a function of the code alone, so a
-# failure here names the layer that grew.  All five also run in tier-1.
+# and payload bytes per batched delivery, the traffic the kept caches
+# and the event heap are sized for (cache hits, cancellations, repeated
+# proofs), and events per simulated hour with nothing to do (no host
+# slot past the last receipt, no validator-set preimage rebuilt).
+# Counts are a function of the code alone, so a failure here names the
+# layer that grew.  All six also run in tier-1.
 perf-gates:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_trie_call_budget.py \
 		tests/test_lc_update_budget.py tests/test_derive_once_budget.py \
-		tests/test_delivery_budget.py tests/test_traffic_audit.py
+		tests/test_delivery_budget.py tests/test_traffic_audit.py \
+		tests/test_idle_budget.py
 
 # Print every reproduced table/figure to the terminal (~1 min): the
 # rows `python -m repro.experiments --help` marks as part of `all`.
@@ -64,7 +67,7 @@ chaos-smoke:
 accountability-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments accountability-smoke
 
-# Wall-clock hot-path gate: a scaled soak must clear the events/sec
+# Wall-clock hot-path gate: a scaled soak must clear the packets/sec
 # floor (docs/PERFORMANCE.md).  Writes BENCH_wallclock_smoke.json.
 wallclock-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments wallclock-smoke

@@ -4,9 +4,12 @@ Simulated-time results answer the paper's questions; *wall-clock* time
 decides how far the experiments can scale (docs/PERFORMANCE.md).  This
 bench runs the 10k-packet soak — the workload that dominated CI before
 the hot-path overhaul — untraced and unprofiled, and asserts the
-overhaul holds: events/sec of wall time must stay at least 3x the
-recorded pre-optimisation baseline.  The raw numbers, alongside that
-baseline, are written to ``BENCH_wallclock.json`` at the repo root.
+overhaul holds: packets delivered per second of wall time must stay at
+least 3x the recorded pre-optimisation baseline (events/sec, which
+falls whenever a change stops dispatching events that did nothing, is
+recorded beside it and still clears the same multiple).  The raw
+numbers, alongside that baseline, are written to
+``BENCH_wallclock.json`` at the repo root.
 
 The baseline constants were measured on the same machine class CI uses,
 at the same soak shape (seed 29, 10k packets, 40 pps, 3 channels), on
@@ -53,12 +56,17 @@ _BASELINE = {
 #: paying for a signature twice; and to the value below when a batched
 #: delivery began to carry one membership witness per proof height
 #: instead of one path per packet: the same packets land the same
-#: state in a fifth of the delivery transactions.  Re-pin only with a
-#: change that means to move simulated behaviour.
-_EVENTS_DISPATCHED = 43_888
+#: state in a fifth of the delivery transactions (43 888).  The host
+#: chain then stopped dispatching slots whose mempool is empty: 43 888
+#: minus the 4 303 ``host.slots.idle`` the tracer reads over the same
+#: run, every receipt, time and store root where it was.  Re-pin only
+#: with a change that means to move simulated behaviour, or one that
+#: records such an identity.
+_EVENTS_DISPATCHED = 39_585
 
 #: The overhaul's target: at least this multiple of the baseline
-#: events/sec.  Measured speedup was ~14x; 3x absorbs machine variance.
+#: packets/sec (and events/sec).  Measured speedup was ~14x; 3x absorbs
+#: machine variance.
 _MIN_SPEEDUP = 3.0
 
 
@@ -76,6 +84,8 @@ def test_wallclock_soak_speedup():
         },
         "baseline": _BASELINE,
         "optimized": result.to_json(),
+        "speedup_packets_per_sec": round(
+            result.packets_per_sec / _BASELINE["packets_per_sec"], 2),
         "speedup_events_per_sec": round(
             result.events_per_sec / _BASELINE["events_per_sec"], 2),
         "min_speedup": _MIN_SPEEDUP,
@@ -91,9 +101,9 @@ def test_wallclock_soak_speedup():
     assert result.events_dispatched == _EVENTS_DISPATCHED, (
         result.events_dispatched, _EVENTS_DISPATCHED)
 
-    speedup = result.events_per_sec / _BASELINE["events_per_sec"]
+    speedup = result.packets_per_sec / _BASELINE["packets_per_sec"]
     assert speedup >= _MIN_SPEEDUP, (
-        f"hot paths regressed: {result.events_per_sec:,.0f} events/s is only "
-        f"{speedup:.1f}x the {_BASELINE['events_per_sec']:,.0f} events/s "
+        f"hot paths regressed: {result.packets_per_sec:,.0f} packets/s is only "
+        f"{speedup:.1f}x the {_BASELINE['packets_per_sec']:,.0f} packets/s "
         f"baseline (floor {_MIN_SPEEDUP}x)")
-    assert result.packets_per_sec >= _MIN_SPEEDUP * _BASELINE["packets_per_sec"]
+    assert result.events_per_sec >= _MIN_SPEEDUP * _BASELINE["events_per_sec"]

@@ -30,7 +30,9 @@ class ReplayAuditConfig:
 
     seed: int = 401
     offered_pps: float = 8.0
-    duration: float = 240.0
+    #: Long enough that the replay covers over ten thousand events even
+    #: though the host chain spends none on the idle drain.
+    duration: float = 360.0
     drain_seconds: float = 1_200.0
     channels: int = 2
     batch_max_packets: int = 8
@@ -48,6 +50,9 @@ def _fingerprint(deployment, engine: WorkloadEngine) -> dict[str, Any]:
     position — so ids are part of the contract and part of the digest.
     """
     sim = deployment.sim
+    # Read first: on a sleeping chain the read settles the idle-slot
+    # counters the report below carries.
+    host_slot = deployment.host.slot
     trace = deployment.trace_report()
     spans = sorted(
         repr((record.span_id, record.name, record.key, record.actor,
@@ -61,7 +66,7 @@ def _fingerprint(deployment, engine: WorkloadEngine) -> dict[str, Any]:
         "events_scheduled": sim._sequence,
         "pending_events": sim.pending_events(),
         "store_roots": world_roots(deployment),
-        "host_slot": deployment.host.slot,
+        "host_slot": host_slot,
         "counterparty_height": deployment.counterparty.height,
         "counters": dict(sorted(trace.counters.items())),
         "histogram_digest": hashlib.sha256(

@@ -147,12 +147,10 @@ class CounterpartyChain:
         if self._rng.bernoulli(self.config.valset_churn_probability):
             members = self._valset.members
             index = self._rng.randint(0, len(members) - 1)
-            public_key, power = members[index]
+            _, power = members[index]
             delta = max(1, power // 100)
             power = power + delta if self._rng.bernoulli(0.5) else max(1, power - delta)
-            self._valset = ValidatorSet(members=(
-                members[:index] + ((public_key, power),) + members[index + 1:]
-            ))
+            self._valset = self._valset.replacing_power(index, power)
             self._valset_hash_history.add(bytes(self._valset.canonical_hash()))
 
     def _participants(self, height: int, valset: ValidatorSet) -> list[int]:

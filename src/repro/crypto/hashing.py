@@ -62,7 +62,8 @@ _ZERO_HASH = Hash(bytes(DIGEST_SIZE))
 #: Interned length prefixes for the common short parts (tags, digests,
 #: small values) so :func:`hash_concat` avoids an ``int.to_bytes`` per
 #: part on the trie/commitment hot path.
-_LEN_PREFIXES = tuple(n.to_bytes(4, "big") for n in range(256))
+_LEN_PREFIX_BYTES = 4
+_LEN_PREFIXES = tuple(n.to_bytes(_LEN_PREFIX_BYTES, "big") for n in range(256))
 _DIGEST_LEN_PREFIX = _LEN_PREFIXES[DIGEST_SIZE]
 
 
@@ -71,17 +72,11 @@ def hash_bytes(data: bytes) -> Hash:
     return Hash.of(data)
 
 
-def hash_concat(*parts: bytes | Hash) -> Hash:
-    """SHA-256 over the concatenation of ``parts``.
-
-    Each part is length-prefixed (4-byte big-endian) so that distinct
-    splits of the same bytes cannot collide — e.g. ``(b"ab", b"c")`` and
-    ``(b"a", b"bc")`` hash differently.
-
-    The preimage is assembled with one ``join`` and hashed in a single
-    batched call: per-part ``hasher.update`` pairs dominated the trie
-    rehash profile (a 17-part branch preimage paid 34 update calls).
-    """
+def framed(*parts: bytes | Hash) -> bytes:
+    """The preimage :func:`hash_concat` hashes: every part behind its
+    length (4-byte big-endian), so that distinct splits of the same
+    bytes cannot collide — e.g. ``(b"ab", b"c")`` and ``(b"a", b"bc")``
+    frame differently.  The one place the framing is spelled."""
     pieces: list[bytes] = []
     append = pieces.append
     for part in parts:
@@ -91,9 +86,27 @@ def hash_concat(*parts: bytes | Hash) -> Hash:
         else:
             raw = bytes(part)
             size = len(raw)
-            append(_LEN_PREFIXES[size] if size < 256 else size.to_bytes(4, "big"))
+            append(_LEN_PREFIXES[size] if size < 256
+                   else size.to_bytes(_LEN_PREFIX_BYTES, "big"))
             append(raw)
-    return Hash(hashlib.sha256(b"".join(pieces)).digest())
+    return b"".join(pieces)
+
+
+def framed_size(*part_sizes: int) -> int:
+    """``len(framed(*parts))`` for parts of the given sizes: where a
+    part ends in a preimage whose layout is fixed (a caller that patches
+    one instead of re-framing it, :meth:`ValidatorSet.replacing_power`)."""
+    return sum(part_sizes) + _LEN_PREFIX_BYTES * len(part_sizes)
+
+
+def hash_concat(*parts: bytes | Hash) -> Hash:
+    """SHA-256 over the :func:`framed` concatenation of ``parts``.
+
+    The preimage is assembled with one ``join`` and hashed in a single
+    batched call: per-part ``hasher.update`` pairs dominated the trie
+    rehash profile (a 17-part branch preimage paid 34 update calls).
+    """
+    return Hash(hashlib.sha256(framed(*parts)).digest())
 
 
 def merkle_root(leaves: Iterable[bytes | Hash]) -> Hash:

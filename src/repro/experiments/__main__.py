@@ -186,7 +186,7 @@ TARGETS: dict[str, Target] = {
         render=state.render_state, record="state_smoke",
         check=state.check_state, seed=2024, shards=True),
     "wallclock-smoke": Target(
-        "docs/PERFORMANCE.md: a scaled soak must clear the events/s floor",
+        "docs/PERFORMANCE.md: a scaled soak must clear the packets/s floor",
         run=lambda o: profiling.run_wallclock_smoke(seed=o.seed),
         render=lambda r: profiling.render_soak_result(
             r, title="wallclock-smoke"),

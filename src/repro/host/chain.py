@@ -7,6 +7,11 @@ strategy and the chain's current congestion level — the mechanism behind
 the latency distributions of Fig. 2 and Fig. 4 and the fee clusters of
 Fig. 3.
 
+The slot loop is demand-driven: a chain whose mempool is empty schedules
+nothing, and the next arriving transaction re-arms it on the same slot
+grid, numbering the slots slept through — idle simulated time costs no
+events (docs/PERFORMANCE.md, "Idle time is free").
+
 Execution is transactional: the runtime verifies precompile signatures,
 charges fees, snapshots the touched accounts, runs each instruction
 through its program, and rolls everything back (except the fee) if any
@@ -61,7 +66,10 @@ class HostConfig:
     max_compute_units: int = MAX_COMPUTE_UNITS
     #: Keep only the most recent N blocks in memory (None = keep all).
     #: Long simulated deployments set this; nothing in the system reads
-    #: old host blocks (the guest keeps its own snapshots).
+    #: old host blocks (the guest keeps its own snapshots).  Only slots
+    #: that found a transaction in the mempool produce a block, so N
+    #: blocks reach further back in time — and keep more receipts
+    #: alive — the idler the chain is.
     retain_blocks: Optional[int] = None
 
 
@@ -93,7 +101,10 @@ class HostChain:
         self.scheme = scheme
         self.config = config or HostConfig()
         self.accounts = AccountsDb()
-        self.slot = 0
+        #: Slots numbered up to the last tick accounted for; :attr:`slot`
+        #: is the public reading.
+        self._slot = 0
+        #: Produced blocks only: a slot slept through leaves none.
         self.blocks: list[HostBlock] = []
         self._programs: dict[Address, Program] = {}
         self._mempool: list[_PendingTx] = []
@@ -110,7 +121,14 @@ class HostChain:
         #: Consulted at the RPC edge (submit), in the congestion model
         #: (fee spikes) and in slot production (stalls).
         self.chaos = None
-        self._slot_handle = sim.schedule(self.config.slot_seconds, self._produce_slot)
+        #: The slot grid: when the next tick not yet accounted for is
+        #: due.  Always advanced by adding ``slot_seconds`` to the tick
+        #: before it, one addition per slot, so a block lands on the
+        #: same float instant however long the chain slept before it.
+        self._next_tick = sim.now + self.config.slot_seconds
+        #: The scheduled tick, or ``None`` while the chain sleeps (it
+        #: starts awake: the first slot always ticks).
+        self._slot_handle = sim.schedule_at(self._next_tick, self._produce_slot)
 
     # ------------------------------------------------------------------
     # Deployment and funding
@@ -269,6 +287,9 @@ class HostChain:
             for peer in bundle_peers:
                 peer.ready_time = latest
         self._mempool.append(pending)
+        if self._slot_handle is None:
+            self._settle_slept_slots()
+            self._rearm()
 
     # ------------------------------------------------------------------
     # Congestion model
@@ -304,18 +325,74 @@ class HostChain:
     # Block production
     # ------------------------------------------------------------------
 
+    @property
+    def slot(self) -> int:
+        """The current slot number, whether the chain ticks or sleeps.
+
+        Read from outside the event loop it counts every tick due at or
+        before ``sim.now`` (``run_until(t)`` has run those).  On a
+        sleeping chain the read settles the slept slots' account, so
+        ``host.blocks + host.slots.idle + chaos.host.slots_stalled`` is
+        the slots elapsed as of the last read or wake-up.
+        """
+        if self._slot_handle is None:
+            self._settle_slept_slots()
+        return self._slot
+
+    def _settle_slept_slots(self) -> None:
+        """Walk the grid over the ticks a sleeping chain skipped (those
+        due at or before now): number them, except under a slot stall."""
+        now = self.sim.now
+        tick = self._next_tick
+        slot_seconds = self.config.slot_seconds
+        chaos = self.chaos
+        idle = stalled = 0
+        while tick <= now:
+            if chaos is not None and chaos.slot_stalled(tick):
+                stalled += 1
+            else:
+                idle += 1
+            tick += slot_seconds
+        self._next_tick = tick
+        self._slot += idle
+        trace = self.sim.trace
+        if idle:
+            trace.count("host.slots.idle", idle)
+        if stalled:
+            trace.count("chaos.host.slots_stalled", stalled)
+
+    def _rearm(self) -> None:
+        """Schedule the next tick — if a transaction is waiting for it.
+
+        A block that leaves the mempool empty schedules nothing;
+        :meth:`_arrive`, the only writer of the mempool, wakes the chain.
+        The wake-up tick therefore takes its heap sequence number at the
+        wake-up, not at the tick before it: an event due at *exactly*
+        that grid instant and scheduled between the two moments would
+        run before the tick where an always-ticking chain ran it after.
+        Nothing schedules one — whatever follows from the host
+        (arrivals, receipts, subscriber deliveries) is delayed by a
+        continuous exponential draw, and the fixed-period actors
+        (counterparty blocks, relayer polls, the watchdog) schedule
+        themselves more than a slot ahead, before the tick either way
+        (``tests/test_host_chain.py::TestAgainstTickingHost``).
+        """
+        self._slot_handle = (
+            self.sim.schedule_at(self._next_tick, self._produce_slot)
+            if self._mempool else None)
+
     def _produce_slot(self) -> None:
+        self._next_tick = self.sim.now + self.config.slot_seconds
         if self.chaos is not None and self.chaos.slot_stalled(self.sim.now):
             # Leader offline: no block this slot; the mempool keeps
             # accumulating and drains when production resumes.
             self.sim.trace.count("chaos.host.slots_stalled")
-            self._slot_handle = self.sim.schedule(
-                self.config.slot_seconds, self._produce_slot)
+            self._rearm()
             return
-        self.slot += 1
+        self._slot += 1
         trace = self.sim.trace
         trace.gauge("host.mempool.depth", len(self._mempool))
-        block = HostBlock(slot=self.slot, time=self.sim.now)
+        block = HostBlock(slot=self._slot, time=self.sim.now)
 
         # Single pass: split the mempool into ready candidates and the
         # not-yet-ready remainder, instead of rescanning the whole pool a
@@ -354,7 +431,7 @@ class HostChain:
             del self.blocks[: len(self.blocks) - retain]
         for event in block.events:
             self._dispatch(event)
-        self._slot_handle = self.sim.schedule(self.config.slot_seconds, self._produce_slot)
+        self._rearm()
 
     def _select_for_block(
         self, ready: list[_PendingTx],
@@ -409,7 +486,7 @@ class HostChain:
         self.sim.trace.count("host.bundles.rejected")
         for pending in members:
             receipt = TxReceipt(
-                tx_id=pending.transaction.tx_id, slot=self.slot,
+                tx_id=pending.transaction.tx_id, slot=block.slot,
                 time=self.sim.now, success=False, fee_paid=0,
                 compute_consumed=0,
                 error=f"bundle of {len(members)} transactions exceeds the "
@@ -455,7 +532,7 @@ class HostChain:
                 except ReproError:
                     pass
                 receipts.append(TxReceipt(
-                    tx_id=transaction.tx_id, slot=self.slot, time=self.sim.now,
+                    tx_id=transaction.tx_id, slot=block.slot, time=self.sim.now,
                     success=False, fee_paid=fee_paid, compute_consumed=0,
                     error=f"bundle failed atomically: {first_error}",
                     bundle_id=pending.bundle_id,
@@ -479,7 +556,7 @@ class HostChain:
             self.accounts.burn_fee(transaction.payer, fee)
         except ReproError as exc:
             return TxReceipt(
-                tx_id=transaction.tx_id, slot=self.slot, time=self.sim.now,
+                tx_id=transaction.tx_id, slot=block.slot, time=self.sim.now,
                 success=False, fee_paid=0, compute_consumed=0,
                 error=f"fee payment failed: {exc}", bundle_id=pending.bundle_id,
             )
@@ -492,7 +569,7 @@ class HostChain:
             [(e.public_key, e.message, e.signature) for e in transaction.sig_verifies]
         ):
             return TxReceipt(
-                tx_id=transaction.tx_id, slot=self.slot, time=self.sim.now,
+                tx_id=transaction.tx_id, slot=block.slot, time=self.sim.now,
                 success=False, fee_paid=fee, compute_consumed=0,
                 error="precompile signature verification failed",
                 bundle_id=pending.bundle_id,
@@ -526,7 +603,7 @@ class HostChain:
                     payer=transaction.payer,
                     signers=signers,
                     meter=meter,
-                    slot=self.slot,
+                    slot=block.slot,
                     unix_time=self.sim.now,
                     verified_signatures=tuple(verified),
                     verified_signature_entries=tuple(verified_entries),
@@ -539,14 +616,14 @@ class HostChain:
             # exactly like a program error.
             self._restore(snapshots)
             return TxReceipt(
-                tx_id=transaction.tx_id, slot=self.slot, time=self.sim.now,
+                tx_id=transaction.tx_id, slot=block.slot, time=self.sim.now,
                 success=False, fee_paid=fee, compute_consumed=meter.consumed,
                 error=str(exc), bundle_id=pending.bundle_id,
             )
 
         block.events.extend(events)
         return TxReceipt(
-            tx_id=transaction.tx_id, slot=self.slot, time=self.sim.now,
+            tx_id=transaction.tx_id, slot=block.slot, time=self.sim.now,
             success=True, fee_paid=fee, compute_consumed=meter.consumed,
             bundle_id=pending.bundle_id,
         )

@@ -23,12 +23,19 @@ from repro.accountability import (
     build_proof,
     verify_proof,
 )
-from repro.crypto.hashing import Hash, hash_concat
-from repro.crypto.keys import PublicKey, Signature, SignatureScheme
+from repro.crypto.hashing import Hash, framed, framed_size, hash_concat
+from repro.crypto.keys import PUBLIC_KEY_SIZE, PublicKey, Signature, SignatureScheme
 from repro.derive import derive_once
 from repro.encoding import Reader, encode_bytes, encode_str, encode_varint
 from repro.errors import AccountabilityError, ClientError, EquivocationError
 from repro.ibc.client import LightClient
+
+#: Layout of a validator set's digest preimage: the framed tag, then one
+#: framed (key, power) record per member.
+_DIGEST_TAG = b"valset"
+_POWER_BYTES = 8
+_DIGEST_TAG_END = framed_size(len(_DIGEST_TAG))
+_MEMBER_RECORD_BYTES = framed_size(PUBLIC_KEY_SIZE, _POWER_BYTES)
 
 
 @dataclass(frozen=True)
@@ -43,7 +50,9 @@ class ValidatorSet:
     moves.  Equality and serialisation use ``members`` alone, and every
     way of making a different set (the constructor, ``read_from``,
     ``dataclasses.replace``, the on-chain rebuild from a staged delta)
-    makes a new instance that hashes from its own members.
+    makes a new instance that hashes from its own members — all but
+    :meth:`replacing_power`, whose new instance hashes the preimage it
+    is handed, patched to be its own.
     """
 
     members: tuple[tuple[PublicKey, int], ...]
@@ -72,13 +81,47 @@ class ValidatorSet:
     def power_of(self, public_key: PublicKey) -> int:
         return self.power_map().get(public_key, 0)
 
-    @derive_once
-    def canonical_hash(self) -> Hash:
-        parts: list[bytes] = [b"valset"]
+    def _framed_members(self) -> bytes:
+        """The digest's preimage built cold: a tag, then every member's
+        key and power, framed as :func:`hash_concat` frames its parts."""
+        parts: list[bytes] = [_DIGEST_TAG]
         for public_key, power in self.members:
             parts.append(bytes(public_key))
-            parts.append(power.to_bytes(8, "big"))
-        return hash_concat(*parts)
+            parts.append(power.to_bytes(_POWER_BYTES, "big"))
+        return framed(*parts)
+
+    @derive_once
+    def canonical_hash(self) -> Hash:
+        carried = self.__dict__.get("_preimage")
+        return Hash.of(carried if carried is not None else self._framed_members())
+
+    def replacing_power(self, index: int, power: int) -> "ValidatorSet":
+        """This set with member ``index``'s voting power changed, handed
+        this set's digest preimage instead of rebuilding it.
+
+        Every part of the preimage has a fixed size, so the new set's
+        differs from this one's in the 8 power bytes that end member
+        ``index``'s record: they are overwritten in place and the new
+        digest is one SHA-256 of the buffer — bit for bit what
+        ``ValidatorSet(members).canonical_hash()`` derives from the
+        members.  The buffer is *moved*, not copied, so a chain whose
+        stake churns block after block holds one preimage, at its
+        newest set; this set, had its digest not been asked for yet,
+        derives it from its members like a set built any other way.
+        """
+        members = self.members
+        if not 0 <= index < len(members):
+            raise IndexError(f"no validator {index} in a set of {len(members)}")
+        power_bytes = power.to_bytes(_POWER_BYTES, "big")
+        child = ValidatorSet(members=(
+            members[:index] + ((members[index][0], power),) + members[index + 1:]))
+        preimage = self.__dict__.pop("_preimage", None)
+        if preimage is None:
+            preimage = bytearray(self._framed_members())
+        end = _DIGEST_TAG_END + (index + 1) * _MEMBER_RECORD_BYTES
+        preimage[end - _POWER_BYTES:end] = power_bytes
+        child.__dict__["_preimage"] = preimage
+        return child
 
     def to_bytes(self) -> bytes:
         out = bytearray(encode_varint(len(self.members)))

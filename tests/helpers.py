@@ -327,6 +327,22 @@ class DerivationAudit:
         return "\n".join(lines)
 
 
+def tap_cold_framings(monkeypatch) -> list:
+    """Record every validator set whose digest preimage is framed member
+    by member (``ValidatorSet._framed_members``: the Python loop a
+    churned set avoids by patching the preimage it is handed)."""
+    from repro.lightclient.tendermint import ValidatorSet
+    framings: list = []
+    framed_members = ValidatorSet._framed_members
+
+    def tapped(self):
+        framings.append(self)
+        return framed_members(self)
+
+    monkeypatch.setattr(ValidatorSet, "_framed_members", tapped)
+    return framings
+
+
 # ======================================================================
 # Batched delivery bundles
 # ======================================================================

@@ -236,6 +236,42 @@ class TestSnapshotRestore:
         assert [block.header.fingerprint() for block in blocks] == [
             block.header.fingerprint() for block in deployment.contract.blocks]
 
+    def test_a_sleeping_host_restores_asleep_and_wakes_on_its_grid(self):
+        """A host chain with an empty mempool has no tick in the event
+        queue: what it pickles is where its slot grid stands.  Restored,
+        it numbers the slots it slept through and wakes for the same
+        transaction at the same instant as the world that ran on."""
+        deployment = Deployment(small_config(seed=73, tracing=True))
+        guest_channel, _ = deployment.establish_link()
+        while deployment.host._slot_handle is not None:
+            deployment.sim.step()
+        deployment.run_for(7.3)  # deep in the sleep, off the slot grid
+        assert deployment.host._slot_handle is None
+        checkpoint = Checkpoint.from_bytes(snapshot_world(deployment).to_bytes())
+
+        def finish(world):
+            slot_at_snapshot = world.host.slot
+            world.contract.bank.mint("alice", "GUEST", 1_000)
+            world.user_api.send_packet(
+                "transfer", str(guest_channel),
+                world.contract.transfer.make_payload(
+                    guest_channel, "GUEST", 250, "alice", "bob"))
+            world.run_for(180.0)
+            assert world.contract.ibc.counters.packets_acknowledged == 1
+            return (slot_at_snapshot, world.host.slot, world.sim.now,
+                    world.sim.dispatched_events(), world.sim.pending_events(),
+                    world_roots(world),
+                    [(block.slot, block.time,
+                      [(receipt.tx_id, receipt.success, receipt.fee_paid)
+                       for receipt in block.receipts])
+                     for block in world.host.blocks],
+                    sorted(world.trace_report().counters.items()))
+
+        straight = finish(deployment)
+        restored, _ = restore_world(checkpoint)
+        assert restored.host._slot_handle is None
+        assert finish(restored) == straight
+
     def test_tampered_manifest_fails_audit(self, live_world):
         deployment, _ = live_world
         checkpoint = snapshot_world(deployment)

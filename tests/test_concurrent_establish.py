@@ -47,11 +47,15 @@ from repro.ibc.identifiers import ChannelId, PortId
 #: 96.0/493.  Those updates now hand their staging transactions to the
 #: host in one wave instead of three at a time (and a validator no
 #: longer submits a second SIGN_BLOCK while its first is in the
-#: mempool), which moved the pins once more, to the values below.  The
-#: store root did not move through any of it.
+#: mempool), which moved the pins once more: 84.0/447, 84.0/446,
+#: 84.0/444, 90.0/489, 78.0/429.  The host chain then stopped spending
+#: an event on a slot with an empty mempool; times stay, and each count
+#: below is the one before minus the ``host.slots.idle`` the tracer
+#: reads over the same window (127, 117, 131, 135, 109).  The store root
+#: did not move through any of it.
 PARENT_SINGLE_LINK = {
-    0: (84.0, 447), 1: (84.0, 446), 2: (84.0, 444),
-    3: (90.0, 489), 4: (78.0, 429),
+    0: (84.0, 320), 1: (84.0, 329), 2: (84.0, 313),
+    3: (90.0, 354), 4: (78.0, 320),
 }
 PARENT_STORE_ROOT = (
     "45242cbb13d0568bdbc4bcb7cf4cb6dc5556d749b0dc4381cb125bae1818e51c")

@@ -14,35 +14,28 @@ the way a timing would.  ``tests/helpers.py::DerivationAudit`` is the
 audit itself, reusable over any run.
 """
 
-import repro.lightclient.tendermint as tendermint
 from repro.counterparty.chain import CounterpartyChain, CounterpartyConfig
 from repro.crypto.simsig import SimSigScheme
 from repro.experiments.throughput import build_linked_deployment
 from repro.guest.api import Batch
 from repro.guest.instructions import BufferedPacketMsg
+from repro.lightclient.tendermint import ValidatorSet
 from repro.sim import Simulation
 from repro.trie.proof import MembershipWitness
 from repro.workload import WorkloadEngine, WorkloadSpec
 
-from tests.helpers import DerivationAudit
+from tests.helpers import DerivationAudit, tap_cold_framings
 from tests.test_lc_update_budget import BATCHING, GUEST
 
 BLOCKS = 300
 
 
 def test_a_counterparty_hashes_a_validator_set_when_it_is_new(monkeypatch):
-    preimages = []
-    hash_concat = tendermint.hash_concat
-
-    def tapped(*parts):
-        if parts[0] == b"valset":
-            preimages.append(len(parts))
-        return hash_concat(*parts)
-
-    monkeypatch.setattr(tendermint, "hash_concat", tapped)
-    sim = Simulation(seed=2024)
-    chain = CounterpartyChain(sim, SimSigScheme(), CounterpartyConfig())
-    sim.run_until(BLOCKS * chain.config.block_seconds)
+    framings = tap_cold_framings(monkeypatch)
+    with DerivationAudit(methods=((ValidatorSet, "canonical_hash"),)) as audit:
+        sim = Simulation(seed=2024)
+        chain = CounterpartyChain(sim, SimSigScheme(), CounterpartyConfig())
+        sim.run_until(BLOCKS * chain.config.block_seconds)
     assert chain.height == BLOCKS
 
     headers = [record.header for record in chain.blocks.values()]
@@ -50,11 +43,28 @@ def test_a_counterparty_hashes_a_validator_set_when_it_is_new(monkeypatch):
                | {header.next_validators_hash for header in headers})
     # Power churn on about a third of the blocks: the run is not idle.
     assert BLOCKS // 5 < len(created) < BLOCKS // 2
-    # Every member is in every preimage: nothing was hashed in part.
-    assert set(preimages) == {1 + 2 * chain.config.validator_count}
-    # Two per block (``validators_hash``, ``next_validators_hash``)
+    # One digest per set that ever existed — a churned set's, taken over
+    # the preimage it was handed, counts as its one — where there were
+    # two per block (``validators_hash``, ``next_validators_hash``)
     # before the digest was kept on the set.
-    assert len(preimages) <= len(created) + 1
+    count = audit.counts["ValidatorSet.canonical_hash"]
+    assert count.derivations == count.distinct
+    assert len(created) <= count.distinct <= len(created) + 1
+    # The member-by-member framing ran twice in the chain's life: for
+    # the genesis digest, then for the preimage every later set patches
+    # 8 bytes of (once per distinct set, 113 times, before it was carried).
+    assert len(framings) == 2
+
+    # Every member is in every digest: a patched preimage is the
+    # preimage of the set it belongs to.
+    for record in chain.blocks.values():
+        cold = ValidatorSet(members=record.validator_set.members)
+        assert cold.canonical_hash() == record.header.validators_hash
+    # The preimage moved from set to set: one lives, at the head.
+    holders = [record.validator_set for record in chain.blocks.values()
+               if "_preimage" in record.validator_set.__dict__]
+    assert holders in ([], [chain.validator_set()])
+    assert "_preimage" in chain.validator_set().__dict__
 
 
 def test_a_loaded_link_derives_each_value_once_per_instance(monkeypatch):

@@ -1,12 +1,16 @@
 """Unit and integration tests for the Solana-like host chain simulator."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.crypto.simsig import SimSigScheme
 from repro.errors import (
     AccountSizeError,
     ComputeBudgetExceededError,
     HostError,
+    HostUnavailableError,
     InsufficientFundsError,
     ProgramError,
     TransactionTooLargeError,
@@ -24,6 +28,7 @@ from repro.host import (
     SigVerify,
     Transaction,
 )
+from repro.observability import Tracer
 from repro.sim import Simulation
 from repro.units import (
     BASE_FEE_LAMPORTS_PER_SIGNATURE,
@@ -612,3 +617,196 @@ class TestDeterminism:
 
         assert run(5) == run(5)
         assert run(5) != run(6) or True  # different seeds may coincide; no assertion
+
+
+# ----------------------------------------------------------------------
+# The sleeping slot loop against a chain that ticks every slot
+# ----------------------------------------------------------------------
+
+
+class _CountingTicks:
+    """Counts the ``_produce_slot`` events a chain dispatches."""
+
+    ticks = 0
+
+    def _produce_slot(self):
+        self.ticks += 1
+        super()._produce_slot()
+
+
+class SleepingHostChain(_CountingTicks, HostChain):
+    pass
+
+
+class TickingHostChain(_CountingTicks, HostChain):
+    """The reference: the chain before it learnt to sleep — a tick event
+    every slot, an empty block when there is nothing to do.  It exists
+    only here; ``src/`` has no switch that selects it."""
+
+    def _rearm(self):
+        self._slot_handle = self.sim.schedule_at(
+            self._next_tick, self._produce_slot)
+
+
+class _WindowFaults:
+    """The fault policy of ``repro.chaos.injector._HostFaults`` over
+    fixed windows, for a bare chain (the injector needs a deployment)."""
+
+    def __init__(self, windows):
+        self._windows = windows
+        self._rng = random.Random(7)
+
+    def _active(self, kind, now):
+        return any(k == kind and start <= now < start + length
+                   for k, start, length in self._windows)
+
+    def rpc_blocked(self, now):
+        return self._active("blackout", now)
+
+    def drop_tx(self, now):
+        return self._active("drop", now) and self._rng.random() < 0.5
+
+    def congestion_override(self, time):
+        return None
+
+    def slot_stalled(self, now):
+        return self._active("stall", now)
+
+
+def slot_grid(count, slot_seconds=0.4):
+    """The instants a chain built at time 0 ticks at: ``slot_seconds``
+    added ``count`` times, as the kernel's ``now + delay`` adds it."""
+    grid, tick = [], 0.0
+    for _ in range(count):
+        tick += slot_seconds
+        grid.append(tick)
+    return grid
+
+
+_GRID = slot_grid(400)
+_FEES = (BaseFee(), PriorityFee(1_000_000), BundleFee(10_000))
+_datas = st.sampled_from([b"tick", b"tick", b"fail"])
+_commands = st.one_of(
+    # (fee strategy, instruction, whether its receipt submits another)
+    st.tuples(st.just("submit"), st.sampled_from(_FEES), _datas, st.booleans()),
+    st.tuples(st.just("bundle"), st.lists(_datas, min_size=1, max_size=3),
+              st.sampled_from([0, 25_000])),
+    # Slices: a step of any length, to a round instant, and to *exactly*
+    # the k-th grid instant — where a tick and the slice's end coincide.
+    st.tuples(st.just("advance"), st.one_of(
+        st.sampled_from([0.0, 0.1, 0.4, 0.8, 4.0, 30.0]),
+        st.floats(0.0, 20.0, allow_nan=False))),
+    st.tuples(st.just("run_until"), st.sampled_from([4.0, 40.0, 100.0])),
+    st.tuples(st.just("to_tick"), st.integers(0, len(_GRID) - 1)),
+)
+_windows = st.lists(
+    st.tuples(st.sampled_from(["stall", "blackout", "drop"]),
+              st.floats(0.0, 60.0, allow_nan=False),
+              st.floats(0.1, 15.0, allow_nan=False)),
+    max_size=3)
+
+
+def play_host(chain_class, program, windows, subscribe):
+    """Drive a fresh chain through ``program``; return it with everything
+    an observer could have seen: receipts and events as delivered, RPC
+    refusals, and ``slot`` probed from outside the loop after every
+    command."""
+    sim = Simulation(seed=11, tracer=Tracer())
+    chain = chain_class(sim, SimSigScheme(), HostConfig())
+    if windows:
+        chain.chaos = _WindowFaults(windows)
+    chain.airdrop(PAYER, sol_to_lamports(1_000.0))
+    counter = CounterProgram()
+    chain.deploy(counter)
+    state = Address.derive("counter-state")
+    log = []
+    if subscribe:
+        chain.subscribe("Counted", lambda event: log.append(
+            ("event", sim.now, event.slot, event.time, event.payload["value"])))
+
+    def observed(label, receipt):
+        log.append(("receipt", label, sim.now, receipt.slot, receipt.time,
+                    receipt.success, receipt.fee_paid))
+
+    def submit(label, fee, data, chained):
+        def on_result(receipt):
+            observed(label, receipt)
+            if chained:
+                submit(label + ("then",), fee, b"tick", False)
+        try:
+            chain.submit(make_tx(counter, state, data=data, fee=fee),
+                         on_result=on_result)
+        except HostUnavailableError:
+            log.append(("refused", label, sim.now))
+
+    for index, command in enumerate(program + [("advance", 60.0)]):
+        if command[0] == "submit":
+            submit((index,), *command[1:])
+        elif command[0] == "bundle":
+            _, datas, tip = command
+            try:
+                chain.submit_bundle(
+                    [make_tx(counter, state, data=data, fee=BundleFee(tip))
+                     for data in datas],
+                    tip,
+                    on_result=lambda receipts, index=index: [
+                        observed((index, position), receipt)
+                        for position, receipt in enumerate(receipts)])
+            except HostUnavailableError:
+                log.append(("refused", (index,), sim.now))
+        elif command[0] == "advance":
+            sim.run_until(sim.now + command[1])
+        elif command[0] == "run_until":
+            sim.run_until(max(sim.now, command[1]))
+        else:
+            sim.run_until(max(sim.now, _GRID[command[1]]))
+        log.append(("slot", sim.now, chain.slot))
+    return chain, log
+
+
+class TestAgainstTickingHost:
+    """A chain that sleeps while its mempool is empty is observably the
+    chain that ticks every slot: same receipts and events at the same
+    instants, same slot number whenever it is read, same RNG stream —
+    and every slot it did not dispatch accounted for."""
+
+    # The 100th accumulated tick lands at or before 40.0: a slice that
+    # ends there has run it, asleep or not.
+    @example([("run_until", 40.0)], [], False)
+    # Wake-ups across slices that end exactly on grid instants.
+    @example([("submit", _FEES[0], b"tick", True), ("to_tick", 2),
+              ("submit", _FEES[1], b"tick", False), ("to_tick", 3),
+              ("to_tick", 50), ("bundle", [b"tick", b"fail"], 25_000),
+              ("to_tick", 51)], [], True)
+    # A stall that begins while the chain sleeps, a transaction arriving
+    # inside it: slots before it numbered, inside it not.
+    @example([("advance", 4.0), ("submit", _FEES[1], b"tick", False),
+              ("advance", 4.0), ("submit", _FEES[1], b"tick", False),
+              ("advance", 0.1)], [("stall", 6.0, 5.0)], True)
+    @given(st.lists(_commands, max_size=12), _windows, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_same_receipts_events_slots_and_draws(self, program, windows,
+                                                  subscribe):
+        ticking, expected = play_host(TickingHostChain, program, windows, subscribe)
+        sleeping, observed = play_host(SleepingHostChain, program, windows, subscribe)
+        assert observed == expected
+        assert sleeping._rng._random.getstate() == ticking._rng._random.getstate()
+        assert sleeping.accounts.burned_fees == ticking.accounts.burned_fees
+
+        then, now = ticking.sim.trace.report().counter, sleeping.sim.trace.report().counter
+        for name in ("host.tx.executed", "host.tx.failed",
+                     "host.events.delivered", "chaos.host.slots_stalled"):
+            assert now(name) == then(name), name
+        # Every slot the reference dispatched is a block, an idle slot
+        # or a stalled slot of the sleeping chain, and only blocks (and
+        # stalled slots with transactions waiting) cost it an event.
+        assert ticking.ticks == (now("host.blocks") + now("host.slots.idle")
+                                 + now("chaos.host.slots_stalled"))
+        assert now("host.blocks") == len(sleeping.blocks)
+        saved = ticking.sim.dispatched_events() - sleeping.sim.dispatched_events()
+        assert saved == ticking.ticks - sleeping.ticks
+        stalled_asleep = now("chaos.host.slots_stalled") - (
+            sleeping.ticks - now("host.blocks"))
+        assert saved == now("host.slots.idle") + stalled_asleep
+        if not any(kind == "stall" for kind, _, _ in windows):
+            assert stalled_asleep == 0

@@ -133,8 +133,23 @@ class TestBlockRetention:
 
     def test_unbounded_by_default(self):
         sim, chain = make_chain()
+        # A slot whose mempool is empty leaves no block, so keep one
+        # transaction or more waiting at every tick: four submissions a
+        # slot, each held ~1 s by the base-fee queue.
+        transaction = TestTransactionLayout().make_tx()
+        for tenth in range(400):
+            sim.schedule_at(tenth * 0.1, chain.submit, transaction)
         sim.run_until(40.0)
+        assert chain.slot == 100
         assert len(chain.blocks) == 100
+        assert [block.slot for block in chain.blocks] == list(range(1, 101))
+
+    def test_an_idle_slot_leaves_no_block(self):
+        sim, chain = make_chain()
+        sim.run_until(40.0)
+        assert chain.slot == 100
+        # The first slot always ticks; the chain then sleeps.
+        assert [block.slot for block in chain.blocks] == [1]
 
 
 class TestTransactionLayout:

@@ -1,6 +1,7 @@
 """Unit tests for both light clients and the chunked-update planner."""
 
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -646,6 +647,65 @@ class TestDerivedOnce:
                     != warm.canonical_hash())
             assert changed.power_of(key) == power + 1 == warm.power_of(key) + 1
         assert warm.canonical_hash() == reference_hash(valset)
+
+    @settings(max_examples=150, deadline=None)
+    @given(churned_chains(), st.booleans(), st.lists(
+        st.tuples(st.integers(0, 10 ** 6), st.integers(0, 2 ** 64 - 1),
+                  st.booleans()), min_size=1, max_size=8))
+    def test_a_churned_set_is_handed_the_preimage_not_a_digest(
+            self, chain, warm, changes):
+        """``replacing_power`` patches 8 bytes of the parent's preimage
+        and hashes that: for any chain of changes the digest is the one
+        the members give when framed from nothing (``reference_hash``
+        spells it with ``hash_concat``), whether or not a set along the
+        way was asked for its digest before it was churned again."""
+        _, valset, _, _ = chain
+        head = as_built(valset, warm)
+        lineage = [head]
+        for position, power, ask in changes:
+            index = position % len(head)
+            parent, head = head, head.replacing_power(index, power)
+            lineage.append(head)
+            assert head.members == (
+                parent.members[:index]
+                + ((parent.members[index][0], power),)
+                + parent.members[index + 1:])
+            # Moved, not copied: one preimage per lineage, at its head.
+            assert [("_preimage" in vars(member)) for member in lineage] == (
+                [False] * (len(lineage) - 1) + [True])
+            if ask:
+                assert head.canonical_hash() == reference_hash(head)
+        for member in lineage:
+            assert member.canonical_hash() == reference_hash(member)
+        assert head == ValidatorSet(members=head.members)
+        assert hash(head) == hash(ValidatorSet(members=head.members))
+
+        # A set built any other way starts without a preimage and
+        # derives the same digest from its members alone.
+        for other in (ValidatorSet(members=head.members),
+                      dataclasses.replace(head),
+                      ValidatorSet.read_from(Reader(head.to_bytes()))):
+            assert vars(other).keys() == {"members"}
+            assert other.canonical_hash() == head.canonical_hash()
+        # A checkpoint carries it, and the restored set churns on.
+        restored = pickle.loads(pickle.dumps(head))
+        assert vars(restored)["_preimage"] == vars(head)["_preimage"]
+        for survivor in (restored, head):
+            child = survivor.replacing_power(0, 7)
+            assert child.canonical_hash() == reference_hash(child)
+
+    def test_a_refused_change_leaves_the_parent_whole(self, scheme):
+        members = tuple((kp.public_key, 5) for kp in make_keys(scheme, 3))
+        parent = ValidatorSet(members=members).replacing_power(1, 6)
+        for index, power, error in ((3, 1, IndexError), (-1, 1, IndexError),
+                                    (0, -1, OverflowError),
+                                    (0, 2 ** 64, OverflowError)):
+            with pytest.raises(error):
+                parent.replacing_power(index, power)
+        assert "_preimage" in vars(parent)
+        child = parent.replacing_power(2, 9)
+        assert child.canonical_hash() == reference_hash(child)
+        assert parent.canonical_hash() == reference_hash(parent)
 
     def test_members_must_be_a_tuple(self, scheme):
         """A list could be edited behind the cached digest."""
