@@ -342,10 +342,15 @@ class GuestApi:
         """Ship one counterparty header to the guest's light client.
 
         The staging transactions (data chunks and signature batches) are
-        mutually independent: at most ``window`` of them await their
-        receipt at once, all of them when ``window`` is ``None``, and
-        the host decides the order among those in flight.  The finalize
-        transaction is submitted when the last staging receipt is back.
+        mutually independent, and the contract adopts the update in
+        whichever of its transactions lands last (LC_FINALIZE names how
+        many signature batches to expect).  With ``window=None`` the
+        whole update, LC_FINALIZE included, is handed to the host at one
+        instant and the host decides the order.  With a window at most
+        that many staging transactions await their receipt at once, and
+        LC_FINALIZE goes out when the last staging receipt is back — it
+        lands last and adopts on the spot.  Either way the update is
+        over when the last receipt is back.
         ``planner`` says what the transactions carry
         (:mod:`repro.lightclient.chunked`: the quorum prefix and a
         validator-set delta by default);
@@ -361,64 +366,41 @@ class GuestApi:
         buffer_id = next(_buffer_ids)
         fee = fee or self.default_fee
 
-        transactions: list[Transaction] = []
-        total_chunks = len(plan.data_chunks)
-        for index, chunk in enumerate(plan.data_chunks):
-            transactions.append(Transaction(
+        def transaction(data: bytes,
+                        sig_verifies: tuple[SigVerify, ...] = ()) -> Transaction:
+            return Transaction(
                 payer=self.payer,
                 instructions=(Instruction(
                     self.contract.program_id,
                     (self.contract.state_account,),
-                    ins.chunk(buffer_id, index, total_chunks, chunk),
+                    data,
                 ),),
                 fee_strategy=fee,
-            ))
-        for batch in plan.signature_batches:
-            entries = tuple(
-                SigVerify(public_key, plan.sign_message, signature)
-                for public_key, signature in batch
+                sig_verifies=sig_verifies,
             )
-            transactions.append(Transaction(
-                payer=self.payer,
-                instructions=(Instruction(
-                    self.contract.program_id,
-                    (self.contract.state_account,),
-                    ins.lc_sig_batch(buffer_id),
-                ),),
-                fee_strategy=fee,
-                sig_verifies=entries,
-            ))
-        finalize = Transaction(
-            payer=self.payer,
-            instructions=(Instruction(
-                self.contract.program_id,
-                (self.contract.state_account,),
-                ins.lc_finalize(buffer_id),
-            ),),
-            fee_strategy=fee,
-        )
 
-        if window is None:
-            window = len(transactions)
+        total_chunks = len(plan.data_chunks)
+        transactions = [
+            transaction(ins.chunk(buffer_id, index, total_chunks, chunk))
+            for index, chunk in enumerate(plan.data_chunks)]
+        transactions += [
+            transaction(ins.lc_sig_batch(buffer_id), tuple(
+                SigVerify(public_key, plan.sign_message, signature)
+                for public_key, signature in batch))
+            for batch in plan.signature_batches]
+        finalize = transaction(
+            ins.lc_finalize(buffer_id, len(plan.signature_batches)))
+
+        #: LC_FINALIZE is the queue's last entry; under a window it
+        #: waits there until nothing else is in flight.
+        one_wave = window is None
+        if one_wave:
+            window = len(transactions) + 1
         state = {
             "first": None, "last": 0.0, "fees": 0, "ok": True,
-            "queue": list(transactions), "in_flight": 0, "peak": 0,
-            "finalized": False, "stalled": False,
+            "queue": transactions + [finalize], "in_flight": 0, "peak": 0,
+            "stalled": False,
         }
-
-        def finish(receipt: TxReceipt) -> None:
-            _track(state, receipt)
-            if on_done is not None:
-                on_done(LcUpdateResult(
-                    height=update.header.height,
-                    transaction_count=plan.transaction_count,
-                    signature_count=plan.signature_count,
-                    total_fee=state["fees"],
-                    first_tx_time=state["first"] if state["first"] is not None else receipt.time,
-                    last_tx_time=state["last"],
-                    success=state["ok"] and receipt.success,
-                    peak_in_flight=state["peak"],
-                ))
 
         def pump(receipt: Optional[TxReceipt] = None) -> None:
             if receipt is None:
@@ -426,16 +408,15 @@ class GuestApi:
             else:
                 _track(state, receipt)
                 state["in_flight"] -= 1
+            queue = state["queue"]
             try:
-                while state["queue"] and state["in_flight"] < window:
-                    self.chain.submit(state["queue"][0], on_result=pump)
-                    state["queue"].pop(0)
+                while queue and state["in_flight"] < window and (
+                        one_wave or queue[0] is not finalize
+                        or not state["in_flight"]):
+                    self.chain.submit(queue[0], on_result=pump)
+                    queue.pop(0)
                     state["in_flight"] += 1
                     state["peak"] = max(state["peak"], state["in_flight"])
-                if not (state["queue"] or state["in_flight"]
-                        or state["finalized"]):
-                    self.chain.submit(finalize, on_result=finish)
-                    state["finalized"] = True
             except HostUnavailableError:
                 # Blackout mid-stream: keep the cursor where it is and
                 # resume the sequence once the RPC answers (the staged
@@ -446,6 +427,19 @@ class GuestApi:
                 if not state["stalled"]:
                     state["stalled"] = True
                     self.chain.sim.schedule(self.blackout_retry_seconds, pump)
+            # Over with the last receipt (a stale retry timer carries none).
+            if (receipt is not None and on_done is not None
+                    and not (queue or state["in_flight"])):
+                on_done(LcUpdateResult(
+                    height=update.header.height,
+                    transaction_count=plan.transaction_count,
+                    signature_count=plan.signature_count,
+                    total_fee=state["fees"],
+                    first_tx_time=state["first"],
+                    last_tx_time=state["last"],
+                    success=state["ok"],
+                    peak_in_flight=state["peak"],
+                ))
 
         pump()
 

@@ -18,7 +18,9 @@ Instruction map (see :mod:`repro.guest.instructions`):
                    on quorum → ``FinalisedBlock`` event
 ``CHUNK``          stage bytes of an oversized message into a buffer
 ``LC_SIG_BATCH``   credit runtime-verified commit signatures to a buffer
-``LC_FINALIZE``    assemble + apply a counterparty light-client update
+``LC_FINALIZE``    ask for a staged counterparty light-client update to be
+                   adopted; whichever of its transactions lands last
+                   assembles and applies it
 ``RECV_EXEC``      Alg. 1 ``ReceivePacket`` over a staged packet + proof
 ``ACK_EXEC``       process a counterparty acknowledgement (staged proof)
 ``TIMEOUT_EXEC``   cancel an expired packet (staged non-membership proof)
@@ -103,6 +105,12 @@ class _Buffer:
     #: counterparty client can build accountability proofs on conflict.
     verified_entries: list[tuple[PublicKey, bytes, Signature]] = field(
         default_factory=list)
+    #: LC_SIG_BATCH transactions credited so far.
+    batches_seen: int = 0
+    #: Signature batches the staged light-client update has, once its
+    #: LC_FINALIZE has landed; ``None`` until then, and for good on a
+    #: buffer that stages anything else.
+    finalize_batches: Optional[int] = None
 
     def is_complete(self) -> bool:
         return 0 < self.total_chunks == len(self.chunks)
@@ -553,6 +561,7 @@ class GuestContract(Program):
             raise ProgramError("chunk total mismatch across transactions")
         buffer.chunks[index] = data
         ctx.meter.charge_write(len(data))
+        self._finalize_lc_update_if_last(ctx, buffer_id, buffer)
 
     def _op_lc_sig_batch(self, ctx: InvokeContext, reader: Reader) -> None:
         buffer_id = reader.read_varint()
@@ -562,10 +571,12 @@ class GuestContract(Program):
         # May land before the buffer's first CHUNK: a short update puts
         # both in one submission window, and the host does not promise
         # their order.  Opening the buffer here costs nothing a CHUNK
-        # would not; LC_FINALIZE still needs every chunk.
+        # would not; the update is adopted only once every chunk is in.
         buffer = self._open_buffer(ctx, buffer_id)
         buffer.verified_signers.extend(ctx.verified_signatures)
         buffer.verified_entries.extend(ctx.verified_signature_entries)
+        buffer.batches_seen += 1
+        self._finalize_lc_update_if_last(ctx, buffer_id, buffer)
 
     def _open_buffer(self, ctx: InvokeContext, buffer_id: int) -> _Buffer:
         key = (ctx.payer, buffer_id)
@@ -593,12 +604,32 @@ class GuestContract(Program):
         return buffer
 
     # ------------------------------------------------------------------
-    # Counterparty light-client update (LC_FINALIZE)
+    # Counterparty light-client update (LC_FINALIZE, the last lander)
     # ------------------------------------------------------------------
 
     def _op_lc_finalize(self, ctx: InvokeContext, reader: Reader) -> None:
         buffer_id = reader.read_varint()
+        batches = reader.read_varint()
         reader.expect_end()
+        # Like a signature batch, it may land before CHUNK 0: a relayer
+        # hands the host the whole update at one instant and the host
+        # orders it as it likes.
+        buffer = self._open_buffer(ctx, buffer_id)
+        buffer.finalize_batches = batches
+        self._finalize_lc_update_if_last(ctx, buffer_id, buffer)
+
+    def _finalize_lc_update_if_last(self, ctx: InvokeContext, buffer_id: int,
+                                    buffer: _Buffer) -> None:
+        """The last-lander rule: the transaction that leaves the payer's
+        buffer asked to finalise, holding every chunk and as many
+        signature batches as LC_FINALIZE named, adopts the update — so
+        CHUNK, LC_SIG_BATCH and LC_FINALIZE all end here, and an update
+        is one wave of transactions in any order.  What runs then is
+        charged to that transaction; until then nothing is checked and
+        the client is untouched."""
+        if (buffer.finalize_batches is None or not buffer.is_complete()
+                or buffer.batches_seen < buffer.finalize_batches):
+            return
         limit = self.config.lc_min_update_interval
         if limit is not None and self._last_lc_update_time is not None:
             elapsed = ctx.unix_time - self._last_lc_update_time
@@ -608,7 +639,7 @@ class GuestContract(Program):
                     f"last update, minimum is {limit:.0f} s (the §VI-C "
                     "damage-limitation measure)"
                 )
-        buffer = self._consume_buffer(ctx.payer, buffer_id)
+        del self._buffers[(ctx.payer, buffer_id)]
         client = self.counterparty_client
         # Whole set or delta against a set the client knows: the staged
         # bytes say which (repro.lightclient.chunked owns the format).

@@ -110,8 +110,12 @@ def lc_sig_batch(buffer_id: int) -> bytes:
     return bytes([Op.LC_SIG_BATCH]) + encode_varint(buffer_id)
 
 
-def lc_finalize(buffer_id: int) -> bytes:
-    return bytes([Op.LC_FINALIZE]) + encode_varint(buffer_id)
+def lc_finalize(buffer_id: int, batches: int) -> bytes:
+    """Ask for the update staged in ``buffer_id`` to be adopted once all
+    its chunks and ``batches`` signature batches are there — by this
+    transaction if they already are, by whichever lands last if not."""
+    return (bytes([Op.LC_FINALIZE]) + encode_varint(buffer_id)
+            + encode_varint(batches))
 
 
 def recv_exec(buffer_id: int) -> bytes:

@@ -35,6 +35,7 @@ from repro.host.events import HostEvent
 from repro.host.programs import InvokeContext, Program
 from repro.host.transaction import Transaction, TxReceipt
 from repro.sim.kernel import Simulation
+from repro.sim.rng import Rng
 from repro.units import HOST_SLOT_SECONDS, MAX_COMPUTE_UNITS, MAX_TRANSACTION_BYTES
 
 _bundle_ids = ids.mint("host.bundle")
@@ -108,7 +109,9 @@ class HostChain:
         self.blocks: list[HostBlock] = []
         self._programs: dict[Address, Program] = {}
         self._mempool: list[_PendingTx] = []
-        self._subscribers: dict[str, list[Callable[[HostEvent], None]]] = {}
+        #: Per event name, each observer with its own delay stream.
+        self._subscribers: dict[
+            str, list[tuple[Callable[[HostEvent], None], Rng]]] = {}
         self._rng = sim.rng.fork("host-chain")
         self._spike_cache: dict[int, bool] = {}
         #: Root of the per-hour spike sub-streams.  Minted once at
@@ -117,6 +120,9 @@ class HostChain:
         #: independent of the order in which callers query
         #: :meth:`congestion_at` and of every other actor's draws.
         self._spike_seed = self._rng.derived_seed("congestion-spikes")
+        #: Root of the observers' delay streams, minted the same way and
+        #: never drawn from: watching the chain must not change it.
+        self._observer_root = Rng(self._rng.derived_seed("event-observers"))
         #: Optional fault policy (duck-typed; see repro.chaos.injector).
         #: Consulted at the RPC edge (submit), in the congestion model
         #: (fee spikes) and in slot production (stalls).
@@ -671,12 +677,18 @@ class HostChain:
 
     def subscribe(self, event_name: str, callback: Callable[[HostEvent], None]) -> None:
         """Register an off-chain observer for an event name.  Delivery is
-        delayed by the observation latency (RPC polling)."""
-        self._subscribers.setdefault(event_name, []).append(callback)
+        delayed by the observation latency (RPC polling), drawn from a
+        stream of the subscription's own — a function of the chain's
+        seed, the event name and how many observers of it came before —
+        so one more observer, whenever it attaches, moves no draw of the
+        chain or of any other observer."""
+        observers = self._subscribers.setdefault(event_name, [])
+        observers.append((callback, Rng(self._observer_root.derived_seed(
+            f"{event_name}/{len(observers)}"))))
 
     def _dispatch(self, event: HostEvent) -> None:
-        for callback in self._subscribers.get(event.name, ()):
-            delay = self._rng.expovariate(1.0 / self.config.observe_delay_mean)
+        for callback, stream in self._subscribers.get(event.name, ()):
+            delay = stream.expovariate(1.0 / self.config.observe_delay_mean)
             self.sim.trace.count("host.events.delivered")
             self.sim.trace.observe("host.observe_delay", delay)
             self.sim.schedule(delay, callback, event)

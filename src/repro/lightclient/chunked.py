@@ -11,9 +11,11 @@ The deployment's workaround — reproduced here — is:
 2. **signature batches**: commit signatures ride as Ed25519 precompile
    entries (verified by the runtime, paid per §V-B's 0.1 ¢/signature),
    as many per transaction as fit the size cap;
-3. **finalize**: one transaction makes the Guest Contract assemble the
-   buffer, check the accumulated verified signers against the validator
-   set's voting power, and adopt the consensus state.
+3. **finalize**: one transaction says how many signature batches the
+   update has; whichever transaction of the update lands last makes the
+   Guest Contract assemble the buffer, check the accumulated verified
+   signers against the validator set's voting power, and adopt the
+   consensus state (the deployment sent it last, so it was that one).
 
 What the three steps *carry* is the relayer's choice, and this module
 names the two choices (docs/PROTOCOL.md, "Light-client update plans"):

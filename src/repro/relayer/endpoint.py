@@ -8,9 +8,10 @@ chain does each of those:
 * :class:`GuestEnd` — a Guest Contract.  Observed through host events
   tagged with the guest's chain id, proven against the frozen state view
   of a *finalised* guest block, written to through ``GuestApi`` bundles.
-* :class:`CounterpartyEnd` — an IBC-native chain.  Observed by polling
-  its send queue, proven at any committed height, written to by queueing
-  a call for its next block.
+* :class:`CounterpartyEnd` — an IBC-native chain.  Observed at each of
+  its blocks (``chain.on_block``) through a cursor over its send queue,
+  proven at any committed height, written to by queueing a call for its
+  next block.
 
 A guest↔counterparty link is ``(GuestEnd, CounterpartyEnd)``; a
 guest↔guest link is ``(GuestEnd, GuestEnd)``.  Each end also carries the
@@ -202,7 +203,8 @@ class GuestEnd(_End):
 
 
 class CounterpartyEnd(_End):
-    """An IBC-native chain, observed by polling its send queue."""
+    """An IBC-native chain, observed block by block through a cursor
+    over its send queue."""
 
     hop_span = "packet.deliver_to_guest"
 
@@ -210,7 +212,7 @@ class CounterpartyEnd(_End):
         super().__init__(client_id)
         self.chain = chain
         self._seen = 0
-        #: Completion frontier over the send queue: the poll cursor can
+        #: Completion frontier over the send queue: the cursor can
         #: always rewind to ``_frontier`` (the oldest send not yet
         #: confirmed applied on the peer) after a crash without losing
         #: or double-counting packets.
@@ -219,7 +221,7 @@ class CounterpartyEnd(_End):
         self._index_by_key: dict[tuple[str, int], int] = {}
 
     def reset(self) -> None:
-        """A crash rewinds the poll cursor to the completion frontier so
+        """A crash rewinds the cursor to the completion frontier so
         every send whose delivery was uncommitted is re-fetched."""
         self._index_by_key.clear()
         self._seen = self._frontier
@@ -257,7 +259,7 @@ class CounterpartyEnd(_End):
                           on_result=on_result)
 
     def fresh_sends(self) -> list[tuple[Packet, int]]:
-        """Advance the poll cursor; returns the link's new sends with
+        """Advance the cursor; returns the link's new sends with
         the height each was committed at."""
         fresh = self.chain.sent_packets_since(self._seen)
         base = self._seen

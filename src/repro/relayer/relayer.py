@@ -7,7 +7,7 @@ never forge them (§III-C).  It is written once over a pair of
 two guests on one host — and moves, in each direction:
 
 * **packets**: a commit observed on the source (a ``FinalisedBlock``
-  carrying packets, Alg. 2 lines 4–10, or a polled counterparty send) is
+  carrying packets, Alg. 2 lines 4–10, or a counterparty block's sends) is
   proven at a height the destination's client covers and delivered;
 * **acknowledgements**: the ack the destination wrote is proven back to
   the source, after which the destination guest seals it (§III-A);
@@ -50,8 +50,6 @@ from repro.sim.rng import Rng
 #: default Solana fee model" (§V-B) — its ReceivePacket transactions
 #: landed together without paying a tip — so it is zero.
 BUNDLE_TIP_LAMPORTS = 0
-#: Counterparty send-queue polling period, seconds.
-POLL_SECONDS = 3.0
 #: Cap on the transactions of one coalesced bundle, its BATCH_EXEC
 #: included.  A bundle lands whole, in what is left of one host block
 #: when it comes up: the more transactions it has, the longer a busy
@@ -114,8 +112,11 @@ class Relayer:
         self.metrics = RelayerMetrics()
         #: §V-B bookkeeping: every lamport this relayer burns, by flow.
         self.ledger = SpendLedger()
-        #: Ends observed through host events (the others are polled).
+        #: Ends observed through host events (the others through their
+        #: chain's block subscription).
         self._guests = tuple(end for end in (a, b) if isinstance(end, GuestEnd))
+        self._counterparties = tuple(
+            end for end in (a, b) if end not in self._guests)
         for end in (a, b):
             end.updates = updates_for(self, end, self._peer(end))
 
@@ -145,15 +146,13 @@ class Relayer:
         self._incarnation = 0
         sim.schedule(WATCHDOG_SECONDS, self._watchdog)
 
-        # One observe-delay draw per subscriber per host event: three
-        # subscriptions per relayer are part of every world's rng stream.
         host.subscribe("FinalisedBlock", self._on_finalised_block)
         host.subscribe("PacketReceived", self._on_packet_received)
         host.subscribe("HandshakeStep", self._on_handshake_step)
-        polled = [end for end in (a, b) if end not in self._guests]
-        for end in polled:
-            sim.schedule(POLL_SECONDS, self._poll, end)
-        if not polled:
+        for end in self._counterparties:
+            end.chain.on_block(
+                lambda _height, src=end: self._on_counterparty_block(src))
+        if not self._counterparties:
             # Timeouts are relayed where the destination can prove a
             # receipt absent at a finalised height: between guests.
             sim.schedule(TIMEOUT_SCAN_SECONDS, self._scan_timeouts)
@@ -199,14 +198,17 @@ class Relayer:
         for marker, action in waiters:
             self._cover_commit(src, marker, action, height)
 
-    def _poll(self, src) -> None:
-        if not self.paused:
-            dst = self._peer(src)
-            for packet, committed_height in src.fresh_sends():
-                dst.updates.cover_for_bundle(
-                    committed_height,
-                    lambda h, p=packet: self._deliver(src, dst, p, h))
-        self.sim.schedule(POLL_SECONDS, self._poll, src)
+    def _on_counterparty_block(self, src) -> None:
+        """``src``'s chain committed a block: take up the sends past the
+        cursor, at the block's own instant.  A paused relayer leaves the
+        cursor where it is; :meth:`resume` reads what it missed."""
+        if self.paused:
+            return
+        dst = self._peer(src)
+        for packet, committed_height in src.fresh_sends():
+            dst.updates.cover_for_bundle(
+                committed_height,
+                lambda h, p=packet: self._deliver(src, dst, p, h))
 
     def _on_packet_received(self, event: HostEvent) -> None:
         """A guest wrote an ack; it returns once a finalised block of
@@ -289,8 +291,14 @@ class Relayer:
 
             def after_recv(result, cp_height: int) -> None:
                 if isinstance(result, ReproError):
-                    self.sim.trace.count("relay.duplicate_deliveries")
-                    return  # e.g. double delivery by a competing relayer
+                    # A receipt already there is a double delivery (a
+                    # competing relayer, a replay after a restart);
+                    # anything else is the chain refusing the datagram,
+                    # e.g. behind a header push it refused.
+                    self.sim.trace.count(
+                        "relay.duplicate_deliveries" if dst.has_receipt(packet)
+                        else "relay.deliveries.refused")
+                    return
                 self.sim.trace.finish("packet.relay", key=packet.sequence,
                                       cp_height=cp_height)
                 self.sim.trace.count("relay.packets.to_counterparty")
@@ -615,14 +623,17 @@ class Relayer:
 
     def resume(self) -> None:
         """Come back from a failure-injected outage: replay the
-        finalised-block events missed while down, then re-kick the LC
-        pipeline in case queued work was waiting on us.  Safe to call
+        finalised-block events missed while down, read what the
+        counterparty ends sent meanwhile, then re-kick the LC pipeline
+        in case queued work was waiting on us.  Safe to call
         while a hold-down retry timer is pending — the kick is guarded,
         so no duplicate timer is armed and no queued packet is lost."""
         self.paused = False
         missed, self._missed_finalised = self._missed_finalised, []
         for event in missed:
             self._on_finalised_block(event)
+        for end in self._counterparties:
+            self._on_counterparty_block(end)
         for end in (self.a, self.b):
             end.updates.kick()
 
@@ -633,8 +644,8 @@ class Relayer:
         queued bundles, queued LC work, staged ack returns, pending
         timers.  Requests already accepted by an RPC may still land, but
         their callbacks belong to the dead incarnation and are dropped.
-        A polled end's cursor rewinds to its completion frontier so
-        every send whose delivery was uncommitted is re-fetched after
+        A counterparty end's cursor rewinds to its completion frontier
+        so every send whose delivery was uncommitted is re-fetched by
         :meth:`restart`; the idempotency check in the retry path keeps
         delivery exactly-once despite the replay.
         """
@@ -657,8 +668,8 @@ class Relayer:
         Every ack an end wrote whose packet is still outstanding on the
         sender lost its way home with the crash: haul it again.  Every
         finalised guest send that is still outstanding and unreceived is
-        delivered again (a polled end's rewound cursor re-fetches its
-        own).  Over-recovery is idempotency-checked on both paths, so
+        delivered again (a counterparty end's rewound cursor re-fetches
+        its own).  Over-recovery is idempotency-checked on both paths, so
         replaying history is safe — only an omission would be a
         liveness bug."""
         self.sim.trace.count("relay.restarts")

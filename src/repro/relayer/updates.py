@@ -8,10 +8,11 @@ This module is the only place the three mechanisms are named:
 * :class:`ChunkedTendermint` — the guest's client of an IBC-native
   counterparty: ~15 host transactions per update (the paper's ~36 under
   the ``"paper"`` plan of :data:`LC_UPDATE_PLANS`, Fig. 4/5), one update
-  at a time, its staging transactions handed to the host in one wave and
-  the updates paced by :data:`LC_UPDATE_TXS_PER_SECOND`;
+  at a time, its transactions handed to the host in one wave and the
+  updates paced by :data:`LC_UPDATE_TXS_PER_SECOND`;
 * :class:`HeaderPush` — the counterparty's client of a guest: the
-  finalised header and its signatures in one call (Alg. 2 l.6);
+  finalised header and its signatures in one call (Alg. 2 l.6), with
+  the packets it proves queued behind it for the same block;
 * :class:`SiblingAdopt` — a guest's client of another guest on the same
   host: one idempotent SIBLING_UPDATE instruction, riding as a prelude
   of the packet bundle that needs it (docs/FABRIC.md).
@@ -47,16 +48,18 @@ class UpdatePlan(NamedTuple):
 
     #: :mod:`repro.lightclient.chunked` planner: update -> transactions.
     planner: Callable
-    #: Staging transactions kept in flight; ``None`` is all of them.
+    #: Staging transactions kept in flight, LC_FINALIZE going out behind
+    #: the last of them; ``None`` is the whole update at once.
     window: Optional[int]
 
 
 #: The chunked update by ``RelayerConfig.lc_update_plan`` — the one
 #: place a plan is chosen.  ``"quorum"``: the signatures the client's
-#: thresholds need and a validator-set delta, every staging transaction
-#: in flight at once (they are mutually independent; only LC_FINALIZE
-#: must come last).  ``"paper"``: the deployment's whole commit and
-#: whole set, three transactions at a time — that window is what
+#: thresholds need and a validator-set delta, every transaction in
+#: flight at once, LC_FINALIZE among them (they are mutually
+#: independent: the contract adopts in whichever lands last).
+#: ``"paper"``: the deployment's whole commit and whole set, three
+#: transactions at a time and LC_FINALIZE last — that window is what
 #: calibrates Fig. 4's tens-of-seconds latency; only the Fig. 4/5
 #: reproduction asks for it.  The Guest Contract accepts either and is
 #: not told which.
@@ -220,8 +223,11 @@ class ChunkedTendermint(ClientUpdates):
 class HeaderPush(ClientUpdates):
     """Guest headers pushed to the counterparty's guest client."""
 
-    def cover(self, height: int, then: Then,
-              failed: Callable[[], None] = _ignore) -> None:
+    def _push(self, height: int, accepted: Callable[[], None] = _ignore,
+              refused: Callable[[], None] = _ignore) -> None:
+        """Queue the update to ``height`` for the counterparty's next
+        block; once it ran, ``accepted()`` or ``refused()`` by the
+        client's verdict."""
         # Always pushed, even if the client may hold the height already
         # (empty blocks are skipped by Alg. 2, so usually it does not);
         # a repeated header is verified again and changes nothing.
@@ -238,14 +244,32 @@ class HeaderPush(ClientUpdates):
 
         def after_update(result, cp_height: int) -> None:
             if isinstance(result, ReproError):
-                # Stale or old-epoch header: a later finalised block
-                # can still satisfy whoever waited (liveness).
-                failed()
+                # Stale or old-epoch header.
+                self.sim.trace.count("relay.header_push.refused")
+                refused()
             else:
-                then(height)
+                accepted()
 
         self.holder.chain.submit(lambda: self.holder.client.update(update),
                                  on_result=after_update)
+
+    def cover(self, height: int, then: Then,
+              failed: Callable[[], None] = _ignore) -> None:
+        # Awaited: a handshake step's ``failed`` needs the update's
+        # outcome before the datagram it guards is built (a later
+        # finalised block can still satisfy whoever waited: liveness).
+        self._push(height, lambda: then(height), failed)
+
+    def cover_for_bundle(self, height: int, then: Then) -> None:
+        """Update, then act, in one counterparty block: the chain runs a
+        block's calls in submission order, so what ``then`` submits
+        executes behind the header it is proven against (an ICS-18
+        relayer's one ordered submission; on a guest the sibling
+        :meth:`prelude` does the same).  Nothing is awaited: if the
+        header is refused the datagram is refused after it, on-chain,
+        and both are counted."""
+        self._push(height)
+        then(height)
 
 
 class SiblingAdopt(ClientUpdates):

@@ -30,17 +30,22 @@ class TestChunkedLcUpdateGuards:
         assert "no runtime-verified signatures" in receipt.error
 
     def test_finalize_with_incomplete_buffer_rejected(self, dep):
+        """LC_FINALIZE over half a buffer adopts nothing: it is one more
+        transaction of the wave, and the chunk that completes the buffer
+        is the one that runs the checks (and here fails them)."""
+        client = dep.contract.counterparty_client
         assert run_tx(dep, ins.chunk(6, 0, 2, b"half")).success
-        receipt = run_tx(dep, ins.lc_finalize(6))
-        assert not receipt.success
-        assert "chunks" in receipt.error
-        # The failed finalize consumed the buffer... no: rollback restores
-        # the program state, so the chunk is still there and retryable.
-        assert run_tx(dep, ins.chunk(6, 1, 2, b"rest")).success
+        assert run_tx(dep, ins.lc_finalize(6, 0)).success
+        assert client.latest_height() == 0
+        (buffer,) = dep.contract._buffers.values()
+        assert not buffer.is_complete() and buffer.finalize_batches == 0
+        receipt = run_tx(dep, ins.chunk(6, 1, 2, b"rest"))
+        assert not receipt.success          # "halfrest" is no update
+        assert client.latest_height() == 0 and not dep.contract._buffers
 
     def test_finalize_with_garbage_buffer_rejected(self, dep):
         assert run_tx(dep, ins.chunk(7, 0, 1, b"\xff" * 40)).success
-        receipt = run_tx(dep, ins.lc_finalize(7))
+        receipt = run_tx(dep, ins.lc_finalize(7, 0))
         assert not receipt.success
 
     def test_wrong_message_signatures_filtered_at_finalize(self, dep):
@@ -78,7 +83,7 @@ class TestChunkedLcUpdateGuards:
         dep.run_for(30.0)
         assert results[0].success  # crediting is fine...
 
-        receipt = run_tx(dep, ins.lc_finalize(buffer_id))
+        receipt = run_tx(dep, ins.lc_finalize(buffer_id, 1))
         assert not receipt.success  # ...but the power check fails
         assert "signed power" in receipt.error
 
@@ -99,7 +104,7 @@ class TestChunkedLcUpdateGuards:
         for kind in order:
             for data, entries in kinds[kind]:
                 assert run_tx(dep, data, sig_verifies=entries, wait=10.0).success
-        return run_tx(dep, ins.lc_finalize(buffer_id))
+        return run_tx(dep, ins.lc_finalize(buffer_id, len(plan.signature_batches)))
 
     def test_sig_batch_before_any_chunk_still_finalizes(self, dep):
         """A short update's CHUNK 0 shares its submission window with the
@@ -120,8 +125,10 @@ class TestChunkedLcUpdateGuards:
         entries = [SigVerify(public_key, plan.sign_message, signature)
                    for public_key, signature in batch]
         assert run_tx(dep, ins.lc_sig_batch(9_101), sig_verifies=entries).success
-        receipt = run_tx(dep, ins.lc_finalize(9_101))
-        assert not receipt.success and "0 of 0 chunks" in receipt.error
+        assert run_tx(dep, ins.lc_finalize(9_101, 1)).success
+        (buffer,) = dep.contract._buffers.values()
+        assert (buffer.batches_seen, buffer.total_chunks) == (1, 0)
+        assert client.latest_height() == update.header.height   # untouched
 
     def test_delta_finalize_pays_for_hashing_the_rebuilt_set(self, dep):
         from repro.host.compute import SHA256_UNITS_PER_BLOCK

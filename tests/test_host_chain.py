@@ -810,3 +810,67 @@ class TestAgainstTickingHost:
         assert saved == now("host.slots.idle") + stalled_asleep
         if not any(kind == "stall" for kind, _, _ in windows):
             assert stalled_asleep == 0
+
+
+class TestPassiveObserver:
+    """Watching the chain does not change it: every subscription draws
+    its observation delays from a stream of its own, so a world with one
+    more passive subscriber — attached at genesis or in mid-run — is the
+    same world, event for event, apart from the deliveries to that
+    subscriber (they used to come off the host's own stream, and an
+    observed run was a different sample).  Streams are keyed by the
+    order of subscription to an event, so what a *later* subscriber of
+    the same event sees — the workload engine's own ``PacketReceived``
+    here — may move; what happens on any chain does not."""
+
+    @staticmethod
+    def world(observe_from, seed):
+        from repro import Deployment, DeploymentConfig
+        from repro.guest.config import GuestConfig
+        from repro.validators.profiles import simple_profiles
+        from repro.workload import WorkloadEngine, WorkloadSpec
+        dep = Deployment(DeploymentConfig(
+            seed=seed, profiles=simple_profiles(4),
+            guest=GuestConfig(delta_seconds=120.0, min_stake_lamports=1)))
+        seen = []
+
+        def observe():
+            for name in ("FinalisedBlock", "PacketReceived"):
+                dep.host.subscribe(name, seen.append)
+
+        if observe_from == "genesis":
+            observe()
+        channels = dep.establish_link()
+        if observe_from == "mid-run":
+            observe()
+        engine = WorkloadEngine(dep, [channels], WorkloadSpec(
+            offered_pps=1.0, duration=60.0, drain_seconds=240.0))
+        engine.start()
+        dep.contract.bank.mint("alice", "GUEST", 1_000)
+        for _ in range(5):
+            dep.user_api.send_packet(
+                "transfer", str(channels[0]), dep.contract.transfer.make_payload(
+                    channels[0], "GUEST", 7, "alice", "bob"))
+            dep.run_for(10.0)
+        dep.sim.run_until(engine.end_time)
+        assert engine.delivered == engine.sent == 60
+        assert dep.counterparty.ibc.counters.packets_received == 5
+        receipts = [(receipt.slot, receipt.time, receipt.success,
+                     receipt.fee_paid, receipt.compute_consumed)
+                    for block in dep.host.blocks for receipt in block.receipts]
+        fingerprint = (
+            dep.sim.dispatched_events() - len(seen),
+            bytes(dep.contract.store.root_hash),
+            bytes(dep.counterparty.ibc.store.root_hash),
+            receipts)
+        return fingerprint, seen
+
+    @pytest.mark.parametrize("observe_from", ["genesis", "mid-run"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_more_subscriber_leaves_one_fingerprint(self, observe_from, seed):
+        alone, nothing = self.world(None, seed)
+        watched, seen = self.world(observe_from, seed)
+        assert not nothing and len(seen) > 50
+        assert {event.name for event in seen} == {"FinalisedBlock", "PacketReceived"}
+        assert len(watched[3]) > 300
+        assert watched == alone

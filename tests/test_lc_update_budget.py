@@ -12,9 +12,10 @@ plan stays near 15 host transactions and the paper plan stays Fig. 4's
 
 *Submission discipline.*  A link under 20 pps of counterparty sends is
 watched at the host's RPC edge for ~90 simulated seconds: the default
-plan puts an update's whole staging wave in flight at one instant and
-paces updates by ``LC_UPDATE_TXS_PER_SECOND``; the paper plan keeps its
-three in flight (docs/PERFORMANCE.md, "Spend the update in one burst").
+plan puts an update's whole wave, LC_FINALIZE included, in flight at one
+instant and paces updates by ``LC_UPDATE_TXS_PER_SECOND``; the paper
+plan keeps its three in flight and LC_FINALIZE behind them
+(docs/PERFORMANCE.md, "Spend the update in one burst", "No dead waits").
 Blackouts, drops and crashes mid-wave are scripted at the same edge.
 """
 
@@ -165,10 +166,15 @@ class RpcTap:
         return [row for row in self.updates[buffer_id]
                 if row[0] is Op.LC_FINALIZE]
 
+    def wave_end(self, buffer_id):
+        """When the update's last receipt was seen: its end."""
+        return max(seen for _, _, seen, _ in self.updates[buffer_id])
+
 
 class LoadedLink:
     """20 pps of counterparty sends over one link for ``seconds``, every
-    ``cover()`` of the guest's client and every poll result recorded."""
+    ``cover()`` of the guest's client and every read of the send queue
+    recorded."""
 
     def __init__(self, dep, channels, seconds=90.0):
         self.dep = dep
@@ -180,7 +186,7 @@ class LoadedLink:
         #: One record per ``cover()`` call, in call order, and the
         #: queued ones again in the order an update released them.
         self.covers, self.released = [], []
-        #: (packet, height committed at, polled at), in poll order.
+        #: (packet, height committed at, read at), in read order.
         self.polled = []
         cover, fresh_sends = strategy.cover, dep.relayer.b.fresh_sends
 
@@ -238,11 +244,15 @@ def test_default_plan_puts_the_whole_staging_wave_in_flight(loaded):
         staging = loaded.tap.staging(buffer_id)
         assert len(staging) == result.transaction_count - 1
         assert len({submitted for _, submitted, _, _ in staging}) == 1
-        assert result.peak_in_flight == result.transaction_count - 1
-        # LC_FINALIZE goes out when the last staging receipt is back —
-        # not before (it needs every batch credited), not later.
+        # LC_FINALIZE is one more transaction of the wave: out at the
+        # same instant as the rest.
         (finalize,) = loaded.tap.finalizes(buffer_id)
-        assert finalize[1] == max(seen for _, _, seen, _ in staging)
+        assert finalize[1] == staging[0][1]
+        assert result.peak_in_flight == result.transaction_count
+    # Its receipt is not what ends the update (the contract adopts in
+    # whichever transaction lands last): staging receipts come in later.
+    assert any(loaded.tap.finalizes(buffer_id)[0][2] < loaded.tap.wave_end(buffer_id)
+               for _, buffer_id in loaded.results)
     peaks = loaded.dep.trace_report().histogram("relay.lc_update.peak_in_flight")
     assert peaks[loaded.updates_before:] == [
         result.peak_in_flight for result, _ in loaded.results]
@@ -260,23 +270,27 @@ def test_update_starts_are_spaced_by_the_transaction_budget(loaded):
     rate = spent / (starts[-1] - starts[0])
     assert 0.9 * LC_UPDATE_TXS_PER_SECOND < rate <= LC_UPDATE_TXS_PER_SECOND + 1e-9
     # One update at a time: the next starts after the last one ended.
-    ends = [loaded.tap.finalizes(buffer_id)[0][2] for _, buffer_id in loaded.results]
+    ends = [loaded.tap.wave_end(buffer_id) for _, buffer_id in loaded.results]
     assert all(end <= start for end, start in zip(ends, starts[1:]))
 
 
 def test_a_packet_polled_during_the_hold_down_rides_the_next_update(loaded):
     """Whatever is queued when an update starts is released by it: the
-    update targets the counterparty's tip, which every polled send is
-    at or below.  Nothing waits for the update after."""
+    update targets the counterparty's tip, which every send read off
+    the queue is at or below.  Nothing waits for the update after."""
     starts = loaded.starts()
-    finishes = [loaded.tap.finalizes(buffer_id)[0][2]
+    finishes = [loaded.tap.wave_end(buffer_id)
                 for _, buffer_id in loaded.results]
     assert all(result.success for result, _ in loaded.results)
     held = 0
     for record in loaded.covers:
         assert record["queued"]
-        # The first update to start once the waiter is queued...
-        index = next(i for i, start in enumerate(starts) if start >= record["at"])
+        # The first update to start once the waiter is queued (not one
+        # whose hold-down ran out at the very instant of the waiter's
+        # block, ahead of it: that one targets the block before)...
+        index = next(i for i, start in enumerate(starts)
+                     if start >= record["at"]
+                     and loaded.results[i][0].height >= record["height"])
         # ...is the one whose end released it.
         assert record["released_at"] == finishes[index]
         assert record["covered"] == loaded.results[index][0].height >= record["height"]
@@ -285,8 +299,9 @@ def test_a_packet_polled_during_the_hold_down_rides_the_next_update(loaded):
 
 
 def test_wait_stage_reconciles_poll_to_delivery(loaded):
-    """Per packet: poll delay + ``relay.lc_update.wait`` + delivery is
-    the relayer's commit -> receive time (docs/OBSERVABILITY.md)."""
+    """Per packet: discovery + ``relay.lc_update.wait`` + delivery is
+    the relayer's commit -> receive time (docs/OBSERVABILITY.md), and
+    discovery is zero: the relayer reads a send at its block's instant."""
     dep = loaded.dep
     report = dep.trace_report()
     waits = report.histogram("relay.lc_update.wait")[loaded.waits_before:]
@@ -303,7 +318,7 @@ def test_wait_stage_reconciles_poll_to_delivery(loaded):
         assert record["at"] == polled_at and span.start == record["released_at"]
         stages = (polled_at - committed_at) + record["wait"] + span.duration
         assert abs(stages - (span.end - committed_at)) < 1e-9
-        assert polled_at - committed_at <= 3.0 + 1e-9   # the relayer's poll
+        assert polled_at == committed_at     # a subscription, not a poll
 
 
 def test_paper_plan_keeps_three_in_flight():
@@ -316,7 +331,13 @@ def test_paper_plan_keeps_three_in_flight():
     assert link.tap.widest == LC_UPDATE_PLANS["paper"].window == 3
     for result, buffer_id in link.results:
         assert result.peak_in_flight == 3
-        assert len({row[1] for row in link.tap.staging(buffer_id)}) > 3
+        staging = link.tap.staging(buffer_id)
+        assert len({row[1] for row in staging}) > 3
+        # LC_FINALIZE still goes out when the last staging receipt is
+        # back, lands last and adopts there: Fig. 4's sequence.
+        (finalize,) = link.tap.finalizes(buffer_id)
+        assert finalize[1] == max(seen for _, _, seen, _ in staging)
+        assert finalize[2] == link.tap.wave_end(buffer_id)
     # ~36 transactions three at a time take longer than they cost, so
     # the budget is idle: each update starts as the last one ends.
     assert mean(result.transaction_count for result, _ in link.results) > 30
@@ -352,8 +373,8 @@ def test_blackout_at_the_kth_submission_resumes_at_k(k):
     blackout = {}
 
     def refuse(op, buffer_id):
-        """Down from the k-th staging submission of the wave for 5 s:
-        long enough that receipts of the first k land meanwhile."""
+        """Down from the k-th submission of the wave for 5 s: long
+        enough that receipts of the first k land meanwhile."""
         if "until" not in blackout and len(tap.updates[buffer_id]) == k:
             blackout["until"] = dep.sim.now + 5.0
         return dep.sim.now < blackout.get("until", 0.0)
@@ -376,19 +397,19 @@ def test_blackout_at_the_kth_submission_resumes_at_k(k):
     assert result.success and delivered() == 50
     # Nothing twice, nothing skipped, and the wave split exactly at k.
     assert len({id(row[3]) for row in rows}) == len(rows) == result.transaction_count
-    wave = sorted({row[1] for row in tap.staging(buffer_id)})
-    assert [sum(row[1] == at for row in tap.staging(buffer_id)) for at in wave] \
-        == ([k, result.transaction_count - 1 - k] if k else [result.transaction_count - 1])
+    wave = sorted({row[1] for row in rows})
+    assert [sum(row[1] == at for row in rows) for at in wave] \
+        == ([k, result.transaction_count - k] if k else [result.transaction_count])
+    assert rows[-1][0] is Op.LC_FINALIZE
     assert wave[-1] >= blackout["until"]
     # Every refusal is counted; one retry timer at a time carries them
-    # (receipts landing in the blackout find the RPC down and arm none).
+    # (a receipt landing in the blackout finds the RPC down, is refused
+    # once and arms none).
     assert dep.trace_report().counter("chaos.lc_update.stalled") == tap.refused
     down_at = blackout["until"] - 5.0
     assert retry_timers == [down_at, down_at + 2.0, down_at + 4.0]
-    if k:
-        assert tap.refused > len(retry_timers)
-    else:                             # nothing in flight to land meanwhile
-        assert tap.refused == len(retry_timers)
+    landed_meanwhile = sum(row[2] < blackout["until"] for row in rows[:k])
+    assert tap.refused == len(retry_timers) + landed_meanwhile
 
 
 def test_dropped_staging_transaction_fails_the_update_and_is_charged():
@@ -409,8 +430,10 @@ def test_dropped_staging_transaction_fails_the_update_and_is_charged():
     failed, retried = dep.relayer.metrics.lc_updates[before:]
     first, second = tap.updates
     assert not failed.success and retried.success
-    # The failed attempt staged everything else, finalized (refused:
-    # one batch short of the commit) and is on the books in full.
+    # The failed attempt staged everything else, asked to finalize
+    # (accepted, and one batch short for good: nothing adopts it) and
+    # is on the books in full.
+    assert all(row[2] is not None for row in tap.updates[first])
     assert len(tap.updates[first]) == failed.transaction_count
     assert dep.relayer.ledger.transactions["lc-update"] >= (
         failed.transaction_count + retried.transaction_count)

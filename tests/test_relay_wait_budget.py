@@ -1,0 +1,186 @@
+"""A regression gate on the relayer's dead waits that reads no clock.
+
+A relayer is a courier (Alg. 2, §III-C): between a commit on one chain
+and the datagram on the other it should wait only for work some chain is
+doing.  Three waits in which none was were removed together
+(docs/PERFORMANCE.md, "No dead waits"), and each is pinned here as a
+count over a dozen sends each way on a default ``Deployment``:
+
+(a) guest -> counterparty: the packets a header proves are queued behind
+    it for the same counterparty block (they used to wait for the
+    update's result, i.e. one whole block);
+(b) counterparty -> guest: a send reaches the relayer at the instant of
+    its block, through ``CounterpartyChain.on_block`` — no kernel event
+    polls for it;
+(c) a default-plan light-client update is one wave, LC_FINALIZE
+    included (it used to go out once the last staging receipt was back:
+    a second host round trip); the ``"paper"`` plan keeps Fig. 4's
+    sequence, LC_FINALIZE after its last staging receipt;
+(d) none of it changes what an update is: as many executed host
+    transactions and lamports as its plan says.
+
+(a)-(c) each fail on the commit before, by count.
+"""
+
+from collections import defaultdict
+
+import pytest
+
+from repro import Deployment, DeploymentConfig
+from repro.encoding import Reader
+from repro.guest.instructions import Op
+from repro.relayer.relayer import Relayer, RelayerConfig
+from repro.units import BASE_FEE_LAMPORTS_PER_SIGNATURE
+
+SENDS = 12
+LC_OPS = (Op.CHUNK, Op.LC_SIG_BATCH, Op.LC_FINALIZE)
+
+
+class Traffic:
+    """An established default deployment, probed at four edges, with
+    ``SENDS`` transfers sent each way a few seconds apart."""
+
+    def __init__(self, plan: str = "quorum", seed: int = 0) -> None:
+        dep = self.dep = Deployment(DeploymentConfig(
+            seed=seed, tracing=True,
+            relayer=RelayerConfig(lc_update_plan=plan)))
+        sim, chain = dep.sim, dep.counterparty
+        #: Kernel events whose callback is a relayer's ``_poll``.
+        self.relayer_polls = 0
+        schedule_at = sim.schedule_at
+
+        def counting_schedule_at(time, callback, *args):
+            self.relayer_polls += (
+                getattr(callback, "__name__", "") == "_poll"
+                and isinstance(getattr(callback, "__self__", None), Relayer))
+            return schedule_at(time, callback, *args)
+
+        sim.schedule_at = counting_schedule_at
+        guest_channel, cp_channel = dep.establish_link()
+        updates_before = len(dep.relayer.metrics.lc_updates)
+
+        #: guest height -> counterparty height its header was accepted at.
+        self.accepted: dict[int, int] = {}
+        #: (sequence, proof height, counterparty height received at).
+        self.received: list[tuple[int, int, int]] = []
+        client, ibc = dep.relayer.b.client, chain.ibc
+        update, recv_packet = client.update, ibc.recv_packet
+
+        def watched_update(message):
+            result = update(message)
+            self.accepted.setdefault(message.header.height, chain.height)
+            return result
+
+        def watched_recv(packet, proof, proof_height, **kwargs):
+            ack = recv_packet(packet, proof, proof_height, **kwargs)
+            self.received.append((packet.sequence, proof_height, chain.height))
+            return ack
+
+        client.update, ibc.recv_packet = watched_update, watched_recv
+
+        #: (committed height, read by the relayer at), per send.
+        self.handed: list[tuple[int, float]] = []
+        fresh_sends = dep.relayer.b.fresh_sends
+
+        def watched_fresh_sends():
+            fresh = fresh_sends()
+            self.handed += [(height, sim.now) for _, height in fresh]
+            return fresh
+
+        dep.relayer.b.fresh_sends = watched_fresh_sends
+
+        #: buffer id -> [op, submitted at, receipt seen at, receipt].
+        self.waves: dict[int, list[list]] = defaultdict(list)
+        submit = dep.host.submit
+
+        def watched_submit(transaction, on_result=None):
+            data = transaction.instructions[0].data
+            if data[0] not in LC_OPS:
+                return submit(transaction, on_result=on_result)
+            row = [Op(data[0]), sim.now, None, None]
+            self.waves[Reader(data[1:]).read_varint()].append(row)
+
+            def seen(receipt):
+                row[2:] = sim.now, receipt
+                on_result(receipt)
+
+            submit(transaction, on_result=seen)
+
+        dep.host.submit = watched_submit
+
+        dep.contract.bank.mint("alice", "GUEST", 10_000)
+        chain.bank.mint("carol", "PICA", 10_000)
+
+        def cp_send():
+            data = chain.transfer.make_payload(cp_channel, "PICA", 5, "carol", "dave")
+            chain.ibc.send_packet(chain.transfer_port, cp_channel, data, 0.0)
+
+        for _ in range(SENDS):
+            payload = dep.contract.transfer.make_payload(
+                guest_channel, "GUEST", 5, "alice", "bob")
+            dep.user_api.send_packet("transfer", str(guest_channel), payload)
+            chain.submit(cp_send)
+            dep.run_for(7.0)      # off the 6 s block grid, and the 3 s one
+        dep.run_for(600.0)
+        self.updates = dep.relayer.metrics.lc_updates[updates_before:]
+        assert dep.contract.ibc.counters.packets_received == SENDS
+        assert chain.ibc.counters.packets_received == SENDS
+
+
+@pytest.fixture(scope="module")
+def traffic():
+    return Traffic()
+
+
+def test_a_packet_lands_in_the_block_that_accepts_its_header(traffic):
+    assert sorted(seq for seq, _, _ in traffic.received) == list(range(SENDS))
+    for sequence, proof_height, received_at in traffic.received:
+        assert traffic.accepted[proof_height] == received_at, sequence
+    assert "relay.header_push.refused" not in traffic.dep.trace_report().counters
+
+
+def test_a_counterparty_send_is_handed_over_at_its_block(traffic):
+    blocks = traffic.dep.counterparty.blocks
+    assert len(traffic.handed) == SENDS
+    for height, at in traffic.handed:
+        assert at - blocks[height].header.time == 0
+    assert traffic.relayer_polls == 0
+
+
+def test_a_default_update_is_one_wave_finalize_included(traffic):
+    assert len(traffic.updates) == len(traffic.waves) >= 3
+    for result, rows in zip(traffic.updates, traffic.waves.values()):
+        assert [row[0] for row in rows].count(Op.LC_FINALIZE) == 1
+        assert len({submitted for _, submitted, _, _ in rows}) == 1
+        assert result.peak_in_flight == len(rows)
+
+
+def test_the_paper_plan_still_finalizes_after_its_last_staging_receipt():
+    traffic = Traffic(plan="paper")
+    assert len(traffic.updates) == len(traffic.waves) >= 3
+    for result, rows in zip(traffic.updates, traffic.waves.values()):
+        *staging, finalize = rows
+        assert finalize[0] is Op.LC_FINALIZE
+        assert all(row[0] is not Op.LC_FINALIZE for row in staging)
+        assert finalize[1] == max(seen for _, _, seen, _ in staging)
+        assert finalize[3].time == result.last_tx_time
+        assert result.peak_in_flight == 3
+        assert_update_is_its_plan(result, rows)
+
+
+def assert_update_is_its_plan(result, rows) -> None:
+    assert result.success
+    receipts = [receipt for _, _, _, receipt in rows]
+    assert len(receipts) == result.transaction_count
+    assert all(receipt.success for receipt in receipts)
+    owed = BASE_FEE_LAMPORTS_PER_SIGNATURE * (
+        result.transaction_count + result.signature_count)
+    assert sum(receipt.fee_paid for receipt in receipts) == owed == result.total_fee
+
+
+def test_an_update_executes_and_pays_what_its_plan_says(traffic):
+    for result, rows in zip(traffic.updates, traffic.waves.values()):
+        assert_update_is_its_plan(result, rows)
+    ledger = traffic.dep.relayer.ledger
+    assert ledger.transactions["lc-update"] == sum(
+        result.transaction_count for result in traffic.dep.relayer.metrics.lc_updates)

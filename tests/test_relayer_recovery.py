@@ -247,3 +247,57 @@ class TestBatchRequeue:
         assert counters.get("relay.retries", 0) > 0     # backoff attempts
         assert counters.get("relay.retries.exhausted", 0) == 0
         assert counters.get("relay.redeliveries", 0) == 0  # never doubled
+
+
+class TestRefusedHeaderPush:
+    """A guest -> counterparty packet rides behind its header in one
+    counterparty block, unawaited: if the header is refused the packet
+    is refused after it, and both are on the books — not silently
+    dropped, and not booked as a duplicate delivery."""
+
+    @staticmethod
+    def guest_send(dep, guest_chan):
+        dep.contract.bank.mint("alice", "GUEST", 1_000)
+        payload = dep.contract.transfer.make_payload(
+            guest_chan, "GUEST", 250, "alice", "bob")
+        dep.user_api.send_packet("transfer", str(guest_chan), payload)
+
+    def test_refusal_is_counted_and_is_not_a_duplicate(self):
+        from dataclasses import replace
+        dep = make_dep(seed=95)
+        guest_chan, cp_chan = dep.establish_link()
+        voucher = dep.counterparty.transfer.voucher_denom(cp_chan, "GUEST")
+        counter = lambda name: dep.trace_report().counter(name)
+        # The counterparty's client of the guest has moved an epoch on:
+        # the header the relayer is about to push is an old-epoch one.
+        client = dep.guest_client
+        tracked = client.epoch
+        client.epoch = replace(tracked, epoch_id=tracked.epoch_id + 1)
+        self.guest_send(dep, guest_chan)
+        dep.run_for(120.0)
+        assert dep.counterparty.bank.balance("bob", voucher) == 0
+        assert counter("relay.header_push.refused") == 1
+        assert counter("relay.deliveries.refused") == 1
+        assert counter("relay.duplicate_deliveries") == 0
+        assert counter("relay.packets.to_counterparty") == 0
+        assert dep.counterparty.ibc.counters.packets_received == 0
+
+        # Nothing was lost for good: the commitment stands, and a
+        # relayer that re-reads the chain delivers it.
+        client.epoch = tracked
+        dep.relayer.crash()
+        dep.relayer.restart()
+        dep.run_for(120.0)
+        assert dep.counterparty.bank.balance("bob", voucher) == 250
+        assert counter("relay.packets.to_counterparty") == 1
+
+        # Delivered once more, the receipt is there: that is a duplicate.
+        (height, packet), = [
+            (block.height, packet) for block in dep.contract.blocks
+            for packet in dep.contract.packets_in_block(block.height)]
+        dep.relayer._deliver(dep.relayer.a, dep.relayer.b, packet, height)
+        dep.run_for(30.0)
+        assert counter("relay.duplicate_deliveries") == 1
+        assert counter("relay.deliveries.refused") == 1
+        assert dep.counterparty.bank.balance("bob", voucher) == 250
+        assert dep.counterparty.ibc.counters.packets_received == 1
