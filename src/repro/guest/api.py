@@ -17,11 +17,13 @@ from __future__ import annotations
 
 from repro import ids
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.crypto.keys import Keypair, PublicKey, Signature
 from repro.errors import HostUnavailableError
 from repro.guest import instructions as ins
+from repro.guest.instructions import Op
 from repro.guest.contract import GuestContract
 from repro.host.chain import HostChain
 from repro.host.fees import BaseFee, FeeStrategy
@@ -94,8 +96,8 @@ class BatchOp:
         return bytes([self.exec_op()]) + msg.to_bytes()
 
     def exec_op(self) -> int:
-        return {"recv": ins.Op.RECV_EXEC, "ack": ins.Op.ACK_EXEC,
-                "timeout": ins.Op.TIMEOUT_EXEC}[self.kind]
+        return {"recv": Op.RECV_EXEC, "ack": Op.ACK_EXEC,
+                "timeout": Op.TIMEOUT_EXEC}[self.kind]
 
 
 @dataclass(frozen=True)
@@ -144,6 +146,28 @@ class GuestApi:
         self.contract = contract
         self.payer = payer
         self.default_fee = default_fee or BaseFee()
+        #: An instruction to the contract names its state account, and
+        #: the treasury too unless it only stages bytes.
+        self._instruction = partial(
+            Instruction, contract.program_id,
+            (contract.state_account, contract.treasury))
+        self._staging_instruction = partial(
+            Instruction, contract.program_id, (contract.state_account,))
+
+    def _transaction(self, *data: bytes, fee: FeeStrategy,
+                     sig_verifies: tuple[SigVerify, ...] = (),
+                     compute_budget: Optional[int] = None,
+                     staging: bool = False) -> Transaction:
+        """One transaction of this payer's: an instruction to the
+        contract per ``data``."""
+        instruction = self._staging_instruction if staging else self._instruction
+        return Transaction(
+            payer=self.payer,
+            instructions=tuple(map(instruction, data)),
+            fee_strategy=fee,
+            sig_verifies=sig_verifies,
+            compute_budget=compute_budget,
+        )
 
     # ------------------------------------------------------------------
     # Single-transaction operations
@@ -153,18 +177,11 @@ class GuestApi:
                 sig_verifies: tuple[SigVerify, ...] = (),
                 compute_budget: Optional[int] = None,
                 on_result: Optional[Callable[[TxReceipt], None]] = None) -> None:
-        tx = Transaction(
-            payer=self.payer,
-            instructions=(Instruction(
-                self.contract.program_id,
-                (self.contract.state_account, self.contract.treasury),
-                data,
-            ),),
-            fee_strategy=fee or self.default_fee,
-            sig_verifies=sig_verifies,
-            compute_budget=compute_budget,
-        )
-        self.chain.submit(tx, on_result=on_result)
+        self.chain.submit(
+            self._transaction(data, fee=fee or self.default_fee,
+                              sig_verifies=sig_verifies,
+                              compute_budget=compute_budget),
+            on_result=on_result)
 
     def send_packet(self, port: str, channel: str, payload: bytes,
                     timeout_timestamp: float = 0.0,
@@ -182,15 +199,9 @@ class GuestApi:
                                on_result: Optional[Callable[[TxReceipt], None]] = None) -> None:
         """Send a packet through a block bundle (the Jito path of §V-A:
         the 3.02 USD cost cluster of Fig. 3)."""
-        tx = Transaction(
-            payer=self.payer,
-            instructions=(Instruction(
-                self.contract.program_id,
-                (self.contract.state_account, self.contract.treasury),
-                ins.send_packet(port, channel, payload, timeout_timestamp),
-            ),),
-            fee_strategy=BaseFee(),
-        )
+        tx = self._transaction(
+            ins.send_packet(port, channel, payload, timeout_timestamp),
+            fee=BaseFee())
 
         def collect(receipts: list[TxReceipt]) -> None:
             if on_result is not None:
@@ -261,18 +272,10 @@ class GuestApi:
         per_tx = 24
         for start in range(0, len(confirms), per_tx):
             group = confirms[start : start + per_tx]
-            tx = Transaction(
-                payer=self.payer,
-                instructions=tuple(
-                    Instruction(
-                        self.contract.program_id,
-                        (self.contract.state_account, self.contract.treasury),
-                        ins.confirm_ack(port, channel, sequence),
-                    )
-                    for port, channel, sequence in group
-                ),
-                fee_strategy=self.default_fee,
-            )
+            tx = self._transaction(
+                *[ins.confirm_ack(port, channel, sequence)
+                  for port, channel, sequence in group],
+                fee=self.default_fee)
             try:
                 self.chain.submit(tx, on_result=on_result)
             except HostUnavailableError:
@@ -290,10 +293,8 @@ class GuestApi:
                         message: bytes,
                         on_result: Optional[Callable[[TxReceipt], None]] = None) -> None:
         """Fisherman path (§III-C): ship the offending signature."""
-        from repro.encoding import encode_bytes
-        payload = bytes(offender) + _varint(height) + encode_bytes(fingerprint)
         self._single(
-            ins.evidence(1, payload),
+            ins.evidence(offender, height, fingerprint),
             sig_verifies=(SigVerify(offender, message, signature),),
             on_result=on_result,
         )
@@ -309,7 +310,7 @@ class GuestApi:
         staged through CHUNK transactions and executed atomically as one
         bundle — the same path oversized packets take.
         """
-        self._buffered_exec(proof.to_bytes(), ins.accountability,
+        self._buffered_exec(proof.to_bytes(), Op.ACCOUNTABILITY,
                             tip_lamports, on_done)
 
     def submit_handshake(self, msg,
@@ -328,7 +329,7 @@ class GuestApi:
                     ))
             self._single(ins.handshake(msg_bytes), on_result=single_done)
         else:
-            self._buffered_exec(msg_bytes, ins.handshake_exec, 10_000, on_done)
+            self._buffered_exec(msg_bytes, Op.HANDSHAKE_EXEC, 10_000, on_done)
 
     # ------------------------------------------------------------------
     # Chunked light-client update (Fig. 4/5)
@@ -366,30 +367,21 @@ class GuestApi:
         buffer_id = next(_buffer_ids)
         fee = fee or self.default_fee
 
-        def transaction(data: bytes,
-                        sig_verifies: tuple[SigVerify, ...] = ()) -> Transaction:
-            return Transaction(
-                payer=self.payer,
-                instructions=(Instruction(
-                    self.contract.program_id,
-                    (self.contract.state_account,),
-                    data,
-                ),),
-                fee_strategy=fee,
-                sig_verifies=sig_verifies,
-            )
-
         total_chunks = len(plan.data_chunks)
         transactions = [
-            transaction(ins.chunk(buffer_id, index, total_chunks, chunk))
+            self._transaction(ins.chunk(buffer_id, index, total_chunks, chunk),
+                              fee=fee, staging=True)
             for index, chunk in enumerate(plan.data_chunks)]
         transactions += [
-            transaction(ins.lc_sig_batch(buffer_id), tuple(
-                SigVerify(public_key, plan.sign_message, signature)
-                for public_key, signature in batch))
+            self._transaction(
+                ins.lc_sig_batch(buffer_id), fee=fee, staging=True,
+                sig_verifies=tuple(
+                    SigVerify(public_key, plan.sign_message, signature)
+                    for public_key, signature in batch))
             for batch in plan.signature_batches]
-        finalize = transaction(
-            ins.lc_finalize(buffer_id, len(plan.signature_batches)))
+        finalize = self._transaction(
+            ins.lc_finalize(buffer_id, len(plan.signature_batches)),
+            fee=fee, staging=True)
 
         #: LC_FINALIZE is the queue's last entry; under a window it
         #: waits there until nothing else is in flight.
@@ -447,61 +439,37 @@ class GuestApi:
     # Bundled packet operations (§V-A's 4–5 transactions, one block)
     # ------------------------------------------------------------------
 
-    def _prelude_transactions(self, prelude: tuple[bytes, ...]) -> list[Transaction]:
-        """Bundle members execute in creation order, so prelude
-        instructions (e.g. an idempotent SIBLING_UPDATE) run strictly
-        before the exec — atomic update-then-prove in one host block."""
-        return [
-            Transaction(
-                payer=self.payer,
-                instructions=(Instruction(
-                    self.contract.program_id,
-                    (self.contract.state_account, self.contract.treasury),
-                    data,
-                ),),
-                fee_strategy=BaseFee(),
-            )
-            for data in prelude
-        ]
-
-    def _buffered_exec(self, msg_bytes: bytes,
-                       exec_ins_for: Callable[[int], bytes],
+    def _buffered_exec(self, msg_bytes: bytes, exec_op: Op,
                        tip_lamports: int,
                        on_done: Optional[Callable[[DeliveryResult], None]],
                        prelude: tuple[bytes, ...] = (),
-                       packet_count: int = 1) -> None:
+                       packet_count: int = 1,
+                       exec_fields: tuple = ()) -> None:
         """Stage ``msg_bytes`` (never empty for a message that is
-        executed from its buffer) and run the exec instruction behind
-        it, all in one atomic bundle."""
+        executed from its buffer) and run ``exec_op`` behind it, all in
+        one atomic bundle.  The exec instruction's first field names the
+        buffer (none when nothing was staged, which only BATCH_EXEC's
+        format allows) and ``exec_fields`` are the rest.
+
+        Bundle members execute in creation order, so prelude
+        instructions (e.g. an idempotent SIBLING_UPDATE) run strictly
+        before the exec — atomic update-then-prove in one host block."""
         buffer_id = next(_buffer_ids)
-        exec_ins = exec_ins_for(buffer_id)
         chunk_size = usable_chunk_bytes(self.chain.config.max_transaction_bytes)
         chunks = [
             msg_bytes[offset : offset + chunk_size]
             for offset in range(0, len(msg_bytes), chunk_size)
         ]
-        transactions = self._prelude_transactions(prelude)
+        transactions = [self._transaction(data, fee=BaseFee())
+                        for data in prelude]
         transactions += [
-            Transaction(
-                payer=self.payer,
-                instructions=(Instruction(
-                    self.contract.program_id,
-                    (self.contract.state_account,),
-                    ins.chunk(buffer_id, index, len(chunks), chunk),
-                ),),
-                fee_strategy=BaseFee(),
-            )
+            self._transaction(ins.chunk(buffer_id, index, len(chunks), chunk),
+                              fee=BaseFee(), staging=True)
             for index, chunk in enumerate(chunks)
         ]
-        transactions.append(Transaction(
-            payer=self.payer,
-            instructions=(Instruction(
-                self.contract.program_id,
-                (self.contract.state_account, self.contract.treasury),
-                exec_ins,
-            ),),
-            fee_strategy=BaseFee(),
-        ))
+        transactions.append(self._transaction(
+            ins.encode(exec_op, buffer_id if chunks else None, *exec_fields),
+            fee=BaseFee()))
 
         def collect(receipts: list[TxReceipt]) -> None:
             if on_done is not None:
@@ -529,7 +497,7 @@ class GuestApi:
             proof_bytes=proof.to_bytes(),
             proof_height=proof_height,
         )
-        self._buffered_exec(msg.to_bytes(), ins.recv_exec, tip_lamports,
+        self._buffered_exec(msg.to_bytes(), Op.RECV_EXEC, tip_lamports,
                             on_done, prelude=prelude)
 
     def acknowledge_packet(self, packet, ack, proof, proof_height: int,
@@ -542,7 +510,7 @@ class GuestApi:
             proof_height=proof_height,
             ack_bytes=ack.to_bytes(),
         )
-        self._buffered_exec(msg.to_bytes(), ins.ack_exec, tip_lamports,
+        self._buffered_exec(msg.to_bytes(), Op.ACK_EXEC, tip_lamports,
                             on_done, prelude=prelude)
 
     def timeout_packet(self, packet, proof, proof_height: int,
@@ -554,7 +522,7 @@ class GuestApi:
             proof_bytes=proof.to_bytes(),
             proof_height=proof_height,
         )
-        self._buffered_exec(msg.to_bytes(), ins.timeout_exec, tip_lamports,
+        self._buffered_exec(msg.to_bytes(), Op.TIMEOUT_EXEC, tip_lamports,
                             on_done, prelude=prelude)
 
     # ------------------------------------------------------------------
@@ -589,12 +557,10 @@ class GuestApi:
             batch = Batch.of(batch)
         staged = (self.batch_transactions(batch) - 1) * usable_chunk_bytes(
             self.chain.config.max_transaction_bytes)
-        tail = batch.payload[staged:]
         self._buffered_exec(
-            batch.payload[:staged],
-            lambda buffer_id: ins.batch_exec(buffer_id if staged else None, tail),
-            tip_lamports, on_done, prelude=prelude,
-            packet_count=len(batch.ops))
+            batch.payload[:staged], Op.BATCH_EXEC, tip_lamports, on_done,
+            prelude=prelude, packet_count=len(batch.ops),
+            exec_fields=(batch.payload[staged:],))
 
 
 def _track(state: dict, receipt: TxReceipt) -> None:
@@ -605,7 +571,3 @@ def _track(state: dict, receipt: TxReceipt) -> None:
     if not receipt.success:
         state["ok"] = False
 
-
-def _varint(value: int) -> bytes:
-    from repro.encoding import encode_varint
-    return encode_varint(value)

@@ -11,6 +11,7 @@ from repro.host.transaction import Instruction, SigVerify, Transaction
 from repro.validators.profiles import simple_profiles
 
 from tests.test_guest_contract import run_tx
+from tests.test_op_table import KEY, PINNED
 
 
 @pytest.fixture
@@ -20,6 +21,23 @@ def dep():
         guest=GuestConfig(delta_seconds=60.0, min_stake_lamports=1),
         profiles=simple_profiles(4),
     ))
+
+
+#: One well-formed instruction per opcode (the pinned builder calls;
+#: BATCH_EXEC with its payload inline, so that no buffer is looked up).
+WELL_FORMED = {name: build for name, (build, _) in PINNED.items()
+               if name != "BATCH_EXEC staged"}
+WELL_FORMED["EVIDENCE"] = lambda: ins.evidence(KEY, 300, b"\x07" * 32)
+
+
+@pytest.mark.parametrize("name", sorted(WELL_FORMED))
+def test_trailing_bytes_are_refused_by_every_opcode(dep, name):
+    """GENERATE_BLOCK and SELF_DESTRUCT used not to look at their
+    payload and the two handshake opcodes stopped reading after one
+    field; the shared decoder ends every payload where its fields end."""
+    receipt = run_tx(dep, WELL_FORMED[name]() + b"junk")
+    assert not receipt.success
+    assert "trailing bytes" in receipt.error
 
 
 class TestChunkedLcUpdateGuards:

@@ -19,11 +19,11 @@ Each transaction goes through the host runtime (fee, precompile, compute
 meter, rollback) and the kernel is stepped to its receipt, so "lands" is
 the host's word for it, not the test's.
 
-Hand mutations of ``GuestContract._finalize_lc_update_if_last`` caught
+Hand mutations of ``ops_staging._finalize_lc_update_if_last`` caught
 here and reverted (docs/PERFORMANCE.md, "No dead waits"): finalising at
 ``batches_seen >= finalize_batches - 1`` (a prefix adopts, or the
 completing transaction fails short of 2/3); dropping the call at the end
-of ``_op_chunk`` (an order whose last lander is a CHUNK never adopts).
+of ``ops_staging.chunk`` (an order whose last lander is a CHUNK never adopts).
 """
 
 from dataclasses import replace

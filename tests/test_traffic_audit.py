@@ -20,6 +20,7 @@ mechanism to re-measure before anything is added or removed.
 import pytest
 
 from repro.experiments.throughput import build_linked_deployment
+from repro.guest.instructions import Op
 from repro.trie.nibbles import encode_nibbles
 from repro.trie.store import _seq_key_head
 from repro.trie.trie import SealableTrie
@@ -95,3 +96,24 @@ def test_no_proof_is_walked_twice(traffic):
         f"prove_absence keep nothing between calls because a relayer proved "
         f"each key once and carried the proof through every retry; count the "
         f"repeats per workload before arguing for a proof memo")
+
+
+def test_the_link_executes_the_opcodes_it_is_known_to(traffic):
+    """The dispatch probe's census (docs/PERFORMANCE.md, "One row per
+    opcode"): a loaded link is staging, light-client updates, batched
+    delivery, ack sealing and the guest's own blocks — no validator
+    stakes after genesis, nothing is delivered packet by packet, and
+    nobody misbehaves."""
+    _, _, dep = traffic
+    report = dep.trace_report()
+    executed = {op for op in Op if report.counter(f"guest.op.{op.name}")}
+    assert executed == {
+        Op.CONFIRM_ACK, Op.CHUNK, Op.LC_SIG_BATCH, Op.SIGN_BLOCK,
+        Op.BATCH_EXEC, Op.GENERATE_BLOCK, Op.LC_FINALIZE, Op.HANDSHAKE}, (
+        f"the loaded link executed {sorted(op.name for op in executed)}.  "
+        f"An opcode that joined is new traffic to account for; one that "
+        f"left is a handler the ledger no longer reaches: re-take the "
+        f"five-workload census before keeping either")
+    for op in executed:
+        assert len(report.histogram(f"guest.op.{op.name}.cu")) == (
+            report.counter(f"guest.op.{op.name}"))
