@@ -33,14 +33,17 @@ bench-smoke:
 # proofs), events per simulated hour with nothing to do (no host
 # slot past the last receipt, no validator-set preimage rebuilt), and
 # the relayer's dead waits (a packet in its header's counterparty block,
-# a send read at its block's instant, an update in one wave).
+# a send read at its block's instant, an update in one wave), and a
+# world's footprint (bytes allocated building it, bytes in its
+# checkpoint, bytes held as account data: an account is its size).
 # Counts are a function of the code alone, so a failure here names the
-# layer that grew.  All seven also run in tier-1.
+# layer that grew.  All eight also run in tier-1.
 perf-gates:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_trie_call_budget.py \
 		tests/test_lc_update_budget.py tests/test_derive_once_budget.py \
 		tests/test_delivery_budget.py tests/test_traffic_audit.py \
-		tests/test_idle_budget.py tests/test_relay_wait_budget.py
+		tests/test_idle_budget.py tests/test_relay_wait_budget.py \
+		tests/test_footprint_budget.py
 
 # Print every reproduced table/figure to the terminal (~1 min): the
 # rows `python -m repro.experiments --help` marks as part of `all`.

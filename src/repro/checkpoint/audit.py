@@ -42,6 +42,13 @@ class ReplayAuditConfig:
     snapshot_after_events: int = 4_000
 
 
+#: What the audited world's payload may weigh: seeds 401-403 read
+#: 1.4-1.9 MB mid-flight, and 11.9-12.3 MB while an allocated account
+#: was a blob of its size (docs/PERFORMANCE.md, "An account is its
+#: size"); the ceiling is how one coming back is noticed.
+CHECKPOINT_BYTES_CEILING = 3_000_000
+
+
 def _fingerprint(deployment, engine: WorkloadEngine) -> dict[str, Any]:
     """Everything that must match between straight-through and replay.
 
@@ -170,10 +177,18 @@ def run_replay_audits(seeds: tuple[int, ...] = (401, 402, 403),
 
 
 def check_replay_audits(audit: dict[str, Any]) -> list[str]:
-    """Every field that differed between straight-through and replay."""
-    return [f"seed {record['config']['seed']}: {divergence}"
-            for record in audit["audits"]
-            for divergence in record["divergences"]]
+    """Every field that differed between straight-through and replay,
+    and every checkpoint over :data:`CHECKPOINT_BYTES_CEILING`."""
+    problems = []
+    for record in audit["audits"]:
+        seed = record["config"]["seed"]
+        problems += [f"seed {seed}: {divergence}"
+                     for divergence in record["divergences"]]
+        if record["checkpoint_bytes"] > CHECKPOINT_BYTES_CEILING:
+            problems.append(
+                f"seed {seed}: checkpoint of {record['checkpoint_bytes']} "
+                f"bytes exceeds {CHECKPOINT_BYTES_CEILING}")
+    return problems
 
 
 def render_replay_audits(audit: dict[str, Any]) -> str:

@@ -41,8 +41,11 @@ from typing import Any, Callable, Optional
 
 from repro.errors import ReproError
 
-#: Bumped whenever the payload layout or the reduction scheme changes.
-CODEC_VERSION = 1
+#: Bumped whenever the reduction scheme changes, or the fields of a
+#: pickled class change so that an older payload would restore into an
+#: object the current code misreads (docs/CHECKPOINT.md, versioning
+#: rules).  2: ``host.accounts.Account`` carries ``size`` and no blob.
+CODEC_VERSION = 2
 
 #: ``major.minor`` of the interpreter — marshal'd code objects are not
 #: portable across interpreter feature releases.

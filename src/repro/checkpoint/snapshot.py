@@ -41,6 +41,8 @@ from repro.ids import mint_states, rewind_mints
 SCHEMA_VERSION = 1
 
 _MAGIC = b"RPCK"
+#: magic | u8 schema | u32 manifest length
+_HEADER_BYTES = 9
 
 
 def config_fingerprint(config: Any) -> str:
@@ -115,16 +117,29 @@ class Checkpoint:
     def from_bytes(cls, data: bytes) -> "Checkpoint":
         if data[:4] != _MAGIC:
             raise CheckpointError("not a checkpoint file (bad magic)")
+        if len(data) < _HEADER_BYTES:
+            raise CheckpointError(
+                f"checkpoint cut inside its {_HEADER_BYTES}-byte header "
+                f"({len(data)} bytes)"
+            )
         if data[4] != SCHEMA_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint schema {data[4]} "
                 f"(this build reads schema {SCHEMA_VERSION})"
             )
-        manifest_len = int.from_bytes(data[5:9], "big")
-        manifest = CheckpointManifest.from_json(
-            json.loads(data[9:9 + manifest_len].decode("utf-8")),
-        )
-        return cls(manifest=manifest, payload=data[9 + manifest_len:])
+        manifest_end = _HEADER_BYTES + int.from_bytes(data[5:_HEADER_BYTES], "big")
+        if len(data) < manifest_end:
+            raise CheckpointError(
+                f"checkpoint cut inside its manifest ({len(data)} bytes, "
+                f"manifest ends at {manifest_end})"
+            )
+        try:
+            manifest = CheckpointManifest.from_json(
+                json.loads(data[_HEADER_BYTES:manifest_end].decode("utf-8")),
+            )
+        except (ValueError, TypeError) as exc:
+            raise CheckpointError(f"unreadable checkpoint manifest: {exc}") from exc
+        return cls(manifest=manifest, payload=data[manifest_end:])
 
     def save(self, path: str) -> None:
         """Atomic write (tmp + rename): a crash never leaves a torn file."""
@@ -190,6 +205,12 @@ def restore_world(checkpoint: Checkpoint, audit: bool = True):
     if manifest.schema_version != SCHEMA_VERSION:
         raise CheckpointError(
             f"unsupported manifest schema {manifest.schema_version}"
+        )
+    if manifest.codec_version != CODEC_VERSION:
+        raise CheckpointError(
+            f"payload written by codec {manifest.codec_version}; this "
+            f"build reads codec {CODEC_VERSION} (docs/CHECKPOINT.md, "
+            "versioning rules)"
         )
     graph = loads_world(checkpoint.payload, python_tag=manifest.python_tag)
     deployment = graph["deployment"]

@@ -49,32 +49,36 @@ class Address:
 
 @dataclass
 class Account:
-    """One host account: balance, data blob and owning program.
+    """One host account: balance, allocated size, data and owning program.
 
-    ``data`` is an *immutable* ``bytes`` value: programs replace the blob
-    wholesale rather than patching it in place.  That makes the rollback
-    snapshot a reference grab instead of a copy — materially so for the
-    guest's 10 MiB state account, whose per-transaction snapshot copy was
-    the second-largest cost in the soak wall-clock profile
-    (docs/PERFORMANCE.md).
+    ``size`` is the byte length :meth:`AccountsDb.allocate` was asked
+    for — the number the rent-exemption deposit, the account limit and
+    the double-allocation refusal are about — and 0 for an account
+    nobody allocated.  It is a number, not a buffer: allocating writes
+    no bytes, so the guest's 10 MiB state account (whose state is the
+    ``GuestContract`` object) costs its deposit and nothing resident
+    (docs/PERFORMANCE.md, "An account is its size").
+
+    ``data`` is whatever a program last stored on the account, ``b""``
+    until one does, and independent of ``size``.  It is an *immutable*
+    ``bytes`` value: programs replace it wholesale rather than patching
+    it in place, so the rollback snapshot is a reference grab, not a
+    copy.
     """
 
     address: Address
     lamports: int = 0
     data: bytes = b""
     owner: Optional[Address] = None
+    size: int = 0
 
-    @property
-    def size(self) -> int:
-        return len(self.data)
-
-    def snapshot(self) -> tuple[int, bytes, Optional[Address]]:
+    def snapshot(self) -> tuple[int, bytes, Optional[Address], int]:
         """Copy-out used for transaction rollback (O(1): data is
         immutable, so the reference itself is the snapshot)."""
-        return (self.lamports, self.data, self.owner)
+        return (self.lamports, self.data, self.owner, self.size)
 
-    def restore(self, snap: tuple[int, bytes, Optional[Address]]) -> None:
-        self.lamports, self.data, self.owner = snap
+    def restore(self, snap: tuple[int, bytes, Optional[Address], int]) -> None:
+        self.lamports, self.data, self.owner, self.size = snap
 
 
 class AccountsDb:
@@ -135,7 +139,7 @@ class AccountsDb:
             raise HostError(f"account {address.short()} already allocated")
         deposit = rent_exempt_deposit(size)
         self.transfer(payer, address, deposit)
-        account.data = bytes(size)
+        account.size = size
         account.owner = owner
         return account
 
@@ -155,6 +159,7 @@ class AccountsDb:
         refund = account.lamports
         account.lamports = 0
         account.data = b""
+        account.size = 0
         account.owner = None
         self.credit(refund_to, refund)
         return refund

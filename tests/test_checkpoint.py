@@ -14,6 +14,7 @@ import pytest
 from repro import Deployment, DeploymentConfig
 from repro import ids
 from repro.checkpoint import (
+    CODEC_VERSION,
     PYTHON_TAG,
     Checkpoint,
     CheckpointError,
@@ -301,6 +302,40 @@ class TestSnapshotRestore:
             Checkpoint.from_bytes(b"NOPE" + data[4:])
         with pytest.raises(CheckpointError, match="schema"):
             Checkpoint.from_bytes(data[:4] + bytes([250]) + data[5:])
+
+    @pytest.mark.parametrize("cut, complaint", [
+        pytest.param(lambda data: data[:4], "header", id="magic-only"),
+        pytest.param(lambda data: data[:7], "header", id="inside-length-field"),
+        pytest.param(lambda data: data[:9 + 40], "manifest", id="inside-manifest"),
+        pytest.param(lambda data: data[:5] + bytes(4), "manifest",
+                     id="zero-length-manifest"),
+    ])
+    def test_a_container_cut_short_is_refused(self, live_world, cut, complaint):
+        """A half-copied ``task-<i>.ckpt`` is the one error its reader
+        handles, wherever the copy stopped — not an ``IndexError`` from
+        the header or a ``JSONDecodeError`` from the manifest."""
+        deployment, _ = live_world
+        data = snapshot_world(deployment).to_bytes()
+        assert int.from_bytes(data[5:9], "big") > 40
+        with pytest.raises(CheckpointError, match=complaint):
+            Checkpoint.from_bytes(cut(data))
+
+    def test_a_payload_of_another_object_layout_is_refused(self, live_world):
+        """docs/CHECKPOINT.md, versioning rules: a payload whose pickled
+        classes had other fields (an ``Account`` with a blob and no
+        ``size``) is refused by version, never half-restored."""
+        import dataclasses
+
+        deployment, _ = live_world
+        checkpoint = snapshot_world(deployment)
+        assert checkpoint.manifest.codec_version == CODEC_VERSION
+        older = Checkpoint(
+            manifest=dataclasses.replace(checkpoint.manifest,
+                                         codec_version=CODEC_VERSION - 1),
+            payload=checkpoint.payload,
+        )
+        with pytest.raises(CheckpointError, match="codec"):
+            restore_world(Checkpoint.from_bytes(older.to_bytes()))
 
     def test_manifest_json_roundtrip(self, live_world):
         deployment, _ = live_world

@@ -16,6 +16,7 @@ from repro.errors import (
     TransactionTooLargeError,
 )
 from repro.host import (
+    AccountsDb,
     Address,
     BaseFee,
     BundleFee,
@@ -359,6 +360,150 @@ class TestAccountsAndRent:
         chain.accounts.allocate(PAYER, addr, 64, program.program_id)
         with pytest.raises(HostError):
             chain.accounts.allocate(PAYER, addr, 64, program.program_id)
+
+
+class AllocatorProgram(Program):
+    """Test program: allocates (``b"alloc"``) or deallocates
+    (``b"free"``) its first account from inside a transaction, then
+    fails when the instruction ends in ``!``."""
+
+    SIZE = 2_048
+
+    def __init__(self):
+        self._id = Address.derive("allocator-program")
+
+    @property
+    def program_id(self) -> Address:
+        return self._id
+
+    def execute(self, ctx: InvokeContext, data: bytes) -> None:
+        target = ctx.instruction_accounts[0]
+        if data.startswith(b"alloc"):
+            ctx.accounts_db.allocate(ctx.payer, target, self.SIZE, self._id)
+        else:
+            ctx.accounts_db.deallocate(target, ctx.payer)
+        if data.endswith(b"!"):
+            raise ProgramError("told to fail after resizing")
+
+
+_sizes = st.integers(min_value=1, max_value=MAX_ACCOUNT_BYTES)
+_owners = st.one_of(st.none(), st.sampled_from(
+    [Address.derive("owner-a"), Address.derive("owner-b")]))
+
+
+class TestAccountContract:
+    """An account's allocated ``size`` is a number carried with its
+    balance, data and owner; ``data`` is whatever a program stored."""
+
+    FUNDS = sol_to_lamports(1_000_000.0)
+
+    def _bank(self):
+        bank = AccountsDb()
+        bank.credit(PAYER, self.FUNDS)
+        return bank
+
+    @given(lamports=st.integers(min_value=0, max_value=10**12),
+           size=st.one_of(st.just(0), _sizes),
+           data=st.binary(max_size=64), owner=_owners,
+           later=st.lists(st.sampled_from(
+               ["allocate", "deallocate", "write", "credit"]), max_size=5))
+    def test_restore_of_snapshot_is_the_identity(self, lamports, size, data,
+                                                 owner, later):
+        bank = self._bank()
+        account = bank.account(Address.derive("subject"))
+        account.lamports, account.size = lamports, size
+        account.data, account.owner = data, owner
+        snap = account.snapshot()
+        for step in later:
+            if step == "allocate" and not account.size:
+                bank.allocate(PAYER, account.address, 512, Address.derive("owner-b"))
+            elif step == "deallocate":
+                bank.deallocate(account.address, PAYER)
+            elif step == "write":
+                account.data = account.data + b"x"
+            elif step == "credit":
+                bank.credit(account.address, 7)
+        account.restore(snap)
+        assert (account.lamports, account.size, account.data, account.owner) \
+            == (lamports, size, data, owner)
+        assert account.snapshot() == snap
+
+    @given(size=_sizes)
+    def test_allocate_records_the_size_and_moves_exactly_the_deposit(self, size):
+        bank = self._bank()
+        owner, addr = Address.derive("owner-a"), Address.derive("subject")
+        account = bank.allocate(PAYER, addr, size, owner)
+        assert account is bank.get(addr)
+        assert (account.size, account.data, account.owner) == (size, b"", owner)
+        assert account.lamports == rent_exempt_deposit(size)
+        assert bank.balance(PAYER) == self.FUNDS - rent_exempt_deposit(size)
+
+    @given(first=_sizes, again=st.integers(min_value=0, max_value=2 * MAX_ACCOUNT_BYTES))
+    def test_a_refused_allocation_moves_no_lamport(self, first, again):
+        bank = self._bank()
+        owner, addr = Address.derive("owner-a"), Address.derive("subject")
+        with pytest.raises(AccountSizeError, match="exceeds the"):
+            bank.allocate(PAYER, addr, MAX_ACCOUNT_BYTES + 1 + again, owner)
+        assert bank.balance(PAYER) == self.FUNDS and bank.balance(addr) == 0
+        bank.allocate(PAYER, addr, first, owner)
+        before = (bank.balance(PAYER), bank.get(addr).snapshot())
+        with pytest.raises(HostError, match="already allocated"):
+            bank.allocate(PAYER, addr, min(again, MAX_ACCOUNT_BYTES), owner)
+        assert (bank.balance(PAYER), bank.get(addr).snapshot()) == before
+
+    @given(size=_sizes, credited=st.integers(min_value=0, max_value=10**9))
+    def test_deallocate_zeroes_the_size_and_refunds_all_it_held(self, size, credited):
+        bank = self._bank()
+        addr = Address.derive("subject")
+        bank.allocate(PAYER, addr, size, Address.derive("owner-a"))
+        bank.credit(addr, credited)
+        refund = bank.deallocate(addr, PAYER)
+        assert refund == rent_exempt_deposit(size) + credited
+        account = bank.get(addr)
+        assert (account.size, account.data, account.owner, account.lamports) \
+            == (0, b"", None, 0)
+        assert bank.balance(PAYER) == self.FUNDS + credited
+        # Its address is free again.
+        assert bank.allocate(PAYER, addr, 64, Address.derive("owner-b")).size == 64
+
+    @pytest.mark.parametrize("allocated_before, data", [
+        (False, b"alloc!"), (True, b"free!")])
+    def test_a_rolled_back_transaction_leaves_the_size_as_it_found_it(
+            self, allocated_before, data):
+        sim = Simulation(seed=5)
+        chain = HostChain(sim, SimSigScheme(), HostConfig())
+        chain.airdrop(PAYER, sol_to_lamports(1_000.0))
+        program = AllocatorProgram()
+        chain.deploy(program)
+        target = Address.derive("resized")
+        if allocated_before:
+            chain.accounts.allocate(PAYER, target, program.SIZE, program.program_id)
+
+        def state():
+            account = chain.accounts.get(target)
+            return account.snapshot() if account is not None else None
+
+        found = state()
+        assert (found is not None) == allocated_before
+        balance = chain.accounts.balance(PAYER)
+
+        def submit(payload):
+            results = []
+            chain.submit(Transaction(
+                payer=PAYER,
+                instructions=(Instruction(program.program_id, (target,), payload),),
+                fee_strategy=BaseFee(),
+            ), on_result=results.append)
+            sim.run_until(sim.now + 30.0)
+            return results[0]
+
+        assert not submit(data).success
+        assert state() == found
+        assert chain.accounts.balance(PAYER) == balance - BASE_FEE_LAMPORTS_PER_SIGNATURE
+        # The same instruction without the failure goes through.
+        assert submit(data[:-1]).success
+        assert chain.accounts.get(target).size == (0 if allocated_before
+                                                   else program.SIZE)
 
 
 class TestBundleBlockBoundary:

@@ -11,7 +11,12 @@ multiple seeds.
 
 import pytest
 
-from repro.checkpoint.audit import ReplayAuditConfig, run_replay_audit
+from repro.checkpoint.audit import (
+    CHECKPOINT_BYTES_CEILING,
+    ReplayAuditConfig,
+    check_replay_audits,
+    run_replay_audit,
+)
 
 
 class TestReplayAudit:
@@ -24,6 +29,17 @@ class TestReplayAudit:
         # proves nothing about in-flight continuations.
         assert record["events_replayed"] >= 10_000
         assert record["snapshot_events"] >= 4_000
+
+    def test_the_audit_gates_its_own_checkpoint_size(self):
+        """A mid-flight world weighs 1.5 MB; with a blob per allocated
+        account it weighed 12.0, and the check is what would say so."""
+        record = run_replay_audit(ReplayAuditConfig(seed=401))
+        assert 0 < record["checkpoint_bytes"] <= CHECKPOINT_BYTES_CEILING
+        assert check_replay_audits({"audits": [record]}) == []
+        doctored = dict(record, checkpoint_bytes=record["checkpoint_bytes"]
+                        + 10 * 1024 * 1024)
+        (failure,) = check_replay_audits({"audits": [doctored]})
+        assert failure.startswith("seed 401: checkpoint of ")
 
     def test_snapshot_point_past_the_workload_fails_loudly(self):
         from repro.checkpoint import CheckpointError
