@@ -164,6 +164,11 @@ class GuestEnd(_End):
         return next((block.height for block in self.contract.blocks
                      if block.finalised and block.header.host_slot >= slot), None)
 
+    def marker_after(self, height: int) -> int:
+        """A host slot only blocks after ``height`` cover: what
+        :meth:`provable_height` resolves to a strictly later block."""
+        return self.contract.block_at(height).header.host_slot + 1
+
     def latest_final(self) -> int:
         """Highest finalised height (genesis is finalised, so one
         exists once the contract is initialized)."""

@@ -777,11 +777,10 @@ class Relayer:
                 self.sim.trace.count("relay.handshakes.stale_views")
                 self._await_commit(src, marker + 1, action)
 
-        self._peer(src).updates.cover(
-            height, covered,
-            # Could not cover this block (e.g. an older epoch than the
-            # client now tracks): wait for the next finalised one.
-            failed=lambda: src.waiters.append((marker, action)))
+        # A header push is not awaited: the datagram ``action`` submits
+        # rides behind it, and if the header is refused the datagram's
+        # own refusal brings the step back (``Handshake._failed``).
+        self._peer(src).updates.cover(height, covered)
 
     def open_connection(self, on_open: Callable[[ConnectionId, ConnectionId], None],
                         initiator=None) -> None:

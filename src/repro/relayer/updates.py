@@ -12,14 +12,16 @@ This module is the only place the three mechanisms are named:
   updates paced by :data:`LC_UPDATE_TXS_PER_SECOND`;
 * :class:`HeaderPush` — the counterparty's client of a guest: the
   finalised header and its signatures in one call (Alg. 2 l.6), with
-  the packets it proves queued behind it for the same block;
+  every datagram it proves — packet, ack or handshake step — queued
+  behind it for the same block: update, then act, in one block;
 * :class:`SiblingAdopt` — a guest's client of another guest on the same
   host: one idempotent SIBLING_UPDATE instruction, riding as a prelude
   of the packet bundle that needs it (docs/FABRIC.md).
 
 The interface is :meth:`ClientUpdates.cover`: run ``then(height)`` once
 the client covers ``height`` (``height`` may come back higher than
-asked: a chunked update always targets the counterparty's tip).
+asked: a chunked update always targets the counterparty's tip), or, for
+a header push, at once behind the update.
 """
 
 from __future__ import annotations
@@ -71,10 +73,6 @@ LC_UPDATE_PLANS = {
 Then = Callable[[int], None]
 
 
-def _ignore() -> None:
-    """Default ``failed`` continuation: the work is dropped."""
-
-
 class ClientUpdates:
     """Keeps ``holder``'s client of ``source`` fresh for one relayer."""
 
@@ -84,17 +82,22 @@ class ClientUpdates:
         self.holder = holder
         self.source = source
 
-    def cover(self, height: int, then: Then,
-              failed: Callable[[], None] = _ignore) -> None:
+    def cover(self, height: int, then: Then) -> None:
         """Run ``then(h)``, ``h >= height``, once the client covers
-        ``h``; ``failed()`` if this height can never be covered and the
-        caller should wait for a later one."""
+        ``h`` — or, where the holder runs its calls in order, submit the
+        update and run ``then`` behind it at once."""
         raise NotImplementedError
 
     def cover_for_bundle(self, height: int, then: Then) -> None:
         """Like :meth:`cover`, for work that reaches the holder as a
         bundle and may carry :meth:`prelude` instead of waiting."""
         self.cover(height, then)
+
+    def refused(self, height: int) -> bool:
+        """Was a datagram proven at ``height`` refused because the
+        update it rode behind was?  Only an update that is not awaited
+        can leave one so; the default says no."""
+        return False
 
     def prelude(self, heights) -> tuple[bytes, ...]:
         """Instructions a bundle proving at ``heights`` must run first."""
@@ -138,8 +141,7 @@ class ChunkedTendermint(ClientUpdates):
         self._lc_holddown_handle = None
         self.reset()
 
-    def cover(self, height: int, then: Then,
-              failed: Callable[[], None] = _ignore) -> None:
+    def cover(self, height: int, then: Then) -> None:
         known = self.holder.client.latest_height()
         if known >= height:
             then(known)
@@ -223,11 +225,15 @@ class ChunkedTendermint(ClientUpdates):
 class HeaderPush(ClientUpdates):
     """Guest headers pushed to the counterparty's guest client."""
 
-    def _push(self, height: int, accepted: Callable[[], None] = _ignore,
-              refused: Callable[[], None] = _ignore) -> None:
-        """Queue the update to ``height`` for the counterparty's next
-        block; once it ran, ``accepted()`` or ``refused()`` by the
-        client's verdict."""
+    def cover(self, height: int, then: Then) -> None:
+        """Update, then act, in one counterparty block: the chain runs a
+        block's calls in submission order, so what ``then`` submits
+        executes behind the header it is proven against (an ICS-18
+        relayer's one ordered submission; on a guest the sibling
+        :meth:`prelude` does the same).  Nothing is awaited, for a
+        packet or a handshake step alike: if the header is refused the
+        datagram is refused after it, on-chain, and both are counted
+        (:meth:`refused` tells the two refusals apart)."""
         # Always pushed, even if the client may hold the height already
         # (empty blocks are skipped by Alg. 2, so usually it does not);
         # a repeated header is verified again and changes nothing.
@@ -246,30 +252,15 @@ class HeaderPush(ClientUpdates):
             if isinstance(result, ReproError):
                 # Stale or old-epoch header.
                 self.sim.trace.count("relay.header_push.refused")
-                refused()
-            else:
-                accepted()
 
         self.holder.chain.submit(lambda: self.holder.client.update(update),
                                  on_result=after_update)
-
-    def cover(self, height: int, then: Then,
-              failed: Callable[[], None] = _ignore) -> None:
-        # Awaited: a handshake step's ``failed`` needs the update's
-        # outcome before the datagram it guards is built (a later
-        # finalised block can still satisfy whoever waited: liveness).
-        self._push(height, lambda: then(height), failed)
-
-    def cover_for_bundle(self, height: int, then: Then) -> None:
-        """Update, then act, in one counterparty block: the chain runs a
-        block's calls in submission order, so what ``then`` submits
-        executes behind the header it is proven against (an ICS-18
-        relayer's one ordered submission; on a guest the sibling
-        :meth:`prelude` does the same).  Nothing is awaited: if the
-        header is refused the datagram is refused after it, on-chain,
-        and both are counted."""
-        self._push(height)
         then(height)
+
+    def refused(self, height: int) -> bool:
+        # The header went in front of the datagram in the same block:
+        # had the client taken it, it would hold the height now.
+        return self.holder.client.consensus_root(height) is None
 
 
 class SiblingAdopt(ClientUpdates):
@@ -278,8 +269,7 @@ class SiblingAdopt(ClientUpdates):
     def _covers(self, height: int) -> bool:
         return self.holder.client.consensus_root(height) is not None
 
-    def cover(self, height: int, then: Then,
-              failed: Callable[[], None] = _ignore) -> None:
+    def cover(self, height: int, then: Then) -> None:
         # Handshake datagrams carry no prelude (unlike packet bundles),
         # so the adoption rides as its own awaited transaction.
         if self._covers(height):

@@ -334,9 +334,10 @@ class TestCheapRowsEndToEnd:
         # simulated s) and LC_FINALIZE inside the update's wave:
         # 8 091 -> 7 436; every host subscription drawing its
         # observation delays from its own stream redraws the world:
-        # 7 436 -> 7 497.
+        # 7 436 -> 7 497; each handshake step riding behind its header
+        # in one counterparty block opens the link sooner: 7 497 -> 7 493.
         assert record["delivered"] == record["sent"] == 1_500
-        assert record["events_dispatched"] == 7_497
+        assert record["events_dispatched"] == 7_493
         assert "wallclock-smoke: 1500/1500 packets" in capsys.readouterr().out
 
     def test_the_wallclock_gate_is_not_a_flag(self):
@@ -370,8 +371,10 @@ class TestLinkedBuilder:
     dead waits went — no 3 s counterparty poll, LC_FINALIZE inside the
     update's wave (168.0 / 593, 126.0 / 431, 126.0 / 469) — and every
     host subscription got an observation-delay stream of its own, which
-    redraws every delay in these worlds (the values below); channels
-    and store roots did not move."""
+    redraws every delay in these worlds (180.0 / 616, 120.0 / 422,
+    126.0 / 473); then every counterparty-side handshake step rode
+    behind its guest header in one counterparty block (the values
+    below).  Channels and store roots did not move."""
 
     @staticmethod
     def pin(dep, channels):
@@ -392,7 +395,7 @@ class TestLinkedBuilder:
             (config.batch_max_packets, config.batch_flush_seconds),
             config.channels, tracing=config.tracing)
         assert self.pin(dep, channels) == (
-            180.0, 616,
+            126.0, 549,
             [("channel-0", "channel-0"), ("channel-1", "channel-1"),
              ("channel-2", "channel-2")],
             "08eaf3013d5dde33")
@@ -403,10 +406,10 @@ class TestLinkedBuilder:
         )
         dep, engine = start_point(ThroughputPointConfig())
         assert self.pin(dep, engine.channels) == (
-            120.0, 422,
+            90.0, 415,
             [("channel-0", "channel-0"), ("channel-1", "channel-1")],
             "88805ed722a88a5a")
-        assert engine.end_time == 120.0 + 300.0 + 2400.0
+        assert engine.end_time == 90.0 + 300.0 + 2400.0
 
     def test_chaos_shape_and_explicit_default_host(self):
         from repro.experiments.chaos import ChaosSoakConfig
@@ -427,7 +430,7 @@ class TestLinkedBuilder:
                 config.channels, validators=config.validators,
                 with_fisherman=True, **host)
 
-        expected = (126.0, 473,
+        expected = (78.0, 408,
                     [("channel-0", "channel-0"), ("channel-1", "channel-1")],
                     "88805ed722a88a5a")
         dep, channels = build()

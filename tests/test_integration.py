@@ -40,19 +40,37 @@ class TestLinkEstablishment:
 
     def test_chunked_updates_happened(self, linked):
         """The handshake itself needs counterparty consensus on the
-        guest — through the chunked flow of §IV."""
+        guest — through the chunked flow of §IV — and each update ships
+        the minimal power-ranked prefix of its commit crossing the
+        client's two thresholds: over 2/3 of the header's set and over
+        1/3 of the set the client trusted before it (none on first
+        use), dropping its weakest signer failing one of them."""
         dep, _ = linked
         assert len(dep.relayer.metrics.lc_updates) >= 2
+        trusted = None
         for result in dep.relayer.metrics.lc_updates:
             assert result.success
             assert result.transaction_count > 10  # genuinely chunked
-            # Picasso-scale commits (~161 signatures), of which only the
-            # power-ranked prefix crossing the client's thresholds rides.
-            # The band sat at 60-100 while the second update targeted
-            # height 12 (85 signatures); it now starts a block earlier
-            # and ships height 11, whose thinner commit needs 100.  Same
-            # width, moved, not widened.
-            assert 65 < result.signature_count < 105
+            update = dep.counterparty.light_client_update(result.height)
+            valset = update.validator_set
+            powers = valset.power_map()
+            ranked = [key for key, _ in sorted(
+                update.commit.signatures, key=lambda entry: powers[entry[0]],
+                reverse=True)]
+
+            def crosses(count: int) -> bool:
+                signers = ranked[:count]
+                signed = sum(powers[key] for key in signers)
+                overlap = sum(trusted.power_of(key) for key in signers) \
+                    if trusted is not None else 0
+                return (signed > valset.total_power * 2 // 3
+                        and (trusted is None
+                             or overlap * 3 > trusted.total_power))
+
+            assert crosses(result.signature_count)
+            assert not crosses(result.signature_count - 1)
+            assert result.signature_count < len(ranked)
+            trusted = valset
 
     def test_guest_blocks_finalised_by_quorum(self, linked):
         dep, _ = linked

@@ -178,6 +178,41 @@ def assert_update_is_its_plan(result, rows) -> None:
     assert sum(receipt.fee_paid for receipt in receipts) == owed == result.total_fee
 
 
+def test_a_handshake_step_executes_in_the_block_that_accepts_its_header(
+        monkeypatch):
+    """(e) Every counterparty-side handshake datagram executes at the
+    counterparty height that accepted its proof height's header; on the
+    commit before, all four of one ``establish_link`` were a block late."""
+    from repro.ibc.messages import apply_handshake
+    from repro.relayer import endpoint
+
+    dep = Deployment(DeploymentConfig())
+    chain, client = dep.counterparty, dep.guest_client
+    update = client.update
+    #: guest height -> counterparty height its header was accepted at.
+    accepted: dict[int, int] = {}
+    #: (datagram, proof height, counterparty height it executed at).
+    executed: list[tuple[str, int, int]] = []
+
+    def watched_update(message):
+        result = update(message)
+        accepted.setdefault(message.header.height, chain.height)
+        return result
+
+    def watched_apply(ibc, msg):
+        result = apply_handshake(ibc, msg)
+        executed.append((type(msg).__name__, msg.proof_height, chain.height))
+        return result
+
+    client.update = watched_update
+    monkeypatch.setattr(endpoint, "apply_handshake", watched_apply)
+    dep.establish_link()
+    on_time = [name for name, proof_height, height in executed
+               if accepted.get(proof_height) == height]
+    assert on_time == ["MsgConnOpenTry", "MsgConnOpenConfirm",
+                       "MsgChanOpenTry", "MsgChanOpenConfirm"]
+
+
 def test_an_update_executes_and_pays_what_its_plan_says(traffic):
     for result, rows in zip(traffic.updates, traffic.waves.values()):
         assert_update_is_its_plan(result, rows)
