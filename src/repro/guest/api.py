@@ -314,22 +314,26 @@ class GuestApi:
                             tip_lamports, on_done)
 
     def submit_handshake(self, msg,
-                         on_done: Optional[Callable[[DeliveryResult], None]] = None) -> None:
-        """Ship one IBC handshake datagram to the guest — inline when it
-        fits one transaction, staged through chunks otherwise."""
+                         on_done: Optional[Callable[[DeliveryResult], None]] = None,
+                         prelude: tuple[bytes, ...] = ()) -> None:
+        """Ship one IBC handshake datagram to the guest behind
+        ``prelude`` (e.g. the SIBLING_UPDATE its proof needs) — as
+        leading instructions of one transaction when that fits the
+        host's cap, else as leading transactions of a staged bundle."""
         from repro.ibc.messages import encode_handshake
         msg_bytes = encode_handshake(msg)
-        if len(msg_bytes) + 16 <= usable_chunk_bytes(self.chain.config.max_transaction_bytes):
-            def single_done(receipt: TxReceipt) -> None:
-                if on_done is not None:
-                    on_done(DeliveryResult(
-                        transaction_count=1, total_fee=receipt.fee_paid,
-                        slot=receipt.slot, success=receipt.success,
-                        error=receipt.error,
-                    ))
-            self._single(ins.handshake(msg_bytes), on_result=single_done)
-        else:
-            self._buffered_exec(msg_bytes, Op.HANDSHAKE_EXEC, 10_000, on_done)
+        tx = self._transaction(*prelude, ins.handshake(msg_bytes), fee=self.default_fee)
+        if tx.serialized_size() > self.chain.config.max_transaction_bytes:
+            self._buffered_exec(msg_bytes, Op.HANDSHAKE_EXEC, 10_000, on_done,
+                                prelude=prelude)
+            return
+
+        def single_done(receipt: TxReceipt) -> None:
+            if on_done is not None:
+                on_done(DeliveryResult(
+                    transaction_count=1, total_fee=receipt.fee_paid, slot=receipt.slot,
+                    success=receipt.success, error=receipt.error))
+        self.chain.submit(tx, on_result=single_done)
 
     # ------------------------------------------------------------------
     # Chunked light-client update (Fig. 4/5)

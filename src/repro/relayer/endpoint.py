@@ -192,10 +192,12 @@ class GuestEnd(_End):
 
     def submit_handshake(self, msg, then: Callable[[Optional[str], int], None],
                          failed: Callable[[object], None]) -> None:
-        """Ship a handshake datagram; ``then(created, host slot)`` fires
-        on its ``HandshakeStep`` event (see the relayer), ``failed`` on
-        a failed receipt — a step that fails emits no event.  Raises
-        :class:`~repro.errors.HostUnavailableError` during a blackout."""
+        """Ship a handshake datagram behind the update its proof height
+        needs (:meth:`ClientUpdates.prelude`); ``then(created, host
+        slot)`` fires on its ``HandshakeStep`` event (see the relayer),
+        ``failed`` on a failed receipt — a step that fails emits no
+        event.  Raises :class:`~repro.errors.HostUnavailableError`
+        during a blackout."""
         waiter = (type(msg).__name__, then)
         self.handshake_waiter = waiter
 
@@ -204,7 +206,8 @@ class GuestEnd(_End):
                 self.handshake_waiter = None
                 failed(result.error)
 
-        self.api.submit_handshake(msg, on_done=on_done)
+        heights = [msg.proof_height] if hasattr(msg, "proof_height") else []
+        self.api.submit_handshake(msg, on_done, self.updates.prelude(heights))
 
 
 class CounterpartyEnd(_End):

@@ -18,10 +18,12 @@ two guests on one host — and moves, in each direction:
   ICS-03/04 dances of :mod:`~repro.relayer.handshake`.
 
 How each client is brought to a proof height is the business of the
-end's :mod:`~repro.relayer.updates` strategy.  Every guest-side
-submission goes through one pipeline — batch, bundle queue, circuit
-breaker, bounded idempotent retry (docs/CHAOS.md) — so every flow is
-blackout-safe and crash-safe the same way.
+end's :mod:`~repro.relayer.updates` strategy, behind one call,
+``cover``: a header push or a sibling adoption rides in front of the
+datagram it proves, and only a chunked Tendermint update is awaited.
+Every guest-side submission goes through one pipeline — batch, bundle
+queue, circuit breaker, bounded idempotent retry (docs/CHAOS.md) — so
+every flow is blackout-safe and crash-safe the same way.
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ class Relayer:
         # Alg. 2 line 5: a block with no packets, acks or epoch change
         # stays local.
         if packets or src.staged_acks or header.last_in_epoch:
-            dst.updates.cover_for_bundle(height, relay)
+            dst.updates.cover(height, relay)
         for marker, action in waiters:
             self._cover_commit(src, marker, action, height)
 
@@ -206,7 +208,7 @@ class Relayer:
             return
         dst = self._peer(src)
         for packet, committed_height in src.fresh_sends():
-            dst.updates.cover_for_bundle(
+            dst.updates.cover(
                 committed_height,
                 lambda h, p=packet: self._deliver(src, dst, p, h))
 
@@ -246,7 +248,7 @@ class Relayer:
             return
         # A counterparty's write is provable at its current height.
         origin = self._peer(receiver)
-        origin.updates.cover_for_bundle(
+        origin.updates.cover(
             receiver.height,
             lambda h: self._send(origin, self._ack_op(receiver, packet, ack, h)))
 
@@ -691,7 +693,7 @@ class Relayer:
                     src.outstanding[
                         packet_key(packet.source_channel, packet.sequence)] = packet
                     if not dst.has_receipt(packet):
-                        dst.updates.cover_for_bundle(
+                        dst.updates.cover(
                             block.height,
                             lambda h, s=src, d=dst, p=packet: self._deliver(s, d, p, h))
                         recovered += 1
@@ -777,9 +779,10 @@ class Relayer:
                 self.sim.trace.count("relay.handshakes.stale_views")
                 self._await_commit(src, marker + 1, action)
 
-        # A header push is not awaited: the datagram ``action`` submits
-        # rides behind it, and if the header is refused the datagram's
-        # own refusal brings the step back (``Handshake._failed``).
+        # A header push or a sibling adoption is not awaited: the
+        # datagram ``action`` submits rides behind it (the adoption as
+        # its prelude), and if a header is refused the datagram's own
+        # refusal brings the step back (``Handshake._failed``).
         self._peer(src).updates.cover(height, covered)
 
     def open_connection(self, on_open: Callable[[ConnectionId, ConnectionId], None],

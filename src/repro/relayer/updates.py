@@ -16,12 +16,14 @@ This module is the only place the three mechanisms are named:
   behind it for the same block: update, then act, in one block;
 * :class:`SiblingAdopt` — a guest's client of another guest on the same
   host: one idempotent SIBLING_UPDATE instruction, riding as a prelude
-  of the packet bundle that needs it (docs/FABRIC.md).
+  of the packet bundle or handshake transaction that needs it
+  (docs/FABRIC.md).
 
 The interface is :meth:`ClientUpdates.cover`: run ``then(height)`` once
 the client covers ``height`` (``height`` may come back higher than
 asked: a chunked update always targets the counterparty's tip), or, for
-a header push, at once behind the update.
+a header push or a sibling prelude, at once: the update rides in front
+of what ``then`` submits.
 """
 
 from __future__ import annotations
@@ -84,19 +86,13 @@ class ClientUpdates:
 
     def cover(self, height: int, then: Then) -> None:
         """Run ``then(h)``, ``h >= height``, once the client covers
-        ``h`` — or, where the holder runs its calls in order, submit the
-        update and run ``then`` behind it at once."""
-        raise NotImplementedError
-
-    def cover_for_bundle(self, height: int, then: Then) -> None:
-        """Like :meth:`cover`, for work that reaches the holder as a
-        bundle and may carry :meth:`prelude` instead of waiting."""
-        self.cover(height, then)
+        ``h``.  By default at once: what ``then`` submits carries
+        :meth:`prelude`, so the update runs in front of it."""
+        then(height)
 
     def refused(self, height: int) -> bool:
         """Was a datagram proven at ``height`` refused because the
-        update it rode behind was?  Only an update that is not awaited
-        can leave one so; the default says no."""
+        update it rode behind was?  The default says no."""
         return False
 
     def prelude(self, heights) -> tuple[bytes, ...]:
@@ -259,37 +255,24 @@ class HeaderPush(ClientUpdates):
 
     def refused(self, height: int) -> bool:
         # The header went in front of the datagram in the same block:
-        # had the client taken it, it would hold the height now.
-        return self.holder.client.consensus_root(height) is None
+        # had the client taken it, it would hold the height now.  A
+        # frozen client refuses every header and every datagram, and
+        # that is the step's own failure: it spends the retry budget.
+        client = self.holder.client
+        return not client.frozen and client.consensus_root(height) is None
 
 
 class SiblingAdopt(ClientUpdates):
-    """Host-verified adoption of a sibling guest's finalised heights."""
+    """Host-verified adoption of a sibling guest's finalised heights.
+
+    :meth:`refused` keeps the default on purpose.  The client lacking
+    the proof height after a failed step does not say its adoption was
+    refused (a host that reverts a failed transaction whole takes the
+    prelude with the step), and the one refusal of a finalised height,
+    a frozen client, is a failure the step must spend its attempts on."""
 
     def _covers(self, height: int) -> bool:
         return self.holder.client.consensus_root(height) is not None
-
-    def cover(self, height: int, then: Then) -> None:
-        # Handshake datagrams carry no prelude (unlike packet bundles),
-        # so the adoption rides as its own awaited transaction.
-        if self._covers(height):
-            then(height)
-            return
-
-        def on_result(receipt) -> None:
-            if receipt.success:
-                then(height)
-            else:  # transient (e.g. dropped in transit): retry
-                self.sim.schedule(self.relayer.retry_policy.base_seconds,
-                                  self.cover, height, then)
-
-        # Through the relayer's queue, like every guest-side submission:
-        # a blackout refusal defers the adoption instead of raising.
-        self.relayer._enqueue_bundle(lambda: self.holder.api.sibling_update(
-            str(self.holder.client_id), height, on_result=on_result))
-
-    def cover_for_bundle(self, height: int, then: Then) -> None:
-        then(height)  # the bundle's prelude adopts the height atomically
 
     def prelude(self, heights) -> tuple[bytes, ...]:
         # Empty once the client covers a height (the instruction is
@@ -301,7 +284,24 @@ class SiblingAdopt(ClientUpdates):
     def prime(self, then: Callable[[], None]) -> None:
         # Proofs verify against adopted roots, and validate_self_client
         # reads the client's state summary: it needs a first height.
-        self.cover(self.source.latest_final(), lambda _height: then())
+        # Nothing rides with it, so this adoption is the one awaited
+        # as its own transaction.
+        height = self.source.latest_final()
+        if self._covers(height):
+            then()
+            return
+
+        def on_result(receipt) -> None:
+            if receipt.success:
+                then()
+            else:  # transient (e.g. dropped in transit): retry
+                self.sim.schedule(self.relayer.retry_policy.base_seconds,
+                                  self.prime, then)
+
+        # Through the relayer's queue, like every guest-side submission:
+        # a blackout refusal defers the adoption instead of raising.
+        self.relayer._enqueue_bundle(lambda: self.holder.api.sibling_update(
+            str(self.holder.client_id), height, on_result=on_result))
 
 
 def updates_for(relayer, holder, source) -> ClientUpdates:

@@ -10,14 +10,18 @@ Four things are pinned here:
 * a failed step is *checked*: a transient failure is retried from
   "bring the client to the height" and the handshake completes; a
   permanent one raises ``HandshakeError`` naming the step, instead of
-  a ``TypeError`` or an hour-long hang; a step refused behind a refused
-  header is neither, and runs once, later;
+  a ``TypeError`` or an hour-long hang — behind a frozen client too,
+  and on a guest↔guest link, whose step carries its own SIBLING_UPDATE;
+  a step refused behind a refused header is neither, and runs once,
+  later;
 * one ``relay.handshake.step`` span per datagram, tiling the link's
   establishment;
 * on a guest shared by several links, each relayer consumes only the
   ``HandshakeStep`` events of its own datagrams, so the fabric builds
   whatever order its links are listed in.
 """
+
+import dataclasses
 
 import pytest
 
@@ -213,6 +217,53 @@ class TestFailedSteps:
         assert counters["relay.header_push.refused"] == 1
         assert counters["relay.handshakes.refused_behind_header"] == 1
         assert "relay.handshakes.retried" not in counters
+
+    def test_a_frozen_client_spends_the_attempts_and_raises(self):
+        """Every header is refused by a frozen client, and so is every
+        datagram behind one — but that is the step's own failure, not a
+        refusal behind a header: the budget is spent and the dance
+        raises, long before the deadline."""
+        dep = Deployment(DeploymentConfig(seed=5))
+        dep.guest_client.freeze()
+        began = dep.sim.now
+        with pytest.raises(HandshakeError,
+                           match="MsgConnOpenTry failed after 8 attempts: "
+                                 "light client is frozen"):
+            dep.establish_link(max_seconds=1_200.0)
+        assert dep.sim.now - began < 600.0
+
+    @pytest.mark.parametrize("fault", ["corrupted-proof", "frozen-client"])
+    def test_a_sibling_step_that_fails_on_its_own_raises(self, fault):
+        """On a guest↔guest link a step carries the SIBLING_UPDATE its
+        proof needs, so nothing tells a refused adoption from the step's
+        own failure — and an adoption of a finalised height is refused
+        only by a frozen client, which is the step's failure too.  A
+        corrupted proof, or a client frozen once the dance is under way,
+        spends the retry budget and raises, long before the deadline;
+        it is never re-proven as if refused behind an update."""
+        dep = build_fabric(TopologyConfig(
+            guests=(GuestSpec("g0"), GuestSpec("g1")),
+            links=(LinkSpec("g0", "g1"),), seed=11), establish=False)
+        relayer = dep.links[0].relayer
+        submit = relayer._submit_handshake
+        tries: list[int] = []
+
+        def faulty(end, msg, then, failed):
+            if type(msg).__name__ == "MsgConnOpenTry":
+                tries.append(msg.proof_height)
+                if fault == "frozen-client":
+                    end.client.freeze()
+                else:
+                    msg = dataclasses.replace(msg, proof=dataclasses.replace(
+                        msg.proof, value=b"forged"))
+            submit(end, msg, then, failed)
+
+        relayer._submit_handshake = faulty
+        began = dep.sim.now
+        with pytest.raises(HandshakeError, match="MsgConnOpenTry failed after"):
+            dep.establish_all(max_seconds_per_link=1_200.0)
+        assert len(tries) == relayer.retry_policy.max_attempts
+        assert dep.sim.now - began < 600.0
 
 
 # ----------------------------------------------------------------------
