@@ -45,7 +45,9 @@ from repro.errors import ReproError
 #: pickled class change so that an older payload would restore into an
 #: object the current code misreads (docs/CHECKPOINT.md, versioning
 #: rules).  2: ``host.accounts.Account`` carries ``size`` and no blob.
-CODEC_VERSION = 2
+#: 3: a ``GuestEnd``'s waiters wait on a guest height, not a host slot,
+#: and its staged acks carry the height of the block that commits them.
+CODEC_VERSION = 3
 
 #: ``major.minor`` of the interpreter — marshal'd code objects are not
 #: portable across interpreter feature releases.

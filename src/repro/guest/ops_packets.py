@@ -78,6 +78,7 @@ def _recv(contract, ctx: InvokeContext, msg: BufferedPacketMsg,
     ack = contract.ibc.recv_packet(packet, proof, msg.proof_height,
                                    local_time=ctx.unix_time)
     ctx.emit("PacketReceived", guest=contract.chain_id,
+             height_hint=contract.head.height + 1,
              sequence=packet.sequence,
              channel=str(packet.destination_channel),
              ack_success=ack.success, packet=packet,
@@ -182,8 +183,10 @@ def handshake(contract, ctx: InvokeContext, msg_bytes: bytes) -> None:
     ctx.meter.charge_hash(len(msg_bytes))
     created = apply_handshake(contract.ibc, msg)
     # The payer lets each relayer pick out the steps of its own
-    # datagrams when several shake hands on this guest.
+    # datagrams when several shake hands on this guest; the height names
+    # the block that commits the step, which its proof is made against.
     ctx.emit("HandshakeStep", guest=contract.chain_id, payer=ctx.payer,
+             height_hint=contract.head.height + 1,
              kind=type(msg).__name__, created=created)
 
 

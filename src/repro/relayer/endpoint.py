@@ -121,12 +121,13 @@ class GuestEnd(_End):
 
     def reset(self) -> None:
         """Drop everything a relayer crash loses."""
-        #: [(min host slot, action(height))]: continuations waiting for
-        #: a finalised block that covers a guest-side mutation.
+        #: [(height, action(height))]: continuations waiting for the
+        #: block that commits a guest-side write to be finalised.
         self.waiters: list[tuple[int, Callable[[int], None]]] = []
-        #: Acks this guest wrote, by (channel, sequence); returned once
-        #: a finalised block covers them.
-        self.staged_acks: dict[tuple[str, int], tuple[Packet, Acknowledgement]] = {}
+        #: Acks this guest wrote, by (channel, sequence), with the height
+        #: of the block that commits each; returned once it is finalised.
+        self.staged_acks: dict[tuple[str, int],
+                               tuple[Packet, Acknowledgement, int]] = {}
         #: Finalised sends awaiting their ack or timeout.
         self.outstanding: dict[tuple[str, int], Packet] = {}
         #: (datagram kind, continuation) of the handshake step in flight.
@@ -158,17 +159,6 @@ class GuestEnd(_End):
         against)."""
         return self.contract.state_view(height)
 
-    def provable_height(self, slot: int) -> Optional[int]:
-        """Lowest finalised height whose block covers every mutation up
-        to host slot ``slot``; None if no such block is finalised yet."""
-        return next((block.height for block in self.contract.blocks
-                     if block.finalised and block.header.host_slot >= slot), None)
-
-    def marker_after(self, height: int) -> int:
-        """A host slot only blocks after ``height`` cover: what
-        :meth:`provable_height` resolves to a strictly later block."""
-        return self.contract.block_at(height).header.host_slot + 1
-
     def latest_final(self) -> int:
         """Highest finalised height (genesis is finalised, so one
         exists once the contract is initialized)."""
@@ -181,9 +171,20 @@ class GuestEnd(_End):
         return next((block.height for block in self.contract.blocks
                      if block.finalised and block.header.timestamp > deadline), None)
 
-    def take_waiters(self, slot: int) -> list[tuple[int, Callable[[int], None]]]:
-        ready = [w for w in self.waiters if w[0] <= slot]
-        self.waiters = [w for w in self.waiters if w[0] > slot]
+    def ack_height(self, packet: Packet) -> int:
+        """Height of the block that commits the ack this guest wrote for
+        ``packet``: the lowest whose state view holds it (the next block
+        if none does yet) — what a ``PacketReceived`` event names."""
+        prefix = paths.ack_prefix(packet.destination_port,
+                                  packet.destination_channel)
+        height = self.contract.head.height + 1
+        while probe(self.view(height - 1), prefix, packet.sequence, sealed=True):
+            height -= 1
+        return height
+
+    def take_waiters(self, height: int) -> list[tuple[int, Callable[[int], None]]]:
+        ready = [w for w in self.waiters if w[0] <= height]
+        self.waiters = [w for w in self.waiters if w[0] > height]
         return ready
 
     def delivered(self, packet: Packet) -> None:
@@ -193,8 +194,9 @@ class GuestEnd(_End):
     def submit_handshake(self, msg, then: Callable[[Optional[str], int], None],
                          failed: Callable[[object], None]) -> None:
         """Ship a handshake datagram behind the update its proof height
-        needs (:meth:`ClientUpdates.prelude`); ``then(created, host
-        slot)`` fires on its ``HandshakeStep`` event (see the relayer),
+        needs (:meth:`ClientUpdates.prelude`); ``then(created, height)``
+        fires on its ``HandshakeStep`` event, which names the height of
+        the block that commits the step (see the relayer),
         ``failed`` on a failed receipt — a step that fails emits no
         event.  Raises :class:`~repro.errors.HostUnavailableError`
         during a blackout."""
@@ -249,9 +251,9 @@ class CounterpartyEnd(_End):
     def height(self) -> int:
         return self.chain.height
 
-    def provable_height(self, height: int) -> int:
-        """A call that executed at ``height`` is provable from there on."""
-        return height
+    def ack_height(self, packet: Packet) -> int:
+        """A write is provable at the chain's current height."""
+        return self.height
 
     def submit_handshake(self, msg, then: Callable[[Optional[str], int], None],
                          failed: Callable[[object], None]) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.errors import HandshakeError, KeyNotFoundError
+from repro.errors import HandshakeError
 from repro.ibc import commitment as paths
 from repro.ibc import messages as msgs
 from repro.ibc.channel import ChannelOrder
@@ -135,7 +135,7 @@ class Handshake:
     def start(self) -> None:
         self._begin(0, None)
 
-    def _begin(self, index: int, marker: Optional[int]) -> None:
+    def _begin(self, index: int, committed: Optional[int]) -> None:
         """Step ``index`` starts: the relayer has just seen the previous
         one execute (or the dance start).  Its span ends when this step
         executes, so a dance's spans tile it end to end."""
@@ -143,11 +143,11 @@ class Handshake:
         self._span = relayer.sim.trace.span(
             "relay.handshake.step",
             key=f"{relayer.a.chain_id}-{relayer.b.chain_id}", actor="relayer")
-        self._step(index, marker, 1)
+        self._step(index, committed, 1)
 
-    def _step(self, index: int, marker: Optional[int], attempt: int) -> None:
-        """Submit datagram ``index``; ``marker`` says where the peer
-        committed the previous step (a host slot or a height)."""
+    def _step(self, index: int, committed: Optional[int], attempt: int) -> None:
+        """Submit datagram ``index``; ``committed`` is the height of the
+        peer's block that commits the previous step."""
         me, peer = self.sides[index % 2], self.sides[(index + 1) % 2]
         build = self.builders[index]
 
@@ -156,26 +156,18 @@ class Handshake:
             name = type(msg).__name__
             self.relayer._submit_handshake(
                 me.end, msg,
-                lambda created, committed: self._advance(
-                    index, created, committed, name),
+                lambda created, at: self._advance(index, created, at, name),
                 lambda cause: self._failed(
-                    index, marker, attempt, name, cause, height),
+                    index, committed, attempt, name, cause, height),
             )
 
         def prove(height: int) -> None:
-            path = self.path_of(peer)
-            proof = peer.end.view(height).prove(path)
-            if proof.value != peer.end.ibc.store.get(path):
-                # The block was cut earlier in the very slot the peer's
-                # step landed in: it proves the end as it was before.
-                raise KeyNotFoundError(
-                    f"height {height} predates the write to {path}")
-            submit(proof, height)
+            submit(peer.end.view(height).prove(self.path_of(peer)), height)
 
         if index == 0:
             submit(None, 0)
             return
-        self.relayer._await_commit(peer.end, marker, prove)
+        self.relayer._await_commit(peer.end, committed, prove)
 
     def _advance(self, index: int, created: Optional[str], committed: int,
                  name: str) -> None:
@@ -189,18 +181,17 @@ class Handshake:
             self.keep(side)
         self.on_done()
 
-    def _failed(self, index: int, marker: Optional[int], attempt: int,
+    def _failed(self, index: int, committed: Optional[int], attempt: int,
                 name: str, cause, height: int) -> None:
         relayer = self.relayer
-        me, peer = self.sides[index % 2], self.sides[(index + 1) % 2]
+        me = self.sides[index % 2]
         if index and me.end.updates.refused(height):
             # Refused behind the peer's header, which this end's client
             # refused first (e.g. an older epoch than it now tracks):
             # not the step's own failure, so not an attempt.  Its one
-            # continuation is to prove again from a strictly later
-            # finalised block of the peer.
+            # continuation is to prove again from the peer's next block.
             relayer.sim.trace.count("relay.handshakes.refused_behind_header")
-            self._step(index, peer.end.marker_after(height), attempt)
+            self._step(index, height + 1, attempt)
             return
         if not relayer.retry_policy.allows(attempt):
             self._span.end(datagram=name, failed=str(cause))
@@ -212,4 +203,4 @@ class Handshake:
         # re-ensure the client height and prove again.
         relayer.sim.schedule(
             relayer.retry_policy.delay(attempt, relayer._retry_rng),
-            self._step, index, marker, attempt + 1)
+            self._step, index, committed, attempt + 1)

@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.errors import HostUnavailableError, KeyNotFoundError, ReproError
+from repro.errors import HostUnavailableError, ReproError
 from repro.guest.api import Batch, BatchOp, DeliveryResult, LcUpdateResult
 from repro.host.chain import HostChain
 from repro.host.events import HostEvent
@@ -183,7 +183,7 @@ class Relayer:
         height = payload["height"]
         header = payload["header"]
         packets = tuple(p for p in payload["packets"] if src.sends(p))
-        waiters = src.take_waiters(header.host_slot)
+        waiters = src.take_waiters(height)
         dst = self._peer(src)
         for packet in packets:
             src.outstanding[packet_key(packet.source_channel, packet.sequence)] = packet
@@ -197,8 +197,8 @@ class Relayer:
         # stays local.
         if packets or src.staged_acks or header.last_in_epoch:
             dst.updates.cover(height, relay)
-        for marker, action in waiters:
-            self._cover_commit(src, marker, action, height)
+        for _, action in waiters:
+            dst.updates.cover(height, action)
 
     def _on_counterparty_block(self, src) -> None:
         """``src``'s chain committed a block: take up the sends past the
@@ -213,8 +213,8 @@ class Relayer:
                 lambda h, p=packet: self._deliver(src, dst, p, h))
 
     def _on_packet_received(self, event: HostEvent) -> None:
-        """A guest wrote an ack; it returns once a finalised block of
-        that guest covers it (inside :meth:`_on_finalised_block`)."""
+        """A guest wrote an ack; it returns once the block the event
+        names is finalised (inside :meth:`_on_finalised_block`)."""
         receiver = self._guest_for(event)
         packet = event.payload.get("packet")
         ack_bytes = event.payload.get("ack_bytes")
@@ -222,7 +222,8 @@ class Relayer:
             return
         if receiver.receives(packet):  # else another link's relayer acks it
             self._ack_written(receiver, packet,
-                              Acknowledgement.from_bytes(ack_bytes))
+                              Acknowledgement.from_bytes(ack_bytes),
+                              event.payload["height_hint"])
 
     # ==================================================================
     # Packets and acknowledgements, either direction
@@ -239,27 +240,25 @@ class Relayer:
         self._send(dst, BatchOp(kind="recv", packet=packet, proof=proof,
                                 proof_height=height))
 
-    def _ack_written(self, receiver, packet: Packet, ack: Acknowledgement) -> None:
-        """``receiver`` holds ``ack`` for ``packet``: haul it home."""
+    def _ack_written(self, receiver, packet: Packet, ack: Acknowledgement,
+                     height: int) -> None:
+        """``receiver`` holds ``ack`` for ``packet``, provable from
+        ``height`` on: haul it home."""
         if receiver in self._guests:
-            # Provable only from the next finalised block on.
-            receiver.staged_acks[
-                packet_key(packet.destination_channel, packet.sequence)] = (packet, ack)
+            # Provable once the block at ``height`` is finalised.
+            receiver.staged_acks[packet_key(
+                packet.destination_channel, packet.sequence)] = (packet, ack, height)
             return
-        # A counterparty's write is provable at its current height.
         origin = self._peer(receiver)
         origin.updates.cover(
-            receiver.height,
+            height,
             lambda h: self._send(origin, self._ack_op(receiver, packet, ack, h)))
 
     def _return_acks(self, receiver: GuestEnd, origin, height: int) -> None:
-        for key, (packet, ack) in list(receiver.staged_acks.items()):
-            try:
-                op = self._ack_op(receiver, packet, ack, height)
-            except ReproError:
-                continue  # ack not yet inside this block's state root
-            del receiver.staged_acks[key]
-            self._send(origin, op)
+        for key, (packet, ack, written) in list(receiver.staged_acks.items()):
+            if written <= height:
+                del receiver.staged_acks[key]
+                self._send(origin, self._ack_op(receiver, packet, ack, height))
 
     @staticmethod
     def _ack_op(receiver, packet: Packet, ack: Acknowledgement,
@@ -306,7 +305,7 @@ class Relayer:
                 self.sim.trace.count("relay.packets.to_counterparty")
                 self.metrics.packets_relayed_to_counterparty += 1
                 # The counterparty wrote its ack in this block; bring it home.
-                self._ack_written(dst, packet, result)
+                self._ack_written(dst, packet, result, dst.height)
 
             dst.chain.submit(
                 lambda: dst.ibc.recv_packet(packet, op.proof, op.proof_height,
@@ -680,7 +679,8 @@ class Relayer:
             origin = self._peer(receiver)
             for packet, ack in receiver.ibc.written_acks.values():
                 if receiver.receives(packet) and origin.has_commitment(packet):
-                    self._ack_written(receiver, packet, ack)
+                    self._ack_written(receiver, packet, ack,
+                                      receiver.ack_height(packet))
                     recovered += 1
         for src in self._guests:
             dst = self._peer(src)
@@ -730,13 +730,13 @@ class Relayer:
         if payload.get("kind") != kind or payload.get("payer") != end.api.payer:
             return
         end.handshake_waiter = None
-        then(payload.get("created"), event.slot)
+        then(payload.get("created"), payload["height_hint"])
 
     def _submit_handshake(self, end, msg, then: Callable[[Optional[str], int], None],
                           failed: Callable[[object], None]) -> None:
         """Submit a handshake datagram on ``end``; ``then(created,
-        marker)`` once it executed (``marker`` = where: the host slot or
-        the counterparty height), ``failed(cause)`` if it was rejected."""
+        height)`` once it executed, ``height`` naming the block that
+        commits it, ``failed(cause)`` if it was rejected."""
         try:
             end.submit_handshake(msg, then, failed)
         except HostUnavailableError:
@@ -745,45 +745,24 @@ class Relayer:
                 self.retry_policy.delay(1, self._retry_rng),
                 self._submit_handshake, end, msg, then, failed)
 
-    def _await_commit(self, src, marker: int, action: Callable[[int], None]) -> None:
-        """Run ``action(height)`` once what ``src`` committed at
-        ``marker`` is inside a block its peer's client covers.
+    def _await_commit(self, src, height: int, action: Callable[[int], None]) -> None:
+        """Run ``action(height)`` once the block of ``src`` at ``height``
+        is one its peer's client covers.
 
-        For a guest that is a finalised block with ``host_slot >=
-        marker``: if one exists its header is pushed right away (it may
-        never have been relayed — empty blocks are skipped by Alg. 2);
-        otherwise a waiter is flushed by :meth:`_on_finalised_block`.
+        A counterparty height is provable at once; a guest's once that
+        block is finalised.  If it is, its header is pushed right away
+        (it may never have been relayed — empty blocks are skipped by
+        Alg. 2); otherwise a waiter is flushed by
+        :meth:`_on_finalised_block`.  A header push or a sibling
+        adoption is not awaited: the datagram ``action`` submits rides
+        behind it (the adoption as its prelude), and if a header is
+        refused the datagram's own refusal brings the step back
+        (``Handshake._failed``).
         """
-        height = src.provable_height(marker)
-        if height is None:
-            src.waiters.append((marker, action))
+        if src in self._guests and height > src.latest_final():
+            src.waiters.append((height, action))
         else:
-            self._cover_commit(src, marker, action, height)
-
-    def _cover_commit(self, src, marker: int, action: Callable[[int], None],
-                      height: int) -> None:
-        def covered(covered_height: int) -> None:
-            # The same-slot race: a guest block generated in the *same*
-            # host slot as the mutation the action needs — but earlier
-            # within that slot's block — carries ``host_slot == marker``
-            # while its state view predates the write, so proving the
-            # path raises (the write created it) or shows the old value
-            # (the write updated it; the handshake raises that too).
-            # Links sharing a guest make this common: a neighbour's
-            # datagram is what cuts the early block.  Go on from a
-            # strictly later block: one already finalised, or the next
-            # (the write changed the root, so one comes).
-            try:
-                action(covered_height)
-            except KeyNotFoundError:
-                self.sim.trace.count("relay.handshakes.stale_views")
-                self._await_commit(src, marker + 1, action)
-
-        # A header push or a sibling adoption is not awaited: the
-        # datagram ``action`` submits rides behind it (the adoption as
-        # its prelude), and if a header is refused the datagram's own
-        # refusal brings the step back (``Handshake._failed``).
-        self._peer(src).updates.cover(height, covered)
+            self._peer(src).updates.cover(height, action)
 
     def open_connection(self, on_open: Callable[[ConnectionId, ConnectionId], None],
                         initiator=None) -> None:

@@ -372,3 +372,13 @@ def batch_bundle_payload(transactions) -> bytes:
         pieces.append(chunk.read_bytes())
         chunk.expect_end()
     return b"".join(pieces) + tail
+
+
+def can_cut_a_block(dep) -> bool:
+    """Would a GENERATE_BLOCK submitted now land, with the deployment's
+    cranker held off?  The head is finalised, no crank is in flight,
+    and the state moved since the head or the head is Δ old."""
+    contract, head = dep.contract, dep.contract.head
+    return head.finalised and not dep.cranker._in_flight and (
+        contract.store.root_hash != head.header.state_root
+        or dep.sim.now - head.header.timestamp >= contract.config.delta_seconds)

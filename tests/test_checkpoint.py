@@ -26,6 +26,7 @@ from repro.checkpoint import (
 )
 from repro.checkpoint.snapshot import CheckpointManifest, world_roots
 from repro.guest.config import GuestConfig
+from repro.ibc.identifiers import PortId
 from repro.validators.profiles import simple_profiles
 
 
@@ -272,6 +273,51 @@ class TestSnapshotRestore:
         restored, _ = restore_world(checkpoint)
         assert restored.host._slot_handle is None
         assert finish(restored) == straight
+
+    def test_a_world_mid_establishment_restores_and_runs_on_identically(self):
+        """The relayer's guest-side markers ride the checkpoint: taken
+        while a channel handshake step waits on a guest height and acks
+        wait on their committing blocks, the restored world runs on
+        event for event and root for root with the one that did not
+        stop."""
+        deployment = Deployment(small_config(seed=75))
+        deployment.establish_link()
+        relayer, guest = deployment.relayer, deployment.relayer.a
+        counterparty = deployment.counterparty
+        counterparty.bank.mint("carol", "PICA", 1_000)
+        _, cp_channel = sorted(relayer.b.channels)[0]
+        port = PortId("transfer")
+
+        def send():
+            counterparty.ibc.send_packet(
+                port, cp_channel, counterparty.transfer.make_payload(
+                    cp_channel, "PICA", 10, "carol", "dave"), 0.0)
+
+        for _ in range(5):
+            counterparty.submit(send)
+        while not guest.staged_acks:
+            deployment.sim.step()
+        # A second channel over the open connection, with more sends.
+        relayer.open_channel(port, port, {}.__setitem__)
+        for _ in range(5):
+            counterparty.submit(send)
+        while not guest.waiters and deployment.sim.now < 300.0:
+            deployment.sim.step()
+        assert guest.waiters and guest.staged_acks
+        checkpoint = Checkpoint.from_bytes(snapshot_world(deployment).to_bytes())
+
+        def run_on(world):
+            world.run_for(300.0)
+            guest_end = world.relayer.a
+            assert len(guest_end.channels) == 2
+            return (world.sim.now, world.sim.dispatched_events(),
+                    world.sim.pending_events(), world_roots(world),
+                    world.contract.ibc.counters.packets_received,
+                    world.counterparty.ibc.counters.packets_acknowledged)
+
+        straight = run_on(deployment)
+        restored, _ = restore_world(checkpoint)
+        assert run_on(restored) == straight
 
     def test_tampered_manifest_fails_audit(self, live_world):
         deployment, _ = live_world

@@ -16,13 +16,16 @@ One loop opens any number of links at once.  Pinned here:
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro import Deployment, DeploymentConfig
 from repro.deployment import handshake_step, open_transfer_links
-from repro.errors import ChannelError, HandshakeError, SimulationError
+from repro.errors import (
+    ChannelError, HandshakeError, KeyNotFoundError, SimulationError,
+)
 from repro.experiments.topology import (
     TopologySweepConfig, check_topology, run_star_point,
 )
@@ -30,9 +33,15 @@ from repro.fabric import (
     CounterpartySpec, GuestSpec, LinkSpec, RouteSpec, TopologyConfig,
     build_fabric,
 )
+from repro.guest import instructions as ins
+from repro.guest.config import GuestConfig
 from repro.host.chain import HostConfig
+from repro.ibc import commitment as paths
 from repro.ibc.channel import ChannelState
 from repro.ibc.identifiers import ChannelId, PortId
+from repro.relayer.endpoint import probe
+
+from tests.helpers import can_cut_a_block
 
 
 # ----------------------------------------------------------------------
@@ -209,52 +218,127 @@ def test_link_order_and_concurrency_are_invisible(seed, order):
         assert forward.forwards_settled == forward.forwards_started == 2
 
 
-def establish_with_a_stale_block(stale_call: int) -> None:
+def establish_with_a_block_cut_ahead(step: str, proven_by: str) -> None:
     """A guest block cut earlier in the very host slot a step lands in
     carries that slot but proves the end as it was before the step (on
     a shared guest a neighbour link's datagram cuts such blocks; found
     at seed 2, where cp-b rejected the ConnOpenConfirm built on one
     eight times over).  Which seeds meet it moves with every timing
-    change, so it is built here: when the relayer asks which finalised
-    block covers the guest's step number ``stale_call``, it is handed
-    the newest one, which predates the step's write.  The driver
-    notices, goes on from a strictly later block, and submits the step
-    once."""
-    dep = Deployment(DeploymentConfig(seed=0, tracing=True))
-    guest = dep.relayer.a
-    provable_height = guest.provable_height
-    asked: list[int] = []
-    handed: list[int] = []
+    change, so it is built here: the guest's ``step`` goes out behind a
+    GENERATE_BLOCK of the test's own, in one transaction.  The step's
+    event names the block after that one, and the counterparty's
+    ``proven_by`` is proven there and submitted once."""
+    dep = Deployment(DeploymentConfig(
+        seed=0, tracing=True, guest=GuestConfig(delta_seconds=10.0)))
+    contract = dep.contract
+    api = dep.relayer.a.api
+    submit = api.submit_handshake
 
-    def cut_earlier(slot: int):
-        if slot not in asked:
-            asked.append(slot)
-            if len(asked) == stale_call + 1:
-                handed.append(guest.latest_final())
-                return handed[0]
-        return provable_height(slot)
+    def cut_ahead(msg, on_done, prelude=()):
+        if type(msg).__name__ != step:
+            submit(msg, on_done, prelude)
+            return
+        # Hold the cranker off until the step has landed, and wait
+        # until a block can be cut.
+        dep.cranker.paused = True
+        if not can_cut_a_block(dep):
+            dep.sim.schedule(0.4, cut_ahead, msg, on_done, prelude)
+            return
 
-    guest.provable_height = cut_earlier
+        def landed(result):
+            dep.cranker.paused = False
+            on_done(result)
+
+        submit(msg, landed, (ins.generate_block(),) + tuple(prelude))
+
+    api.submit_handshake = cut_ahead
+    steps: list[tuple[int, int]] = []
+    dep.host.subscribe("HandshakeStep", lambda event: (
+        event.payload["kind"] == step
+        and steps.append((event.slot, event.payload["height_hint"]))))
+    counterparty = dep.relayer.b
+    submit_there = counterparty.submit_handshake
+    proven_at: list[int] = []
+
+    def record(msg, then, failed):
+        if type(msg).__name__ == proven_by:
+            proven_at.append(msg.proof_height)
+        submit_there(msg, then, failed)
+
+    counterparty.submit_handshake = record
     channels = dep.establish_link()
-    assert handed, "the stale block was never handed out"
     assert channels == (ChannelId("channel-0"), ChannelId("channel-0"))
-    counters = dep.trace_report().counters
-    assert counters["relay.handshakes.stale_views"] == 1
-    assert "relay.handshakes.retried" not in counters
+    [(slot, height)] = steps
+    # The precondition: a block was cut ahead of the step in its slot.
+    assert contract.block_at(height - 1).header.host_slot == slot
+    assert proven_at == [height]
+    assert "relay.handshakes.retried" not in dep.trace_report().counters
     assert len(dep.counterparty.ibc.connections) == 1
 
 
 def test_block_cut_earlier_in_the_slot_of_a_step_is_not_proven_against():
     """ConnOpenTry: the guest's Init created the end, so the early block
-    has no such path and the trie refuses the proof."""
-    establish_with_a_stale_block(0)
+    has no such path."""
+    establish_with_a_block_cut_ahead("MsgConnOpenInit", "MsgConnOpenTry")
 
 
 def test_block_cut_before_a_step_updated_the_end_is_not_proven_against():
     """ConnOpenConfirm: the guest's Ack updated an end that exists, so
-    the early block proves its previous value (INIT, not OPEN) and the
-    driver refuses it itself."""
-    establish_with_a_stale_block(1)
+    the early block holds its previous value (INIT, not OPEN)."""
+    establish_with_a_block_cut_ahead("MsgConnOpenAck", "MsgConnOpenConfirm")
+
+
+def changes(contract, holds) -> Counter:
+    """Heights whose block's state view answers ``holds`` differently
+    from the block before it."""
+    return Counter(height for height in range(1, contract.head.height + 1)
+                   if holds(contract.state_view(height))
+                   != holds(contract.state_view(height - 1)))
+
+
+def value(view, path: str):
+    try:
+        return view.get(path)
+    except KeyNotFoundError:
+        return None
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_every_guest_write_names_the_block_that_commits_it(seed):
+    """For every guest ``HandshakeStep`` and ``PacketReceived``, the
+    block at ``height_hint`` is the first whose state view holds the
+    write: over the path's establishment, where links sharing a guest
+    cut blocks in each other's slots, and a routed transfer."""
+    dep = build_fabric(TopologyConfig.chain_of(ROUTE, seed=seed), establish=False)
+    steps: dict[str, list[int]] = {name: [] for name in dep.guests}
+    acks: dict[str, list] = {name: [] for name in dep.guests}
+    dep.host.subscribe("HandshakeStep", lambda event: steps[
+        event.payload["guest"]].append(event.payload["height_hint"]))
+    dep.host.subscribe("PacketReceived", lambda event: acks[
+        event.payload["guest"]].append(
+            (event.payload["packet"], event.payload["height_hint"])))
+    dep.establish_all()
+    dep.counterparties["cp-a"].bank.mint("alice", "uatom", AMOUNT)
+    dep.send_along("path", "alice", "bob", "uatom", AMOUNT)
+    dep.run_for(300.0)
+    assert held(dep.counterparties["cp-b"].bank, "bob") == AMOUNT
+
+    for name, guest in dep.guests.items():
+        contract = guest.contract
+        ibc = contract.ibc
+        # Two links per guest, four guest-side steps each: every step
+        # writes one end at its height, and nothing else writes an end.
+        assert len(steps[name]) == 8
+        ends = ([paths.connection_path(ident) for ident in ibc.connections]
+                + [paths.channel_path(port, ident) for port, ident in ibc.channels])
+        assert sum((changes(contract, lambda view, path=path: value(view, path))
+                    for path in ends), Counter()) == Counter(steps[name])
+        # One ack, written once: the block it names is where it appears.
+        [(packet, height)] = acks[name]
+        prefix = paths.ack_prefix(packet.destination_port,
+                                  packet.destination_channel)
+        assert changes(contract, lambda view: probe(
+            view, prefix, packet.sequence, sealed=True)) == Counter([height])
 
 
 # ----------------------------------------------------------------------

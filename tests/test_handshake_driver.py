@@ -351,14 +351,13 @@ class TestLinkOrder:
         g1_of_sibling, g1_of_classic = sibling.b, classic.a
         seen = []
         g1_of_classic.handshake_waiter = (
-            "MsgConnOpenInit", lambda created, slot: seen.append(created))
+            "MsgConnOpenInit",
+            lambda created, height: seen.append((created, height)))
 
         class Event:
-            slot = 5
-
             def __init__(self, kind, payer):
                 self.payload = {"guest": "g1", "kind": kind, "payer": payer,
-                                "created": "connection-9"}
+                                "created": "connection-9", "height_hint": 5}
 
         classic._on_handshake_step(
             Event("MsgChanOpenConfirm", g1_of_sibling.api.payer))
@@ -367,7 +366,7 @@ class TestLinkOrder:
         assert seen == [] and g1_of_classic.handshake_waiter is not None
         classic._on_handshake_step(
             Event("MsgConnOpenInit", g1_of_classic.api.payer))
-        assert seen == ["connection-9"]
+        assert seen == [("connection-9", 5)]
         assert g1_of_classic.handshake_waiter is None
 
 

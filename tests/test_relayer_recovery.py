@@ -13,9 +13,13 @@ import pytest
 
 from repro import Deployment, DeploymentConfig
 from repro.chaos import ChaosInjector, FaultPlan
+from repro.fabric.conservation import ConservationChecker
+from repro.guest import instructions as ins
 from repro.guest.config import GuestConfig
 from repro.relayer.relayer import RelayerConfig
 from repro.validators.profiles import simple_profiles
+
+from tests.helpers import can_cut_a_block
 
 
 def make_dep(seed, relayer_config=None):
@@ -196,6 +200,69 @@ class TestCrashRestart:
         assert dep.contract.ibc.counters.packets_acknowledged == 1
         counters = dep.trace_report().counters
         assert counters.get("relay.recovered", 0) >= 1
+
+    def test_ack_written_behind_a_block_cut_in_its_slot_returns_once_after_restart(self):
+        """The guest writes an ack in a host slot where a guest block was
+        already cut (a GENERATE_BLOCK of the test's own leads the
+        delivery bundle), so the block that commits it is the next one.
+        The relayer crashes with the ack staged and restarts: it finds
+        the committing block as the lowest whose state view holds the
+        ack, returns it once, proven there, and no token is minted or
+        lost on the way."""
+        dep = make_dep(279)
+        guest_chan, cp_chan = dep.establish_link()
+        dep.counterparty.bank.mint("carol", "PICA", 1_000)
+        checker = ConservationChecker({"guest": dep.contract.bank,
+                                       "counterparty": dep.counterparty.bank})
+        guest, contract, cranker = dep.relayer.a, dep.contract, dep.cranker
+        deliver = guest.api.deliver_packet
+
+        def cut_ahead(*args, on_done, prelude=(), **kwargs):
+            # Hold the cranker off until the relayer has restarted, and
+            # wait until a block can be cut.
+            cranker.paused = True
+            if not can_cut_a_block(dep):
+                dep.sim.schedule(0.4, lambda: cut_ahead(
+                    *args, on_done=on_done, prelude=prelude, **kwargs))
+                return
+            guest.api.deliver_packet = deliver
+            deliver(*args, on_done=lambda result: (on_done(result),
+                                                   crash_once_staged()),
+                    prelude=(ins.generate_block(),) + tuple(prelude), **kwargs)
+
+        def crash_once_staged():
+            if not guest.staged_acks:  # the event path has not staged it yet
+                dep.sim.schedule(0.1, crash_once_staged)
+                return
+            dep.relayer.crash()
+            dep.relayer.restart()
+            cranker.paused = False
+
+        guest.api.deliver_packet = cut_ahead
+        written: list[tuple[int, int]] = []
+        dep.host.subscribe("PacketReceived", lambda event: written.append(
+            (event.slot, event.payload["height_hint"])))
+        acknowledge = dep.counterparty.ibc.acknowledge_packet
+        proven_at: list[int] = []
+
+        def record(packet, ack, proof, proof_height):
+            proven_at.append(proof_height)
+            return acknowledge(packet, ack, proof, proof_height)
+
+        dep.counterparty.ibc.acknowledge_packet = record
+        cp_send(dep, cp_chan)
+        dep.run_for(300.0)
+
+        [(slot, height)] = written
+        # The precondition: a block was cut ahead of the ack in its slot.
+        assert contract.block_at(height - 1).header.host_slot == slot
+        assert proven_at == [height]
+        assert dep.trace_report().counters.get("relay.recovered") == 1
+        assert dep.counterparty.ibc.counters.packets_acknowledged == 1
+        voucher = contract.transfer.voucher_denom(guest_chan, "PICA")
+        assert contract.bank.balance("dave", voucher) == 50
+        report = checker.check()
+        assert report.ok, report.failures[:3]
 
     def test_dead_incarnation_callbacks_are_dropped(self):
         dep = make_dep(276)

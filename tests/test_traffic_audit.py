@@ -11,16 +11,20 @@ the ledger's five workloads were taken (4-15 %, never ran, 0 of 37 600
 proofs, 0 calls).  This gate keeps the counts those decisions rest on
 repeatable, over the loaded link of ``tests/test_delivery_budget.py``
 (20 pps of counterparty sends, batching 32 / 2 s, handshakes included):
-the two caches that stayed still hit, cancellations are still rare, and
-no proof is still ever walked twice.  Counts of a seeded run, so a
-failure is the code's or the traffic's, and its message says which
-mechanism to re-measure before anything is added or removed.
+the two caches that stayed still hit, cancellations are still rare,
+no proof is still ever walked twice, and none is walked in vain (each
+guest write names the block that commits it, so nothing is proven on
+trial).  Counts of a seeded run, so a failure is the code's or the
+traffic's, and its message says which mechanism to re-measure before
+anything is added or removed.
 """
 
 import pytest
 
+from repro.errors import ReproError
 from repro.experiments.throughput import build_linked_deployment
 from repro.guest.instructions import Op
+from repro.ibc import commitment as paths
 from repro.trie.nibbles import encode_nibbles
 from repro.trie.store import _seq_key_head
 from repro.trie.trie import SealableTrie
@@ -36,15 +40,24 @@ KEPT_CACHES = {"encode_nibbles": encode_nibbles,       # trie/nibbles.py
 @pytest.fixture(scope="module", params=[0, 1, 2])
 def traffic(request):
     """The loaded link from an empty world to its last delivery: every
-    proof walked, as ``(trie handle, root, kind, key)``; what the kept
-    caches answered; the deployment."""
-    proofs = []
+    proof walked, as ``(trie handle, root, kind, key)``, and the keys
+    whose walk raised; what the kept caches answered; the deployment."""
+    proofs, raised = [], []
     before = {name: cache.cache_info() for name, cache in KEPT_CACHES.items()}
+
+    def tap(kind, walk):
+        def walked(trie, key):
+            proofs.append((trie, trie.root_hash, kind, key))
+            try:
+                return walk(trie, key)
+            except ReproError:
+                raised.append(key)
+                raise
+        return walked
+
     with pytest.MonkeyPatch.context() as patch:
         for kind in ("prove", "prove_absence"):
-            walk = getattr(SealableTrie, kind)
-            patch.setattr(SealableTrie, kind, lambda trie, key, kind=kind, walk=walk: (
-                proofs.append((trie, trie.root_hash, kind, key)) or walk(trie, key)))
+            patch.setattr(SealableTrie, kind, tap(kind, getattr(SealableTrie, kind)))
         dep, channels = build_linked_deployment(request.param, GUEST, BATCHING, 1)
         engine = WorkloadEngine(dep, channels, WorkloadSpec(
             offered_pps=20.0, duration=90.0, drain_seconds=60.0))
@@ -55,7 +68,7 @@ def traffic(request):
     answered = {name: (after[name].hits - before[name].hits,
                        after[name].misses - before[name].misses)
                 for name in KEPT_CACHES}
-    return proofs, answered, dep
+    return (proofs, raised), answered, dep
 
 
 @pytest.mark.parametrize("name", KEPT_CACHES)
@@ -87,7 +100,7 @@ def test_cancellations_are_rare(traffic):
 
 
 def test_no_proof_is_walked_twice(traffic):
-    proofs, _, _ = traffic
+    (proofs, _), _, _ = traffic
     assert len(proofs) > PACKETS
     repeats = len(proofs) - len(set(proofs))
     assert repeats == 0, (
@@ -117,3 +130,21 @@ def test_the_link_executes_the_opcodes_it_is_known_to(traffic):
     for op in executed:
         assert len(report.histogram(f"guest.op.{op.name}.cu")) == (
             report.counter(f"guest.op.{op.name}"))
+
+
+def test_every_ack_is_walked_once_and_no_walk_raises(traffic):
+    """Each guest write names the height of the block that commits it
+    (``height_hint``), so the relayer proves an ack once, at a block
+    that holds it, instead of trying every staged ack at every
+    finalised block and throwing away the walks that raise."""
+    (proofs, raised), _, dep = traffic
+    heads = {_seq_key_head(paths.ack_prefix(port, channel))
+             for port, channel in dep.contract.ibc.channels}
+    ack_walks = sum(1 for _, _, _, key in proofs if key[:24] in heads)
+    returned = dep.counterparty.ibc.counters.packets_acknowledged
+    assert not raised, (
+        f"{len(raised)} of {len(proofs)} proof walks raised: a relayer path "
+        f"proves on trial again.  A guest write's event names its committing "
+        f"block; wait for that height instead of probing for it")
+    assert ack_walks == returned == PACKETS, (
+        f"{ack_walks} ack proofs walked for {returned} acks returned")
