@@ -33,7 +33,8 @@ bench-smoke:
 # proofs), events per simulated hour with nothing to do (no host
 # slot past the last receipt, no validator-set preimage rebuilt), and
 # the relayer's dead waits (a packet in its header's counterparty block,
-# a send read at its block's instant, an update in one wave), and a
+# a send read at its block's instant, an update in one wave, at most
+# one cover per finalised guest block and none with nothing due), and a
 # world's footprint (bytes allocated building it, bytes in its
 # checkpoint, bytes held as account data: an account is its size).
 # Counts are a function of the code alone, so a failure here names the

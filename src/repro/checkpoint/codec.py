@@ -47,7 +47,8 @@ from repro.errors import ReproError
 #: rules).  2: ``host.accounts.Account`` carries ``size`` and no blob.
 #: 3: a ``GuestEnd``'s waiters wait on a guest height, not a host slot,
 #: and its staged acks carry the height of the block that commits them.
-CODEC_VERSION = 3
+#: 4: a ``GuestEnd`` has no staged acks; its waiters hold acks too.
+CODEC_VERSION = 4
 
 #: ``major.minor`` of the interpreter — marshal'd code objects are not
 #: portable across interpreter feature releases.

@@ -30,7 +30,7 @@ from repro.host.events import HostEvent
 from repro.ibc import commitment as paths
 from repro.ibc.identifiers import ChannelId, ClientId, ConnectionId, PortId
 from repro.ibc.messages import apply_handshake
-from repro.ibc.packet import Acknowledgement, Packet
+from repro.ibc.packet import Packet
 from repro.trie.store import ProvableStore
 
 
@@ -122,12 +122,9 @@ class GuestEnd(_End):
     def reset(self) -> None:
         """Drop everything a relayer crash loses."""
         #: [(height, action(height))]: continuations waiting for the
-        #: block that commits a guest-side write to be finalised.
+        #: block that commits a guest-side write (a handshake step, an
+        #: ack) to be finalised; run behind that block's one cover.
         self.waiters: list[tuple[int, Callable[[int], None]]] = []
-        #: Acks this guest wrote, by (channel, sequence), with the height
-        #: of the block that commits each; returned once it is finalised.
-        self.staged_acks: dict[tuple[str, int],
-                               tuple[Packet, Acknowledgement, int]] = {}
         #: Finalised sends awaiting their ack or timeout.
         self.outstanding: dict[tuple[str, int], Packet] = {}
         #: (datagram kind, continuation) of the handshake step in flight.

@@ -10,7 +10,9 @@ two guests on one host — and moves, in each direction:
   carrying packets, Alg. 2 lines 4–10, or a counterparty block's sends) is
   proven at a height the destination's client covers and delivered;
 * **acknowledgements**: the ack the destination wrote is proven back to
-  the source, after which the destination guest seals it (§III-A);
+  the source, after which the destination guest seals it (§III-A); a
+  guest's ack waits, like a handshake step, in its end's one wait list
+  until the block that commits it is finalised;
 * **timeouts**, where the destination is a guest: an expired send is
   cancelled with a proof that the receipt is absent at a finalised
   height past the deadline;
@@ -183,7 +185,7 @@ class Relayer:
         height = payload["height"]
         header = payload["header"]
         packets = tuple(p for p in payload["packets"] if src.sends(p))
-        waiters = src.take_waiters(height)
+        ready = src.take_waiters(height)
         dst = self._peer(src)
         for packet in packets:
             src.outstanding[packet_key(packet.source_channel, packet.sequence)] = packet
@@ -191,14 +193,13 @@ class Relayer:
         def relay(covered_height: int) -> None:
             for packet in packets:
                 self._deliver(src, dst, packet, covered_height)
-            self._return_acks(src, dst, covered_height)
+            for _, action in ready:
+                action(covered_height)
 
-        # Alg. 2 line 5: a block with no packets, acks or epoch change
-        # stays local.
-        if packets or src.staged_acks or header.last_in_epoch:
+        # Alg. 2 line 5: a block with no packets, due writes or epoch
+        # change stays local.
+        if packets or ready or header.last_in_epoch:
             dst.updates.cover(height, relay)
-        for _, action in waiters:
-            dst.updates.cover(height, action)
 
     def _on_counterparty_block(self, src) -> None:
         """``src``'s chain committed a block: take up the sends past the
@@ -242,23 +243,12 @@ class Relayer:
 
     def _ack_written(self, receiver, packet: Packet, ack: Acknowledgement,
                      height: int) -> None:
-        """``receiver`` holds ``ack`` for ``packet``, provable from
-        ``height`` on: haul it home."""
-        if receiver in self._guests:
-            # Provable once the block at ``height`` is finalised.
-            receiver.staged_acks[packet_key(
-                packet.destination_channel, packet.sequence)] = (packet, ack, height)
-            return
+        """``receiver`` holds ``ack`` for ``packet``, committed by its
+        block at ``height``: haul it home once that block is provable."""
         origin = self._peer(receiver)
-        origin.updates.cover(
-            height,
+        self._await_commit(
+            receiver, height,
             lambda h: self._send(origin, self._ack_op(receiver, packet, ack, h)))
-
-    def _return_acks(self, receiver: GuestEnd, origin, height: int) -> None:
-        for key, (packet, ack, written) in list(receiver.staged_acks.items()):
-            if written <= height:
-                del receiver.staged_acks[key]
-                self._send(origin, self._ack_op(receiver, packet, ack, height))
 
     @staticmethod
     def _ack_op(receiver, packet: Packet, ack: Acknowledgement,
@@ -317,8 +307,14 @@ class Relayer:
                       incarnation=self._incarnation) -> None:
             if incarnation != self._incarnation:
                 return  # submitted by a crashed incarnation; drop
-            if not isinstance(result, ReproError):
-                self._op_applied(dst, op)
+            if isinstance(result, ReproError):
+                # A commitment already gone means the ack landed before
+                # (a replay after a restart, a competing relayer).
+                self.sim.trace.count(
+                    "relay.duplicate_acks" if not dst.has_commitment(packet)
+                    else "relay.acks.refused")
+                return
+            self._op_applied(dst, op)
 
         dst.chain.submit(
             lambda: dst.ibc.acknowledge_packet(
@@ -642,9 +638,10 @@ class Relayer:
         """Chaos fault: kill the relayer process, losing volatile state.
 
         Everything not yet handed to a chain is gone: staged batches,
-        queued bundles, queued LC work, staged ack returns, pending
-        timers.  Requests already accepted by an RPC may still land, but
-        their callbacks belong to the dead incarnation and are dropped.
+        queued bundles, queued LC work, writes waiting for their block,
+        pending timers.  Requests already accepted by an RPC may still
+        land, but their callbacks belong to the dead incarnation and are
+        dropped.
         A counterparty end's cursor rewinds to its completion frontier
         so every send whose delivery was uncommitted is re-fetched by
         :meth:`restart`; the idempotency check in the retry path keeps
@@ -667,14 +664,17 @@ class Relayer:
         resume (replaying finalised blocks missed while down).
 
         Every ack an end wrote whose packet is still outstanding on the
-        sender lost its way home with the crash: haul it again.  Every
-        finalised guest send that is still outstanding and unreceived is
-        delivered again (a counterparty end's rewound cursor re-fetches
-        its own).  Over-recovery is idempotency-checked on both paths, so
+        sender lost its way home with the crash: haul it again, in place
+        of the acks observed while down (the chain holds each of them
+        once).  Every finalised guest send that is still outstanding and
+        unreceived is delivered again (a counterparty end's rewound
+        cursor re-fetches its own).  Over-recovery is idempotency-checked on both paths, so
         replaying history is safe — only an omission would be a
         liveness bug."""
         self.sim.trace.count("relay.restarts")
         recovered = 0
+        for src in self._guests:
+            src.waiters.clear()
         for receiver in (self.a, self.b):
             origin = self._peer(receiver)
             for packet, ack in receiver.ibc.written_acks.values():
@@ -752,12 +752,13 @@ class Relayer:
         A counterparty height is provable at once; a guest's once that
         block is finalised.  If it is, its header is pushed right away
         (it may never have been relayed — empty blocks are skipped by
-        Alg. 2); otherwise a waiter is flushed by
-        :meth:`_on_finalised_block`.  A header push or a sibling
-        adoption is not awaited: the datagram ``action`` submits rides
-        behind it (the adoption as its prelude), and if a header is
-        refused the datagram's own refusal brings the step back
-        (``Handshake._failed``).
+        Alg. 2); otherwise ``action`` joins ``src.waiters``, a guest
+        end's one wait list (handshake steps and acks alike), which
+        :meth:`_on_finalised_block` runs behind that block's one cover.
+        A header push or a sibling adoption is not awaited: the datagram
+        ``action`` submits rides behind it (the adoption as its
+        prelude), and if a header is refused the datagram's own refusal
+        brings the step back (``Handshake._failed``).
         """
         if src in self._guests and height > src.latest_final():
             src.waiters.append((height, action))

@@ -28,7 +28,13 @@ Two more are pinned over one link's establishment:
     rides in front of it), and the only SIBLING_UPDATE transactions of
     their own are the two that prime the clients.
 
-(a)-(c), (e) and (f) each fail on the commit before theirs, by count.
+And one over a link's establishment and its traffic:
+
+(g) every finalised guest block gets at most one cover, and every
+    cover carries a packet, a due write or an epoch change — including
+    a block that finalises while an ack waits for the next one.
+
+(a)-(c) and (e)-(g) each fail on the commit before theirs, by count.
 """
 
 from collections import defaultdict
@@ -37,9 +43,11 @@ import pytest
 
 from repro import Deployment, DeploymentConfig
 from repro.encoding import Reader
-from repro.guest.instructions import Op
+from repro.guest.instructions import Op, generate_block
 from repro.relayer.relayer import Relayer, RelayerConfig
 from repro.units import BASE_FEE_LAMPORTS_PER_SIGNATURE
+
+from tests.helpers import can_cut_a_block
 
 SENDS = 12
 LC_OPS = (Op.CHUNK, Op.LC_SIG_BATCH, Op.LC_FINALIZE)
@@ -287,3 +295,100 @@ def test_a_sibling_step_executes_in_the_transaction_that_adopts_its_height():
             "MsgConnOpenTry", "MsgConnOpenAck", "MsgConnOpenConfirm",
             "MsgChanOpenTry", "MsgChanOpenAck", "MsgChanOpenConfirm")]
     assert standalone_adoptions == 2
+
+
+def test_a_finalised_block_is_one_cover_with_something_due():
+    """(g) Every finalised guest block gets at most one cover, and every
+    cover carries a packet, a due write (an ack, a handshake step) or an
+    epoch change: nothing else needs the counterparty's client at that
+    height.  One delivery is led by a GENERATE_BLOCK of the test's own,
+    so its ack is written while the block cut ahead of it is not yet
+    finalised, with no packet in it; on the commit before, that block
+    was covered anyway (a header pushed with nothing proven behind it)
+    because the ack was staged, though for the next block."""
+    dep = Deployment(DeploymentConfig(seed=3))
+    relayer, chain, guest = dep.relayer, dep.counterparty, dep.relayer.a
+    #: guest height -> datagrams each cover of it carried, header aside.
+    covers: dict[int, list[int]] = defaultdict(list)
+    submitted = 0
+    submit, cover = chain.submit, relayer.b.updates.cover
+
+    def counting_submit(call, on_result=None):
+        nonlocal submitted
+        submitted += 1
+        return submit(call, on_result=on_result)
+
+    def watched_cover(height, then):
+        before = submitted
+        cover(height, then)
+        covers[height].append(submitted - before - 1)
+
+    chain.submit, relayer.b.updates.cover = counting_submit, watched_cover
+    #: sequence -> height of the block that commits the ack, until proven.
+    waiting: dict[int, int] = {}
+    #: Finalised heights at which every waiting ack named a later block.
+    ahead_of_acks: list[int] = []
+    ack_written, ack_op, take_waiters = (
+        relayer._ack_written, relayer._ack_op, guest.take_waiters)
+
+    def watched_ack_written(receiver, packet, ack, height):
+        if receiver is guest:
+            waiting[packet.sequence] = height
+        ack_written(receiver, packet, ack, height)
+
+    def watched_ack_op(receiver, packet, ack, height):
+        waiting.pop(packet.sequence, None)
+        return ack_op(receiver, packet, ack, height)
+
+    def watched_take_waiters(height):
+        if waiting and min(waiting.values()) > height:
+            ahead_of_acks.append(height)
+        return take_waiters(height)
+
+    relayer._ack_written, relayer._ack_op = watched_ack_written, watched_ack_op
+    guest.take_waiters = watched_take_waiters
+    guest_channel, cp_channel = dep.establish_link()
+    deliver = guest.api.deliver_packet
+
+    def cut_ahead(*args, on_done, prelude=(), **kwargs):
+        # Hold the cranker off until this delivery has cut its block.
+        dep.cranker.paused = True
+        if not can_cut_a_block(dep):
+            dep.sim.schedule(0.4, lambda: cut_ahead(
+                *args, on_done=on_done, prelude=prelude, **kwargs))
+            return
+        guest.api.deliver_packet = deliver
+
+        def done(result):
+            dep.cranker.paused = False
+            on_done(result)
+
+        deliver(*args, on_done=done,
+                prelude=(generate_block(),) + tuple(prelude), **kwargs)
+
+    dep.contract.bank.mint("alice", "GUEST", 10_000)
+    chain.bank.mint("carol", "PICA", 10_000)
+
+    def cp_send():
+        data = chain.transfer.make_payload(cp_channel, "PICA", 5, "carol", "dave")
+        chain.ibc.send_packet(chain.transfer_port, cp_channel, data, 0.0)
+
+    for index in range(4):
+        if index == 2:
+            guest.api.deliver_packet = cut_ahead
+        payload = dep.contract.transfer.make_payload(
+            guest_channel, "GUEST", 5, "alice", "bob")
+        dep.user_api.send_packet("transfer", str(guest_channel), payload)
+        chain.submit(cp_send)
+        dep.run_for(60.0)
+    dep.run_for(600.0)
+    assert chain.ibc.counters.packets_acknowledged == 4
+    assert dep.contract.ibc.counters.packets_acknowledged == 4
+    # The precondition: a block finalised while an ack waited for a
+    # later one.
+    assert ahead_of_acks
+    assert all(len(carried) == 1 for carried in covers.values()), covers
+    idle = [height for height, carried in covers.items()
+            if carried == [0]
+            and not dep.contract.block_at(height).header.last_in_epoch]
+    assert idle == []

@@ -205,10 +205,10 @@ class TestCrashRestart:
         """The guest writes an ack in a host slot where a guest block was
         already cut (a GENERATE_BLOCK of the test's own leads the
         delivery bundle), so the block that commits it is the next one.
-        The relayer crashes with the ack staged and restarts: it finds
-        the committing block as the lowest whose state view holds the
-        ack, returns it once, proven there, and no token is minted or
-        lost on the way."""
+        The relayer crashes with the ack parked in the guest end's wait
+        list and restarts: it finds the committing block as the lowest
+        whose state view holds the ack, returns it once, proven there,
+        and no token is minted or lost on the way."""
         dep = make_dep(279)
         guest_chan, cp_chan = dep.establish_link()
         dep.counterparty.bank.mint("carol", "PICA", 1_000)
@@ -227,12 +227,12 @@ class TestCrashRestart:
                 return
             guest.api.deliver_packet = deliver
             deliver(*args, on_done=lambda result: (on_done(result),
-                                                   crash_once_staged()),
+                                                   crash_once_parked()),
                     prelude=(ins.generate_block(),) + tuple(prelude), **kwargs)
 
-        def crash_once_staged():
-            if not guest.staged_acks:  # the event path has not staged it yet
-                dep.sim.schedule(0.1, crash_once_staged)
+        def crash_once_parked():
+            if not guest.waiters:  # the event path has not parked it yet
+                dep.sim.schedule(0.1, crash_once_parked)
                 return
             dep.relayer.crash()
             dep.relayer.restart()
@@ -261,6 +261,73 @@ class TestCrashRestart:
         assert dep.counterparty.ibc.counters.packets_acknowledged == 1
         voucher = contract.transfer.voucher_denom(guest_chan, "PICA")
         assert contract.bank.balance("dave", voucher) == 50
+        report = checker.check()
+        assert report.ok, report.failures[:3]
+
+    def test_each_ack_written_while_down_returns_exactly_once(self):
+        """The relayer crashes the instant its first delivery bundles
+        reach the host, and counterparty sends keep coming while it is
+        down: the guest writes acks during the outage, the cranker
+        finalises some of their blocks, and the relayer observes each
+        write though it is down.  A restart re-reads every written ack
+        from the chain instead of keeping what it observed, so each ack
+        is proven and submitted to the counterparty once, none is
+        refused, every one is sealed and no token moves twice."""
+        dep = make_dep(280)
+        guest_chan, cp_chan = dep.establish_link()
+        dep.counterparty.bank.mint("carol", "PICA", 1_000)
+        checker = ConservationChecker({"guest": dep.contract.bank,
+                                       "counterparty": dep.counterparty.bank})
+        relayer, guest = dep.relayer, dep.relayer.a
+        proven: list[int] = []
+        submitted: list[int] = []
+        ack_op, acknowledge = relayer._ack_op, dep.counterparty.ibc.acknowledge_packet
+
+        def prove(receiver, packet, ack, height):
+            proven.append(packet.sequence)
+            return ack_op(receiver, packet, ack, height)
+
+        def submit(packet, ack, proof, proof_height):
+            submitted.append(packet.sequence)
+            return acknowledge(packet, ack, proof, proof_height)
+
+        relayer._ack_op, dep.counterparty.ibc.acknowledge_packet = prove, submit
+        deliver = guest.api.deliver_packet
+
+        def crash_behind(*args, **kwargs):
+            guest.api.deliver_packet = deliver
+            deliver(*args, **kwargs)
+            dep.sim.schedule(0.0, relayer.crash)  # behind the whole wave
+
+        guest.api.deliver_packet = crash_behind
+        written_while_down: list[int] = []
+        dep.host.subscribe("PacketReceived", lambda event: relayer.paused and (
+            written_while_down.append(event.payload["packet"].sequence)))
+        for _ in range(6):
+            cp_send(dep, cp_chan)
+        while not relayer.paused:
+            dep.sim.step()
+        for _ in range(4):                # sends keep coming while down
+            cp_send(dep, cp_chan)
+            dep.run_for(20.0)
+        # The precondition: acks written while down, some of them in a
+        # block finalised before the restart.
+        assert written_while_down
+        packets = {packet.sequence: packet
+                   for packet, _ in guest.ibc.written_acks.values()}
+        assert any(guest.ack_height(packets[sequence]) <= guest.latest_final()
+                   for sequence in written_while_down)
+
+        relayer.restart()
+        dep.run_for(900.0)
+        assert sorted(proven) == sorted(submitted) == list(range(10))
+        counters = dep.trace_report().counters
+        assert counters.get("relay.duplicate_acks", 0) == 0
+        assert counters.get("relay.acks.refused", 0) == 0
+        assert counters.get("guest.acks.sealed") == 10
+        assert dep.counterparty.ibc.counters.packets_acknowledged == 10
+        voucher = dep.contract.transfer.voucher_denom(guest_chan, "PICA")
+        assert dep.contract.bank.balance("dave", voucher) == 500
         report = checker.check()
         assert report.ok, report.failures[:3]
 
