@@ -34,8 +34,8 @@ bench-smoke:
 # slot past the last receipt, no validator-set preimage rebuilt), and
 # the relayer's dead waits (a packet in its header's counterparty block,
 # a send read at its block's instant, an update in one wave, at most
-# one cover per finalised guest block and none with nothing due), and a
-# world's footprint (bytes allocated building it, bytes in its
+# one cover per finalised guest block and none with nothing due, live
+# or replayed by a restart), and a world's footprint (bytes allocated building it, bytes in its
 # checkpoint, bytes held as account data: an account is its size).
 # Counts are a function of the code alone, so a failure here names the
 # layer that grew.  All eight also run in tier-1.

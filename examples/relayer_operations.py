@@ -5,8 +5,9 @@ The operator's view of running a relayer (§V-B):
 1. drive traffic and read the spend ledger — where the lamports go
    (spoiler: the chunked light-client updates dominate, as the paper's
    cost analysis shows);
-2. take the relayer down mid-traffic and bring it back: packets are
-   delayed, never lost (§III-C's untrusted-relayer property);
+2. crash the relayer mid-traffic and restart it: it keeps nothing the
+   chains do not, so packets are delayed, never lost (§III-C's
+   untrusted-relayer property);
 3. use the escalating fee policy on a congested chain: start cheap,
    pay up only when a transaction has actually waited.
 
@@ -59,8 +60,8 @@ def main() -> None:
           f"{sum(u.signature_count for u in updates)} signatures verified)")
 
     # --- 2. outage and recovery ----------------------------------------------
-    print("\nTaking the relayer offline and sending a transfer anyway...")
-    relayer.paused = True
+    print("\nCrashing the relayer and sending a transfer anyway...")
+    relayer.crash()
     payload = deployment.contract.transfer.make_payload(
         guest_chan, "GUEST", 77, "alice", "bob",
     )
@@ -71,9 +72,9 @@ def main() -> None:
     print(f"  bob's balance while the relayer is down: {stuck} "
           "(the packet waits, finalised on the guest)")
 
-    relayer.resume()
+    relayer.restart()   # re-reads what the chains still owe
     deployment.run_for(240.0)
-    print(f"  after recovery: {deployment.counterparty.bank.balance('bob', voucher)} "
+    print(f"  after the restart: {deployment.counterparty.bank.balance('bob', voucher)} "
           "(delayed, not lost)")
 
     # --- 3. escalating fees ----------------------------------------------------

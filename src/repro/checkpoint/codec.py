@@ -48,7 +48,9 @@ from repro.errors import ReproError
 #: 3: a ``GuestEnd``'s waiters wait on a guest height, not a host slot,
 #: and its staged acks carry the height of the block that commits them.
 #: 4: a ``GuestEnd`` has no staged acks; its waiters hold acks too.
-CODEC_VERSION = 4
+#: 5: a ``Relayer`` keeps no missed events and a ``CounterpartyEnd`` no
+#: completion frontier; a down relayer's waiters are the restart's.
+CODEC_VERSION = 5
 
 #: ``major.minor`` of the interpreter — marshal'd code objects are not
 #: portable across interpreter feature releases.

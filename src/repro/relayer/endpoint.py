@@ -16,6 +16,9 @@ chain does each of those:
 A guest↔counterparty link is ``(GuestEnd, CounterpartyEnd)``; a
 guest↔guest link is ``(GuestEnd, GuestEnd)``.  Each end also carries the
 link's handshake results on its chain (client, connection, channels).
+An end records nothing its chain already says: after a crash the
+relayer finds what is still owed through the same probes
+(``has_commitment``, ``has_receipt``, ``ack_height``, ``read_sends``).
 """
 
 from __future__ import annotations
@@ -184,10 +187,6 @@ class GuestEnd(_End):
         self.waiters = [w for w in self.waiters if w[0] > height]
         return ready
 
-    def delivered(self, packet: Packet) -> None:
-        """A packet this guest sent is applied on the peer; nothing to
-        record (the finalised-block events are not re-read)."""
-
     def submit_handshake(self, msg, then: Callable[[Optional[str], int], None],
                          failed: Callable[[object], None]) -> None:
         """Ship a handshake datagram behind the update its proof height
@@ -218,20 +217,14 @@ class CounterpartyEnd(_End):
     def __init__(self, chain: CounterpartyChain, client_id: ClientId) -> None:
         super().__init__(client_id)
         self.chain = chain
+        #: How many sends of the chain's queue the relayer has read.  It
+        #: moves only while the relayer is up, and a crash keeps it: a
+        #: restart re-reads the sends below it from the chain.
         self._seen = 0
-        #: Completion frontier over the send queue: the cursor can
-        #: always rewind to ``_frontier`` (the oldest send not yet
-        #: confirmed applied on the peer) after a crash without losing
-        #: or double-counting packets.
-        self._frontier = 0
-        self._done: set[int] = set()
-        self._index_by_key: dict[tuple[str, int], int] = {}
 
     def reset(self) -> None:
-        """A crash rewinds the cursor to the completion frontier so
-        every send whose delivery was uncommitted is re-fetched."""
-        self._index_by_key.clear()
-        self._seen = self._frontier
+        """A crash loses nothing here: the cursor counts what the chain
+        holds, not what the relayer did with it."""
 
     @property
     def chain_id(self) -> str:
@@ -269,33 +262,10 @@ class CounterpartyEnd(_End):
         """Advance the cursor; returns the link's new sends with
         the height each was committed at."""
         fresh = self.chain.sent_packets_since(self._seen)
-        base = self._seen
         self._seen += len(fresh)
-        ours = []
-        for index, (packet, committed_height) in enumerate(fresh, start=base):
-            if index in self._done:
-                continue  # applied before a crash rewound the cursor
-            if not self.sends(packet):
-                # Another link's packet (multi-guest fabric): not ours to
-                # deliver, but the completion frontier must pass it or a
-                # crash-rewind would stall on a foreign index forever.
-                self._mark_done(index)
-                continue
-            self._index_by_key[
-                packet_key(packet.source_channel, packet.sequence)] = index
-            ours.append((packet, committed_height))
-        return ours
+        return [(packet, height) for packet, height in fresh if self.sends(packet)]
 
-    def delivered(self, packet: Packet) -> None:
-        """Record that a send is applied on the peer and advance the
-        completion frontier past every contiguous done index."""
-        index = self._index_by_key.pop(
-            packet_key(packet.source_channel, packet.sequence), None)
-        if index is not None:
-            self._mark_done(index)
-
-    def _mark_done(self, index: int) -> None:
-        self._done.add(index)
-        while self._frontier in self._done:
-            self._done.discard(self._frontier)
-            self._frontier += 1
+    def read_sends(self) -> list[tuple[Packet, int]]:
+        """The link's sends the cursor has passed, with their heights."""
+        return [(packet, height) for packet, height
+                in self.chain.sent_packets[:self._seen] if self.sends(packet)]

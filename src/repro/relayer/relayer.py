@@ -25,7 +25,9 @@ end's :mod:`~repro.relayer.updates` strategy, behind one call,
 datagram it proves, and only a chunked Tendermint update is awaited.
 Every guest-side submission goes through one pipeline — batch, bundle
 queue, circuit breaker, bounded idempotent retry (docs/CHAOS.md) — so
-every flow is blackout-safe and crash-safe the same way.
+every flow is blackout-safe the same way.  The relayer keeps nothing a
+crash must restore: a restart relays what the chains still owe, read
+from them alone, through the same one cover per finalised guest block.
 """
 
 from __future__ import annotations
@@ -124,10 +126,9 @@ class Relayer:
         for end in (a, b):
             end.updates = updates_for(self, end, self._peer(end))
 
-        #: Failure-injection switch: a paused relayer observes nothing
-        #: and submits nothing; packets queue up and flow on resume.
+        #: Down, between :meth:`crash` and :meth:`restart`: the relayer
+        #: observes nothing and submits nothing.
         self.paused = False
-        self._missed_finalised: list[HostEvent] = []
         #: Delivery bundles not yet handed to the host.
         self._bundle_queue: deque[Callable[[], None]] = deque()
         self._pump_retry_handle = None
@@ -175,16 +176,19 @@ class Relayer:
 
     def _on_finalised_block(self, event: HostEvent) -> None:
         src = self._guest_for(event)
-        if src is None:
-            return
-        if self.paused:
-            # Missed while down; :meth:`resume` replays it.
-            self._missed_finalised.append(event)
-            return
+        if src is None or self.paused:
+            return  # a down relayer is deaf; :meth:`restart` re-reads
         payload = event.payload
-        height = payload["height"]
-        header = payload["header"]
-        packets = tuple(p for p in payload["packets"] if src.sends(p))
+        self._relay_block(
+            src, payload["height"],
+            tuple(p for p in payload["packets"] if src.sends(p)),
+            payload["header"].last_in_epoch)
+
+    def _relay_block(self, src: GuestEnd, height: int, packets: tuple,
+                     epoch_change: bool) -> None:
+        """Relay what ``src``'s finalised block at ``height`` owes its
+        peer — ``packets``, the writes waiting for it, an epoch change —
+        behind that block's one cover."""
         ready = src.take_waiters(height)
         dst = self._peer(src)
         for packet in packets:
@@ -198,28 +202,31 @@ class Relayer:
 
         # Alg. 2 line 5: a block with no packets, due writes or epoch
         # change stays local.
-        if packets or ready or header.last_in_epoch:
+        if packets or ready or epoch_change:
             dst.updates.cover(height, relay)
 
     def _on_counterparty_block(self, src) -> None:
         """``src``'s chain committed a block: take up the sends past the
-        cursor, at the block's own instant.  A paused relayer leaves the
-        cursor where it is; :meth:`resume` reads what it missed."""
-        if self.paused:
-            return
+        cursor, at the block's own instant.  A down relayer leaves the
+        cursor where it is; :meth:`restart` reads what it missed."""
+        if not self.paused:
+            self._relay_sends(src, src.fresh_sends())
+
+    def _relay_sends(self, src, sends: list[tuple[Packet, int]]) -> None:
+        """Deliver counterparty sends, each proven at its own height."""
         dst = self._peer(src)
-        for packet, committed_height in src.fresh_sends():
+        for packet, committed_height in sends:
             dst.updates.cover(
                 committed_height,
                 lambda h, p=packet: self._deliver(src, dst, p, h))
 
     def _on_packet_received(self, event: HostEvent) -> None:
         """A guest wrote an ack; it returns once the block the event
-        names is finalised (inside :meth:`_on_finalised_block`)."""
+        names is finalised (inside :meth:`_relay_block`)."""
         receiver = self._guest_for(event)
         packet = event.payload.get("packet")
         ack_bytes = event.payload.get("ack_bytes")
-        if receiver is None or packet is None or ack_bytes is None:
+        if receiver is None or packet is None or ack_bytes is None or self.paused:
             return
         if receiver.receives(packet):  # else another link's relayer acks it
             self._ack_written(receiver, packet,
@@ -334,10 +341,9 @@ class Relayer:
     def _op_applied(self, dst, op: BatchOp) -> None:
         """``op`` is on ``dst``'s chain, by this attempt or an earlier
         one: settle what the relayer tracks about the packet."""
-        peer = self._peer(dst)
         if op.kind == "recv":
-            peer.delivered(op.packet)
             return
+        peer = self._peer(dst)
         if dst in self._guests:
             dst.outstanding.pop(
                 packet_key(op.packet.source_channel, op.packet.sequence), None)
@@ -453,7 +459,7 @@ class Relayer:
     def _retry_fire(self, dst: GuestEnd, op: BatchOp, span, attempt: int,
                     incarnation: int) -> None:
         if incarnation != self._incarnation or self.paused:
-            return  # crashed or paused meanwhile; replay handles it
+            return  # crashed meanwhile; the restart re-reads it
         self._submit_single(dst, op, span, attempt)
 
     def _record_op_result(self, op: BatchOp, result: DeliveryResult) -> None:
@@ -609,7 +615,7 @@ class Relayer:
         return True
 
     # ==================================================================
-    # Pause, crash and restart (docs/CHAOS.md)
+    # Crash and restart (docs/CHAOS.md)
     # ==================================================================
 
     def settled(self) -> bool:
@@ -618,22 +624,6 @@ class Relayer:
         return (not self.paused and self.breaker.state == "closed"
                 and not self._bundle_queue)
 
-    def resume(self) -> None:
-        """Come back from a failure-injected outage: replay the
-        finalised-block events missed while down, read what the
-        counterparty ends sent meanwhile, then re-kick the LC pipeline
-        in case queued work was waiting on us.  Safe to call
-        while a hold-down retry timer is pending — the kick is guarded,
-        so no duplicate timer is armed and no queued packet is lost."""
-        self.paused = False
-        missed, self._missed_finalised = self._missed_finalised, []
-        for event in missed:
-            self._on_finalised_block(event)
-        for end in self._counterparties:
-            self._on_counterparty_block(end)
-        for end in (self.a, self.b):
-            end.updates.kick()
-
     def crash(self) -> None:
         """Chaos fault: kill the relayer process, losing volatile state.
 
@@ -641,11 +631,7 @@ class Relayer:
         queued bundles, queued LC work, writes waiting for their block,
         pending timers.  Requests already accepted by an RPC may still
         land, but their callbacks belong to the dead incarnation and are
-        dropped.
-        A counterparty end's cursor rewinds to its completion frontier
-        so every send whose delivery was uncommitted is re-fetched by
-        :meth:`restart`; the idempotency check in the retry path keeps
-        delivery exactly-once despite the replay.
+        dropped.  Until :meth:`restart` the relayer observes nothing.
         """
         self.paused = True
         self._incarnation += 1
@@ -659,22 +645,30 @@ class Relayer:
             end.reset()
             end.updates.reset()
 
-    def restart(self) -> None:
-        """Recover from a :meth:`crash` by re-reading both chains, then
-        resume (replaying finalised blocks missed while down).
+    def _owed(self, src, dst, packet: Packet) -> bool:
+        """Is ``packet``, sent by ``src`` on this link, still committed
+        there and not yet received by ``dst``?"""
+        return (src.sends(packet) and src.has_commitment(packet)
+                and not dst.has_receipt(packet))
 
-        Every ack an end wrote whose packet is still outstanding on the
-        sender lost its way home with the crash: haul it again, in place
-        of the acks observed while down (the chain holds each of them
-        once).  Every finalised guest send that is still outstanding and
-        unreceived is delivered again (a counterparty end's rewound
-        cursor re-fetches its own).  Over-recovery is idempotency-checked on both paths, so
-        replaying history is safe — only an omission would be a
-        liveness bug."""
+    def restart(self) -> None:
+        """Recover from a :meth:`crash`: relay what the chains still owe,
+        read from the chains alone.
+
+        1. Every ack an end wrote whose packet is still committed on the
+           sender lost its way home: haul it again (a guest's waits for
+           its block below).
+        2. Each finalised guest block is relayed like a live one — one
+           cover, for its sends still owed, the acks it commits and an
+           epoch change the peer's client has not seen.
+        3. Counterparty sends the cursor passed that are still owed are
+           delivered again; then the sends made while down are read.
+
+        A datagram that landed meanwhile anyway (a dead incarnation's,
+        a rival relayer's) is refused on-chain, so over-recovery is safe
+        — only an omission would be a liveness bug."""
         self.sim.trace.count("relay.restarts")
         recovered = 0
-        for src in self._guests:
-            src.waiters.clear()
         for receiver in (self.a, self.b):
             origin = self._peer(receiver)
             for packet, ack in receiver.ibc.written_acks.values():
@@ -684,22 +678,29 @@ class Relayer:
                     recovered += 1
         for src in self._guests:
             dst = self._peer(src)
+            known = dst.client.latest_height()
             for block in src.contract.blocks:
-                if not (block.finalised and src.channels):
+                if not block.finalised:
                     continue
-                for packet in src.contract.packets_in_block(block.height):
-                    if not (src.sends(packet) and src.has_commitment(packet)):
-                        continue
-                    src.outstanding[
-                        packet_key(packet.source_channel, packet.sequence)] = packet
-                    if not dst.has_receipt(packet):
-                        dst.updates.cover(
-                            block.height,
-                            lambda h, s=src, d=dst, p=packet: self._deliver(s, d, p, h))
-                        recovered += 1
+                packets = tuple(
+                    packet for packet in src.contract.packets_in_block(block.height)
+                    if self._owed(src, dst, packet))
+                recovered += len(packets)
+                self._relay_block(
+                    src, block.height, packets,
+                    block.header.last_in_epoch and block.height > known)
+        self.paused = False
+        for src in self._counterparties:
+            dst = self._peer(src)
+            owed = [(packet, height) for packet, height in src.read_sends()
+                    if self._owed(src, dst, packet)]
+            recovered += len(owed)
+            self._relay_sends(src, owed)
+            self._on_counterparty_block(src)
         if recovered:
             self.sim.trace.count("relay.recovered", recovered)
-        self.resume()
+        for end in (self.a, self.b):
+            end.updates.kick()
 
     def _watchdog(self) -> None:
         """Liveness backstop: re-kick work an error path or crash left
@@ -752,15 +753,16 @@ class Relayer:
         A counterparty height is provable at once; a guest's once that
         block is finalised.  If it is, its header is pushed right away
         (it may never have been relayed — empty blocks are skipped by
-        Alg. 2); otherwise ``action`` joins ``src.waiters``, a guest
-        end's one wait list (handshake steps and acks alike), which
-        :meth:`_on_finalised_block` runs behind that block's one cover.
+        Alg. 2); otherwise, or while the relayer is down, ``action``
+        joins ``src.waiters``, a guest end's one wait list (handshake
+        steps and acks alike), which :meth:`_relay_block` runs behind
+        that block's one cover, live or in :meth:`restart`'s replay.
         A header push or a sibling adoption is not awaited: the datagram
         ``action`` submits rides behind it (the adoption as its
         prelude), and if a header is refused the datagram's own refusal
         brings the step back (``Handshake._failed``).
         """
-        if src in self._guests and height > src.latest_final():
+        if src in self._guests and (self.paused or height > src.latest_final()):
             src.waiters.append((height, action))
         else:
             self._peer(src).updates.cover(height, action)

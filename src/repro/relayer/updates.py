@@ -108,7 +108,7 @@ class ClientUpdates:
         """A relayer crash: drop queued work and timers."""
 
     def kick(self) -> None:
-        """The relayer resumed, or its watchdog ticked: restart work
+        """The relayer restarted, or its watchdog ticked: restart work
         that was waiting on it or that an error path left stranded."""
 
 

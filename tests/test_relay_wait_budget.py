@@ -34,7 +34,13 @@ And one over a link's establishment and its traffic:
     cover carries a packet, a due write or an epoch change — including
     a block that finalises while an ack waits for the next one.
 
-(a)-(c) and (e)-(g) each fail on the commit before theirs, by count.
+And one over a crash:
+
+(h) a restart covers each finalised guest block that owes something
+    once, and no other: acks written while the relayer was down ride
+    their block's one cover (they used to get one cover each).
+
+(a)-(c) and (e)-(h) each fail on the commit before theirs, by count.
 """
 
 from collections import defaultdict
@@ -392,3 +398,64 @@ def test_a_finalised_block_is_one_cover_with_something_due():
             if carried == [0]
             and not dep.contract.block_at(height).header.last_in_epoch]
     assert idle == []
+
+
+def test_a_restart_is_one_cover_per_finalised_block_with_something_due():
+    """(h) A restart relays what the chains still owe through the same
+    one cover per finalised guest block as live intake: the relayer
+    crashes behind a wave of delivery bundles that land while it is
+    down, the guest writes their acks in several blocks finalised before
+    the restart, and the restart covers each such height once — not once
+    per re-read ack, as the commit before did — and no other."""
+    dep = Deployment(DeploymentConfig(seed=5))
+    relayer, chain, guest = dep.relayer, dep.counterparty, dep.relayer.a
+    guest_channel, cp_channel = dep.establish_link()
+    chain.bank.mint("carol", "PICA", 10_000)
+    deliver = guest.api.deliver_packet
+    delivered = 0
+
+    def crash_behind(*args, **kwargs):
+        nonlocal delivered
+        deliver(*args, **kwargs)
+        delivered += 1
+        if delivered == SENDS:
+            guest.api.deliver_packet = deliver
+            dep.sim.schedule(0.0, relayer.crash)
+
+    def cp_send():
+        data = chain.transfer.make_payload(cp_channel, "PICA", 5, "carol", "dave")
+        chain.ibc.send_packet(chain.transfer_port, cp_channel, data, 0.0)
+
+    guest.api.deliver_packet = crash_behind
+    for _ in range(SENDS):
+        chain.submit(cp_send)
+        dep.run_for(2.0)
+    while not relayer.paused:
+        dep.sim.step()
+    dep.run_for(240.0)
+    # Acks owed, by the height of the finalised block that commits them
+    # (no guest send and no epoch end is owed besides).
+    final = guest.latest_final()
+    owed = [guest.ack_height(packet)
+            for packet, _ in guest.ibc.written_acks.values()
+            if relayer.b.has_commitment(packet)]
+    due = {height for height in owed if height <= final}
+    # The precondition: acks owed in at least two finalised blocks, more
+    # of them than blocks.
+    assert len(due) >= 2 and sum(height <= final for height in owed) > len(due)
+
+    covers: dict[int, int] = defaultdict(int)
+    cover = relayer.b.updates.cover
+
+    def watched_cover(height, then):
+        covers[height] += 1
+        cover(height, then)
+
+    relayer.b.updates.cover = watched_cover
+    relayer.restart()
+    relayer.b.updates.cover = cover
+    finalised = {height: count for height, count in covers.items()
+                 if height <= final}
+    assert finalised == {height: 1 for height in due}
+    dep.run_for(600.0)
+    assert chain.ibc.counters.packets_acknowledged == SENDS

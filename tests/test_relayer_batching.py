@@ -679,8 +679,8 @@ class TestWitnessIsolation:
 def test_batched_fabric_carries_acks_and_timeouts_as_entries():
     """The loaded-link workloads only batch receives.  Here two guests
     and a hub exchange transfers in all three directions through
-    batching relayers, and the guest-guest relayer sleeps long enough
-    for short-timeout sends to expire: ack entries ride their height's
+    batching relayers, and the guest-guest relayer crashes and stays
+    down long enough for short-timeout sends to expire: ack entries ride their height's
     witness beside recv entries, timeout entries keep their own absence
     proof, guest-guest bundles run behind a SIBLING_UPDATE prelude —
     and the only entries that fail are receives of expired packets,
@@ -729,8 +729,8 @@ def test_batched_fabric_carries_acks_and_timeouts_as_entries():
 
     for _ in range(400):
         dep.sim.schedule(rng.uniform(0.0, 120.0), one_send)
-    dep.sim.schedule(30.0, lambda: setattr(sibling.relayer, "paused", True))
-    dep.sim.schedule(330.0, sibling.relayer.resume)
+    dep.sim.schedule(30.0, sibling.relayer.crash)
+    dep.sim.schedule(330.0, sibling.relayer.restart)
     dep.run_for(2_400.0)
 
     for event in batches:

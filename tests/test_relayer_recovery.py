@@ -1,10 +1,13 @@
-"""Relayer recovery: resume, crash/restart, and the bounded retry path.
+"""Relayer recovery: crash/restart, and the bounded retry path.
 
-`Relayer.resume` must be safe to call whatever the relayer was doing
-when it went down — including while an LC hold-down retry timer is
-pending (the docs/CHAOS.md hardening): the re-kick is guarded, so no
-duplicate timer is armed and no queued packet is lost.  Crash/restart
-must keep delivery exactly-once despite the rewound poll cursor, and a
+A relayer has one outage, `Relayer.crash`, and one way back,
+`Relayer.restart`, which relays what the chains still owe, read from
+them alone.  A restart must be safe whatever the relayer was doing when
+it went down — including while an LC hold-down retry timer is pending
+(the docs/CHAOS.md hardening): the re-kick is guarded, so no duplicate
+timer is armed and no queued packet is lost.  It must keep delivery
+exactly-once in both directions — nothing that landed while it was down
+is delivered again — and give each finalised guest block one cover; a
 failed BATCH_EXEC bundle must requeue its members through the bounded
 retry path.
 """
@@ -42,11 +45,23 @@ def cp_send(dep, cp_chan, amount=50, sender="carol", receiver="dave"):
     dep.counterparty.submit(send)
 
 
+def cover_census(updates):
+    """Record the height of every cover ``updates`` makes from now on."""
+    covered, cover = [], updates.cover
+
+    def counted(height, then):
+        covered.append(height)
+        cover(height, then)
+
+    updates.cover = counted
+    return covered
+
+
 def held_down(dep, cp_chan):
-    """A committed counterparty send whose LC update the budget holds
-    back for two more minutes; returns the strategy with its one
-    hold-down timer armed."""
-    dep.relayer.paused = True
+    """A counterparty send committed while the relayer was down, whose
+    LC update the budget holds back for two more minutes; returns the
+    strategy with its one hold-down timer armed."""
+    dep.relayer.crash()
     cp_send(dep, cp_chan)
     dep.run_for(30.0)                 # the send commits; relayer down
     updates = dep.relayer.a.updates
@@ -55,8 +70,8 @@ def held_down(dep, cp_chan):
     updates._lc_next_start = dep.sim.now + 120.0
     assert updates._lc_holddown_handle is None
 
-    dep.relayer.resume()
-    dep.run_for(10.0)                 # poll finds the packet, kicks LC
+    dep.relayer.restart()
+    dep.run_for(10.0)                 # restart reads the send, kicks LC
     assert updates._lc_holddown_handle is not None  # timer pending
     return updates
 
@@ -69,7 +84,7 @@ class TestResume:
         updates = held_down(dep, cp_chan)
         handle = updates._lc_holddown_handle
 
-        dep.relayer.resume()              # resume *again*, timer pending
+        # Kicked again with the timer pending (the watchdog's kick).
         scheduled = dep.trace_report().counter("sim.events.scheduled")
         updates.kick()
         updates.kick()
@@ -108,30 +123,46 @@ class TestResume:
         assert dep.relayer.metrics.packets_relayed_to_guest == 1
 
     def test_resume_is_idempotent_when_idle(self):
+        """Two outages of an idle link: each restart finds nothing owed
+        and the link carries traffic after them."""
         dep = make_dep(272)
         guest_chan, cp_chan = dep.establish_link()
-        dep.relayer.resume()
-        dep.relayer.resume()
+        for _ in range(2):
+            dep.relayer.crash()
+            dep.run_for(30.0)
+            dep.relayer.restart()
         dep.run_for(30.0)
         assert not dep.relayer.paused
+        assert dep.trace_report().counters.get("relay.recovered", 0) == 0
+        dep.counterparty.bank.mint("carol", "PICA", 1_000)
+        cp_send(dep, cp_chan)
+        dep.run_for(300.0)
+        voucher = dep.contract.transfer.voucher_denom(guest_chan, "PICA")
+        assert dep.contract.bank.balance("dave", voucher) == 50
 
     def test_resume_replays_missed_finalised_blocks(self):
+        """A send finalised while the relayer is down: the restart
+        replays its block from the chain, behind one cover."""
         dep = make_dep(273)
         guest_chan, cp_chan = dep.establish_link()
         dep.contract.bank.mint("alice", "GUEST", 500)
 
-        dep.relayer.paused = True
+        dep.relayer.crash()
         payload = dep.contract.transfer.make_payload(
             guest_chan, "GUEST", 100, "alice", "bob")
         dep.user_api.send_packet("transfer", str(guest_chan), payload)
         dep.run_for(300.0)                # finalised while the relayer slept
-        assert dep.relayer._missed_finalised  # events buffered, not lost
+        [height] = [block.height for block in dep.contract.blocks
+                    if dep.contract.packets_in_block(block.height)]
+        assert height <= dep.relayer.a.latest_final()
 
-        dep.relayer.resume()
+        covered = cover_census(dep.relayer.b.updates)
+        dep.relayer.restart()
         dep.run_for(240.0)
         voucher = dep.counterparty.transfer.voucher_denom(cp_chan, "GUEST")
         assert dep.counterparty.bank.balance("bob", voucher) == 100
-        assert dep.relayer._missed_finalised == []
+        assert covered.count(height) == 1
+        assert dep.trace_report().counters.get("relay.duplicate_deliveries", 0) == 0
 
 
 class TestCrashRestart:
@@ -267,12 +298,12 @@ class TestCrashRestart:
     def test_each_ack_written_while_down_returns_exactly_once(self):
         """The relayer crashes the instant its first delivery bundles
         reach the host, and counterparty sends keep coming while it is
-        down: the guest writes acks during the outage, the cranker
-        finalises some of their blocks, and the relayer observes each
-        write though it is down.  A restart re-reads every written ack
-        from the chain instead of keeping what it observed, so each ack
-        is proven and submitted to the counterparty once, none is
-        refused, every one is sealed and no token moves twice."""
+        down: the guest writes acks during the outage and the cranker
+        finalises some of their blocks, while the relayer, down,
+        observes none of it.  A restart re-reads every written ack from
+        the chain, so each ack is proven and submitted to the
+        counterparty once, none is refused, every one is sealed and no
+        token moves twice."""
         dep = make_dep(280)
         guest_chan, cp_chan = dep.establish_link()
         dep.counterparty.bank.mint("carol", "PICA", 1_000)
@@ -435,3 +466,114 @@ class TestRefusedHeaderPush:
         assert counter("relay.deliveries.refused") == 1
         assert dep.counterparty.bank.balance("bob", voucher) == 250
         assert dep.counterparty.ibc.counters.packets_received == 1
+
+
+class TestRestartOwesOnlyWhatTheChainsOwe:
+    """A restart relays what is still committed and unreceived, and
+    nothing that landed while the relayer was down."""
+
+    def test_a_delivery_landed_while_down_is_not_delivered_again(self):
+        """The relayer crashes behind its first delivery bundle, which
+        lands while it is down: the restart finds every send received
+        and submits no BATCH_EXEC entry for any of them."""
+        dep = make_dep(281, RelayerConfig(batch_max_packets=16,
+                                          batch_flush_seconds=1.0))
+        guest_chan, cp_chan = dep.establish_link()
+        dep.counterparty.bank.mint("carol", "PICA", 1_000)
+        relayer, guest = dep.relayer, dep.relayer.a
+        deliver = guest.api.deliver_batch
+
+        def crash_behind(*args, **kwargs):
+            guest.api.deliver_batch = deliver
+            deliver(*args, **kwargs)
+            dep.sim.schedule(0.0, relayer.crash)
+
+        guest.api.deliver_batch = crash_behind
+        for _ in range(4):
+            cp_send(dep, cp_chan)
+        while not relayer.paused:
+            dep.sim.step()
+        dep.run_for(120.0)
+        # The precondition: the bundle landed while the relayer was down.
+        assert dep.contract.ibc.counters.packets_received == 4
+
+        relayer.restart()
+        dep.run_for(600.0)
+        counters = dep.trace_report().counters
+        assert counters.get("guest.batch.entries_failed", 0) == 0
+        assert counters.get("guest.batch.entries") == 4
+        assert dep.contract.ibc.counters.packets_received == 4
+        voucher = dep.contract.transfer.voucher_denom(guest_chan, "PICA")
+        assert dep.contract.bank.balance("dave", voucher) == 200
+        assert dep.counterparty.ibc.counters.packets_acknowledged == 4
+
+    def test_sends_finalised_while_down_are_delivered_once(self):
+        dep = make_dep(282)
+        guest_chan, cp_chan = dep.establish_link()
+        dep.contract.bank.mint("alice", "GUEST", 500)
+        received: list[int] = []
+        recv_packet = dep.counterparty.ibc.recv_packet
+
+        def counted(packet, *args, **kwargs):
+            received.append(packet.sequence)
+            return recv_packet(packet, *args, **kwargs)
+
+        dep.counterparty.ibc.recv_packet = counted
+        dep.relayer.crash()
+        for _ in range(3):
+            payload = dep.contract.transfer.make_payload(
+                guest_chan, "GUEST", 100, "alice", "bob")
+            dep.user_api.send_packet("transfer", str(guest_chan), payload)
+        dep.run_for(300.0)
+        # The precondition: every send is in a block finalised while down.
+        assert all(block.finalised for block in dep.contract.blocks
+                   if dep.contract.packets_in_block(block.height))
+
+        dep.relayer.restart()
+        dep.run_for(600.0)
+        assert sorted(received) == [0, 1, 2]
+        counters = dep.trace_report().counters
+        assert counters.get("relay.duplicate_deliveries", 0) == 0
+        assert counters.get("relay.recovered") == 3
+        voucher = dep.counterparty.transfer.voucher_denom(cp_chan, "GUEST")
+        assert dep.counterparty.bank.balance("bob", voucher) == 300
+        assert dep.contract.ibc.counters.packets_acknowledged == 3
+
+    def test_an_epoch_change_missed_while_down_is_pushed(self):
+        """No ledger seed's crash spans an epoch end: a guest with short
+        epochs rotates while the relayer is down, and the restart pushes
+        the epoch-ending header the counterparty's client has not seen;
+        traffic sent after it flows."""
+        dep = Deployment(DeploymentConfig(
+            seed=283,
+            guest=GuestConfig(delta_seconds=90.0, min_stake_lamports=1,
+                              epoch_length_host_blocks=500),
+            profiles=simple_profiles(4), tracing=True,
+        ))
+        guest_chan, cp_chan = dep.establish_link()
+        client = dep.guest_client
+
+        def missed():
+            return [block.height for block in dep.contract.blocks
+                    if block.finalised and block.header.last_in_epoch
+                    and block.height > client.latest_height()]
+
+        dep.relayer.crash()
+        while not missed():
+            dep.run_for(10.0)
+        [height] = missed()
+        covered = cover_census(dep.relayer.b.updates)
+        dep.relayer.restart()
+        dep.run_for(60.0)
+        assert covered.count(height) == 1
+        assert client.consensus_root(height) is not None   # it took it
+
+        dep.contract.bank.mint("alice", "GUEST", 500)
+        payload = dep.contract.transfer.make_payload(
+            guest_chan, "GUEST", 100, "alice", "bob")
+        dep.user_api.send_packet("transfer", str(guest_chan), payload)
+        dep.run_for(600.0)
+        voucher = dep.counterparty.transfer.voucher_denom(cp_chan, "GUEST")
+        assert dep.counterparty.bank.balance("bob", voucher) == 100
+        assert dep.contract.ibc.counters.packets_acknowledged == 1
+        assert dep.trace_report().counters.get("relay.header_push.refused", 0) == 0

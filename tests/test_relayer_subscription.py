@@ -3,11 +3,11 @@
 ``Relayer`` reads a counterparty's sends at each of its blocks
 (``CounterpartyChain.on_block``).  It used to read them from a timer,
 every 3 s; that relayer survives here alone, as a subclass, and is the
-reference: same seeds, a few hundred counterparty sends, a relayer crash
-and restart and a pause in the middle.  The subscription must deliver
-the same packets exactly once, read every send at the height the poll
-read it at and never later, and recover from the crash out of the same
-completion frontier (docs/PERFORMANCE.md, "No dead waits").
+reference: same seeds, a few hundred counterparty sends, two relayer
+crashes and restarts in the middle.  The subscription must deliver the
+same packets exactly once, read every send at the height the poll read
+it at and never later, and find the same sends still owed when it
+restarts from the first crash (docs/PERFORMANCE.md, "No dead waits").
 """
 
 import pytest
@@ -21,9 +21,9 @@ from repro.workload import WorkloadEngine, WorkloadSpec
 
 POLL_SECONDS = 3.0
 GUEST = GuestConfig(delta_seconds=120.0, min_stake_lamports=1)
-#: Seconds into the workload: the crash catches deliveries in flight,
-#: the restart and the resume fall between two counterparty blocks.
-CRASH, RESTART, PAUSE, RESUME = 20.0, 41.0, 62.0, 80.5
+#: Seconds into the workload: the first crash catches deliveries in
+#: flight, and both restarts fall between two counterparty blocks.
+CRASH, RESTART, CRASH_AGAIN, RESTART_AGAIN = 20.0, 41.0, 62.0, 80.5
 
 
 class PollingRelayer(Relayer):
@@ -37,7 +37,7 @@ class PollingRelayer(Relayer):
                 self.sim.schedule(POLL_SECONDS, self._poll, end)
 
     def _on_counterparty_block(self, src) -> None:
-        """Not subscribed (nor caught up by ``resume``)."""
+        """Not subscribed (nor caught up by ``restart``)."""
 
     def _poll(self, src) -> None:
         super()._on_counterparty_block(src)
@@ -68,18 +68,22 @@ class Run:
             offered_pps=4.0, duration=100.0, drain_seconds=400.0))
         engine.start()
         start = self.start = dep.sim.now
-        self.frontier = {}
+        #: label -> (cursor, the sends below it still owed to the guest).
+        self.state = {}
 
         def at(offset, action, label):
             def fire():
-                self.frontier[label] = (end._frontier, end._seen)
+                self.state[label] = (end._seen, [
+                    packet_key(packet.source_channel, packet.sequence)
+                    for packet, _ in end.read_sends()
+                    if relayer._owed(end, relayer.a, packet)])
                 action()
             dep.sim.schedule(offset, fire)
 
         at(CRASH, relayer.crash, "crash")
         at(RESTART, relayer.restart, "restart")
-        at(PAUSE, lambda: setattr(relayer, "paused", True), "pause")
-        at(RESUME, relayer.resume, "resume")
+        at(CRASH_AGAIN, relayer.crash, "crash again")
+        at(RESTART_AGAIN, relayer.restart, "restart again")
         dep.sim.run_until(engine.end_time)
 
     def first_read(self) -> dict:
@@ -89,10 +93,6 @@ class Run:
             for channel, sequence, height in sends:
                 first.setdefault((channel, sequence), (height, at))
         return first
-
-    def read_after(self, offset: float):
-        return next(sends for at, sends in self.reads
-                    if at >= self.start + offset)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -104,8 +104,8 @@ def test_subscription_reads_what_the_poll_read_and_never_later(seed, monkeypatch
         assert run.engine.sent == run.engine.delivered == 400
         counters = run.dep.contract.ibc.counters
         assert counters.packets_received == 400
-        assert run.dep.relayer.metrics.crashes == 1
-        assert run.dep.relayer.b._frontier == 400
+        assert run.dep.relayer.metrics.crashes == 2
+        assert run.dep.relayer.b._seen == 400
     assert (subscribed.dep.contract.bank._balances
             == polled.dep.contract.bank._balances)
 
@@ -117,19 +117,23 @@ def test_subscription_reads_what_the_poll_read_and_never_later(seed, monkeypatch
         assert at <= theirs[send][1]
         earlier += at < theirs[send][1]
     # Up, both read a send at its block's instant (the 3 s grid falls on
-    # the 6 s one); the sends of the pause the subscription reads as it
-    # resumes, the poll on its next tick.
+    # the 6 s one); the sends of an outage the subscription reads as it
+    # restarts, the poll on its next tick.
     blocks = subscribed.dep.counterparty.blocks
     paused = [send for send, (height, at) in ours.items()
               if at != blocks[height].header.time]
     assert 0 < earlier <= len(paused) < 150
 
-    # Until the crash the two are one run: same frontier, same cursor,
-    # and the restart re-fetches the same sends from it.
-    assert subscribed.frontier["crash"] == polled.frontier["crash"]
-    frontier, seen = subscribed.frontier["crash"]
-    assert frontier < seen            # deliveries were in flight
-    assert subscribed.frontier["restart"] == polled.frontier["restart"]
-    assert subscribed.frontier["restart"] == (frontier, frontier)
-    refetched = subscribed.read_after(RESTART)
-    assert refetched[:seen - frontier] == polled.read_after(RESTART)[:seen - frontier]
+    # Until the crash the two are one run: same cursor, and the restart
+    # finds the same sends below it still owed (deliveries the crash
+    # lost) and delivers them from the chain: no read of the send queue
+    # returns one of them again.
+    assert subscribed.state["crash"] == polled.state["crash"]
+    seen, owed = subscribed.state["restart"]
+    assert (seen, owed) == polled.state["restart"]
+    assert seen == subscribed.state["crash"][0] and owed
+    for run in (polled, subscribed):
+        reread = [(channel, sequence) for at, sends in run.reads
+                  if at >= run.start + RESTART
+                  for channel, sequence, _ in sends]
+        assert not set(owed) & set(reread)
