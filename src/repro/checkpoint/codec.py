@@ -50,7 +50,9 @@ from repro.errors import ReproError
 #: 4: a ``GuestEnd`` has no staged acks; its waiters hold acks too.
 #: 5: a ``Relayer`` keeps no missed events and a ``CounterpartyEnd`` no
 #: completion frontier; a down relayer's waiters are the restart's.
-CODEC_VERSION = 5
+#: 6: a ``SealableTrie`` holds an edit token and its branch and extension
+#: nodes the token of their owner; a ``TxReceipt`` carries its events.
+CODEC_VERSION = 6
 
 #: ``major.minor`` of the interpreter — marshal'd code objects are not
 #: portable across interpreter feature releases.

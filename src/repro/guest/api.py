@@ -67,6 +67,9 @@ class DeliveryResult:
     error: Optional[str] = None
     #: How many packet operations the bundle carried (1 unless batched).
     packet_count: int = 1
+    #: Indices of the batch entries the contract refused on their own in
+    #: a landed ``BATCH_EXEC`` bundle (its ``BatchProcessed`` event).
+    failed_entries: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -485,6 +488,11 @@ class GuestApi:
                     success=not failures,
                     error=failures[0].error if failures else None,
                     packet_count=packet_count,
+                    failed_entries=tuple(
+                        index
+                        for event in receipts[-1].events
+                        if event.name == "BatchProcessed"
+                        for index, _kind, _error in event.payload["failures"]),
                 ))
 
         self.chain.submit_bundle(transactions, tip_lamports=tip_lamports,

@@ -631,7 +631,7 @@ class HostChain:
         return TxReceipt(
             tx_id=transaction.tx_id, slot=block.slot, time=self.sim.now,
             success=True, fee_paid=fee, compute_consumed=meter.consumed,
-            bundle_id=pending.bundle_id,
+            bundle_id=pending.bundle_id, events=tuple(events),
         )
 
     def _finish(self, pending: _PendingTx, receipt: TxReceipt, block: HostBlock) -> None:

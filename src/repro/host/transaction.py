@@ -152,3 +152,6 @@ class TxReceipt:
     error: Optional[str] = None
     #: Set when the transaction was submitted as part of a bundle.
     bundle_id: Optional[int] = None
+    #: The events its programs emitted (the transaction's logs); empty
+    #: unless it succeeded.
+    events: tuple = ()

@@ -525,6 +525,11 @@ class Relayer:
                     self._retry_op(dst, op, span, attempt=1)
                 return
             recv_count = sum(1 for op in ops if op.kind == "recv")
+            # A relayed packet is a receive entry that landed: an entry
+            # the contract refused on its own (already received, say)
+            # rides a landed bundle without being relayed by it.
+            relayed = sum(1 for index, op in enumerate(ops) if op.kind == "recv"
+                          and index not in result.failed_entries)
             for op, span in items:
                 if span is not None:
                     span.end(transactions=result.transaction_count)
@@ -538,8 +543,8 @@ class Relayer:
                                    result.transaction_count)
                 self.sim.trace.observe("relay.delivery.fee", result.total_fee)
                 self.sim.trace.observe("relay.delivery.txs", result.transaction_count)
-                self.sim.trace.count("relay.packets.to_guest", recv_count)
-                self.metrics.packets_relayed_to_guest += recv_count
+                self.sim.trace.count("relay.packets.to_guest", relayed)
+                self.metrics.packets_relayed_to_guest += relayed
             if len(ops) > recv_count:
                 self.metrics.acks_returned.append(result)
                 self.ledger.record(

@@ -13,16 +13,31 @@ sealing extension:
   (§III-A).  Its accounted size is just the 32-byte hash that the parent
   must retain anyway.
 
-Hashes are computed lazily and cached; mutation happens by rebuilding the
-nodes along the touched path (the trie object owns that logic), so a cache
-never goes stale.  The same dirty-path discipline carries the *aggregate*
-caches: branches and extensions memoize their subtree's ``(storage
-bytes, live nodes, sealed stubs)`` totals, and a rebuilt branch takes
-its total from the node it replaces — *old − old child + new child* —
-so once the root has been asked, every mutation keeps it current in
-O(depth) and the per-execution state-budget check reads one tuple
-(docs/PERFORMANCE.md).  A node that was never asked stays unsummed and
-its rebuilds carry nothing; the first query sums it lazily.
+Hashes and aggregates are computed lazily and cached.  Who may edit a
+node is decided by ownership (the trie object owns that logic): a
+branch or extension carries the edit token of the trie that created it
+(``_owner``), and :meth:`BranchNode.replacing_child`,
+:meth:`BranchNode.replacing_value` and
+:meth:`ExtensionNode.replacing_child` edit the node in place when the
+caller's token owns it, and otherwise return a copy stamped with that
+token.  :meth:`~repro.trie.trie.SealableTrie.snapshot` retires the
+token, so every node a view can reach is frozen, and a frozen node's
+caches never go stale.  Two invariants make the in-place edit safe:
+
+* an edit runs only on the way back up, after the descent below it has
+  succeeded, so a refused operation leaves every node as it was;
+* a parent reads what a slot contributed to its aggregate *before* it
+  descends (the ``was`` of :meth:`BranchNode.replacing_child`), because
+  an owned child edited in place has already moved its own aggregate.
+
+The same discipline carries the *aggregate* caches: branches and
+extensions memoize their subtree's ``(storage bytes, live nodes, sealed
+stubs)`` totals, and an edited branch moves its total by *old − old
+child + new child*, so once the root has been asked, every mutation
+keeps it current in O(depth) and the per-execution state-budget check
+reads one tuple (docs/PERFORMANCE.md).  A node that was never asked
+stays unsummed and its edits carry nothing; the first query sums it
+lazily.
 
 Leaf hashes commit to the *hash* of the value (:func:`value_commitment`)
 rather than the raw bytes.  That keeps sealed stubs *re-pathable*: a stub
@@ -126,15 +141,29 @@ class LeafNode:
 class ExtensionNode:
     """A path-compression node: ``path`` then ``child``."""
 
-    __slots__ = ("path", "child", "_hash", "_agg")
+    __slots__ = ("path", "child", "_hash", "_agg", "_owner")
 
-    def __init__(self, path: Nibbles, child: Node) -> None:
+    def __init__(self, path: Nibbles, child: Node, owner: object = None) -> None:
         if not path:
             raise ValueError("extension path must be non-empty")
         self.path = path
         self.child = child
         self._hash: Optional[Hash] = None
         self._agg: Optional[tuple[int, int, int]] = None
+        #: The edit token of the trie allowed to edit this node in place.
+        self._owner = owner
+
+    def replacing_child(self, child: Node, owner: object) -> "ExtensionNode":
+        """This extension over ``child``: edited in place when ``owner``
+        owns it, otherwise a copy that ``owner`` owns.  Either way the
+        aggregate is left to be re-read from the child, as a fresh node's
+        would be."""
+        if self._owner is owner:
+            self.child = child
+            self._hash = None
+            self._agg = None
+            return self
+        return ExtensionNode(self.path, child, owner)
 
     def hash(self) -> Hash:
         if self._hash is None:
@@ -157,60 +186,89 @@ class ExtensionNode:
 class BranchNode:
     """A 16-way fan-out with an optional value terminating at the branch."""
 
-    __slots__ = ("children", "value", "_hash", "_child_hashes", "_agg")
+    __slots__ = ("children", "value", "_hash", "_child_hashes", "_agg", "_owner")
 
-    def __init__(self, children: Optional[list[Optional[Node]]] = None, value: Optional[bytes] = None) -> None:
+    def __init__(self, children: Optional[list[Optional[Node]]] = None,
+                 value: Optional[bytes] = None, owner: object = None) -> None:
         self.children: list[Optional[Node]] = children if children is not None else [None] * 16
         if len(self.children) != 16:
             raise ValueError("branch must have exactly 16 child slots")
         self.value = value
         self._hash: Optional[Hash] = None
         #: Either the final cached tuple or a partially valid list with
-        #: ``None`` holes (dirty slots from :meth:`replacing_child`).
+        #: ``None`` holes (dirty slots from :meth:`replacing_child`).  A
+        #: list belongs to one node: an owned node patches it in place.
         self._child_hashes: Optional[tuple[Hash, ...] | list[Optional[Hash]]] = None
         self._agg: Optional[tuple[int, int, int]] = None
+        #: The edit token of the trie allowed to edit this node in place.
+        self._owner = owner
 
-    def replacing_child(self, index: int, child: Optional[Node]) -> "BranchNode":
-        """A copy of this branch with one child slot replaced.
+    def replacing_child(self, index: int, child: Optional[Node], owner: object,
+                        was: Optional[tuple[int, int, int]]) -> "BranchNode":
+        """This branch with one child slot replaced: edited in place when
+        ``owner`` owns it, otherwise a copy that ``owner`` owns.
 
         This is the incremental-rehash path: the fifteen untouched
-        sibling hashes are carried over from this node's cache (when
-        warm) and only the dirty slot is recomputed — lazily, so a burst
-        of writes to one subtree does not rehash intermediate states.
+        sibling hashes are kept from this node's cache (when warm) and
+        only the dirty slot is recomputed — lazily, so a burst of writes
+        to one subtree does not rehash intermediate states.
+
+        ``was`` is the old occupant's aggregate (``None`` for an empty
+        slot), read *before* the descent that produced ``child``: an
+        owned occupant is edited in place, so afterwards it reports its
+        new totals.  It is needed only while this branch's aggregate is
+        warm, and then the read is O(1) (a warm aggregate was summed from
+        its descendants', so theirs are warm too).
         """
-        children = list(self.children)
-        old = children[index]
-        children[index] = child
-        node = BranchNode(children, self.value)
-        cached = self._child_hashes
-        if cached is not None:
-            patched: list[Optional[Hash]] = list(cached)
-            patched[index] = None
-            node._child_hashes = patched
         agg = self._agg
+        cached = self._child_hashes
+        if self._owner is owner:
+            node = self
+            self.children[index] = child
+            self._hash = None
+            if cached is not None:
+                if type(cached) is tuple:
+                    cached = self._child_hashes = list(cached)
+                cached[index] = None
+        else:
+            children = list(self.children)
+            children[index] = child
+            node = BranchNode(children, self.value, owner)
+            if cached is not None:
+                patched: list[Optional[Hash]] = list(cached)
+                patched[index] = None
+                node._child_hashes = patched
         if agg is not None:
-            # A warm aggregate means every descendant's is warm too (it
-            # was summed from them), so both reads below are O(1).
             storage, live, sealed = agg
-            was = old.aggregates() if old is not None else _EMPTY_SLOT_AGG
+            if was is None:
+                was = _EMPTY_SLOT_AGG
             now = child.aggregates() if child is not None else _EMPTY_SLOT_AGG
             node._agg = (storage - was[0] + now[0],
                          live - was[1] + now[1],
                          sealed - was[2] + now[2])
         return node
 
-    def replacing_value(self, value: Optional[bytes]) -> "BranchNode":
-        """A copy with only the branch value changed.
+    def replacing_value(self, value: Optional[bytes], owner: object) -> "BranchNode":
+        """This branch with only its value changed: edited in place when
+        ``owner`` owns it, otherwise a copy that ``owner`` owns.
 
-        The children are untouched, so the child-hash cache transfers
-        wholesale (the holes of a partially valid cache, if any, are
-        filled lazily by :meth:`child_hashes`).
+        The children are untouched, so the child-hash cache stays valid
+        (the holes of a partially valid cache, if any, are filled lazily
+        by :meth:`child_hashes`); a copy takes a final tuple as it is and
+        a partial list as its own copy.
         """
-        node = BranchNode(list(self.children), value)
-        node._child_hashes = self._child_hashes
+        old = self.value
+        if self._owner is owner:
+            node = self
+            self.value = value
+            self._hash = None
+        else:
+            node = BranchNode(list(self.children), value, owner)
+            cached = self._child_hashes
+            node._child_hashes = list(cached) if type(cached) is list else cached
         agg = self._agg
         if agg is not None:
-            node._agg = (agg[0] - _value_bytes(self.value) + _value_bytes(value),
+            node._agg = (agg[0] - _value_bytes(old) + _value_bytes(value),
                          agg[1], agg[2])
         return node
 
@@ -219,8 +277,8 @@ class BranchNode:
 
         Proof generation needs a branch's sibling hashes on every step;
         without the cache each proof re-hashes the same children over and
-        over.  Safe to cache because mutation rebuilds the nodes along
-        the touched path rather than editing them in place.
+        over.  An in-place edit drops the hash of the slot it changes,
+        and a frozen node is never edited, so the cache never goes stale.
         """
         cached = self._child_hashes
         if type(cached) is tuple:

@@ -11,12 +11,22 @@ stub's recorded path are provably absent and report
 :class:`~repro.errors.KeyNotFoundError`, and inserts under such keys
 split the stub like any leaf or extension.
 
-Mutations rebuild the nodes along the touched path (structural sharing for
-everything else), so cached hashes can never go stale.  The structural
-invariant the delete/collapse path maintains — including around sealed
-stubs, which are re-pathed rather than left stranded — is that the tree
-shape always equals the canonical (never-sealed) trie of the same
-mapping, so an incrementally maintained root matches a fresh rebuild.
+A mutation edits in place the branches and extensions this trie owns —
+those it created since its last :meth:`~SealableTrie.snapshot` — and
+copies any other node on the touched path, sharing everything else.
+Each trie holds an edit token and stamps the nodes it creates with it;
+``snapshot()`` retires the token, so every node an older root can reach
+is frozen forever and a view's hashes, proofs and aggregates never move.
+Two invariants keep the edit invisible (:mod:`repro.trie.nodes`): nodes
+are edited only on the way back up, after the descent below succeeded,
+so a refused operation changes nothing; and a branch reads its slot's
+aggregate before descending, since an owned child moves its own.
+
+The structural invariant the delete/collapse path maintains — including
+around sealed stubs, which are re-pathed rather than left stranded — is
+that the tree shape always equals the canonical (never-sealed) trie of
+the same mapping, so an incrementally maintained root matches a fresh
+rebuild.
 """
 
 from __future__ import annotations
@@ -53,6 +63,9 @@ class SealableTrie:
 
     def __init__(self) -> None:
         self._root: Optional[Node] = None
+        # The edit token stamped on every branch and extension this trie
+        # creates; compared by identity, retired by snapshot().
+        self._token = object()
         # Mutation mirrors (state-sync journals / lockstep replicas).
         # Notified after each successful set/delete/seal; snapshots get
         # a fresh empty list, so historical views never re-notify.
@@ -87,13 +100,16 @@ class SealableTrie:
     def snapshot(self) -> "SealableTrie":
         """An O(1) frozen view of the current state.
 
-        Mutations copy the nodes along the touched path and share the
-        rest (persistent-style), so old roots remain valid forever: a
-        snapshot is just a second trie handle onto today's root.  Chains
-        use this to serve proofs against *historical* block roots.
+        The view is a second trie handle onto today's root.  Taking it
+        retires this trie's edit token, so no node reachable from the
+        view is ever edited in place again: later mutations, of this
+        trie or of the view, copy the nodes on their path instead, and
+        old roots remain valid forever.  A view owns no node yet.
+        Chains use this to serve proofs against *historical* block roots.
         """
         view = SealableTrie()
         view._root = self._root
+        self._token = object()
         return view
 
     @staticmethod
@@ -183,23 +199,27 @@ class SealableTrie:
         if isinstance(node, ExtensionNode):
             own = node.path
             if path[: len(own)] == own:
-                child = self._set(node.child, path[len(own):], value)
-                return ExtensionNode(own, child)
+                return node.replacing_child(
+                    self._set(node.child, path[len(own):], value), self._token)
             return self._split_extension(
                 node, common_prefix_len(own, path), path, value)
 
-        # BranchNode — rebuild via replacing_child/replacing_value so the
+        # BranchNode — edit via replacing_child/replacing_value so the
         # untouched sibling hashes carry over (incremental rehash).
         if not path:
-            return node.replacing_value(value)
+            return node.replacing_value(value, self._token)
+        slot = path[0]
+        old = node.children[slot]
+        # Read before descending: an owned occupant is edited in place.
+        was = old.aggregates() if old is not None and node._agg is not None else None
         return node.replacing_child(
-            path[0], self._set(node.children[path[0]], path[1:], value)
-        )
+            slot, self._set(old, path[1:], value),
+            self._token, was)
 
     def _split_leaf(self, leaf: LeafNode, path: Nibbles, value: bytes) -> Node:
         """Split a leaf whose path diverges from the inserted key."""
         prefix = common_prefix_len(leaf.path, path)
-        branch = BranchNode()
+        branch = BranchNode(owner=self._token)
         old_rest, new_rest = leaf.path[prefix:], path[prefix:]
         if old_rest:
             branch.children[old_rest[0]] = LeafNode(old_rest[1:], leaf.value)
@@ -210,25 +230,26 @@ class SealableTrie:
         else:
             branch.value = value
         if prefix:
-            return ExtensionNode(path[:prefix], branch)
+            return ExtensionNode(path[:prefix], branch, self._token)
         return branch
 
     def _split_extension(self, ext: ExtensionNode, prefix: int, path: Nibbles, value: bytes) -> Node:
         """Split an extension at the divergence point ``prefix``."""
-        branch = BranchNode()
+        branch = BranchNode(owner=self._token)
         ext_rest = ext.path[prefix:]
         # Re-attach the extension's tail under its first diverging nibble.
         if len(ext_rest) == 1:
             branch.children[ext_rest[0]] = ext.child
         else:
-            branch.children[ext_rest[0]] = ExtensionNode(ext_rest[1:], ext.child)
+            branch.children[ext_rest[0]] = ExtensionNode(
+                ext_rest[1:], ext.child, self._token)
         new_rest = path[prefix:]
         if new_rest:
             branch.children[new_rest[0]] = LeafNode(new_rest[1:], value)
         else:
             branch.value = value
         if prefix:
-            return ExtensionNode(path[:prefix], branch)
+            return ExtensionNode(path[:prefix], branch, self._token)
         return branch
 
     def _split_sealed(self, node: SealedNode, path: Nibbles, value: bytes) -> Node:
@@ -258,7 +279,7 @@ class SealableTrie:
             # produce prefix keys.
             raise SealedNodeError("write path hit a sealed node")
         stub_rest, new_rest = own[prefix:], path[prefix:]
-        branch = BranchNode()
+        branch = BranchNode(owner=self._token)
         branch.children[stub_rest[0]] = SealedNode(
             stub_rest[1:], node.kind, core=node.core, children=node.children)
         if new_rest:
@@ -266,7 +287,7 @@ class SealableTrie:
         else:
             branch.value = value
         if prefix:
-            return ExtensionNode(path[:prefix], branch)
+            return ExtensionNode(path[:prefix], branch, self._token)
         return branch
 
     def _expand_sealed_branch(self, node: SealedNode, path: Nibbles,
@@ -281,14 +302,14 @@ class SealableTrie:
         as a lone child it cannot re-path.
         """
         assert node.children is not None
-        branch = BranchNode()
+        branch = BranchNode(owner=self._token)
         for index, child in enumerate(node.children):
             if child is not None:
                 branch.children[index] = SealedNode.opaque(child)
         rest = path[len(node.path):]
         branch.children[rest[0]] = LeafNode(rest[1:], value)
         if node.path:
-            return ExtensionNode(node.path, branch)
+            return ExtensionNode(node.path, branch, self._token)
         return branch
 
     # ------------------------------------------------------------------
@@ -323,15 +344,22 @@ class SealableTrie:
             child = self._delete(node.child, path[len(node.path):], key)
             if child is None:
                 return None
+            if isinstance(child, BranchNode):
+                return node.replacing_child(child, self._token)
             return self._merge_extension(node.path, child)
 
         # BranchNode
         if not path:
             if node.value is None:
                 raise KeyNotFoundError(f"key {key.hex()} not in trie")
-            return self._collapse_branch(node.replacing_value(None))
-        new_child = self._delete(node.children[path[0]], path[1:], key)
-        branch = node.replacing_child(path[0], new_child)
+            return self._collapse_branch(
+                node.replacing_value(None, self._token))
+        slot = path[0]
+        old = node.children[slot]
+        # Read before descending: an owned occupant is edited in place.
+        was = old.aggregates() if old is not None and node._agg is not None else None
+        new_child = self._delete(old, path[1:], key)
+        branch = node.replacing_child(slot, new_child, self._token, was)
         if new_child is None or isinstance(new_child, SealedNode):
             return self._collapse_branch(branch)
         return branch  # a live child keeps its slot: nothing to collapse
@@ -343,15 +371,15 @@ class SealableTrie:
         if isinstance(child, LeafNode):
             return LeafNode(path + child.path, child.value)
         if isinstance(child, ExtensionNode):
-            return ExtensionNode(path + child.path, child.child)
+            return ExtensionNode(path + child.path, child.child, self._token)
         if isinstance(child, SealedNode):
             return child.with_prefix(path)
-        return ExtensionNode(path, child)
+        return ExtensionNode(path, child, self._token)
 
     def _collapse_branch(self, branch: BranchNode) -> Optional[Node]:
         """Collapse a branch left with at most one occupant after delete.
 
-        Takes (and may return) the already-rebuilt branch so its carried
+        Takes (and may return) the already-edited branch so its carried
         child-hash cache survives when no collapse applies.
         """
         occupied = branch.child_count()
@@ -410,7 +438,7 @@ class SealableTrie:
                 # The whole extension's subtree is sealed: fold the
                 # extension path into the stub, preserving its hash.
                 return child.with_prefix(node.path)
-            return ExtensionNode(node.path, child)
+            return node.replacing_child(child, self._token)
 
         # BranchNode
         if not path:
@@ -420,8 +448,12 @@ class SealableTrie:
                 "cannot seal a value stored at a branch; provable stores "
                 "hash keys to fixed length so values terminate at leaves"
             )
-        sealed_child = self._seal(node.children[path[0]], path[1:], key)
-        branch = node.replacing_child(path[0], sealed_child)
+        slot = path[0]
+        old = node.children[slot]
+        # Read before descending: an owned occupant is edited in place.
+        was = old.aggregates() if old is not None and node._agg is not None else None
+        sealed_child = self._seal(old, path[1:], key)
+        branch = node.replacing_child(slot, sealed_child, self._token, was)
         if (isinstance(sealed_child, SealedNode) and branch.value is None
                 and not branch.has_live_child()):
             return SealedNode.of_branch(branch)
@@ -582,7 +614,7 @@ class SealableTrie:
         """Number of live (unsealed) nodes in storage.
 
         Reads the root's subtree aggregate, which every mutation carries
-        onto the rebuilt path once it has been summed (the first query
+        along the edited path once it has been summed (the first query
         sums the trie, later ones read one tuple).  The state-budget
         check runs this on every contract execution, so the full-trie
         walk it replaced dominated the soak wall-clock profile.

@@ -6,6 +6,7 @@ from typing import Optional
 
 from repro.crypto.hashing import Hash
 from repro.ibc.client import LightClient
+from repro.trie.trie import SealableTrie
 
 
 class StaticRootClient(LightClient):
@@ -382,3 +383,24 @@ def can_cut_a_block(dep) -> bool:
     return head.finalised and not dep.cranker._in_flight and (
         contract.store.root_hash != head.header.state_root
         or dep.sim.now - head.header.timestamp >= contract.config.delta_seconds)
+
+
+class PathCopyingTrie(SealableTrie):
+    """The reference: the sealable trie before it learnt to edit in
+    place — every set / delete / seal copies each branch and extension
+    on its path.  Its edit token never matches a node (each read is a
+    fresh object), so no node is ever owned; it exists only here, and
+    ``src/`` has no switch that selects it.  Its views copy too."""
+
+    @property
+    def _token(self) -> object:
+        return object()
+
+    @_token.setter
+    def _token(self, _retired: object) -> None:
+        pass
+
+    def snapshot(self) -> "PathCopyingTrie":
+        view = PathCopyingTrie()
+        view._root = self._root
+        return view

@@ -27,6 +27,9 @@ from repro.checkpoint import (
 from repro.checkpoint.snapshot import CheckpointManifest, world_roots
 from repro.guest.config import GuestConfig
 from repro.ibc.identifiers import PortId
+from repro.trie.nodes import BranchNode, ExtensionNode
+
+from tests.test_trie_in_place import nodes
 from repro.validators.profiles import simple_profiles
 
 
@@ -322,6 +325,69 @@ class TestSnapshotRestore:
 
         straight = run_on(deployment)
         restored, _ = restore_world(checkpoint)
+        assert run_on(restored) == straight
+
+    def test_trie_ownership_rides_the_checkpoint(self):
+        """A store's edit token and its nodes' owners are pickled with
+        the world.  Taken mid-traffic, between two guest blocks, the
+        restored guest store still owns the nodes written since the last
+        block and edits them in place, every state view keeps the root
+        of its block header, and the world runs on bit for bit — edit
+        for edit — with the one that did not stop."""
+        deployment = Deployment(small_config(seed=77))
+        deployment.establish_link()
+        counterparty = deployment.counterparty
+        counterparty.bank.mint("carol", "PICA", 1_000)
+        _, cp_channel = sorted(deployment.relayer.b.channels)[0]
+
+        def send():
+            counterparty.ibc.send_packet(
+                PortId("transfer"), cp_channel, counterparty.transfer.make_payload(
+                    cp_channel, "PICA", 10, "carol", "dave"), 0.0)
+
+        def owned(world) -> int:
+            trie = world.contract.store.trie
+            return sum(getattr(node, "_owner", None) is trie._token
+                       for node in nodes(trie))
+
+        for _ in range(8):
+            counterparty.submit(send)
+        while not owned(deployment) or (
+                deployment.contract.ibc.counters.packets_received < 2):
+            deployment.sim.step()
+        checkpoint = Checkpoint.from_bytes(snapshot_world(deployment).to_bytes())
+
+        def run_on(world):
+            headers = {block.header.height: block.header.state_root
+                       for block in world.contract.blocks}
+            views = dict(world.contract._state_views)
+            edits = {"in place": 0, "copied": 0}
+
+            def counted(edit):
+                def count(node, *args):
+                    edited = edit(node, *args)
+                    edits["in place" if edited is node else "copied"] += 1
+                    return edited
+                return count
+
+            with pytest.MonkeyPatch.context() as patch:
+                for cls, name in ((BranchNode, "replacing_child"),
+                                  (BranchNode, "replacing_value"),
+                                  (ExtensionNode, "replacing_child")):
+                    patch.setattr(cls, name, counted(getattr(cls, name)))
+                world.run_for(240.0)
+            assert world.contract.ibc.counters.packets_received == 8
+            for height, view in views.items():
+                assert view.root_hash == headers[height]
+            assert edits["in place"] > edits["copied"] > 0
+            return (edits, world.sim.now, world.sim.dispatched_events(),
+                    world_roots(world),
+                    [block.header.state_root for block in world.contract.blocks])
+
+        owned_at_checkpoint = owned(deployment)
+        straight = run_on(deployment)
+        restored, _ = restore_world(checkpoint)
+        assert owned(restored) == owned_at_checkpoint > 0
         assert run_on(restored) == straight
 
     def test_tampered_manifest_fails_audit(self, live_world):

@@ -595,6 +595,8 @@ class TestWitnessIsolation:
         dep.run_for(30.0)
         (result,), (event,) = results, events
         assert result.success and result.packet_count == len(batch.ops)
+        assert result.failed_entries == tuple(
+            index for index, _, _ in event.payload["failures"])
         return event.payload
 
     def received(self):
@@ -651,6 +653,27 @@ class TestWitnessIsolation:
         assert (index, kind) == (0, ins.Op.RECV_EXEC)
         assert "invalid commitment proof" in reason
         assert link.received() == len(ops) - 1
+
+    def test_the_relayer_counts_only_the_entries_that_landed(self, link):
+        """A relayed packet is a receive entry that landed
+        (docs/OBSERVABILITY.md): of a landed bundle whose first entry
+        the contract refuses on its own, as already received, the
+        relayer books the others."""
+        _, late = link.heights
+        ops = [link.op(p, late) for p in link.packets]
+        link.deliver(Batch.of(ops[:1]))
+        dep, relayer = link.dep, link.dep.relayer
+        report = dep.trace_report()
+        relayed = relayer.metrics.packets_relayed_to_guest
+        counted = report.counter("relay.packets.to_guest")
+        failed = report.counter("guest.batch.entries_failed")
+        relayer._submit_batch(relayer.a, [(op, None) for op in ops], Batch.of(ops))
+        dep.run_for(30.0)
+        report = dep.trace_report()
+        assert link.received() == len(ops)
+        assert report.counter("guest.batch.entries_failed") == failed + 1
+        assert relayer.metrics.packets_relayed_to_guest == relayed + len(ops) - 1
+        assert report.counter("relay.packets.to_guest") == counted + len(ops) - 1
 
     def test_a_resequenced_packet_is_not_proven(self, link):
         """A packet re-sequenced onto a proven neighbour's number walks

@@ -12,9 +12,11 @@ proofs, 0 calls).  This gate keeps the counts those decisions rest on
 repeatable, over the loaded link of ``tests/test_delivery_budget.py``
 (20 pps of counterparty sends, batching 32 / 2 s, handshakes included):
 the two caches that stayed still hit, cancellations are still rare,
-no proof is still ever walked twice, and none is walked in vain (each
+no proof is still ever walked twice, none is walked in vain (each
 guest write names the block that commits it, so nothing is proven on
-trial).  Counts of a seeded run, so a failure is the code's or the
+trial), and the stores' tries still edit most nodes in place (a trie
+copies only what a snapshot can see, and the link takes one per
+block).  Counts of a seeded run, so a failure is the code's or the
 traffic's, and its message says which mechanism to re-measure before
 anything is added or removed.
 """
@@ -26,6 +28,7 @@ from repro.experiments.throughput import build_linked_deployment
 from repro.guest.instructions import Op
 from repro.ibc import commitment as paths
 from repro.trie.nibbles import encode_nibbles
+from repro.trie.nodes import BranchNode, ExtensionNode
 from repro.trie.store import _seq_key_head
 from repro.trie.trie import SealableTrie
 from repro.workload import WorkloadEngine, WorkloadSpec
@@ -35,14 +38,19 @@ from tests.test_lc_update_budget import BATCHING, GUEST
 
 KEPT_CACHES = {"encode_nibbles": encode_nibbles,       # trie/nibbles.py
                "_seq_key_head": _seq_key_head}         # trie/store.py
+#: The node edits that are in place when the trie owns the node.
+NODE_EDITS = ((BranchNode, "replacing_child"), (BranchNode, "replacing_value"),
+              (ExtensionNode, "replacing_child"))
 
 
 @pytest.fixture(scope="module", params=[0, 1, 2])
 def traffic(request):
     """The loaded link from an empty world to its last delivery: every
     proof walked, as ``(trie handle, root, kind, key)``, and the keys
-    whose walk raised; what the kept caches answered; the deployment."""
+    whose walk raised; what the kept caches answered; the deployment;
+    how many node edits were in place and how many copied."""
     proofs, raised = [], []
+    edits = {"in place": 0, "copied": 0}
     before = {name: cache.cache_info() for name, cache in KEPT_CACHES.items()}
 
     def tap(kind, walk):
@@ -55,9 +63,18 @@ def traffic(request):
                 raise
         return walked
 
+    def count(edit):
+        def counted(node, *args):
+            edited = edit(node, *args)
+            edits["in place" if edited is node else "copied"] += 1
+            return edited
+        return counted
+
     with pytest.MonkeyPatch.context() as patch:
         for kind in ("prove", "prove_absence"):
             patch.setattr(SealableTrie, kind, tap(kind, getattr(SealableTrie, kind)))
+        for cls, name in NODE_EDITS:
+            patch.setattr(cls, name, count(getattr(cls, name)))
         dep, channels = build_linked_deployment(request.param, GUEST, BATCHING, 1)
         engine = WorkloadEngine(dep, channels, WorkloadSpec(
             offered_pps=20.0, duration=90.0, drain_seconds=60.0))
@@ -68,12 +85,12 @@ def traffic(request):
     answered = {name: (after[name].hits - before[name].hits,
                        after[name].misses - before[name].misses)
                 for name in KEPT_CACHES}
-    return (proofs, raised), answered, dep
+    return (proofs, raised), answered, dep, edits
 
 
 @pytest.mark.parametrize("name", KEPT_CACHES)
 def test_the_kept_caches_hit_ten_times_for_each_miss(traffic, name):
-    _, answered, _ = traffic
+    _, answered, _, _ = traffic
     hits, misses = answered[name]
     assert hits >= 10 * max(misses, 1), (
         f"{name} answered {hits} of {hits + misses} calls from its LRU: it "
@@ -83,7 +100,7 @@ def test_the_kept_caches_hit_ten_times_for_each_miss(traffic, name):
 
 
 def test_cancellations_are_rare(traffic):
-    _, _, dep = traffic
+    _, _, dep, _ = traffic
     report = dep.trace_report()
     scheduled = report.counter("sim.events.scheduled")
     # Every cancel of a queued event, its time come or not (the tracer
@@ -100,7 +117,7 @@ def test_cancellations_are_rare(traffic):
 
 
 def test_no_proof_is_walked_twice(traffic):
-    (proofs, _), _, _ = traffic
+    (proofs, _), _, _, _ = traffic
     assert len(proofs) > PACKETS
     repeats = len(proofs) - len(set(proofs))
     assert repeats == 0, (
@@ -117,7 +134,7 @@ def test_the_link_executes_the_opcodes_it_is_known_to(traffic):
     delivery, ack sealing and the guest's own blocks — no validator
     stakes after genesis, nothing is delivered packet by packet, and
     nobody misbehaves."""
-    _, _, dep = traffic
+    _, _, dep, _ = traffic
     report = dep.trace_report()
     executed = {op for op in Op if report.counter(f"guest.op.{op.name}")}
     assert executed == {
@@ -137,7 +154,7 @@ def test_every_ack_is_walked_once_and_no_walk_raises(traffic):
     (``height_hint``), so the relayer proves an ack once, at a block
     that holds it, instead of trying every staged ack at every
     finalised block and throwing away the walks that raise."""
-    (proofs, raised), _, dep = traffic
+    (proofs, raised), _, dep, _ = traffic
     heads = {_seq_key_head(paths.ack_prefix(port, channel))
              for port, channel in dep.contract.ibc.channels}
     ack_walks = sum(1 for _, _, _, key in proofs if key[:24] in heads)
@@ -148,3 +165,16 @@ def test_every_ack_is_walked_once_and_no_walk_raises(traffic):
         f"block; wait for that height instead of probing for it")
     assert ack_walks == returned == PACKETS, (
         f"{ack_walks} ack proofs walked for {returned} acks returned")
+
+
+def test_the_stores_edit_in_place(traffic):
+    """Both chains snapshot their store once per block, and between two
+    blocks a loaded link writes each touched path several times: the
+    first write after a snapshot copies its path, the rest edit it in
+    place (docs/PERFORMANCE.md, "Copy only what a snapshot can see")."""
+    _, _, _, edits = traffic
+    assert edits["in place"] >= 20 * edits["copied"] > 0, (
+        f"{edits['in place']} node edits in place for {edits['copied']} "
+        f"copied: the link no longer rewrites what it wrote since the last "
+        f"block.  Re-take the allocation census of every ledger workload "
+        f"before keeping ownership in repro.trie.nodes")

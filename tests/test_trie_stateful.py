@@ -8,7 +8,11 @@ checking the §III-A invariants at every step:
 * sealed keys always raise SealedNodeError and can never be rewritten;
 * sealing never changes the root commitment;
 * membership proofs for live keys verify; deleted keys prove absent;
-* the root is a function of the live+sealed content only.
+* the root is a function of the live+sealed content only;
+* a snapshot is frozen: each view keeps its root, its ``get`` answers
+  and proofs that verify against that root whatever the live trie does
+  afterwards, and writing into a view leaves the live trie and every
+  other view unchanged.
 
 Sealing follows the documented safe discipline (monotone sequenced keys,
 sealed only behind the contiguous watermark), as the Guest Contract
@@ -16,6 +20,7 @@ uses it.
 """
 
 import hashlib
+from dataclasses import dataclass
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -31,6 +36,22 @@ def seq_to_key(sequence: int) -> bytes:
     return _PREFIX + sequence.to_bytes(8, "big")
 
 
+#: Sequences written only into views, far above any the live trie uses.
+_VIEW_ONLY = 1 << 32
+MAX_VIEWS = 4
+
+
+@dataclass
+class View:
+    """A snapshot and what it must keep answering."""
+
+    trie: SealableTrie
+    root: object
+    model: dict[int, bytes]
+    sealed: set[int]
+    writes: int = 0
+
+
 class TrieMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -38,6 +59,7 @@ class TrieMachine(RuleBasedStateMachine):
         self.model: dict[int, bytes] = {}     # live sequence -> value
         self.sealed: set[int] = set()
         self.next_seq = 0
+        self.views: list[View] = []
 
     # ------------------------------------------------------------------
     # Rules
@@ -74,6 +96,28 @@ class TrieMachine(RuleBasedStateMachine):
         assert self.trie.root_hash == root_before  # sealing is root-neutral
         self.sealed.add(seq)
         del self.model[seq]
+
+    @rule()
+    @precondition(lambda self: len(self.views) < MAX_VIEWS)
+    def snapshot(self):
+        """Take a view, as a chain does at each block."""
+        self.views.append(View(self.trie.snapshot(), self.trie.root_hash,
+                               dict(self.model), set(self.sealed)))
+
+    @rule(value=st.binary(min_size=1, max_size=16), data=st.data())
+    @precondition(lambda self: self.views)
+    def write_into_view(self, value, data):
+        """Update or add an entry in one view: the live trie and every
+        other view must not see it."""
+        view = data.draw(st.sampled_from(self.views))
+        seq = data.draw(st.sampled_from(
+            sorted(view.model) + [_VIEW_ONLY + view.writes]))
+        live_root = self.trie.root_hash
+        view.trie.set(seq_to_key(seq), value)
+        view.model[seq] = value
+        view.root = view.trie.root_hash
+        view.writes += 1
+        assert self.trie.root_hash == live_root
 
     def _sealable(self) -> list[int]:
         """Sequences with both neighbours present/sealed below watermark:
@@ -118,6 +162,21 @@ class TrieMachine(RuleBasedStateMachine):
         except SealedNodeError:
             raise AssertionError("future sequence blocked by a sealed node")
         assert verify_non_membership(self.trie.root_hash, proof)
+
+    @invariant()
+    def views_stay_frozen(self):
+        for view in self.views:
+            assert view.trie.root_hash == view.root
+            for seq, value in view.model.items():
+                assert view.trie.get(seq_to_key(seq)) == value
+            for seq in list(view.model)[:3]:
+                assert verify_membership(view.root, view.trie.prove(seq_to_key(seq)))
+            for seq in view.sealed:
+                try:
+                    view.trie.get(seq_to_key(seq))
+                    raise AssertionError(f"sealed sequence {seq} readable in a view")
+                except SealedNodeError:
+                    pass
 
     @invariant()
     def deterministic_root(self):
