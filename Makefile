@@ -26,7 +26,8 @@ bench-smoke:
 	$(PYTHON) -m pytest bench -q && python3 bench/run.py --smoke
 
 # The perf regression gates that read no clock (docs/PERFORMANCE.md):
-# calls per trie lifecycle, transactions per light-client update and how
+# calls per trie lifecycle, Hash objects per proof round trip (one per
+# folded level), transactions per light-client update and how
 # they are submitted, derivations per immutable instance, transactions
 # and payload bytes per batched delivery, the traffic the kept caches
 # and the event heap are sized for (cache hits, cancellations, repeated

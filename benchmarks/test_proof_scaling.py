@@ -8,7 +8,7 @@ the resulting chunk+exec transaction count across store sizes.
 
 The counts asserted are what the proof codec produces today.  A branch
 step's sibling hashes travel as an occupancy bitmap plus the hashes
-present (``trie/proof.py::_write_hash_set``), so a 10 000-entry store
+present (``trie/proof.py::pack_digests``), so a 10 000-entry store
 proves in 1 591 bytes: two chunks and the exec, 3 transactions.  The
 bench asserted 4 there from before that codec and had been failing
 since; only the 100 000-entry store is in the 4-6 range now.

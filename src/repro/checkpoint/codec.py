@@ -52,7 +52,10 @@ from repro.errors import ReproError
 #: completion frontier; a down relayer's waiters are the restart's.
 #: 6: a ``SealableTrie`` holds an edit token and its branch and extension
 #: nodes the token of their owner; a ``TxReceipt`` carries its events.
-CODEC_VERSION = 6
+#: 7: proof steps, branch evidence and witness slots carry packed raw
+#: digests, and queued batch ops carry proofs into a checkpoint; a
+#: ``BranchNode`` caches raw child digests.
+CODEC_VERSION = 7
 
 #: ``major.minor`` of the interpreter — marshal'd code objects are not
 #: portable across interpreter feature releases.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 DIGEST_SIZE = 32
 
@@ -90,6 +90,13 @@ def framed(*parts: bytes | Hash) -> bytes:
                    else size.to_bytes(_LEN_PREFIX_BYTES, "big"))
             append(raw)
     return b"".join(pieces)
+
+
+def framed_digests(digests: Sequence[bytes]) -> bytes:
+    """``framed(*digests)`` for a non-empty run of raw 32-byte digests,
+    framed by one join rather than part by part: a trie branch frames
+    its 16 slot digests on every rehash and every proof fold."""
+    return _DIGEST_LEN_PREFIX + _DIGEST_LEN_PREFIX.join(digests)
 
 
 def framed_size(*part_sizes: int) -> int:

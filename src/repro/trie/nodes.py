@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from repro.crypto.hashing import Hash, hash_concat
+from repro.crypto.hashing import Hash, framed, framed_digests, hash_bytes, hash_concat
 from repro.trie.nibbles import Nibbles, encode_nibbles, encoded_nibbles_len
 
 _TAG_LEAF = b"\x00"
@@ -70,11 +70,16 @@ HASH_BYTES = 32
 
 Node = Union["LeafNode", "ExtensionNode", "BranchNode", "SealedNode"]
 
-_ZERO = Hash.zero()
+_ZERO_DIGEST = Hash.zero().value
 
 #: What an empty branch slot contributes to its branch's aggregate,
 #: relative to an occupied one: no subtree, and no child hash stored.
 _EMPTY_SLOT_AGG = (-HASH_BYTES, 0, 0)
+
+#: The framed parts a branch preimage starts with and, holding no
+#: value, ends with.
+_BRANCH_HEAD = framed(_TAG_BRANCH)
+_BRANCH_NO_VALUE = framed(_NO_VALUE)
 
 
 def _value_bytes(value: Optional[bytes]) -> int:
@@ -107,9 +112,12 @@ def extension_hash(path: Nibbles, child: Hash) -> Hash:
     return hash_concat(_TAG_EXTENSION, encode_nibbles(path), child)
 
 
-def branch_hash(children: Sequence[Hash], value: Optional[bytes]) -> Hash:
-    return hash_concat(_TAG_BRANCH, *children,
-                       value if value is not None else _NO_VALUE)
+def branch_hash(children: Sequence[bytes], value: Optional[bytes]) -> Hash:
+    """Hash of a branch from its 16 raw slot digests (the zero digest
+    for an empty slot) and its value."""
+    return hash_bytes(b"".join((
+        _BRANCH_HEAD, framed_digests(children),
+        _BRANCH_NO_VALUE if value is None else framed(value))))
 
 
 class LeafNode:
@@ -186,7 +194,7 @@ class ExtensionNode:
 class BranchNode:
     """A 16-way fan-out with an optional value terminating at the branch."""
 
-    __slots__ = ("children", "value", "_hash", "_child_hashes", "_agg", "_owner")
+    __slots__ = ("children", "value", "_hash", "_child_digests", "_agg", "_owner")
 
     def __init__(self, children: Optional[list[Optional[Node]]] = None,
                  value: Optional[bytes] = None, owner: object = None) -> None:
@@ -198,7 +206,7 @@ class BranchNode:
         #: Either the final cached tuple or a partially valid list with
         #: ``None`` holes (dirty slots from :meth:`replacing_child`).  A
         #: list belongs to one node: an owned node patches it in place.
-        self._child_hashes: Optional[tuple[Hash, ...] | list[Optional[Hash]]] = None
+        self._child_digests: Optional[tuple[bytes, ...] | list[Optional[bytes]]] = None
         self._agg: Optional[tuple[int, int, int]] = None
         #: The edit token of the trie allowed to edit this node in place.
         self._owner = owner
@@ -221,23 +229,23 @@ class BranchNode:
         its descendants', so theirs are warm too).
         """
         agg = self._agg
-        cached = self._child_hashes
+        cached = self._child_digests
         if self._owner is owner:
             node = self
             self.children[index] = child
             self._hash = None
             if cached is not None:
                 if type(cached) is tuple:
-                    cached = self._child_hashes = list(cached)
+                    cached = self._child_digests = list(cached)
                 cached[index] = None
         else:
             children = list(self.children)
             children[index] = child
             node = BranchNode(children, self.value, owner)
             if cached is not None:
-                patched: list[Optional[Hash]] = list(cached)
+                patched: list[Optional[bytes]] = list(cached)
                 patched[index] = None
-                node._child_hashes = patched
+                node._child_digests = patched
         if agg is not None:
             storage, live, sealed = agg
             if was is None:
@@ -254,7 +262,7 @@ class BranchNode:
 
         The children are untouched, so the child-hash cache stays valid
         (the holes of a partially valid cache, if any, are filled lazily
-        by :meth:`child_hashes`); a copy takes a final tuple as it is and
+        by :meth:`child_digests`); a copy takes a final tuple as it is and
         a partial list as its own copy.
         """
         old = self.value
@@ -264,43 +272,45 @@ class BranchNode:
             self._hash = None
         else:
             node = BranchNode(list(self.children), value, owner)
-            cached = self._child_hashes
-            node._child_hashes = list(cached) if type(cached) is list else cached
+            cached = self._child_digests
+            node._child_digests = list(cached) if type(cached) is list else cached
         agg = self._agg
         if agg is not None:
             node._agg = (agg[0] - _value_bytes(old) + _value_bytes(value),
                          agg[1], agg[2])
         return node
 
-    def child_hashes(self) -> tuple[Hash, ...]:
-        """All 16 child hashes (zero hash for empty slots), cached.
+    def child_digests(self) -> tuple[bytes, ...]:
+        """All 16 raw child digests (the zero digest for empty slots),
+        cached: what the branch hash frames and proofs pack.
 
         Proof generation needs a branch's sibling hashes on every step;
         without the cache each proof re-hashes the same children over and
         over.  An in-place edit drops the hash of the slot it changes,
         and a frozen node is never edited, so the cache never goes stale.
         """
-        cached = self._child_hashes
+        cached = self._child_digests
         if type(cached) is tuple:
             return cached
         if cached is None:
-            hashes = tuple(
-                child.hash() if child is not None else _ZERO
+            digests = tuple(
+                child.hash().value if child is not None else _ZERO_DIGEST
                 for child in self.children
             )
         else:  # partially valid list: fill the dirty holes
             children = self.children
-            hashes = tuple(
+            digests = tuple(
                 existing if existing is not None
-                else (children[i].hash() if children[i] is not None else _ZERO)
+                else (children[i].hash().value if children[i] is not None
+                      else _ZERO_DIGEST)
                 for i, existing in enumerate(cached)
             )
-        self._child_hashes = hashes
-        return hashes
+        self._child_digests = digests
+        return digests
 
     def hash(self) -> Hash:
         if self._hash is None:
-            self._hash = branch_hash(self.child_hashes(), self.value)
+            self._hash = branch_hash(self.child_digests(), self.value)
         return self._hash
 
     def child_count(self) -> int:
@@ -442,18 +452,14 @@ class SealedNode:
 
     def branch_core_hash(self) -> Hash:
         """The sealed branch's own hash (before the extension prefix)."""
-        assert self.kind == SealedNode.BRANCH and self.children is not None
-        return branch_hash(
-            tuple(child if child is not None else _ZERO for child in self.children),
-            None,
-        )
+        return branch_hash(self.child_digests(), None)
 
-    def child_hash_set(self) -> tuple[Hash, ...]:
-        """All 16 child hashes with the zero hash for empty slots — the
-        shape absence-proof evidence carries."""
+    def child_digests(self) -> list[bytes]:
+        """The sealed branch's 16 raw child digests, the zero digest for
+        empty slots (as :meth:`BranchNode.child_digests`)."""
         assert self.kind == SealedNode.BRANCH and self.children is not None
-        return tuple(child if child is not None else _ZERO
-                     for child in self.children)
+        return [child.value if child is not None else _ZERO_DIGEST
+                for child in self.children]
 
     def hash(self) -> Hash:
         if self._hash is None:

@@ -50,13 +50,58 @@ from repro.trie.nodes import (
 )
 
 
-_ZERO = Hash.zero()
-_ZERO_DIGEST = _ZERO.value
+_ZERO_DIGEST = Hash.zero().value
 
 
 def _leaf_hash(path: Nibbles, value: bytes) -> Hash:
     """Leaf hash from the *raw* value proofs carry on the wire."""
     return leaf_hash(path, value_commitment(value))
+
+
+def pack_digests(digests: Sequence[bytes]) -> tuple[int, bytes]:
+    """A branch's raw slot digests in the form proofs carry them: an
+    occupancy bitmap (bit ``i`` = slot ``i``, clear where the digest is
+    zero) and the occupied slots' digests concatenated in slot order.
+
+    Branches in a hashed-key trie are mostly sparse, so writing all
+    slots at 32 bytes each would waste most of the wire: the sibling set
+    of a two-child branch costs 34 bytes this way instead of 480.  Proof
+    size drives how many host transactions a delivery needs, so this is
+    a direct fee/throughput win (§V-A).
+    """
+    if _ZERO_DIGEST not in digests:  # full: the top levels of a store
+        return (1 << len(digests)) - 1, b"".join(digests)
+    bitmap = 0
+    present = []
+    for slot, digest in enumerate(digests):
+        if digest != _ZERO_DIGEST:
+            bitmap |= 1 << slot
+            present.append(digest)
+    return bitmap, b"".join(present)
+
+
+def _unpack(bitmap: int, digests: bytes, count: int) -> list[bytes]:
+    """The ``count`` slot digests a packed set names, in slot order:
+    the zero digest wherever ``bitmap`` is clear.  Walks whichever bits
+    are fewer: the set ones of a sparse set, the clear ones of a dense
+    one."""
+    if 2 * bitmap.bit_count() < count:
+        slots = [_ZERO_DIGEST] * count
+        offset = 0
+        while bitmap:
+            low = bitmap & -bitmap
+            slots[low.bit_length() - 1] = digests[offset:offset + HASH_BYTES]
+            offset += HASH_BYTES
+            bitmap ^= low
+        return slots
+    slots = [digests[at:at + HASH_BYTES]
+             for at in range(0, len(digests), HASH_BYTES)]
+    clear = ~bitmap & ((1 << count) - 1)
+    while clear:
+        low = clear & -clear
+        slots.insert(low.bit_length() - 1, _ZERO_DIGEST)
+        clear ^= low
+    return slots
 
 
 # ---------------------------------------------------------------------------
@@ -74,24 +119,22 @@ class ExtensionStep:
 class BranchStep:
     """Descended into slot ``index`` of a branch; consumes one nibble.
 
-    ``siblings`` lists the other 15 child hashes in slot order (the
-    descended slot is excluded); ``value`` is the branch's own value.
+    The other 15 slots stay in their wire form: bit ``i`` of ``bitmap``
+    is set when the ``i``-th sibling in slot order (the descended slot
+    skipped) is occupied, and ``digests`` concatenates the occupied
+    siblings' 32-byte hashes in that order.  ``value`` is the branch's
+    own value.
     """
 
     index: int
-    siblings: tuple[Hash, ...]
+    bitmap: int
+    digests: bytes
     value: Optional[bytes]
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.index < 16:
-            raise ProofError(f"branch index {self.index} out of range")
-        if len(self.siblings) != 15:
-            raise ProofError("branch step must carry exactly 15 sibling hashes")
-
     def parent_hash(self, child: Hash) -> Hash:
-        siblings = self.siblings
-        return _branch_hash(
-            (*siblings[: self.index], child, *siblings[self.index:]), self.value)
+        slots = _unpack(self.bitmap, self.digests, 15)
+        slots.insert(self.index, child.value)
+        return _branch_hash(slots, self.value)
 
 
 Step = Union[ExtensionStep, BranchStep]
@@ -110,26 +153,29 @@ class EmptyTrieEvidence:
 class EmptySlotEvidence:
     """A branch has no child under the key's next nibble.
 
-    ``children`` gives all 16 child hashes (zero hash for empty slots);
-    the verifier checks the slot for the key's next nibble is the zero
-    hash.
+    All 16 slots packed as in :class:`BranchStep` (``bitmap`` bit ``i``
+    = slot ``i``); the verifier checks the bit of the key's next nibble
+    is clear.
     """
 
-    children: tuple[Hash, ...]
+    bitmap: int
+    digests: bytes
     value: Optional[bytes]
 
     def node_hash(self) -> Hash:
-        return _branch_hash(self.children, self.value)
+        return _branch_hash(_unpack(self.bitmap, self.digests, 16), self.value)
 
 
 @dataclass(frozen=True, slots=True)
 class NoBranchValueEvidence:
-    """The key ends exactly at a branch which holds no value."""
+    """The key ends exactly at a branch which holds no value; its 16
+    slots packed as in :class:`EmptySlotEvidence`."""
 
-    children: tuple[Hash, ...]
+    bitmap: int
+    digests: bytes
 
     def node_hash(self) -> Hash:
-        return _branch_hash(self.children, None)
+        return _branch_hash(_unpack(self.bitmap, self.digests, 16), None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,6 +297,8 @@ _EV_NO_BRANCH_VALUE = 2
 _EV_DIVERGENT_LEAF = 3
 _EV_DIVERGENT_EXTENSION = 4
 
+_ZERO_SLOT = "an occupied slot names the zero digest"
+
 
 def _write_optional_value(out: bytearray, value: Optional[bytes]) -> None:
     if value is None:
@@ -266,37 +314,21 @@ def _decode_optional_value(reader: Reader) -> Optional[bytes]:
     return None
 
 
-def _write_hash_set(out: bytearray, hashes: tuple[Hash, ...]) -> None:
-    """Occupancy bitmap + only the non-zero hashes.
-
-    Branches in a hashed-key trie are mostly sparse, so writing all slots
-    at 32 bytes each wastes most of the wire: a two-child branch costs
-    34 bytes this way instead of 480.  Proof size drives how many host
-    transactions a delivery needs, so this is a direct fee/throughput
-    win (§V-A).
-    """
-    bitmap = 0
-    present = []
-    for i, digest in enumerate(hashes):
-        if digest.value != _ZERO_DIGEST:
-            bitmap |= 1 << i
-            present.append(digest.value)
-    out += bitmap.to_bytes(2, "big")
-    out += b"".join(present)
-
-
-def _decode_hash_set(reader: Reader, count: int) -> tuple[Hash, ...]:
+def _read_packed(reader: Reader, count: int) -> tuple[int, bytes]:
+    """A packed set of ``count`` slots: the 2-byte bitmap, then the
+    occupied slots' digests in one read.  A set has one wire form, so a
+    bit naming the zero digest (the same node as the bit clear) is
+    refused."""
     bitmap = int.from_bytes(reader.read(2), "big")
     if bitmap >> count:
         raise ProofError(f"hash-set bitmap names slots beyond {count}")
-    blob = reader.read(HASH_BYTES * bitmap.bit_count())
-    hashes = [Hash.zero()] * count
-    offset = 0
-    for i in range(count):
-        if bitmap >> i & 1:
-            hashes[i] = Hash(blob[offset:offset + HASH_BYTES])
-            offset += HASH_BYTES
-    return tuple(hashes)
+    digests = reader.read(HASH_BYTES * bitmap.bit_count())
+    at = digests.find(_ZERO_DIGEST)
+    while at != -1:
+        if not at % HASH_BYTES:
+            raise ProofError(_ZERO_SLOT)
+        at = digests.find(_ZERO_DIGEST, at + 1)
+    return bitmap, digests
 
 
 def _write_step(out: bytearray, step: Step) -> None:
@@ -306,7 +338,8 @@ def _write_step(out: bytearray, step: Step) -> None:
         return
     write_varint(out, _STEP_BRANCH)
     write_varint(out, step.index)
-    _write_hash_set(out, step.siblings)
+    out += step.bitmap.to_bytes(2, "big")
+    out += step.digests
     _write_optional_value(out, step.value)
 
 
@@ -316,9 +349,10 @@ def _decode_step(reader: Reader) -> Step:
         return ExtensionStep(path=decode_nibbles(reader.read_bytes()))
     if kind == _STEP_BRANCH:
         index = reader.read_varint()
-        siblings = _decode_hash_set(reader, 15)
-        value = _decode_optional_value(reader)
-        return BranchStep(index=index, siblings=siblings, value=value)
+        if index >= 16:
+            raise ProofError(f"branch index {index} out of range")
+        bitmap, digests = _read_packed(reader, 15)
+        return BranchStep(index, bitmap, digests, _decode_optional_value(reader))
     raise ValueError(f"unknown proof step tag {kind}")
 
 
@@ -328,12 +362,14 @@ def _write_evidence(out: bytearray, evidence: Evidence) -> None:
         return
     if isinstance(evidence, EmptySlotEvidence):
         write_varint(out, _EV_EMPTY_SLOT)
-        _write_hash_set(out, evidence.children)
+        out += evidence.bitmap.to_bytes(2, "big")
+        out += evidence.digests
         _write_optional_value(out, evidence.value)
         return
     if isinstance(evidence, NoBranchValueEvidence):
         write_varint(out, _EV_NO_BRANCH_VALUE)
-        _write_hash_set(out, evidence.children)
+        out += evidence.bitmap.to_bytes(2, "big")
+        out += evidence.digests
         return
     if isinstance(evidence, DivergentLeafEvidence):
         write_varint(out, _EV_DIVERGENT_LEAF)
@@ -353,12 +389,10 @@ def _decode_evidence(reader: Reader) -> Evidence:
     if kind == _EV_EMPTY_TRIE:
         return EmptyTrieEvidence()
     if kind == _EV_EMPTY_SLOT:
-        children = _decode_hash_set(reader, 16)
-        value = _decode_optional_value(reader)
-        return EmptySlotEvidence(children=children, value=value)
+        bitmap, digests = _read_packed(reader, 16)
+        return EmptySlotEvidence(bitmap, digests, _decode_optional_value(reader))
     if kind == _EV_NO_BRANCH_VALUE:
-        children = _decode_hash_set(reader, 16)
-        return NoBranchValueEvidence(children=children)
+        return NoBranchValueEvidence(*_read_packed(reader, 16))
     if kind == _EV_DIVERGENT_LEAF:
         path = decode_nibbles(reader.read_bytes())
         commitment = Hash(reader.read(32))
@@ -440,7 +474,7 @@ def verify_non_membership(root: Hash, proof: NonMembershipProof) -> bool:
     if isinstance(evidence, EmptySlotEvidence):
         if not remaining:
             return False
-        if evidence.children[remaining[0]] != Hash.zero():
+        if evidence.bitmap >> remaining[0] & 1:
             return False
         return _fold_steps(proof.steps, evidence.node_hash()) == root
 
@@ -489,12 +523,13 @@ class WitnessExtension:
 class WitnessBranch:
     """A branch on the way to proven entries.
 
-    Each of the 16 ``slots`` is ``None`` (empty), a :class:`Hash` (an
-    occupied slot no proven key descends into) or the expanded child
-    node — whose hash is not carried: the verifier recomputes it.
+    Each of the 16 ``slots`` is ``None`` (empty), the raw 32-byte
+    digest of an occupied slot no proven key descends into, or the
+    expanded child node — whose hash is not carried: the verifier
+    recomputes it.
     """
 
-    slots: tuple[Union[None, Hash, "WitnessNode"], ...]
+    slots: tuple[Union[None, bytes, "WitnessNode"], ...]
     value: Optional[bytes]
 
 
@@ -526,9 +561,9 @@ class MembershipWitness:
     __slots__ = ("node", "root", "entries", "node_count")
 
     def __init__(self, node: WitnessNode,
-                 claims: Optional[dict[Nibbles, Hash]] = None) -> None:
-        """``claims`` (from :meth:`merge`): what the fold of the node
-        each nibble path leads to must come to."""
+                 claims: Optional[dict[Nibbles, bytes]] = None) -> None:
+        """``claims`` (from :meth:`merge`): the digest the fold of the
+        node each nibble path leads to must come to."""
         self.node = node
         self.entries: dict[bytes, bytes] = {}
         self.node_count = 0
@@ -547,11 +582,11 @@ class MembershipWitness:
         proofs = list(proofs)
         if not proofs:
             raise ProofError("a witness proves at least one key")
-        claims: dict[Nibbles, Hash] = {}
+        claims: dict[Nibbles, bytes] = {}
         return cls(_merge_node(proofs, 0, (), claims), claims)
 
     def _fold(self, node: WitnessNode, walked: Nibbles,
-              claims: dict[Nibbles, Hash]) -> Hash:
+              claims: dict[Nibbles, bytes]) -> Hash:
         self.node_count += 1
         if isinstance(node, WitnessLeaf):
             try:
@@ -566,10 +601,10 @@ class MembershipWitness:
         children = []
         for index, slot in enumerate(node.slots):
             if slot is None:
-                slot = _ZERO
-            elif type(slot) is not Hash:
+                slot = _ZERO_DIGEST
+            elif type(slot) is not bytes:
                 below = walked + (index,)
-                slot = self._fold(slot, below, claims)
+                slot = self._fold(slot, below, claims).value
                 if claims and claims.get(below, slot) != slot:
                     raise ProofError(_DISAGREE)
             children.append(slot)
@@ -589,10 +624,10 @@ class MembershipWitness:
 
 
 def _merge_node(proofs: Sequence[MembershipProof], at: int, walked: Nibbles,
-                claims: dict[Nibbles, Hash]) -> WitnessNode:
+                claims: dict[Nibbles, bytes]) -> WitnessNode:
     """The node every proof in ``proofs`` reaches after ``at`` steps,
     ``walked`` nibbles down.  ``claims`` collects, per expanded branch
-    slot, the hash the proofs passing beside it name for it."""
+    slot, the digest the proofs passing beside it name for it."""
     steps = [proof.steps[at] if at < len(proof.steps) else None
              for proof in proofs]
     step = steps[0]
@@ -611,27 +646,30 @@ def _merge_node(proofs: Sequence[MembershipProof], at: int, walked: Nibbles,
     below: dict[int, list[MembershipProof]] = {}
     views: dict[int, BranchStep] = {}
     for proof, other in zip(proofs, steps):
-        if (not isinstance(other, BranchStep) or other.value != step.value
-                or other.siblings
-                != views.setdefault(other.index, other).siblings):
+        if not isinstance(other, BranchStep) or other.value != step.value:
+            raise ProofError(_DISAGREE)
+        view = views.setdefault(other.index, other)
+        # One wire form per set, so equal bytes are equal sets.
+        if other.bitmap != view.bitmap or other.digests != view.digests:
             raise ProofError(_DISAGREE)
         below.setdefault(other.index, []).append(proof)
     # Every view names all slots but its own; two views must agree
     # wherever both look.
-    named: dict[int, Hash] = {}
+    named: dict[int, bytes] = {}
     for view in views.values():
-        others = (slot for slot in range(16) if slot != view.index)
-        for slot, digest in zip(others, view.siblings):
-            if named.setdefault(slot, digest) != digest:
+        digests = _unpack(view.bitmap, view.digests, 15)
+        digests.insert(view.index, None)
+        for slot, digest in enumerate(digests):
+            if digest is not None and named.setdefault(slot, digest) != digest:
                 raise ProofError(_DISAGREE)
-    slots: list[Union[None, Hash, WitnessNode]] = []
+    slots: list[Union[None, bytes, WitnessNode]] = []
     for slot in range(16):
         if slot in below:
             if slot in named:
                 claims[walked + (slot,)] = named[slot]
             slots.append(_merge_node(below[slot], at + 1, walked + (slot,), claims))
         else:
-            slots.append(None if named[slot].value == _ZERO_DIGEST else named[slot])
+            slots.append(None if named[slot] == _ZERO_DIGEST else named[slot])
     return WitnessBranch(tuple(slots), step.value)
 
 
@@ -650,15 +688,15 @@ def _write_witness_node(out: bytearray, node: WitnessNode) -> None:
     for index, slot in enumerate(node.slots):
         if slot is not None:
             occupied |= 1 << index
-            if type(slot) is not Hash:
+            if type(slot) is not bytes:
                 expanded |= 1 << index
     write_varint(out, _WITNESS_BRANCH)
     out += occupied.to_bytes(2, "big")
     out += expanded.to_bytes(2, "big")
     _write_optional_value(out, node.value)
     for slot in node.slots:
-        if type(slot) is Hash:
-            out += slot.value
+        if type(slot) is bytes:
+            out += slot
         elif slot is not None:
             _write_witness_node(out, slot)
 
@@ -675,12 +713,15 @@ def _decode_witness_node(reader: Reader, depth: int) -> WitnessNode:
         value = _decode_optional_value(reader)
         if expanded and depth >= _MAX_KEY_NIBBLES:
             raise ProofError("witness nests deeper than a key is long")
-        slots: list[Union[None, Hash, WitnessNode]] = []
+        slots: list[Union[None, bytes, WitnessNode]] = []
         for index in range(16):
             if expanded >> index & 1:
                 slots.append(_decode_witness_node(reader, depth + 1))
             elif occupied >> index & 1:
-                slots.append(Hash(reader.read(HASH_BYTES)))
+                digest = reader.read(HASH_BYTES)
+                if digest == _ZERO_DIGEST:
+                    raise ProofError(_ZERO_SLOT)
+                slots.append(digest)
             else:
                 slots.append(None)
         return WitnessBranch(tuple(slots), value)

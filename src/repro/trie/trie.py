@@ -37,6 +37,7 @@ from repro.crypto.hashing import Hash
 from repro.errors import KeyNotFoundError, SealedNodeError, TrieError
 from repro.trie.nibbles import Nibbles, common_prefix_len, key_to_nibbles
 from repro.trie.nodes import (
+    HASH_BYTES,
     BranchNode,
     ExtensionNode,
     LeafNode,
@@ -55,6 +56,7 @@ from repro.trie.proof import (
     NoBranchValueEvidence,
     NonMembershipProof,
     Step,
+    pack_digests,
 )
 
 
@@ -497,11 +499,7 @@ class SealableTrie:
                     "hash keys to fixed length so values terminate at leaves"
                 )
             index = path[0]
-            steps.append(BranchStep(
-                index=index,
-                siblings=self._sibling_hashes(node, index),
-                value=node.value,
-            ))
+            steps.append(self._branch_step(node, index))
             node, path = node.children[index], path[1:]
 
     def prove_absence(self, key: bytes) -> NonMembershipProof:
@@ -546,12 +544,12 @@ class SealableTrie:
                     return NonMembershipProof(
                         key=key, steps=tuple(steps),
                         evidence=NoBranchValueEvidence(
-                            children=node.child_hash_set()),
+                            *pack_digests(node.child_digests())),
                     )
                 return NonMembershipProof(
                     key=key, steps=tuple(steps),
                     evidence=EmptySlotEvidence(
-                        children=node.child_hash_set(), value=None),
+                        *pack_digests(node.child_digests()), value=None),
                 )
             if isinstance(node, LeafNode):
                 if node.path == path:
@@ -579,7 +577,8 @@ class SealableTrie:
                     raise TrieError(f"key {key.hex()} is present; cannot prove absence")
                 return NonMembershipProof(
                     key=key, steps=tuple(steps),
-                    evidence=NoBranchValueEvidence(children=self._all_child_hashes(node)),
+                    evidence=NoBranchValueEvidence(
+                        *pack_digests(node.child_digests())),
                 )
             index = path[0]
             child = node.children[index]
@@ -587,24 +586,20 @@ class SealableTrie:
                 return NonMembershipProof(
                     key=key, steps=tuple(steps),
                     evidence=EmptySlotEvidence(
-                        children=self._all_child_hashes(node), value=node.value,
-                    ),
+                        *pack_digests(node.child_digests()), value=node.value),
                 )
-            steps.append(BranchStep(
-                index=index,
-                siblings=self._sibling_hashes(node, index),
-                value=node.value,
-            ))
+            steps.append(self._branch_step(node, index))
             node, path = child, path[1:]
 
     @staticmethod
-    def _sibling_hashes(branch: BranchNode, index: int) -> tuple[Hash, ...]:
-        hashes = branch.child_hashes()
-        return hashes[:index] + hashes[index + 1:]
-
-    @staticmethod
-    def _all_child_hashes(branch: BranchNode) -> tuple[Hash, ...]:
-        return branch.child_hashes()
+    def _branch_step(branch: BranchNode, index: int) -> BranchStep:
+        """The step into occupied slot ``index``: the branch's slots
+        packed once, then the descended slot's bit and digest cut out."""
+        occupied, digests = pack_digests(branch.child_digests())
+        below = occupied & ((1 << index) - 1)
+        cut = HASH_BYTES * below.bit_count()
+        return BranchStep(index, below | occupied >> (index + 1) << index,
+                          digests[:cut] + digests[cut + HASH_BYTES:], branch.value)
 
     # ------------------------------------------------------------------
     # Storage accounting (§V-D)

@@ -4,7 +4,9 @@ import hashlib
 
 import pytest
 
-from repro.crypto.hashing import Hash, hash_bytes, hash_concat, merkle_root
+from repro.crypto.hashing import (
+    Hash, framed, framed_digests, hash_bytes, hash_concat, merkle_root,
+)
 
 
 class TestHash:
@@ -72,6 +74,15 @@ class TestHashConcat:
             raw = bytes(part)
             preimage += len(raw).to_bytes(4, "big") + raw
         assert hash_concat(*parts) == Hash(hashlib.sha256(preimage).digest())
+
+
+    @pytest.mark.parametrize("count", [1, 2, 15, 16])
+    def test_a_digest_run_frames_as_its_parts(self, count):
+        """The one-join framing of a run of 32-byte digests is the part
+        by part framing of the same digests."""
+        digests = [hash_bytes(bytes([i])).value for i in range(count)]
+        digests[0] = bytes(32)
+        assert framed_digests(digests) == framed(*digests)
 
 
 class TestMerkleRoot:

@@ -211,7 +211,7 @@ class TestProofWireVectors:
                         if isinstance(slot, WitnessExtension)]
         fork = extension.child
         assert [type(slot) for slot in fork.slots if slot is not None] == [
-            WitnessBranch, Hash, WitnessBranch]
+            WitnessBranch, bytes, WitnessBranch]
         assert [type(slot) for slot in fork.slots[2].slots].count(WitnessLeaf) == 2
         assert witness.node_count == 8
         wire = witness.to_bytes()

@@ -67,7 +67,7 @@ def filled(*tries: SealableTrie) -> dict:
             if isinstance(node, BranchNode):
                 links = ([id(child) for child in node.children], node.value)
                 caches = (node._hash, node._agg,
-                          *(node._child_hashes or (None,) * 16))
+                          *(node._child_digests or (None,) * 16))
             elif isinstance(node, ExtensionNode):
                 links = (node.path, id(node.child))
                 caches = (node._hash, node._agg)

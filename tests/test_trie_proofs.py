@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.hashing import Hash
 from repro.encoding import Reader
@@ -15,12 +17,23 @@ from repro.trie import (
     verify_membership,
     verify_non_membership,
 )
+from repro.trie.nodes import branch_hash
 from repro.trie.proof import (
+    BranchStep,
+    DivergentExtensionEvidence,
+    DivergentLeafEvidence,
+    EmptySlotEvidence,
+    EmptyTrieEvidence,
+    NoBranchValueEvidence,
     WitnessBranch,
     WitnessExtension,
     WitnessLeaf,
-    _decode_hash_set,
-    _write_hash_set,
+    _decode_evidence,
+    _decode_step,
+    _read_packed,
+    _write_evidence,
+    _write_step,
+    pack_digests,
 )
 
 
@@ -108,43 +121,51 @@ class TestMembershipProofs:
 
 
 class TestHashSetCodec:
-    """The occupancy-bitmap encoding of a branch's hashes keeps its
-    refusals: it never reads past the buffer and never accepts a bitmap
-    wider than the set."""
+    """The occupancy-bitmap encoding of a branch's hashes, as the step
+    and evidence codecs carry it, keeps its refusals: it never reads
+    past the buffer and never accepts a bitmap wider than the set."""
 
     def test_round_trip_keeps_slots(self):
-        hashes = tuple(Hash.of(bytes([i])) if i % 3 else Hash.zero()
-                       for i in range(16))
-        for count in (15, 16):
+        slots = tuple(Hash.of(bytes([i])).value if i % 3 else bytes(32)
+                      for i in range(16))
+        bitmap, digests = pack_digests(slots)
+        assert bitmap == sum(1 << i for i in range(16) if i % 3)
+        assert digests == b"".join(slot for slot in slots if any(slot))
+        # Slot 0 is empty, so the fifteen siblings of a step into it are
+        # the set's slots 1-15.
+        for write, decode, item in (
+                (_write_evidence, _decode_evidence,
+                 NoBranchValueEvidence(bitmap, digests)),
+                (_write_step, _decode_step,
+                 BranchStep(0, bitmap >> 1, digests, None))):
             out = bytearray()
-            _write_hash_set(out, hashes[:count])
-            present = sum(1 for h in hashes[:count] if h != Hash.zero())
-            assert len(out) == 2 + 32 * present
+            write(out, item)
+            assert item.bitmap.to_bytes(2, "big") + digests in out
             reader = Reader(bytes(out))
-            assert _decode_hash_set(reader, count) == hashes[:count]
+            assert decode(reader) == item
             reader.expect_end()
 
     def test_a_zero_digest_is_an_empty_slot_whoever_built_it(self):
-        out = bytearray()
-        _write_hash_set(out, (Hash(bytes(32)),) * 16)
-        assert bytes(out) == b"\x00\x00"
+        assert pack_digests((bytes(32),) * 16) == (0, b"")
+        assert pack_digests((Hash.zero().value,) * 16) == (0, b"")
 
     @pytest.mark.parametrize("missing", [1, 31, 32, 33, 64])
     def test_truncated_blob_is_refused(self, missing):
-        out = bytearray()
-        _write_hash_set(out, tuple(Hash.of(bytes([i])) for i in range(15)))
+        wire = ((1 << 15) - 1).to_bytes(2, "big") + b"".join(
+            Hash.of(bytes([i])).value for i in range(15))
         with pytest.raises(ValueError, match="truncated buffer"):
-            _decode_hash_set(Reader(bytes(out[:-missing])), 15)
+            _read_packed(Reader(wire[:-missing]), 15)
 
     def test_truncated_bitmap_is_refused(self):
         with pytest.raises(ValueError, match="truncated buffer"):
-            _decode_hash_set(Reader(b"\x7f"), 15)
+            _read_packed(Reader(b"\x7f"), 15)
 
     def test_bitmap_beyond_the_set_is_refused(self):
-        wire = (1 << 15).to_bytes(2, "big") + bytes(32)
+        digest = Hash.of(b"slot 15").value
+        wire = (1 << 15).to_bytes(2, "big") + digest
         with pytest.raises(ProofError, match="beyond 15"):
-            _decode_hash_set(Reader(wire), 15)
-        assert len(_decode_hash_set(Reader(wire), 16)) == 16
+            _read_packed(Reader(wire), 15)
+        assert _read_packed(Reader(wire), 16) == (1 << 15, digest)
 
     def test_truncated_proof_is_refused_whole(self, populated):
         wire = populated.prove(key(5)).to_bytes()
@@ -187,7 +208,7 @@ class TestMembershipWitness:
         # The root branch once, one expanded slot per distinct first
         # nibble: those children's hashes are recomputed, not shipped.
         expanded = [slot for slot in witness.node.slots
-                    if slot is not None and not isinstance(slot, Hash)]
+                    if slot is not None and not isinstance(slot, bytes)]
         assert len(expanded) == len({key(i)[0] >> 4 for i in self.KEYS})
         assert witness.node_count < sum(len(p.steps) + 1 for p in singles)
         assert len(witness.to_bytes()) < 0.5 * sum(len(p.to_bytes()) for p in singles)
@@ -278,7 +299,7 @@ class TestMembershipWitness:
             if isinstance(node, WitnessExtension):
                 return leaves(node.child)
             return sum(leaves(slot) for slot in node.slots
-                       if slot is not None and not isinstance(slot, Hash))
+                       if slot is not None and not isinstance(slot, bytes))
 
         wire = witness.to_bytes()
         decoded = MembershipWitness.from_bytes(wire)
@@ -400,3 +421,191 @@ class TestProofsFollowTheRoot:
             assert not verify_membership(old_root, fresh)
         assert not verify_non_membership(new_root, absent_before)
         assert verify_non_membership(new_root, populated.prove_absence(key(1000)))
+
+
+# ----------------------------------------------------------------------
+# The packed form: one fold, one wire form
+# ----------------------------------------------------------------------
+
+slot_digests = st.one_of(st.just(bytes(32)),
+                         st.binary(min_size=32, max_size=32).filter(any))
+branch_values = st.none() | st.binary(max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(slot_digests, min_size=16, max_size=16), st.integers(0, 15),
+       st.binary(min_size=32, max_size=32).filter(any), branch_values)
+def test_the_packed_fold_is_the_branch_hash(children, index, child, value):
+    """Every fold over a packed set (a step around its child, both
+    branch evidences, a witness branch of unexpanded slots) hashes what
+    ``nodes.branch_hash`` hashes over the 16 slots spelled out."""
+    children[index] = child
+    reference = branch_hash(children, value)
+    bitmap, packed = pack_digests(children)
+    siblings = children[:index] + children[index + 1:]
+    step = BranchStep(index, *pack_digests(siblings), value)
+    assert step.parent_hash(Hash(child)) == reference
+    assert EmptySlotEvidence(bitmap, packed, value).node_hash() == reference
+    slots = tuple(digest if any(digest) else None for digest in children)
+    assert MembershipWitness(WitnessBranch(slots, value)).root == reference
+    if value is None:
+        assert NoBranchValueEvidence(bitmap, packed).node_hash() == reference
+
+
+# Short raw keys beside hashed ones: shared prefixes make extensions,
+# a key ending where others branch makes a valueless branch to stop at.
+_POOL = [hashlib.sha256(bytes([i])).digest() for i in range(4)] + [
+    b"\x12\x34", b"\x12\x56", b"\x12\x57", b"\xab\xcd\x01", b"\xab\xcd\x02",
+    b"\xab\xce\x01", b"\x50", b"\x51", b"\x52", b"\x60"]
+_PROBES = _POOL + [b"\x12", b"\x12\x35", b"\xab\xcd\x11", b"\xab\xdd\x01",
+                   b"\x53", b"\x7f", bytes(32)]
+
+_store_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(_POOL),
+                  st.binary(min_size=0, max_size=24)),
+        st.tuples(st.just("delete"), st.sampled_from(_POOL)),
+        st.tuples(st.just("seal"), st.sampled_from(_POOL)),
+    ),
+    max_size=30,
+)
+
+
+def _trie_after(ops) -> SealableTrie:
+    trie = SealableTrie()
+    for kind, k, *value in ops:
+        try:
+            getattr(trie, kind)(k, *value)
+        except TrieError:
+            pass
+    return trie
+
+
+def _wires(trie: SealableTrie):
+    """Every proof the probes yield, as ``(class, object)`` pairs, and
+    the witness over every provable probe."""
+    proven = []
+    for probe in _PROBES:
+        for prove, cls in ((trie.prove, MembershipProof),
+                           (trie.prove_absence, NonMembershipProof)):
+            try:
+                proven.append((cls, prove(probe)))
+            except TrieError:
+                pass  # the other kind, sealed away, or a branch value
+    memberships = [p for cls, p in proven if cls is MembershipProof]
+    if memberships:
+        proven.append((MembershipWitness, MembershipWitness.merge(memberships)))
+    return proven
+
+
+@settings(max_examples=200, deadline=None)
+@given(_store_ops)
+def test_every_accepted_wire_re_encodes_to_itself(ops):
+    trie = _trie_after(ops)
+    for cls, item in _wires(trie):
+        wire = item.to_bytes()
+        decoded = cls.from_bytes(wire)
+        assert decoded.to_bytes() == wire
+        if cls is MembershipWitness:
+            assert decoded.node == item.node and decoded.root == trie.root_hash
+        else:
+            assert decoded == item
+
+
+_EVIDENCE_CASES = {
+    "empty trie": ([], bytes(32), EmptyTrieEvidence),
+    "empty slot": ([("set", b"\x50"), ("set", b"\x51")], b"\x53",
+                   EmptySlotEvidence),
+    "empty slot of a sealed branch": (
+        [("set", b"\x50"), ("set", b"\x51"), ("set", b"\x60"),
+         ("seal", b"\x50"), ("seal", b"\x51")], b"\x53", EmptySlotEvidence),
+    "no branch value": ([("set", b"\x12\x34"), ("set", b"\x12\x56")], b"\x12",
+                        NoBranchValueEvidence),
+    "no value at a sealed branch": (
+        [("set", b"\x12\x34"), ("set", b"\x12\x56"), ("set", b"\x60"),
+         ("seal", b"\x12\x34"), ("seal", b"\x12\x56")], b"\x12",
+        NoBranchValueEvidence),
+    "divergent leaf": ([("set", b"\x50"), ("set", b"\x60")], b"\x53",
+                       DivergentLeafEvidence),
+    "divergent sealed leaf": (
+        [("set", b"\x50"), ("set", b"\x60"), ("seal", b"\x50")], b"\x53",
+        DivergentLeafEvidence),
+    "divergent extension": (
+        [("set", b"\xab\xcd\x01"), ("set", b"\xab\xcd\x02"), ("set", b"\x60")],
+        b"\xab\xdd\x01", DivergentExtensionEvidence),
+    "divergent sealed branch": (
+        [("set", b"\xab\xcd\x01"), ("set", b"\xab\xcd\x02"), ("set", b"\x60"),
+         ("seal", b"\xab\xcd\x01"), ("seal", b"\xab\xcd\x02")],
+        b"\xab\xdd\x01", DivergentExtensionEvidence),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EVIDENCE_CASES))
+def test_each_evidence_kind_re_encodes_to_itself(case):
+    """The property above over a pool that may miss a kind; here each
+    kind, live and through a sealed stub, by name."""
+    ops, probe, kind = _EVIDENCE_CASES[case]
+    trie = _trie_after([(op, k, b"v") if op == "set" else (op, k)
+                        for op, k in ops])
+    proof = trie.prove_absence(probe)
+    assert type(proof.evidence) is kind
+    wire = proof.to_bytes()
+    assert NonMembershipProof.from_bytes(wire) == proof
+    assert NonMembershipProof.from_bytes(wire).to_bytes() == wire
+    assert verify_non_membership(trie.root_hash, proof)
+
+
+def _zero_slot(bitmap: int, packed: bytes, slot: int) -> tuple[int, bytes]:
+    """``(bitmap, packed)`` with clear ``slot`` set to the zero digest:
+    the same node, a second spelling."""
+    at = 32 * (bitmap & ((1 << slot) - 1)).bit_count()
+    return bitmap | 1 << slot, packed[:at] + bytes(32) + packed[at:]
+
+
+class TestOneWireForm:
+    """A bit naming the zero digest is the same node as the bit clear;
+    both spellings fold to one root, so the decoder refuses the second
+    one and every accepted wire re-encodes to itself."""
+
+    def test_a_step_naming_the_zero_digest_is_refused(self, populated):
+        proof = populated.prove(key(5))
+        at, step = next((at, step) for at, step in enumerate(proof.steps)
+                        if step.bitmap != (1 << 15) - 1)
+        free = next(slot for slot in range(15) if not step.bitmap >> slot & 1)
+        steps = list(proof.steps)
+        steps[at] = BranchStep(step.index, *_zero_slot(
+            step.bitmap, step.digests, free), step.value)
+        twin = MembershipProof(proof.key, proof.value, tuple(steps), proof.leaf_path)
+        assert verify_membership(populated.root_hash, twin)
+        assert len(twin.to_bytes()) == len(proof.to_bytes()) + 32
+        with pytest.raises(ProofError, match="zero digest"):
+            MembershipProof.from_bytes(twin.to_bytes())
+
+    @pytest.mark.parametrize("case", ["empty slot", "no branch value"])
+    def test_evidence_naming_the_zero_digest_is_refused(self, case):
+        ops, probe, kind = _EVIDENCE_CASES[case]
+        trie = _trie_after([(op, k, b"v") for op, k in ops])
+        proof = trie.prove_absence(probe)
+        evidence = proof.evidence
+        # Slot 15 is empty in both branches, and not the probe's slot.
+        doubled = _zero_slot(evidence.bitmap, evidence.digests, 15)
+        twin = NonMembershipProof(proof.key, proof.steps, (
+            EmptySlotEvidence(*doubled, evidence.value) if kind is EmptySlotEvidence
+            else NoBranchValueEvidence(*doubled)))
+        assert verify_non_membership(trie.root_hash, twin)
+        with pytest.raises(ProofError, match="zero digest"):
+            NonMembershipProof.from_bytes(twin.to_bytes())
+
+    def test_a_witness_slot_naming_the_zero_digest_is_refused(self):
+        trie = SealableTrie()
+        for i in range(3):
+            trie.set(key(i), b"v")
+        witness = MembershipWitness.merge([trie.prove(key(0))])
+        top = witness.node
+        assert isinstance(top, WitnessBranch) and None in top.slots
+        twin = MembershipWitness(WitnessBranch(
+            tuple(bytes(32) if slot is None else slot for slot in top.slots),
+            top.value))
+        assert twin.root == witness.root
+        with pytest.raises(ProofError, match="zero digest"):
+            MembershipWitness.from_bytes(twin.to_bytes())

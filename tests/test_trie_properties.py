@@ -618,7 +618,7 @@ def _witness_shapes(node, shapes=None, top=True) -> set:
     else:
         assert isinstance(node, WitnessBranch)
         expanded = [slot for slot in node.slots
-                    if slot is not None and not isinstance(slot, Hash)]
+                    if slot is not None and not isinstance(slot, bytes)]
         shapes.add("branch, several expanded" if len(expanded) > 1
                    else "branch, one expanded")
         if node.value is not None:
