@@ -31,8 +31,9 @@ class ReplayAuditConfig:
     seed: int = 401
     offered_pps: float = 8.0
     #: Long enough that the replay covers over ten thousand events even
-    #: though the host chain spends none on the idle drain.
-    duration: float = 360.0
+    #: though the host chain spends none on the idle drain and a relayer
+    #: none on packet events.
+    duration: float = 450.0
     drain_seconds: float = 1_200.0
     channels: int = 2
     batch_max_packets: int = 8

@@ -55,7 +55,12 @@ from repro.errors import ReproError
 #: 7: proof steps, branch evidence and witness slots carry packed raw
 #: digests, and queued batch ops carry proofs into a checkpoint; a
 #: ``BranchNode`` caches raw child digests.
-CODEC_VERSION = 7
+#: 8: an ``IbcHost`` indexes its packet writes by height (``writes``,
+#: ``written``, ``standing``, ``_deadlines``; ``written_acks`` is gone)
+#: and holds ``write_height`` / ``clock`` hooks; a ``GuestEnd`` lost
+#: ``outstanding``, a ``CounterpartyEnd`` its send cursor ``_seen``, a
+#: ``GuestContract`` ``_pending_packets`` / ``_packets_by_height``.
+CODEC_VERSION = 8
 
 #: ``major.minor`` of the interpreter — marshal'd code objects are not
 #: portable across interpreter feature releases.

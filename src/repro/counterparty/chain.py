@@ -103,12 +103,14 @@ class CounterpartyChain:
         self.blocks: dict[int, _BlockRecord] = {}
         self._pending_calls: list[tuple[Callable[[], Any], Optional[Callable[[Any, int], None]]]] = []
         self._block_listeners: list[Callable[[int], None]] = []
-        #: (packet, height committed) for every packet this chain sent;
-        #: relayers poll it through :meth:`sent_packets_since`.
+        #: (packet, height committed) for every packet this chain sent —
+        #: the ``send`` writes of ``ibc.writes`` again, kept only because
+        #: the benchmark harness (``bench/``) reads it.
         self.sent_packets: list[tuple[Any, int]] = []
 
         self.bank = Bank()
-        self.ibc = IbcHost(self.config.chain_id, store=ProvableStore())
+        self.ibc = IbcHost(self.config.chain_id, store=ProvableStore(),
+                           write_height=self._write_height, clock=self._now)
         self.transfer_port = PortId("transfer")
         self.transfer = TransferApp(self.bank, self.transfer_port)
         self.ibc.bind_port(self.transfer_port, self.transfer)
@@ -119,11 +121,8 @@ class CounterpartyChain:
         if self.config.store_preload_entries:
             self._preload_store(self.config.store_preload_entries)
         self._producing = False
-        # Sends inside block execution commit at the current height;
-        # direct sends land in the next produced block.
         self.ibc.on_send = lambda packet: self.sent_packets.append(
-            (packet, self.height if self._producing else self.height + 1)
-        )
+            (packet, self._write_height()))
 
         sim.schedule(self.config.block_seconds, self._produce_block)
 
@@ -213,6 +212,14 @@ class CounterpartyChain:
             listener(self.height)
         self.sim.schedule(self.config.block_seconds, self._produce_block)
 
+    def _now(self) -> float:
+        return self.sim.now
+
+    def _write_height(self) -> int:
+        """Writes inside block execution commit at the current height;
+        direct writes land in the next produced block."""
+        return self.height if self._producing else self.height + 1
+
     def _validate_claim_about_us(self, claimed_bytes) -> None:
         """ICS-03 validate_self_client for the counterparty side."""
         from repro.ibc.self_client import SelfClientState, validate_self_client
@@ -257,10 +264,6 @@ class CounterpartyChain:
     def store_at(self, height: int) -> ProvableStore:
         """Frozen store view whose root is that height's ``app_hash``."""
         return self.blocks[height].store_view
-
-    def sent_packets_since(self, count_seen: int) -> list[tuple[Any, int]]:
-        """Packets sent after the first ``count_seen`` (relayer polling)."""
-        return self.sent_packets[count_seen:]
 
     def genesis_validator_set(self) -> ValidatorSet:
         """The set a guest-side light client should be initialised with

@@ -114,6 +114,9 @@ class Reader:
             self._pos += 1
             result |= (byte & 0x7F) << shift
             if not byte & 0x80:
+                if shift and not byte:
+                    # A value has one wire form: no zero groups padding it.
+                    raise ValueError("padded varint")
                 return result
             shift += 7
             if shift > 63:

@@ -125,6 +125,7 @@ class GuestContract(Program):
         # default eager policy matches the paper's "seal immediately".
         self.ibc = IbcHost(
             namespace, store=self.store,
+            write_height=self._write_height, clock=self._now,
             seal_scheduler=(EagerScheduler() if seal_scheduler is None
                             else seal_scheduler))
         self.bank = Bank()
@@ -138,9 +139,6 @@ class GuestContract(Program):
         self.epochs_by_hash: dict[Hash, Epoch] = {}
         self.current_epoch: Optional[Epoch] = None
         self._epoch_start_slot = 0
-        #: Packets committed since the last block, waiting for inclusion.
-        self._pending_packets: list[Packet] = []
-        self._packets_by_height: dict[int, tuple[Packet, ...]] = {}
         #: Frozen store views per finalised height, for serving proofs.
         self._state_views: dict[int, ProvableStore] = {}
         self._buffers: dict[tuple[Address, int], Buffer] = {}
@@ -250,7 +248,6 @@ class GuestContract(Program):
         genesis = GuestBlock(header=header, finalised=True,
                              generated_at=ctx_time, finalised_at=ctx_time)
         self.blocks.append(genesis)
-        self._packets_by_height[0] = ()
         self._state_views[0] = self.store.snapshot()
         if self.state_journal is not None:
             self.state_journal.mark_height(0)
@@ -269,6 +266,15 @@ class GuestContract(Program):
         if not self.blocks:
             raise GuestError("guest has no blocks (not initialized)")
         return self.blocks[-1]
+
+    def _now(self) -> float:
+        """The host's clock, inside an instruction."""
+        ctx = self._current_ctx
+        return ctx.unix_time if ctx is not None else float("-inf")
+
+    def _write_height(self) -> int:
+        """A write commits in the next block generated (``height_hint``)."""
+        return self.head.height + 1
 
     def block_at(self, height: int) -> GuestBlock:
         if not 0 <= height < len(self.blocks):
@@ -330,7 +336,6 @@ class GuestContract(Program):
         ctx = self._current_ctx
         packet = self.ibc.send_packet(
             PortId(port), ChannelId(channel), payload, timeout)
-        self._pending_packets.append(packet)
         if ctx is not None:
             ctx.meter.charge_hash(len(payload))
             ctx.meter.charge_trie_nodes(16)
@@ -394,4 +399,7 @@ class GuestContract(Program):
         self.store.trie.attach_mirror(journal)
 
     def packets_in_block(self, height: int) -> tuple[Packet, ...]:
-        return self._packets_by_height.get(height, ())
+        """The packets the block at ``height`` commits (the next block's,
+        before it is generated), read from the IBC write index."""
+        return tuple(write.packet for write in self.ibc.writes.get(height, ())
+                     if write.kind == "send")

@@ -46,7 +46,7 @@ def generate_block(contract, ctx: InvokeContext) -> None:
             next_epoch = contract.staking.select_epoch(epoch.epoch_id + 1)
         except GuestError:
             next_epoch = None  # no eligible candidates: stay put
-    pending = contract._pending_packets
+    pending = contract.packets_in_block(head.height + 1)
     header = GuestBlockHeader(
         height=head.height + 1,
         prev_hash=head.header.block_hash(),
@@ -61,7 +61,6 @@ def generate_block(contract, ctx: InvokeContext) -> None:
     )
     block = GuestBlock(header=header, generated_at=ctx.unix_time)
     contract.blocks.append(block)
-    contract._packets_by_height[header.height] = tuple(pending)
     trace = ctx.chain.sim.trace
     trace.count("guest.blocks.generated")
     trace.gauge("guest.block.packets", len(pending))
@@ -74,7 +73,6 @@ def generate_block(contract, ctx: InvokeContext) -> None:
         trace.finish("packet.block_wait", key=packet.sequence,
                      height=header.height)
         trace.begin("packet.quorum_wait", key=packet.sequence, actor="guest")
-    contract._pending_packets = []
     contract._state_views[header.height] = contract.store.snapshot()
     if contract.state_journal is not None:
         contract.state_journal.mark_height(header.height)
@@ -110,7 +108,7 @@ def sign_block(contract, ctx: InvokeContext, height: int,
         block.finalised = True                          # l.29
         block.finalised_at = ctx.unix_time
         _distribute_rewards(contract, block, epoch)
-        packets = contract._packets_by_height.get(height, ())
+        packets = contract.packets_in_block(height)
         trace.count("guest.blocks.finalised")
         trace.finish("guest.block", key=height,
                      signatures=len(block.signers))

@@ -34,13 +34,12 @@ def send_packet(contract, ctx: InvokeContext, port: str, channel: str,
     config = contract.config
     fee = config.send_fee_lamports + config.send_fee_per_byte * len(payload)
     ctx.transfer(ctx.payer, contract.treasury, fee)  # collect_fees (Alg. 1 l.7)
-    contract.fees_collected += fee
-    contract._undistributed_fees += fee
-
     ctx.meter.charge_hash(len(payload))
     ctx.meter.charge_trie_nodes(16)
+    # It refuses (a closed channel, a passed deadline) before it mutates.
     packet = contract.ibc.send_packet(port, channel, payload, timeout)
-    contract._pending_packets.append(packet)
+    contract.fees_collected += fee
+    contract._undistributed_fees += fee
     trace = ctx.chain.sim.trace
     trace.count("guest.packets.sent")
     # Phase 1 of the Fig. 2 decomposition: committed -> included in a

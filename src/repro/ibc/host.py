@@ -25,8 +25,9 @@ block the insertion of a neighbouring sequence that is still in flight.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from repro.errors import (
     ChannelError,
@@ -93,6 +94,17 @@ class _SequenceTracker:
         return sealable
 
 
+class Write(NamedTuple):
+    """One packet write, named by the height of the block committing it:
+    ``"send"`` (a commitment), ``"ack"`` (an ack written, ``ack`` set)
+    or ``"acked"`` (a commitment an accepted ack cleared)."""
+
+    kind: str
+    packet: Packet
+    height: int
+    ack: Optional[Acknowledgement] = None
+
+
 class IbcApp:
     """Application callbacks bound to a port (ICS-05/ICS-26 style)."""
 
@@ -121,7 +133,9 @@ class IbcCounters:
 class IbcHost:
     """The per-chain IBC module."""
 
-    def __init__(self, chain_id: str, store: Optional[ProvableStore] = None,
+    def __init__(self, chain_id: str, *, write_height: Callable[[], int],
+                 clock: Callable[[], float],
+                 store: Optional[ProvableStore] = None,
                  seal_scheduler: Optional["SealScheduler"] = None) -> None:
         self.chain_id = chain_id
         self.store = store if store is not None else ProvableStore()
@@ -141,13 +155,20 @@ class IbcHost:
         self._receipt_tracker: dict[tuple[PortId, ChannelId], _SequenceTracker] = {}
         self._ack_tracker: dict[tuple[PortId, ChannelId], _SequenceTracker] = {}
         self._ack_confirmed: dict[tuple[PortId, ChannelId], set[int]] = {}
-        #: (destination channel, sequence) -> (packet, ack) for every
-        #: ack this chain has written — the queryable event log a
-        #: restarting relayer rescans for ack returns whose volatile
-        #: state died with it (real chains expose this as indexed
-        #: WriteAcknowledgement events).
-        self.written_acks: dict[tuple[str, int],
-                                tuple[Packet, Acknowledgement]] = {}
+        #: The embedding chain's: the height of the block that commits
+        #: the write executing now, and its clock.
+        self.write_height = write_height
+        self.clock = clock
+        #: The write index — ICS-04's height-indexed events, as a relayer
+        #: queries them: height -> that block's packet writes in
+        #: execution order, and (kind, channel, sequence) -> the write
+        #: (a channel id is a ``str``: keys match plain strings).
+        self.writes: dict[int, list[Write]] = {}
+        self.written: dict[tuple[str, str, int], Write] = {}
+        #: Sends still committed, by (source channel, sequence); those
+        #: with a deadline also as sorted (deadline, channel, sequence).
+        self.standing: dict[tuple[str, int], Write] = {}
+        self._deadlines: list[tuple[float, str, int]] = []
         self._client_counter = 0
         self._connection_counter = 0
         self._channel_counter = 0
@@ -157,7 +178,8 @@ class IbcHost:
         #: Callable[bytes] raising HandshakeError on a bogus claim.
         self.self_client_validator: Optional[Callable[[bytes], None]] = None
         #: Optional observer invoked with every packet this host sends
-        #: (chains use it to surface sends to relayers).
+        #: (kept for the counterparty's ``sent_packets``, which only the
+        #: benchmark harness reads; relayers read :attr:`writes`).
         self.on_send: Optional[Callable[[Packet], None]] = None
 
     # ------------------------------------------------------------------
@@ -472,8 +494,14 @@ class IbcHost:
 
     def send_packet(self, port_id: PortId, channel_id: ChannelId,
                     payload: bytes, timeout_timestamp: float = 0.0) -> Packet:
-        """Commit an outgoing packet (Alg. 1's SendPacket body)."""
+        """Commit an outgoing packet (Alg. 1's SendPacket body).  A
+        deadline this chain's clock has passed is refused (ICS-04): the
+        receiver's clock, which agrees, is past it too, so the packet
+        could only ever time out — and no block of the receiver's
+        would come after it to show that."""
         end = self._open_channel(port_id, channel_id)
+        if timeout_timestamp and self.clock() > timeout_timestamp:
+            raise TimeoutError_(f"deadline {timeout_timestamp} already passed")
         assert end.counterparty_channel_id is not None
         key = (port_id, channel_id)
         sequence = self._next_seq_send.get(key, 0)
@@ -490,6 +518,10 @@ class IbcHost:
         self.store.set_seq(
             paths.commitment_prefix(port_id, channel_id), sequence, packet.commitment(),
         )
+        key = (channel_id, sequence)
+        self.standing[key] = self._record("send", packet, channel_id)
+        if timeout_timestamp:
+            insort(self._deadlines, (timeout_timestamp, *key))
         self.counters.packets_sent += 1
         if self.on_send is not None:
             self.on_send(packet)
@@ -566,8 +598,7 @@ class IbcHost:
             tracker = self._ack_tracker.setdefault(destination, _SequenceTracker())
             tracker.record(packet.sequence, consume=False)
             self._seal_confirmed_acks(destination)
-        self.written_acks[
-            (str(packet.destination_channel), packet.sequence)] = (packet, ack)
+        self._record("ack", packet, packet.destination_channel, ack)
         self.counters.packets_received += 1
         return ack
 
@@ -595,6 +626,8 @@ class IbcHost:
             raise PacketError(f"packet {packet.sequence} has no outstanding commitment")
         # Deleting the commitment bounds the sender-side state (§III-A).
         self.store.delete_seq(commitment_prefix, packet.sequence)
+        self._clear(packet)
+        self._record("acked", packet, packet.source_channel)
         self._acked.setdefault((packet.source_port, packet.source_channel), set()).add(packet.sequence)
         self.apps[packet.source_port].on_acknowledge(packet, ack)
         self.counters.packets_acknowledged += 1
@@ -625,8 +658,43 @@ class IbcHost:
         if not self.store.contains_seq(commitment_prefix, packet.sequence):
             raise PacketError(f"packet {packet.sequence} has no outstanding commitment")
         self.store.delete_seq(commitment_prefix, packet.sequence)
+        self._clear(packet)
         self.apps[packet.source_port].on_timeout(packet)
         self.counters.packets_timed_out += 1
+
+    def _record(self, kind: str, packet: Packet, channel: ChannelId,
+                ack: Optional[Acknowledgement] = None) -> Write:
+        write = Write(kind, packet, self.write_height(), ack)
+        self.writes.setdefault(write.height, []).append(write)
+        self.written[(kind, channel, packet.sequence)] = write
+        return write
+
+    def _clear(self, packet: Packet) -> None:
+        key = (packet.source_channel, packet.sequence)
+        deadline = self.standing.pop(key).packet.timeout_timestamp
+        if deadline:  # as sent: the wire keeps milliseconds only
+            del self._deadlines[bisect_left(self._deadlines, (deadline, *key))]
+
+    def expiring(self, after: float, until: float) -> list[Packet]:
+        """Sends still committed whose deadline is in ``[after, until)``."""
+        lo = bisect_left(self._deadlines, (after,))
+        hi = bisect_left(self._deadlines, (until,))
+        return [self.standing[key[1:]].packet for key in self._deadlines[lo:hi]]
+
+    def awaits_confirm(self, packet: Packet) -> bool:
+        """Is the ack this chain wrote for ``packet`` unsealed and not
+        yet confirmed?  (Never, on a chain that does not seal.)"""
+        key = (packet.destination_port, packet.destination_channel)
+        tracker = self._ack_tracker.get(key)
+        return (tracker is not None and packet.sequence in tracker.unsealed
+                and packet.sequence not in self._ack_confirmed.get(key, ()))
+
+    def unconfirmed_acks(self) -> Iterator[Write]:
+        """Every ack this chain wrote that awaits its confirmation."""
+        for key, tracker in self._ack_tracker.items():
+            confirmed = self._ack_confirmed.get(key, set())
+            for sequence in tracker.unsealed - confirmed:
+                yield self.written[("ack", key[1], sequence)]
 
     def confirm_ack(self, port_id: PortId, channel_id: ChannelId, sequence: int) -> None:
         """Mark an acknowledgement as processed by the sender and seal it

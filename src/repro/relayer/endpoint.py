@@ -1,7 +1,7 @@
 """Chain endpoints: what the relayer needs from each side of a link.
 
 The relayer is a chain-agnostic courier (Alg. 2, §III-C): from either
-chain it needs only to *see what was committed*, *get a proof at a
+chain it needs only to *read what a block wrote*, *get a proof at a
 height* and *submit a datagram*.  The two endpoint kinds hide how their
 chain does each of those:
 
@@ -9,20 +9,23 @@ chain does each of those:
   tagged with the guest's chain id, proven against the frozen state view
   of a *finalised* guest block, written to through ``GuestApi`` bundles.
 * :class:`CounterpartyEnd` — an IBC-native chain.  Observed at each of
-  its blocks (``chain.on_block``) through a cursor over its send queue,
-  proven at any committed height, written to by queueing a call for its
-  next block.
+  its blocks (``chain.on_block``), proven at any committed height,
+  written to by queueing a call for its next block.
 
-A guest↔counterparty link is ``(GuestEnd, CounterpartyEnd)``; a
+Either chain's IBC module indexes its packet writes by the height of the
+block that commits them (``IbcHost.writes``) and keeps the sends still
+committed (``IbcHost.standing``); that index, a receipt probe of the
+store (``has_receipt``) and the block clocks (``time``, ``first_past``)
+are all the relayer reads.  A
+guest↔counterparty link is ``(GuestEnd, CounterpartyEnd)``; a
 guest↔guest link is ``(GuestEnd, GuestEnd)``.  Each end also carries the
-link's handshake results on its chain (client, connection, channels).
-An end records nothing its chain already says: after a crash the
-relayer finds what is still owed through the same probes
-(``has_commitment``, ``has_receipt``, ``ack_height``, ``read_sends``).
+link's handshake results on its chain (client, connection, channels) and
+records nothing its chain already says.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any, Callable, Optional
 
 from repro.counterparty.chain import CounterpartyChain
@@ -35,11 +38,6 @@ from repro.ibc.identifiers import ChannelId, ClientId, ConnectionId, PortId
 from repro.ibc.messages import apply_handshake
 from repro.ibc.packet import Packet
 from repro.trie.store import ProvableStore
-
-
-def packet_key(channel: ChannelId, sequence: int) -> tuple[str, int]:
-    """How the relayer keys an in-flight packet on one of its ends."""
-    return (str(channel), sequence)
 
 
 def probe(store: ProvableStore, prefix: str, sequence: int, sealed: bool) -> bool:
@@ -68,6 +66,15 @@ class _End:
         #: relayer (:func:`repro.relayer.updates.updates_for`).
         self.updates: Any = None
 
+    def reset(self) -> None:
+        """Drop everything a relayer crash loses."""
+
+    def first_past(self, deadline: float) -> int:
+        """Lowest height whose clock is past ``deadline`` — where a
+        receipt's absence proves a timeout."""
+        return bisect_right(range(self.latest_final() + 1), deadline,
+                            key=self.time)
+
     @property
     def client(self):
         return self.ibc.client(self.client_id)
@@ -93,11 +100,9 @@ class _End:
 
     def has_commitment(self, packet: Packet) -> bool:
         """Is the packet this chain sent still awaiting its ack or
-        timeout?  The commitment is cleared when either is accepted."""
-        return probe(
-            self.ibc.store,
-            paths.commitment_prefix(packet.source_port, packet.source_channel),
-            packet.sequence, sealed=False)
+        timeout?  The commitment is cleared when either is accepted, and
+        the send leaves the chain's ``standing`` index with it."""
+        return (packet.source_channel, packet.sequence) in self.ibc.standing
 
     def has_receipt(self, packet: Packet) -> bool:
         """Did this chain already receive the packet?"""
@@ -123,13 +128,10 @@ class GuestEnd(_End):
         self.reset()
 
     def reset(self) -> None:
-        """Drop everything a relayer crash loses."""
-        #: [(height, action(height))]: continuations waiting for the
-        #: block that commits a guest-side write (a handshake step, an
-        #: ack) to be finalised; run behind that block's one cover.
+        #: [(height, action(height))]: handshake steps waiting for the
+        #: block that commits them to be finalised; run behind that
+        #: block's one cover.
         self.waiters: list[tuple[int, Callable[[int], None]]] = []
-        #: Finalised sends awaiting their ack or timeout.
-        self.outstanding: dict[tuple[str, int], Packet] = {}
         #: (datagram kind, continuation) of the handshake step in flight.
         self.handshake_waiter: Optional[tuple[str, Callable]] = None
         #: Pending (op, span) pairs awaiting a batched flush, and ack
@@ -165,22 +167,10 @@ class GuestEnd(_End):
         return next((block.height for block in reversed(self.contract.blocks)
                      if block.finalised), 0)
 
-    def expired_height(self, deadline: float) -> Optional[int]:
-        """Lowest finalised height whose clock is past ``deadline`` —
-        where a receipt's absence proves a timeout."""
-        return next((block.height for block in self.contract.blocks
-                     if block.finalised and block.header.timestamp > deadline), None)
-
-    def ack_height(self, packet: Packet) -> int:
-        """Height of the block that commits the ack this guest wrote for
-        ``packet``: the lowest whose state view holds it (the next block
-        if none does yet) — what a ``PacketReceived`` event names."""
-        prefix = paths.ack_prefix(packet.destination_port,
-                                  packet.destination_channel)
-        height = self.contract.head.height + 1
-        while probe(self.view(height - 1), prefix, packet.sequence, sealed=True):
-            height -= 1
-        return height
+    def time(self, height: int) -> float:
+        """Clock of the block at ``height`` (before genesis: -inf)."""
+        return (self.contract.block_at(height).header.timestamp
+                if height >= 0 else float("-inf"))
 
     def take_waiters(self, height: int) -> list[tuple[int, Callable[[int], None]]]:
         ready = [w for w in self.waiters if w[0] <= height]
@@ -209,22 +199,13 @@ class GuestEnd(_End):
 
 
 class CounterpartyEnd(_End):
-    """An IBC-native chain, observed block by block through a cursor
-    over its send queue."""
+    """An IBC-native chain, observed block by block."""
 
     hop_span = "packet.deliver_to_guest"
 
     def __init__(self, chain: CounterpartyChain, client_id: ClientId) -> None:
         super().__init__(client_id)
         self.chain = chain
-        #: How many sends of the chain's queue the relayer has read.  It
-        #: moves only while the relayer is up, and a crash keeps it: a
-        #: restart re-reads the sends below it from the chain.
-        self._seen = 0
-
-    def reset(self) -> None:
-        """A crash loses nothing here: the cursor counts what the chain
-        holds, not what the relayer did with it."""
 
     @property
     def chain_id(self) -> str:
@@ -237,13 +218,16 @@ class CounterpartyEnd(_End):
     def view(self, height: int) -> ProvableStore:
         return self.chain.store_at(height)
 
-    @property
-    def height(self) -> int:
+    def latest_final(self) -> int:
+        """Every committed block is final (Tendermint)."""
         return self.chain.height
 
-    def ack_height(self, packet: Packet) -> int:
-        """A write is provable at the chain's current height."""
-        return self.height
+    def time(self, height: int) -> float:
+        """Clock of the block at ``height``; -inf before the first block
+        and for one the chain no longer holds (``retain_blocks``): the
+        oldest block held is the first known past an older deadline."""
+        record = self.chain.blocks.get(height) if height >= 1 else None
+        return record.header.time if record is not None else float("-inf")
 
     def submit_handshake(self, msg, then: Callable[[Optional[str], int], None],
                          failed: Callable[[object], None]) -> None:
@@ -257,15 +241,3 @@ class CounterpartyEnd(_End):
 
         self.chain.submit(lambda: apply_handshake(self.ibc, msg),
                           on_result=on_result)
-
-    def fresh_sends(self) -> list[tuple[Packet, int]]:
-        """Advance the cursor; returns the link's new sends with
-        the height each was committed at."""
-        fresh = self.chain.sent_packets_since(self._seen)
-        self._seen += len(fresh)
-        return [(packet, height) for packet, height in fresh if self.sends(packet)]
-
-    def read_sends(self) -> list[tuple[Packet, int]]:
-        """The link's sends the cursor has passed, with their heights."""
-        return [(packet, height) for packet, height
-                in self.chain.sent_packets[:self._seen] if self.sends(packet)]

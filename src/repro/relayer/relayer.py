@@ -6,18 +6,23 @@ never forge them (§III-C).  It is written once over a pair of
 :mod:`~repro.relayer.endpoint` ends — a guest and a counterparty, or
 two guests on one host — and moves, in each direction:
 
-* **packets**: a commit observed on the source (a ``FinalisedBlock``
-  carrying packets, Alg. 2 lines 4–10, or a counterparty block's sends) is
-  proven at a height the destination's client covers and delivered;
-* **acknowledgements**: the ack the destination wrote is proven back to
-  the source, after which the destination guest seals it (§III-A); a
-  guest's ack waits, like a handshake step, in its end's one wait list
-  until the block that commits it is finalised;
-* **timeouts**, where the destination is a guest: an expired send is
-  cancelled with a proof that the receipt is absent at a finalised
-  height past the deadline;
+* **packets**: a send committed by a source block (a finalised guest
+  block, Alg. 2 lines 4–10, or a committed counterparty block) is proven
+  at a height the destination's client covers and delivered;
+* **acknowledgements**: the ack a block wrote is proven back to the
+  source, and once the source's block accepting it is read, the
+  receiving guest is told to seal it (§III-A);
+* **timeouts**: a send the destination's block is the first past the
+  deadline of, with no receipt there, is cancelled on the source with a
+  proof of the receipt's absence — toward either end kind;
 * **handshakes**: :meth:`open_connection` / :meth:`open_channel` run the
   ICS-03/04 dances of :mod:`~repro.relayer.handshake`.
+
+All four packet datagrams come from one intake, :meth:`Relayer._relay_block`
+— ICS-18's ``pendingDatagrams`` for one block, read from the two chains'
+write indexes and probes — run per finalised guest block, per committed
+counterparty block, and by :meth:`Relayer.restart` over every height that
+may still owe something.
 
 How each client is brought to a proof height is the business of the
 end's :mod:`~repro.relayer.updates` strategy, behind one call,
@@ -26,8 +31,7 @@ datagram it proves, and only a chunked Tendermint update is awaited.
 Every guest-side submission goes through one pipeline — batch, bundle
 queue, circuit breaker, bounded idempotent retry (docs/CHAOS.md) — so
 every flow is blackout-safe the same way.  The relayer keeps nothing a
-crash must restore: a restart relays what the chains still owe, read
-from them alone, through the same one cover per finalised guest block.
+crash must restore.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ from repro.host.events import HostEvent
 from repro.ibc import commitment as paths
 from repro.ibc.channel import ChannelOrder
 from repro.ibc.identifiers import ChannelId, ConnectionId, PortId
-from repro.ibc.packet import Acknowledgement, Packet
-from repro.relayer.endpoint import GuestEnd, packet_key
+from repro.ibc.packet import Packet
+from repro.relayer.endpoint import GuestEnd
 from repro.relayer.handshake import CHANNEL, CONNECTION, Handshake, Side
 from repro.relayer.resilience import CircuitBreaker, RetryPolicy
 from repro.relayer.strategy import SpendLedger
@@ -64,8 +68,6 @@ BATCH_MAX_BUNDLE_TXS = 8
 #: Watchdog period, seconds: re-kicks LC updates and bundle pumps that
 #: an error path or crash left wedged.
 WATCHDOG_SECONDS = 45.0
-#: Period of the expired-send scan on links that relay timeouts.
-TIMEOUT_SCAN_SECONDS = 5.0
 
 
 @dataclass
@@ -152,15 +154,10 @@ class Relayer:
         sim.schedule(WATCHDOG_SECONDS, self._watchdog)
 
         host.subscribe("FinalisedBlock", self._on_finalised_block)
-        host.subscribe("PacketReceived", self._on_packet_received)
         host.subscribe("HandshakeStep", self._on_handshake_step)
         for end in self._counterparties:
             end.chain.on_block(
-                lambda _height, src=end: self._on_counterparty_block(src))
-        if not self._counterparties:
-            # Timeouts are relayed where the destination can prove a
-            # receipt absent at a finalised height: between guests.
-            sim.schedule(TIMEOUT_SCAN_SECONDS, self._scan_timeouts)
+                lambda height, src=end: self._on_counterparty_block(src, height))
 
     def _peer(self, end):
         return self.b if end is self.a else self.a
@@ -171,101 +168,119 @@ class Relayer:
         return next((end for end in self._guests if end.observes(event)), None)
 
     # ==================================================================
-    # Intake: what each end committed
+    # Intake: what a block owes (ICS-18 pendingDatagrams)
     # ==================================================================
 
     def _on_finalised_block(self, event: HostEvent) -> None:
         src = self._guest_for(event)
-        if src is None or self.paused:
-            return  # a down relayer is deaf; :meth:`restart` re-reads
-        payload = event.payload
-        self._relay_block(
-            src, payload["height"],
-            tuple(p for p in payload["packets"] if src.sends(p)),
-            payload["header"].last_in_epoch)
+        if src is not None and not self.paused:  # a down relayer is deaf
+            self._relay_block(src, event.payload["height"])
 
-    def _relay_block(self, src: GuestEnd, height: int, packets: tuple,
-                     epoch_change: bool) -> None:
-        """Relay what ``src``'s finalised block at ``height`` owes its
-        peer — ``packets``, the writes waiting for it, an epoch change —
-        behind that block's one cover."""
-        ready = src.take_waiters(height)
-        dst = self._peer(src)
-        for packet in packets:
-            src.outstanding[packet_key(packet.source_channel, packet.sequence)] = packet
-
-        def relay(covered_height: int) -> None:
-            for packet in packets:
-                self._deliver(src, dst, packet, covered_height)
-            for _, action in ready:
-                action(covered_height)
-
-        # Alg. 2 line 5: a block with no packets, due writes or epoch
-        # change stays local.
-        if packets or ready or epoch_change:
-            dst.updates.cover(height, relay)
-
-    def _on_counterparty_block(self, src) -> None:
-        """``src``'s chain committed a block: take up the sends past the
-        cursor, at the block's own instant.  A down relayer leaves the
-        cursor where it is; :meth:`restart` reads what it missed."""
+    def _on_counterparty_block(self, src, height: int) -> None:
         if not self.paused:
-            self._relay_sends(src, src.fresh_sends())
+            self._relay_block(src, height)
 
-    def _relay_sends(self, src, sends: list[tuple[Packet, int]]) -> None:
-        """Deliver counterparty sends, each proven at its own height."""
+    def _relay_block(self, src, height: int) -> int:
+        """Relay what ``src``'s block at ``height`` owes its peer, read
+        from the two chains through ``src``'s write index at ``height``:
+
+        * a receive for each send it committed, still committed and not
+          yet received;
+        * an ack return for each ack it wrote whose origin commitment
+          still stands;
+        * a confirm-seal for each ack it accepted that the receiving
+          guest has not yet confirmed (no proof: it goes out at once);
+        * a timeout for each peer send whose deadline it is the first
+          block past, with no receipt here;
+
+        the proven ones, with the handshake steps it commits and an epoch
+        change the peer has not seen, behind the block's one cover.
+        Writes are taken in execution order, a guest block's packets
+        first (Alg. 2), a counterparty block's sends last.  Returns how
+        many datagrams the block owed."""
         dst = self._peer(src)
-        for packet, committed_height in sends:
-            dst.updates.cover(
-                committed_height,
-                lambda h, p=packet: self._deliver(src, dst, p, h))
+        writes = src.ibc.writes.get(height, ())
+        sends = [write for write in writes if write.kind == "send"]
+        rest = [write for write in writes if write.kind != "send"]
+        owed, confirms = [], []
+        for kind, packet, _, ack in (
+                sends + rest if src in self._guests else rest + sends):
+            if kind == "send" and self._owes(src, dst, "recv", packet):
+                owed.append(("recv", packet, None))
+            elif (kind == "ack" and src.receives(packet)
+                  and self._owes(src, dst, "ack", packet)):
+                owed.append(("ack", packet, ack))
+            elif (kind == "acked" and src.sends(packet)
+                  and dst.ibc.awaits_confirm(packet)):
+                # Behind the block's first covered datagram if one came
+                # before it, as the chain executed them.
+                confirms.append((bool(owed), packet))
+        owed += [("timeout", packet, None) for packet in dst.ibc.expiring(
+            src.time(height - 1), src.time(height))
+            if self._owes(src, dst, "timeout", packet)]
+        ready = src.take_waiters(height) if src in self._guests else ()
+        epoch_change = (src in self._guests
+                        and src.contract.block_at(height).header.last_in_epoch
+                        and height > dst.client.latest_height())
 
-    def _on_packet_received(self, event: HostEvent) -> None:
-        """A guest wrote an ack; it returns once the block the event
-        names is finalised (inside :meth:`_relay_block`)."""
-        receiver = self._guest_for(event)
-        packet = event.payload.get("packet")
-        ack_bytes = event.payload.get("ack_bytes")
-        if receiver is None or packet is None or ack_bytes is None or self.paused:
-            return
-        if receiver.receives(packet):  # else another link's relayer acks it
-            self._ack_written(receiver, packet,
-                              Acknowledgement.from_bytes(ack_bytes),
-                              event.payload["height_hint"])
+        deferred = False
 
-    # ==================================================================
-    # Packets and acknowledgements, either direction
-    # ==================================================================
+        def relay(covered: int) -> None:
+            for kind, packet, ack in owed:
+                if deferred and not self._owes(src, dst, kind, packet):
+                    continue  # settled while the cover was awaited
+                try:
+                    proof = self._prove(src, kind, packet, covered)
+                except ReproError:
+                    continue  # view pruned, or settled meanwhile
+                self._send(dst, BatchOp(kind=kind, packet=packet, proof=proof,
+                                        proof_height=covered, ack=ack))
+            for _, action in ready:
+                action(covered)
 
-    def _deliver(self, src, dst, packet: Packet, height: int) -> None:
-        """Alg. 2 lines 7–10: prove the commitment, deliver the packet."""
-        try:
-            proof = src.view(height).prove_seq(
-                paths.commitment_prefix(packet.source_port, packet.source_channel),
-                packet.sequence)
-        except ReproError:
-            return  # view pruned or commitment gone (settled meanwhile)
-        self._send(dst, BatchOp(kind="recv", packet=packet, proof=proof,
-                                proof_height=height))
-
-    def _ack_written(self, receiver, packet: Packet, ack: Acknowledgement,
-                     height: int) -> None:
-        """``receiver`` holds ``ack`` for ``packet``, committed by its
-        block at ``height``: haul it home once that block is provable."""
-        origin = self._peer(receiver)
-        self._await_commit(
-            receiver, height,
-            lambda h: self._send(origin, self._ack_op(receiver, packet, ack, h)))
+        for late, packet in confirms:
+            if not late:
+                self._confirm_seal(dst, packet)
+        # Alg. 2 line 5: a block that owes nothing proven stays local.
+        if owed or ready or epoch_change:
+            dst.updates.cover(height, relay)
+            # A cover that ran ``relay`` at once read the chains above; one
+            # that queued it has it read them again when it releases it.
+            deferred = True
+        for late, packet in confirms:
+            if late:
+                self._confirm_seal(dst, packet)
+        return len(owed) + len(confirms)
 
     @staticmethod
-    def _ack_op(receiver, packet: Packet, ack: Acknowledgement,
-                height: int) -> BatchOp:
-        """Prove the ack ``receiver`` wrote, as a datagram for the sender."""
-        proof = receiver.view(height).prove_seq(
-            paths.ack_prefix(packet.destination_port, packet.destination_channel),
-            packet.sequence)
-        return BatchOp(kind="ack", packet=packet, proof=proof,
-                       proof_height=height, ack=ack)
+    def _prove(src, kind: str, packet: Packet, height: int):
+        """``src``'s proof at ``height`` behind a ``kind`` datagram: the
+        send's commitment, the ack, or the receipt's absence."""
+        view = src.view(height)
+        if kind == "recv":
+            return view.prove_seq(paths.commitment_prefix(
+                packet.source_port, packet.source_channel), packet.sequence)
+        prefix = (paths.ack_prefix if kind == "ack" else paths.receipt_prefix)(
+            packet.destination_port, packet.destination_channel)
+        if kind == "ack":
+            return view.prove_seq(prefix, packet.sequence)
+        return view.prove_seq_absence(prefix, packet.sequence)
+
+    @staticmethod
+    def _owes(src, dst, kind: str, packet: Packet) -> bool:
+        """Does ``src`` owe ``dst`` this ``kind`` of datagram, read from
+        both chains now?  A receive or a timeout: the packet is still
+        committed on its sender and not received; an ack: the sender
+        still holds the commitment."""
+        if kind == "ack":
+            return dst.has_commitment(packet)
+        sender, receiver = (src, dst) if kind == "recv" else (dst, src)
+        return (sender.sends(packet) and sender.has_commitment(packet)
+                and not receiver.has_receipt(packet))
+
+    # ==================================================================
+    # Packet datagrams, either direction
+    # ==================================================================
 
     def _send(self, dst, op: BatchOp) -> None:
         """Hand one packet datagram to ``dst``: a guest takes it through
@@ -281,54 +296,44 @@ class Relayer:
             self._submit_to_counterparty(dst, op)
 
     def _submit_to_counterparty(self, dst, op: BatchOp) -> None:
-        packet = op.packet
-        if op.kind == "recv":
+        packet, kind, ibc = op.packet, op.kind, dst.ibc
+        call = {
+            "recv": lambda: ibc.recv_packet(packet, op.proof, op.proof_height,
+                                            local_time=self.sim.now),
+            "ack": lambda: ibc.acknowledge_packet(packet, op.ack, op.proof,
+                                                  op.proof_height),
+            "timeout": lambda: ibc.timeout_packet(packet, op.proof, op.proof_height),
+        }[kind]
+        if kind == "recv":
             # Finalised on the guest -> committed on the counterparty
             # (the tail of the packet's trace tree).
             self.sim.trace.begin("packet.relay", key=packet.sequence, actor="relayer")
 
-            def after_recv(result, cp_height: int) -> None:
-                if isinstance(result, ReproError):
-                    # A receipt already there is a double delivery (a
-                    # competing relayer, a replay after a restart);
-                    # anything else is the chain refusing the datagram,
-                    # e.g. behind a header push it refused.
-                    self.sim.trace.count(
-                        "relay.duplicate_deliveries" if dst.has_receipt(packet)
-                        else "relay.deliveries.refused")
-                    return
+        def after(result, cp_height: int) -> None:
+            if isinstance(result, ReproError):
+                # A receipt already there is a double delivery, a cleared
+                # commitment an ack or timeout that landed before (a
+                # competing relayer, a replay after a restart); anything
+                # else is the chain refusing the datagram, e.g. behind a
+                # header push it refused.
+                noun = {"recv": "deliveries", "ack": "acks"}.get(kind, "timeouts")
+                self.sim.trace.count(
+                    f"relay.duplicate_{noun}" if self._op_already_applied(dst, op)
+                    else f"relay.{noun}.refused")
+                return
+            if kind == "recv":
                 self.sim.trace.finish("packet.relay", key=packet.sequence,
                                       cp_height=cp_height)
                 self.sim.trace.count("relay.packets.to_counterparty")
                 self.metrics.packets_relayed_to_counterparty += 1
-                # The counterparty wrote its ack in this block; bring it home.
-                self._ack_written(dst, packet, result, dst.height)
+            elif kind == "timeout":
+                self.sim.trace.count("relay.timeouts.cancelled")
+                self.metrics.timeouts_cancelled += 1
 
-            dst.chain.submit(
-                lambda: dst.ibc.recv_packet(packet, op.proof, op.proof_height,
-                                            local_time=self.sim.now),
-                on_result=after_recv)
-            return
+        dst.chain.submit(call, on_result=after)
 
-        def after_ack(result, cp_height: int,
-                      incarnation=self._incarnation) -> None:
-            if incarnation != self._incarnation:
-                return  # submitted by a crashed incarnation; drop
-            if isinstance(result, ReproError):
-                # A commitment already gone means the ack landed before
-                # (a replay after a restart, a competing relayer).
-                self.sim.trace.count(
-                    "relay.duplicate_acks" if not dst.has_commitment(packet)
-                    else "relay.acks.refused")
-                return
-            self._op_applied(dst, op)
-
-        dst.chain.submit(
-            lambda: dst.ibc.acknowledge_packet(
-                packet, op.ack, op.proof, op.proof_height),
-            on_result=after_ack)
-
-    def _op_already_applied(self, dst: GuestEnd, op: BatchOp) -> bool:
+    @staticmethod
+    def _op_already_applied(dst, op: BatchOp) -> bool:
         """Idempotency check before a resubmission: did an earlier
         attempt — ours pre-crash, or a rival relayer's — already land
         this operation on ``dst``?"""
@@ -337,22 +342,6 @@ class Relayer:
         # The sender clears the packet commitment when it accepts the
         # ack or the timeout; a missing commitment means one landed.
         return not dst.has_commitment(op.packet)
-
-    def _op_applied(self, dst, op: BatchOp) -> None:
-        """``op`` is on ``dst``'s chain, by this attempt or an earlier
-        one: settle what the relayer tracks about the packet."""
-        if op.kind == "recv":
-            return
-        peer = self._peer(dst)
-        if dst in self._guests:
-            dst.outstanding.pop(
-                packet_key(op.packet.source_channel, op.packet.sequence), None)
-        if op.kind == "ack" and peer in self._guests:
-            # The sender processed the ack; seal it on the receiving
-            # guest (bounded storage, §III-A).
-            self._confirm_seal(peer, (
-                op.packet.destination_port, op.packet.destination_channel,
-                op.packet.sequence))
 
     # ==================================================================
     # The guest-side submission pipeline
@@ -415,12 +404,10 @@ class Relayer:
                 return  # submitted by a crashed incarnation; drop
             self._pump_bundles()
             self._record_op_result(op, result)
-            if result.success:
-                if span is not None:
-                    span.end(transactions=result.transaction_count)
-                self._op_applied(dst, op)
-                return
-            self._retry_op(dst, op, span, attempt)
+            if not result.success:
+                self._retry_op(dst, op, span, attempt)
+            elif span is not None:
+                span.end(transactions=result.transaction_count)
 
         def launch() -> None:
             submit = {"recv": dst.api.deliver_packet,
@@ -443,7 +430,6 @@ class Relayer:
             self.metrics.redeliveries += 1
             if span is not None:
                 span.end(outcome="already-applied")
-            self._op_applied(dst, op)
             return
         if not self.retry_policy.allows(attempt):
             self.sim.trace.count("relay.retries.exhausted")
@@ -533,7 +519,6 @@ class Relayer:
             for op, span in items:
                 if span is not None:
                     span.end(transactions=result.transaction_count)
-                self._op_applied(dst, op)
             # Attribute the bundle's fee pro rata across the two flows
             # (the §V-B ledger stays meaningful under batching).
             fee_share = result.total_fee // len(ops)
@@ -566,7 +551,11 @@ class Relayer:
 
         self._enqueue_bundle(launch)
 
-    def _confirm_seal(self, receiver: GuestEnd, confirm: tuple[str, str, int]) -> None:
+    def _confirm_seal(self, receiver: GuestEnd, packet: Packet) -> None:
+        """The sender accepted ``packet``'s ack: seal it on the receiving
+        guest (bounded storage, §III-A)."""
+        confirm = (packet.destination_port, packet.destination_channel,
+                   packet.sequence)
         if self.config.batch_max_packets > 1:
             # Coalesced flow: seal many acks per transaction instead of
             # paying a host transaction per packet.
@@ -585,41 +574,6 @@ class Relayer:
         receiver.api.confirm_acks(confirms)
 
     # ==================================================================
-    # Timeout cancellation (guest destinations)
-    # ==================================================================
-
-    def _scan_timeouts(self) -> None:
-        self.sim.schedule(TIMEOUT_SCAN_SECONDS, self._scan_timeouts)
-        if self.paused:
-            return
-        for origin in self._guests:
-            dst = self._peer(origin)
-            for key, packet in list(origin.outstanding.items()):
-                if packet.timeout_timestamp and self._try_timeout(origin, dst, packet):
-                    del origin.outstanding[key]
-
-    def _try_timeout(self, origin: GuestEnd, dst: GuestEnd, packet: Packet) -> bool:
-        """Cancel one expired send; True removes it from the outstanding
-        set (cancelled, or already settled by the other path)."""
-        if dst.has_receipt(packet):
-            return False  # the ack path settles it
-        if not origin.has_commitment(packet):
-            return True  # already acked or timed out on-chain
-        height = dst.expired_height(packet.timeout_timestamp)
-        if height is None:
-            return False  # destination clock not past the deadline yet
-        try:
-            proof = dst.view(height).prove_seq_absence(
-                paths.receipt_prefix(packet.destination_port,
-                                     packet.destination_channel),
-                packet.sequence)
-        except ReproError:
-            return False  # view unavailable; retry next scan
-        self._send(origin, BatchOp(kind="timeout", packet=packet, proof=proof,
-                                   proof_height=height))
-        return True
-
-    # ==================================================================
     # Crash and restart (docs/CHAOS.md)
     # ==================================================================
 
@@ -633,8 +587,8 @@ class Relayer:
         """Chaos fault: kill the relayer process, losing volatile state.
 
         Everything not yet handed to a chain is gone: staged batches,
-        queued bundles, queued LC work, writes waiting for their block,
-        pending timers.  Requests already accepted by an RPC may still
+        queued bundles, queued LC work, handshake steps waiting for their
+        block, pending timers.  Requests already accepted by an RPC may still
         land, but their callbacks belong to the dead incarnation and are
         dropped.  Until :meth:`restart` the relayer observes nothing.
         """
@@ -650,62 +604,48 @@ class Relayer:
             end.reset()
             end.updates.reset()
 
-    def _owed(self, src, dst, packet: Packet) -> bool:
-        """Is ``packet``, sent by ``src`` on this link, still committed
-        there and not yet received by ``dst``?"""
-        return (src.sends(packet) and src.has_commitment(packet)
-                and not dst.has_receipt(packet))
-
     def restart(self) -> None:
-        """Recover from a :meth:`crash`: relay what the chains still owe,
-        read from the chains alone.
-
-        1. Every ack an end wrote whose packet is still committed on the
-           sender lost its way home: haul it again (a guest's waits for
-           its block below).
-        2. Each finalised guest block is relayed like a live one — one
-           cover, for its sends still owed, the acks it commits and an
-           epoch change the peer's client has not seen.
-        3. Counterparty sends the cursor passed that are still owed are
-           delivered again; then the sends made while down are read.
+        """Recover from a :meth:`crash`: run the intake over every height
+        of either end that may still owe something (:meth:`_floor`) up
+        to its latest final one — what the chains still owe, read from
+        them alone, through the same path as live blocks.
 
         A datagram that landed meanwhile anyway (a dead incarnation's,
         a rival relayer's) is refused on-chain, so over-recovery is safe
         — only an omission would be a liveness bug."""
         self.sim.trace.count("relay.restarts")
-        recovered = 0
-        for receiver in (self.a, self.b):
-            origin = self._peer(receiver)
-            for packet, ack in receiver.ibc.written_acks.values():
-                if receiver.receives(packet) and origin.has_commitment(packet):
-                    self._ack_written(receiver, packet, ack,
-                                      receiver.ack_height(packet))
-                    recovered += 1
-        for src in self._guests:
-            dst = self._peer(src)
-            known = dst.client.latest_height()
-            for block in src.contract.blocks:
-                if not block.finalised:
-                    continue
-                packets = tuple(
-                    packet for packet in src.contract.packets_in_block(block.height)
-                    if self._owed(src, dst, packet))
-                recovered += len(packets)
-                self._relay_block(
-                    src, block.height, packets,
-                    block.header.last_in_epoch and block.height > known)
         self.paused = False
-        for src in self._counterparties:
-            dst = self._peer(src)
-            owed = [(packet, height) for packet, height in src.read_sends()
-                    if self._owed(src, dst, packet)]
-            recovered += len(owed)
-            self._relay_sends(src, owed)
-            self._on_counterparty_block(src)
+        recovered = sum(self._relay_block(src, height) for src in (self.a, self.b)
+                        for height in range(self._floor(src), src.latest_final() + 1))
         if recovered:
             self.sim.trace.count("relay.recovered", recovered)
         for end in (self.a, self.b):
             end.updates.kick()
+
+    def _floor(self, src) -> int:
+        """The lowest height of ``src`` that may owe its peer anything,
+        read from what both chains hold open: ``src``'s sends still
+        committed; the acks it wrote, or the first block past the
+        deadline, of the peer's; the acks it accepted that the peer
+        has not confirmed; an epoch end the peer's client has not
+        seen."""
+        dst = self._peer(src)
+        heights = [write.height for write in src.ibc.standing.values()]
+        for _, packet, _, _ in dst.ibc.standing.values():
+            ack = src.ibc.written.get(
+                ("ack", packet.destination_channel, packet.sequence))
+            if ack is not None:
+                heights.append(ack.height)
+            elif packet.timeout_timestamp:
+                heights.append(src.first_past(packet.timeout_timestamp))
+        for _, packet, _, _ in dst.ibc.unconfirmed_acks():
+            acked = src.ibc.written.get(
+                ("acked", packet.source_channel, packet.sequence))
+            if acked is not None:
+                heights.append(acked.height)
+        if src in self._guests:
+            heights.append(dst.client.latest_height() + 1)
+        return min(heights, default=src.latest_final() + 1)
 
     def _watchdog(self) -> None:
         """Liveness backstop: re-kick work an error path or crash left
@@ -759,8 +699,7 @@ class Relayer:
         block is finalised.  If it is, its header is pushed right away
         (it may never have been relayed — empty blocks are skipped by
         Alg. 2); otherwise, or while the relayer is down, ``action``
-        joins ``src.waiters``, a guest end's one wait list (handshake
-        steps and acks alike), which :meth:`_relay_block` runs behind
+        joins ``src.waiters``, which :meth:`_relay_block` runs behind
         that block's one cover, live or in :meth:`restart`'s replay.
         A header push or a sibling adoption is not awaited: the datagram
         ``action`` submits rides behind it (the adoption as its

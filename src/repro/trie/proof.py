@@ -309,9 +309,10 @@ def _write_optional_value(out: bytearray, value: Optional[bytes]) -> None:
 
 
 def _decode_optional_value(reader: Reader) -> Optional[bytes]:
-    if reader.read_varint():
-        return reader.read_bytes()
-    return None
+    flag = reader.read_varint()
+    if flag > 1:
+        raise ProofError(f"optional-value flag {flag} is neither 0 nor 1")
+    return reader.read_bytes() if flag else None
 
 
 def _read_packed(reader: Reader, count: int) -> tuple[int, bytes]:

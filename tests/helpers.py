@@ -48,6 +48,14 @@ from repro.ibc.identifiers import ChannelId, PortId  # noqa: E402
 from repro.state.scheduler import EagerScheduler  # noqa: E402
 
 
+def bare_host(name: str, **kwargs) -> IbcHost:
+    """An IbcHost outside any chain: every write is indexed at height 0,
+    and it has no clock, so it refuses no deadline at send (tests clock
+    the light clients instead)."""
+    return IbcHost(name, write_height=lambda: 0,
+                   clock=lambda: float("-inf"), **kwargs)
+
+
 class ProtoChain:
     """One chain of a :class:`ProtoFabric`: an IbcHost, a bank, ICS-20,
     and (optionally) the forwarding middleware — everything needed to
@@ -58,7 +66,7 @@ class ProtoChain:
                  hop_timeout_seconds: float = 600.0) -> None:
         self.fabric = fabric
         self.name = name
-        self.host = IbcHost(name, seal_scheduler=EagerScheduler())
+        self.host = bare_host(name, seal_scheduler=EagerScheduler())
         self.bank = Bank()
         self.port = PortId("transfer")
         self.app = TransferApp(self.bank, self.port)

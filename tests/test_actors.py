@@ -183,7 +183,8 @@ class TestCounterpartyModel:
         chain.bank.mint("u", "PICA", 10)
         # A direct (non-block) send is attributed to the next height.
         sim.run_until(6.5)
-        assert chain.sent_packets_since(0) == []
+        assert chain.sent_packets == [] and chain.ibc.writes == {}
+        assert chain.ibc.write_height() == chain.height + 1 == 2
 
     def test_retention_prunes_old_blocks(self):
         sim, chain = self.make(retain_blocks=5)

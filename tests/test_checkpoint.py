@@ -278,10 +278,11 @@ class TestSnapshotRestore:
         assert finish(restored) == straight
 
     def test_a_world_mid_establishment_restores_and_runs_on_identically(self):
-        """The relayer's guest-side markers ride the checkpoint: taken
-        while a channel handshake step waits on a guest height and acks
-        wait on their committing blocks, the restored world runs on
-        event for event and root for root with the one that did not
+        """The relayer's guest-side markers and the chains' write
+        indexes ride the checkpoint: taken while a channel handshake
+        step waits on a guest height and acks the guest wrote wait for
+        their committing blocks to be finalised, the restored world runs
+        on event for event and root for root with the one that did not
         stop."""
         deployment = Deployment(small_config(seed=75))
         deployment.establish_link()
@@ -297,21 +298,25 @@ class TestSnapshotRestore:
                     cp_channel, "PICA", 10, "carol", "dave"), 0.0)
 
         def parked() -> set[str]:
-            """What waits in the guest end's one list: ``"prove"`` is a
-            handshake step, ``"<lambda>"`` an ack on its way home."""
-            return {action.__code__.co_name for _, action in guest.waiters}
+            """What waits for a guest block: ``"prove"`` is a handshake
+            step in the guest end's list, ``"ack"`` an ack the guest
+            wrote in a block not yet finalised (its block owes it)."""
+            final = guest.latest_final()
+            return {action.__code__.co_name for _, action in guest.waiters} | {
+                write.kind for write in guest.ibc.written.values()
+                if write.kind == "ack" and write.height > final}
 
         for _ in range(5):
             counterparty.submit(send)
-        while "<lambda>" not in parked():
+        while "ack" not in parked() and deployment.sim.now < 300.0:
             deployment.sim.step()
         # A second channel over the open connection, with more sends.
         relayer.open_channel(port, port, {}.__setitem__)
         for _ in range(5):
             counterparty.submit(send)
-        while parked() != {"prove", "<lambda>"} and deployment.sim.now < 300.0:
+        while parked() != {"prove", "ack"} and deployment.sim.now < 300.0:
             deployment.sim.step()
-        assert parked() == {"prove", "<lambda>"}
+        assert parked() == {"prove", "ack"}
         checkpoint = Checkpoint.from_bytes(snapshot_world(deployment).to_bytes())
 
         def run_on(world):

@@ -125,7 +125,9 @@ def soak():
         vouchers_ok = all(
             _uatom_vouchers(dep, name) == sent["cp_to_guest"][name]
             for name in ("g0", "g1"))
-        outstanding = len(relayer.a.outstanding) + len(relayer.b.outstanding)
+        outstanding = sum(end.sends(write.packet)
+                          for end in (relayer.a, relayer.b)
+                          for write in end.ibc.standing.values())
         if vouchers_ok and outstanding == 0 and sent["count"] == TOTAL_PACKETS:
             break
     dep.run_for(300.0)  # let trailing acks/confirms seal

@@ -150,7 +150,9 @@ class TestCrashRestartRefund:
         dep, checker, sibling = wreck
         assert sibling.metrics.crashes == 2
         assert sibling.metrics.timeouts_cancelled == 1
-        assert not sibling.a.outstanding and not sibling.b.outstanding
+        assert not [write for end in (sibling.a, sibling.b)
+                    for write in end.ibc.standing.values()
+                    if end.sends(write.packet)]
 
     def test_nothing_reached_the_far_side(self, wreck):
         dep, checker, sibling = wreck

@@ -42,14 +42,13 @@ def handshake_end(kind: str):
         dep = Deployment(DeploymentConfig(seed=151))
         dep.run_for(10.0)
         end, peer = dep.relayer.a, dep.relayer.b
-        height = peer.height
     else:
         dep = build_fabric(TopologyConfig(
             guests=(GuestSpec("g0"), GuestSpec("g1")),
             links=(LinkSpec("g0", "g1"),), seed=151), establish=False)
         dep.run_for(10.0)
         end, peer = dep.links[0].relayer.b, dep.links[0].relayer.a
-        height = peer.latest_final()
+    height = peer.latest_final()
     prelude = end.updates.prelude((height,))
     assert len(prelude) == (kind == "guest-guest")
     return dep, end, peer, height, prelude

@@ -19,12 +19,11 @@ from repro.ibc import commitment as paths
 from repro.ibc.apps.transfer import Bank, FungibleTokenPacketData, TransferApp
 from repro.ibc.channel import ChannelOrder, ChannelState
 from repro.ibc.connection import ConnectionEnd, ConnectionState
-from repro.ibc.host import IbcHost
 from repro.ibc.identifiers import ChannelId, ClientId, ConnectionId, PortId
 from repro.ibc.packet import Acknowledgement, Packet
 from repro.state.scheduler import EagerScheduler
 
-from tests.helpers import StaticRootClient
+from tests.helpers import StaticRootClient, bare_host
 
 
 class Link:
@@ -32,8 +31,8 @@ class Link:
     tests; `sync()` refreshes each side's view of the other's root."""
 
     def __init__(self):
-        self.a = IbcHost("chain-a", seal_scheduler=EagerScheduler())
-        self.b = IbcHost("chain-b")
+        self.a = bare_host("chain-a", seal_scheduler=EagerScheduler())
+        self.b = bare_host("chain-b")
         self.client_ab = StaticRootClient()  # hosted on A, tracks B
         self.client_ba = StaticRootClient()  # hosted on B, tracks A
         self.a_client_id = self.a.create_client(self.client_ab)

@@ -5,36 +5,36 @@ import pytest
 
 from repro.crypto.hashing import Hash
 from repro.errors import ChannelError, ClientError, HandshakeError, PacketError
-from repro.ibc.host import IbcApp, IbcHost
+from repro.ibc.host import IbcApp
 from repro.ibc.identifiers import ChannelId, ClientId, ConnectionId, PortId
 
-from tests.helpers import StaticRootClient
+from tests.helpers import StaticRootClient, bare_host
 from tests.test_ibc_core import Link
 
 
 class TestClientManagement:
     def test_client_ids_sequence(self):
-        host = IbcHost("seq-test")
+        host = bare_host("seq-test")
         first = host.create_client(StaticRootClient())
         second = host.create_client(StaticRootClient())
         assert (str(first), str(second)) == ("client-0", "client-1")
         assert host.client(first) is not host.client(second)
 
     def test_unknown_client_rejected(self):
-        host = IbcHost("seq-test")
+        host = bare_host("seq-test")
         with pytest.raises(ClientError):
             host.client(ClientId("client-9"))
         with pytest.raises(ClientError):
             host.conn_open_init(ClientId("client-9"), ClientId("client-0"))
 
     def test_port_rebinding_rejected(self):
-        host = IbcHost("seq-test")
+        host = bare_host("seq-test")
         host.bind_port(PortId("transfer"), IbcApp())
         with pytest.raises(ChannelError):
             host.bind_port(PortId("transfer"), IbcApp())
 
     def test_unknown_connection_and_channel(self):
-        host = IbcHost("seq-test")
+        host = bare_host("seq-test")
         with pytest.raises(HandshakeError):
             host.connection(ConnectionId("connection-3"))
         with pytest.raises(ChannelError):

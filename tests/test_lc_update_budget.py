@@ -173,8 +173,8 @@ class RpcTap:
 
 class LoadedLink:
     """20 pps of counterparty sends over one link for ``seconds``, every
-    ``cover()`` of the guest's client and every read of the send queue
-    recorded."""
+    ``cover()`` of the guest's client and every send the relayer read
+    off a counterparty block recorded."""
 
     def __init__(self, dep, channels, seconds=90.0):
         self.dep = dep
@@ -186,9 +186,11 @@ class LoadedLink:
         #: One record per ``cover()`` call, in call order, and the
         #: queued ones again in the order an update released them.
         self.covers, self.released = [], []
-        #: (packet, height committed at, read at), in read order.
+        #: (packet, height committed at, read at, its block's cover
+        #: record), in read order.
         self.polled = []
-        cover, fresh_sends = strategy.cover, dep.relayer.b.fresh_sends
+        cover, relay_block = strategy.cover, dep.relayer._relay_block
+        end = dep.relayer.b
 
         def recording_cover(height, then, *failed):
             record = {"height": height, "at": dep.sim.now, "queued": False,
@@ -205,14 +207,18 @@ class LoadedLink:
             cover(height, release, *failed)
             record["queued"] = record["released_at"] is None
 
-        def recording_fresh_sends():
-            fresh = fresh_sends()
-            self.polled += [(packet, height, dep.sim.now)
-                            for packet, height in fresh]
-            return fresh
+        def recording_relay_block(src, height):
+            covered = len(self.covers)
+            owed = relay_block(src, height)
+            if src is end and self.covers[covered:]:
+                [record] = self.covers[covered:]
+                self.polled += [(write.packet, height, dep.sim.now, record)
+                                for write in end.ibc.writes[height]
+                                if write.kind == "send" and end.sends(write.packet)]
+            return owed
 
         strategy.cover = recording_cover
-        dep.relayer.b.fresh_sends = recording_fresh_sends
+        dep.relayer._relay_block = recording_relay_block
         self.engine = WorkloadEngine(dep, channels, WorkloadSpec(
             offered_pps=20.0, duration=seconds, drain_seconds=60.0))
         self.engine.start()
@@ -283,7 +289,7 @@ def test_a_packet_polled_during_the_hold_down_rides_the_next_update(loaded):
                 for _, buffer_id in loaded.results]
     assert all(result.success for result, _ in loaded.results)
     held = 0
-    for record in loaded.covers:
+    for *_, record in loaded.polled:
         assert record["queued"]
         # The first update to start once the waiter is queued (not one
         # whose hold-down ran out at the very instant of the waiter's
@@ -311,8 +317,10 @@ def test_wait_stage_reconciles_poll_to_delivery(loaded):
         assert wait == record["released_at"] - record["at"]
     deliveries = {span.key: span
                   for span in report.spans_named("packet.deliver_to_guest")}
-    assert len(loaded.polled) == len(loaded.covers) == 1_800
-    for (packet, height, polled_at), record in zip(loaded.polled, loaded.covers):
+    assert len(loaded.polled) == 1_800
+    assert {id(record) for *_, record in loaded.polled} == {
+        id(record) for record in loaded.covers}   # one cover per block
+    for packet, height, polled_at, record in loaded.polled:
         committed_at = dep.counterparty.blocks[height].header.time
         span = deliveries[packet.sequence]
         assert record["at"] == polled_at and span.start == record["released_at"]

@@ -4,18 +4,23 @@ A guest↔counterparty link and a guest↔guest link are the same
 :class:`~repro.relayer.relayer.Relayer` over different ends, so the same
 transfer script must end the same way over either:
 
-* a seeded differential — sends both ways, a relayer crash/restart
-  mid-flight, and (where the link relays timeouts) a send that expires
-  while the relayer is down — compares per-account balance deltas,
-  exactly-once receipt, cleared commitments and sealed acks;
+* a seeded differential — sends both ways, a relayer crash the instant
+  it hands an ack return to the chain (which lands while it is down),
+  and a send that expires while the relayer is down — compares
+  per-account balance deltas, exactly-once receipt, cleared
+  commitments, timeouts and sealed acks, and reads from the chains
+  that no ack an origin accepted is left unconfirmed;
 * the guest↔guest link inherits the submission pipeline's blackout
   deferral: host RPC blackouts landing on deliveries, ack returns,
   confirm-seals and preludes delay packets but lose nothing.
 """
 
+from typing import Optional
+
 import pytest
 
 from repro.chaos import ChaosInjector, FaultPlan
+from repro.counterparty.chain import CounterpartyConfig
 from repro.errors import HostUnavailableError
 from repro.fabric import (
     CounterpartySpec, GuestSpec, LinkSpec, TopologyConfig, build_fabric,
@@ -29,12 +34,13 @@ class LoneLink:
     """``g0`` linked to ``g1``, where ``g1`` is a second guest on the
     same host or an IBC-native counterparty."""
 
-    def __init__(self, kind: str, seed: int) -> None:
+    def __init__(self, kind: str, seed: int,
+                 cp_config: Optional[CounterpartyConfig] = None) -> None:
         self.kind = kind
         if kind == "guest-guest":
             guests, cps = (GuestSpec("g0"), GuestSpec("g1")), ()
         else:
-            guests, cps = (GuestSpec("g0"),), (CounterpartySpec("g1"),)
+            guests, cps = (GuestSpec("g0"),), (CounterpartySpec("g1", cp_config),)
         self.dep = build_fabric(TopologyConfig(
             guests=guests, counterparties=cps,
             links=(LinkSpec("g0", "g1"),), seed=seed, tracing=True))
@@ -129,25 +135,41 @@ class LoneLink:
 
 def run_script(kind: str, seed: int) -> LoneLink:
     world = LoneLink(kind, seed)
+    dep, relayer = world.dep, world.relayer
     world.at(5.0, world.send, "g0", 100)
     world.at(10.0, world.send, "g1", 70)
-    world.at(80.0, world.send, "g0", 30)
-    # The relayer dies with the third send in flight — committed, its
-    # block being signed or its delivery bundle on the wire — and stays
-    # down past the deadline of the send below.  The first two sends
-    # have settled by then: an ack *return* that lands while the relayer
-    # is down loses its seal with the dead incarnation on either link
-    # kind (a known gap, not what this test is about).
-    ChaosInjector(world.dep, FaultPlan(label="mid-flight").add(
-        "relayer_crash", at=86.0, duration=60.0)).arm()
-    world.at(100.0, world.send, "g1", 11)
-    if world.kind == "guest-guest":
-        # Expires while the relayer is down: cancelled and refunded
-        # after the restart.  (Timeouts toward a counterparty are not
-        # relayed, so the other kind never sends it: same deltas.)
-        world.at(100.0, world.send, "g0", 13, world.t0 + 120.0)
-    world.at(160.0, world.send, "g0", 5)
-    world.dep.run_for(800.0)
+    send = relayer._send
+
+    def crash_behind(dst, op):
+        """The relayer dies the instant it hands g1 the return of the
+        ack of g1's send: that return lands while it is down."""
+        send(dst, op)
+        if op.kind == "ack" and dst is relayer.b and not relayer.metrics.crashes:
+            dep.sim.schedule(0.0, crash)
+
+    def crash():
+        ChaosInjector(dep, FaultPlan(label="ack-in-flight").add(
+            "relayer_crash", at=0.0, duration=60.0)).arm()
+        world.send("g0", 30)          # committed while down
+        at = dep.sim.now
+        dep.sim.schedule(5.0, world.send, "g1", 11)
+        # Expires while the relayer is down, toward either end kind:
+        # cancelled and refunded after the restart.
+        dep.sim.schedule(5.0, world.send, "g0", 13, at + 25.0)
+        dep.sim.schedule(75.0, world.send, "g0", 5)
+
+    relayer._send = crash_behind
+    ibc = world.chain("g1").ibc
+    acknowledge = ibc.acknowledge_packet
+
+    def watched_acknowledge(*args, **kwargs):
+        done = acknowledge(*args, **kwargs)
+        world.acks_landed_while_down += relayer.paused
+        return done
+
+    world.acks_landed_while_down = 0
+    ibc.acknowledge_packet = watched_acknowledge
+    dep.run_for(900.0)
     return world
 
 
@@ -168,10 +190,42 @@ def test_same_script_same_outcome_over_both_link_kinds(seed):
         assert world.counters("g1").packets_received == 3
         assert world.counters("g0").packets_received == 2
         assert world.relayer.metrics.crashes == 1
+        assert world.acks_landed_while_down == 1   # the precondition
         world.assert_settled()
-    assert classic.counters("g0").packets_timed_out == 0
-    assert sibling.counters("g0").packets_timed_out == 1
-    assert sibling.relayer.metrics.timeouts_cancelled == 1
+        assert world.counters("g0").packets_timed_out == 1
+        assert world.relayer.metrics.timeouts_cancelled == 1
+        # No ack an origin accepted is left unconfirmed on its receiver,
+        # read from the chains: an accepted ack cleared its commitment.
+        for receiver, origin in ((world.relayer.a, world.relayer.b),
+                                 (world.relayer.b, world.relayer.a)):
+            for write in receiver.ibc.unconfirmed_acks():
+                assert origin.has_commitment(write.packet), (receiver.chain_id, write)
+
+
+def test_a_restart_past_the_counterparty_retention_times_out_what_expired():
+    """The counterparty keeps only its last few blocks
+    (``retain_blocks``), and the relayer is down for longer than they
+    span while a guest send to it expires.  The restart reads the clocks
+    of held blocks only: the oldest one held is the first known past the
+    deadline, and the send is timed out from there."""
+    world = LoneLink("guest-cp", seed=3, cp_config=CounterpartyConfig(retain_blocks=5))
+    chain = world.chain("g1")
+    ChaosInjector(world.dep, FaultPlan(label="long-outage").add(
+        "relayer_crash", at=5.0, duration=200.0)).arm()
+    world.at(10.0, world.send, "g0", 13, world.t0 + 40.0)
+    oldest_held = []
+    world.at(204.0, lambda: oldest_held.append(
+        chain.blocks[min(chain.blocks)].header.time))
+    world.dep.run_for(900.0)
+
+    assert world.relayer.metrics.crashes == 1
+    # The precondition: as the relayer restarts, every block the chain
+    # still holds is past the deadline.
+    assert oldest_held[0] > world.t0 + 40.0
+    assert world.counters("g0").packets_timed_out == 1
+    assert world.relayer.metrics.timeouts_cancelled == 1
+    assert world.bank("g0").balance(world.sender("g0"), "stone-g0") == 1_000
+    world.assert_settled()
 
 
 # ----------------------------------------------------------------------

@@ -103,14 +103,16 @@ class Traffic:
 
         #: (committed height, read by the relayer at), per send.
         self.handed: list[tuple[int, float]] = []
-        fresh_sends = dep.relayer.b.fresh_sends
+        relay_block, end = dep.relayer._relay_block, dep.relayer.b
 
-        def watched_fresh_sends():
-            fresh = fresh_sends()
-            self.handed += [(height, sim.now) for _, height in fresh]
-            return fresh
+        def watched_relay_block(src, height):
+            if src is end:
+                self.handed += [(height, sim.now)
+                                for write in end.ibc.writes.get(height, ())
+                                if write.kind == "send"]
+            return relay_block(src, height)
 
-        dep.relayer.b.fresh_sends = watched_fresh_sends
+        dep.relayer._relay_block = watched_relay_block
 
         #: buffer id -> [op, submitted at, receipt seen at, receipt].
         self.waves: dict[int, list[list]] = defaultdict(list)
@@ -330,29 +332,26 @@ def test_a_finalised_block_is_one_cover_with_something_due():
         covers[height].append(submitted - before - 1)
 
     chain.submit, relayer.b.updates.cover = counting_submit, watched_cover
-    #: sequence -> height of the block that commits the ack, until proven.
-    waiting: dict[int, int] = {}
-    #: Finalised heights at which every waiting ack named a later block.
+    #: Sequences of the guest's acks proven so far.
+    proven: set[int] = set()
+    #: Finalised heights at which every ack the guest wrote and the
+    #: relayer has not proven yet named a later block.
     ahead_of_acks: list[int] = []
-    ack_written, ack_op, take_waiters = (
-        relayer._ack_written, relayer._ack_op, guest.take_waiters)
+    prove, relay_block = relayer._prove, relayer._relay_block
 
-    def watched_ack_written(receiver, packet, ack, height):
-        if receiver is guest:
-            waiting[packet.sequence] = height
-        ack_written(receiver, packet, ack, height)
+    def watched_prove(src, kind, packet, height):
+        if src is guest and kind == "ack":
+            proven.add(packet.sequence)
+        return prove(src, kind, packet, height)
 
-    def watched_ack_op(receiver, packet, ack, height):
-        waiting.pop(packet.sequence, None)
-        return ack_op(receiver, packet, ack, height)
-
-    def watched_take_waiters(height):
-        if waiting and min(waiting.values()) > height:
+    def watched_relay_block(src, height):
+        waiting = [write.height for write in guest.ibc.written.values()
+                   if write.kind == "ack" and write.packet.sequence not in proven]
+        if src is guest and waiting and min(waiting) > height:
             ahead_of_acks.append(height)
-        return take_waiters(height)
+        return relay_block(src, height)
 
-    relayer._ack_written, relayer._ack_op = watched_ack_written, watched_ack_op
-    guest.take_waiters = watched_take_waiters
+    relayer._prove, relayer._relay_block = watched_prove, watched_relay_block
     guest_channel, cp_channel = dep.establish_link()
     deliver = guest.api.deliver_packet
 
@@ -436,9 +435,8 @@ def test_a_restart_is_one_cover_per_finalised_block_with_something_due():
     # Acks owed, by the height of the finalised block that commits them
     # (no guest send and no epoch end is owed besides).
     final = guest.latest_final()
-    owed = [guest.ack_height(packet)
-            for packet, _ in guest.ibc.written_acks.values()
-            if relayer.b.has_commitment(packet)]
+    owed = [write.height for write in guest.ibc.written.values()
+            if write.kind == "ack" and relayer.b.has_commitment(write.packet)]
     due = {height for height in owed if height <= final}
     # The precondition: acks owed in at least two finalised blocks, more
     # of them than blocks.
@@ -459,3 +457,116 @@ def test_a_restart_is_one_cover_per_finalised_block_with_something_due():
     assert finalised == {height: 1 for height in due}
     dep.run_for(600.0)
     assert chain.ibc.counters.packets_acknowledged == SENDS
+
+
+# ----------------------------------------------------------------------
+# (i) One intake per block, reading O(1) per write
+# ----------------------------------------------------------------------
+
+class IntakeAudit:
+    """Every intake call of every relayer of ``dep``: the block's IBC
+    writes, the peer sends its clock expires, and the chain reads it
+    made — commitment and receipt reads (``has_commitment``,
+    ``has_receipt``), plus one proof per datagram it found owed (an
+    upper bound: a datagram is proven at most once)."""
+
+    def __init__(self, dep, relayers, monkeypatch) -> None:
+        from repro.relayer.endpoint import _End
+        self.calls: list[tuple[int, int, int]] = []
+        probes = [0]
+        for name in ("has_commitment", "has_receipt"):
+            def counting(end, packet, read=getattr(_End, name)):
+                probes[0] += 1
+                return read(end, packet)
+
+            monkeypatch.setattr(_End, name, counting)
+        for relayer in relayers:
+            relay_block = relayer._relay_block
+
+            def audited(src, height, relayer=relayer, relay_block=relay_block):
+                dst = relayer.b if src is relayer.a else relayer.a
+                writes = len(src.ibc.writes.get(height, ()))
+                expiring = len(dst.ibc.expiring(src.time(height - 1),
+                                                src.time(height)))
+                before = probes[0]
+                owed = relay_block(src, height)
+                self.calls.append((writes, expiring, probes[0] - before + owed))
+                return owed
+
+            relayer._relay_block = audited
+
+    def check(self) -> None:
+        assert sum(writes for writes, _, _ in self.calls) > 100  # traffic ran
+        for writes, expiring, reads in self.calls:
+            # Two reads and a proof per write (a send's commitment and
+            # receipt, an ack's origin commitment), as many per expiring
+            # peer send: nothing scanned.
+            assert reads <= 3 * (writes + expiring), (writes, expiring, reads)
+
+
+def relayer_subscriptions(dep) -> set[str]:
+    return {name for name, observers in dep.host._subscribers.items()
+            for callback, _ in observers
+            if isinstance(getattr(callback, "__self__", None), Relayer)}
+
+
+def test_a_soaked_link_reads_per_write_and_gets_no_packet_events(monkeypatch):
+    """A ``link_soak``-shaped run: three channels of counterparty sends
+    at 20 pps into a batching relayer."""
+    from repro.experiments.throughput import build_linked_deployment
+    from repro.guest.config import GuestConfig
+    from repro.workload import WorkloadEngine, WorkloadSpec
+
+    dep, channels = build_linked_deployment(
+        29, GuestConfig(delta_seconds=120.0, min_stake_lamports=1), (32, 2.0), 3)
+    audit = IntakeAudit(dep, [dep.relayer], monkeypatch)
+    engine = WorkloadEngine(dep, channels, WorkloadSpec(
+        offered_pps=20.0, duration=60.0, drain_seconds=90.0))
+    engine.start()
+    dep.sim.run_until(engine.end_time)
+    assert engine.delivered == engine.sent == 1_200
+    audit.check()
+    assert relayer_subscriptions(dep) == {"FinalisedBlock", "HandshakeStep"}
+
+
+def test_a_fabric_reads_per_write_and_gets_no_packet_events(monkeypatch):
+    """A fabric-shaped run: two guests linked to one counterparty and to
+    each other, sends every way, several relayers on one host."""
+    from repro.fabric import (
+        CounterpartySpec, GuestSpec, LinkSpec, TopologyConfig, build_fabric,
+    )
+    from repro.ibc.identifiers import ChannelId, PortId
+
+    dep = build_fabric(TopologyConfig(
+        guests=(GuestSpec("g0"), GuestSpec("g1")),
+        counterparties=(CounterpartySpec("hub"),),
+        links=(LinkSpec("g0", "hub"), LinkSpec("g1", "hub"),
+               LinkSpec("g0", "g1")), seed=7))
+    audit = IntakeAudit(dep, [link.relayer for link in dep.links], monkeypatch)
+    hub, port = dep.counterparties["hub"], PortId("transfer")
+    hub.bank.mint("hub-user", "uatom", 10_000)
+    for name in ("g0", "g1"):
+        dep.guests[name].contract.bank.mint(str(dep.user[name]), name, 10_000)
+
+    def send(src, dst):
+        link = dep.link_between(src, dst)
+        channel = ChannelId(link.channels[src])
+        if src == "hub":
+            hub.submit(lambda: hub.ibc.send_packet(port, channel, hub.transfer.make_payload(
+                channel, "uatom", 1, "hub-user", f"{dst}-hodler"), 0.0))
+            return
+        contract = dep.guests[src].contract
+        payload = contract.transfer.make_payload(
+            channel, src, 1, str(dep.user[src]), f"{dst}-hodler")
+        dep.user_api[src].send_packet(str(port), str(channel), payload)
+
+    routes = [("hub", "g0"), ("hub", "g1"), ("g0", "hub"), ("g1", "hub"),
+              ("g0", "g1"), ("g1", "g0")]
+    for index in range(60):
+        dep.sim.schedule(1.0 + index, send, *routes[index % len(routes)])
+    dep.run_for(600.0)
+    for name in ("g0", "g1"):
+        assert dep.guests[name].contract.ibc.counters.packets_acknowledged == 20
+    assert hub.ibc.counters.packets_acknowledged == 20
+    audit.check()
+    assert relayer_subscriptions(dep) == {"FinalisedBlock", "HandshakeStep"}

@@ -32,12 +32,11 @@ from repro.guest import instructions as ins
 from repro.guest.api import Batch, BatchOp
 from repro.guest.config import GuestConfig
 from repro.ibc import commitment as paths
-from repro.ibc.host import IbcHost
 from repro.trie.nibbles import encode_nibbles
 from repro.trie.proof import MembershipWitness
 from repro.validators.profiles import simple_profiles
 
-from tests.helpers import batch_bundle_payload
+from tests.helpers import bare_host, batch_bundle_payload
 from tests.test_ibc_core import Link
 
 
@@ -245,7 +244,7 @@ def packing_dep():
 def _proof_factory():
     """An IbcHost with a deep store: its proofs are large enough that a
     batch of them cannot ride inline and must be chunk-staged."""
-    host = IbcHost("proof-mill")
+    host = bare_host("proof-mill")
     for index in range(2_000):
         key = hashlib.sha256(b"mill" + index.to_bytes(8, "big")).digest()
         host.store.trie.set(key, key)
@@ -292,7 +291,7 @@ class TestDeliverBatchPacking:
         """A payload that fits rides whole in the single BATCH_EXEC
         transaction — no staging traffic at all."""
         api = packing_dep.relayer_api
-        ops = _ops_over(IbcHost("tiny"), 3, b"tiny")
+        ops = _ops_over(bare_host("tiny"), 3, b"tiny")
         captured = _capture_bundle(monkeypatch, api)
         api.deliver_batch(ops)
         transactions = captured["transactions"]
@@ -765,7 +764,9 @@ def test_batched_fabric_carries_acks_and_timeouts_as_entries():
         assert all(result.success for result in
                    metrics.deliveries + metrics.acks_returned)
         for end in (link.relayer.a, link.relayer.b):
-            assert not getattr(end, "outstanding", None)
+            # No send of the link is still committed on either chain.
+            assert not [write for write in end.ibc.standing.values()
+                        if end.sends(write.packet)]
     assert sibling.relayer.metrics.timeouts_cancelled > 10
     assert sum(event.payload["ok"] for event in batches) > 400
     assert sum(len(event.payload["failures"]) for event in batches) > 10

@@ -18,6 +18,7 @@ from repro import Deployment, DeploymentConfig
 from repro.chaos import ChaosInjector, FaultPlan
 from repro.fabric.conservation import ConservationChecker
 from repro.guest import instructions as ins
+from repro.guest.api import BatchOp
 from repro.guest.config import GuestConfig
 from repro.relayer.relayer import RelayerConfig
 from repro.validators.profiles import simple_profiles
@@ -236,10 +237,10 @@ class TestCrashRestart:
         """The guest writes an ack in a host slot where a guest block was
         already cut (a GENERATE_BLOCK of the test's own leads the
         delivery bundle), so the block that commits it is the next one.
-        The relayer crashes with the ack parked in the guest end's wait
-        list and restarts: it finds the committing block as the lowest
-        whose state view holds the ack, returns it once, proven there,
-        and no token is minted or lost on the way."""
+        The relayer crashes with the ack written and its block not yet
+        finalised, and restarts: the guest's write index names the
+        committing block, the ack returns once, proven there, and no
+        token is minted or lost on the way."""
         dep = make_dep(279)
         guest_chan, cp_chan = dep.establish_link()
         dep.counterparty.bank.mint("carol", "PICA", 1_000)
@@ -262,7 +263,7 @@ class TestCrashRestart:
                     prelude=(ins.generate_block(),) + tuple(prelude), **kwargs)
 
         def crash_once_parked():
-            if not guest.waiters:  # the event path has not parked it yet
+            if ("ack", str(guest_chan), 0) not in contract.ibc.written:
                 dep.sim.schedule(0.1, crash_once_parked)
                 return
             dep.relayer.crash()
@@ -288,7 +289,9 @@ class TestCrashRestart:
         # The precondition: a block was cut ahead of the ack in its slot.
         assert contract.block_at(height - 1).header.host_slot == slot
         assert proven_at == [height]
-        assert dep.trace_report().counters.get("relay.recovered") == 1
+        # Its block was not final at the restart, so the restart owed
+        # nothing: the block's own intake returned it.
+        assert dep.trace_report().counters.get("relay.recovered", 0) == 0
         assert dep.counterparty.ibc.counters.packets_acknowledged == 1
         voucher = contract.transfer.voucher_denom(guest_chan, "PICA")
         assert contract.bank.balance("dave", voucher) == 50
@@ -312,17 +315,18 @@ class TestCrashRestart:
         relayer, guest = dep.relayer, dep.relayer.a
         proven: list[int] = []
         submitted: list[int] = []
-        ack_op, acknowledge = relayer._ack_op, dep.counterparty.ibc.acknowledge_packet
+        proof_of, acknowledge = relayer._prove, dep.counterparty.ibc.acknowledge_packet
 
-        def prove(receiver, packet, ack, height):
-            proven.append(packet.sequence)
-            return ack_op(receiver, packet, ack, height)
+        def prove(src, kind, packet, height):
+            if kind == "ack":
+                proven.append(packet.sequence)
+            return proof_of(src, kind, packet, height)
 
         def submit(packet, ack, proof, proof_height):
             submitted.append(packet.sequence)
             return acknowledge(packet, ack, proof, proof_height)
 
-        relayer._ack_op, dep.counterparty.ibc.acknowledge_packet = prove, submit
+        relayer._prove, dep.counterparty.ibc.acknowledge_packet = prove, submit
         deliver = guest.api.deliver_packet
 
         def crash_behind(*args, **kwargs):
@@ -344,10 +348,8 @@ class TestCrashRestart:
         # The precondition: acks written while down, some of them in a
         # block finalised before the restart.
         assert written_while_down
-        packets = {packet.sequence: packet
-                   for packet, _ in guest.ibc.written_acks.values()}
-        assert any(guest.ack_height(packets[sequence]) <= guest.latest_final()
-                   for sequence in written_while_down)
+        assert any(guest.ibc.written[("ack", str(guest_chan), sequence)].height
+                   <= guest.latest_final() for sequence in written_while_down)
 
         relayer.restart()
         dep.run_for(900.0)
@@ -460,7 +462,10 @@ class TestRefusedHeaderPush:
         (height, packet), = [
             (block.height, packet) for block in dep.contract.blocks
             for packet in dep.contract.packets_in_block(block.height)]
-        dep.relayer._deliver(dep.relayer.a, dep.relayer.b, packet, height)
+        relayer = dep.relayer
+        relayer._send(relayer.b, BatchOp(
+            kind="recv", packet=packet, proof_height=height,
+            proof=relayer._prove(relayer.a, "recv", packet, height)))
         dep.run_for(30.0)
         assert counter("relay.duplicate_deliveries") == 1
         assert counter("relay.deliveries.refused") == 1

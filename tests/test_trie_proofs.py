@@ -498,9 +498,37 @@ def _wires(trie: SealableTrie):
     return proven
 
 
+def _padded_wire(item, which: int, groups: int) -> bytes:
+    """``item``'s wire with its ``which``-th varint (modulo how many it
+    writes) padded by ``groups`` zero groups: the same value, another
+    byte string."""
+    import repro.trie.proof as proof_module
+    write_varint, calls = proof_module.write_varint, []
+
+    def padding_write_varint(out, value):
+        start = len(out)
+        write_varint(out, value)
+        calls.append(None)
+        if len(calls) - 1 == which:
+            out[-1] |= 0x80
+            out += b"\x80" * (groups - 1) + b"\x00"
+            assert len(out) > start + 1
+
+    try:
+        proof_module.write_varint = lambda out, value: (
+            write_varint(out, value), calls.append(None))
+        item.to_bytes()
+        which %= len(calls)
+        calls.clear()
+        proof_module.write_varint = padding_write_varint
+        return item.to_bytes()
+    finally:
+        proof_module.write_varint = write_varint
+
+
 @settings(max_examples=200, deadline=None)
-@given(_store_ops)
-def test_every_accepted_wire_re_encodes_to_itself(ops):
+@given(_store_ops, st.integers(0, 1 << 10), st.integers(1, 3))
+def test_every_accepted_wire_re_encodes_to_itself(ops, which, groups):
     trie = _trie_after(ops)
     for cls, item in _wires(trie):
         wire = item.to_bytes()
@@ -510,6 +538,39 @@ def test_every_accepted_wire_re_encodes_to_itself(ops):
             assert decoded.node == item.node and decoded.root == trie.root_hash
         else:
             assert decoded == item
+        # One wire form per proof: a varint padded with zero groups
+        # (``0x81 0x00`` for 1) is refused, not read as its value.
+        with pytest.raises((ProofError, ValueError)):
+            cls.from_bytes(_padded_wire(item, which, groups))
+
+
+@pytest.mark.parametrize("flag", [b"\x02", b"\x7f", b"\x81\x00"])
+def test_an_optional_value_flag_other_than_0_or_1_is_refused(flag):
+    """A branch step's value flag is 0 (no value) or 1 (a value
+    follows).  A value behind any other flag, or behind a padded 1, is
+    refused: read as the same proof, it would be a second wire form."""
+    import repro.trie.proof as proof_module
+    from repro.encoding import write_bytes
+    trie = SealableTrie()
+    for key, value in ((b"\x12", b"branch"), (b"\x12\x34", b"v"), (b"\x12\x56", b"w")):
+        trie.set(key, value)
+    write_optional = proof_module._write_optional_value
+
+    def bad_flag(out, value):
+        if value is None:
+            write_optional(out, value)
+        else:
+            out += flag
+            write_bytes(out, value)
+
+    try:
+        proof_module._write_optional_value = bad_flag
+        wire = trie.prove(b"\x12\x34").to_bytes()
+    finally:
+        proof_module._write_optional_value = write_optional
+    assert wire != trie.prove(b"\x12\x34").to_bytes()
+    with pytest.raises((ProofError, ValueError)):
+        MembershipProof.from_bytes(wire)
 
 
 _EVIDENCE_CASES = {
