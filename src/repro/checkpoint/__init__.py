@@ -10,7 +10,6 @@ the sharded cluster runner (:mod:`repro.cluster`) trustworthy.
 
 from repro.checkpoint.codec import (
     CODEC_VERSION,
-    PYTHON_TAG,
     CheckpointError,
     dumps_world,
     loads_world,
@@ -34,7 +33,6 @@ from repro.checkpoint.snapshot import (
 
 __all__ = [
     "CODEC_VERSION",
-    "PYTHON_TAG",
     "SCHEMA_VERSION",
     "Checkpoint",
     "CheckpointError",

@@ -93,23 +93,28 @@ def _fingerprint(deployment, engine: WorkloadEngine) -> dict[str, Any]:
     }
 
 
-def _diff(a: dict[str, Any], b: dict[str, Any], prefix: str = "") -> list[str]:
+def diff_fingerprints(a: dict[str, Any], b: dict[str, Any],
+                      prefix: str = "") -> list[str]:
+    """Every field that differs between two fingerprints."""
     keys = sorted(set(a) | set(b))
     problems = []
     for key in keys:
         left, right = a.get(key), b.get(key)
         if isinstance(left, dict) and isinstance(right, dict):
-            problems.extend(_diff(left, right, f"{prefix}{key}."))
+            problems.extend(diff_fingerprints(left, right, f"{prefix}{key}."))
         elif left != right:
             problems.append(f"{prefix}{key}: {left!r} != {right!r}")
     return problems
 
 
-def run_replay_audit(config: ReplayAuditConfig = ReplayAuditConfig()) -> dict[str, Any]:
-    """Snapshot → straight-through vs. restore → replay; compare.
+def audit_checkpoint(config: ReplayAuditConfig = ReplayAuditConfig()
+                     ) -> tuple[Checkpoint, dict[str, Any]]:
+    """Run the workload to the snapshot point, checkpoint it, and let
+    the original world run straight through to the finish line.
 
-    Returns a JSON-ready record; ``record["match"]`` is the verdict and
-    ``record["divergences"]`` names every field that differed.
+    Returns the checkpoint (round-tripped through its binary container,
+    so the audit covers the file format too) and the straight-through
+    fingerprint a replay of it must reproduce.
     """
     # The workload is a throughput point: every audit field but the
     # snapshot position is one of its fields, by name.
@@ -129,34 +134,39 @@ def run_replay_audit(config: ReplayAuditConfig = ReplayAuditConfig()) -> dict[st
                 f"before the requested snapshot point "
                 f"{config.snapshot_after_events}"
             )
-    snapshot_events = sim.dispatched_events()
-
-    # Round-trip the checkpoint through its binary container so the
-    # audit also covers the file format, not just the in-memory path.
     checkpoint = Checkpoint.from_bytes(
         snapshot_world(
             deployment, extras={"engine": engine},
             label=f"replay-audit-seed-{config.seed}",
         ).to_bytes()
     )
-
-    # Straight-through: the original world runs to the finish line.
     sim.run_until(end_time)
-    straight = _fingerprint(deployment, engine)
+    return checkpoint, _fingerprint(deployment, engine)
 
-    # Replay: restore the snapshot (manifest-audited) and run the same
-    # simulated interval on the reconstructed world.
+
+def replay_checkpoint(checkpoint: Checkpoint) -> dict[str, Any]:
+    """Restore an audit checkpoint (manifest-audited) and run the same
+    simulated interval on the reconstructed world; its fingerprint."""
     restored, extras = restore_world(checkpoint)
-    restored.sim.run_until(end_time)
-    replayed = _fingerprint(restored, extras["engine"])
+    engine = extras["engine"]
+    restored.sim.run_until(engine.end_time)
+    return _fingerprint(restored, engine)
 
-    divergences = _diff(straight, replayed)
-    events_replayed = straight["events_dispatched"] - snapshot_events
+
+def run_replay_audit(config: ReplayAuditConfig = ReplayAuditConfig()) -> dict[str, Any]:
+    """Snapshot → straight-through vs. restore → replay; compare.
+
+    Returns a JSON-ready record; ``record["match"]`` is the verdict and
+    ``record["divergences"]`` names every field that differed.
+    """
+    checkpoint, straight = audit_checkpoint(config)
+    divergences = diff_fingerprints(straight, replay_checkpoint(checkpoint))
+    snapshot_events = checkpoint.manifest.events_dispatched
     return {
         "config": asdict(config),
         "snapshot_events": snapshot_events,
         "events_total": straight["events_dispatched"],
-        "events_replayed": events_replayed,
+        "events_replayed": straight["events_dispatched"] - snapshot_events,
         "checkpoint_bytes": len(checkpoint.payload),
         "manifest": checkpoint.manifest.to_json(),
         "match": not divergences,

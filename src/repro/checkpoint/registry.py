@@ -1,22 +1,21 @@
-"""Registry of schedulable actors: the checkpointability contract.
+"""Registry of schedulable actors: the checkpointability rule.
 
-A snapshot can only re-bind what it can name.  Every callback sitting
-in the event queue (or buried in an actor's work queue) must therefore
-be *owned* by code the registry knows how to find again at restore
-time:
+A snapshot can only re-bind what it can name, so every continuation in
+the event queue must be one of:
 
 * a **bound method** of a registered actor class (the normal case —
-  ``relayer._poll_counterparty``, ``chain._produce_block``, …);
-* a **function or closure defined in a registered module** — closures
-  ship their own code, but their globals are re-bound against the
-  module, so the module must be importable and registered;
-* a **builtin method of a plain container** (``fired.append``) — these
-  carry no code at all.
+  ``relayer._watchdog``, ``chain._produce_block``, …);
+* a **module-level function** of a registered module, which pickle
+  saves by its qualified name;
+* a ``functools.partial`` of either, judged by its ``.func`` (its
+  arguments are plain data, which the codec checks as it pickles them);
+* a **builtin method of a plain container** (``fired.append``).
 
-Anything else — a closure minted in an unregistered module (say, an ad
-hoc test file that will not exist at restore time) — fails validation
-*at snapshot time* with an error naming the callback, instead of
-producing a checkpoint that cannot be restored.
+A closure or a lambda is refused wherever it was defined: it has no
+name to be found by at restore time.  The refusal comes at snapshot
+time, with an error naming the callback, instead of as a checkpoint
+that cannot be restored; a closure held anywhere else in the world
+fails the codec's pickling with its qualified name.
 
 All ``repro.*`` modules are registered by default, so every in-tree
 actor is checkpointable out of the box.  Embedders add their own actor
@@ -26,12 +25,14 @@ classes with :func:`register_actor` (or whole namespaces with
 
 from __future__ import annotations
 
+import functools
+import sys
 import types
 from typing import Any, Callable, Iterable
 
 from repro.checkpoint.codec import CheckpointError
 
-#: Module-name prefixes whose functions/closures are checkpoint-safe.
+#: Module-name prefixes whose functions and classes are checkpoint-safe.
 _NAMESPACES: set[str] = {"repro"}
 
 #: Explicitly registered actor classes (beyond the namespace rule).
@@ -61,8 +62,19 @@ def _module_registered(module_name: str) -> bool:
     return head in _NAMESPACES or module_name in _NAMESPACES
 
 
+def _is_module_level(function: types.FunctionType) -> bool:
+    """True when pickle's save-by-name would find ``function`` again."""
+    module = sys.modules.get(function.__module__ or "")
+    obj: Any = module
+    for part in function.__qualname__.split("."):
+        obj = getattr(obj, part, None)
+    return obj is function
+
+
 def _owner_of(callback: Callable[..., Any]):
     """(kind, detail) classification of a scheduled callback."""
+    while isinstance(callback, functools.partial):
+        callback = callback.func
     if isinstance(callback, types.MethodType):
         owner = type(callback.__self__)
         if owner in _ACTOR_CLASSES or _module_registered(owner.__module__):
@@ -74,6 +86,12 @@ def _owner_of(callback: Callable[..., Any]):
     if isinstance(callback, types.BuiltinMethodType):
         return "ok", None  # e.g. list.append of a plain container
     if isinstance(callback, types.FunctionType):
+        if not _is_module_level(callback):
+            return "closure", (
+                f"closure {callback.__qualname__} (module "
+                f"{callback.__module__!r}) has no name to restore by: "
+                "schedule a bound method or a partial instead"
+            )
         if _module_registered(callback.__module__ or ""):
             return "ok", None
         return "unregistered-module", (

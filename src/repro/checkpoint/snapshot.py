@@ -2,12 +2,12 @@
 
 A checkpoint is two parts:
 
-* a JSON **manifest** — schema version, interpreter tag, the deployment
+* a JSON **manifest** — schema and codec versions, the deployment
   seed and a fingerprint of its config, the simulation clock and event
   counters, and the store **root hashes** of every chain at snapshot
   time;
 * the **payload** — the full object graph (deployment plus any extras
-  such as a workload engine), serialized by the closure-aware codec.
+  such as a workload engine), pickled by :mod:`repro.checkpoint.codec`.
 
 Restoring re-derives the roots and counters from the reconstructed
 world and refuses to hand it back if anything disagrees with the
@@ -29,7 +29,6 @@ from typing import Any, Optional
 
 from repro.checkpoint.codec import (
     CODEC_VERSION,
-    PYTHON_TAG,
     CheckpointError,
     dumps_world,
     loads_world,
@@ -38,7 +37,8 @@ from repro.checkpoint.registry import validate_event_queue
 from repro.ids import mint_states, rewind_mints
 
 #: Bump on any manifest/layout change; loaders reject unknown versions.
-SCHEMA_VERSION = 1
+#: 2: the manifest carries no interpreter tag.
+SCHEMA_VERSION = 2
 
 _MAGIC = b"RPCK"
 #: magic | u8 schema | u32 manifest length
@@ -56,11 +56,17 @@ def config_fingerprint(config: Any) -> str:
 
 
 def world_roots(deployment) -> dict[str, str]:
-    """The commitment roots that pin a world's state."""
-    return {
-        "guest_store": bytes(deployment.contract.store.root_hash).hex(),
-        "counterparty_store": bytes(deployment.counterparty.ibc.store.root_hash).hex(),
-    }
+    """The commitment roots that pin a world's state: the guest's and
+    the counterparty's store, or a fabric's every chain's by name."""
+    if hasattr(deployment, "guests"):
+        stores = {name: guest.contract.store
+                  for name, guest in deployment.guests.items()}
+        stores.update({name: cp.ibc.store
+                       for name, cp in deployment.counterparties.items()})
+    else:
+        stores = {"guest_store": deployment.contract.store,
+                  "counterparty_store": deployment.counterparty.ibc.store}
+    return {name: bytes(store.root_hash).hex() for name, store in stores.items()}
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,6 @@ class CheckpointManifest:
 
     schema_version: int
     codec_version: int
-    python_tag: str
     label: str
     seed: int
     config_hash: str
@@ -180,7 +185,6 @@ def snapshot_world(deployment, extras: Optional[dict[str, Any]] = None,
     manifest = CheckpointManifest(
         schema_version=SCHEMA_VERSION,
         codec_version=CODEC_VERSION,
-        python_tag=PYTHON_TAG,
         label=label,
         seed=deployment.config.seed,
         config_hash=config_fingerprint(deployment.config),
@@ -212,7 +216,7 @@ def restore_world(checkpoint: Checkpoint, audit: bool = True):
             f"build reads codec {CODEC_VERSION} (docs/CHECKPOINT.md, "
             "versioning rules)"
         )
-    graph = loads_world(checkpoint.payload, python_tag=manifest.python_tag)
+    graph = loads_world(checkpoint.payload)
     deployment = graph["deployment"]
     extras = graph["extras"]
     # Rewind the process-global id mints to their snapshot positions so

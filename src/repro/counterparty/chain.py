@@ -23,7 +23,7 @@ from repro.crypto.keys import Keypair, PublicKey, SignatureScheme
 from repro.errors import ReproError
 from repro.ibc.apps.transfer import Bank, TransferApp
 from repro.ibc.host import IbcHost
-from repro.ibc.identifiers import PortId
+from repro.ibc.identifiers import ChannelId, PortId
 from repro.lightclient.tendermint import (
     CometHeader,
     Commit,
@@ -121,8 +121,7 @@ class CounterpartyChain:
         if self.config.store_preload_entries:
             self._preload_store(self.config.store_preload_entries)
         self._producing = False
-        self.ibc.on_send = lambda packet: self.sent_packets.append(
-            (packet, self._write_height()))
+        self.ibc.on_send = self._record_send
 
         sim.schedule(self.config.block_seconds, self._produce_block)
 
@@ -215,6 +214,9 @@ class CounterpartyChain:
     def _now(self) -> float:
         return self.sim.now
 
+    def _record_send(self, packet) -> None:
+        self.sent_packets.append((packet, self._write_height()))
+
     def _write_height(self) -> int:
         """Writes inside block execution commit at the current height;
         direct writes land in the next produced block."""
@@ -248,6 +250,18 @@ class CounterpartyChain:
         use the height to know from when the result becomes provable.
         """
         self._pending_calls.append((fn, on_result))
+
+    def send_transfer(self, channel: ChannelId, denom: str, amount: int,
+                      sender: str, receiver: str,
+                      timeout_timestamp: float = 0.0,
+                      port: Optional[PortId] = None):
+        """Send an ICS-20 transfer from this chain: escrow (or burn) and
+        commit the packet; returns it.  Queued with :meth:`submit`, this
+        is a user's transfer landing in the next block."""
+        payload = self.transfer.make_payload(channel, denom, amount,
+                                             sender, receiver)
+        return self.ibc.send_packet(port or self.transfer_port, channel,
+                                    payload, timeout_timestamp)
 
     def light_client_update(self, height: Optional[int] = None) -> LightClientUpdate:
         """The update a relayer ships to the guest for ``height``."""

@@ -14,6 +14,7 @@ Tests, examples and every experiment build on this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 from repro.counterparty.chain import CounterpartyChain, CounterpartyConfig
@@ -126,9 +127,8 @@ def provision_guest(sim: Simulation, host: HostChain, scheme: SignatureScheme,
             contract.staking.bond(keypair.public_key, profile.stake)
             genesis_bonded += profile.stake
         else:
-            def stake_later(api=api, keypair=keypair, profile=profile):
-                api.stake(keypair.public_key, profile.stake)
-            sim.schedule(node.join_time, stake_later)
+            sim.schedule(node.join_time, api.stake, keypair.public_key,
+                         profile.stake)
             host.airdrop(payer, profile.stake)
     # Genesis bonds never passed through STAKE transactions, so fund
     # the treasury directly to keep withdrawals solvent.
@@ -220,38 +220,44 @@ def open_transfer_links(sim: Simulation, links: Sequence[tuple[Relayer, str]],
     ``establish_all`` its N-element call.
     """
     opened: dict[int, OpenedLink] = {}
-
-    def name(relayer: Relayer) -> str:
-        return f"{relayer.a.chain_id}-{relayer.b.chain_id}"
-
-    def start(index: int, relayer: Relayer, port: str) -> None:
-        sim.trace.begin("fabric.establish", key=name(relayer))
-
-        def channel_open(a_chan: ChannelId, b_chan: ChannelId) -> None:
-            sim.trace.finish("fabric.establish", key=name(relayer))
-            opened[index] = OpenedLink(a_chan, b_chan, sim.now)
-
-        def open_channel() -> None:
-            relayer.open_channel(PortId(port), PortId(port), channel_open)
-
+    for index, (relayer, port) in enumerate(links):
+        sim.trace.begin("fabric.establish", key=_link_name(relayer))
+        open_channel = partial(_open_channel, opened, index, relayer, port)
         if relayer.a.connection_id is None:
-            relayer.open_connection(lambda a_conn, b_conn: open_channel())
+            relayer.open_connection(open_channel)
         else:
             open_channel()
-
-    for index, (relayer, port) in enumerate(links):
-        start(index, relayer, port)
     deadline = sim.now + max_seconds
     while len(opened) < len(links):
         if sim.now >= deadline or not sim.step():
             pending = ", ".join(
-                f"{name(relayer)} (waiting on {handshake_step(relayer, port)})"
+                f"{_link_name(relayer)} "
+                f"(waiting on {handshake_step(relayer, port)})"
                 for index, (relayer, port) in enumerate(links)
                 if index not in opened)
             raise SimulationError(
                 f"link establishment incomplete after {sim.now:.0f} s: "
                 f"{pending}")
     return [opened[index] for index in range(len(links))]
+
+
+def _link_name(relayer: Relayer) -> str:
+    return f"{relayer.a.chain_id}-{relayer.b.chain_id}"
+
+
+def _open_channel(opened: dict[int, OpenedLink], index: int,
+                  relayer: Relayer, port: str, *_connections) -> None:
+    """Link ``index``'s connection is open (``_connections``, when given,
+    are its ids on the two ends): open its channel."""
+    relayer.open_channel(PortId(port), PortId(port),
+                         partial(_channel_open, opened, index, relayer))
+
+
+def _channel_open(opened: dict[int, OpenedLink], index: int,
+                  relayer: Relayer, a_chan: ChannelId, b_chan: ChannelId) -> None:
+    sim = relayer.sim
+    sim.trace.finish("fabric.establish", key=_link_name(relayer))
+    opened[index] = OpenedLink(a_chan, b_chan, sim.now)
 
 
 def validator_keypair(validators: list[ValidatorNode], index: int) -> Keypair:

@@ -12,6 +12,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from typing import Optional
 
@@ -24,6 +25,7 @@ from repro.host.fees import (
     SEND_PRIORITY_CU_PRICE,
     BaseFee,
     BundleFee,
+    FeeStrategy,
     PriorityFee,
 )
 from repro.host.transaction import Instruction, Transaction
@@ -67,14 +69,8 @@ def delta_sweep(deltas: tuple[float, ...] = (600.0, 1_800.0, 3_600.0, 7_200.0),
         channel, _ = dep.establish_link()
         dep.contract.bank.mint("alice", "GUEST", 10 ** 12)
         rng = dep.sim.rng.fork("delta-sweep")
-
-        def send(dep=dep, channel=channel, rng=rng):
-            payload = dep.contract.transfer.make_payload(channel, "GUEST", 1, "alice", "bob")
-            dep.user_api.send_packet("transfer", str(channel), payload)
-            if dep.sim.now + 1 < duration:
-                dep.sim.schedule(rng.expovariate(1.0 / send_mean_gap), send)
-
-        dep.sim.schedule(rng.expovariate(1.0 / send_mean_gap), send)
+        dep.sim.schedule(rng.expovariate(1.0 / send_mean_gap), _send_one_guest,
+                         dep, channel, rng, duration, send_mean_gap)
         dep.sim.run_until(duration)
 
         blocks = dep.contract.blocks
@@ -91,6 +87,35 @@ def delta_sweep(deltas: tuple[float, ...] = (600.0, 1_800.0, 3_600.0, 7_200.0),
             mean_interval=sum(intervals) / max(1, len(intervals)),
         ))
     return points
+
+
+def _send_one_guest(dep: Deployment, channel, rng, duration: float,
+                    mean_gap: float) -> None:
+    """One user send on the guest, then the next after a Poisson gap
+    while the run lasts."""
+    payload = dep.contract.transfer.make_payload(channel, "GUEST", 1, "alice", "bob")
+    dep.user_api.send_packet("transfer", str(channel), payload)
+    if dep.sim.now + 1 < duration:
+        dep.sim.schedule(rng.expovariate(1.0 / mean_gap), _send_one_guest,
+                         dep, channel, rng, duration, mean_gap)
+
+
+def _submit_probe(chain: HostChain, payer: Address, sink: Address,
+                  strategy: FeeStrategy, landed: list[tuple[float, int]]) -> None:
+    """One transaction to the sink program under ``strategy``; its
+    latency from now and its fee join ``landed``."""
+    tx = Transaction(
+        payer=payer,
+        instructions=(Instruction(sink, (), b"x"),),
+        fee_strategy=strategy,
+        compute_budget=MAX_COMPUTE_UNITS,
+    )
+    chain.submit(tx, on_result=partial(_probe_landed, landed, chain.sim.now))
+
+
+def _probe_landed(landed: list[tuple[float, int]], submitted: float,
+                  receipt) -> None:
+    landed.append((receipt.time - submitted, receipt.fee_paid))
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +159,8 @@ def fee_strategy_tradeoff(congestion: float = 0.7, samples: int = 150,
     for index in range(samples):
         submit_time = index * 20.0
         for name, strategy in strategies:
-            def submit(name=name, strategy=strategy, t0=submit_time):
-                tx = Transaction(
-                    payer=payer,
-                    instructions=(Instruction(sink, (), b"x"),),
-                    fee_strategy=strategy,
-                    compute_budget=MAX_COMPUTE_UNITS,
-                )
-                chain.submit(tx, on_result=lambda r, t0=t0, name=name:
-                             observations[name].append((r.time - t0, r.fee_paid)))
-            sim.schedule_at(submit_time, submit)
+            sim.schedule_at(submit_time, _submit_probe, chain, payer, sink,
+                            strategy, observations[name])
     sim.run_until(samples * 20.0 + 300.0)
 
     points = []
@@ -201,22 +218,14 @@ def adaptive_fee_comparison(congestion_levels: tuple[float, ...] = (0.1, 0.4, 0.
 
         chain.deploy(Sink())
         fixed = PriorityFee(compute_unit_price=SEND_PRIORITY_CU_PRICE)
-        adaptive = AdaptiveFee(lambda: chain.congestion_at(sim.now))
+        adaptive = AdaptiveFee(chain.congestion_now)
         observations: dict[str, list[tuple[float, int]]] = {"fixed": [], "adaptive": []}
 
         for index in range(samples):
             submit_time = index * 15.0
             for name, strategy in (("fixed", fixed), ("adaptive", adaptive)):
-                def submit(name=name, strategy=strategy, t0=submit_time):
-                    tx = Transaction(
-                        payer=payer,
-                        instructions=(Instruction(sink, (), b"x"),),
-                        fee_strategy=strategy,
-                        compute_budget=MAX_COMPUTE_UNITS,
-                    )
-                    chain.submit(tx, on_result=lambda r, t0=t0, name=name:
-                                 observations[name].append((r.time - t0, r.fee_paid)))
-                sim.schedule_at(submit_time, submit)
+                sim.schedule_at(submit_time, _submit_probe, chain, payer, sink,
+                                strategy, observations[name])
         sim.run_until(samples * 15.0 + 120.0)
 
         fixed_lat = summarize([l for l, _ in observations["fixed"]])

@@ -17,6 +17,7 @@ run tractable.  Pass a longer ``duration`` for closer absolute counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.counterparty.chain import CounterpartyConfig
@@ -182,13 +183,7 @@ class EvaluationRun:
         strategy = "priority" if self._rng.bernoulli(PRIORITY_SHARE) else "bundle"
         record = SendRecord(sequence=-1, strategy=strategy)
         self._send_queue.append(record)
-
-        def on_receipt(receipt: TxReceipt, record=record, strategy=strategy) -> None:
-            if receipt.success:
-                record.fee_paid = receipt.fee_paid
-                # Fig. 3's two fee clusters, as trace histograms.
-                dep.sim.trace.observe(f"send.fee.{strategy}", receipt.fee_paid)
-
+        on_receipt = partial(self._send_landed, record)
         if strategy == "priority":
             dep.user_api.send_packet(
                 "transfer", str(self._guest_channel), payload,
@@ -205,19 +200,19 @@ class EvaluationRun:
         if dep.sim.now + 1 < cfg.duration:
             dep.sim.schedule(self._next_gap(cfg.send_mean_gap), self._do_guest_send)
 
+    def _send_landed(self, record: SendRecord, receipt: TxReceipt) -> None:
+        if receipt.success:
+            record.fee_paid = receipt.fee_paid
+            # Fig. 3's two fee clusters, as trace histograms.
+            self.deployment.sim.trace.observe(f"send.fee.{record.strategy}",
+                                              receipt.fee_paid)
+
     def _do_cp_send(self) -> None:
         dep = self.deployment
         cfg = self.config
-
-        def send() -> None:
-            payload = dep.counterparty.transfer.make_payload(
-                self._cp_channel, "PICA", 5, "carol", "dave",
-            )
-            dep.counterparty.ibc.send_packet(
-                dep.counterparty.transfer_port, self._cp_channel, payload, 0.0,
-            )
-
-        dep.counterparty.submit(send)
+        cp = dep.counterparty
+        cp.submit(partial(cp.send_transfer, self._cp_channel, "PICA", 5,
+                          "carol", "dave"))
         if dep.sim.now + 1 < cfg.duration:
             dep.sim.schedule(self._next_gap(cfg.cp_send_mean_gap), self._do_cp_send)
 
@@ -245,7 +240,9 @@ class EvaluationRun:
     # Execution
     # ------------------------------------------------------------------
 
-    def execute(self) -> EvaluationResults:
+    def start(self) -> None:
+        """Open the link, fund both senders and schedule the first
+        sends: the run from here on is the kernel's."""
         dep = self.deployment
         cfg = self.config
         self._guest_channel, self._cp_channel = dep.establish_link()
@@ -257,6 +254,11 @@ class EvaluationRun:
 
         dep.sim.schedule(self._next_gap(cfg.send_mean_gap), self._do_guest_send)
         dep.sim.schedule(self._next_gap(cfg.cp_send_mean_gap), self._do_cp_send)
+
+    def execute(self) -> EvaluationResults:
+        dep = self.deployment
+        cfg = self.config
+        self.start()
         dep.sim.run_until(cfg.duration)
         # Grace period: let in-flight finalisations and relays complete.
         dep.sim.run_until(cfg.duration + 1_200.0)

@@ -33,9 +33,10 @@ steps of its own datagrams.  Schema notes live in docs/FABRIC.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from repro.fabric import TopologyConfig, build_fabric
-from repro.ibc.identifiers import ChannelId, PortId
+from repro.ibc.identifiers import ChannelId
 
 SCHEMA = "topology-sweep/v1"
 #: The largest star may take this many times the smallest star's
@@ -92,14 +93,9 @@ def run_star_point(num_guests: int, config: TopologySweepConfig) -> dict:
         cp_channel = ChannelId(link.channels["picasso-1"])
         voucher[name] = f"transfer/{link.channels[name]}/uatom"
         for _ in range(config.transfers_per_guest):
-            def send(cp_channel=cp_channel, user=str(dep.user[name])):
-                payload = cp.transfer.make_payload(
-                    cp_channel, "uatom", TRANSFER_AMOUNT,
-                    sender="sweep-sender", receiver=user,
-                )
-                return cp.ibc.send_packet(
-                    PortId("transfer"), cp_channel, payload, 0.0)
-            cp.submit(send)
+            cp.submit(partial(cp.send_transfer, cp_channel, "uatom",
+                              TRANSFER_AMOUNT, "sweep-sender",
+                              str(dep.user[name])))
 
     def all_arrived() -> bool:
         return all(

@@ -20,6 +20,7 @@ drives fabric experiments unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 from repro.counterparty.chain import CounterpartyChain, CounterpartyConfig
@@ -213,18 +214,9 @@ class FabricDeployment:
         encoded = self.routes.receiver_for(route_name, receiver)
         if hop.chain in self.counterparties:
             counterparty = self.counterparties[hop.chain]
-
-            def originate():
-                payload = counterparty.transfer.make_payload(
-                    ChannelId(hop.channel), denom, amount,
-                    sender=sender, receiver=encoded,
-                )
-                return counterparty.ibc.send_packet(
-                    PortId(hop.port), ChannelId(hop.channel), payload,
-                    timeout_timestamp,
-                )
-
-            counterparty.submit(originate)
+            counterparty.submit(partial(
+                counterparty.send_transfer, ChannelId(hop.channel), denom,
+                amount, sender, encoded, timeout_timestamp, PortId(hop.port)))
             return
         contract = self.guests[hop.chain].contract
         payload = contract.transfer.make_payload(

@@ -26,6 +26,7 @@ outages alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.accountability import AccountabilityProof, Finalisation, build_proof
 from repro.errors import (
@@ -131,20 +132,6 @@ class Fisherman:
         if not self.breaker.allow():
             self._schedule_retry(self._submit_claim, claim, attempt)
             return
-
-        def record(receipt: TxReceipt) -> None:
-            self.reports.append(FishermanReport(
-                claim=claim, accepted=receipt.success, error=receipt.error,
-            ))
-            if receipt.success:
-                self.breaker.record_success()
-                return
-            error = receipt.error or ""
-            if "no stake" in error or "matches the real block" in error:
-                return  # already slashed, or not actually an offence
-            # Transient failure (dropped transaction, fee race): retry.
-            self._schedule_retry(self._submit_claim, claim, attempt)
-
         try:
             self.api.submit_evidence(
                 offender=claim.validator,
@@ -152,11 +139,25 @@ class Fisherman:
                 fingerprint=claim.fingerprint,
                 signature=claim.signature,
                 message=claim.message(),
-                on_result=record,
+                on_result=partial(self._claim_landed, claim, attempt),
             )
         except HostUnavailableError:
             self.breaker.record_failure()
             self._schedule_retry(self._submit_claim, claim, attempt)
+
+    def _claim_landed(self, claim: BlockClaim, attempt: int,
+                      receipt: TxReceipt) -> None:
+        self.reports.append(FishermanReport(
+            claim=claim, accepted=receipt.success, error=receipt.error,
+        ))
+        if receipt.success:
+            self.breaker.record_success()
+            return
+        error = receipt.error or ""
+        if "no stake" in error or "matches the real block" in error:
+            return  # already slashed, or not actually an offence
+        # Transient failure (dropped transaction, fee race): retry.
+        self._schedule_retry(self._submit_claim, claim, attempt)
 
     # ------------------------------------------------------------------
     # Whole-finalisation claims → accountability proofs
@@ -252,29 +253,30 @@ class Fisherman:
         if not self.breaker.allow():
             self._schedule_retry(self._submit_proof, proof_id, attempt)
             return
-
-        def record(result: DeliveryResult) -> None:
-            self.accountability_reports.append(AccountabilityReport(
-                proof_id=proof_id.hex(), height=proof.height,
-                offender_count=len(proof.offenders()),
-                accepted=result.success, error=result.error,
-            ))
-            if result.success:
-                self.breaker.record_success()
-                self._pending_proofs.pop(proof_id, None)
-                self._notify_counterparty(proof)
-                return
-            error = result.error or ""
-            if "already prosecuted" in error:
-                self._pending_proofs.pop(proof_id, None)
-                return  # someone else landed the same proof first
-            self._schedule_retry(self._submit_proof, proof_id, attempt)
-
         try:
-            self.api.submit_accountability_proof(proof, on_done=record)
+            self.api.submit_accountability_proof(proof, on_done=partial(
+                self._proof_landed, proof_id, proof, attempt))
         except HostUnavailableError:
             self.breaker.record_failure()
             self._schedule_retry(self._submit_proof, proof_id, attempt)
+
+    def _proof_landed(self, proof_id: bytes, proof: AccountabilityProof,
+                      attempt: int, result: DeliveryResult) -> None:
+        self.accountability_reports.append(AccountabilityReport(
+            proof_id=proof_id.hex(), height=proof.height,
+            offender_count=len(proof.offenders()),
+            accepted=result.success, error=result.error,
+        ))
+        if result.success:
+            self.breaker.record_success()
+            self._pending_proofs.pop(proof_id, None)
+            self._notify_counterparty(proof)
+            return
+        error = result.error or ""
+        if "already prosecuted" in error:
+            self._pending_proofs.pop(proof_id, None)
+            return  # someone else landed the same proof first
+        self._schedule_retry(self._submit_proof, proof_id, attempt)
 
     def _notify_counterparty(self, proof: AccountabilityProof) -> None:
         """Feed an on-chain-accepted proof to the counterparty's light

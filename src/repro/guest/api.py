@@ -205,12 +205,8 @@ class GuestApi:
         tx = self._transaction(
             ins.send_packet(port, channel, payload, timeout_timestamp),
             fee=BaseFee())
-
-        def collect(receipts: list[TxReceipt]) -> None:
-            if on_result is not None:
-                on_result(receipts[0])
-
-        self.chain.submit_bundle([tx], tip_lamports=tip_lamports, on_result=collect)
+        self.chain.submit_bundle([tx], tip_lamports=tip_lamports,
+                                 on_result=partial(_first_receipt, on_result))
 
     def generate_block(self, fee: Optional[FeeStrategy] = None,
                        on_result: Optional[Callable[[TxReceipt], None]] = None) -> None:
@@ -330,13 +326,7 @@ class GuestApi:
             self._buffered_exec(msg_bytes, Op.HANDSHAKE_EXEC, 10_000, on_done,
                                 prelude=prelude)
             return
-
-        def single_done(receipt: TxReceipt) -> None:
-            if on_done is not None:
-                on_done(DeliveryResult(
-                    transaction_count=1, total_fee=receipt.fee_paid, slot=receipt.slot,
-                    success=receipt.success, error=receipt.error))
-        self.chain.submit(tx, on_result=single_done)
+        self.chain.submit(tx, on_result=partial(_delivered_alone, on_done))
 
     # ------------------------------------------------------------------
     # Chunked light-client update (Fig. 4/5)
@@ -390,57 +380,8 @@ class GuestApi:
             ins.lc_finalize(buffer_id, len(plan.signature_batches)),
             fee=fee, staging=True)
 
-        #: LC_FINALIZE is the queue's last entry; under a window it
-        #: waits there until nothing else is in flight.
-        one_wave = window is None
-        if one_wave:
-            window = len(transactions) + 1
-        state = {
-            "first": None, "last": 0.0, "fees": 0, "ok": True,
-            "queue": transactions + [finalize], "in_flight": 0, "peak": 0,
-            "stalled": False,
-        }
-
-        def pump(receipt: Optional[TxReceipt] = None) -> None:
-            if receipt is None:
-                state["stalled"] = False  # first call, or the retry timer
-            else:
-                _track(state, receipt)
-                state["in_flight"] -= 1
-            queue = state["queue"]
-            try:
-                while queue and state["in_flight"] < window and (
-                        one_wave or queue[0] is not finalize
-                        or not state["in_flight"]):
-                    self.chain.submit(queue[0], on_result=pump)
-                    queue.pop(0)
-                    state["in_flight"] += 1
-                    state["peak"] = max(state["peak"], state["in_flight"])
-            except HostUnavailableError:
-                # Blackout mid-stream: keep the cursor where it is and
-                # resume the sequence once the RPC answers (the staged
-                # buffer on-chain is unaffected).  One retry timer per
-                # update: receipts of the transactions still in flight
-                # keep arriving and find the RPC down too.
-                self.chain.sim.trace.count("chaos.lc_update.stalled")
-                if not state["stalled"]:
-                    state["stalled"] = True
-                    self.chain.sim.schedule(self.blackout_retry_seconds, pump)
-            # Over with the last receipt (a stale retry timer carries none).
-            if (receipt is not None and on_done is not None
-                    and not (queue or state["in_flight"])):
-                on_done(LcUpdateResult(
-                    height=update.header.height,
-                    transaction_count=plan.transaction_count,
-                    signature_count=plan.signature_count,
-                    total_fee=state["fees"],
-                    first_tx_time=state["first"],
-                    last_tx_time=state["last"],
-                    success=state["ok"],
-                    peak_in_flight=state["peak"],
-                ))
-
-        pump()
+        LcUpload(self, update.header.height, plan, transactions + [finalize],
+                 window, on_done).pump()
 
     # ------------------------------------------------------------------
     # Bundled packet operations (§V-A's 4–5 transactions, one block)
@@ -477,26 +418,9 @@ class GuestApi:
         transactions.append(self._transaction(
             ins.encode(exec_op, buffer_id if chunks else None, *exec_fields),
             fee=BaseFee()))
-
-        def collect(receipts: list[TxReceipt]) -> None:
-            if on_done is not None:
-                failures = [r for r in receipts if not r.success]
-                on_done(DeliveryResult(
-                    transaction_count=len(receipts),
-                    total_fee=sum(r.fee_paid for r in receipts),
-                    slot=receipts[-1].slot,
-                    success=not failures,
-                    error=failures[0].error if failures else None,
-                    packet_count=packet_count,
-                    failed_entries=tuple(
-                        index
-                        for event in receipts[-1].events
-                        if event.name == "BatchProcessed"
-                        for index, _kind, _error in event.payload["failures"]),
-                ))
-
-        self.chain.submit_bundle(transactions, tip_lamports=tip_lamports,
-                                 on_result=collect)
+        self.chain.submit_bundle(
+            transactions, tip_lamports=tip_lamports,
+            on_result=partial(_delivered_bundle, on_done, packet_count))
 
     def deliver_packet(self, packet, proof, proof_height: int,
                        tip_lamports: int = 10_000,
@@ -575,11 +499,112 @@ class GuestApi:
             exec_fields=(batch.payload[staged:],))
 
 
-def _track(state: dict, receipt: TxReceipt) -> None:
-    if state["first"] is None or receipt.time < state["first"]:
-        state["first"] = receipt.time
-    state["last"] = max(state["last"], receipt.time)
-    state["fees"] += receipt.fee_paid
-    if not receipt.success:
-        state["ok"] = False
+class LcUpload:
+    """One chunked light-client update on its way to the host: the
+    transactions not yet submitted, and what the receipts so far add up
+    to.  :meth:`pump` is its one continuation — every receipt runs it,
+    and so does the blackout retry timer."""
+
+    def __init__(self, api: GuestApi, height: int, plan, queue: list,
+                 window: Optional[int],
+                 on_done: Optional[Callable[[LcUpdateResult], None]]) -> None:
+        self.api = api
+        self.height = height
+        self.transaction_count = plan.transaction_count
+        self.signature_count = plan.signature_count
+        #: LC_FINALIZE is the queue's last entry; under a window it
+        #: waits there until nothing else is in flight.
+        self.queue = queue
+        self.finalize = queue[-1]
+        self.one_wave = window is None
+        self.window = len(queue) if window is None else window
+        self.on_done = on_done
+        self.first: Optional[float] = None
+        self.last = 0.0
+        self.fees = 0
+        self.ok = True
+        self.in_flight = 0
+        self.peak = 0
+        self.stalled = False
+
+    def pump(self, receipt: Optional[TxReceipt] = None) -> None:
+        chain = self.api.chain
+        if receipt is None:
+            self.stalled = False  # first call, or the retry timer
+        else:
+            self._track(receipt)
+            self.in_flight -= 1
+        queue = self.queue
+        try:
+            while queue and self.in_flight < self.window and (
+                    self.one_wave or queue[0] is not self.finalize
+                    or not self.in_flight):
+                chain.submit(queue[0], on_result=self.pump)
+                queue.pop(0)
+                self.in_flight += 1
+                self.peak = max(self.peak, self.in_flight)
+        except HostUnavailableError:
+            # Blackout mid-stream: keep the cursor where it is and resume
+            # the sequence once the RPC answers (the staged buffer
+            # on-chain is unaffected).  One retry timer per update:
+            # receipts of the transactions still in flight keep arriving
+            # and find the RPC down too.
+            chain.sim.trace.count("chaos.lc_update.stalled")
+            if not self.stalled:
+                self.stalled = True
+                chain.sim.schedule(self.api.blackout_retry_seconds, self.pump)
+        # Over with the last receipt (a stale retry timer carries none).
+        if (receipt is not None and self.on_done is not None
+                and not (queue or self.in_flight)):
+            self.on_done(LcUpdateResult(
+                height=self.height,
+                transaction_count=self.transaction_count,
+                signature_count=self.signature_count,
+                total_fee=self.fees,
+                first_tx_time=self.first,
+                last_tx_time=self.last,
+                success=self.ok,
+                peak_in_flight=self.peak,
+            ))
+
+    def _track(self, receipt: TxReceipt) -> None:
+        if self.first is None or receipt.time < self.first:
+            self.first = receipt.time
+        self.last = max(self.last, receipt.time)
+        self.fees += receipt.fee_paid
+        if not receipt.success:
+            self.ok = False
+
+
+def _first_receipt(on_result: Optional[Callable[[TxReceipt], None]],
+                   receipts: list[TxReceipt]) -> None:
+    if on_result is not None:
+        on_result(receipts[0])
+
+
+def _delivered_alone(on_done: Optional[Callable[[DeliveryResult], None]],
+                     receipt: TxReceipt) -> None:
+    if on_done is not None:
+        on_done(DeliveryResult(
+            transaction_count=1, total_fee=receipt.fee_paid, slot=receipt.slot,
+            success=receipt.success, error=receipt.error))
+
+
+def _delivered_bundle(on_done: Optional[Callable[[DeliveryResult], None]],
+                      packet_count: int, receipts: list[TxReceipt]) -> None:
+    if on_done is not None:
+        failures = [r for r in receipts if not r.success]
+        on_done(DeliveryResult(
+            transaction_count=len(receipts),
+            total_fee=sum(r.fee_paid for r in receipts),
+            slot=receipts[-1].slot,
+            success=not failures,
+            error=failures[0].error if failures else None,
+            packet_count=packet_count,
+            failed_entries=tuple(
+                index
+                for event in receipts[-1].events
+                if event.name == "BatchProcessed"
+                for index, _kind, _error in event.payload["failures"]),
+        ))
 

@@ -316,13 +316,18 @@ class GuestContract(Program):
             return self.forward
         middleware = ForwardMiddleware(
             self.transfer, send=self._forward_send,
-            clock=lambda: (self._current_ctx.unix_time
-                           if self._current_ctx is not None else 0.0),
+            clock=self._hop_clock,
             hop_timeout_seconds=hop_timeout_seconds,
         )
         self.ibc.apps[self.transfer_port] = middleware
         self.forward = middleware
         return middleware
+
+    def _hop_clock(self) -> float:
+        """The forwarding middleware's clock: the host's inside an
+        instruction, 0 outside one."""
+        ctx = self._current_ctx
+        return ctx.unix_time if ctx is not None else 0.0
 
     def _forward_send(self, port: str, channel: str, payload: bytes,
                       timeout: float) -> Packet:

@@ -25,6 +25,7 @@ from repro import ids
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from repro.crypto.keys import SignatureScheme
@@ -92,6 +93,16 @@ class _PendingTx:
     bundle_id: Optional[int] = None
     bundle_tip: int = 0
     bundle_peers: Optional[list["_PendingTx"]] = None
+
+
+def _collect_bundle(receipts: list[TxReceipt], size: int,
+                    on_result: Optional[Callable[[list[TxReceipt]], None]],
+                    receipt: TxReceipt) -> None:
+    """A bundle member's receipt: once all ``size`` are in, hand them to
+    ``on_result`` in transaction order."""
+    receipts.append(receipt)
+    if len(receipts) == size and on_result is not None:
+        on_result(sorted(receipts, key=lambda r: r.tx_id))
 
 
 class HostChain:
@@ -203,16 +214,7 @@ class HostChain:
                     self._report_dropped_bundle, list(transactions), on_result)
                 return
         bundle_id = next(_bundle_ids)
-        receipts: list[TxReceipt] = []
-        remaining = len(transactions)
-
-        def collect(receipt: TxReceipt) -> None:
-            nonlocal remaining
-            receipts.append(receipt)
-            remaining -= 1
-            if remaining == 0 and on_result is not None:
-                on_result(sorted(receipts, key=lambda r: r.tx_id))
-
+        collect = partial(_collect_bundle, [], len(transactions), on_result)
         arrival = self._submit_latency()
         peers: list[_PendingTx] = []
         self.sim.trace.count("host.bundles.submitted")
@@ -275,7 +277,7 @@ class HostChain:
     ) -> None:
         self.sim.trace.finish("host.submit", key=transaction.tx_id)
         self.sim.trace.begin("host.mempool", key=transaction.tx_id, actor="host")
-        congestion = self.congestion_at(self.sim.now)
+        congestion = self.congestion_now()
         delay = transaction.fee_strategy.scheduling_delay(self._rng, congestion)
         pending = _PendingTx(
             transaction=transaction,
@@ -300,6 +302,9 @@ class HostChain:
     # ------------------------------------------------------------------
     # Congestion model
     # ------------------------------------------------------------------
+
+    def congestion_now(self) -> float:
+        return self.congestion_at(self.sim.now)
 
     def congestion_at(self, time: float) -> float:
         """Mempool congestion level in [0, 1] at a simulated time.

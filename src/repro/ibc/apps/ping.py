@@ -51,13 +51,17 @@ class PingRecord:
         return self.acked_at - self.sent_at
 
 
+def _zero_clock() -> float:
+    return 0.0
+
+
 class PingApp(IbcApp):
     """The echo application, bound to its own port on both chains."""
 
     def __init__(self, clock=None) -> None:
         #: Clock used to timestamp ack processing (injected by the
         #: embedding chain; defaults to 0 for pure unit use).
-        self._clock = clock or (lambda: 0.0)
+        self._clock = clock or _zero_clock
         self.pings_received: list[int] = []
         self.completed: list[PingRecord] = []
         self.timeouts: list[int] = []

@@ -154,6 +154,10 @@ class NullTracer:
         return TraceReport(spans=[], counters={}, histograms={}, gauges={})
 
 
+def _unbound_clock() -> float:
+    return 0.0
+
+
 #: Shared disabled tracer (stateless, so one instance serves everyone).
 NULL_TRACER = NullTracer()
 
@@ -170,7 +174,7 @@ class Tracer:
     enabled = True
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self._clock = clock or (lambda: 0.0)
+        self._clock = clock or _unbound_clock
         self.spans: list[SpanRecord] = []
         self.counters: dict[str, int] = {}
         self.histograms: dict[str, list[float]] = {}

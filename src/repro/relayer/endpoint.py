@@ -26,6 +26,7 @@ records nothing its chain already says.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.counterparty.chain import CounterpartyChain
@@ -188,14 +189,15 @@ class GuestEnd(_End):
         during a blackout."""
         waiter = (type(msg).__name__, then)
         self.handshake_waiter = waiter
-
-        def on_done(result) -> None:
-            if not result.success and self.handshake_waiter is waiter:
-                self.handshake_waiter = None
-                failed(result.error)
-
         heights = [msg.proof_height] if hasattr(msg, "proof_height") else []
-        self.api.submit_handshake(msg, on_done, self.updates.prelude(heights))
+        self.api.submit_handshake(msg, partial(self._handshake_done, waiter, failed),
+                                  self.updates.prelude(heights))
+
+    def _handshake_done(self, waiter, failed: Callable[[object], None],
+                        result) -> None:
+        if not result.success and self.handshake_waiter is waiter:
+            self.handshake_waiter = None
+            failed(result.error)
 
 
 class CounterpartyEnd(_End):
@@ -233,11 +235,26 @@ class CounterpartyEnd(_End):
                          failed: Callable[[object], None]) -> None:
         """Queue a handshake datagram for the next block; ``then(created,
         height)`` once it executed, ``failed(error)`` if it was rejected."""
-        def on_result(result, height: int) -> None:
-            if isinstance(result, ReproError):
-                failed(result)
-            else:
-                then(result, height)
+        self.chain.submit(partial(apply_handshake, self.ibc, msg),
+                          on_result=partial(_handshake_result, then, failed))
 
-        self.chain.submit(lambda: apply_handshake(self.ibc, msg),
-                          on_result=on_result)
+    def apply(self, op):
+        """Run one packet datagram (a relayer's ``BatchOp``) in this
+        chain's block: the call the relayer queues for it."""
+        ibc = self.ibc
+        if op.kind == "recv":
+            return ibc.recv_packet(op.packet, op.proof, op.proof_height,
+                                   local_time=self.chain.sim.now)
+        if op.kind == "ack":
+            return ibc.acknowledge_packet(op.packet, op.ack, op.proof,
+                                          op.proof_height)
+        return ibc.timeout_packet(op.packet, op.proof, op.proof_height)
+
+
+def _handshake_result(then: Callable[[Optional[str], int], None],
+                      failed: Callable[[object], None], result,
+                      height: int) -> None:
+    if isinstance(result, ReproError):
+        failed(result)
+    else:
+        then(result, height)

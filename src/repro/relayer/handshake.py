@@ -21,6 +21,7 @@ the step and the cause, instead of hanging until a deadline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from repro.errors import HandshakeError
@@ -148,26 +149,28 @@ class Handshake:
     def _step(self, index: int, committed: Optional[int], attempt: int) -> None:
         """Submit datagram ``index``; ``committed`` is the height of the
         peer's block that commits the previous step."""
-        me, peer = self.sides[index % 2], self.sides[(index + 1) % 2]
-        build = self.builders[index]
-
-        def submit(proof, height: int) -> None:
-            msg = build(me, peer, proof, height, self.order)
-            name = type(msg).__name__
-            self.relayer._submit_handshake(
-                me.end, msg,
-                lambda created, at: self._advance(index, created, at, name),
-                lambda cause: self._failed(
-                    index, committed, attempt, name, cause, height),
-            )
-
-        def prove(height: int) -> None:
-            submit(peer.end.view(height).prove(self.path_of(peer)), height)
-
         if index == 0:
-            submit(None, 0)
+            self._submit(index, committed, attempt, None, 0)
             return
-        self.relayer._await_commit(peer.end, committed, prove)
+        self.relayer._await_commit(self.sides[(index + 1) % 2].end, committed,
+                                   partial(self._prove, index, committed, attempt))
+
+    def _prove(self, index: int, committed: Optional[int], attempt: int,
+               height: int) -> None:
+        """The peer's block at ``height`` is covered: prove its end there."""
+        peer = self.sides[(index + 1) % 2]
+        self._submit(index, committed, attempt,
+                     peer.end.view(height).prove(self.path_of(peer)), height)
+
+    def _submit(self, index: int, committed: Optional[int], attempt: int,
+                proof, height: int) -> None:
+        me, peer = self.sides[index % 2], self.sides[(index + 1) % 2]
+        msg = self.builders[index](me, peer, proof, height, self.order)
+        name = type(msg).__name__
+        self.relayer._submit_handshake(
+            me.end, msg, partial(self._advance, index, name=name),
+            partial(self._failed, index, committed, attempt, name,
+                    height=height))
 
     def _advance(self, index: int, created: Optional[str], committed: int,
                  name: str) -> None:

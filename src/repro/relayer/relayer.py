@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from repro.errors import HostUnavailableError, ReproError
@@ -156,8 +157,7 @@ class Relayer:
         host.subscribe("FinalisedBlock", self._on_finalised_block)
         host.subscribe("HandshakeStep", self._on_handshake_step)
         for end in self._counterparties:
-            end.chain.on_block(
-                lambda height, src=end: self._on_counterparty_block(src, height))
+            end.chain.on_block(partial(self._on_counterparty_block, end))
 
     def _peer(self, end):
         return self.b if end is self.a else self.a
@@ -223,34 +223,38 @@ class Relayer:
                         and src.contract.block_at(height).header.last_in_epoch
                         and height > dst.client.latest_height())
 
-        deferred = False
-
-        def relay(covered: int) -> None:
-            for kind, packet, ack in owed:
-                if deferred and not self._owes(src, dst, kind, packet):
-                    continue  # settled while the cover was awaited
-                try:
-                    proof = self._prove(src, kind, packet, covered)
-                except ReproError:
-                    continue  # view pruned, or settled meanwhile
-                self._send(dst, BatchOp(kind=kind, packet=packet, proof=proof,
-                                        proof_height=covered, ack=ack))
-            for _, action in ready:
-                action(covered)
-
         for late, packet in confirms:
             if not late:
                 self._confirm_seal(dst, packet)
         # Alg. 2 line 5: a block that owes nothing proven stays local.
         if owed or ready or epoch_change:
-            dst.updates.cover(height, relay)
-            # A cover that ran ``relay`` at once read the chains above; one
-            # that queued it has it read them again when it releases it.
-            deferred = True
+            # A cover that runs the relay at once has it trust the reads
+            # above; one that queues it has it read the chains again
+            # when it releases it.
+            dst.updates.cover(height, partial(
+                self._relay_owed, src, dst, owed, ready,
+                not dst.updates.covers(height)))
         for late, packet in confirms:
             if late:
                 self._confirm_seal(dst, packet)
         return len(owed) + len(confirms)
+
+    def _relay_owed(self, src, dst, owed: list, ready, deferred: bool,
+                    covered: int) -> None:
+        """A block's one cover ran: prove what it owes at ``covered``
+        and hand it to ``dst``, then run the handshake steps behind it.
+        A ``deferred`` relay skips what settled while it waited."""
+        for kind, packet, ack in owed:
+            if deferred and not self._owes(src, dst, kind, packet):
+                continue  # settled while the cover was awaited
+            try:
+                proof = self._prove(src, kind, packet, covered)
+            except ReproError:
+                continue  # view pruned, or settled meanwhile
+            self._send(dst, BatchOp(kind=kind, packet=packet, proof=proof,
+                                    proof_height=covered, ack=ack))
+        for _, action in ready:
+            action(covered)
 
     @staticmethod
     def _prove(src, kind: str, packet: Packet, height: int):
@@ -296,41 +300,36 @@ class Relayer:
             self._submit_to_counterparty(dst, op)
 
     def _submit_to_counterparty(self, dst, op: BatchOp) -> None:
-        packet, kind, ibc = op.packet, op.kind, dst.ibc
-        call = {
-            "recv": lambda: ibc.recv_packet(packet, op.proof, op.proof_height,
-                                            local_time=self.sim.now),
-            "ack": lambda: ibc.acknowledge_packet(packet, op.ack, op.proof,
-                                                  op.proof_height),
-            "timeout": lambda: ibc.timeout_packet(packet, op.proof, op.proof_height),
-        }[kind]
-        if kind == "recv":
+        if op.kind == "recv":
             # Finalised on the guest -> committed on the counterparty
             # (the tail of the packet's trace tree).
-            self.sim.trace.begin("packet.relay", key=packet.sequence, actor="relayer")
+            self.sim.trace.begin("packet.relay", key=op.packet.sequence,
+                                 actor="relayer")
+        dst.chain.submit(partial(dst.apply, op),
+                         on_result=partial(self._counterparty_result, dst, op))
 
-        def after(result, cp_height: int) -> None:
-            if isinstance(result, ReproError):
-                # A receipt already there is a double delivery, a cleared
-                # commitment an ack or timeout that landed before (a
-                # competing relayer, a replay after a restart); anything
-                # else is the chain refusing the datagram, e.g. behind a
-                # header push it refused.
-                noun = {"recv": "deliveries", "ack": "acks"}.get(kind, "timeouts")
-                self.sim.trace.count(
-                    f"relay.duplicate_{noun}" if self._op_already_applied(dst, op)
-                    else f"relay.{noun}.refused")
-                return
-            if kind == "recv":
-                self.sim.trace.finish("packet.relay", key=packet.sequence,
-                                      cp_height=cp_height)
-                self.sim.trace.count("relay.packets.to_counterparty")
-                self.metrics.packets_relayed_to_counterparty += 1
-            elif kind == "timeout":
-                self.sim.trace.count("relay.timeouts.cancelled")
-                self.metrics.timeouts_cancelled += 1
-
-        dst.chain.submit(call, on_result=after)
+    def _counterparty_result(self, dst, op: BatchOp, result,
+                             cp_height: int) -> None:
+        kind = op.kind
+        if isinstance(result, ReproError):
+            # A receipt already there is a double delivery, a cleared
+            # commitment an ack or timeout that landed before (a
+            # competing relayer, a replay after a restart); anything
+            # else is the chain refusing the datagram, e.g. behind a
+            # header push it refused.
+            noun = {"recv": "deliveries", "ack": "acks"}.get(kind, "timeouts")
+            self.sim.trace.count(
+                f"relay.duplicate_{noun}" if self._op_already_applied(dst, op)
+                else f"relay.{noun}.refused")
+            return
+        if kind == "recv":
+            self.sim.trace.finish("packet.relay", key=op.packet.sequence,
+                                  cp_height=cp_height)
+            self.sim.trace.count("relay.packets.to_counterparty")
+            self.metrics.packets_relayed_to_counterparty += 1
+        elif kind == "timeout":
+            self.sim.trace.count("relay.timeouts.cancelled")
+            self.metrics.timeouts_cancelled += 1
 
     @staticmethod
     def _op_already_applied(dst, op: BatchOp) -> bool:
@@ -397,28 +396,29 @@ class Relayer:
 
     def _submit_single(self, dst: GuestEnd, op: BatchOp, span,
                        attempt: int = 1) -> None:
-        incarnation = self._incarnation
+        self._enqueue_bundle(partial(self._launch_single, dst, op, partial(
+            self._single_done, dst, op, span, attempt, self._incarnation)))
 
-        def done(result: DeliveryResult) -> None:
-            if incarnation != self._incarnation:
-                return  # submitted by a crashed incarnation; drop
-            self._pump_bundles()
-            self._record_op_result(op, result)
-            if not result.success:
-                self._retry_op(dst, op, span, attempt)
-            elif span is not None:
-                span.end(transactions=result.transaction_count)
+    @staticmethod
+    def _launch_single(dst: GuestEnd, op: BatchOp, done) -> None:
+        submit = {"recv": dst.api.deliver_packet,
+                  "ack": dst.api.acknowledge_packet,
+                  "timeout": dst.api.timeout_packet}[op.kind]
+        args = (op.packet, op.ack) if op.kind == "ack" else (op.packet,)
+        submit(*args, op.proof, op.proof_height,
+               tip_lamports=BUNDLE_TIP_LAMPORTS, on_done=done,
+               prelude=dst.updates.prelude((op.proof_height,)))
 
-        def launch() -> None:
-            submit = {"recv": dst.api.deliver_packet,
-                      "ack": dst.api.acknowledge_packet,
-                      "timeout": dst.api.timeout_packet}[op.kind]
-            args = (op.packet, op.ack) if op.kind == "ack" else (op.packet,)
-            submit(*args, op.proof, op.proof_height,
-                   tip_lamports=BUNDLE_TIP_LAMPORTS, on_done=done,
-                   prelude=dst.updates.prelude((op.proof_height,)))
-
-        self._enqueue_bundle(launch)
+    def _single_done(self, dst: GuestEnd, op: BatchOp, span, attempt: int,
+                     incarnation: int, result: DeliveryResult) -> None:
+        if incarnation != self._incarnation:
+            return  # submitted by a crashed incarnation; drop
+        self._pump_bundles()
+        self._record_op_result(op, result)
+        if not result.success:
+            self._retry_op(dst, op, span, attempt)
+        elif span is not None:
+            span.end(transactions=result.transaction_count)
 
     def _retry_op(self, dst: GuestEnd, op: BatchOp, span, attempt: int) -> None:
         """Bounded, idempotent retry of one failed packet operation."""
@@ -490,66 +490,66 @@ class Relayer:
                 + self._bundle_sized_groups(dst, items[half:]))
 
     def _submit_batch(self, dst: GuestEnd, items: list, batch: Batch) -> None:
+        self._enqueue_bundle(partial(self._launch_batch, dst, batch, partial(
+            self._batch_done, dst, items, batch, self._incarnation)))
+
+    def _launch_batch(self, dst: GuestEnd, batch: Batch, done) -> None:
+        trace = self.sim.trace
+        trace.count("relay.batches")
+        trace.observe("relay.batch.packets", len(batch.ops))
+        trace.observe("relay.batch.payload_bytes", len(batch.payload))
+        for size in batch.witness_sizes:
+            trace.observe("relay.batch.witness_bytes", size)
+        dst.api.deliver_batch(
+            batch, tip_lamports=BUNDLE_TIP_LAMPORTS, on_done=done,
+            prelude=dst.updates.prelude(op.proof_height for op in batch.ops))
+
+    def _batch_done(self, dst: GuestEnd, items: list, batch: Batch,
+                    incarnation: int, result: DeliveryResult) -> None:
+        if incarnation != self._incarnation:
+            return  # submitted by a crashed incarnation; drop
+        self._pump_bundles()
         ops = batch.ops
-        incarnation = self._incarnation
-
-        def done(result: DeliveryResult) -> None:
-            if incarnation != self._incarnation:
-                return  # submitted by a crashed incarnation; drop
-            self._pump_bundles()
-            if not result.success:
-                # The whole bundle failed (rejected as oversized, starved
-                # of block space, or dropped in transit): requeue each op
-                # on the bounded per-packet retry path — explicit backoff,
-                # idempotency-checked, counted — so no packet is lost and
-                # none is double-delivered.
-                self.sim.trace.count("relay.batch.fallback")
-                self.ledger.record("batch-failed", result.total_fee,
-                                   result.transaction_count)
-                for op, span in items:
-                    self.sim.trace.count("relay.batch.requeued")
-                    self._retry_op(dst, op, span, attempt=1)
-                return
-            recv_count = sum(1 for op in ops if op.kind == "recv")
-            # A relayed packet is a receive entry that landed: an entry
-            # the contract refused on its own (already received, say)
-            # rides a landed bundle without being relayed by it.
-            relayed = sum(1 for index, op in enumerate(ops) if op.kind == "recv"
-                          and index not in result.failed_entries)
+        if not result.success:
+            # The whole bundle failed (rejected as oversized, starved of
+            # block space, or dropped in transit): requeue each op on the
+            # bounded per-packet retry path — explicit backoff,
+            # idempotency-checked, counted — so no packet is lost and
+            # none is double-delivered.
+            self.sim.trace.count("relay.batch.fallback")
+            self.ledger.record("batch-failed", result.total_fee,
+                               result.transaction_count)
             for op, span in items:
-                if span is not None:
-                    span.end(transactions=result.transaction_count)
-            # Attribute the bundle's fee pro rata across the two flows
-            # (the §V-B ledger stays meaningful under batching).
-            fee_share = result.total_fee // len(ops)
-            if recv_count:
-                self.metrics.deliveries.append(result)
-                self.ledger.record("delivery", fee_share * recv_count,
-                                   result.transaction_count)
-                self.sim.trace.observe("relay.delivery.fee", result.total_fee)
-                self.sim.trace.observe("relay.delivery.txs", result.transaction_count)
-                self.sim.trace.count("relay.packets.to_guest", relayed)
-                self.metrics.packets_relayed_to_guest += relayed
-            if len(ops) > recv_count:
-                self.metrics.acks_returned.append(result)
-                self.ledger.record(
-                    "ack-return", result.total_fee - fee_share * recv_count, 0,
-                )
-            self.metrics.timeouts_cancelled += sum(
-                1 for op in ops if op.kind == "timeout")
-
-        def launch() -> None:
-            trace = self.sim.trace
-            trace.count("relay.batches")
-            trace.observe("relay.batch.packets", len(ops))
-            trace.observe("relay.batch.payload_bytes", len(batch.payload))
-            for size in batch.witness_sizes:
-                trace.observe("relay.batch.witness_bytes", size)
-            dst.api.deliver_batch(
-                batch, tip_lamports=BUNDLE_TIP_LAMPORTS, on_done=done,
-                prelude=dst.updates.prelude(op.proof_height for op in ops))
-
-        self._enqueue_bundle(launch)
+                self.sim.trace.count("relay.batch.requeued")
+                self._retry_op(dst, op, span, attempt=1)
+            return
+        recv_count = sum(1 for op in ops if op.kind == "recv")
+        # A relayed packet is a receive entry that landed: an entry the
+        # contract refused on its own (already received, say) rides a
+        # landed bundle without being relayed by it.
+        relayed = sum(1 for index, op in enumerate(ops) if op.kind == "recv"
+                      and index not in result.failed_entries)
+        for op, span in items:
+            if span is not None:
+                span.end(transactions=result.transaction_count)
+        # Attribute the bundle's fee pro rata across the two flows (the
+        # §V-B ledger stays meaningful under batching).
+        fee_share = result.total_fee // len(ops)
+        if recv_count:
+            self.metrics.deliveries.append(result)
+            self.ledger.record("delivery", fee_share * recv_count,
+                               result.transaction_count)
+            self.sim.trace.observe("relay.delivery.fee", result.total_fee)
+            self.sim.trace.observe("relay.delivery.txs", result.transaction_count)
+            self.sim.trace.count("relay.packets.to_guest", relayed)
+            self.metrics.packets_relayed_to_guest += relayed
+        if len(ops) > recv_count:
+            self.metrics.acks_returned.append(result)
+            self.ledger.record(
+                "ack-return", result.total_fee - fee_share * recv_count, 0,
+            )
+        self.metrics.timeouts_cancelled += sum(
+            1 for op in ops if op.kind == "timeout")
 
     def _confirm_seal(self, receiver: GuestEnd, packet: Packet) -> None:
         """The sender accepted ``packet``'s ack: seal it on the receiving
@@ -565,7 +565,7 @@ class Relayer:
                     self.config.batch_flush_seconds,
                     self._flush_confirms, receiver)
             return
-        self._enqueue_bundle(lambda: receiver.api.confirm_ack(*confirm))
+        self._enqueue_bundle(partial(receiver.api.confirm_ack, *confirm))
 
     def _flush_confirms(self, receiver: GuestEnd) -> None:
         receiver.confirm_flush_handle = None
@@ -718,10 +718,11 @@ class Relayer:
         on ``a`` and on ``b``."""
         first = initiator or self.a
         second = self._peer(first)
+        on_a, on_b = Side(self.a), Side(self.b)
         dance = Handshake(
-            self, CONNECTION, Side(first), Side(second),
-            lambda: on_open(self.a.connection_id, self.b.connection_id))
-        first.updates.prime(lambda: second.updates.prime(dance.start))
+            self, CONNECTION, *((on_a, on_b) if first is self.a else (on_b, on_a)),
+            partial(_opened, on_open, on_a, on_b))
+        first.updates.prime(partial(second.updates.prime, dance.start))
 
     def open_channel(self, a_port: PortId, b_port: PortId,
                      on_open: Callable[[ChannelId, ChannelId], None],
@@ -733,4 +734,10 @@ class Relayer:
             raise ReproError("open_connection must complete before open_channel")
         on_a, on_b = Side(self.a, a_port), Side(self.b, b_port)
         Handshake(self, CHANNEL, on_a, on_b,
-                  lambda: on_open(on_a.ident, on_b.ident), order).start()
+                  partial(_opened, on_open, on_a, on_b), order).start()
+
+
+def _opened(on_open: Callable, on_a: Side, on_b: Side) -> None:
+    """A dance is done: hand ``on_open`` what it created on ends ``a``
+    and ``b``."""
+    on_open(on_a.ident, on_b.ident)

@@ -28,6 +28,7 @@ of what ``then`` submits.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from repro.errors import ReproError
@@ -90,6 +91,10 @@ class ClientUpdates:
         :meth:`prelude`, so the update runs in front of it."""
         then(height)
 
+    def covers(self, height: int) -> bool:
+        """Does :meth:`cover` run ``then`` at once for ``height``?"""
+        return True
+
     def refused(self, height: int) -> bool:
         """Was a datagram proven at ``height`` refused because the
         update it rode behind was?  The default says no."""
@@ -138,12 +143,14 @@ class ChunkedTendermint(ClientUpdates):
         self.reset()
 
     def cover(self, height: int, then: Then) -> None:
-        known = self.holder.client.latest_height()
-        if known >= height:
-            then(known)
+        if self.covers(height):
+            then(self.holder.client.latest_height())
             return
         self._lc_queue.append((height, then, self.sim.now))
         self.kick()
+
+    def covers(self, height: int) -> bool:
+        return self.holder.client.latest_height() >= height
 
     def reset(self) -> None:
         #: [(min counterparty height, action(height), queued at)]
@@ -177,8 +184,8 @@ class ChunkedTendermint(ClientUpdates):
         self.sim.trace.begin("relay.lc_update", key=target, actor="relayer")
         self.holder.api.submit_lc_update(
             update, window=self._plan.window, planner=self._plan.planner,
-            on_done=lambda result, gen=self.relayer._incarnation:
-                self._lc_done(result, gen),
+            on_done=partial(self._lc_done,
+                            generation=self.relayer._incarnation),
         )
 
     def _holddown_over(self) -> None:
@@ -244,14 +251,14 @@ class HeaderPush(ClientUpdates):
             new_epoch=contract.epochs.get(header.epoch_id),
         )
 
-        def after_update(result, cp_height: int) -> None:
-            if isinstance(result, ReproError):
-                # Stale or old-epoch header.
-                self.sim.trace.count("relay.header_push.refused")
-
-        self.holder.chain.submit(lambda: self.holder.client.update(update),
-                                 on_result=after_update)
+        self.holder.chain.submit(partial(self.holder.client.update, update),
+                                 on_result=self._pushed)
         then(height)
+
+    def _pushed(self, result, cp_height: int) -> None:
+        if isinstance(result, ReproError):
+            # Stale or old-epoch header.
+            self.sim.trace.count("relay.header_push.refused")
 
     def refused(self, height: int) -> bool:
         # The header went in front of the datagram in the same block:
@@ -290,18 +297,18 @@ class SiblingAdopt(ClientUpdates):
         if self._covers(height):
             then()
             return
-
-        def on_result(receipt) -> None:
-            if receipt.success:
-                then()
-            else:  # transient (e.g. dropped in transit): retry
-                self.sim.schedule(self.relayer.retry_policy.base_seconds,
-                                  self.prime, then)
-
         # Through the relayer's queue, like every guest-side submission:
         # a blackout refusal defers the adoption instead of raising.
-        self.relayer._enqueue_bundle(lambda: self.holder.api.sibling_update(
-            str(self.holder.client_id), height, on_result=on_result))
+        self.relayer._enqueue_bundle(partial(
+            self.holder.api.sibling_update, str(self.holder.client_id),
+            height, on_result=partial(self._primed, then)))
+
+    def _primed(self, then: Callable[[], None], receipt) -> None:
+        if receipt.success:
+            then()
+        else:  # transient (e.g. dropped in transit): retry
+            self.sim.schedule(self.relayer.retry_policy.base_seconds,
+                              self.prime, then)
 
 
 def updates_for(relayer, holder, source) -> ClientUpdates:

@@ -55,12 +55,16 @@ class Simulation:
         #: Observability hook (docs/OBSERVABILITY.md).  Disabled by
         #: default: the shared NullTracer makes every probe a no-op.
         self.trace = tracer if tracer is not None else NULL_TRACER
-        self.trace.bind(lambda: self.now)
+        self.trace.bind(self.clock)
         self._queue: list[tuple[float, int, EventHandle]] = []
         self._sequence = 0
         self._dispatched = 0
         #: Cancelled handles still in the queue.
         self._cancelled = 0
+
+    def clock(self) -> float:
+        """The simulated time (the clock a tracer is bound to)."""
+        return self.now
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""

@@ -11,6 +11,7 @@ if so (which is why Table I's signature counts differ so widely).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.crypto.keys import Keypair
@@ -139,24 +140,13 @@ class ValidatorNode:
             return
         if block.finalised:
             return  # quorum already reached; save the fee
-        generated_at = block.generated_at
         message = block.header.sign_message()
-
-        def record(receipt: TxReceipt) -> None:
-            self._signing.discard(height)
-            self.records.append(SignRecord(
-                height=height,
-                latency=receipt.time - generated_at,
-                fee_paid=receipt.fee_paid,
-                success=receipt.success,
-            ))
-
         self._signing.add(height)
         try:
             self.api.sign_block(
                 height, self.keypair, message,
                 fee=self.fee_strategy(),
-                on_result=record,
+                on_result=partial(self._signed, height, block.generated_at),
             )
         except HostUnavailableError:
             self._signing.discard(height)
@@ -165,6 +155,16 @@ class ValidatorNode:
             # periodic sweep backstops any missed height regardless.
             self.sim.trace.count("chaos.validator.sign_deferred")
             self.sim.schedule(5.0, self._sign, height)
+
+    def _signed(self, height: int, generated_at: float,
+                receipt: TxReceipt) -> None:
+        self._signing.discard(height)
+        self.records.append(SignRecord(
+            height=height,
+            latency=receipt.time - generated_at,
+            fee_paid=receipt.fee_paid,
+            success=receipt.success,
+        ))
 
     # ------------------------------------------------------------------
     # Metrics helpers (Table I columns)

@@ -16,6 +16,7 @@ the deployment seed and the workload spec.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.errors import ReproError
@@ -150,25 +151,24 @@ class WorkloadEngine:
         self.sent += 1
         sim.trace.count("workload.packets.sent")
 
-        def do_send():
-            data = cp.transfer.make_payload(
-                cp_chan, self.spec.denom, self.spec.amount, user, f"recv-{user}",
-            )
-            return cp.ibc.send_packet(cp.transfer_port, cp_chan, data, 0.0)
-
-        def committed(value, height):
-            if isinstance(value, ReproError):
-                self.send_failures += 1
-                sim.trace.count("workload.packets.send_failed")
-                return
-            self.committed += 1
-            key = (str(value.source_channel), value.sequence)
-            self._send_times[key] = sim.now
-
-        cp.submit(do_send, committed)
+        cp.submit(partial(cp.send_transfer, cp_chan, self.spec.denom,
+                          self.spec.amount, user, f"recv-{user}"),
+                  self._committed)
 
         if reschedule:
             sim.schedule(self.arrivals.next_delay(sim.now), self._send_one, True)
+
+    def _committed(self, value, height: int) -> None:
+        """A send's block committed (``value`` is the packet, or the
+        error that refused it)."""
+        sim = self.dep.sim
+        if isinstance(value, ReproError):
+            self.send_failures += 1
+            sim.trace.count("workload.packets.send_failed")
+            return
+        self.committed += 1
+        key = (str(value.source_channel), value.sequence)
+        self._send_times[key] = sim.now
 
     def _on_received(self, event) -> None:
         packet = event.payload.get("packet")

@@ -2,12 +2,17 @@
 
 The heavyweight guarantee — restore + replay is bit-identical — lives
 in ``test_replay_audit.py``; these tests pin the machinery underneath:
-closure serialization (shared values, recursive cycles, deep chains),
-the callback registry's snapshot-time validation, manifest auditing on
-restore, the binary container, and the rewindable id mints.
+the continuation shapes the codec carries as plain pickle (shared
+values, self-referencing actors, deep backlogs), the callback
+registry's snapshot-time validation, manifest auditing on restore, the
+binary container, and the rewindable id mints.
 """
 
 import pickle
+import re
+import sys
+import threading
+from functools import partial
 
 import pytest
 
@@ -15,7 +20,6 @@ from repro import Deployment, DeploymentConfig
 from repro import ids
 from repro.checkpoint import (
     CODEC_VERSION,
-    PYTHON_TAG,
     Checkpoint,
     CheckpointError,
     dumps_world,
@@ -47,7 +51,7 @@ def roundtrip(obj):
 
 
 # ----------------------------------------------------------------------
-# Codec: closures
+# Codec: continuations as plain data
 # ----------------------------------------------------------------------
 
 
@@ -64,65 +68,99 @@ def make_counter(start):
     return bump, read
 
 
+class Tally:
+    """An actor with state; its continuations are partials of methods."""
+
+    def __init__(self, start):
+        self.counts = {"value": start}
+
+    def bump(self, key, step=1):
+        self.counts[key] += step
+        return self.counts[key]
+
+
+def bump_shared(shared, step=1):
+    shared["value"] += step
+
+
+def read_shared(shared):
+    return shared["value"]
+
+
+class Pump:
+    """The shape of a chunked update in flight (``repro.guest.api.LcUpload``):
+    an actor whose queued continuations are its own bound method."""
+
+    def __init__(self, steps):
+        self.calls = 0
+        self.pending = [partial(self.step, steps)]
+
+    def step(self, remaining):
+        self.calls += 1
+        if remaining > 0:
+            self.pending.append(partial(self.step, remaining - 1))
+
+    def run(self):
+        while self.pending:
+            self.pending.pop(0)()
+        return self.calls
+
+
+def record_cover(fired, index, height):
+    fired.append((index, height))
+
+
 class TestClosureCodec:
     def test_closure_roundtrip_keeps_captured_state(self):
-        bump, _ = make_counter(10)
+        bump = partial(Tally(10).bump, "value")
         bump()
         restored = roundtrip(bump)
         assert restored() == 12
         assert restored(5) == 17
 
     def test_two_closures_share_one_captured_object(self):
-        bump, read = make_counter(0)
+        shared = {"value": 0}
+        bump, read = partial(bump_shared, shared), partial(read_shared, shared)
         bump2, read2 = roundtrip((bump, read))
         bump2()
         bump2()
-        assert read2() == 2  # both closures see the one restored dict
+        assert read2() == 2  # both continuations see the one restored dict
 
     def test_recursive_closure_cycle(self):
-        # A closure whose cell contains itself (the guest API's ``pump``
-        # pattern) must terminate through the pickle memo.
-        def make_pump():
-            state = {"calls": 0}
-
-            def pump(n):
-                state["calls"] += 1
-                if n > 0:
-                    return pump(n - 1)
-                return state["calls"]
-
-            return pump
-
-        restored = roundtrip(make_pump())
-        assert restored(4) == 5
+        # An actor whose queued continuation refers back to the actor
+        # itself (the guest API's LC upload) terminates through the
+        # pickle memo and stays one actor.
+        restored = roundtrip(Pump(4))
+        assert restored.pending[0].func.__self__ is restored
+        assert restored.run() == 5
 
     def test_deep_closure_chain(self):
-        # Continuation chains grow thousands of links under congestion;
-        # the codec runs on a big-stack thread so this must just work.
-        def link(nxt):
-            def step():
-                return 1 + (nxt() if nxt is not None else 0)
-
-            return step
-
-        chain = None
-        for _ in range(5_000):
-            chain = link(chain)
-        restored = roundtrip(chain)
-        # Calling 5000 deep would blow the *test's* stack; walk the
-        # restored cells instead and check every link survived.
-        depth = 0
-        while restored is not None:
-            depth += 1
-            restored = restored.__closure__[0].cell_contents
-        assert depth == 5_000
-
-    def test_lambda_and_defaults(self):
-        offset = 3
-        fn = lambda x, y=10, *, z=2: x + y + z + offset  # noqa: E731
-        restored = roundtrip(fn)
-        assert restored(1) == 16
-        assert restored(1, y=0, z=0) == 4
+        # A congested light-client backlog: 5 000 continuations queued
+        # on one chunked update, restored in order by plain pickle on the
+        # main thread at the default recursion limit.
+        deployment = Deployment(small_config())
+        updates = deployment.relayer.a.updates
+        far = deployment.counterparty.height + 10_000
+        fired = []
+        for index in range(5_000):
+            updates.cover(far + index, partial(record_cover, fired, index))
+        assert len(updates._lc_queue) == 5_000
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        try:
+            assert threading.current_thread() is threading.main_thread()
+            restored = roundtrip(updates)
+        finally:
+            sys.setrecursionlimit(limit)
+        queue = restored._lc_queue
+        assert [height for height, _, _ in queue] == [
+            far + index for index in range(5_000)]
+        for height, action, _ in queue:
+            action(height)
+        (restored_fired,) = {id(action.args[0]): action.args[0]
+                             for _, action, _ in queue}.values()
+        assert restored_fired == [(index, far + index) for index in range(5_000)]
+        assert fired == []  # the original backlog is untouched
 
     def test_module_level_function_by_reference(self):
         assert roundtrip(make_counter) is make_counter
@@ -132,11 +170,18 @@ class TestClosureCodec:
         with pytest.raises(Exception):
             pickle.dumps(bump)
 
-    def test_python_tag_guard(self):
-        payload = dumps_world({"x": 1})
-        assert loads_world(payload, python_tag=PYTHON_TAG) == {"x": 1}
-        with pytest.raises(CheckpointError, match="Python"):
-            loads_world(payload, python_tag="2.7")
+    def test_a_closure_in_an_actor_attribute_is_named_at_snapshot(self):
+        # Not in the queue, so the registry never sees it: pickle itself
+        # refuses it, and the error names it.
+        deployment = Deployment(small_config())
+
+        def tap(packet):
+            pass
+
+        deployment.counterparty.ibc.on_send = tap
+        with pytest.raises(CheckpointError,
+                           match=re.escape(tap.__qualname__)):
+            snapshot_world(deployment)
 
 
 # ----------------------------------------------------------------------
@@ -161,14 +206,37 @@ class TestRegistry:
         assert validation_errors([fired.append]) == []
 
     def test_foreign_closure_is_named_in_the_error(self):
-        # This test module is not a registered namespace, so a closure
-        # minted here must fail validation with a pointed message.
+        # A closure has no name to be restored by, so one minted here
+        # must fail validation with a pointed message.
         def local_closure():
             pass
 
         problems = validation_errors([local_closure])
         assert len(problems) == 1
         assert "local_closure" in problems[0]
+
+    def test_a_closure_is_refused_whatever_module_defines_it(self):
+        def in_repro():
+            pass
+
+        in_repro.__module__ = "repro.sim.kernel"
+        (problem,) = validation_errors([in_repro])
+        assert "in_repro" in problem and "closure" in problem
+
+    def test_a_partial_is_judged_by_its_func(self):
+        deployment = Deployment(small_config())
+        assert validation_errors([
+            partial(deployment.relayer._relay_block, deployment.relayer.a),
+            partial(record_cover, []),
+        ]) == ["function record_cover defined in unregistered module "
+               "'tests.test_checkpoint'"]
+
+        def local_closure(height):
+            pass
+
+        (problem,) = validation_errors([partial(local_closure, 3)])
+        assert "local_closure" in problem
+        assert validation_errors([partial(_ForeignActor().poke)])
 
     def test_foreign_actor_method_fails_then_registers(self):
         from repro.checkpoint import register_actor
@@ -292,17 +360,15 @@ class TestSnapshotRestore:
         _, cp_channel = sorted(relayer.b.channels)[0]
         port = PortId("transfer")
 
-        def send():
-            counterparty.ibc.send_packet(
-                port, cp_channel, counterparty.transfer.make_payload(
-                    cp_channel, "PICA", 10, "carol", "dave"), 0.0)
+        send = partial(counterparty.send_transfer, cp_channel, "PICA", 10,
+                       "carol", "dave", 0.0, port)
 
         def parked() -> set[str]:
-            """What waits for a guest block: ``"prove"`` is a handshake
+            """What waits for a guest block: ``"_prove"`` is a handshake
             step in the guest end's list, ``"ack"`` an ack the guest
             wrote in a block not yet finalised (its block owes it)."""
             final = guest.latest_final()
-            return {action.__code__.co_name for _, action in guest.waiters} | {
+            return {action.func.__name__ for _, action in guest.waiters} | {
                 write.kind for write in guest.ibc.written.values()
                 if write.kind == "ack" and write.height > final}
 
@@ -314,9 +380,9 @@ class TestSnapshotRestore:
         relayer.open_channel(port, port, {}.__setitem__)
         for _ in range(5):
             counterparty.submit(send)
-        while parked() != {"prove", "ack"} and deployment.sim.now < 300.0:
+        while parked() != {"_prove", "ack"} and deployment.sim.now < 300.0:
             deployment.sim.step()
-        assert parked() == {"prove", "ack"}
+        assert parked() == {"_prove", "ack"}
         checkpoint = Checkpoint.from_bytes(snapshot_world(deployment).to_bytes())
 
         def run_on(world):
@@ -345,10 +411,8 @@ class TestSnapshotRestore:
         counterparty.bank.mint("carol", "PICA", 1_000)
         _, cp_channel = sorted(deployment.relayer.b.channels)[0]
 
-        def send():
-            counterparty.ibc.send_packet(
-                PortId("transfer"), cp_channel, counterparty.transfer.make_payload(
-                    cp_channel, "PICA", 10, "carol", "dave"), 0.0)
+        send = partial(counterparty.send_transfer, cp_channel, "PICA", 10,
+                       "carol", "dave")
 
         def owned(world) -> int:
             trie = world.contract.store.trie

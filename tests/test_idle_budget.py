@@ -35,12 +35,13 @@ IDLE_HOUR_EVENT_CEILING = 3_400
 
 def run_with_census(sim, until):
     """Run to ``until``; return how often each callback was dispatched
-    (by qualified name) and when each host slot ticked."""
+    (by qualified name, a partial by its function's) and when each host
+    slot ticked."""
     census, ticks = Counter(), []
     while sim._queue and sim._queue[0][0] <= until:
         time, _, handle = sim._queue[0]
         if not handle.cancelled:
-            name = handle.callback.__qualname__
+            name = getattr(handle.callback, "func", handle.callback).__qualname__
             census[name] += 1
             if name == "HostChain._produce_slot":
                 ticks.append(time)

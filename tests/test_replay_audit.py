@@ -9,14 +9,32 @@ span streams and workload latencies must all come out identical, across
 multiple seeds.
 """
 
+import importlib
+import io
+import pickle
+
 import pytest
 
 from repro.checkpoint.audit import (
     CHECKPOINT_BYTES_CEILING,
     ReplayAuditConfig,
+    audit_checkpoint,
     check_replay_audits,
+    replay_checkpoint,
     run_replay_audit,
 )
+
+
+class NameRecorder(pickle.Unpickler):
+    """Loads a payload, noting every global it names."""
+
+    def __init__(self, payload: bytes) -> None:
+        super().__init__(io.BytesIO(payload))
+        self.names: set[tuple[str, str]] = set()
+
+    def find_class(self, module: str, name: str):
+        self.names.add((module, name))
+        return super().find_class(module, name)
 
 
 class TestReplayAudit:
@@ -49,3 +67,20 @@ class TestReplayAudit:
                                  snapshot_after_events=10_000_000)
         with pytest.raises(CheckpointError, match="drained"):
             run_replay_audit(tiny)
+
+
+def test_the_payload_names_only_module_level_attributes():
+    """What a checkpoint carries is data and names: no code object, no
+    interpreter internals, no codec helper — so any Python that imports
+    the source loads it — and the replay is still bit-identical."""
+    checkpoint, straight = audit_checkpoint(ReplayAuditConfig(seed=401))
+    recorder = NameRecorder(checkpoint.payload)
+    recorder.load()
+    modules = {module for module, _ in recorder.names}
+    assert not modules & {"marshal", "types", "repro.checkpoint.codec"}
+    for module, name in sorted(recorder.names):
+        assert "<" not in name, (module, name)
+        target = importlib.import_module(module)
+        for part in name.split("."):
+            target = getattr(target, part)
+    assert replay_checkpoint(checkpoint) == straight
