@@ -4,7 +4,7 @@ A snapshot can only re-bind what it can name, so every continuation in
 the event queue must be one of:
 
 * a **bound method** of a registered actor class (the normal case —
-  ``relayer._watchdog``, ``chain._produce_block``, …);
+  ``cranker._poll``, ``chain._produce_block``, …);
 * a **module-level function** of a registered module, which pickle
   saves by its qualified name;
 * a ``functools.partial`` of either, judged by its ``.func`` (its

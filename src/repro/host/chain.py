@@ -383,9 +383,9 @@ class HostChain:
         run before the tick where an always-ticking chain ran it after.
         Nothing schedules one — whatever follows from the host
         (arrivals, receipts, subscriber deliveries) is delayed by a
-        continuous exponential draw, and the fixed-period actors
-        (counterparty blocks, relayer polls, the watchdog) schedule
-        themselves more than a slot ahead, before the tick either way
+        continuous exponential draw, and the one fixed-period actor
+        (counterparty blocks) schedules itself more than a slot ahead,
+        before the tick either way
         (``tests/test_host_chain.py::TestAgainstTickingHost``).
         """
         self._slot_handle = (

@@ -66,9 +66,6 @@ BUNDLE_TIP_LAMPORTS = 0
 #: when it comes up: the more transactions it has, the longer a busy
 #: host defers it.  A flush whose payload needs more is halved.
 BATCH_MAX_BUNDLE_TXS = 8
-#: Watchdog period, seconds: re-kicks LC updates and bundle pumps that
-#: an error path or crash left wedged.
-WATCHDOG_SECONDS = 45.0
 
 
 @dataclass
@@ -152,7 +149,6 @@ class Relayer:
         #: submission and drop themselves if it moved (a dead process's
         #: callbacks never run).
         self._incarnation = 0
-        sim.schedule(WATCHDOG_SECONDS, self._watchdog)
 
         host.subscribe("FinalisedBlock", self._on_finalised_block)
         host.subscribe("HandshakeStep", self._on_handshake_step)
@@ -179,6 +175,9 @@ class Relayer:
     def _on_counterparty_block(self, src, height: int) -> None:
         if not self.paused:
             self._relay_block(src, height)
+        # The one wake-up of an update waiting for a height past the
+        # tip, down or not: a cover queued during an outage waits too.
+        self._peer(src).updates.kick()
 
     def _relay_block(self, src, height: int) -> int:
         """Relay what ``src``'s block at ``height`` owes its peer, read
@@ -619,8 +618,6 @@ class Relayer:
                         for height in range(self._floor(src), src.latest_final() + 1))
         if recovered:
             self.sim.trace.count("relay.recovered", recovered)
-        for end in (self.a, self.b):
-            end.updates.kick()
 
     def _floor(self, src) -> int:
         """The lowest height of ``src`` that may owe its peer anything,
@@ -646,20 +643,6 @@ class Relayer:
         if src in self._guests:
             heights.append(dst.client.latest_height() + 1)
         return min(heights, default=src.latest_final() + 1)
-
-    def _watchdog(self) -> None:
-        """Liveness backstop: re-kick work an error path or crash left
-        wedged — queued LC waiters with no update running and no retry
-        timer armed, or bundles sitting in the queue with no pump
-        scheduled (e.g. after a breaker probe window elapsed)."""
-        self.sim.schedule(WATCHDOG_SECONDS, self._watchdog)
-        if self.paused:
-            return
-        for end in (self.a, self.b):
-            end.updates.kick()
-        if self._bundle_queue and self._pump_retry_handle is None:
-            self.sim.trace.count("relay.watchdog.pump_kicks")
-            self._pump_bundles()
 
     # ==================================================================
     # Handshakes (ICS-03 + ICS-04; repro.relayer.handshake)

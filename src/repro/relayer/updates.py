@@ -113,8 +113,8 @@ class ClientUpdates:
         """A relayer crash: drop queued work and timers."""
 
     def kick(self) -> None:
-        """The relayer restarted, or its watchdog ticked: restart work
-        that was waiting on it or that an error path left stranded."""
+        """The source chain produced a block: start work that was
+        waiting for one."""
 
 
 class ChunkedTendermint(ClientUpdates):
@@ -175,8 +175,8 @@ class ChunkedTendermint(ClientUpdates):
         target = chain.height
         needed = max(height for height, _, _ in self._lc_queue)
         if target < needed:
-            # The needed block is not produced yet; retry shortly.
-            self.sim.schedule(chain.config.block_seconds, self.kick)
+            # The needed block is not produced yet: the relayer kicks
+            # again at each block of the source chain.
             return
         self._lc_busy = True
         self._lc_started = self.sim.now
@@ -192,9 +192,8 @@ class ChunkedTendermint(ClientUpdates):
         self._lc_holddown_handle = None
         self.kick()
 
-    def _lc_done(self, result: LcUpdateResult,
-                 generation: Optional[int] = None) -> None:
-        if generation is not None and generation != self.relayer._incarnation:
+    def _lc_done(self, result: LcUpdateResult, generation: int) -> None:
+        if generation != self.relayer._incarnation:
             # An update stream started before a crash finished after the
             # restart: its accounting belongs to the dead incarnation and
             # must not corrupt the new one's LC state machine.

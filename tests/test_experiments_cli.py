@@ -338,9 +338,10 @@ class TestCheapRowsEndToEnd:
         # in one counterparty block opens the link sooner: 7 497 -> 7 493.
         # The relayer reads what a block owes from the chains' write
         # indexes and no longer subscribes to PacketReceived: one
-        # delivery fewer per packet, 7 493 -> 5 993.
+        # delivery fewer per packet, 7 493 -> 5 993.  No 45 s watchdog
+        # (its 41 ticks over the run): 5 993 -> 5 952.
         assert record["delivered"] == record["sent"] == 1_500
-        assert record["events_dispatched"] == 5_993
+        assert record["events_dispatched"] == 5_952
         assert "wallclock-smoke: 1500/1500 packets" in capsys.readouterr().out
 
     def test_the_wallclock_gate_is_not_a_flag(self):
@@ -376,8 +377,11 @@ class TestLinkedBuilder:
     host subscription got an observation-delay stream of its own, which
     redraws every delay in these worlds (180.0 / 616, 120.0 / 422,
     126.0 / 473); then every counterparty-side handshake step rode
-    behind its guest header in one counterparty block (the values
-    below).  Channels and store roots did not move."""
+    behind its guest header in one counterparty block (126.0 / 549,
+    90.0 / 415, 78.0 / 408).  Then the relayer's 45 s watchdog went: its
+    ticks inside each establishment, 2, 2 and 1, are gone, times
+    unchanged (the values below).  Channels and store roots did not
+    move."""
 
     @staticmethod
     def pin(dep, channels):
@@ -398,7 +402,7 @@ class TestLinkedBuilder:
             (config.batch_max_packets, config.batch_flush_seconds),
             config.channels, tracing=config.tracing)
         assert self.pin(dep, channels) == (
-            126.0, 549,
+            126.0, 547,
             [("channel-0", "channel-0"), ("channel-1", "channel-1"),
              ("channel-2", "channel-2")],
             "08eaf3013d5dde33")
@@ -409,7 +413,7 @@ class TestLinkedBuilder:
         )
         dep, engine = start_point(ThroughputPointConfig())
         assert self.pin(dep, engine.channels) == (
-            90.0, 415,
+            90.0, 413,
             [("channel-0", "channel-0"), ("channel-1", "channel-1")],
             "88805ed722a88a5a")
         assert engine.end_time == 90.0 + 300.0 + 2400.0
@@ -433,7 +437,7 @@ class TestLinkedBuilder:
                 config.channels, validators=config.validators,
                 with_fisherman=True, **host)
 
-        expected = (78.0, 408,
+        expected = (78.0, 407,
                     [("channel-0", "channel-0"), ("channel-1", "channel-1")],
                     "88805ed722a88a5a")
         dep, channels = build()

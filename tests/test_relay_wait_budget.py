@@ -40,7 +40,13 @@ And one over a crash:
     once, and no other: acks written while the relayer was down ride
     their block's one cover (they used to get one cover each).
 
-(a)-(c) and (e)-(h) each fail on the commit before theirs, by count.
+And one over a wait for a block not yet produced:
+
+(i) covers of a counterparty height past the tip leave no kernel event
+    of their own; the block itself wakes the update that covers them
+    (each used to re-schedule its own ``kick`` every block period).
+
+(a)-(c) and (e)-(i) each fail on the commit before theirs, by count.
 """
 
 from collections import defaultdict
@@ -459,8 +465,48 @@ def test_a_restart_is_one_cover_per_finalised_block_with_something_due():
     assert chain.ibc.counters.packets_acknowledged == SENDS
 
 
+#: Covers (i) queues on one height past the counterparty's tip.
+COVERS_AHEAD = 50
+
+
+def test_covers_past_the_tip_wait_for_the_block_with_no_event_of_their_own():
+    """(i) ``COVERS_AHEAD`` covers of a counterparty height three blocks
+    past the tip, on an idle link whose last update is paid for: no
+    kernel event is scheduled for them, the update that covers them
+    starts at the instant of that block, and all of them run when it
+    lands, at the height it covers.  The commit before left one pending
+    ``ChunkedTendermint.kick`` per cover."""
+    dep = Deployment(DeploymentConfig(seed=0))
+    dep.establish_link()
+    dep.run_for(600.0)
+    sim, chain, updates = dep.sim, dep.counterparty, dep.relayer.a.updates
+    height = chain.height + 3
+    #: When the block at ``height`` was produced; when each update
+    #: started, and at what target; when each cover ran, at what height.
+    produced, started, ran = [], [], []
+    chain.on_block(lambda h: h == height and produced.append(sim.now))
+    light_client_update = chain.light_client_update
+
+    def watched_update(target):
+        started.append((sim.now, target))
+        return light_client_update(target)
+
+    chain.light_client_update = watched_update
+    pending = sim.pending_events()
+    for _ in range(COVERS_AHEAD):
+        updates.cover(height, lambda covered: ran.append((sim.now, covered)))
+    assert sim.pending_events() == pending
+    assert not any(getattr(handle.callback, "__self__", None) is updates
+                   for _, handle in sim.iter_pending())
+    assert ran == [] and started == []
+    dep.run_for(60.0)
+    assert started[0] == (produced[0], height)
+    assert len(ran) == COVERS_AHEAD and set(ran) == {ran[0]}
+    assert ran[0][1] == height == dep.relayer.metrics.lc_updates[-1].height
+
+
 # ----------------------------------------------------------------------
-# (i) One intake per block, reading O(1) per write
+# (j) One intake per block, reading O(1) per write
 # ----------------------------------------------------------------------
 
 class IntakeAudit:

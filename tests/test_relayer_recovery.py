@@ -85,7 +85,7 @@ class TestResume:
         updates = held_down(dep, cp_chan)
         handle = updates._lc_holddown_handle
 
-        # Kicked again with the timer pending (the watchdog's kick).
+        # Kicked again with the timer pending (a counterparty block's kick).
         scheduled = dep.trace_report().counter("sim.events.scheduled")
         updates.kick()
         updates.kick()
