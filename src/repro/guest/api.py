@@ -74,11 +74,11 @@ class DeliveryResult:
 
 @dataclass(frozen=True, slots=True)
 class BatchOp:
-    """One packet operation queued for a batched delivery bundle.
+    """One packet operation on its way to a guest in a delivery bundle.
 
-    ``proof`` is the operation's own path: the per-packet retry path
-    ships it as it is, a :class:`Batch` merges it into its height's
-    witness.
+    ``proof`` is the operation's own path: a bundle of this one
+    operation ships it as it is, a :class:`Batch` merges it into its
+    height's witness.
     """
 
     kind: str  # "recv" | "ack" | "timeout"
@@ -87,18 +87,24 @@ class BatchOp:
     proof_height: int
     ack: object = None
 
-    def entry_bytes(self) -> bytes:
-        """This operation as an entry of a batch payload."""
-        msg = ins.BufferedPacketMsg(
+    def message(self, proof: bool = True) -> bytes:
+        """The staged message its exec instruction consumes: packet,
+        proof (left out of a batch entry whose height's witness proves
+        it), proof height and ack."""
+        return ins.BufferedPacketMsg(
             packet_bytes=self.packet.to_bytes(),
-            # A receipt's absence is not in the height's witness.
-            proof_bytes=self.proof.to_bytes() if self.kind == "timeout" else b"",
+            proof_bytes=self.proof.to_bytes() if proof else b"",
             proof_height=self.proof_height,
             ack_bytes=self.ack.to_bytes() if self.ack is not None else b"",
-        )
-        return bytes([self.exec_op()]) + msg.to_bytes()
+        ).to_bytes()
 
-    def exec_op(self) -> int:
+    def entry_bytes(self) -> bytes:
+        """This operation as an entry of a batch payload."""
+        # A receipt's absence is not in the height's witness.
+        return bytes([self.exec_op()]) + self.message(
+            proof=self.kind == "timeout")
+
+    def exec_op(self) -> Op:
         return {"recv": Op.RECV_EXEC, "ack": Op.ACK_EXEC,
                 "timeout": Op.TIMEOUT_EXEC}[self.kind]
 
@@ -107,7 +113,7 @@ class BatchOp:
 class Batch:
     """Packet operations and the one payload that carries them, built
     once: the relayer cuts its flushes by the payload's size and
-    :meth:`GuestApi.deliver_batch` ships the same bytes."""
+    :meth:`GuestApi.deliver` ships the same bytes."""
 
     ops: tuple[BatchOp, ...]
     #: Encoded size of each height's witness, in height order.
@@ -384,7 +390,7 @@ class GuestApi:
                  window, on_done).pump()
 
     # ------------------------------------------------------------------
-    # Bundled packet operations (§V-A's 4–5 transactions, one block)
+    # Bundled operations (§V-A's 4–5 transactions, one block)
     # ------------------------------------------------------------------
 
     def _buffered_exec(self, msg_bytes: bytes, exec_op: Op,
@@ -422,75 +428,47 @@ class GuestApi:
             transactions, tip_lamports=tip_lamports,
             on_result=partial(_delivered_bundle, on_done, packet_count))
 
-    def deliver_packet(self, packet, proof, proof_height: int,
-                       tip_lamports: int = 10_000,
-                       on_done: Optional[Callable[[DeliveryResult], None]] = None,
-                       prelude: tuple[bytes, ...] = ()) -> None:
-        """ReceivePacket: stage packet + proof, execute — one atomic
-        bundle, hence one host block (§V-A)."""
-        msg = ins.BufferedPacketMsg(
-            packet_bytes=packet.to_bytes(),
-            proof_bytes=proof.to_bytes(),
-            proof_height=proof_height,
-        )
-        self._buffered_exec(msg.to_bytes(), Op.RECV_EXEC, tip_lamports,
-                            on_done, prelude=prelude)
-
-    def acknowledge_packet(self, packet, ack, proof, proof_height: int,
-                           tip_lamports: int = 10_000,
-                           on_done: Optional[Callable[[DeliveryResult], None]] = None,
-                           prelude: tuple[bytes, ...] = ()) -> None:
-        msg = ins.BufferedPacketMsg(
-            packet_bytes=packet.to_bytes(),
-            proof_bytes=proof.to_bytes(),
-            proof_height=proof_height,
-            ack_bytes=ack.to_bytes(),
-        )
-        self._buffered_exec(msg.to_bytes(), Op.ACK_EXEC, tip_lamports,
-                            on_done, prelude=prelude)
-
-    def timeout_packet(self, packet, proof, proof_height: int,
-                       tip_lamports: int = 10_000,
-                       on_done: Optional[Callable[[DeliveryResult], None]] = None,
-                       prelude: tuple[bytes, ...] = ()) -> None:
-        msg = ins.BufferedPacketMsg(
-            packet_bytes=packet.to_bytes(),
-            proof_bytes=proof.to_bytes(),
-            proof_height=proof_height,
-        )
-        self._buffered_exec(msg.to_bytes(), Op.TIMEOUT_EXEC, tip_lamports,
-                            on_done, prelude=prelude)
-
     # ------------------------------------------------------------------
-    # Batched packet operations (many packets, one bundle)
+    # Packet operations: one bundle, one or many packets
     # ------------------------------------------------------------------
 
     def batch_transactions(self, batch: Batch) -> int:
-        """Host transactions :meth:`deliver_batch` needs for ``batch``:
-        whole CHUNK pieces until the rest fits the BATCH_EXEC
-        transaction (whose opcode, buffer id and length prefix take 8
-        bytes of a piece)."""
+        """Host transactions :meth:`deliver` needs for ``batch``: whole
+        CHUNK pieces until the rest fits the BATCH_EXEC transaction
+        (whose opcode, buffer id and length prefix take 8 bytes of a
+        piece)."""
         chunk_size = usable_chunk_bytes(self.chain.config.max_transaction_bytes)
         return -(-max(0, len(batch.payload) - (chunk_size - 8)) // chunk_size) + 1
 
-    def deliver_batch(self, batch: Batch | Sequence[BatchOp],
-                      tip_lamports: int = 10_000,
-                      on_done: Optional[Callable[[DeliveryResult], None]] = None,
-                      prelude: tuple[bytes, ...] = ()) -> None:
-        """Ship several packet operations (a :class:`Batch`, or the
-        operations to build one from) as one atomic bundle.
+    def deliver(self, ops: Batch | Sequence[BatchOp],
+                tip_lamports: int = 10_000,
+                on_done: Optional[Callable[[DeliveryResult], None]] = None,
+                prelude: tuple[bytes, ...] = ()) -> None:
+        """Ship packet operations — receives, acks, timeouts — to the
+        guest as one atomic bundle, hence in one host block, behind
+        ``prelude``.  How many there are picks the wire form.
 
-        One payload — a membership witness per proof height, then the
-        entries — cut contiguously: whole pieces are staged through
-        CHUNK transactions into one buffer and the tail rides in the
-        BATCH_EXEC transaction that runs it, so a payload that fits is
-        that one transaction.  Against per-packet delivery the bundles
-        drop from N to 1 and the proof bytes from N paths to the union
-        of their nodes: the §V-A per-packet cost amortises across the
-        batch.
+        One operation is §V-A's bundle: its message, own proof included,
+        staged through CHUNK transactions and run by its RECV_EXEC,
+        ACK_EXEC or TIMEOUT_EXEC.  Two or more are a :class:`Batch`
+        (a ``Batch`` given is shipped as built): one payload — a
+        membership witness per proof height, then the entries — cut
+        contiguously, whole pieces staged through CHUNK transactions
+        into one buffer and the tail riding in the BATCH_EXEC
+        transaction that runs it, so a payload that fits is that one
+        transaction.  Against a bundle per packet the bundles drop from
+        N to 1 and the proof bytes from N paths to the union of their
+        nodes: the §V-A per-packet cost amortises across the batch.
         """
-        if not isinstance(batch, Batch):
-            batch = Batch.of(batch)
+        if isinstance(ops, Batch):
+            batch = ops
+        elif len(ops) == 1:
+            (op,) = ops
+            self._buffered_exec(op.message(), op.exec_op(), tip_lamports,
+                                on_done, prelude=prelude)
+            return
+        else:
+            batch = Batch.of(ops)
         staged = (self.batch_transactions(batch) - 1) * usable_chunk_bytes(
             self.chain.config.max_transaction_bytes)
         self._buffered_exec(

@@ -135,8 +135,8 @@ class GuestEnd(_End):
         self.waiters: list[tuple[int, Callable[[int], None]]] = []
         #: (datagram kind, continuation) of the handshake step in flight.
         self.handshake_waiter: Optional[tuple[str, Callable]] = None
-        #: Pending (op, span) pairs awaiting a batched flush, and ack
-        #: confirmations awaiting a coalesced CONFIRM_ACK flush.
+        #: Pending (op, span) pairs awaiting the next delivery flush,
+        #: and ack confirmations awaiting a coalesced CONFIRM_ACK flush.
         self.pending_batch: list = []
         self.pending_confirms: list[tuple[str, str, int]] = []
         for handle in (self.batch_flush_handle, self.confirm_flush_handle):

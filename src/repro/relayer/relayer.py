@@ -73,9 +73,9 @@ class RelayerConfig:
     """Relayer tunables (docs/WORKLOAD.md)."""
 
     #: Maximum packet operations coalesced into one delivery bundle.
-    #: 1 (the default) keeps the classic one-bundle-per-packet flow of
-    #: §V-A; higher values enable BATCH_EXEC coalescing — pending
-    #: RecvPacket/ack work accumulates and flushes as a single bundle.
+    #: 1 (the default) flushes each operation at once, as the classic
+    #: one-bundle-per-packet flow of §V-A; higher values let pending
+    #: receive, ack and timeout work accumulate into BATCH_EXEC bundles.
     batch_max_packets: int = 1
     #: How long a partially filled batch may wait before it is flushed.
     batch_flush_seconds: float = 1.0
@@ -346,11 +346,10 @@ class Relayer:
     # ==================================================================
 
     def _dispatch_guest_op(self, dst: GuestEnd, op: BatchOp, span) -> None:
-        """Route one guest-side packet operation: straight to its own
-        bundle in the classic flow, or into the pending batch."""
-        if self.config.batch_max_packets <= 1:
-            self._submit_single(dst, op, span)
-            return
+        """Stage one guest-side packet operation for the next flush: at
+        once when a batch is one operation (the classic §V-A flow),
+        else when ``batch_max_packets`` are pending or the flush timer
+        fires."""
         dst.pending_batch.append((op, span))
         if len(dst.pending_batch) >= self.config.batch_max_packets:
             self._flush_batch(dst)
@@ -393,31 +392,109 @@ class Relayer:
         self._pump_retry_handle = None
         self._pump_bundles()
 
-    def _submit_single(self, dst: GuestEnd, op: BatchOp, span,
-                       attempt: int = 1) -> None:
-        self._enqueue_bundle(partial(self._launch_single, dst, op, partial(
-            self._single_done, dst, op, span, attempt, self._incarnation)))
+    def _flush_batch(self, dst: GuestEnd) -> None:
+        if dst.batch_flush_handle is not None:
+            dst.batch_flush_handle.cancel()
+            dst.batch_flush_handle = None
+        if not dst.pending_batch:
+            return
+        items, dst.pending_batch = dst.pending_batch, []
+        for group, batch in self._bundle_sized_groups(dst, items):
+            self._submit(dst, group, batch)
 
-    @staticmethod
-    def _launch_single(dst: GuestEnd, op: BatchOp, done) -> None:
-        submit = {"recv": dst.api.deliver_packet,
-                  "ack": dst.api.acknowledge_packet,
-                  "timeout": dst.api.timeout_packet}[op.kind]
-        args = (op.packet, op.ack) if op.kind == "ack" else (op.packet,)
-        submit(*args, op.proof, op.proof_height,
-               tip_lamports=BUNDLE_TIP_LAMPORTS, on_done=done,
-               prelude=dst.updates.prelude((op.proof_height,)))
+    def _bundle_sized_groups(self, dst: GuestEnd,
+                             items: list) -> list[tuple[list, Optional[Batch]]]:
+        """Split a flush so each bundle stays schedulable: halve it
+        until the payload, as built, fits ``BATCH_MAX_BUNDLE_TXS``
+        transactions.  One operation goes out as its own bundle,
+        whatever it takes, with no batch built for it."""
+        if len(items) == 1:
+            return [(items, None)]
+        batch = Batch.of([op for op, _ in items])
+        if dst.api.batch_transactions(batch) <= BATCH_MAX_BUNDLE_TXS:
+            return [(items, batch)]
+        half = len(items) // 2
+        return (self._bundle_sized_groups(dst, items[:half])
+                + self._bundle_sized_groups(dst, items[half:]))
 
-    def _single_done(self, dst: GuestEnd, op: BatchOp, span, attempt: int,
-                     incarnation: int, result: DeliveryResult) -> None:
-        if incarnation != self._incarnation:
-            return  # submitted by a crashed incarnation; drop
-        self._pump_bundles()
-        self._record_op_result(op, result)
-        if not result.success:
+    def _submit(self, dst: GuestEnd, items: list, batch: Optional[Batch],
+                attempt: int = 1) -> None:
+        """Queue one delivery bundle of ``items`` ((op, span) pairs; a
+        ``batch`` is their payload, built when there are two or more)."""
+        self._enqueue_bundle(partial(self._launch, dst, items, batch, partial(
+            self._delivered, dst, items, attempt, self._incarnation)))
+
+    def _launch(self, dst: GuestEnd, items: list, batch: Optional[Batch],
+                done) -> None:
+        ops = [op for op, _ in items]
+        if batch is not None:
+            trace = self.sim.trace
+            trace.count("relay.batches")
+            trace.observe("relay.batch.packets", len(ops))
+            trace.observe("relay.batch.payload_bytes", len(batch.payload))
+            for size in batch.witness_sizes:
+                trace.observe("relay.batch.witness_bytes", size)
+        dst.api.deliver(
+            batch or ops, tip_lamports=BUNDLE_TIP_LAMPORTS, on_done=done,
+            prelude=dst.updates.prelude(op.proof_height for op in ops))
+
+    def _delivered(self, dst: GuestEnd, items: list, attempt: int,
+                   incarnation: int, result: DeliveryResult) -> None:
+        """A delivery bundle came back.  It is booked whoever sent it —
+        a crashed incarnation's bundle that landed was paid for and
+        relayed its packets; only the pump, the retries and the spans
+        belong to the live incarnation.  A failed bundle's operations
+        retry one by one: bounded, idempotency-checked, counted — no
+        packet is lost and none is delivered twice."""
+        live = incarnation == self._incarnation
+        if live:
+            self._pump_bundles()
+        self._book([op for op, _ in items], result)
+        if not live:
+            return  # a dead process continues nothing
+        if result.success:
+            for _, span in items:
+                if span is not None:
+                    span.end(transactions=result.transaction_count)
+            return
+        if len(items) > 1:
+            self.sim.trace.count("relay.batch.fallback")
+            self.sim.trace.count("relay.batch.requeued", len(items))
+        for op, span in items:
             self._retry_op(dst, op, span, attempt)
-        elif span is not None:
-            span.end(transactions=result.transaction_count)
+
+    def _book(self, ops: list[BatchOp], result: DeliveryResult) -> None:
+        """The one accounting rule of a delivery bundle (§V-B ledger,
+        docs/OBSERVABILITY.md).  Its fee and transactions split over its
+        operations by kind, to the lamport.  A relayed packet is a
+        receive entry that landed, a cancelled timeout a timeout entry
+        that landed: an entry the contract refused on its own (already
+        received, say) rides a landed bundle without being either."""
+        kinds = [op.kind for op in ops]
+        landed = [op.kind for index, op in enumerate(ops) if result.success
+                  and index not in result.failed_entries]
+        seen = fee_before = txs_before = 0
+        for kind, flow in (("recv", "delivery"), ("ack", "ack-return"),
+                           ("timeout", "timeout")):
+            if count := kinds.count(kind):
+                seen += count
+                fee = result.total_fee * seen // len(ops)
+                txs = result.transaction_count * seen // len(ops)
+                self.ledger.record(flow, fee - fee_before, txs - txs_before)
+                fee_before, txs_before = fee, txs
+        trace, metrics = self.sim.trace, self.metrics
+        if "recv" in kinds:
+            metrics.deliveries.append(result)
+            trace.observe("relay.delivery.fee", result.total_fee)
+            trace.observe("relay.delivery.txs", result.transaction_count)
+            if relayed := landed.count("recv"):
+                trace.count("relay.packets.to_guest", relayed)
+                metrics.packets_relayed_to_guest += relayed
+        if "ack" in kinds:
+            metrics.acks_returned.append(result)
+        if cancelled := landed.count("timeout"):
+            trace.count("relay.timeouts.cancelled", cancelled)
+            metrics.timeouts_cancelled += cancelled
 
     def _retry_op(self, dst: GuestEnd, op: BatchOp, span, attempt: int) -> None:
         """Bounded, idempotent retry of one failed packet operation."""
@@ -445,110 +522,7 @@ class Relayer:
                     incarnation: int) -> None:
         if incarnation != self._incarnation or self.paused:
             return  # crashed meanwhile; the restart re-reads it
-        self._submit_single(dst, op, span, attempt)
-
-    def _record_op_result(self, op: BatchOp, result: DeliveryResult) -> None:
-        if op.kind == "recv":
-            self.metrics.deliveries.append(result)
-            self.ledger.record("delivery", result.total_fee, result.transaction_count)
-            self.sim.trace.observe("relay.delivery.fee", result.total_fee)
-            self.sim.trace.observe("relay.delivery.txs", result.transaction_count)
-            if result.success:
-                self.sim.trace.count("relay.packets.to_guest")
-                self.metrics.packets_relayed_to_guest += 1
-        elif op.kind == "ack":
-            self.metrics.acks_returned.append(result)
-            self.ledger.record("ack-return", result.total_fee, result.transaction_count)
-        else:
-            self.ledger.record("timeout", result.total_fee, result.transaction_count)
-            if result.success:
-                self.sim.trace.count("relay.timeouts.cancelled")
-                self.metrics.timeouts_cancelled += 1
-
-    def _flush_batch(self, dst: GuestEnd) -> None:
-        if dst.batch_flush_handle is not None:
-            dst.batch_flush_handle.cancel()
-            dst.batch_flush_handle = None
-        if not dst.pending_batch:
-            return
-        items, dst.pending_batch = dst.pending_batch, []
-        for group, batch in self._bundle_sized_groups(dst, items):
-            self._submit_batch(dst, group, batch)
-
-    def _bundle_sized_groups(self, dst: GuestEnd,
-                             items: list) -> list[tuple[list, Batch]]:
-        """Split a flush so each bundle stays schedulable: halve it
-        until the payload, as built, fits ``BATCH_MAX_BUNDLE_TXS``
-        transactions (one operation goes out whatever it takes)."""
-        batch = Batch.of([op for op, _ in items])
-        if (len(items) == 1
-                or dst.api.batch_transactions(batch) <= BATCH_MAX_BUNDLE_TXS):
-            return [(items, batch)]
-        half = len(items) // 2
-        return (self._bundle_sized_groups(dst, items[:half])
-                + self._bundle_sized_groups(dst, items[half:]))
-
-    def _submit_batch(self, dst: GuestEnd, items: list, batch: Batch) -> None:
-        self._enqueue_bundle(partial(self._launch_batch, dst, batch, partial(
-            self._batch_done, dst, items, batch, self._incarnation)))
-
-    def _launch_batch(self, dst: GuestEnd, batch: Batch, done) -> None:
-        trace = self.sim.trace
-        trace.count("relay.batches")
-        trace.observe("relay.batch.packets", len(batch.ops))
-        trace.observe("relay.batch.payload_bytes", len(batch.payload))
-        for size in batch.witness_sizes:
-            trace.observe("relay.batch.witness_bytes", size)
-        dst.api.deliver_batch(
-            batch, tip_lamports=BUNDLE_TIP_LAMPORTS, on_done=done,
-            prelude=dst.updates.prelude(op.proof_height for op in batch.ops))
-
-    def _batch_done(self, dst: GuestEnd, items: list, batch: Batch,
-                    incarnation: int, result: DeliveryResult) -> None:
-        if incarnation != self._incarnation:
-            return  # submitted by a crashed incarnation; drop
-        self._pump_bundles()
-        ops = batch.ops
-        if not result.success:
-            # The whole bundle failed (rejected as oversized, starved of
-            # block space, or dropped in transit): requeue each op on the
-            # bounded per-packet retry path — explicit backoff,
-            # idempotency-checked, counted — so no packet is lost and
-            # none is double-delivered.
-            self.sim.trace.count("relay.batch.fallback")
-            self.ledger.record("batch-failed", result.total_fee,
-                               result.transaction_count)
-            for op, span in items:
-                self.sim.trace.count("relay.batch.requeued")
-                self._retry_op(dst, op, span, attempt=1)
-            return
-        recv_count = sum(1 for op in ops if op.kind == "recv")
-        # A relayed packet is a receive entry that landed: an entry the
-        # contract refused on its own (already received, say) rides a
-        # landed bundle without being relayed by it.
-        relayed = sum(1 for index, op in enumerate(ops) if op.kind == "recv"
-                      and index not in result.failed_entries)
-        for op, span in items:
-            if span is not None:
-                span.end(transactions=result.transaction_count)
-        # Attribute the bundle's fee pro rata across the two flows (the
-        # §V-B ledger stays meaningful under batching).
-        fee_share = result.total_fee // len(ops)
-        if recv_count:
-            self.metrics.deliveries.append(result)
-            self.ledger.record("delivery", fee_share * recv_count,
-                               result.transaction_count)
-            self.sim.trace.observe("relay.delivery.fee", result.total_fee)
-            self.sim.trace.observe("relay.delivery.txs", result.transaction_count)
-            self.sim.trace.count("relay.packets.to_guest", relayed)
-            self.metrics.packets_relayed_to_guest += relayed
-        if len(ops) > recv_count:
-            self.metrics.acks_returned.append(result)
-            self.ledger.record(
-                "ack-return", result.total_fee - fee_share * recv_count, 0,
-            )
-        self.metrics.timeouts_cancelled += sum(
-            1 for op in ops if op.kind == "timeout")
+        self._submit(dst, [(op, span)], None, attempt)
 
     def _confirm_seal(self, receiver: GuestEnd, packet: Packet) -> None:
         """The sender accepted ``packet``'s ack: seal it on the receiving

@@ -193,20 +193,11 @@ class ChunkedTendermint(ClientUpdates):
         self.kick()
 
     def _lc_done(self, result: LcUpdateResult, generation: int) -> None:
-        if generation != self.relayer._incarnation:
-            # An update stream started before a crash finished after the
-            # restart: its accounting belongs to the dead incarnation and
-            # must not corrupt the new one's LC state machine.
-            self.sim.trace.count("relay.lc_updates.stale_dropped")
-            return
-        self._lc_busy = False
-        self._lc_next_start = (
-            self._lc_started
-            + result.transaction_count / LC_UPDATE_TXS_PER_SECOND)
+        """An update came back.  It is booked whoever started it, as a
+        delivery bundle is (``Relayer._delivered``): its transactions
+        were paid for.  Only the incarnation that started it continues
+        it — the budget, the span, the waiters and the next kick."""
         trace = self.sim.trace
-        trace.finish("relay.lc_update", key=result.height,
-                     transactions=result.transaction_count,
-                     success=result.success)
         trace.count("relay.lc_updates")
         trace.observe("relay.lc_update.txs", result.transaction_count)
         trace.observe("relay.lc_update.fee", result.total_fee)
@@ -214,6 +205,18 @@ class ChunkedTendermint(ClientUpdates):
         self.relayer.metrics.lc_updates.append(result)
         self.relayer.ledger.record("lc-update", result.total_fee,
                                    result.transaction_count)
+        if generation != self.relayer._incarnation:
+            # Started before a crash, finished after the restart: the
+            # new incarnation's LC state machine is not its to touch.
+            trace.count("relay.lc_updates.stale_dropped")
+            return
+        self._lc_busy = False
+        self._lc_next_start = (
+            self._lc_started
+            + result.transaction_count / LC_UPDATE_TXS_PER_SECOND)
+        trace.finish("relay.lc_update", key=result.height,
+                     transactions=result.transaction_count,
+                     success=result.success)
         if result.success:
             ready = [w for w in self._lc_queue if w[0] <= result.height]
             self._lc_queue = [w for w in self._lc_queue if w[0] > result.height]

@@ -13,7 +13,9 @@ watched at the host's RPC edge, where delivery bundles go in: counts
 and byte sums of a seeded run, so the gate cannot flake the way a
 timing would.  Reads 0.17 transactions and 145 payload bytes per
 packet (a 32-packet flush is six transactions); one path per packet
-read 1.49 and 1 145.
+read 1.49 and 1 145.  A classic link (``batch_max_packets`` = 1) goes
+down the same pipeline as bundles of one operation: pinned at its
+transactions and staged bytes per packet, with no batch built.
 """
 
 import pytest
@@ -120,3 +122,67 @@ def test_one_witness_fold_per_bundle_and_height(delivered):
     assert len(report.histogram("guest.batch.witness_nodes")) == len(folds)
     assert report.counter("guest.batch.witnesses_refused") == 0
     assert report.counter("guest.batch.entries_failed") == 0
+
+
+# ----------------------------------------------------------------------
+# The classic flow: a bundle per packet (batch_max_packets = 1)
+# ----------------------------------------------------------------------
+
+#: The classic link below, pinned from the two-path relayer's run: its
+#: delivery bundles' transactions (2.47 per packet) and the message
+#: bytes they stage (891 per packet).  A bundle of one operation is
+#: §V-A's staged RECV_EXEC bundle of its own proof.
+CLASSIC_PACKETS = 300
+CLASSIC_TRANSACTIONS = 742
+CLASSIC_STAGED_BYTES = 267_296
+
+
+def staged_message(transactions) -> bytes:
+    """What a one-packet delivery bundle stages: its CHUNK pieces, in
+    order, ahead of the RECV_EXEC that runs them."""
+    from repro.encoding import Reader
+    *chunk_txs, exec_tx = transactions
+    assert exec_tx.instructions[0].data[0] == Op.RECV_EXEC
+    pieces = []
+    for transaction in chunk_txs:
+        (chunk_ins,) = transaction.instructions
+        assert chunk_ins.data[0] == Op.CHUNK
+        chunk = Reader(chunk_ins.data[1:])
+        chunk.read_varint(), chunk.read_varint(), chunk.read_varint()
+        pieces.append(chunk.read_bytes())
+    return b"".join(pieces)
+
+
+def test_a_classic_link_ships_each_packet_alone():
+    """A link that flushes every operation at once ships each packet as
+    its own §V-A bundle: the same transactions and bytes per packet as
+    the bundle-per-packet path always did, and no batch is ever built
+    for a bundle of one."""
+    from repro.guest.api import Batch
+    batches = []
+    of = Batch.of
+    patch = pytest.MonkeyPatch()
+    patch.setattr(Batch, "of", classmethod(
+        lambda cls, ops: batches.append(len(ops)) or of(ops)))
+    bundles = []
+    try:
+        dep, channels = build_linked_deployment(0, GUEST, (1, 2.0), 1)
+        submit_bundle = dep.host.submit_bundle
+
+        def tap(transactions, tip_lamports, on_result=None):
+            if transactions[-1].instructions[0].data[0] == Op.RECV_EXEC:
+                bundles.append(list(transactions))
+            return submit_bundle(transactions, tip_lamports, on_result=on_result)
+
+        dep.host.submit_bundle = tap
+        engine = WorkloadEngine(dep, channels, WorkloadSpec(
+            offered_pps=5.0, duration=60.0, drain_seconds=60.0))
+        engine.start()
+        dep.sim.run_until(engine.end_time)
+    finally:
+        patch.undo()
+    assert engine.delivered == engine.sent == CLASSIC_PACKETS == len(bundles)
+    assert batches == []
+    assert sum(len(transactions) for transactions in bundles) == CLASSIC_TRANSACTIONS
+    assert sum(len(staged_message(transactions))
+               for transactions in bundles) == CLASSIC_STAGED_BYTES

@@ -466,7 +466,9 @@ def test_crash_mid_wave_is_dropped_by_the_incarnation_guard():
     dep.relayer.crash()
     dep.run_for(20.0)                 # the dead wave lands and finalizes
     assert len(tap.finalizes(first)) == 1
-    assert len(dep.relayer.metrics.lc_updates) == before   # not accounted
+    # Booked — the payer paid for it — but continued by no one.
+    (landed,) = dep.relayer.metrics.lc_updates[before:]
+    assert landed.transaction_count == len(tap.updates[first])
     assert dep.trace_report().counter("relay.lc_updates.stale_dropped") == 1
     assert not strategy._lc_busy and strategy._lc_next_start == budget
 

@@ -9,7 +9,7 @@ same bank balances.  This file checks that equivalence at four levels:
 
 * hypothesis property tests over a two-IbcHost link (random splits,
   permutations and duplicate injections, ≥200 sequences);
-* ``GuestApi.deliver_batch`` packing: one payload (a witness per proof
+* ``GuestApi.deliver`` packing: one payload (a witness per proof
   height, then the entries) cut contiguously, every emitted transaction
   inside the 1232-byte cap, far fewer of them than per-packet staging;
 * the guest contract's BATCH_EXEC: every refusal of a malformed payload
@@ -229,7 +229,7 @@ def test_an_ack_cannot_be_claimed_for_a_neighbouring_sequence():
 
 
 # ----------------------------------------------------------------------
-# Level 2: GuestApi.deliver_batch packing respects the 1232-byte cap
+# Level 2: GuestApi.deliver packing respects the 1232-byte cap
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -285,7 +285,7 @@ def _capture_bundle(monkeypatch, api):
 class TestDeliverBatchPacking:
     def test_empty_batch_rejected(self, packing_dep):
         with pytest.raises(ValueError):
-            packing_dep.relayer_api.deliver_batch([])
+            packing_dep.relayer_api.deliver([])
 
     def test_small_batch_is_one_transaction(self, packing_dep, monkeypatch):
         """A payload that fits rides whole in the single BATCH_EXEC
@@ -293,7 +293,7 @@ class TestDeliverBatchPacking:
         api = packing_dep.relayer_api
         ops = _ops_over(bare_host("tiny"), 3, b"tiny")
         captured = _capture_bundle(monkeypatch, api)
-        api.deliver_batch(ops)
+        api.deliver(ops)
         transactions = captured["transactions"]
         assert len(transactions) == 1 == api.batch_transactions(Batch.of(ops))
         (exec_tx,) = transactions
@@ -302,7 +302,7 @@ class TestDeliverBatchPacking:
 
     def test_an_op_is_frozen_and_serialised_once(self, packing_dep, monkeypatch):
         """The relayer cuts a flush by the size of the payload it built
-        and ``deliver_batch`` ships those bytes: one serialisation per
+        and ``deliver`` ships those bytes: one serialisation per
         operation and one encode per witness serve both."""
         import dataclasses
         op, other = _pending_ops(2)
@@ -325,7 +325,7 @@ class TestDeliverBatchPacking:
         # Sized, then shipped: nothing is encoded again.
         captured = _capture_bundle(monkeypatch, api)
         assert api.batch_transactions(batch) >= 1
-        api.deliver_batch(batch)
+        api.deliver(batch)
         assert batch_bundle_payload(captured["transactions"]) == batch.payload
         assert len(serialised) == 2 and len(encoded) == 1
         # A copy at another height is another entry under another witness.
@@ -338,7 +338,7 @@ class TestDeliverBatchPacking:
         ops = _pending_ops(6)
         batch = Batch.of(ops)
         captured = _capture_bundle(monkeypatch, api)
-        api.deliver_batch(batch)
+        api.deliver(batch)
         transactions = captured["transactions"]
         limit = api.chain.config.max_transaction_bytes
         for tx in transactions:
@@ -364,7 +364,7 @@ class TestDeliverBatchPacking:
         api = packing_dep.relayer_api
         ops = _pending_ops(6)
         captured = _capture_bundle(monkeypatch, api)
-        api.deliver_batch(ops)
+        api.deliver(ops)
         batched_txs = len(captured["transactions"])
         chunk = usable_chunk_bytes(api.chain.config.max_transaction_bytes)
         per_packet_txs = sum(
@@ -590,7 +590,7 @@ class TestWitnessIsolation:
         dep = self.dep
         events, results = [], []
         dep.host.subscribe("BatchProcessed", events.append)
-        dep.relayer_api.deliver_batch(batch, on_done=results.append)
+        dep.relayer_api.deliver(batch, on_done=results.append)
         dep.run_for(30.0)
         (result,), (event,) = results, events
         assert result.success and result.packet_count == len(batch.ops)
@@ -666,7 +666,7 @@ class TestWitnessIsolation:
         relayed = relayer.metrics.packets_relayed_to_guest
         counted = report.counter("relay.packets.to_guest")
         failed = report.counter("guest.batch.entries_failed")
-        relayer._submit_batch(relayer.a, [(op, None) for op in ops], Batch.of(ops))
+        relayer._submit(relayer.a, [(op, None) for op in ops], Batch.of(ops))
         dep.run_for(30.0)
         report = dep.trace_report()
         assert link.received() == len(ops)

@@ -247,7 +247,7 @@ class TestCrashRestart:
         checker = ConservationChecker({"guest": dep.contract.bank,
                                        "counterparty": dep.counterparty.bank})
         guest, contract, cranker = dep.relayer.a, dep.contract, dep.cranker
-        deliver = guest.api.deliver_packet
+        deliver = guest.api.deliver
 
         def cut_ahead(*args, on_done, prelude=(), **kwargs):
             # Hold the cranker off until the relayer has restarted, and
@@ -257,7 +257,7 @@ class TestCrashRestart:
                 dep.sim.schedule(0.4, lambda: cut_ahead(
                     *args, on_done=on_done, prelude=prelude, **kwargs))
                 return
-            guest.api.deliver_packet = deliver
+            guest.api.deliver = deliver
             deliver(*args, on_done=lambda result: (on_done(result),
                                                    crash_once_parked()),
                     prelude=(ins.generate_block(),) + tuple(prelude), **kwargs)
@@ -270,7 +270,7 @@ class TestCrashRestart:
             dep.relayer.restart()
             cranker.paused = False
 
-        guest.api.deliver_packet = cut_ahead
+        guest.api.deliver = cut_ahead
         written: list[tuple[int, int]] = []
         dep.host.subscribe("PacketReceived", lambda event: written.append(
             (event.slot, event.payload["height_hint"])))
@@ -327,14 +327,14 @@ class TestCrashRestart:
             return acknowledge(packet, ack, proof, proof_height)
 
         relayer._prove, dep.counterparty.ibc.acknowledge_packet = prove, submit
-        deliver = guest.api.deliver_packet
+        deliver = guest.api.deliver
 
         def crash_behind(*args, **kwargs):
-            guest.api.deliver_packet = deliver
+            guest.api.deliver = deliver
             deliver(*args, **kwargs)
             dep.sim.schedule(0.0, relayer.crash)  # behind the whole wave
 
-        guest.api.deliver_packet = crash_behind
+        guest.api.deliver = crash_behind
         written_while_down: list[int] = []
         dep.host.subscribe("PacketReceived", lambda event: relayer.paused and (
             written_while_down.append(event.payload["packet"].sequence)))
@@ -382,6 +382,46 @@ class TestCrashRestart:
         assert dep.relayer.a.updates._lc_busy      # stale result ignored
         counters = dep.trace_report().counters
         assert counters.get("relay.lc_updates.stale_dropped") == 1
+
+
+    def test_an_update_a_dead_incarnation_started_is_booked(self):
+        """The relayer crashes while a chunked update is uploading and
+        restarts at once; the host finishes that update after the
+        restart.  Its transactions were paid for, so it is booked — in
+        ``RelayerMetrics.lc_updates`` and the ledger's ``lc-update``
+        entry — while its continuations stay the dead incarnation's."""
+        dep = make_dep(283)
+        _, cp_chan = dep.establish_link()
+        dep.counterparty.bank.mint("carol", "PICA", 1_000)
+        relayer, api = dep.relayer, dep.relayer.a.api
+        metrics, ledger = relayer.metrics, relayer.ledger
+        started: list[int] = []
+        submit = api.submit_lc_update
+
+        def watched(update, **kwargs):
+            started.append(update.header.height)
+            submit(update, **kwargs)
+
+        api.submit_lc_update = watched
+        before = len(metrics.lc_updates)
+        cp_send(dep, cp_chan)
+        while not relayer.a.updates._lc_busy:
+            dep.sim.step()
+        (uploading,) = started
+        relayer.crash()
+        relayer.restart()
+        dep.run_for(300.0)
+        # The precondition: it came back to the new incarnation.
+        counters = dep.trace_report().counters
+        assert counters.get("relay.lc_updates.stale_dropped") == 1
+        assert uploading in [update.height for update in metrics.lc_updates]
+        assert sorted(update.height for update in metrics.lc_updates[before:]) \
+            == sorted(started)
+        assert ledger.transactions["lc-update"] == sum(
+            update.transaction_count for update in metrics.lc_updates)
+        assert ledger.by_category["lc-update"] == sum(
+            update.total_fee for update in metrics.lc_updates)
+        assert dep.contract.ibc.counters.packets_received == 1
 
 
 class TestBatchRequeue:
@@ -486,14 +526,14 @@ class TestRestartOwesOnlyWhatTheChainsOwe:
         guest_chan, cp_chan = dep.establish_link()
         dep.counterparty.bank.mint("carol", "PICA", 1_000)
         relayer, guest = dep.relayer, dep.relayer.a
-        deliver = guest.api.deliver_batch
+        deliver = guest.api.deliver
 
         def crash_behind(*args, **kwargs):
-            guest.api.deliver_batch = deliver
+            guest.api.deliver = deliver
             deliver(*args, **kwargs)
             dep.sim.schedule(0.0, relayer.crash)
 
-        guest.api.deliver_batch = crash_behind
+        guest.api.deliver = crash_behind
         for _ in range(4):
             cp_send(dep, cp_chan)
         while not relayer.paused:
