@@ -37,7 +37,8 @@ bench-smoke:
 # a send read at its block's instant, an update in one wave, at most
 # one cover per finalised guest block and none with nothing due, live
 # or replayed by a restart), and a world's footprint (bytes allocated building it, bytes in its
-# checkpoint, bytes held as account data: an account is its size).
+# checkpoint, bytes held as account data: an account is its size; the
+# history a loaded link keeps at 2T against T).
 # Counts are a function of the code alone, so a failure here names the
 # layer that grew.  All eight also run in tier-1.
 perf-gates:

@@ -21,7 +21,6 @@ from repro.validators.profiles import simple_profiles
 
 def run_on(profile_name: str) -> dict:
     host_config = HOST_PROFILES[profile_name]()
-    host_config.retain_blocks = 2_000
     deployment = Deployment(DeploymentConfig(
         seed=5,
         guest=GuestConfig(delta_seconds=120.0, min_stake_lamports=1),

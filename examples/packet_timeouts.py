@@ -28,6 +28,18 @@ def main() -> None:
     contract = deployment.contract
     counterparty = deployment.counterparty
 
+    # What the relayer hands the guest to cancel a packet: the packet,
+    # the proof of its receipt's absence and the counterparty height it
+    # is proven at.  (The chains keep only what their relayer can still
+    # reach, so it is read here, as it lands.)
+    proven = []
+    timeout_packet = contract.ibc.timeout_packet
+
+    def watched_timeout(packet, proof, proof_height):
+        timeout_packet(packet, proof, proof_height)
+        proven.append((packet, proof, proof_height))
+
+    contract.ibc.timeout_packet = watched_timeout
     contract.bank.mint("alice", "GUEST", 500)
     deadline = deployment.sim.now + 5.0  # expires long before relay
     print(f"alice sends 200 GUEST with a deadline {deadline - deployment.sim.now:.0f} s away "
@@ -52,14 +64,8 @@ def main() -> None:
     # counterparty consensus state it had *verified* — its timestamp past
     # the deadline — which is why Δ-style header freshness matters
     # (§III-A): the relayer brought the guest's light client there first.
-    packet = next(packet for height in range(contract.head.height + 1)
-                  for packet in contract.packets_in_block(height))
+    (packet, absence, height), = proven
     client = contract.counterparty_client
-    height = client.latest_height()
-    absence = counterparty.store_at(height).prove_seq_absence(
-        paths.receipt_prefix(packet.destination_port, packet.destination_channel),
-        packet.sequence,
-    )
     key = seq_key(paths.receipt_prefix(packet.destination_port,
                                        packet.destination_channel),
                   packet.sequence)

@@ -44,7 +44,13 @@ from repro.errors import ReproError
 #: 9: plain pickle — continuations are bound methods and partials and
 #: no closure is encoded; a chunked LC update in flight is an
 #: ``LcUpload``.
-CODEC_VERSION = 9
+#: 10: history is kept from what a chain's relayers can still reach —
+#: an ``IbcHost`` holds its ``readers`` and ``kept_from`` and no
+#: ``_acked`` or ``written``; a relayer end its floor cursor (``floor``,
+#: ``floor_due``); a ``Relayer`` the handshakes under way (``_dances``)
+#: and a ``Handshake`` what it ``holding``s; a ``HostChain`` keeps no ``blocks`` but
+#: ``_block_listeners``; neither chain config has ``retain_blocks``.
+CODEC_VERSION = 10
 
 
 class CheckpointError(ReproError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.crypto.keys import Keypair, PublicKey, SignatureScheme
-from repro.errors import ReproError
+from repro.errors import ReproError, UnknownBlockError
 from repro.ibc.apps.transfer import Bank, TransferApp
 from repro.ibc.host import IbcHost
 from repro.ibc.identifiers import ChannelId, PortId
@@ -52,9 +52,6 @@ class CounterpartyConfig:
     #: Probability per block that a validator's power changes (stake
     #: delegation churn), rotating ``next_validators_hash``.
     valset_churn_probability: float = 0.35
-    #: Keep only the most recent N block records (None = keep all).
-    #: Relayers only ever prove against recent heights.
-    retain_blocks: Optional[int] = None
     #: Synthetic entries pre-loaded into the IBC store.  A production
     #: chain's store holds many thousands of commitments, which is what
     #: gives membership proofs their realistic depth — and packet
@@ -100,6 +97,8 @@ class CounterpartyChain:
         ))
 
         self.height = 0
+        #: Block records from ``ibc.kept_from`` on: what a relayer can
+        #: still prove at, update a client to or read the clock of.
         self.blocks: dict[int, _BlockRecord] = {}
         self._pending_calls: list[tuple[Callable[[], Any], Optional[Callable[[Any, int], None]]]] = []
         self._block_listeners: list[Callable[[int], None]] = []
@@ -201,14 +200,13 @@ class CounterpartyChain:
             validator_set=current_set,
             store_view=self.ibc.store.snapshot(),
         )
-        retain = self.config.retain_blocks
-        if retain is not None and self.height > retain:
-            self.blocks.pop(self.height - retain, None)
         for on_result, value in results:
             if on_result is not None:
                 on_result(value, self.height)
         for listener in self._block_listeners:
             listener(self.height)
+        for height in self.ibc.forget():
+            self.blocks.pop(height, None)
         self.sim.schedule(self.config.block_seconds, self._produce_block)
 
     def _now(self) -> float:
@@ -266,7 +264,7 @@ class CounterpartyChain:
     def light_client_update(self, height: Optional[int] = None) -> LightClientUpdate:
         """The update a relayer ships to the guest for ``height``."""
         resolved = height if height is not None else self.height
-        record = self.blocks[resolved]
+        record = self.block(resolved)
         if record.commit is None:
             record.commit = self._build_commit(record, resolved)
         return LightClientUpdate(
@@ -275,9 +273,19 @@ class CounterpartyChain:
             validator_set=record.validator_set,
         )
 
+    def block(self, height: int) -> _BlockRecord:
+        """The record of the block at ``height``; one below what the
+        chain's readers can still reach (``ibc.kept_from``) is gone."""
+        record = self.blocks.get(height)
+        if record is None:
+            raise UnknownBlockError(
+                f"no counterparty block at height {height} (kept from "
+                f"{self.ibc.kept_from}, tip {self.height})")
+        return record
+
     def store_at(self, height: int) -> ProvableStore:
         """Frozen store view whose root is that height's ``app_hash``."""
-        return self.blocks[height].store_view
+        return self.block(height).store_view
 
     def genesis_validator_set(self) -> ValidatorSet:
         """The set a guest-side light client should be initialised with

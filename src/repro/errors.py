@@ -113,7 +113,8 @@ class AlreadySignedError(GuestError):
 
 
 class UnknownBlockError(GuestError):
-    """A height referenced a block the guest chain does not have."""
+    """A height referenced a block the chain does not have, or no longer
+    keeps: below what its relayers can still reach."""
 
 
 class StakeError(GuestError):

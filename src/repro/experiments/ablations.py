@@ -62,7 +62,7 @@ def delta_sweep(deltas: tuple[float, ...] = (600.0, 1_800.0, 3_600.0, 7_200.0),
         dep = Deployment(DeploymentConfig(
             seed=seed,
             guest=GuestConfig(delta_seconds=delta, min_stake_lamports=1),
-            host=HostConfig(slot_seconds=2.0, retain_blocks=2_000),
+            host=HostConfig(slot_seconds=2.0),
             profiles=simple_profiles(4),
             cranker_poll_seconds=5.0,
         ))
@@ -274,7 +274,6 @@ def quorum_sweep(fractions: tuple[Fraction, ...] = (
                 delta_seconds=300.0, min_stake_lamports=1,
                 quorum_fraction=fraction,
             ),
-            host=HostConfig(retain_blocks=2_000),
             profiles=simple_profiles(validators),
         ))
         dep.run_for(duration)

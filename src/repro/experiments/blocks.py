@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.counterparty.chain import CounterpartyConfig
 from repro.deployment import Deployment, DeploymentConfig
 from repro.guest.config import GuestConfig
 from repro.host.chain import HostConfig
@@ -76,8 +75,7 @@ class BlockIntervalRun:
                 delta_seconds=cfg.delta_seconds,
                 epoch_length_host_blocks=cfg.epoch_length_slots,
             ),
-            host=HostConfig(slot_seconds=HOST_SLOT_SECONDS, retain_blocks=2_000),
-            counterparty=CounterpartyConfig(retain_blocks=1_000),
+            host=HostConfig(slot_seconds=HOST_SLOT_SECONDS),
             profiles=deployment_profiles(outage_seconds=cfg.outage_seconds),
             cranker_poll_seconds=5.0,
         ))

@@ -24,7 +24,6 @@ from repro.counterparty.chain import CounterpartyConfig
 from repro.deployment import Deployment, DeploymentConfig
 from repro.guest.api import DeliveryResult, LcUpdateResult
 from repro.guest.config import GuestConfig
-from repro.host.chain import HostConfig
 from repro.host.events import HostEvent
 from repro.host.fees import (
     SEND_BUNDLE_TIP_LAMPORTS,
@@ -151,11 +150,8 @@ class EvaluationRun:
             seed=cfg.seed,
             run_duration=cfg.duration,
             guest=GuestConfig(epoch_length_host_blocks=cfg.epoch_length_slots),
-            host=HostConfig(retain_blocks=4_000),
             counterparty=CounterpartyConfig(
-                store_preload_entries=COUNTERPARTY_PRELOAD,
-                retain_blocks=2_000,
-            ),
+                store_preload_entries=COUNTERPARTY_PRELOAD),
             relayer=RelayerConfig(lc_update_plan=cfg.lc_update_plan),
             profiles=profiles,
             tracing=cfg.tracing,
@@ -231,10 +227,15 @@ class EvaluationRun:
                 return
 
     def _on_finalised(self, event: HostEvent) -> None:
+        # Latency decomposition: attribute each packet to the guest block
+        # that carried it.
+        generated_at = self.deployment.contract.block_at(
+            event.payload["height"]).generated_at
         for packet in event.payload["packets"]:
             record = self._sends_by_seq.get(packet.sequence)
             if record is not None and record.finalised_time is None:
                 record.finalised_time = event.time
+                record.block_generated_time = generated_at
 
     # ------------------------------------------------------------------
     # Execution
@@ -271,14 +272,6 @@ class EvaluationRun:
         dep = self.deployment
         results = self.results
         results.sends = [r for r in self._send_queue if r.committed_time is not None]
-        # Latency decomposition: attribute each packet to the guest block
-        # that carried it.
-        generated_at = {}
-        for block in dep.contract.blocks:
-            for packet in dep.contract.packets_in_block(block.height):
-                generated_at[packet.sequence] = block.generated_at
-        for record in results.sends:
-            record.block_generated_time = generated_at.get(record.sequence)
         results.lc_updates = list(dep.relayer.metrics.lc_updates)
         results.deliveries = list(dep.relayer.metrics.deliveries)
 

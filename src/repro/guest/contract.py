@@ -139,7 +139,9 @@ class GuestContract(Program):
         self.epochs_by_hash: dict[Hash, Epoch] = {}
         self.current_epoch: Optional[Epoch] = None
         self._epoch_start_slot = 0
-        #: Frozen store views per finalised height, for serving proofs.
+        #: Frozen store views per height, for serving proofs: from
+        #: ``ibc.kept_from`` on, what the guest's relayers can still
+        #: prove at (:meth:`forget_history`).
         self._state_views: dict[int, ProvableStore] = {}
         self._buffers: dict[tuple[Address, int], Buffer] = {}
         self.counterparty_client = TendermintLightClient(
@@ -391,6 +393,12 @@ class GuestContract(Program):
         if view is None:
             raise UnknownBlockError(f"no state view for height {height}")
         return view
+
+    def forget_history(self) -> None:
+        """Drop the state views below what the guest's relayers can
+        still reach (``IbcHost.forget``); run as each block finalises."""
+        for height in self.ibc.forget():
+            self._state_views.pop(height, None)
 
     def attach_state_journal(self, journal) -> None:
         """Record every store mutation into ``journal`` (a

@@ -128,6 +128,7 @@ def sign_block(contract, ctx: InvokeContext, height: int,
                 if next_epoch_hash is not None else None
             ),
         )
+        contract.forget_history()
 
 
 def _distribute_rewards(contract, block: GuestBlock, epoch: Epoch) -> None:

@@ -66,13 +66,6 @@ class HostConfig:
     max_transaction_bytes: int = MAX_TRANSACTION_BYTES
     #: Per-transaction compute cap (1.4 M CU on Solana).
     max_compute_units: int = MAX_COMPUTE_UNITS
-    #: Keep only the most recent N blocks in memory (None = keep all).
-    #: Long simulated deployments set this; nothing in the system reads
-    #: old host blocks (the guest keeps its own snapshots).  Only slots
-    #: that found a transaction in the mempool produce a block, so N
-    #: blocks reach further back in time — and keep more receipts
-    #: alive — the idler the chain is.
-    retain_blocks: Optional[int] = None
 
 
 @dataclass
@@ -116,8 +109,10 @@ class HostChain:
         #: Slots numbered up to the last tick accounted for; :attr:`slot`
         #: is the public reading.
         self._slot = 0
-        #: Produced blocks only: a slot slept through leaves none.
-        self.blocks: list[HostBlock] = []
+        #: Called with each produced block; the chain keeps none (nothing
+        #: reads an old host block: the guest keeps its own snapshots).
+        #: A slot slept through produces no block.
+        self._block_listeners: list[Callable[[HostBlock], None]] = []
         self._programs: dict[Address, Program] = {}
         self._mempool: list[_PendingTx] = []
         #: Per event name, each observer with its own delay stream.
@@ -436,10 +431,8 @@ class HostChain:
             self._reject_bundle(members, block)
 
         trace.count("host.blocks")
-        self.blocks.append(block)
-        retain = self.config.retain_blocks
-        if retain is not None and len(self.blocks) > 2 * retain:
-            del self.blocks[: len(self.blocks) - retain]
+        for listener in self._block_listeners:
+            listener(block)
         for event in block.events:
             self._dispatch(event)
         self._rearm()
@@ -679,6 +672,11 @@ class HostChain:
     # ------------------------------------------------------------------
     # Event subscription
     # ------------------------------------------------------------------
+
+    def on_block(self, listener: Callable[[HostBlock], None]) -> None:
+        """Register a callback fired (synchronously) with each produced
+        block, its receipts and events — a block explorer's view."""
+        self._block_listeners.append(listener)
 
     def subscribe(self, event_name: str, callback: Callable[[HostEvent], None]) -> None:
         """Register an off-chain observer for an event name.  Delivery is

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.errors import (
     ChannelError,
@@ -151,7 +151,6 @@ class IbcHost:
         self.apps: dict[PortId, IbcApp] = {}
         self._next_seq_send: dict[tuple[PortId, ChannelId], int] = {}
         self._next_seq_recv: dict[tuple[PortId, ChannelId], int] = {}
-        self._acked: dict[tuple[PortId, ChannelId], set[int]] = {}
         self._receipt_tracker: dict[tuple[PortId, ChannelId], _SequenceTracker] = {}
         self._ack_tracker: dict[tuple[PortId, ChannelId], _SequenceTracker] = {}
         self._ack_confirmed: dict[tuple[PortId, ChannelId], set[int]] = {}
@@ -161,14 +160,18 @@ class IbcHost:
         self.clock = clock
         #: The write index — ICS-04's height-indexed events, as a relayer
         #: queries them: height -> that block's packet writes in
-        #: execution order, and (kind, channel, sequence) -> the write
-        #: (a channel id is a ``str``: keys match plain strings).
+        #: execution order.
         self.writes: dict[int, list[Write]] = {}
-        self.written: dict[tuple[str, str, int], Write] = {}
         #: Sends still committed, by (source channel, sequence); those
         #: with a deadline also as sorted (deadline, channel, sequence).
         self.standing: dict[tuple[str, int], Write] = {}
         self._deadlines: list[tuple[float, str, int]] = []
+        #: Who may still read this chain's history (its relayers): each
+        #: returns the lowest height it can reach.  With none, nothing
+        #: is forgotten.
+        self.readers: list[Callable[[], int]] = []
+        #: The lowest height whose history is kept.
+        self.kept_from = 0
         self._client_counter = 0
         self._connection_counter = 0
         self._channel_counter = 0
@@ -519,7 +522,7 @@ class IbcHost:
             paths.commitment_prefix(port_id, channel_id), sequence, packet.commitment(),
         )
         key = (channel_id, sequence)
-        self.standing[key] = self._record("send", packet, channel_id)
+        self.standing[key] = self._record("send", packet)
         if timeout_timestamp:
             insort(self._deadlines, (timeout_timestamp, *key))
         self.counters.packets_sent += 1
@@ -598,7 +601,7 @@ class IbcHost:
             tracker = self._ack_tracker.setdefault(destination, _SequenceTracker())
             tracker.record(packet.sequence, consume=False)
             self._seal_confirmed_acks(destination)
-        self._record("ack", packet, packet.destination_channel, ack)
+        self._record("ack", packet, ack)
         self.counters.packets_received += 1
         return ack
 
@@ -627,8 +630,7 @@ class IbcHost:
         # Deleting the commitment bounds the sender-side state (§III-A).
         self.store.delete_seq(commitment_prefix, packet.sequence)
         self._clear(packet)
-        self._record("acked", packet, packet.source_channel)
-        self._acked.setdefault((packet.source_port, packet.source_channel), set()).add(packet.sequence)
+        self._record("acked", packet)
         self.apps[packet.source_port].on_acknowledge(packet, ack)
         self.counters.packets_acknowledged += 1
 
@@ -662,12 +664,25 @@ class IbcHost:
         self.apps[packet.source_port].on_timeout(packet)
         self.counters.packets_timed_out += 1
 
-    def _record(self, kind: str, packet: Packet, channel: ChannelId,
+    def _record(self, kind: str, packet: Packet,
                 ack: Optional[Acknowledgement] = None) -> Write:
         write = Write(kind, packet, self.write_height(), ack)
         self.writes.setdefault(write.height, []).append(write)
-        self.written[(kind, channel, packet.sequence)] = write
         return write
+
+    def forget(self) -> range:
+        """Drop the write index below what every reader can still reach,
+        less the one block whose clock opens the lowest timeout window,
+        and return the heights dropped: the embedding chain drops its
+        own records of them too.  Amortised O(1 + entries dropped)."""
+        if not self.readers:
+            return range(0)
+        below = min(reader() for reader in self.readers) - 1
+        dropped = range(self.kept_from, below)
+        for height in dropped:
+            self.writes.pop(height, None)
+        self.kept_from = max(self.kept_from, below)
+        return dropped
 
     def _clear(self, packet: Packet) -> None:
         key = (packet.source_channel, packet.sequence)
@@ -688,13 +703,6 @@ class IbcHost:
         tracker = self._ack_tracker.get(key)
         return (tracker is not None and packet.sequence in tracker.unsealed
                 and packet.sequence not in self._ack_confirmed.get(key, ()))
-
-    def unconfirmed_acks(self) -> Iterator[Write]:
-        """Every ack this chain wrote that awaits its confirmation."""
-        for key, tracker in self._ack_tracker.items():
-            confirmed = self._ack_confirmed.get(key, set())
-            for sequence in tracker.unsealed - confirmed:
-                yield self.written[("ack", key[1], sequence)]
 
     def confirm_ack(self, port_id: PortId, channel_id: ChannelId, sequence: int) -> None:
         """Mark an acknowledgement as processed by the sender and seal it

@@ -9,14 +9,15 @@ chain does each of those:
   tagged with the guest's chain id, proven against the frozen state view
   of a *finalised* guest block, written to through ``GuestApi`` bundles.
 * :class:`CounterpartyEnd` — an IBC-native chain.  Observed at each of
-  its blocks (``chain.on_block``), proven at any committed height,
+  its blocks (``chain.on_block``), proven at any height it keeps,
   written to by queueing a call for its next block.
 
 Either chain's IBC module indexes its packet writes by the height of the
 block that commits them (``IbcHost.writes``) and keeps the sends still
 committed (``IbcHost.standing``); that index, a receipt probe of the
-store (``has_receipt``) and the block clocks (``time``, ``first_past``)
-are all the relayer reads.  A
+store (``has_receipt``) and the block clocks (``time``) are all the
+relayer reads, and each chain keeps them only from the lowest height
+one of its relayers can still reach (``Relayer._floor``).  A
 guest↔counterparty link is ``(GuestEnd, CounterpartyEnd)``; a
 guest↔guest link is ``(GuestEnd, GuestEnd)``.  Each end also carries the
 link's handshake results on its chain (client, connection, channels) and
@@ -25,7 +26,7 @@ records nothing its chain already says.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections import deque
 from functools import partial
 from typing import Any, Callable, Optional
 
@@ -66,15 +67,16 @@ class _End:
         #: How this chain's client of the peer is advanced; set by the
         #: relayer (:func:`repro.relayer.updates.updates_for`).
         self.updates: Any = None
+        #: The relayer's floor on this chain (``Relayer._floor``): no
+        #: block below it owes the peer anything, and of the block at it
+        #: only the (kind, packet) entries in ``floor_due`` may (None:
+        #: not read yet).  Derived from the two chains alone, so a crash
+        #: keeps it.
+        self.floor = 0
+        self.floor_due: Optional[deque] = None
 
     def reset(self) -> None:
         """Drop everything a relayer crash loses."""
-
-    def first_past(self, deadline: float) -> int:
-        """Lowest height whose clock is past ``deadline`` — where a
-        receipt's absence proves a timeout."""
-        return bisect_right(range(self.latest_final() + 1), deadline,
-                            key=self.time)
 
     @property
     def client(self):
@@ -225,11 +227,11 @@ class CounterpartyEnd(_End):
         return self.chain.height
 
     def time(self, height: int) -> float:
-        """Clock of the block at ``height``; -inf before the first block
-        and for one the chain no longer holds (``retain_blocks``): the
-        oldest block held is the first known past an older deadline."""
-        record = self.chain.blocks.get(height) if height >= 1 else None
-        return record.header.time if record is not None else float("-inf")
+        """Clock of the block at ``height`` (before the first: -inf).
+        A block below the chain's floor is gone:
+        :class:`~repro.errors.UnknownBlockError`."""
+        return (self.chain.block(height).header.time
+                if height >= 1 else float("-inf"))
 
     def submit_handshake(self, msg, then: Callable[[Optional[str], int], None],
                          failed: Callable[[object], None]) -> None:

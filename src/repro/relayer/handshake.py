@@ -132,8 +132,13 @@ class Handshake:
         self.order = order
         #: The ``relay.handshake.step`` span of the step in flight.
         self._span = None
+        #: (end, height): the peer block the step in flight proves at,
+        #: which its end's chain keeps (``Relayer._floor``) while the
+        #: dance is under way.
+        self.holding: Optional[tuple[object, int]] = None
 
     def start(self) -> None:
+        self.relayer._dances.append(self)
         self._begin(0, None)
 
     def _begin(self, index: int, committed: Optional[int]) -> None:
@@ -152,7 +157,9 @@ class Handshake:
         if index == 0:
             self._submit(index, committed, attempt, None, 0)
             return
-        self.relayer._await_commit(self.sides[(index + 1) % 2].end, committed,
+        peer = self.sides[(index + 1) % 2].end
+        self.holding = (peer, committed)
+        self.relayer._await_commit(peer, committed,
                                    partial(self._prove, index, committed, attempt))
 
     def _prove(self, index: int, committed: Optional[int], attempt: int,
@@ -182,6 +189,7 @@ class Handshake:
             return
         for side in self.sides:
             self.keep(side)
+        self.relayer._dances.remove(self)
         self.on_done()
 
     def _failed(self, index: int, committed: Optional[int], attempt: int,
@@ -198,6 +206,7 @@ class Handshake:
             return
         if not relayer.retry_policy.allows(attempt):
             self._span.end(datagram=name, failed=str(cause))
+            relayer._dances.remove(self)
             raise HandshakeError(
                 f"link {relayer.a.chain_id}<->{relayer.b.chain_id}: {name} "
                 f"failed after {attempt} attempts: {cause}")

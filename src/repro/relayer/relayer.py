@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
-from repro.errors import HostUnavailableError, ReproError
+from repro.errors import HostUnavailableError, ReproError, UnknownBlockError
 from repro.guest.api import Batch, BatchOp, DeliveryResult, LcUpdateResult
 from repro.host.chain import HostChain
 from repro.host.events import HostEvent
@@ -123,8 +123,15 @@ class Relayer:
         self._guests = tuple(end for end in (a, b) if isinstance(end, GuestEnd))
         self._counterparties = tuple(
             end for end in (a, b) if end not in self._guests)
+        #: The handshakes this relayer has under way: the proof height of
+        #: a step in flight is read by it alone (:attr:`Handshake.holding`).
+        self._dances: list[Handshake] = []
         for end in (a, b):
             end.updates = updates_for(self, end, self._peer(end))
+            # A chain's history is kept from what its relayers can still
+            # reach; a new one starts where the chain keeps it.
+            end.floor = end.ibc.kept_from + 1
+            end.ibc.readers.append(partial(self._floor, end))
 
         #: Down, between :meth:`crash` and :meth:`restart`: the relayer
         #: observes nothing and submits nothing.
@@ -204,19 +211,16 @@ class Relayer:
         owed, confirms = [], []
         for kind, packet, _, ack in (
                 sends + rest if src in self._guests else rest + sends):
-            if kind == "send" and self._owes(src, dst, "recv", packet):
-                owed.append(("recv", packet, None))
-            elif (kind == "ack" and src.receives(packet)
-                  and self._owes(src, dst, "ack", packet)):
-                owed.append(("ack", packet, ack))
-            elif (kind == "acked" and src.sends(packet)
-                  and dst.ibc.awaits_confirm(packet)):
+            if not self._due(src, dst, kind, packet):
+                continue
+            if kind == "acked":
                 # Behind the block's first covered datagram if one came
                 # before it, as the chain executed them.
                 confirms.append((bool(owed), packet))
-        owed += [("timeout", packet, None) for packet in dst.ibc.expiring(
-            src.time(height - 1), src.time(height))
-            if self._owes(src, dst, "timeout", packet)]
+            else:
+                owed.append(("recv" if kind == "send" else kind, packet, ack))
+        owed += [("timeout", packet, None) for packet in self._expiring(
+            src, dst, height) if self._due(src, dst, "timeout", packet)]
         ready = src.take_waiters(height) if src in self._guests else ()
         epoch_change = (src in self._guests
                         and src.contract.block_at(height).header.last_in_epoch
@@ -248,8 +252,10 @@ class Relayer:
                 continue  # settled while the cover was awaited
             try:
                 proof = self._prove(src, kind, packet, covered)
+            except UnknownBlockError:
+                raise  # below the floor: the chain kept too little
             except ReproError:
-                continue  # view pruned, or settled meanwhile
+                continue  # settled meanwhile
             self._send(dst, BatchOp(kind=kind, packet=packet, proof=proof,
                                     proof_height=covered, ack=ack))
         for _, action in ready:
@@ -268,6 +274,26 @@ class Relayer:
         if kind == "ack":
             return view.prove_seq(prefix, packet.sequence)
         return view.prove_seq_absence(prefix, packet.sequence)
+
+    def _due(self, src, dst, kind: str, packet: Packet) -> bool:
+        """Does a ``kind`` write of ``src`` — a send, an ack written or
+        an ack accepted — or, for ``"timeout"``, a peer send its block
+        is the first past the deadline of, still owe ``dst`` a datagram?
+        Once it does not, it never will again: a receipt written, a
+        commitment cleared and an ack confirmed all stay so."""
+        if kind == "send":
+            return self._owes(src, dst, "recv", packet)
+        if kind == "ack":
+            return src.receives(packet) and self._owes(src, dst, "ack", packet)
+        if kind == "acked":
+            return src.sends(packet) and dst.ibc.awaits_confirm(packet)
+        return self._owes(src, dst, "timeout", packet)
+
+    @staticmethod
+    def _expiring(src, dst, height: int) -> list[Packet]:
+        """``dst``'s sends whose deadline ``src``'s block at ``height``
+        is the first past."""
+        return dst.ibc.expiring(src.time(height - 1), src.time(height))
 
     @staticmethod
     def _owes(src, dst, kind: str, packet: Packet) -> bool:
@@ -507,6 +533,15 @@ class Relayer:
             if span is not None:
                 span.end(outcome="already-applied")
             return
+        if (op.kind == "recv" and op.packet.timeout_timestamp
+                and dst.time(dst.latest_final()) > op.packet.timeout_timestamp):
+            # The destination's clock is past the deadline: it can only
+            # refuse the receive.  The cancel is the intake's, from the
+            # block first past the deadline.
+            self.sim.trace.count("relay.retries.expired")
+            if span is not None:
+                span.end(outcome="expired")
+            return
         if not self.retry_policy.allows(attempt):
             self.sim.trace.count("relay.retries.exhausted")
             if span is not None:
@@ -594,29 +629,40 @@ class Relayer:
             self.sim.trace.count("relay.recovered", recovered)
 
     def _floor(self, src) -> int:
-        """The lowest height of ``src`` that may owe its peer anything,
-        read from what both chains hold open: ``src``'s sends still
-        committed; the acks it wrote, or the first block past the
-        deadline, of the peer's; the acks it accepted that the peer
-        has not confirmed; an epoch end the peer's client has not
-        seen."""
+        """The lowest height of ``src`` this relayer may still read: the
+        first block that owes the peer a datagram (:meth:`_due`), or a
+        guest's first block past the one the peer's client holds (an
+        epoch end it has not seen; what a state-syncing joiner verifies
+        against), or a handshake step's proof height
+        (:attr:`Handshake.holding`); ``latest_final() + 1`` if none.
+        :meth:`restart` replays from it, and ``src``'s chain keeps its
+        history from it (``IbcHost.forget``).
+
+        Incremental: what owes nothing never owes again, and a new
+        obligation lands at or above the floor, so the floor rises past
+        each height once.  The block at the floor keeps, in
+        ``src.floor_due``, only what may still owe; a call costs O(1)
+        plus the heights and entries it passes."""
         dst = self._peer(src)
-        heights = [write.height for write in src.ibc.standing.values()]
-        for _, packet, _, _ in dst.ibc.standing.values():
-            ack = src.ibc.written.get(
-                ("ack", packet.destination_channel, packet.sequence))
-            if ack is not None:
-                heights.append(ack.height)
-            elif packet.timeout_timestamp:
-                heights.append(src.first_past(packet.timeout_timestamp))
-        for _, packet, _, _ in dst.ibc.unconfirmed_acks():
-            acked = src.ibc.written.get(
-                ("acked", packet.source_channel, packet.sequence))
-            if acked is not None:
-                heights.append(acked.height)
+        top = src.latest_final() + 1
         if src in self._guests:
-            heights.append(dst.client.latest_height() + 1)
-        return min(heights, default=src.latest_final() + 1)
+            top = min(top, dst.client.latest_height() + 1)
+        while src.floor < top:
+            if src.floor_due is None:
+                src.floor_due = deque(
+                    [(kind, packet) for kind, packet, _, _
+                     in src.ibc.writes.get(src.floor, ())]
+                    + [("timeout", packet)
+                       for packet in self._expiring(src, dst, src.floor)])
+            due = src.floor_due
+            while due and not self._due(src, dst, *due[0]):
+                due.popleft()
+            if due:
+                break
+            src.floor += 1
+            src.floor_due = None
+        return min([src.floor] + [dance.holding[1] for dance in self._dances
+                                  if dance.holding and dance.holding[0] is src])
 
     # ==================================================================
     # Handshakes (ICS-03 + ICS-04; repro.relayer.handshake)

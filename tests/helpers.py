@@ -9,6 +9,62 @@ from repro.ibc.client import LightClient
 from repro.trie.trie import SealableTrie
 
 
+class _Recorder:
+    @classmethod
+    def of(cls, chain):
+        """The recorder listening to ``chain`` (a restored world carries
+        its own copy)."""
+        return next(listener.__self__ for listener in chain._block_listeners
+                    if isinstance(getattr(listener, "__self__", None), cls))
+
+
+class BlockRecorder(_Recorder):
+    """The host blocks a test audits — receipts and events — recorded as
+    they are produced: the chain itself keeps none."""
+
+    def __init__(self, host) -> None:
+        self.blocks: list = []
+        host.on_block(self.record)
+
+    def record(self, block) -> None:
+        self.blocks.append(block)
+
+
+class CounterpartyRecorder(_Recorder):
+    """The counterparty block records a test audits, by height, kept as
+    each block is produced: the chain keeps only what its relayers can
+    still reach."""
+
+    def __init__(self, chain) -> None:
+        self.chain = chain
+        self.records: dict = {}
+        chain.on_block(self.record)
+
+    def record(self, height: int) -> None:
+        self.records[height] = self.chain.block(height)
+
+
+class UnboundedHistory:
+    """The retention rule switched off, inside a ``with`` block: every
+    chain keeps every block record, state view and write
+    (``IbcHost.forget`` forgets nothing) — the twin a bounded run is
+    compared with, and the instrument of a test that audits old views."""
+
+    def __enter__(self) -> "UnboundedHistory":
+        from repro.ibc.host import IbcHost
+        self._forget = IbcHost.forget
+        IbcHost.forget = _forget_nothing
+        return self
+
+    def __exit__(self, *exc) -> None:
+        from repro.ibc.host import IbcHost
+        IbcHost.forget = self._forget
+
+
+def _forget_nothing(ibc) -> range:
+    return range(0)
+
+
 class StaticRootClient(LightClient):
     """A light client whose consensus states are injected directly.
 
@@ -54,6 +110,12 @@ def bare_host(name: str, **kwargs) -> IbcHost:
     the light clients instead)."""
     return IbcHost(name, write_height=lambda: 0,
                    clock=lambda: float("-inf"), **kwargs)
+
+
+def writes_of(ibc, kind: str) -> list:
+    """Every write of ``kind`` the chain's index still keeps, by height."""
+    return [write for writes in ibc.writes.values() for write in writes
+            if write.kind == kind]
 
 
 class ProtoChain:

@@ -6,6 +6,7 @@ import pytest
 from repro import Deployment, DeploymentConfig
 from repro.counterparty.chain import CounterpartyChain, CounterpartyConfig
 from repro.crypto.simsig import SimSigScheme
+from repro.errors import UnknownBlockError
 from repro.guest.config import GuestConfig
 from repro.ibc.host import _SequenceTracker
 from repro.sim import Simulation
@@ -187,12 +188,23 @@ class TestCounterpartyModel:
         assert chain.ibc.write_height() == chain.height + 1 == 2
 
     def test_retention_prunes_old_blocks(self):
-        sim, chain = self.make(retain_blocks=5)
+        """A chain keeps its block records from one below the lowest
+        height its readers (relayers) can still reach; with no reader
+        it keeps them all, and a read below what it keeps fails."""
+        sim, chain = self.make()
+        floor = [1]
+        chain.ibc.readers.append(lambda: floor[0])
         sim.run_until(120.0)
-        assert chain.height == 20
-        assert 1 not in chain.blocks
-        assert chain.height in chain.blocks
-        assert len(chain.blocks) <= 6
+        assert sorted(chain.blocks) == list(range(1, 21))
+        floor[0] = 15
+        sim.run_until(126.0)
+        assert chain.height == 21
+        assert sorted(chain.blocks) == list(range(14, 22))
+        assert chain.ibc.kept_from == 14
+        for read in (chain.store_at, chain.light_client_update):
+            with pytest.raises(UnknownBlockError):
+                read(13)
+        assert chain.store_at(14).root_hash == chain.blocks[14].header.app_hash
 
 
 class TestCrankerAndSweep:

@@ -34,6 +34,7 @@ from repro.ibc.identifiers import PortId
 from repro.trie.nodes import BranchNode, ExtensionNode
 
 from tests.test_trie_in_place import nodes
+from tests.helpers import BlockRecorder, CounterpartyRecorder, writes_of
 from repro.validators.profiles import simple_profiles
 
 
@@ -285,15 +286,21 @@ class TestSnapshotRestore:
         assert restored.sim.now == deployment.sim.now
         assert restored.sim.pending_events() == deployment.sim.pending_events()
 
-    def test_derived_values_ride_the_checkpoint_and_stay_true(self, live_world):
+    def test_derived_values_ride_the_checkpoint_and_stay_true(self):
         """Digests kept on their immutable owners (``repro.derive``) are
         pickled with them: a restored world starts warm, and what it
         carries is what a cold copy of the same fields derives."""
         import dataclasses
 
-        deployment, _ = live_world
+        # The counterparty keeps only what its relayer can still reach:
+        # a test-side recorder keeps every record, and rides along.
+        deployment = Deployment(small_config())
+        CounterpartyRecorder(deployment.counterparty)
+        deployment.establish_link()
+        deployment.run_for(60.0)
         restored, _ = restore_world(snapshot_world(deployment))
-        records = list(restored.counterparty.blocks.values())
+        records = list(CounterpartyRecorder.of(
+            restored.counterparty).records.values())
         assert len(records) > 5
         for record in records:
             valset = record.validator_set
@@ -315,6 +322,7 @@ class TestSnapshotRestore:
         it numbers the slots it slept through and wakes for the same
         transaction at the same instant as the world that ran on."""
         deployment = Deployment(small_config(seed=73, tracing=True))
+        BlockRecorder(deployment.host)
         guest_channel, _ = deployment.establish_link()
         while deployment.host._slot_handle is not None:
             deployment.sim.step()
@@ -337,7 +345,7 @@ class TestSnapshotRestore:
                     [(block.slot, block.time,
                       [(receipt.tx_id, receipt.success, receipt.fee_paid)
                        for receipt in block.receipts])
-                     for block in world.host.blocks],
+                     for block in BlockRecorder.of(world.host).blocks],
                     sorted(world.trace_report().counters.items()))
 
         straight = finish(deployment)
@@ -369,8 +377,8 @@ class TestSnapshotRestore:
             wrote in a block not yet finalised (its block owes it)."""
             final = guest.latest_final()
             return {action.func.__name__ for _, action in guest.waiters} | {
-                write.kind for write in guest.ibc.written.values()
-                if write.kind == "ack" and write.height > final}
+                write.kind for write in writes_of(guest.ibc, "ack")
+                if write.height > final}
 
         for _ in range(5):
             counterparty.submit(send)

@@ -41,7 +41,7 @@ from repro.ibc.channel import ChannelState
 from repro.ibc.identifiers import ChannelId, PortId
 from repro.relayer.endpoint import probe
 
-from tests.helpers import can_cut_a_block
+from tests.helpers import UnboundedHistory, can_cut_a_block
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +311,13 @@ def test_every_guest_write_names_the_block_that_commits_it(seed):
     """For every guest ``HandshakeStep`` and ``PacketReceived``, the
     block at ``height_hint`` is the first whose state view holds the
     write: over the path's establishment, where links sharing a guest
-    cut blocks in each other's slots, and a routed transfer."""
+    cut blocks in each other's slots, and a routed transfer.  The audit
+    reads every height's view, so the guests keep them all."""
+    with UnboundedHistory():
+        written_once(seed)
+
+
+def written_once(seed: int) -> None:
     dep = build_fabric(TopologyConfig.chain_of(ROUTE, seed=seed), establish=False)
     steps: dict[str, list[int]] = {name: [] for name in dep.guests}
     acks: dict[str, list] = {name: [] for name in dep.guests}

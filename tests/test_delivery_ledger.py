@@ -27,6 +27,7 @@ from repro.units import sol_to_lamports
 from repro.workload import WorkloadEngine, WorkloadSpec
 
 from tests.test_lc_update_budget import BATCHING, GUEST
+from tests.helpers import BlockRecorder
 
 PACKET_EXECS = {Op.RECV_EXEC, Op.ACK_EXEC, Op.TIMEOUT_EXEC, Op.BATCH_EXEC}
 DELIVERY_FLOWS = ("delivery", "ack-return", "timeout", "batch-failed")
@@ -38,6 +39,7 @@ class DeliveryTap:
 
     def __init__(self, dep) -> None:
         self.host, self.relayer = dep.host, dep.relayer
+        self.recorder = BlockRecorder(dep.host)
         self.payer = dep.relayer.a.api.payer
         self.tx_ids: set[int] = set()
         #: Delivery bundles whose result reached a crashed incarnation.
@@ -61,7 +63,7 @@ class DeliveryTap:
 
     def charged(self) -> int:
         """Lamports the host's blocks record for those transactions."""
-        return sum(receipt.fee_paid for block in self.host.blocks
+        return sum(receipt.fee_paid for block in self.recorder.blocks
                    for receipt in block.receipts if receipt.tx_id in self.tx_ids)
 
 

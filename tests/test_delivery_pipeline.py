@@ -49,6 +49,7 @@ from repro.ibc.identifiers import ChannelId, PortId
 from repro.relayer.relayer import (
     BATCH_MAX_BUNDLE_TXS, BUNDLE_TIP_LAMPORTS, Relayer, RelayerConfig,
 )
+from tests.helpers import BlockRecorder
 
 PORT = PortId("transfer")
 
@@ -182,6 +183,7 @@ class Run:
                 relayer=RelayerConfig(batch_max_packets=batch,
                                       batch_flush_seconds=1.0)))
         self.expiring = expiring
+        self.recorder = BlockRecorder(dep.host)
         self.relayer = dep.links[0].relayer
         assert type(self.relayer) is relayer_class
         self.channels = {name: ChannelId(chan)
@@ -337,3 +339,41 @@ def test_a_sparse_batched_link_forces_groups_of_one():
     transfer per flush builds groups of one in the twin."""
     twin = differential("guest-guest", 7, FaultPlan(), 8, 2, 1, 30.0, False)
     assert twin.groups_of_one > 0
+
+
+class ExpiryWatch(Relayer):
+    """The relayer, noting each failed receive it was asked to retry
+    whose deadline its destination's latest final block had passed, and
+    whether it scheduled a retry for it anyway."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.expired, self.expired_retried = 0, 0
+
+    def _retry_op(self, dst, op, span, attempt: int) -> None:
+        expired = (op.kind == "recv" and op.packet.timeout_timestamp
+                   and dst.time(dst.latest_final()) > op.packet.timeout_timestamp)
+        retries = self.metrics.retries
+        super()._retry_op(dst, op, span, attempt)
+        self.expired += bool(expired)
+        self.expired_retried += bool(expired) and self.metrics.retries > retries
+
+
+def test_an_expired_receive_is_not_retried():
+    """A guest↔guest link delivering each datagram as its own bundle,
+    its relayer down for 20 s and half the host's transactions dropped,
+    every third send with a 20 s deadline.  A receive whose bundle
+    failed after its destination's clock passed the deadline can only be
+    refused again: it is not resubmitted, and the timeout path cancels
+    it.  (Measured when the rule came in: the relayer before it made 46
+    retries and 56 failed delivery bundles here, 28 of the retries for
+    expired receives; with it, 18 and 28.)"""
+    plan = (FaultPlan().add("relayer_crash", at=53.0, duration=20.0)
+            .add("host_tx_drop", at=0.0, duration=30.0, probability=0.5))
+    run = Run(ExpiryWatch, "guest-guest", 8724, plan, 1, 3, 4, 3.0, True)
+    run.assert_settled()
+    relayer = run.relayer
+    assert relayer.expired > 0               # the precondition
+    assert relayer.expired_retried == 0
+    assert sum(run.chain(name).ibc.counters.packets_timed_out
+               for name in ("g0", "g1")) > 0

@@ -41,6 +41,18 @@ class TestEvaluationHarness:
             if record.latency is not None:
                 assert record.latency > 0
 
+    def test_every_finalised_send_is_attributed_to_its_block(
+            self, small_evaluation):
+        # The Fig. 2 decomposition (benchmarks/test_latency_decomposition.py)
+        # needs both stages of every finalised send, early ones included.
+        finalised = [r for r in small_evaluation.sends
+                     if r.finalised_time is not None]
+        assert len(finalised) >= 10
+        for record in finalised:
+            assert record.wait_for_block is not None
+            assert record.wait_for_quorum is not None
+            assert record.wait_for_block >= 0 and record.wait_for_quorum >= 0
+
     def test_both_strategies_present(self, small_evaluation):
         strategies = {r.strategy for r in small_evaluation.sends}
         assert strategies == {"priority", "bundle"}

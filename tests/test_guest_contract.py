@@ -9,6 +9,7 @@ ops, and the state-budget guard.
 import pytest
 
 from repro import Deployment, DeploymentConfig
+from repro.errors import UnknownBlockError
 from repro.guest import instructions as ins
 from repro.guest.config import GuestConfig
 from repro.host.fees import BaseFee
@@ -253,9 +254,15 @@ class TestMisc:
             dep.contract.initialize(0, 0.0)
 
     def test_state_view_serves_proofs_for_old_heights(self, dep):
+        """Back to the oldest height the guest keeps — the one below the
+        lowest its relayer can still prove at — and no further."""
         dep.establish_link()
-        view0 = dep.contract.state_view(0)
-        assert view0.root_hash == dep.contract.blocks[0].header.state_root
+        kept = dep.contract.ibc.kept_from
+        assert kept > 0
+        view = dep.contract.state_view(kept)
+        assert view.root_hash == dep.contract.blocks[kept].header.state_root
+        with pytest.raises(UnknownBlockError):
+            dep.contract.state_view(kept - 1)
         head = dep.contract.head
         view = dep.contract.state_view(head.height)
         assert view.root_hash == head.header.state_root

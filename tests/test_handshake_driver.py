@@ -75,6 +75,7 @@ class ProtoRelayer:
         self.fabric, self.a, self.b = fabric, a, b
         self.sim = Simulation()  # untraced: the step spans go nowhere
         self.sent: list[tuple[str, str]] = []
+        self._dances = []  # the handshakes under way register here
 
     def _await_commit(self, src, marker, action) -> None:
         action(self.fabric.sync())

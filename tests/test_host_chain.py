@@ -39,6 +39,7 @@ from repro.units import (
     rent_exempt_deposit,
     sol_to_lamports,
 )
+from tests.helpers import BlockRecorder
 
 PAYER = Address.derive("payer")
 
@@ -858,6 +859,7 @@ def play_host(chain_class, program, windows, subscribe):
     command."""
     sim = Simulation(seed=11, tracer=Tracer())
     chain = chain_class(sim, SimSigScheme(), HostConfig())
+    chain.recorder = BlockRecorder(chain)
     if windows:
         chain.chaos = _WindowFaults(windows)
     chain.airdrop(PAYER, sol_to_lamports(1_000.0))
@@ -947,7 +949,7 @@ class TestAgainstTickingHost:
         # stalled slots with transactions waiting) cost it an event.
         assert ticking.ticks == (now("host.blocks") + now("host.slots.idle")
                                  + now("chaos.host.slots_stalled"))
-        assert now("host.blocks") == len(sleeping.blocks)
+        assert now("host.blocks") == len(sleeping.recorder.blocks)
         saved = ticking.sim.dispatched_events() - sleeping.sim.dispatched_events()
         assert saved == ticking.ticks - sleeping.ticks
         stalled_asleep = now("chaos.host.slots_stalled") - (
@@ -978,6 +980,7 @@ class TestPassiveObserver:
             seed=seed, profiles=simple_profiles(4),
             guest=GuestConfig(delta_seconds=120.0, min_stake_lamports=1)))
         seen = []
+        recorder = BlockRecorder(dep.host)
 
         def observe():
             for name in ("FinalisedBlock", "PacketReceived"):
@@ -1002,7 +1005,7 @@ class TestPassiveObserver:
         assert dep.counterparty.ibc.counters.packets_received == 5
         receipts = [(receipt.slot, receipt.time, receipt.success,
                      receipt.fee_paid, receipt.compute_consumed)
-                    for block in dep.host.blocks for receipt in block.receipts]
+                    for block in recorder.blocks for receipt in block.receipts]
         fingerprint = (
             dep.sim.dispatched_events() - len(seen),
             bytes(dep.contract.store.root_hash),

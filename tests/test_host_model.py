@@ -10,6 +10,7 @@ from repro.host.compute import ComputeMeter
 from repro.host.fees import AdaptiveFee, BaseFee, BundleFee, PriorityFee
 from repro.sim import Simulation
 from repro.sim.rng import Rng
+from tests.helpers import BlockRecorder
 
 
 def make_chain(**config_kw):
@@ -125,14 +126,12 @@ class TestComputeMeter:
 
 
 class TestBlockRetention:
-    def test_host_prunes_old_blocks(self):
-        sim, chain = make_chain(retain_blocks=10)
-        sim.run_until(40.0)  # 100 slots at 0.4 s
-        assert chain.slot == 100
-        assert len(chain.blocks) <= 20  # trimmed at 2x watermark
+    """The host keeps no block list: a listener sees every produced
+    block (``HostChain.on_block``)."""
 
     def test_unbounded_by_default(self):
         sim, chain = make_chain()
+        recorder = BlockRecorder(chain)
         # A slot whose mempool is empty leaves no block, so keep one
         # transaction or more waiting at every tick: four submissions a
         # slot, each held ~1 s by the base-fee queue.
@@ -141,15 +140,16 @@ class TestBlockRetention:
             sim.schedule_at(tenth * 0.1, chain.submit, transaction)
         sim.run_until(40.0)
         assert chain.slot == 100
-        assert len(chain.blocks) == 100
-        assert [block.slot for block in chain.blocks] == list(range(1, 101))
+        assert not hasattr(chain, "blocks")
+        assert [block.slot for block in recorder.blocks] == list(range(1, 101))
 
     def test_an_idle_slot_leaves_no_block(self):
         sim, chain = make_chain()
+        recorder = BlockRecorder(chain)
         sim.run_until(40.0)
         assert chain.slot == 100
         # The first slot always ticks; the chain then sleeps.
-        assert [block.slot for block in chain.blocks] == [1]
+        assert [block.slot for block in recorder.blocks] == [1]
 
 
 class TestTransactionLayout:

@@ -16,7 +16,7 @@ from collections import Counter
 from repro import Deployment, DeploymentConfig
 from repro.workload import WorkloadEngine, WorkloadSpec
 
-from tests.helpers import tap_cold_framings
+from tests.helpers import BlockRecorder, CounterpartyRecorder, tap_cold_framings
 
 HOUR = 3_600.0
 #: 400 ms slots on a grid of accumulated float additions: a window's
@@ -61,7 +61,9 @@ def test_an_idle_hour_costs_only_the_pollers(monkeypatch):
     deployment, _ = established()
     sim, host = deployment.sim, deployment.host
     sim.run_until(sim.now + 600.0)  # the handshakes' last receipts land
-    slot_before, blocks_before = host.slot, len(host.blocks)
+    recorder, records = BlockRecorder(host), CounterpartyRecorder(
+        deployment.counterparty).records
+    slot_before = host.slot
     events_before = sim.dispatched_events()
     framings = tap_cold_framings(monkeypatch)
 
@@ -76,7 +78,7 @@ def test_an_idle_hour_costs_only_the_pollers(monkeypatch):
     # The hour is not dead: Δ elapsed once, so the cranker cut an empty
     # guest block and the validators signed it.  Those transactions are
     # the only reason the host chain ticked at all...
-    produced = host.blocks[blocks_before:]
+    produced = recorder.blocks
     receipts = sum(len(block.receipts) for block in produced)
     assert 0 < receipts <= len(ticks) == len(produced) <= 4 * receipts
     assert len(ticks) * 100 <= slots
@@ -91,7 +93,7 @@ def test_an_idle_hour_costs_only_the_pollers(monkeypatch):
     # ~210 of the hour's 600 counterparty blocks churned a validator's
     # power; none framed the set again.
     digests = {record.header.next_validators_hash
-               for record in deployment.counterparty.blocks.values()}
+               for record in records.values()}
     assert len(digests) > 150
     assert len(framings) <= 1
 
@@ -101,6 +103,7 @@ def test_a_loaded_hour_produces_blocks_for_transactions(monkeypatch):
     block where a transaction waits, not 9 000 an hour."""
     deployment, channels = established()
     host = deployment.host
+    records = CounterpartyRecorder(deployment.counterparty).records
     framings = tap_cold_framings(monkeypatch)
     engine = WorkloadEngine(deployment, [channels], WorkloadSpec(
         mode="open-poisson", offered_pps=0.02, duration=HOUR,
@@ -122,7 +125,6 @@ def test_a_loaded_hour_produces_blocks_for_transactions(monkeypatch):
     # The counterparty's churned sets were all patched from one
     # preimage; the sets the guest's light client rebuilds on chain from
     # a staged delta are new sets and frame their own.
-    held = {id(record.validator_set)
-            for record in deployment.counterparty.blocks.values()}
+    held = {id(record.validator_set) for record in records.values()}
     held.add(id(deployment.counterparty.validator_set()))
     assert sum(id(valset) in held for valset in framings) <= 1

@@ -12,7 +12,9 @@ import pytest
 from repro import Deployment, DeploymentConfig
 from repro.counterparty.chain import CounterpartyConfig
 from repro.guest.config import GuestConfig
+from repro.lightclient.tendermint import LightClientUpdate
 from repro.validators.profiles import simple_profiles
+from tests.helpers import CounterpartyRecorder
 
 
 def small_config(seed=11, delta=120.0, **kw):
@@ -28,6 +30,7 @@ def small_config(seed=11, delta=120.0, **kw):
 def linked():
     """One linked deployment shared by the read-only checks."""
     dep = Deployment(small_config())
+    dep.cp_records = CounterpartyRecorder(dep.counterparty).records
     channels = dep.establish_link()
     return dep, channels
 
@@ -51,7 +54,9 @@ class TestLinkEstablishment:
         for result in dep.relayer.metrics.lc_updates:
             assert result.success
             assert result.transaction_count > 10  # genuinely chunked
-            update = dep.counterparty.light_client_update(result.height)
+            record = dep.cp_records[result.height]
+            update = LightClientUpdate(header=record.header, commit=record.commit,
+                                       validator_set=record.validator_set)
             valset = update.validator_set
             powers = valset.power_map()
             ranked = [key for key, _ in sorted(

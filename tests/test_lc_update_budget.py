@@ -43,6 +43,7 @@ from repro.relayer.updates import LC_UPDATE_PLANS, LC_UPDATE_TXS_PER_SECOND
 from repro.sim import Simulation
 from repro.validators.profiles import simple_profiles
 from repro.workload import WorkloadEngine, WorkloadSpec
+from tests.helpers import CounterpartyRecorder
 
 UPDATES = 50
 #: Counterparty blocks between updates: ``paper_day``'s ~260 s mean gap
@@ -178,6 +179,7 @@ class LoadedLink:
 
     def __init__(self, dep, channels, seconds=90.0):
         self.dep = dep
+        self.cp_records = CounterpartyRecorder(dep.counterparty).records
         strategy = dep.relayer.a.updates
         self.tap = RpcTap(dep)
         self.updates_before = len(dep.relayer.metrics.lc_updates)
@@ -321,7 +323,7 @@ def test_wait_stage_reconciles_poll_to_delivery(loaded):
     assert {id(record) for *_, record in loaded.polled} == {
         id(record) for record in loaded.covers}   # one cover per block
     for packet, height, polled_at, record in loaded.polled:
-        committed_at = dep.counterparty.blocks[height].header.time
+        committed_at = loaded.cp_records[height].header.time
         span = deliveries[packet.sequence]
         assert record["at"] == polled_at and span.start == record["released_at"]
         stages = (polled_at - committed_at) + record["wait"] + span.duration

@@ -15,13 +15,10 @@ transfer script must end the same way over either:
   confirm-seals and preludes delay packets but lose nothing.
 """
 
-from typing import Optional
-
 import pytest
 
 from repro.chaos import ChaosInjector, FaultPlan
-from repro.counterparty.chain import CounterpartyConfig
-from repro.errors import HostUnavailableError
+from repro.errors import HostUnavailableError, UnknownBlockError
 from repro.fabric import (
     CounterpartySpec, GuestSpec, LinkSpec, TopologyConfig, build_fabric,
 )
@@ -34,13 +31,12 @@ class LoneLink:
     """``g0`` linked to ``g1``, where ``g1`` is a second guest on the
     same host or an IBC-native counterparty."""
 
-    def __init__(self, kind: str, seed: int,
-                 cp_config: Optional[CounterpartyConfig] = None) -> None:
+    def __init__(self, kind: str, seed: int) -> None:
         self.kind = kind
         if kind == "guest-guest":
             guests, cps = (GuestSpec("g0"), GuestSpec("g1")), ()
         else:
-            guests, cps = (GuestSpec("g0"),), (CounterpartySpec("g1", cp_config),)
+            guests, cps = (GuestSpec("g0"),), (CounterpartySpec("g1"),)
         self.dep = build_fabric(TopologyConfig(
             guests=guests, counterparties=cps,
             links=(LinkSpec("g0", "g1"),), seed=seed, tracing=True))
@@ -198,33 +194,59 @@ def test_same_script_same_outcome_over_both_link_kinds(seed):
         # read from the chains: an accepted ack cleared its commitment.
         for receiver, origin in ((world.relayer.a, world.relayer.b),
                                  (world.relayer.b, world.relayer.a)):
-            for write in receiver.ibc.unconfirmed_acks():
-                assert origin.has_commitment(write.packet), (receiver.chain_id, write)
+            (_, origin_channel), = origin.channels
+            for sequence in unconfirmed_acks(receiver.ibc):
+                assert (origin_channel, sequence) in origin.ibc.standing, (
+                    receiver.chain_id, sequence)
+
+
+def unconfirmed_acks(ibc):
+    """The sequence of every ack ``ibc`` wrote that awaits its
+    confirmation, read from its sealing trackers."""
+    for key, tracker in ibc._ack_tracker.items():
+        yield from tracker.unsealed - ibc._ack_confirmed.get(key, set())
 
 
 def test_a_restart_past_the_counterparty_retention_times_out_what_expired():
-    """The counterparty keeps only its last few blocks
-    (``retain_blocks``), and the relayer is down for longer than they
-    span while a guest send to it expires.  The restart reads the clocks
-    of held blocks only: the oldest one held is the first known past the
-    deadline, and the send is timed out from there."""
-    world = LoneLink("guest-cp", seed=3, cp_config=CounterpartyConfig(retain_blocks=5))
-    chain = world.chain("g1")
+    """The relayer is down for 200 s while one guest send to the
+    counterparty expires and another does not.  The counterparty keeps
+    only what its relayer can still reach — from the block before the
+    first one past the deadline, whose clock and receipt-less store
+    prove the timeout — and drops the blocks before as it moves on.  The
+    restart reads nothing below that: it times out exactly the send that
+    expired and delivers the other."""
+    world = LoneLink("guest-cp", seed=3)
+    chain, cp_end = world.chain("g1"), world.relayer.b
+    deadline = world.t0 + 40.0
     ChaosInjector(world.dep, FaultPlan(label="long-outage").add(
         "relayer_crash", at=5.0, duration=200.0)).arm()
-    world.at(10.0, world.send, "g0", 13, world.t0 + 40.0)
-    oldest_held = []
-    world.at(204.0, lambda: oldest_held.append(
-        chain.blocks[min(chain.blocks)].header.time))
+    world.at(10.0, world.send, "g0", 13, deadline)
+    world.at(12.0, world.send, "g0", 29, world.t0 + 3_600.0)
+    kept = []
+
+    def before_the_restart():
+        first_past = min(height for height, record in chain.blocks.items()
+                         if record.header.time > deadline)
+        kept.append((chain.ibc.kept_from, first_past))
+        for read in (chain.store_at, cp_end.time):
+            with pytest.raises(UnknownBlockError):
+                read(chain.ibc.kept_from - 1)
+
+    world.at(204.0, before_the_restart)
     world.dep.run_for(900.0)
 
     assert world.relayer.metrics.crashes == 1
-    # The precondition: as the relayer restarts, every block the chain
-    # still holds is past the deadline.
-    assert oldest_held[0] > world.t0 + 40.0
+    # The precondition: the outage outlasted blocks the chain dropped,
+    # and it kept exactly from the block before the first past the
+    # deadline.
+    (kept_from, first_past), = kept
+    assert kept_from > 1
+    assert kept_from == first_past - 1
     assert world.counters("g0").packets_timed_out == 1
+    assert world.counters("g0").packets_acknowledged == 1
+    assert world.counters("g1").packets_received == 1
     assert world.relayer.metrics.timeouts_cancelled == 1
-    assert world.bank("g0").balance(world.sender("g0"), "stone-g0") == 1_000
+    assert world.bank("g0").balance(world.sender("g0"), "stone-g0") == 971
     world.assert_settled()
 
 

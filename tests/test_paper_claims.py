@@ -115,11 +115,15 @@ class TestSection7Claims:
         assert dep.guest_client.latest_height() > 0
         # ...and the guest follows the counterparty.
         assert dep.contract.counterparty_client.latest_height() > 0
-        # Block introspection: the contract can serve any past block and
-        # its state (what NEAR lacks per §II/§VI-D).
+        # Block introspection: the contract can serve any past block,
+        # and its state at every height a relayer can still prove at
+        # (what NEAR lacks per §II/§VI-D).
+        assert dep.contract.ibc.kept_from <= dep.contract.head.height
         for height in range(dep.contract.head.height + 1):
             block = dep.contract.block_at(height)
-            assert dep.contract.state_view(height).root_hash == block.header.state_root
+            if height >= dep.contract.ibc.kept_from:
+                assert (dep.contract.state_view(height).root_hash
+                        == block.header.state_root)
 
     def test_minimal_overhead_claim(self, live):
         """§VII: 'adding this interoperability layer introduces minimal

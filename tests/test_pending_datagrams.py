@@ -10,7 +10,8 @@ sender.  The guest adds one datagram (§III-A): once the sender has
 accepted an ack, the receiving guest is told to seal it.
 
 :func:`pending_datagrams` below is that text, written over the whole
-state of both chains — it scans every write either chain indexed, which
+state of both chains — it scans every write either chain indexed (kept
+test-side: a chain keeps only what its relayers can still reach), which
 the relayer must not.  A receive stays owed while the sender's
 commitment stands and no receipt exists: the destination, not the
 relayer, refuses one that arrives after its deadline.
@@ -25,6 +26,8 @@ between, and checks two things:
   commitment cleared, every received packet's ack sealed, every expired
   send timed out.
 """
+
+from functools import partial
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -55,6 +58,24 @@ def received(end, packet) -> bool:
         packet.destination_port, packet.destination_channel), packet.sequence, True)
 
 
+def every_write(world: LoneLink) -> dict[str, dict]:
+    """Every write either chain indexes from now on, kept test-side as
+    it is made, by chain and (kind, channel, sequence): a chain keeps
+    only what its relayers can still reach."""
+    seen = {}
+    for end in (world.relayer.a, world.relayer.b):
+        writes = seen[end.chain_id] = {}
+        end.ibc._record = partial(_recorded, end.ibc._record, writes)
+    return seen
+
+
+def _recorded(record, writes: dict, kind, packet, ack=None):
+    write = record(kind, packet, ack)
+    channel = packet.destination_channel if kind == "ack" else packet.source_channel
+    writes[(kind, str(channel), packet.sequence)] = write
+    return write
+
+
 def pending_datagrams(world: LoneLink) -> set[tuple[str, str, str, int]]:
     """Every datagram owed on ``world``'s link, as (kind, chain it goes
     to, source channel, sequence)."""
@@ -62,7 +83,7 @@ def pending_datagrams(world: LoneLink) -> set[tuple[str, str, str, int]]:
     ends = (world.relayer.a, world.relayer.b)
     for src, dst in (ends, ends[::-1]):
         clock = dst.time(dst.latest_final())
-        for kind, packet, _, _ in list(src.ibc.written.values()):
+        for kind, packet, _, _ in list(world.every_write[src.chain_id].values()):
             key = (str(packet.source_channel), packet.sequence)
             if kind == "send" and src.sends(packet) and committed(src, packet):
                 if not received(dst, packet):
@@ -70,7 +91,7 @@ def pending_datagrams(world: LoneLink) -> set[tuple[str, str, str, int]]:
                     if packet.timeout_timestamp and clock > packet.timeout_timestamp:
                         owed.add(("timeout", src.chain_id, *key))
                 elif ("ack", str(packet.destination_channel),
-                      packet.sequence) in dst.ibc.written:
+                      packet.sequence) in world.every_write[dst.chain_id]:
                     owed.add(("ack", src.chain_id, *key))
             elif (kind == "ack" and src.receives(packet)
                   and not committed(dst, packet)
@@ -123,6 +144,7 @@ FAULTS = st.lists(st.tuples(
 def test_the_relayer_builds_only_what_is_owed_and_leaves_nothing_owed(
         kind, seed, sends, faults):
     world = LoneLink(kind, seed)
+    world.every_write = every_write(world)
     built = audit_datagrams(world)
     plan = FaultPlan(label="schedule")
     for fault, at, duration in sorted(faults):

@@ -59,7 +59,7 @@ from repro.guest.instructions import Op, generate_block
 from repro.relayer.relayer import Relayer, RelayerConfig
 from repro.units import BASE_FEE_LAMPORTS_PER_SIGNATURE
 
-from tests.helpers import can_cut_a_block
+from tests.helpers import CounterpartyRecorder, can_cut_a_block, writes_of
 
 SENDS = 12
 LC_OPS = (Op.CHUNK, Op.LC_SIG_BATCH, Op.LC_FINALIZE)
@@ -86,6 +86,7 @@ class Traffic:
 
         sim.schedule_at = counting_schedule_at
         guest_channel, cp_channel = dep.establish_link()
+        self.cp_records = CounterpartyRecorder(chain).records
         updates_before = len(dep.relayer.metrics.lc_updates)
 
         #: guest height -> counterparty height its header was accepted at.
@@ -171,7 +172,7 @@ def test_a_packet_lands_in_the_block_that_accepts_its_header(traffic):
 
 
 def test_a_counterparty_send_is_handed_over_at_its_block(traffic):
-    blocks = traffic.dep.counterparty.blocks
+    blocks = traffic.cp_records
     assert len(traffic.handed) == SENDS
     for height, at in traffic.handed:
         assert at - blocks[height].header.time == 0
@@ -351,8 +352,8 @@ def test_a_finalised_block_is_one_cover_with_something_due():
         return prove(src, kind, packet, height)
 
     def watched_relay_block(src, height):
-        waiting = [write.height for write in guest.ibc.written.values()
-                   if write.kind == "ack" and write.packet.sequence not in proven]
+        waiting = [write.height for write in writes_of(guest.ibc, "ack")
+                   if write.packet.sequence not in proven]
         if src is guest and waiting and min(waiting) > height:
             ahead_of_acks.append(height)
         return relay_block(src, height)
@@ -444,8 +445,8 @@ def test_a_restart_is_one_cover_per_finalised_block_with_something_due():
     # Acks owed, by the height of the finalised block that commits them
     # (no guest send and no epoch end is owed besides).
     final = guest.latest_final()
-    owed = [write.height for write in guest.ibc.written.values()
-            if write.kind == "ack" and relayer.b.has_commitment(write.packet)]
+    owed = [write.height for write in writes_of(guest.ibc, "ack")
+            if relayer.b.has_commitment(write.packet)]
     due = {height for height in owed if height <= final}
     # The precondition: acks owed in at least two finalised blocks, more
     # of them than blocks.

@@ -23,7 +23,7 @@ from repro.guest.config import GuestConfig
 from repro.relayer.relayer import RelayerConfig
 from repro.validators.profiles import simple_profiles
 
-from tests.helpers import can_cut_a_block
+from tests.helpers import can_cut_a_block, writes_of
 
 
 def make_dep(seed, relayer_config=None):
@@ -263,7 +263,8 @@ class TestCrashRestart:
                     prelude=(ins.generate_block(),) + tuple(prelude), **kwargs)
 
         def crash_once_parked():
-            if ("ack", str(guest_chan), 0) not in contract.ibc.written:
+            if not any(write.packet.sequence == 0
+                       for write in writes_of(contract.ibc, "ack")):
                 dep.sim.schedule(0.1, crash_once_parked)
                 return
             dep.relayer.crash()
@@ -348,8 +349,9 @@ class TestCrashRestart:
         # The precondition: acks written while down, some of them in a
         # block finalised before the restart.
         assert written_while_down
-        assert any(guest.ibc.written[("ack", str(guest_chan), sequence)].height
-                   <= guest.latest_final() for sequence in written_while_down)
+        assert any(write.height <= guest.latest_final()
+                   for write in writes_of(guest.ibc, "ack")
+                   if write.packet.sequence in written_while_down)
 
         relayer.restart()
         dep.run_for(900.0)

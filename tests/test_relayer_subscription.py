@@ -19,6 +19,7 @@ from repro.guest.config import GuestConfig
 from repro.relayer.endpoint import CounterpartyEnd
 from repro.relayer.relayer import Relayer
 from repro.workload import WorkloadEngine, WorkloadSpec
+from tests.helpers import CounterpartyRecorder
 
 POLL_SECONDS = 3.0
 GUEST = GuestConfig(delta_seconds=120.0, min_stake_lamports=1)
@@ -60,6 +61,7 @@ class Run:
         monkeypatch.setattr(repro.deployment, "Relayer", relayer_class)
         dep, channels = build_linked_deployment(seed, GUEST, (16, 1.0), 1)
         self.dep, relayer, end = dep, dep.relayer, dep.relayer.b
+        self.cp_records = CounterpartyRecorder(dep.counterparty).records
         assert type(relayer) is relayer_class
         #: Every read of a block that found sends in it:
         #: (time, [(source channel, sequence, committed height)]).
@@ -132,7 +134,7 @@ def test_subscription_reads_what_the_poll_read_and_never_later(seed, monkeypatch
     # Up, both read a send at its block's instant (the 3 s grid falls on
     # the 6 s one); the sends of an outage the subscription reads as it
     # restarts, the poll on its next tick.
-    blocks = subscribed.dep.counterparty.blocks
+    blocks = subscribed.cp_records
     paused = [send for send, (height, at) in ours.items()
               if at != blocks[height].header.time]
     assert 0 < earlier <= len(paused) < 150
