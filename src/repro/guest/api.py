@@ -143,12 +143,6 @@ class Batch:
 class GuestApi:
     """Builds and submits Guest Contract transactions for one payer."""
 
-    #: Resubmission cadence while the host RPC refuses (chaos blackout).
-    #: The multi-transaction flows below (chunked LC updates, batched
-    #: confirms) park their cursor and retry at this period instead of
-    #: losing their place mid-sequence.
-    blackout_retry_seconds: float = 2.0
-
     def __init__(self, chain: HostChain, contract: GuestContract,
                  payer, default_fee: Optional[FeeStrategy] = None) -> None:
         self.chain = chain
@@ -263,35 +257,16 @@ class GuestApi:
             on_result=on_result,
         )
 
-    def confirm_ack(self, port: str, channel: str, sequence: int,
-                    on_result: Optional[Callable[[TxReceipt], None]] = None) -> None:
-        self._single(ins.confirm_ack(port, channel, sequence), on_result=on_result)
-
-    def confirm_acks(self, confirms: list[tuple[str, str, int]],
+    def confirm_acks(self, confirms: Sequence[tuple[str, str, int]],
                      on_result: Optional[Callable[[TxReceipt], None]] = None) -> None:
-        """Seal several delivered acks with one multi-instruction
-        transaction per ~two dozen confirms, instead of one transaction
-        each — the ack-sealing counterpart of BATCH_EXEC coalescing."""
-        if not confirms:
-            return
-        per_tx = 24
-        for start in range(0, len(confirms), per_tx):
-            group = confirms[start : start + per_tx]
-            tx = self._transaction(
-                *[ins.confirm_ack(port, channel, sequence)
-                  for port, channel, sequence in group],
-                fee=self.default_fee)
-            try:
-                self.chain.submit(tx, on_result=on_result)
-            except HostUnavailableError:
-                # Blackout mid-flush: park the unsent remainder and
-                # resume from this exact group once the RPC answers.
-                self.chain.sim.trace.count("chaos.confirms.deferred")
-                self.chain.sim.schedule(
-                    self.blackout_retry_seconds,
-                    self.confirm_acks, list(confirms[start:]), on_result,
-                )
-                return
+        """Seal delivered acks, ``(port, channel, sequence)`` each, with
+        one transaction of a CONFIRM_ACK instruction per ack — the
+        ack-sealing counterpart of BATCH_EXEC coalescing.  The caller
+        keeps it within the host's transaction size."""
+        self.chain.submit(self._transaction(
+            *[ins.confirm_ack(port, channel, sequence)
+              for port, channel, sequence in confirms],
+            fee=self.default_fee), on_result=on_result)
 
     def submit_evidence(self, offender: PublicKey, height: int,
                         fingerprint: bytes, signature: Signature,
@@ -477,11 +452,19 @@ class GuestApi:
             exec_fields=(batch.payload[staged:],))
 
 
+#: Resubmission cadence of a chunked light-client update while the host
+#: RPC refuses (chaos blackout): :class:`LcUpload` parks its cursor and
+#: retries at this period instead of losing its place mid-sequence.
+BLACKOUT_RETRY_SECONDS = 2.0
+
+
 class LcUpload:
     """One chunked light-client update on its way to the host: the
     transactions not yet submitted, and what the receipts so far add up
     to.  :meth:`pump` is its one continuation — every receipt runs it,
-    and so does the blackout retry timer."""
+    and so does the blackout retry timer.  It is the one relayer write
+    outside the relayer's bundle queue: its receipts drive a windowed
+    stream with its own cursor, not a one-shot launch."""
 
     def __init__(self, api: GuestApi, height: int, plan, queue: list,
                  window: Optional[int],
@@ -530,7 +513,7 @@ class LcUpload:
             chain.sim.trace.count("chaos.lc_update.stalled")
             if not self.stalled:
                 self.stalled = True
-                chain.sim.schedule(self.api.blackout_retry_seconds, self.pump)
+                chain.sim.schedule(BLACKOUT_RETRY_SECONDS, self.pump)
         # Over with the last receipt (a stale retry timer carries none).
         if (receipt is not None and self.on_done is not None
                 and not (queue or self.in_flight)):

@@ -28,10 +28,14 @@ How each client is brought to a proof height is the business of the
 end's :mod:`~repro.relayer.updates` strategy, behind one call,
 ``cover``: a header push or a sibling adoption rides in front of the
 datagram it proves, and only a chunked Tendermint update is awaited.
-Every guest-side submission goes through one pipeline — batch, bundle
-queue, circuit breaker, bounded idempotent retry (docs/CHAOS.md) — so
-every flow is blackout-safe the same way.  The relayer keeps nothing a
-crash must restore.
+Every one-shot write to a guest — a packet datagram's bundle, a
+confirm-seal transaction, a handshake step, a sibling prime — goes
+through one door, the bundle queue behind the circuit breaker
+(docs/CHAOS.md), so every such write is blackout-safe the same way and
+a crash drops whatever has not gone out.  The one stream outside it is
+the chunked light-client update (:class:`~repro.guest.api.LcUpload`),
+whose receipts drive a windowed stream with its own cursor.  The
+relayer keeps nothing a crash must restore.
 """
 
 from __future__ import annotations
@@ -66,6 +70,8 @@ BUNDLE_TIP_LAMPORTS = 0
 #: when it comes up: the more transactions it has, the longer a busy
 #: host defers it.  A flush whose payload needs more is halved.
 BATCH_MAX_BUNDLE_TXS = 8
+#: Cap on the CONFIRM_ACK instructions of one confirm-seal transaction.
+CONFIRMS_PER_TX = 24
 
 
 @dataclass
@@ -560,26 +566,30 @@ class Relayer:
         self._submit(dst, [(op, span)], None, attempt)
 
     def _confirm_seal(self, receiver: GuestEnd, packet: Packet) -> None:
-        """The sender accepted ``packet``'s ack: seal it on the receiving
-        guest (bounded storage, §III-A)."""
-        confirm = (packet.destination_port, packet.destination_channel,
-                   packet.sequence)
-        if self.config.batch_max_packets > 1:
-            # Coalesced flow: seal many acks per transaction instead of
-            # paying a host transaction per packet.
-            receiver.pending_confirms.append(confirm)
-            if receiver.confirm_flush_handle is None:
-                receiver.confirm_flush_handle = self.sim.schedule(
-                    self.config.batch_flush_seconds,
-                    self._flush_confirms, receiver)
-            return
-        self._enqueue_bundle(partial(receiver.api.confirm_ack, *confirm))
+        """The sender accepted ``packet``'s ack: stage its seal on the
+        receiving guest (bounded storage, §III-A) for the next flush —
+        at once when a batch is one operation, else when the flush
+        timer fires, coalescing many seals per transaction."""
+        receiver.pending_confirms.append((
+            packet.destination_port, packet.destination_channel,
+            packet.sequence))
+        if self.config.batch_max_packets == 1:
+            self._flush_confirms(receiver)
+        elif receiver.confirm_flush_handle is None:
+            receiver.confirm_flush_handle = self.sim.schedule(
+                self.config.batch_flush_seconds, self._flush_confirms, receiver)
 
     def _flush_confirms(self, receiver: GuestEnd) -> None:
+        """Queue the staged seals, one launch per transaction of at most
+        :data:`CONFIRMS_PER_TX`: a blackout mid-flush holds exactly the
+        transactions not yet handed over."""
         receiver.confirm_flush_handle = None
         confirms, receiver.pending_confirms = receiver.pending_confirms, []
         self.sim.trace.observe("relay.confirm_batch.acks", len(confirms))
-        receiver.api.confirm_acks(confirms)
+        for start in range(0, len(confirms), CONFIRMS_PER_TX):
+            self._enqueue_bundle(partial(
+                receiver.api.confirm_acks,
+                confirms[start:start + CONFIRMS_PER_TX]))
 
     # ==================================================================
     # Crash and restart (docs/CHAOS.md)
@@ -683,16 +693,15 @@ class Relayer:
 
     def _submit_handshake(self, end, msg, then: Callable[[Optional[str], int], None],
                           failed: Callable[[object], None]) -> None:
-        """Submit a handshake datagram on ``end``; ``then(created,
-        height)`` once it executed, ``height`` naming the block that
-        commits it, ``failed(cause)`` if it was rejected."""
-        try:
+        """Submit a handshake datagram on ``end`` — a guest takes it
+        through the bundle queue, a counterparty in its next block;
+        ``then(created, height)`` once it executed, ``height`` naming
+        the block that commits it, ``failed(cause)`` if it was
+        rejected."""
+        if end in self._guests:
+            self._enqueue_bundle(partial(end.submit_handshake, msg, then, failed))
+        else:
             end.submit_handshake(msg, then, failed)
-        except HostUnavailableError:
-            self.sim.trace.count("relay.handshakes.deferred")
-            self.sim.schedule(
-                self.retry_policy.delay(1, self._retry_rng),
-                self._submit_handshake, end, msg, then, failed)
 
     def _await_commit(self, src, height: int, action: Callable[[int], None]) -> None:
         """Run ``action(height)`` once the block of ``src`` at ``height``

@@ -474,3 +474,58 @@ class PathCopyingTrie(SealableTrie):
         view = PathCopyingTrie()
         view._root = self._root
         return view
+
+
+# ======================================================================
+# The relayer before every guest write rode the bundle queue
+# ======================================================================
+
+from repro.errors import HostUnavailableError  # noqa: E402
+from repro.relayer.relayer import CONFIRMS_PER_TX, Relayer  # noqa: E402
+
+
+class ForkedConfirmRelayer(Relayer):
+    """The reference: the relayer with its two private blackout retries.
+
+    A batched relayer (``batch_max_packets`` > 1) flushed its staged
+    confirm-seals straight to the host, past the bundle queue and the
+    circuit breaker; a refusal parked the unsent transactions on a 2 s
+    timer of their own.  A guest handshake step was submitted directly
+    too, and a refusal re-submitted it after one retry-policy delay — a
+    timer no crash cancels.  ``deferred`` counts the refusals the two
+    took.  It exists only here; ``src/`` has no switch that selects it.
+    """
+
+    #: The confirm flush's resubmission cadence during a blackout.
+    CONFIRM_RETRY_SECONDS = 2.0
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.deferred = 0
+
+    def _flush_confirms(self, receiver) -> None:
+        if self.config.batch_max_packets == 1:
+            super()._flush_confirms(receiver)
+            return
+        receiver.confirm_flush_handle = None
+        confirms, receiver.pending_confirms = receiver.pending_confirms, []
+        self.sim.trace.observe("relay.confirm_batch.acks", len(confirms))
+        self._confirm_directly(receiver.api, confirms)
+
+    def _confirm_directly(self, api, confirms: list) -> None:
+        for start in range(0, len(confirms), CONFIRMS_PER_TX):
+            try:
+                api.confirm_acks(confirms[start:start + CONFIRMS_PER_TX])
+            except HostUnavailableError:
+                self.deferred += 1
+                self.sim.schedule(self.CONFIRM_RETRY_SECONDS,
+                                  self._confirm_directly, api, confirms[start:])
+                return
+
+    def _submit_handshake(self, end, msg, then, failed) -> None:
+        try:
+            end.submit_handshake(msg, then, failed)
+        except HostUnavailableError:
+            self.deferred += 1
+            self.sim.schedule(self.retry_policy.delay(1, self._retry_rng),
+                              self._submit_handshake, end, msg, then, failed)

@@ -23,7 +23,7 @@ import pytest
 from repro.experiments.throughput import build_linked_deployment
 from repro.guest import instructions as ins
 from repro.guest.instructions import Op
-from repro.relayer.relayer import BATCH_MAX_BUNDLE_TXS
+from repro.relayer.relayer import BATCH_MAX_BUNDLE_TXS, CONFIRMS_PER_TX
 from repro.workload import WorkloadEngine, WorkloadSpec
 
 from tests.helpers import batch_bundle_payload
@@ -34,13 +34,25 @@ PACKETS = 1_800
 
 class BundleTap:
     """Every bundle handed to ``host.submit_bundle`` that ends in a
-    BATCH_EXEC, with the payload it stages and runs."""
+    BATCH_EXEC, with the payload it stages and runs, and the number of
+    CONFIRM_ACK instructions of each confirm-seal transaction handed to
+    ``host.submit``."""
 
     def __init__(self, dep):
         self.limit = dep.host.config.max_transaction_bytes
         self.bundles = []   # [(transactions, payload)]
+        self.confirm_txs = []   # [CONFIRM_ACK instructions]
         self._submit_bundle = dep.host.submit_bundle
         dep.host.submit_bundle = self.submit_bundle
+        self._submit = dep.host.submit
+        dep.host.submit = self.submit
+
+    def submit(self, transaction, on_result=None):
+        codes = [ins.data[0] for ins in transaction.instructions]
+        if codes[0] == Op.CONFIRM_ACK:
+            assert set(codes) == {Op.CONFIRM_ACK}
+            self.confirm_txs.append(len(codes))
+        return self._submit(transaction, on_result=on_result)
 
     def submit_bundle(self, transactions, tip_lamports, on_result=None):
         last = transactions[-1].instructions[0].data
@@ -93,6 +105,21 @@ def test_a_delivered_packet_costs_260_payload_bytes(delivered):
     assert sum(report.histogram("relay.batch.payload_bytes")) == shipped
     assert sum(report.histogram("relay.batch.packets")) == PACKETS
     assert sum(report.histogram("relay.batch.witness_bytes")) <= 0.7 * shipped
+
+
+#: The loaded link's confirm-seal transactions per seed, pinned from
+#: the relayer that flushed its batched seals straight to the host: a
+#: flush of ~40 seals goes out as two transactions of at most 24
+#: CONFIRM_ACK instructions, not one per seal.
+CONFIRM_TRANSACTIONS = {0: 78, 1: 79, 2: 77}
+
+
+def test_seals_coalesce_two_dozen_per_transaction(delivered):
+    dep, tap, _ = delivered
+    assert len(tap.confirm_txs) == CONFIRM_TRANSACTIONS[dep.config.seed]
+    # Every delivered packet's ack sealed once, ≤ 24 seals a transaction.
+    assert sum(tap.confirm_txs) == PACKETS
+    assert max(tap.confirm_txs) <= CONFIRMS_PER_TX
 
 
 def test_every_bundle_is_schedulable(delivered):
